@@ -34,6 +34,16 @@ class Grid:
                 raise ValueError("upper must exceed lower")
             if n < 8:
                 raise ValueError("at least 8 cells per axis")
+        # derived once; not dataclass fields, so equality and hashing stay
+        # on lower/upper/cells
+        h = (np.array(self.upper) - np.array(self.lower)) / np.array(self.cells)
+        h.setflags(write=False)
+        object.__setattr__(self, "_spacing", h)
+        object.__setattr__(self, "_cell_volume", float(np.prod(h)))
+
+    def __reduce__(self):
+        # rebuild through __init__ so copies get their own read-only spacing
+        return (Grid, (self.lower, self.upper, self.cells))
 
     @property
     def dim(self) -> int:
@@ -41,11 +51,12 @@ class Grid:
 
     @property
     def spacing(self) -> np.ndarray:
-        return (np.array(self.upper) - np.array(self.lower)) / np.array(self.cells)
+        """Cell widths per axis (read-only)."""
+        return self._spacing
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return self._cell_volume
 
     def axis_centers(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]
@@ -120,7 +131,21 @@ def _same_grid(f, g):
 
 
 def _padded(values: np.ndarray) -> np.ndarray:
-    return np.pad(values, 1, mode="edge")
+    """Copy of ``values`` with one ghost layer per side on every axis, each
+    ghost repeating its boundary cell (the values of ``np.pad(mode="edge")``
+    on the edges; 2-d corners are left unset, no stencil reads them)."""
+    p = np.empty(tuple(n + 2 for n in values.shape), dtype=values.dtype)
+    if values.ndim == 1:
+        p[1:-1] = values
+        p[0] = values[0]
+        p[-1] = values[-1]
+    else:
+        p[1:-1, 1:-1] = values
+        p[0, 1:-1] = values[0]
+        p[-1, 1:-1] = values[-1]
+        p[1:-1, 0] = values[:, 0]
+        p[1:-1, -1] = values[:, -1]
+    return p
 
 
 def laplacian_neumann(f: Field) -> Field:
@@ -131,15 +156,12 @@ def laplacian_neumann(f: Field) -> Field:
     """
     v = f.values
     h = f.grid.spacing
-    out = np.zeros_like(v)
+    p = _padded(v)
     if f.grid.dim == 1:
-        p = _padded(v)
         out = (p[2:] - 2.0 * v + p[:-2]) / h[0] ** 2
     else:
-        p = np.pad(v, ((1, 1), (0, 0)), mode="edge")
-        out = (p[2:, :] - 2.0 * v + p[:-2, :]) / h[0] ** 2
-        p = np.pad(v, ((0, 0), (1, 1)), mode="edge")
-        out = out + (p[:, 2:] - 2.0 * v + p[:, :-2]) / h[1] ** 2
+        out = (p[2:, 1:-1] - 2.0 * v + p[:-2, 1:-1]) / h[0] ** 2
+        out = out + (p[1:-1, 2:] - 2.0 * v + p[1:-1, :-2]) / h[1] ** 2
     return Field(f.grid, out)
 
 
@@ -147,15 +169,12 @@ def gradient_neumann(f: Field) -> VectorField:
     """Centered differences with mirrored ghosts (even extension)."""
     v = f.values
     h = f.grid.spacing
-    comps = []
+    p = _padded(v)
     if f.grid.dim == 1:
-        p = _padded(v)
-        comps.append((p[2:] - p[:-2]) / (2.0 * h[0]))
+        comps = [(p[2:] - p[:-2]) / (2.0 * h[0])]
     else:
-        p = np.pad(v, ((1, 1), (0, 0)), mode="edge")
-        comps.append((p[2:, :] - p[:-2, :]) / (2.0 * h[0]))
-        p = np.pad(v, ((0, 0), (1, 1)), mode="edge")
-        comps.append((p[:, 2:] - p[:, :-2]) / (2.0 * h[1]))
+        comps = [(p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h[0]),
+                 (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h[1])]
     return VectorField(f.grid, tuple(comps))
 
 

@@ -1,9 +1,13 @@
 """Time integration: stepping, ledger bookkeeping, constrained minima."""
 
 import csv
+import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from wmcflab import flow, wells
@@ -169,6 +173,16 @@ class TestRun:
                            "defect", "inner_residual"]
         assert len(rows) == 1 + len(led.steps)
 
+    def test_dt_not_dividing_span_raises(self):
+        spec = wells.constant_quartic()
+        st = profile_state(n=128, eps=0.05)
+        with pytest.raises(ValueError, match=r"dt=0\.0003 .* 0\.001$"):
+            flow.run(st, spec, "semi_implicit", dt=3e-4, t_end=1e-3)
+        later = flow.PhaseState(st.u, st.eps, time=2e-4)
+        with pytest.raises(ValueError, match="does not divide"):
+            flow.run(later, spec, "minimizing_movements", dt=2e-4,
+                     t_end=1e-3 + 1e-4)
+
     def test_unknown_scheme(self):
         spec = wells.constant_quartic()
         st = profile_state(n=128)
@@ -191,6 +205,57 @@ class TestRun:
             vol = st.u.grid.cell_volume
             dists.append(np.sqrt(np.sum((a.u.values - b.u.values) ** 2) * vol))
         assert dists[1] < dists[0]
+
+
+class TestLedgerProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(hst.integers(0, 2 ** 32 - 1), hst.integers(1, 400))
+    def test_defect_matches_fsum(self, seed, n):
+        # nonnegative increments and signed energies, each of magnitude
+        # 1e-15 .. 1e3
+        rng = np.random.default_rng(seed)
+        incs = rng.random(n) * 10.0 ** rng.integers(-15, 3, n)
+        es = rng.uniform(-1.0, 1.0, n + 1) * 10.0 ** rng.integers(-15, 3, n + 1)
+        e0 = float(es[0])
+        ledger = flow.DissipationLedger(e_initial=e0)
+        for k in range(n):
+            ledger.append(k + 1, 0.1 * k, float(es[k + 1]), float(incs[k]),
+                          0.0)
+        for i in range(n):
+            e = float(es[i + 1])
+            total = math.fsum(ledger.dissipation_increments[:i + 1])
+            ref = abs(e0 - e - total)
+            big = max(abs(e0), abs(e), abs(e0 - e), total, ref)
+            assert abs(ledger.defects[i] - ref) <= 4 * math.ulp(big)
+
+
+@hst.composite
+def implicit_systems(draw):
+    dim = draw(hst.sampled_from((1, 2)))
+    cells = tuple(draw(hst.integers(8, 24)) for _ in range(dim))
+    g = Grid(tuple(0.0 for _ in cells),
+             tuple(draw(hst.floats(0.5, 2.0)) for _ in cells), cells)
+    dt = draw(hst.floats(1e-6, 1e-2))
+    rhs = draw(hnp.arrays(float, cells, elements=hst.floats(-2.0, 2.0)))
+    return g, dt, rhs
+
+
+class TestSpectralSolveProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(implicit_systems())
+    def test_matches_cg(self, system):
+        g, dt, rhs = system
+        cg_tol = 1e-10
+        denom = flow._spectral_denominator(g, dt)
+        direct = flow._spectral_solve(denom, rhs)
+        iterative, resid = flow._cg(lambda v: v - dt * flow._lap(v, g), rhs,
+                                    tol=cg_tol)
+        assert resid <= cg_tol
+        # (I - dt Lap) has spectrum >= 1, so the error is at most the
+        # CG residual (plus roundoff of the direct solve)
+        err = float(np.sqrt(np.sum((direct - iterative) ** 2)))
+        scale = float(np.sqrt(np.sum(rhs ** 2)))
+        assert err <= cg_tol + 1e-13 * max(scale, 1.0)
 
 
 class TestConstrainedMinimization:

@@ -1,9 +1,13 @@
 """Grid operators: Neumann stencils, quadrature, level sets, export."""
 
 import csv
+import pickle
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wmcflab.errors import ExtractionError, GridMismatchError
@@ -20,6 +24,40 @@ def test_grid_validation():
     g = Grid.box((0, 0), (2, 1), (64, 16))
     assert g.spacing[0] == pytest.approx(2 / 64)
     assert g.cell_volume == pytest.approx((2 / 64) * (1 / 16))
+
+
+bounds = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+lengths = st.floats(0.1, 10.0, allow_nan=False, allow_infinity=False)
+sizes = st.integers(8, 40)
+
+
+@st.composite
+def grids(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    lower = tuple(draw(bounds) for _ in range(dim))
+    upper = tuple(lo + draw(lengths) for lo in lower)
+    cells = tuple(draw(sizes) for _ in range(dim))
+    return Grid(lower, upper, cells)
+
+
+class TestGridProperties:
+    @given(grids())
+    def test_spacing_is_read_only(self, g):
+        for grid in (g, pickle.loads(pickle.dumps(g))):
+            with pytest.raises(ValueError):
+                grid.spacing[0] = 1.0
+        expected = (np.array(g.upper) - np.array(g.lower)) / np.array(g.cells)
+        assert np.array_equal(g.spacing, expected)
+        assert g.cell_volume == float(np.prod(expected))
+
+    @given(grids())
+    def test_equal_grids_compare_and_hash_equal(self, g):
+        twin = Grid(list(g.lower), list(g.upper), [float(n) for n in g.cells])
+        assert twin == g
+        assert hash(twin) == hash(g)
+        assert len({g, twin, pickle.loads(pickle.dumps(g))}) == 1
+        other = Grid(g.lower, g.upper, tuple(n + 1 for n in g.cells))
+        assert other != g
 
 
 def test_field_shape_and_finiteness():
@@ -74,6 +112,63 @@ class TestLaplacian:
             errs.append(np.max(np.abs(lap.values - exact)[4:-4]))
         order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert min(order) >= 1.9
+
+
+def _lap_reference(v, h):
+    """The stencil as written with ``np.pad(mode="edge")`` ghosts."""
+    if v.ndim == 1:
+        p = np.pad(v, 1, mode="edge")
+        return (p[2:] - 2.0 * v + p[:-2]) / h[0] ** 2
+    p = np.pad(v, ((1, 1), (0, 0)), mode="edge")
+    out = (p[2:, :] - 2.0 * v + p[:-2, :]) / h[0] ** 2
+    p = np.pad(v, ((0, 0), (1, 1)), mode="edge")
+    return out + (p[:, 2:] - 2.0 * v + p[:, :-2]) / h[1] ** 2
+
+
+values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def grid_fields(draw, count=1):
+    g = draw(grids())
+    return (g,) + tuple(
+        Field(g, draw(hnp.arrays(float, g.cells, elements=values)))
+        for _ in range(count))
+
+
+def _stencil_scale(g, u, w):
+    """Bound on sum |Lap| |u| |w| that scales the roundoff of the
+    summation-by-parts identities below."""
+    inv_h2 = float(np.sum(1.0 / g.spacing ** 2))
+    a, b = np.abs(u.values), np.abs(w.values)
+    return 4.0 * inv_h2 * max(np.sum(a) * np.max(b), np.sum(b) * np.max(a))
+
+
+class TestLaplacianProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_fields())
+    def test_bit_identical_to_pad_formula(self, gf):
+        g, f = gf
+        lap = laplacian_neumann(f).values
+        assert np.array_equal(lap, _lap_reference(f.values, g.spacing))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_fields())
+    def test_output_sums_to_zero(self, gf):
+        g, f = gf
+        ones = Field.constant(g, 1.0)
+        total = float(np.sum(laplacian_neumann(f).values))
+        assert abs(total) <= 64 * np.finfo(float).eps \
+            * _stencil_scale(g, f, ones)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_fields(count=2))
+    def test_symmetric(self, gfw):
+        g, f, w = gfw
+        s1 = float(np.sum(laplacian_neumann(f).values * w.values))
+        s2 = float(np.sum(f.values * laplacian_neumann(w).values))
+        assert abs(s1 - s2) <= 64 * np.finfo(float).eps \
+            * _stencil_scale(g, f, w)
 
 
 class TestGradient:
