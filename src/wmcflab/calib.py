@@ -180,14 +180,6 @@ class CalibrationResiduals:
                 out[name] = 0.0
         return out
 
-    def near_interface_max(self) -> dict:
-        mask = self.dist < _NEAR
-        out = {}
-        for name, vals in (("r1", self.r1), ("r2", self.r2),
-                           ("r3", self.r3), ("r4", self.r4)):
-            out[name] = float(np.max(vals[mask])) if np.any(mask) else 0.0
-        return out
-
 
 def _dt4(f, t, delta):
     """Fourth-order centered time derivative of a field callable."""

@@ -12,9 +12,13 @@ namespaces, e.g.
     out_dir=results
 
 Commands: ``wmcf run <config>``, ``wmcf list``, ``wmcf validate <config>``.
-Exit codes for run: 0 all checks pass, 1 a check failed, 2 config parse
-error, 3 numeric failure. WMCF_THREADS caps the BLAS thread pools (all
-orchestration is single-threaded, so outputs are deterministic).
+Exit codes for run: 0 all checks pass, 1 a check failed, 2 invalid config
+or parameters (parse and validation errors, and the ValueError subclasses
+of ``errors``: DomainError, ResolutionError, GeometryError,
+GridMismatchError), 3 numeric failure (NumericError, ExtractionError).
+Orchestration is single-threaded, so outputs are deterministic; to cap the
+BLAS thread pools, set OMP_NUM_THREADS / OPENBLAS_NUM_THREADS in the
+environment before the process starts.
 """
 
 import argparse
@@ -27,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import wells
-from .errors import NumericError
+from .errors import (DomainError, ExtractionError, GeometryError,
+                     GridMismatchError, NumericError, ResolutionError)
 from .experiments import REGISTRY
 
 
@@ -195,8 +200,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         return 2
     try:
         result = runner(**kwargs)
-    except NumericError as exc:
-        sys.stderr.write(f"numeric failure: {exc}\n")
+    except (DomainError, ResolutionError, GeometryError,
+            GridMismatchError) as exc:
+        sys.stderr.write(f"parameter error: {type(exc).__name__}: {exc}\n")
+        return 2
+    except (NumericError, ExtractionError) as exc:
+        sys.stderr.write(f"numeric failure: {type(exc).__name__}: {exc}\n")
         return 3
     stamp = time.strftime("%Y%m%d-%H%M%S")
     csv_path = os.path.join(cfg.out_dir, f"{cfg.experiment}_{stamp}.csv")
@@ -218,12 +227,6 @@ def list_experiments() -> str:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("WMCF_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = argparse.ArgumentParser(
         prog="wmcf",
         description="desk-scale experiments for the heterogeneous "

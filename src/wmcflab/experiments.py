@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calib, flow, sharp, testfields as tf, variations as var, wells
+from .errors import GeometryError
 from .grid import Field, Grid, extract_levelset
 
 SQRT2_OVER_6 = float(np.sqrt(2.0) / 6.0)
@@ -59,6 +60,25 @@ def _strictly_decreasing(seq) -> bool:
 
 def _unit_box(n: int) -> Grid:
     return Grid.box((0.0, 0.0), (1.0, 1.0), (n, n))
+
+
+def _full_length(traj: sharp.SharpTrajectory,
+                 t_end: float) -> sharp.SharpTrajectory:
+    """Return ``traj``, or raise GeometryError if it stopped before
+    ``t_end`` (the disk went extinct or the point left the domain): checks
+    against the part of the reference that was never computed would pass
+    vacuously."""
+    if traj.truncated:
+        raise GeometryError(f"sharp reference stops at t = {traj.t_end:.4g}, "
+                            f"before t_end = {t_end:g}")
+    return traj
+
+
+def _radial_reference(r0: float, sig: sharp.ScalarSigma,
+                      t_end: float) -> sharp.SharpTrajectory:
+    """Exact radial flow about the center of the unit box up to t_end."""
+    return _full_length(sharp.evolve_radial(r0, sig, t_end, tol=1e-12,
+                                            center=(0.5, 0.5)), t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +303,8 @@ def run_dissipation(grid_n: int = 256, eps: float = 0.02,
     state = flow.PhaseState(Field(grid, u0), eps)
     defects = []
     for dt in dt_list:
-        _, ledger = flow.run(state, spec, "semi_implicit", dt=dt,
-                             t_end=t_end, solver="spectral")
+        ledger = flow.run(state, spec, "semi_implicit", dt=dt, t_end=t_end,
+                          solver="spectral").ledger
         defects.append(ledger.final_defect)
         ratio = defects[-2] / defects[-1] if len(defects) > 1 else float("nan")
         res.csv_rows.append([dt, defects[-1], ratio])
@@ -309,7 +329,7 @@ def run_ac_to_mcf_radial(r0: float = 0.4, t_end: float = 0.06,
                                        "rel_err"])
     spec = wells.constant_quartic()
     sig = sharp.constant_scalar_sigma(SQRT2_OVER_6)
-    traj = sharp.evolve_radial(r0, sig, t_end, tol=1e-12, center=(0.5, 0.5))
+    traj = _radial_reference(r0, sig, t_end)
     checkpoints = [t_end * k / 5.0 for k in range(1, 6)]
     max_errs = []
     for eps, n, frac in runs:
@@ -323,9 +343,9 @@ def run_ac_to_mcf_radial(r0: float = 0.4, t_end: float = 0.06,
         dt = frac * eps ** 2 / lw
         n_steps = int(np.ceil(t_end / dt))
         dt = t_end / n_steps
-        _, _, snaps = flow.run(state, spec, "semi_implicit", dt=dt,
-                               t_end=t_end, snapshot_times=checkpoints,
-                               solver="spectral")
+        snaps = flow.run(state, spec, "semi_implicit", dt=dt, t_end=t_end,
+                         snapshot_times=checkpoints,
+                         solver="spectral").snapshots
         errs = []
         for s in snaps:
             r_ode = float(traj.position(s.time))
@@ -354,7 +374,8 @@ def run_ac_to_mcf_1d_drift(kappa: float = 0.5, p0: float = 0.7,
     grid = Grid.interval(0.0, 1.0, grid_n)
     pts = grid.points()
     sig = sharp.exponential_scalar_sigma(kappa, scale=SQRT2_OVER_6)
-    traj = sharp.evolve_point1d(p0, sig, t_end, tol=1e-12)
+    traj = _full_length(sharp.evolve_point1d(p0, sig, t_end, tol=1e-12),
+                        t_end)
     checkpoints = [t_end * k / 5.0 for k in range(1, 6)]
     max_errs = []
     for eps, frac in runs:
@@ -366,9 +387,9 @@ def run_ac_to_mcf_1d_drift(kappa: float = 0.5, p0: float = 0.7,
         dt = frac * eps ** 2 / lw
         n_steps = int(np.ceil(t_end / dt))
         dt = t_end / n_steps
-        _, _, snaps = flow.run(state, spec, "semi_implicit", dt=dt,
-                               t_end=t_end, snapshot_times=checkpoints,
-                               solver="spectral")
+        snaps = flow.run(state, spec, "semi_implicit", dt=dt, t_end=t_end,
+                         snapshot_times=checkpoints,
+                         solver="spectral").snapshots
         errs = []
         for s in snaps:
             p_exact = float(traj.position(s.time))
@@ -398,8 +419,7 @@ def run_bv_residuals(r0: float = 0.4, t_end: float = 0.06,
                                        "residual"])
     sig_s = sharp.constant_scalar_sigma(SQRT2_OVER_6)
     sigma = sig_s.about((0.5, 0.5))
-    traj = sharp.evolve_radial(r0, sig_s, t_end, tol=1e-12,
-                               center=(0.5, 0.5))
+    traj = _radial_reference(r0, sig_s, t_end)
     center = (0.5, 0.5)
     fields = [("dilation", tf.dilation_field(center, 0.45, 0.49)),
               ("rotation", tf.rotation_field(center, 0.45, 0.49)),
@@ -448,8 +468,7 @@ def run_calibration(r0: float = 0.4, t_end: float = 0.04,
                            csv_header=["quantity", "value"])
     sig_s = sharp.constant_scalar_sigma(SQRT2_OVER_6)
     sigma = sig_s.about((0.5, 0.5))
-    traj = sharp.evolve_radial(r0, sig_s, t_end, tol=1e-12,
-                               center=(0.5, 0.5))
+    traj = _radial_reference(r0, sig_s, t_end)
     cal = calib.build_calibration(traj, sigma)
     inv = calib.calibration_invariants(cal, np.linspace(0, t_end, 10),
                                        n_per_time=n_per_time, seed=seed)
@@ -499,12 +518,11 @@ def run_weak_strong(r0: float = 0.4, delta: float = 0.02,
                                        "coercivity_slack"])
     sig_s = sharp.constant_scalar_sigma(SQRT2_OVER_6)
     sigma = sig_s.about((0.5, 0.5))
-    strong = sharp.evolve_radial(r0, sig_s, t_end, tol=1e-12,
-                                 center=(0.5, 0.5))
+    strong = _radial_reference(r0, sig_s, t_end)
     cal = calib.build_calibration(strong, sigma)
     times = np.linspace(0.0, t_end * 0.975, n_times)
 
-    same = sharp.evolve_radial(r0, sig_s, t_end, tol=1e-12, center=(0.5, 0.5))
+    same = _radial_reference(r0, sig_s, t_end)
     rep = calib.gronwall_verify(calib.ComparisonPair(same, strong), cal,
                                 sigma, times, zero_tol=zero_tol)
     for k, t in enumerate(times):
@@ -514,8 +532,7 @@ def run_weak_strong(r0: float = 0.4, delta: float = 0.02,
             bool(rep.zero_preserved),
             f"max E_rel {rep.e_rel.max():.2e}, max E_bulk {rep.e_bulk.max():.2e}")
 
-    pert = sharp.evolve_radial(r0 + delta, sig_s, t_end, tol=1e-12,
-                               center=(0.5, 0.5))
+    pert = _radial_reference(r0 + delta, sig_s, t_end)
     rep2 = calib.gronwall_verify(calib.ComparisonPair(pert, strong), cal,
                                  sigma, times, zero_tol=zero_tol)
     for k, t in enumerate(times):

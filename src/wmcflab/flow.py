@@ -11,6 +11,16 @@ zero-flux boundaries:
     which gives exact per-step energy decay and, for wells monotone
     outside a box, a maximum principle via clamp comparison.
 
+``run`` is the one stepping entry point for both. It checks the scheme,
+the solver and the semi-implicit stability bound once, builds the
+per-run operators (the cell centers, the spectral denominator) once, and
+returns a ``RunResult``.
+
+One descent kernel, ``_bb_descent`` (Barzilai-Borwein steps under a
+nonmonotone Armijo line search), has two callers: ``step_minmov``
+(unconstrained, one minimizing-movements step) and
+``minimize_constrained`` (projected onto mean(u) = mass).
+
 The inner solvers work with the face-difference quadrature of the
 gradient energy, whose exact L2-gradient is the compact 3/5-point Neumann
 Laplacian; the public ``energy`` diagnostic uses the centered-difference
@@ -23,13 +33,11 @@ one append costs O(1) however long the run. For the nonnegative
 increments a run records, the total matches ``math.fsum`` of the
 increments to about one ulp, and each defect matches the ``math.fsum``
 form to within 4 ulp of the largest magnitude involved.
-Per-run operators (the spectral denominator, the cell centers) are built
-once per ``run`` call, not once per step.
 """
 
 import csv
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -95,17 +103,6 @@ def reaction_lipschitz(spec: WellSpec, grid: Grid, box, n_u: int = 41,
     return float(np.max(np.abs(d2)))
 
 
-def stability_timestep(state: PhaseState, spec: WellSpec,
-                       box=None, safety: float = 1.0) -> float:
-    """Largest admissible semi-implicit step eps^2 / L_W on the value box."""
-    if box is None:
-        lo, hi = float(np.min(state.u.values)), float(np.max(state.u.values))
-        pad = 0.05 * max(hi - lo, 1.0)
-        box = (lo - pad, hi + pad)
-    lw = reaction_lipschitz(spec, state.u.grid, box)
-    return safety * state.eps ** 2 / max(lw, 1e-30)
-
-
 def _dct_eigenvalues(grid: Grid):
     """Eigenvalues of the mirrored-ghost Laplacian in the cosine basis."""
     h = grid.spacing
@@ -153,50 +150,6 @@ def _cg(apply_op, rhs, tol: float = 1e-10, max_iter: int = 20000):
                        achieved=float(np.sqrt(rr)), last_iterate=x)
 
 
-def _semiimplicit(state: PhaseState, spec: WellSpec, dt: float, pts,
-                  cg_tol: float, solver: str, denom):
-    """One implicit solve; ``denom`` is the spectral denominator (used
-    only when solver="spectral")."""
-    grid = state.u.grid
-    u = state.u.values
-    rhs = u - (dt / state.eps ** 2) * spec.dW_du(pts, u)
-    if solver == "spectral":
-        sol = _spectral_solve(denom, rhs)
-        resid = float(np.sqrt(np.sum((sol - dt * _lap(sol, grid) - rhs) ** 2)))
-    elif solver == "cg":
-        sol, resid = _cg(lambda v: v - dt * _lap(v, grid), rhs, tol=cg_tol)
-    else:
-        raise ValueError(f"unknown solver: {solver}")
-    return sol, resid
-
-
-def step_semiimplicit(state: PhaseState, spec: WellSpec, dt: float,
-                      lw_bound: Optional[float] = None,
-                      cg_tol: float = 1e-10,
-                      solver: str = "cg") -> PhaseState:
-    """One step of (I - dt Lap) u_new = u_old - (dt/eps^2) dW_du(x, u_old).
-
-    Rejects dt above the stability bound eps^2 / L_W (pass ``lw_bound`` to
-    reuse a precomputed Lipschitz estimate). The implicit system is solved
-    by conjugate gradients to residual ``cg_tol``; solver="spectral"
-    solves the same system directly in the cosine basis (the two agree to
-    the CG tolerance; the direct route is there for long fine-step runs).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if lw_bound is None:
-        bound = stability_timestep(state, spec)
-    else:
-        bound = state.eps ** 2 / lw_bound
-    if dt > bound * (1 + 1e-9):
-        raise ValueError(f"dt={dt} exceeds the stability bound {bound}")
-    grid = state.u.grid
-    denom = _spectral_denominator(grid, dt) if solver == "spectral" else None
-    sol, _ = _semiimplicit(state, spec, dt, grid.points(), cg_tol, solver,
-                           denom)
-    return state.replace(sol, time=state.time + dt)
-
-
 # ---------------------------------------------------------------------------
 # minimizing movements
 # ---------------------------------------------------------------------------
@@ -211,15 +164,29 @@ class MinMovRecord:
     iterations: int
 
 
-def _bb_descent(objective, gradient, u0, alpha0, max_iter, grid,
-                obj_tol=1e-12, grad_tol=1e-9, project=None,
-                history: int = 10):
+def _bb_descent(objective, gradient, u0, alpha0, max_iter, vol, stationary,
+                obj_tol=None, project=None, history: int = 10):
     """Barzilai-Borwein descent with nonmonotone Armijo backtracking.
 
-    ``project`` (if given) restores the constraint after every trial step.
-    Returns (u, J, grad_norm, iterations).
+    The module's one descent loop. Each iteration first asks
+    ``stationary(g)`` of the gradient g at the current iterate and stops
+    if it holds. Otherwise it steps along -g from the BB step length,
+    halving the step (at most 60 times) until the objective is below the
+    Armijo line from the largest of the last ``history`` objective values.
+
+    * ``step_minmov`` descends freely. Its ``stationary`` is a small L2
+      gradient norm, and it also stops once the objective changes by at
+      most ``obj_tol`` relative in one iteration.
+    * ``minimize_constrained`` passes ``project``, which restores the
+      constraint after every trial step. The search direction is then
+      the mean-free part of -g. It stops only when ``stationary`` holds
+      (the multiplier field is flat to its tolerance).
+
+    If all 60 halvings fail, the descent stops at the current iterate;
+    the caller judges that iterate by its gradient. Returns
+    (u, J, g, iterations) with J and g the objective and gradient at u.
+    Raises NumericError after ``max_iter`` iterations without a stop.
     """
-    vol = grid.cell_volume
     u = u0.copy()
     if project is not None:
         u = project(u)
@@ -230,14 +197,13 @@ def _bb_descent(objective, gradient, u0, alpha0, max_iter, grid,
     u_prev = None
     g_prev = None
     for it in range(max_iter):
+        if stationary(g):
+            return u, J, g, it
         if project is not None:
             d = -(g - np.mean(g))
         else:
             d = -g
         gd = float(np.sum(g * d)) * vol
-        gnorm = np.sqrt(float(np.sum(d * d)) * vol)
-        if gnorm <= grad_tol:
-            return u, J, gnorm, it
         # Barzilai-Borwein step from the previous displacement pair
         if u_prev is not None:
             s = u - u_prev
@@ -257,15 +223,16 @@ def _bb_descent(objective, gradient, u0, alpha0, max_iter, grid,
                 break
             step *= 0.5
         else:
-            return u, J, gnorm, it
+            return u, J, g, it
         u_prev, g_prev = u, g
         u, J_new = trial, J_trial
         g = gradient(u)
         recent.append(J_new)
         if len(recent) > history:
             recent.pop(0)
-        if abs(J - J_new) <= obj_tol * max(1.0, abs(J_new)):
-            return u, J_new, np.sqrt(float(np.sum(g * g)) * vol), it + 1
+        if obj_tol is not None \
+                and abs(J - J_new) <= obj_tol * max(1.0, abs(J_new)):
+            return u, J_new, g, it + 1
         J = J_new
     raise NumericError("descent did not converge within the iteration budget",
                        last_iterate=u)
@@ -297,14 +264,19 @@ def step_minmov(state: PhaseState, spec: WellSpec, h_step: float,
         return (spec.dW_du(pts, u) / eps - eps * _lap(u, grid)) / eps \
             + (u - u_prev) / h_step
 
+    def l2_norm(g):
+        return np.sqrt(float(np.sum(g * g)) * vol)
+
     lw = reaction_lipschitz(spec, grid,
                             (float(np.min(u_prev)) - 0.5,
                              float(np.max(u_prev)) + 0.5))
     lip = lw / eps ** 2 + 4 * grid.dim / float(np.min(grid.spacing)) ** 2 \
         + 1.0 / h_step
-    u, J, gnorm, iters = _bb_descent(objective, gradient, u_prev,
-                                     alpha0=1.0 / lip, max_iter=max_iter,
-                                     grid=grid)
+    u, J, g, iters = _bb_descent(objective, gradient, u_prev,
+                                 alpha0=1.0 / lip, max_iter=max_iter, vol=vol,
+                                 stationary=lambda g: l2_norm(g) <= 1e-9,
+                                 obj_tol=1e-12)
+    gnorm = l2_norm(g)
     J_prev = objective(u_prev)
     if J > J_prev:
         u, J = u_prev.copy(), J_prev
@@ -391,17 +363,39 @@ class DissipationLedger:
                 writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
 
 
+class RunResult(NamedTuple):
+    """What ``run`` returns, whatever its arguments."""
+
+    state: PhaseState          # state at t_end
+    ledger: DissipationLedger  # one record per step
+    snapshots: list            # states right after each snapshot time
+
+
 def run(state: PhaseState, spec: WellSpec, scheme: str, dt: float,
         t_end: float, trunc: Optional[float] = None,
-        snapshot_times=(), cg_tol: float = 1e-10, solver: str = "cg"):
+        snapshot_times=(), cg_tol: float = 1e-10,
+        solver: str = "cg") -> RunResult:
     """Advance to t_end recording the dissipation ledger.
 
-    scheme is "semi_implicit" or "minimizing_movements". Returns
-    (final_state, ledger) or (final_state, ledger, snapshots) when
-    ``snapshot_times`` is nonempty; snapshots are the states right after
-    the first step reaching each requested time. ``dt`` must divide
-    t_end - state.time (to 1e-9 dt); otherwise ValueError.
+    scheme "semi_implicit" solves
+    (I - dt Lap) u_new = u_old - (dt/eps^2) dW_du(x, u_old) per step, by
+    conjugate gradients to residual ``cg_tol`` (solver="cg") or directly
+    in the cosine basis (solver="spectral"; the two agree to the CG
+    tolerance, and the direct route is there for long fine-step runs).
+    dt must not exceed the stability bound eps^2 / L_W on the initial
+    value box; otherwise ValueError. scheme "minimizing_movements" takes
+    one ``step_minmov`` per step, clamped at ``trunc``.
+
+    ``dt`` must divide t_end - state.time (to 1e-9 dt); otherwise
+    ValueError. ``snapshots`` holds the state right after the first step
+    reaching each of ``snapshot_times`` (empty when none are asked for).
     """
+    if scheme not in ("semi_implicit", "minimizing_movements"):
+        raise ValueError(f"unknown scheme: {scheme}")
+    if solver not in ("cg", "spectral"):
+        raise ValueError(f"unknown solver: {solver}")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     if t_end <= state.time:
         raise ValueError("t_end must exceed the current time")
     grid = state.u.grid
@@ -414,7 +408,6 @@ def run(state: PhaseState, spec: WellSpec, scheme: str, dt: float,
                          f"t_end - time = {span}")
     ledger = DissipationLedger(e_initial=energy_face(state.u.values, grid,
                                                      eps, spec, pts))
-    lw = None
     if scheme == "semi_implicit":
         lo, hi = float(np.min(state.u.values)), float(np.max(state.u.values))
         pad = 0.05 * max(hi - lo, 1.0)
@@ -422,31 +415,34 @@ def run(state: PhaseState, spec: WellSpec, scheme: str, dt: float,
         if dt > eps ** 2 / lw * (1 + 1e-9):
             raise ValueError(f"dt={dt} exceeds the stability bound "
                              f"{eps ** 2 / lw}")
-    denom = _spectral_denominator(grid, dt) if solver == "spectral" else None
+        denom = _spectral_denominator(grid, dt) if solver == "spectral" \
+            else None
     snapshots = []
     want = sorted(snapshot_times)
     for k in range(1, n_steps + 1):
         u_old = state.u.values
         if scheme == "semi_implicit":
-            sol, resid = _semiimplicit(state, spec, dt, pts, cg_tol, solver,
-                                       denom)
+            rhs = u_old - (dt / eps ** 2) * spec.dW_du(pts, u_old)
+            if solver == "spectral":
+                sol = _spectral_solve(denom, rhs)
+                resid = float(np.sqrt(np.sum(
+                    (sol - dt * _lap(sol, grid) - rhs) ** 2)))
+            else:
+                sol, resid = _cg(lambda v: v - dt * _lap(v, grid), rhs,
+                                 tol=cg_tol)
             state = state.replace(sol, time=state.time + dt)
             e_now = energy_face(sol, grid, eps, spec, pts)
             slack = None
-        elif scheme == "minimizing_movements":
+        else:
             state, rec = step_minmov(state, spec, dt, trunc=trunc)
             e_now, resid, slack = rec.energy, rec.inner_residual, rec.slack
-        else:
-            raise ValueError(f"unknown scheme: {scheme}")
         increment = eps / dt * float(np.sum((state.u.values - u_old) ** 2)) \
             * grid.cell_volume
         ledger.append(k, state.time, e_now, increment, resid, slack)
         while want and state.time >= want[0] - 1e-12:
             snapshots.append(state)
             want.pop(0)
-    if snapshot_times:
-        return state, ledger, snapshots
-    return state, ledger
+    return RunResult(state, ledger, snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +465,10 @@ def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
     Each descent step is followed by an exact additive mean correction.
     The multiplier is the spatial mean of eps Lap u - dW_du(x, u)/eps and
     the returned residual (its standard deviation) certifies pointwise
-    stationarity of the constrained first-order conditions.
+    stationarity of the constrained first-order conditions. Raises
+    NumericError, with the current iterate as ``last_iterate``, when the
+    descent stops (line search exhausted or ``max_iter`` reached) with
+    the residual still above ``tol_residual``.
     """
     pts = grid.points()
     mean_a = float(np.mean(spec.a(pts)))
@@ -490,45 +489,16 @@ def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
     lw = reaction_lipschitz(spec, grid, (float(np.min(init.values)) - 0.5,
                                          float(np.max(init.values)) + 0.5))
     lip = lw / eps + eps * 4 * grid.dim / float(np.min(grid.spacing)) ** 2
-    u = project(init.values.copy())
-    alpha0 = 1.0 / lip
-    vol = grid.cell_volume
-    alpha = alpha0
-    J = objective(u)
-    g = gradient(u)
-    recent = [J]
-    u_prev = g_prev = None
-    for it in range(max_iter):
-        lam_field = -g
-        resid = float(np.std(lam_field))
-        if resid <= tol_residual:
-            state = PhaseState(Field(grid, u), eps)
-            return ConstrainedMinimum(state=state,
-                                      lam=float(np.mean(lam_field)),
-                                      residual=resid, iterations=it)
-        d = -(g - np.mean(g))
-        gd = float(np.sum(g * d)) * vol
-        if u_prev is not None:
-            s = u - u_prev
-            y = g - g_prev
-            sy = float(np.sum(s * y)) * vol
-            ss = float(np.sum(s * s)) * vol
-            if sy > 1e-300:
-                alpha = min(max(ss / sy, 1e-6 * alpha0), 1e6 * alpha0)
-        ref = max(recent)
-        step = alpha
-        for _ in range(60):
-            trial = project(u + step * d)
-            J_trial = objective(trial)
-            if J_trial <= ref + 1e-4 * step * gd:
-                break
-            step *= 0.5
-        u_prev, g_prev = u, g
-        u, J = trial, J_trial
-        g = gradient(u)
-        recent.append(J)
-        if len(recent) > 10:
-            recent.pop(0)
-    raise NumericError("constrained minimization did not reach the "
-                       "stationarity tolerance",
-                       last_iterate=PhaseState(Field(grid, u), eps))
+    u, _, g, iters = _bb_descent(
+        objective, gradient, init.values, alpha0=1.0 / lip,
+        max_iter=max_iter, vol=grid.cell_volume, project=project,
+        stationary=lambda g: float(np.std(-g)) <= tol_residual)
+    lam_field = -g
+    resid = float(np.std(lam_field))
+    if resid > tol_residual:
+        raise NumericError("constrained minimization stopped above the "
+                           "stationarity tolerance", achieved=resid,
+                           last_iterate=u)
+    return ConstrainedMinimum(state=PhaseState(Field(grid, u), eps),
+                              lam=float(np.mean(lam_field)), residual=resid,
+                              iterations=iters)

@@ -6,7 +6,6 @@ Laplacian symmetric, and makes its output sum to zero exactly (telescoping
 fluxes). Fields are immutable value holders; all operators are pure.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -288,27 +287,3 @@ def extract_levelset(f: Field, level: float) -> LevelSetSample:
     if not pts:
         raise ExtractionError("no crossings located")
     return LevelSetSample(2, np.array(pts), tuple(segs))
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def field_to_csv(f: Field, path) -> None:
-    """Snapshot CSV: header i,j,x,y,value (j,y omitted in 1-d), row-major."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if f.grid.dim == 1:
-            writer.writerow(["i", "x", "value"])
-            x = f.grid.axis_centers(0)
-            for i, v in enumerate(f.values):
-                writer.writerow([i, repr(float(x[i])), repr(float(v))])
-        else:
-            writer.writerow(["i", "j", "x", "y", "value"])
-            xs = f.grid.axis_centers(0)
-            ys = f.grid.axis_centers(1)
-            for i in range(f.grid.cells[0]):
-                for j in range(f.grid.cells[1]):
-                    writer.writerow([i, j, repr(float(xs[i])),
-                                     repr(float(ys[j])),
-                                     repr(float(f.values[i, j]))])

@@ -16,7 +16,6 @@ reads, for radial sigma(rho) about the ball center,
 and for a 1-d point interface dp/dt = -sigma'(p)/sigma(p).
 """
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,7 +24,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import NumericError
 from .quadrature import adaptive_gauss_legendre
-from .wells import WellSpec, as_points, normalized_well_dx, surface_tension
+from .wells import (QuarticWellSpec, WellSpec, as_points, grad_gamma,
+                    normalized_well_dx, sigma_n, surface_tension)
 
 
 # ---------------------------------------------------------------------------
@@ -38,13 +38,6 @@ class SurfaceTension:
 
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
-
-
-def constant_sigma(c: float) -> SurfaceTension:
-    return SurfaceTension(
-        value=lambda x: c * np.ones(np.shape(x)[:-1]),
-        grad=lambda x: np.zeros(np.shape(x)),
-    )
 
 
 def sigma_from_well(spec: WellSpec, tol: float = 1e-10) -> SurfaceTension:
@@ -74,9 +67,8 @@ def sigma_from_well(spec: WellSpec, tol: float = 1e-10) -> SurfaceTension:
         # grad sigma = grad(gamma sigma_n) = sigma_n grad gamma + gamma grad sigma_n;
         # integrating gamma * d/dx sqrt(2 W_n) gives gamma grad sigma_n only,
         # so add the separation part.
-        from .wells import grad_gamma, sigma_n as sn
         g1 = np.asarray(val).reshape(pts.shape)
-        g2 = np.asarray(sn(spec, pts, tol=tol)).reshape(len(pts), 1) \
+        g2 = np.asarray(sigma_n(spec, pts, tol=tol)).reshape(len(pts), 1) \
             * grad_gamma(spec, pts)
         out = (g1 + g2).reshape(x.shape)
         return out
@@ -87,8 +79,6 @@ def sigma_from_well(spec: WellSpec, tol: float = 1e-10) -> SurfaceTension:
 def sigma_field_of(spec: WellSpec, tol: float = 1e-10) -> SurfaceTension:
     """Surface tension of a well: closed form for the quartic family
     (sigma = sqrt(2 m) gamma^3 / 6), adaptive quadrature otherwise."""
-    from .wells import QuarticWellSpec, grad_gamma
-
     if not isinstance(spec, QuarticWellSpec):
         return sigma_from_well(spec, tol=tol)
 
@@ -170,9 +160,6 @@ class Point1D:
         x = np.asarray(x, dtype=float)
         val = x[..., 0] if x.shape and x.shape[-1] == 1 else x
         return self.orientation * (val - self.p)
-
-    def inner_normal(self) -> float:
-        return float(self.orientation)
 
     def curvature(self) -> float:
         return 0.0
@@ -482,28 +469,3 @@ def dissipation_check(traj: SharpTrajectory, sigma: SurfaceTension,
     e_start = weighted_perimeter(traj.interface_at(0.0), sigma, n_boundary)
     lhs = e_end + integral
     return DissipationCheck(lhs=lhs, rhs=e_start, slack=e_start - lhs)
-
-
-def trajectory_to_csv(traj: SharpTrajectory, sigma: SurfaceTension,
-                      path) -> None:
-    """CSV export: t,R_or_p,V,energy at the sample times."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "R_or_p", "V", "energy"])
-        for t, p, v in zip(traj.times, traj.positions, traj.velocities):
-            e = weighted_perimeter(traj.interface_at(t), sigma)
-            writer.writerow([repr(float(t)), repr(float(p)), repr(float(v)),
-                             repr(float(e))])
-
-
-def trajectory_from_samples(kind: str, times, positions, center=None,
-                            orientation: int = 1) -> SharpTrajectory:
-    """Build a trajectory from sampled data (e.g. extracted interfaces);
-    velocities come from centered difference quotients."""
-    times = np.asarray(times, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    dpdt = np.gradient(positions, times)
-    vel = -dpdt if kind == "sphere" else orientation * dpdt
-    return SharpTrajectory(kind=kind, times=times, positions=positions,
-                           velocities=vel, center=center,
-                           orientation=orientation)

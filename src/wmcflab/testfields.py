@@ -154,11 +154,6 @@ def translation_bump(direction, center, radius: float) -> TestVectorField:
     return TestVectorField(psi=psi, jac=jac, tag="translation-bump")
 
 
-def axial_bump_1d(center: float, radius: float) -> TestVectorField:
-    """1-d bump field psi = (1 - ((x-c)/radius)^2)^3 e_x inside the bump."""
-    return translation_bump(np.array([1.0]), np.array([center]), radius)
-
-
 def check_admissible(psi: TestVectorField, grid, tol: float = 1e-12) -> float:
     """Max |psi . n_Omega| over boundary cell centers of the grid."""
     worst = 0.0

@@ -54,10 +54,6 @@ class RecoveryState:
     energy_diffuse: float
     energy_sharp: float
 
-    @property
-    def energy_gap(self) -> float:
-        return abs(self.energy_diffuse - self.energy_sharp)
-
 
 def build_recovery(interface, spec: WellSpec, grid: Grid, eps: float,
                    margin_factor: float = 2.0,

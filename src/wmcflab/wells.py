@@ -421,17 +421,6 @@ class QuarticWellSpec(WellSpec):
         g = self.b(x) - self.a(x)
         return np.sqrt(2.0 * self.amplitude(x)) * g ** 3 / 6.0
 
-    def sigma_n_exact(self, x) -> np.ndarray:
-        x = as_points(x)
-        g = self.b(x) - self.a(x)
-        return np.sqrt(2.0 * self.amplitude(x)) * g ** 2 / 6.0
-
-    def normalized_well_exact(self, x, v) -> np.ndarray:
-        x = as_points(x)
-        v = np.asarray(v, dtype=float)
-        g = self.b(x) - self.a(x)
-        return self.amplitude(x) * g ** 4 * v ** 2 * (1.0 - v) ** 2
-
     def profile_rate(self, x) -> np.ndarray:
         x = as_points(x)
         g = self.b(x) - self.a(x)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from wmcflab import calib, sharp
 from wmcflab.errors import GeometryError
+from wmcflab.experiments import run_weak_strong
 from wmcflab.grid import Field, Grid
 
 SQRT2_6 = 0.23570226039551587
@@ -266,3 +267,10 @@ def test_invariant_report():
                                        n_per_time=400)
     assert inv.ok()
     assert inv.n_samples == 2000
+
+
+def test_weak_strong_rejects_extinct_reference():
+    # the r0 = 0.4 disk goes extinct at t = 0.08; checks along the missing
+    # part of the reference must not pass
+    with pytest.raises(GeometryError, match="before t_end"):
+        run_weak_strong(t_end=0.5)

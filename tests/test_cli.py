@@ -6,7 +6,7 @@ import os
 import pytest
 
 from wmcflab import cli
-from wmcflab.errors import NumericError
+from wmcflab.errors import ExtractionError, NumericError
 
 
 def write(tmp_path, text, name="config.txt"):
@@ -112,6 +112,24 @@ class TestRun:
         path = write(tmp_path, f"experiment=surface_tension\n"
                                f"out_dir={tmp_path}\n")
         assert cli.main(["run", path]) == 3
+
+    def test_extraction_failure_exits_3(self, tmp_path, monkeypatch):
+        def lost(**kw):
+            raise ExtractionError("synthetic: no crossings")
+        monkeypatch.setitem(cli.REGISTRY, "surface_tension",
+                            (lost, "synthetic"))
+        path = write(tmp_path, f"experiment=surface_tension\n"
+                               f"out_dir={tmp_path}\n")
+        assert cli.main(["run", path]) == 3
+
+    def test_geometry_error_exits_2(self, tmp_path, capsys):
+        # passes validation, but the eps = 0.3 profile of the r = 0.3 disk
+        # does not fit in the unit box
+        path = write(tmp_path, "experiment=equipartition\ngrid.n=64\n"
+                               f"eps=0.3\nout_dir={tmp_path}\n")
+        assert cli.main(["validate", path]) == 0
+        assert cli.main(["run", path]) == 2
+        assert "GeometryError" in capsys.readouterr().err
 
     def test_failed_check_exits_nonzero(self, tmp_path, monkeypatch):
         from wmcflab.experiments import ExperimentResult

@@ -45,25 +45,30 @@ class TestEnergy:
         assert e2 < e1
 
 
+def one_step(st, spec, dt, **kw):
+    return flow.run(st, spec, "semi_implicit", dt=dt, t_end=st.time + dt,
+                    **kw).state
+
+
 class TestSemiImplicit:
     def test_well_value_is_fixed_point(self):
         spec = wells.constant_quartic()
         g = Grid.interval(0.0, 1.0, 64)
         st = flow.PhaseState(Field.constant(g, 1.0), 0.05)
-        out = flow.step_semiimplicit(st, spec, 1e-4)
+        out = one_step(st, spec, 1e-4)
         assert np.max(np.abs(out.u.values - 1.0)) <= 1e-12
 
     def test_rejects_unstable_step(self):
         spec = wells.constant_quartic()
         st = profile_state(n=128, eps=0.02)
-        with pytest.raises(ValueError):
-            flow.step_semiimplicit(st, spec, 1e-2)
+        with pytest.raises(ValueError, match="stability bound"):
+            one_step(st, spec, 1e-2)
 
     def test_standing_profile_is_stationary(self):
         spec = wells.constant_quartic()
         st = profile_state(n=256, eps=0.05)
-        out, _ = flow.run(st, spec, "semi_implicit", dt=5e-4, t_end=0.2,
-                          solver="spectral")
+        out = flow.run(st, spec, "semi_implicit", dt=5e-4, t_end=0.2,
+                       solver="spectral").state
         pos = extract_levelset(out.u, 0.5).position()
         assert abs(pos - 0.5) <= 1e-3
 
@@ -72,7 +77,7 @@ class TestSemiImplicit:
         # their mean
         spec = wells.constant_quartic()
         st = profile_state(n=256, eps=0.05)
-        out = flow.step_semiimplicit(st, spec, 1e-4)
+        out = one_step(st, spec, 1e-4)
         assert abs(np.mean(out.u.values) - np.mean(st.u.values)) <= 1e-10
 
     def test_spectral_matches_cg(self):
@@ -81,8 +86,8 @@ class TestSemiImplicit:
         pts = g.points()
         st = flow.PhaseState(
             Field(g, 0.5 + 0.3 * np.sin(5 * pts[..., 0]) * pts[..., 1]), 0.06)
-        a = flow.step_semiimplicit(st, spec, 2e-4, solver="cg", cg_tol=1e-13)
-        b = flow.step_semiimplicit(st, spec, 2e-4, solver="spectral")
+        a = one_step(st, spec, 2e-4, solver="cg", cg_tol=1e-13)
+        b = one_step(st, spec, 2e-4, solver="spectral")
         assert_allclose(a.u.values, b.u.values, atol=1e-11)
 
 
@@ -128,7 +133,8 @@ class TestRun:
         spec = wells.constant_quartic()
         g = Grid.interval(0.0, 1.0, 64)
         st = flow.PhaseState(Field.constant(g, 1.0), 0.05)
-        _, ledger = flow.run(st, spec, "semi_implicit", dt=1e-4, t_end=5e-3)
+        ledger = flow.run(st, spec, "semi_implicit", dt=1e-4,
+                          t_end=5e-3).ledger
         assert ledger.final_defect <= 1e-14
 
     def test_defect_first_order_in_dt(self):
@@ -136,8 +142,8 @@ class TestRun:
         st = profile_state(n=256, eps=0.02)
         defects = []
         for dt in (4e-5, 2e-5):
-            _, led = flow.run(st, spec, "semi_implicit", dt=dt, t_end=0.01,
-                              solver="spectral")
+            led = flow.run(st, spec, "semi_implicit", dt=dt, t_end=0.01,
+                           solver="spectral").ledger
             defects.append(led.final_defect)
         assert defects[1] < defects[0]
 
@@ -149,23 +155,23 @@ class TestRun:
         eps = 0.08
         u = 1.0 / (1.0 + np.exp(-np.sqrt(2) * (0.3 - r) / eps))
         st = flow.PhaseState(Field(g, u), eps)
-        _, led = flow.run(st, spec, "semi_implicit", dt=5e-4, t_end=0.02,
-                          solver="spectral")
+        led = flow.run(st, spec, "semi_implicit", dt=5e-4, t_end=0.02,
+                       solver="spectral").ledger
         es = np.array([led.e_initial] + led.energies)
         assert np.all(np.diff(es) < 0)
 
     def test_minmov_run_records_slack(self):
         spec = wells.constant_quartic()
         st = profile_state(n=128, eps=0.05)
-        _, led = flow.run(st, spec, "minimizing_movements", dt=2e-4,
-                          t_end=2e-3, trunc=1.0)
+        led = flow.run(st, spec, "minimizing_movements", dt=2e-4,
+                       t_end=2e-3, trunc=1.0).ledger
         assert all(s >= -1e-12 for s in led.minimality_slacks)
         assert led.energy_nonincreasing(tol=1e-12)
 
     def test_ledger_csv_header(self, tmp_path):
         spec = wells.constant_quartic()
         st = profile_state(n=128, eps=0.05)
-        _, led = flow.run(st, spec, "semi_implicit", dt=5e-4, t_end=2e-3)
+        led = flow.run(st, spec, "semi_implicit", dt=5e-4, t_end=2e-3).ledger
         path = tmp_path / "ledger.csv"
         led.to_csv(path)
         rows = list(csv.reader(open(path)))
@@ -189,6 +195,27 @@ class TestRun:
         with pytest.raises(ValueError):
             flow.run(st, spec, "leapfrog", dt=1e-4, t_end=1e-3)
 
+    def test_unknown_solver_and_nonpositive_dt(self):
+        spec = wells.constant_quartic()
+        st = profile_state(n=128)
+        with pytest.raises(ValueError, match="unknown solver"):
+            flow.run(st, spec, "semi_implicit", dt=1e-4, t_end=1e-3,
+                     solver="lu")
+        for dt in (0.0, -1e-4):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                flow.run(st, spec, "semi_implicit", dt=dt, t_end=1e-3)
+
+    def test_result_shape_does_not_depend_on_snapshots(self):
+        spec = wells.constant_quartic()
+        st = profile_state(n=64, eps=0.05)
+        plain = flow.run(st, spec, "semi_implicit", dt=5e-4, t_end=2e-3)
+        snap = flow.run(st, spec, "semi_implicit", dt=5e-4, t_end=2e-3,
+                        snapshot_times=[1e-3])
+        assert type(plain) is type(snap) is flow.RunResult
+        assert plain.snapshots == []
+        assert [s.time for s in snap.snapshots] == pytest.approx([1e-3])
+        assert np.array_equal(plain.state.u.values, snap.state.u.values)
+
     def test_schemes_agree_as_dt_shrinks(self):
         # both schemes discretize the same flow; their L2 distance after a
         # fixed horizon is O(dt)
@@ -199,9 +226,9 @@ class TestRun:
                 4 * np.pi * st.u.grid.axis_centers(0))), 0.05)
         dists = []
         for dt in (4e-4, 2e-4):
-            a, _ = flow.run(st, spec, "semi_implicit", dt=dt, t_end=4e-3)
-            b, _ = flow.run(st, spec, "minimizing_movements", dt=dt,
-                            t_end=4e-3)
+            a = flow.run(st, spec, "semi_implicit", dt=dt, t_end=4e-3).state
+            b = flow.run(st, spec, "minimizing_movements", dt=dt,
+                         t_end=4e-3).state
             vol = st.u.grid.cell_volume
             dists.append(np.sqrt(np.sum((a.u.values - b.u.values) ** 2) * vol))
         assert dists[1] < dists[0]
@@ -299,3 +326,54 @@ class TestConstrainedMinimization:
                                       Field(g, u0), tol_residual=1e-16,
                                       max_iter=3)
         assert exc.value.last_iterate is not None
+
+
+@hst.composite
+def descent_problems(draw):
+    """A small 1-d or 2-d grid, a fixed or moving quartic well, an eps and
+    a field of values in [0, 1]."""
+    dim = draw(hst.sampled_from((1, 2)))
+    cells = tuple(draw(hst.integers(8, 16)) for _ in range(dim))
+    g = Grid((0.0,) * dim, (1.0,) * dim, cells)
+    if draw(hst.booleans()):
+        spec = wells.constant_quartic()
+    else:
+        spec = wells.linear_wells_quartic(
+            0.0, 0.3, 1.0, 0.0, axis=0, bounds=np.array([[0.0, 1.0]] * dim))
+    eps = draw(hst.floats(0.05, 0.3))
+    v = draw(hnp.arrays(float, cells, elements=hst.floats(0.0, 1.0)))
+    return g, spec, eps, v
+
+
+class TestDescentProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(descent_problems())
+    def test_constrained_minimum_keeps_mass(self, problem):
+        g, spec, eps, v = problem
+        pts = g.points()
+        u0 = spec.a(pts) + (spec.b(pts) - spec.a(pts)) * v
+        mass = float(np.mean(u0))
+        out = flow.minimize_constrained(spec, g, eps, mass, Field(g, u0),
+                                        tol_residual=1e-3)
+        assert out.residual <= 1e-3
+        assert abs(float(np.mean(out.state.u.values)) - mass) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(descent_problems(), hst.floats(1e-5, 1e-2))
+    def test_minmov_slack_nonnegative(self, problem, h_step):
+        g, spec, eps, v = problem
+        st = flow.PhaseState(Field(g, 3.0 * v - 1.5), eps)
+        _, rec = flow.step_minmov(st, spec, h_step)
+        assert rec.slack >= -1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(descent_problems(), hst.floats(1e-5, 1e-2))
+    def test_minmov_clamp_keeps_box(self, problem, h_step):
+        # both wells are monotone outside [-1, 1]
+        g, spec, eps, v = problem
+        u0 = 3.0 * v - 1.5
+        c0 = max(float(np.max(np.abs(u0))), 1.0)
+        st, rec = flow.step_minmov(flow.PhaseState(Field(g, u0), eps), spec,
+                                   h_step, trunc=c0)
+        assert rec.slack >= -1e-12
+        assert float(np.max(np.abs(st.u.values))) <= c0 + 1e-12

@@ -1,6 +1,5 @@
-"""Grid operators: Neumann stencils, quadrature, level sets, export."""
+"""Grid operators: Neumann stencils, quadrature, level sets."""
 
-import csv
 import pickle
 
 import hypothesis.extra.numpy as hnp
@@ -12,8 +11,8 @@ from numpy.testing import assert_allclose
 
 from wmcflab.errors import ExtractionError, GridMismatchError
 from wmcflab.grid import (Field, Grid, VectorField, extract_levelset,
-                          field_to_csv, fit_circle, gradient_neumann,
-                          integrate, laplacian_neumann, pair_density)
+                          fit_circle, gradient_neumann, integrate,
+                          laplacian_neumann, pair_density)
 
 
 def test_grid_validation():
@@ -283,24 +282,3 @@ class TestLevelSet:
         assert_allclose(center, [0.2, -0.1], atol=1e-12)
         assert radius == pytest.approx(0.45, abs=1e-12)
 
-
-class TestCsvExport:
-    def test_1d_header_and_rows(self, tmp_path):
-        g = Grid.interval(0.0, 1.0, 8)
-        path = tmp_path / "field.csv"
-        field_to_csv(Field.from_function(g, lambda p: p[..., 0]), path)
-        rows = list(csv.reader(open(path)))
-        assert rows[0] == ["i", "x", "value"]
-        assert len(rows) == 9
-        assert float(rows[1][1]) == pytest.approx(g.axis_centers(0)[0])
-
-    def test_2d_header_row_major(self, tmp_path):
-        g = Grid.box((0, 0), (1, 2), (8, 16))
-        path = tmp_path / "field.csv"
-        field_to_csv(Field.from_function(g, lambda p: p[..., 1]), path)
-        rows = list(csv.reader(open(path)))
-        assert rows[0] == ["i", "j", "x", "y", "value"]
-        assert len(rows) == 1 + 8 * 16
-        # row-major: j varies fastest
-        assert [int(rows[1][0]), int(rows[1][1])] == [0, 0]
-        assert [int(rows[2][0]), int(rows[2][1])] == [0, 1]

@@ -1,7 +1,5 @@
 """Sharp-interface flows and BV-solution residuals against closed forms."""
 
-import csv
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -188,17 +186,6 @@ class TestSigmaFields:
         exact = sharp.sigma_field_of(spec)
         pts = np.random.default_rng(1).uniform(0.1, 0.9, size=(5, 1))
         assert_allclose(by_quad.grad(pts), exact.grad(pts), atol=1e-8)
-
-
-def test_trajectory_csv(tmp_path):
-    sig_s = sharp.constant_scalar_sigma(SQRT2_6)
-    traj = sharp.evolve_radial(0.4, sig_s, 0.05, tol=1e-10, center=CENTER)
-    path = tmp_path / "traj.csv"
-    sharp.trajectory_to_csv(traj, const_sigma2d(), path)
-    rows = list(csv.reader(open(path)))
-    assert rows[0] == ["t", "R_or_p", "V", "energy"]
-    assert len(rows) == 1 + len(traj.times)
-    assert float(rows[1][1]) == pytest.approx(0.4)
 
 
 def test_rotation_field_pairs_to_zero():
