@@ -19,7 +19,6 @@ control the interface tilt, distance, and mass errors (coercivity with
 constant exactly 1 for the tilt, via 2(1 - xi.n) = |n-xi|^2 + 1 - |xi|^2).
 """
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -407,7 +406,6 @@ class GronwallReport:
     e_rel: np.ndarray
     e_bulk: np.ndarray
     coercivity_slack: np.ndarray
-    running_c: np.ndarray
     fitted_c_rel: float
     fitted_c_bulk: float
     fitted_c_rel_coarse: float
@@ -429,19 +427,10 @@ class GronwallReport:
                 return False
         return True
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "E_rel", "E_bulk", "coercivity_slack",
-                             "fitted_C"])
-            for row in zip(self.times, self.e_rel, self.e_bulk,
-                           self.coercivity_slack, self.running_c):
-                writer.writerow([repr(float(v)) for v in row])
-
 
 def _fit_constant(times, values, forcing, zero_tol, offset=0.0):
-    """Smallest C with values(T) <= values(0) + offset + C int_0^T forcing,
-    per grid time (running), guarded for vanishing integrals."""
+    """Smallest C with values(T) <= values(0) + offset + C int_0^T forcing
+    at every grid time T, guarded for vanishing integrals."""
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (forcing[1:] + forcing[:-1]) * np.diff(times))])
     running = np.zeros_like(values)
@@ -451,7 +440,7 @@ def _fit_constant(times, values, forcing, zero_tol, offset=0.0):
             running[k] = 0.0 if growth <= zero_tol else np.inf
         else:
             running[k] = max(growth, 0.0) / cum[k]
-    return running, float(np.max(running[1:])) if len(times) > 1 else 0.0
+    return float(np.max(running[1:])) if len(times) > 1 else 0.0
 
 
 def gronwall_verify(pair: ComparisonPair, cal: Calibration,
@@ -472,14 +461,13 @@ def gronwall_verify(pair: ComparisonPair, cal: Calibration,
                        for t in times])
     slack = np.array([coercivity_check(pair.weak.interface_at(t), cal, sigma,
                                        t).slack for t in times])
-    running, c_rel = _fit_constant(times, e_rel, e_rel, zero_tol)
-    _, c_bulk = _fit_constant(times, e_bulk, e_rel + e_bulk, zero_tol,
-                              offset=float(e_rel[0]))
+    c_rel = _fit_constant(times, e_rel, e_rel, zero_tol)
+    c_bulk = _fit_constant(times, e_bulk, e_rel + e_bulk, zero_tol,
+                           offset=float(e_rel[0]))
     coarse = times[::2]
-    _, c_rel_half = _fit_constant(coarse, e_rel[::2], e_rel[::2], zero_tol)
-    _, c_bulk_half = _fit_constant(coarse, e_bulk[::2],
-                                   (e_rel + e_bulk)[::2], zero_tol,
-                                   offset=float(e_rel[0]))
+    c_rel_half = _fit_constant(coarse, e_rel[::2], e_rel[::2], zero_tol)
+    c_bulk_half = _fit_constant(coarse, e_bulk[::2], (e_rel + e_bulk)[::2],
+                                zero_tol, offset=float(e_rel[0]))
     zero_initial = e_rel[0] <= zero_tol and e_bulk[0] <= zero_tol
     zero_preserved = None
     if zero_initial:
@@ -491,7 +479,7 @@ def gronwall_verify(pair: ComparisonPair, cal: Calibration,
     else:
         exp_ok = bool(np.all(e_rel <= e_rel[0] + zero_tol))
     return GronwallReport(times=times, e_rel=e_rel, e_bulk=e_bulk,
-                          coercivity_slack=slack, running_c=running,
+                          coercivity_slack=slack,
                           fitted_c_rel=c_rel, fitted_c_bulk=c_bulk,
                           fitted_c_rel_coarse=c_rel_half,
                           fitted_c_bulk_coarse=c_bulk_half,

@@ -11,6 +11,21 @@ namespaces, e.g.
     well.a_slope=0.6
     out_dir=results
 
+Every key other than ``experiment`` and ``out_dir`` reaches one parameter
+of the experiment's runner:
+
+    grid.n              -> grid_n    (positive int)
+    eps                 -> eps_list  (comma-separated positive floats)
+    t_end               -> t_end     (positive float)
+    tol.<name>          -> <name>    (a float parameter of the runner)
+    well.name, well.<p> -> well      (WELL_REGISTRY factory called with <p>)
+
+A key the experiment does not take is rejected with exit 2, by both
+``validate`` and ``run``. ``validate`` checks keys, types, names and
+eps >= 4 grid spacings; it does not check geometry (boundary margins,
+extinction before t_end): the experiment checks that when it starts, and
+``run`` exits 2.
+
 Commands: ``wmcf run <config>``, ``wmcf list``, ``wmcf validate <config>``.
 Exit codes for run: 0 all checks pass, 1 a check failed, 2 invalid config
 or parameters (parse and validation errors, and the ValueError subclasses
@@ -26,7 +41,6 @@ import inspect
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,26 +50,22 @@ from .errors import (DomainError, ExtractionError, GeometryError,
 from .experiments import REGISTRY
 
 
-def _make_quartic_constant(p):
-    return wells.constant_quartic(a0=float(p.get("a0", 0.0)),
-                                  b0=float(p.get("b0", 1.0)),
-                                  amplitude=float(p.get("amplitude", 1.0)))
+def _make_quartic_constant(a0=0.0, b0=1.0, amplitude=1.0):
+    return wells.constant_quartic(a0=a0, b0=b0, amplitude=amplitude)
 
 
-def _make_quartic_moving(p):
+def _make_quartic_moving(a0=0.0, a_slope=0.6, b0=1.0, b_slope=0.0):
     return wells.linear_wells_quartic(
-        float(p.get("a0", 0.0)), float(p.get("a_slope", 0.6)),
-        float(p.get("b0", 1.0)), float(p.get("b_slope", 0.0)),
+        a0, a_slope, b0, b_slope,
         axis=0, bounds=np.array([[0.0, 1.0], [0.0, 1.0]]))
 
 
-def _make_quartic_affine(p):
-    return wells.affine_scaled_quartic(offset=float(p.get("offset", 1.0)),
-                                       slope=float(p.get("slope", 1.0)))
+def _make_quartic_affine(offset=1.0, slope=1.0):
+    return wells.affine_scaled_quartic(offset=offset, slope=slope)
 
 
-def _make_quartic_exp(p):
-    return wells.exp_scaled_quartic(float(p.get("kappa", 0.5)))
+def _make_quartic_exp(kappa=0.5):
+    return wells.exp_scaled_quartic(kappa)
 
 
 WELL_REGISTRY = {
@@ -64,22 +74,6 @@ WELL_REGISTRY = {
     "quartic_affine": _make_quartic_affine,
     "quartic_exp": _make_quartic_exp,
 }
-
-_KNOWN_NAMESPACES = ("experiment", "well", "grid", "eps", "dt", "t_end",
-                     "out_dir", "tol", "seed")
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    well_name: str = ""
-    well_params: dict = field(default_factory=dict)
-    grid_n: int = 0                    # 0: use the experiment default
-    eps_list: tuple = ()
-    dt: float = 0.0
-    t_end: float = 0.0
-    out_dir: str = "."
-    tols: dict = field(default_factory=dict)
 
 
 def parse_config(path) -> dict:
@@ -98,106 +92,106 @@ def parse_config(path) -> dict:
     return entries
 
 
-def config_from_entries(entries: dict) -> ExperimentConfig:
-    if "experiment" not in entries:
-        raise ValueError("missing required key: experiment")
-    cfg = ExperimentConfig(experiment=entries["experiment"])
-    cfg.well_name = entries.get("well.name", "")
-    cfg.well_params = {k.split(".", 1)[1]: v for k, v in entries.items()
-                       if k.startswith("well.") and k != "well.name"}
-    if "grid.n" in entries:
-        cfg.grid_n = int(entries["grid.n"])
-    if "eps" in entries:
-        cfg.eps_list = tuple(float(tok) for tok in
-                             entries["eps"].split(",") if tok.strip())
-    if "dt" in entries:
-        cfg.dt = float(entries["dt"])
-    if "t_end" in entries:
-        cfg.t_end = float(entries["t_end"])
-    cfg.out_dir = entries.get("out_dir", ".")
-    cfg.tols = {k.split(".", 1)[1]: float(v) for k, v in entries.items()
-                if k.startswith("tol.")}
-    return cfg
+def _positive(convert):
+    def read(text):
+        value = convert(text)
+        if not value > 0:
+            raise ValueError(f"must be positive, got {text!r}")
+        return value
+    return read
+
+
+def _eps_list(text):
+    return tuple(_positive(float)(tok) for tok in text.split(","))
+
+
+def resolve(entries: dict):
+    """Resolve parsed entries to ``(runner, kwargs, out_dir, problems)``.
+
+    Every key other than ``experiment`` and ``out_dir`` must reach a
+    parameter of the runner, or it is a problem; ``runner(**kwargs)`` may be
+    called only when ``problems`` is empty."""
+    out_dir = entries.get("out_dir", ".")
+    name = entries.get("experiment")
+    if name is None:
+        return None, {}, out_dir, ["missing required key: experiment"]
+    if name not in REGISTRY:
+        return None, {}, out_dir, [f"unknown experiment {name!r}; registry: "
+                                   + ", ".join(sorted(REGISTRY))]
+    runner = REGISTRY[name][0]
+    params = inspect.signature(runner).parameters
+    well_name = entries.get("well.name")
+    factory = WELL_REGISTRY.get(well_name)
+    floats = [p for p, v in params.items() if isinstance(v.default, float)]
+    kwargs, well_kwargs, problems = {}, {}, []
+
+    def forward(key, param, read, accepted=params, into=kwargs,
+                takes_no=f"experiment {name!r} takes no"):
+        if param not in accepted:
+            problems.append(f"{key}: {takes_no} parameter {param!r}")
+        elif param in into:
+            problems.append(f"{key}: parameter {param!r} is set twice")
+        else:
+            try:
+                into[param] = read(entries[key])
+            except ValueError as exc:
+                problems.append(f"{key}: {exc}")
+
+    for key in entries:
+        if key in ("experiment", "out_dir", "well.name"):
+            continue
+        if key == "grid.n":
+            forward(key, "grid_n", _positive(int))
+        elif key == "eps":
+            forward(key, "eps_list", _eps_list)
+        elif key == "t_end":
+            forward(key, "t_end", _positive(float))
+        elif key.startswith("tol."):
+            forward(key, key[4:], float, accepted=floats,
+                    takes_no=f"experiment {name!r} takes no float")
+        elif key.startswith("well."):
+            if factory is None:
+                problems.append(f"{key}: needs a known well.name")
+            else:
+                forward(key, key[5:], float, into=well_kwargs,
+                        accepted=inspect.signature(factory).parameters,
+                        takes_no=f"well {well_name!r} takes no")
+        else:
+            problems.append(f"{key}: unknown key")
+    if well_name is not None and "well" not in params:
+        problems.append(f"well.name: experiment {name!r} uses a pinned "
+                        "well; remove well.* from the config")
+    elif well_name is not None and factory is None:
+        problems.append(f"well.name: unknown well {well_name!r}; registry: "
+                        + ", ".join(sorted(WELL_REGISTRY)))
+    elif factory is not None:
+        try:
+            kwargs["well"] = factory(**well_kwargs)
+        except ValueError as exc:
+            problems.append(f"well.name: {exc}")
+    if "grid_n" in kwargs:
+        h = 1.0 / kwargs["grid_n"]
+        for eps in kwargs.get("eps_list", ()):
+            if eps < 4.0 * h:
+                problems.append(f"eps={eps} below 4*spacing={4 * h} for "
+                                f"grid.n={kwargs['grid_n']}")
+    return runner, kwargs, out_dir, problems
 
 
 def validate_config(path) -> list:
-    """Schema and invariant checks; returns a list of problems (no
-    computation)."""
-    problems = []
+    """Problems that keep ``wmcf run`` from starting the experiment; no
+    computation."""
     try:
-        entries = parse_config(path)
+        return resolve(parse_config(path))[3]
     except (OSError, ValueError) as exc:
         return [str(exc)]
-    for key in entries:
-        ns = key.split(".", 1)[0]
-        if ns not in _KNOWN_NAMESPACES:
-            problems.append(f"unknown key namespace: {key}")
-    if "experiment" not in entries:
-        problems.append("missing required key: experiment")
-    else:
-        if entries["experiment"] not in REGISTRY:
-            problems.append(
-                f"unknown experiment {entries['experiment']!r}; registry: "
-                + ", ".join(sorted(REGISTRY)))
-    if "well.name" in entries:
-        if entries["well.name"] not in WELL_REGISTRY:
-            problems.append(
-                f"unknown well {entries['well.name']!r}; registry: "
-                + ", ".join(sorted(WELL_REGISTRY)))
-        exp = entries.get("experiment")
-        if exp in REGISTRY:
-            runner, _ = REGISTRY[exp]
-            if "well" not in inspect.signature(runner).parameters:
-                problems.append(f"experiment {exp!r} uses a pinned well; "
-                                "remove well.* from the config")
-    try:
-        cfg = config_from_entries(entries)
-    except (KeyError, ValueError) as exc:
-        problems.append(str(exc))
-        return problems
-    if cfg.eps_list and cfg.grid_n:
-        h = 1.0 / cfg.grid_n
-        for eps in cfg.eps_list:
-            if eps < 4.0 * h:
-                problems.append(f"eps={eps} below 4*spacing={4 * h} for "
-                                f"grid.n={cfg.grid_n}")
-    if "t_end" in entries and cfg.t_end <= 0:
-        problems.append("t_end must be positive")
-    return problems
 
 
-def _runner_kwargs(runner, cfg: ExperimentConfig) -> dict:
-    """Map the generic config onto the parameters the runner accepts."""
-    sig = inspect.signature(runner)
-    kwargs = {}
-    if cfg.grid_n and "grid_n" in sig.parameters:
-        kwargs["grid_n"] = cfg.grid_n
-    if cfg.eps_list and "eps_list" in sig.parameters:
-        kwargs["eps_list"] = cfg.eps_list
-    if cfg.t_end and "t_end" in sig.parameters:
-        kwargs["t_end"] = cfg.t_end
-    if cfg.well_name:
-        if "well" not in sig.parameters:
-            raise ValueError(
-                f"experiment {cfg.experiment!r} uses a pinned well; remove "
-                f"well.* from the config")
-        kwargs["well"] = WELL_REGISTRY[cfg.well_name](cfg.well_params)
-    for name, val in cfg.tols.items():
-        if name in sig.parameters:
-            kwargs[name] = val
-    return kwargs
-
-
-def run_experiment(cfg: ExperimentConfig) -> int:
-    """Run one experiment; writes <experiment>_<timestamp>.csv and
-    summary.txt under out_dir. Returns the exit status."""
-    runner, _ = REGISTRY[cfg.experiment]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    try:
-        kwargs = _runner_kwargs(runner, cfg)
-    except ValueError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
+def run_experiment(name, runner, kwargs, out_dir) -> int:
+    """Run one resolved experiment; writes <name>_<timestamp>.csv (with
+    _1, _2, ... appended if that name is taken) and summary.txt under
+    out_dir. Returns the exit status."""
+    os.makedirs(out_dir, exist_ok=True)
     try:
         result = runner(**kwargs)
     except (DomainError, ResolutionError, GeometryError,
@@ -207,10 +201,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     except (NumericError, ExtractionError) as exc:
         sys.stderr.write(f"numeric failure: {type(exc).__name__}: {exc}\n")
         return 3
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    csv_path = os.path.join(cfg.out_dir, f"{cfg.experiment}_{stamp}.csv")
+    stem = os.path.join(out_dir, f"{name}_{time.strftime('%Y%m%d-%H%M%S')}")
+    csv_path, k = stem + ".csv", 0
+    while os.path.exists(csv_path):
+        k += 1
+        csv_path = f"{stem}_{k}.csv"
     result.write_csv(csv_path)
-    summary_path = os.path.join(cfg.out_dir, "summary.txt")
+    summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w", encoding="utf-8") as fh:
         for line in result.summary_lines():
             fh.write(line + "\n")
@@ -250,16 +247,15 @@ def main(argv=None) -> int:
     # run
     try:
         entries = parse_config(args.config)
-        problems = validate_config(args.config)
-        if problems:
-            for p in problems:
-                sys.stderr.write(p + "\n")
-            return 2
-        cfg = config_from_entries(entries)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    return run_experiment(cfg)
+    runner, kwargs, out_dir, problems = resolve(entries)
+    for p in problems:
+        sys.stderr.write(p + "\n")
+    if problems:
+        return 2
+    return run_experiment(entries["experiment"], runner, kwargs, out_dir)
 
 
 if __name__ == "__main__":

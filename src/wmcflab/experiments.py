@@ -85,8 +85,7 @@ def _radial_reference(r0: float, sig: sharp.ScalarSigma,
 # surface tension oracle
 # ---------------------------------------------------------------------------
 
-def run_surface_tension(grid_n=None, eps_list=None, well=None,
-                        n_points: int = 50, seed: int = 0,
+def run_surface_tension(well=None, n_points: int = 50, seed: int = 0,
                         tol: float = 1e-8) -> ExperimentResult:
     """Quadrature sigma against the closed form sqrt(2) gamma^3 / 6 for
     quartic wells at random positions."""

@@ -35,7 +35,6 @@ increments to about one ulp, and each defect matches the ``math.fsum``
 form to within 4 ulp of the largest magnitude involved.
 """
 
-import csv
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -350,17 +349,6 @@ class DissipationLedger:
     def energy_nonincreasing(self, tol: float = 0.0) -> bool:
         es = [self.e_initial] + self.energies
         return all(e1 <= e0 + tol for e0, e1 in zip(es, es[1:]))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "time", "energy",
-                             "dissipation_increment", "defect",
-                             "inner_residual"])
-            for row in zip(self.steps, self.times, self.energies,
-                           self.dissipation_increments, self.defects,
-                           self.inner_residuals):
-                writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
 
 
 class RunResult(NamedTuple):

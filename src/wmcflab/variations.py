@@ -13,7 +13,6 @@ sharp pairing
 evaluated here by boundary quadrature as the independent reference.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -225,16 +224,6 @@ class SweepTable:
     def gaps_strictly_decreasing(self) -> bool:
         gaps = self.column("gap")
         return bool(np.all(np.diff(gaps) < 0))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps", "diffuse", "sharp", "gap", "defect",
-                             "energy", "energy_sharp"])
-            for r in self.rows:
-                writer.writerow([repr(float(x)) for x in
-                                 (r.eps, r.diffuse, r.sharp, r.gap, r.defect,
-                                  r.energy, r.energy_sharp)])
 
 
 def first_variation_convergence(eps_list, interface, spec: WellSpec,

@@ -1,7 +1,5 @@
 """Calibrations, relative/bulk energies, coercivity, Gronwall fits."""
 
-import csv
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -243,21 +241,6 @@ class TestGronwall:
         assert rep.exp_bound_holds
         assert np.all(rep.e_rel >= 0) and np.all(rep.e_bulk >= 0)
         assert np.all(rep.coercivity_slack >= 0)
-
-    def test_csv_export(self, tmp_path):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
-        pert = sharp.evolve_radial(0.41, sharp.constant_scalar_sigma(SQRT2_6),
-                                   0.04, tol=1e-12, center=CENTER)
-        times = np.linspace(0.0, 0.038, 9)
-        rep = calib.gronwall_verify(calib.ComparisonPair(pert, traj), cal,
-                                    sigma, times)
-        path = tmp_path / "gronwall.csv"
-        rep.to_csv(path)
-        rows = list(csv.reader(open(path)))
-        assert rows[0] == ["t", "E_rel", "E_bulk", "coercivity_slack",
-                           "fitted_C"]
-        assert len(rows) == 10
 
 
 def test_invariant_report():

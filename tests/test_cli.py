@@ -1,6 +1,7 @@
 """Config parsing, validation, registry, and exit-code contract."""
 
 import glob
+import inspect
 import os
 
 import pytest
@@ -26,19 +27,21 @@ eps=0.08,0.04
         entries = cli.parse_config(path)
         assert entries["experiment"] == "equipartition"
         assert entries["grid.n"] == "128"
-        cfg = cli.config_from_entries(entries)
-        assert cfg.grid_n == 128
-        assert cfg.eps_list == (0.08, 0.04)
+        _, kwargs, _, problems = cli.resolve(entries)
+        assert problems == []
+        assert kwargs["grid_n"] == 128
+        assert kwargs["eps_list"] == (0.08, 0.04)
 
     def test_malformed_line_raises(self, tmp_path):
         path = write(tmp_path, "this is not a key value pair\n")
         with pytest.raises(ValueError):
             cli.parse_config(path)
 
-    def test_missing_experiment_raises(self, tmp_path):
+    def test_missing_experiment_reported(self, tmp_path):
         path = write(tmp_path, "grid.n=64\n")
-        with pytest.raises(ValueError):
-            cli.config_from_entries(cli.parse_config(path))
+        runner, _, _, problems = cli.resolve(cli.parse_config(path))
+        assert runner is None
+        assert problems == ["missing required key: experiment"]
 
 
 class TestValidateConfig:
@@ -68,6 +71,50 @@ class TestValidateConfig:
     def test_unknown_namespace_flagged(self, tmp_path):
         path = write(tmp_path, "experiment=equipartition\nfoo.bar=1\n")
         assert any("foo.bar" in p for p in cli.validate_config(path))
+
+    # Each config used to pass validate while run ignored its keys.
+    @pytest.mark.parametrize("text, keys", [
+        ("experiment=bv_residuals\ngrid.n=64\neps=0.3\n", ["grid.n", "eps"]),
+        ("experiment=calibration\nseed=3\n", ["seed"]),
+        ("experiment=dissipation\ndt=1e-5\n", ["dt"]),
+        ("experiment=surface_tension\ntol.bogus=1\nwell.a_slope=5\n",
+         ["tol.bogus", "well.a_slope"]),
+        ("experiment=surface_tension\nwell.name=quartic_moving\n"
+         "well.a_slope=notanumber\n", ["well.a_slope"]),
+        ("experiment=surface_tension\nwell.name=quartic_moving\n"
+         "well.foo=1\n", ["well.foo"]),
+        ("experiment=calibration\ntol.n_per_time=10\n", ["tol.n_per_time"]),
+        ("experiment=first_variation\nwell.name=quartic_exp\n",
+         ["well.name"]),
+    ])
+    def test_key_not_taken_is_rejected(self, tmp_path, capsys, text, keys):
+        out = tmp_path / "out"
+        path = write(tmp_path, text + f"out_dir={out}\n")
+        assert cli.main(["validate", path]) == 2
+        named = {p.split(":")[0] for p in capsys.readouterr().out.splitlines()}
+        assert named == set(keys)
+        assert cli.main(["run", path]) == 2
+        assert glob.glob(str(tmp_path / "**" / "*.csv"), recursive=True) == []
+
+    @pytest.mark.parametrize("name", sorted(cli.REGISTRY))
+    def test_every_key_reaches_a_runner_parameter(self, name):
+        runner = cli.REGISTRY[name][0]
+        params = inspect.signature(runner).parameters
+        entries = {"experiment": name, "grid.n": "512", "eps": "0.08",
+                   "t_end": "0.01", "well.name": "quartic_constant",
+                   "well.a0": "0.0"}
+        entries.update({f"tol.{p}": "0.5" for p in params})
+        _, kwargs, _, problems = cli.resolve(entries)
+        assert set(kwargs) <= set(params)
+        # one outcome per key, a kwarg or a problem; experiment is not
+        # forwarded, and well.name with well.a0 yields one outcome
+        assert len(kwargs) + len(problems) == len(entries) - 2
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), os.pardir, "configs", "*.cfg"))))
+def test_shipped_config_validates(path, capsys):
+    assert cli.main(["validate", path]) == 0, capsys.readouterr().out
 
 
 class TestListExperiments:
@@ -155,6 +202,17 @@ class TestRun:
         f1 = glob.glob(str(out1 / "*.csv"))[0]
         f2 = glob.glob(str(out2 / "*.csv"))[0]
         assert open(f1, "rb").read() == open(f2, "rb").read()
+
+    def test_same_second_runs_keep_both_tables(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.time, "strftime",
+                            lambda fmt: "20260101-000000")
+        path = write(tmp_path, f"experiment=surface_tension\n"
+                               f"out_dir={tmp_path / 'out'}\n")
+        assert cli.main(["run", path]) == 0
+        assert cli.main(["run", path]) == 0
+        assert sorted(os.listdir(tmp_path / "out")) == [
+            "summary.txt", "surface_tension_20260101-000000.csv",
+            "surface_tension_20260101-000000_1.csv"]
 
     def test_custom_well_for_equipartition(self, tmp_path):
         out = tmp_path / "res"

@@ -1,6 +1,5 @@
 """Time integration: stepping, ledger bookkeeping, constrained minima."""
 
-import csv
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -167,17 +166,6 @@ class TestRun:
                        t_end=2e-3, trunc=1.0).ledger
         assert all(s >= -1e-12 for s in led.minimality_slacks)
         assert led.energy_nonincreasing(tol=1e-12)
-
-    def test_ledger_csv_header(self, tmp_path):
-        spec = wells.constant_quartic()
-        st = profile_state(n=128, eps=0.05)
-        led = flow.run(st, spec, "semi_implicit", dt=5e-4, t_end=2e-3).ledger
-        path = tmp_path / "ledger.csv"
-        led.to_csv(path)
-        rows = list(csv.reader(open(path)))
-        assert rows[0] == ["step", "time", "energy", "dissipation_increment",
-                           "defect", "inner_residual"]
-        assert len(rows) == 1 + len(led.steps)
 
     def test_dt_not_dividing_span_raises(self):
         spec = wells.constant_quartic()
