@@ -189,8 +189,9 @@ def validate_config(path) -> list:
 
 def run_experiment(name, runner, kwargs, out_dir) -> int:
     """Run one resolved experiment; writes <name>_<timestamp>.csv (with
-    _1, _2, ... appended if that name is taken) and summary.txt under
-    out_dir. Returns the exit status."""
+    _1, _2, ... appended if that name is taken) under out_dir and appends
+    the run's PASS/FAIL lines, closed by a ``table: <csv name>`` line, to
+    out_dir/summary.txt. Returns the exit status."""
     os.makedirs(out_dir, exist_ok=True)
     try:
         result = runner(**kwargs)
@@ -208,10 +209,11 @@ def run_experiment(name, runner, kwargs, out_dir) -> int:
         csv_path = f"{stem}_{k}.csv"
     result.write_csv(csv_path)
     summary_path = os.path.join(out_dir, "summary.txt")
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with open(summary_path, "a", encoding="utf-8") as fh:
         for line in result.summary_lines():
             fh.write(line + "\n")
             print(line)
+        fh.write(f"table: {os.path.basename(csv_path)}\n")
     print(f"table: {csv_path}")
     print(f"summary: {summary_path}")
     return 0 if result.passed else 1

@@ -2,7 +2,8 @@
 
 
 class DomainError(ValueError):
-    """A position lies outside the domain closure of a well specification."""
+    """A position lies outside the domain closure of a well specification,
+    or a well lies outside the family an experiment has an oracle for."""
 
 
 class ResolutionError(ValueError):

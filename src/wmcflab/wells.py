@@ -221,17 +221,51 @@ def optimal_profile(spec: WellSpec, x, s, atol: float = 1e-10):
     return out
 
 
+def _well_classes(spec: WellSpec, pts: np.ndarray):
+    """Group points by their well for the profile march.
+
+    Returns the class id of each point (int32) and, per class, a, b - a
+    and one representative position; points of one class have the same
+    W(x, .). A QuarticWellSpec groups its points by the triple (a, b, m),
+    found by lexsort, change flags and a cumulative sum; any other well
+    keeps one class per point.
+    """
+    a, b = spec.a(pts), spec.b(pts)
+    n = a.size
+    if isinstance(spec, QuarticWellSpec):
+        keys = (a, b, spec.amplitude(pts))
+        order = np.lexsort(keys)
+        new = np.zeros(n, dtype=bool)
+        new[0] = True
+        for key in keys:
+            key = key[order]
+            new[1:] |= key[1:] != key[:-1]
+        cls = np.empty(n, dtype=np.int32)
+        cls[order] = np.cumsum(new, dtype=np.int32) - 1
+        rep = order[new]
+    else:
+        cls, rep = np.arange(n, dtype=np.int32), np.arange(n)
+    return cls, a[rep], b[rep] - a[rep], pts[rep]
+
+
 def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray,
                          dtau: float = 0.1, tau_stop: float = 34.0):
     """Frozen-x profile values v(x_i, s_i) for many points at once.
 
     Marches the substituted variable tau with v = 1/(1 + exp(-tau)), where
     ds/dtau = gamma v(1-v)/sqrt(2 W_n(x, v)) is bounded and smooth,
-    accumulating s(tau) per point (Simpson per step) and inverting the
-    local cubic Hermite at each point's target arclength. Exact up to
-    roundoff for the quartic family, where ds/dtau is constant in tau;
-    O(dtau^4) otherwise. Targets beyond the marching window (tails below
-    1e-14) clamp to 0/1.
+    accumulating s(tau) (Simpson per step) and inverting the local cubic
+    Hermite at each point's target arclength. Exact up to roundoff for the
+    quartic family, where ds/dtau is constant in tau; O(dtau^4) otherwise.
+    Targets beyond the marching window (tails below 1e-14) clamp to 0/1.
+
+    The march runs once per distinct well, not once per point: a
+    QuarticWellSpec groups its points by (a, b, m), so a well that varies
+    along one axis of an n^d grid marches n classes, and a constant well
+    one. Each point only compares its target with its class's s(tau); a
+    class leaves the march when its last point is placed. Any other well
+    keeps one class per point, so it costs no more W evaluations than a
+    per-point march, and the result is the same bits either way.
 
     Agrees with optimal_profile to solver tolerance; kept vectorized so
     diffuse states can be built on large grids.
@@ -242,38 +276,34 @@ def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray,
     flat_s = s.reshape(-1)
     out = np.full(flat_s.shape, 0.5)
 
-    a_all = spec.a(flat_pts)
-    g_all = spec.b(flat_pts) - spec.a(flat_pts)
-
-    def phi(idx, tau):
+    def phi(a, g, x, tau):
         v = 1.0 / (1.0 + np.exp(-tau))
-        u = a_all[idx] + g_all[idx] * v
-        wn = spec.W(flat_pts[idx], u)
-        return g_all[idx] * v * (1.0 - v) \
-            / np.sqrt(np.maximum(2.0 * wn, 1e-300))
+        wn = spec.W(x, a + g * v)
+        return g * v * (1.0 - v) / np.sqrt(np.maximum(2.0 * wn, 1e-300))
 
     for sgn in (1.0, -1.0):
         active = np.flatnonzero(sgn * flat_s > 0)
         if active.size == 0:
             continue
         targets = sgn * flat_s[active]
-        s_lo = np.zeros(active.size)
-        phi_lo = phi(active, 0.0)
+        cls, a_c, g_c, x_c = _well_classes(spec, flat_pts[active])
+        count = np.bincount(cls)
+        s_lo = np.zeros(count.size)
+        phi_lo = phi(a_c, g_c, x_c, 0.0)
         tau = 0.0
         step = abs(dtau)
         while active.size and tau < tau_stop:
             tau_hi = min(tau + step, tau_stop)
             h = tau_hi - tau
-            phi_mid = phi(active, sgn * (tau + 0.5 * h))
-            phi_hi = phi(active, sgn * tau_hi)
+            phi_mid = phi(a_c, g_c, x_c, sgn * (tau + 0.5 * h))
+            phi_hi = phi(a_c, g_c, x_c, sgn * tau_hi)
             s_hi = s_lo + (h / 6.0) * (phi_lo + 4.0 * phi_mid + phi_hi)
-            crossed = targets <= s_hi
+            crossed = targets <= s_hi[cls]
             if np.any(crossed):
-                t = np.clip((targets[crossed] - s_lo[crossed])
-                            / np.maximum(s_hi[crossed] - s_lo[crossed], 1e-300),
-                            0.0, 1.0)
-                p0, p1 = s_lo[crossed], s_hi[crossed]
-                m0, m1 = h * phi_lo[crossed], h * phi_hi[crossed]
+                c, tc = cls[crossed], targets[crossed]
+                p0, p1 = s_lo[c], s_hi[c]
+                m0, m1 = h * phi_lo[c], h * phi_hi[c]
+                t = np.clip((tc - p0) / np.maximum(p1 - p0, 1e-300), 0.0, 1.0)
                 for _ in range(4):
                     h00 = (1 + 2 * t) * (1 - t) ** 2
                     h10 = t * (1 - t) ** 2
@@ -285,18 +315,23 @@ def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray,
                     d01 = -d00
                     d11 = t * (3 * t - 2)
                     der = d00 * p0 + d10 * m0 + d01 * p1 + d11 * m1
-                    t = np.clip(t - (val - targets[crossed])
-                                / np.maximum(der, 1e-300), 0.0, 1.0)
+                    t = np.clip(t - (val - tc) / np.maximum(der, 1e-300),
+                                0.0, 1.0)
                 tau_star = sgn * (tau + t * h)
                 out[active[crossed]] = 1.0 / (1.0 + np.exp(-tau_star))
                 keep = ~crossed
                 active = active[keep]
                 targets = targets[keep]
-                s_lo = s_hi[keep]
-                phi_lo = phi_hi[keep]
-            else:
-                s_lo = s_hi
-                phi_lo = phi_hi
+                cls = cls[keep]
+                count -= np.bincount(c, minlength=count.size)
+                live = count > 0
+                if not live.all():
+                    cls = (np.cumsum(live, dtype=np.int32) - 1)[cls]
+                    a_c, g_c, x_c = a_c[live], g_c[live], x_c[live]
+                    count = count[live]
+                    s_hi, phi_hi = s_hi[live], phi_hi[live]
+            s_lo = s_hi
+            phi_lo = phi_hi
             tau = tau_hi
         out[active] = 1.0 if sgn > 0 else 0.0
 

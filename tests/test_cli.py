@@ -1,13 +1,15 @@
 """Config parsing, validation, registry, and exit-code contract."""
 
+import dataclasses
 import glob
 import inspect
 import os
 
 import pytest
 
-from wmcflab import cli
-from wmcflab.errors import ExtractionError, NumericError
+from wmcflab import cli, wells
+from wmcflab.errors import DomainError, ExtractionError, NumericError
+from wmcflab.experiments import run_surface_tension
 
 
 def write(tmp_path, text, name="config.txt"):
@@ -213,6 +215,25 @@ class TestRun:
         assert sorted(os.listdir(tmp_path / "out")) == [
             "summary.txt", "surface_tension_20260101-000000.csv",
             "surface_tension_20260101-000000_1.csv"]
+        # one block per run: its one verdict, then the name of its table
+        lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert [ln.split()[0] for ln in lines] == [
+            "PASS", "table:", "PASS", "table:"]
+        assert lines[1] == "table: surface_tension_20260101-000000.csv"
+        assert lines[3] == "table: surface_tension_20260101-000000_1.csv"
+
+    def test_surface_tension_without_oracle_exits_2(self, tmp_path, capsys):
+        # a plain WellSpec has no closed-form sigma to check against
+        quartic = wells.constant_quartic()
+        plain = wells.WellSpec(**{f.name: getattr(quartic, f.name)
+                                  for f in dataclasses.fields(wells.WellSpec)})
+        with pytest.raises(DomainError, match="sigma_exact"):
+            run_surface_tension(well=plain)
+        out = tmp_path / "out"
+        assert cli.run_experiment("surface_tension", run_surface_tension,
+                                  {"well": plain}, str(out)) == 2
+        assert "DomainError" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_custom_well_for_equipartition(self, tmp_path):
         out = tmp_path / "res"

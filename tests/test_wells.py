@@ -6,8 +6,13 @@ Quartic oracles used below (gamma = b - a, amplitude m):
   profile = logistic with rate sqrt(2 m) gamma.
 """
 
+import dataclasses
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from wmcflab import wells
@@ -203,6 +208,75 @@ class TestProfileGrid:
                         atol=1e-7)
 
 
+def plain_spec(spec):
+    """The same well as a plain WellSpec, which the profile march cannot
+    group by (a, b, m): one class per point."""
+    return wells.WellSpec(**{f.name: getattr(spec, f.name)
+                             for f in dataclasses.fields(wells.WellSpec)})
+
+
+@hst.composite
+def quartic_wells(draw, dim):
+    """A constant, affine-amplitude, exp-amplitude or linear moving-well
+    quartic on [0, 1]^dim."""
+    axis = draw(hst.integers(0, dim - 1))
+    kind = draw(hst.sampled_from(("constant", "affine", "exp", "linear")))
+    if kind == "constant":
+        a0 = draw(hst.floats(-1.0, 1.0))
+        return wells.constant_quartic(a0, a0 + draw(hst.floats(0.5, 2.0)),
+                                      amplitude=draw(hst.floats(0.2, 5.0)))
+    if kind == "affine":
+        return wells.affine_scaled_quartic(offset=draw(hst.floats(0.5, 2.0)),
+                                           slope=draw(hst.floats(-0.4, 2.0)),
+                                           axis=axis)
+    if kind == "exp":
+        return wells.exp_scaled_quartic(draw(hst.floats(-1.0, 1.0)),
+                                        axis=axis)
+    a0 = draw(hst.floats(-0.5, 0.5))
+    return wells.linear_wells_quartic(
+        a0, draw(hst.floats(-0.3, 0.3)), a0 + draw(hst.floats(0.8, 1.5)),
+        draw(hst.floats(-0.3, 0.3)), axis=axis, delta_sep=0.1)
+
+
+# lattice coordinates make points share a well; beyond +-34/rate the
+# target lies past the marching window and clamps
+_coords = hst.one_of(hst.sampled_from((0.0, 0.25, 0.5, 1.0)),
+                     hst.floats(0.0, 1.0))
+_arclengths = hst.one_of(hst.just(0.0), hst.floats(-60.0, 60.0),
+                         hst.sampled_from((-1e3, -1e-300, 1e-300, 1e3)))
+
+
+@hst.composite
+def profile_problems(draw):
+    """A quartic well, n points in [0, 1]^d (d = 1 or 2) and n arclengths."""
+    dim = draw(hst.sampled_from((1, 2)))
+    n = draw(hst.integers(1, 40))
+    pts = draw(hnp.arrays(float, (n, dim), elements=_coords))
+    s = draw(hnp.arrays(float, n, elements=_arclengths))
+    return draw(quartic_wells(dim)), pts, s
+
+
+class TestProfileGridProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(profile_problems())
+    def test_grouped_march_is_bit_identical_to_per_point(self, problem):
+        spec, pts, s = problem
+        grouped = wells.optimal_profile_grid(spec, pts, s)
+        per_point = wells.optimal_profile_grid(plain_spec(spec), pts, s)
+        assert np.array_equal(grouped, per_point)
+
+    @settings(max_examples=100, deadline=None)
+    @given(profile_problems(), hst.booleans())
+    def test_monotone_in_s_and_in_unit_interval(self, problem, plain):
+        spec, pts, s = problem
+        x = np.repeat(pts[:1], s.size, axis=0)
+        s = np.sort(s)
+        v = wells.optimal_profile_grid(plain_spec(spec) if plain else spec,
+                                       x, s)
+        assert np.all(np.diff(v) >= 0.0)
+        assert np.all((v >= 0.0) & (v <= 1.0))
+
+
 class TestValidateAssumptions:
     def test_quadratic_growth_near_wells(self):
         spec = wells.constant_quartic()
@@ -264,6 +338,18 @@ class TestQuadrature:
     def test_reversed_interval_is_signed(self):
         val, _ = adaptive_gauss_legendre(np.sin, np.pi, 0.0, tol=1e-12)
         assert_allclose(val, -2.0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.floats(-3.0, 3.0), hst.floats(-3.0, 3.0),
+           hst.floats(0.1, 4.0), hst.floats(-2.0, 2.0))
+    def test_swapping_the_interval_flips_the_sign(self, lo, hi, k, c):
+        def f(t):
+            return np.sqrt(np.abs(t - c)) + np.cos(k * t)
+
+        tol = 1e-10
+        fwd, _ = adaptive_gauss_legendre(f, lo, hi, tol=tol)
+        bwd, _ = adaptive_gauss_legendre(f, hi, lo, tol=tol)
+        assert abs(fwd + bwd) <= tol
 
     def test_kinked_integrand(self):
         val, _ = adaptive_gauss_legendre(lambda t: np.sqrt(np.abs(t)),
