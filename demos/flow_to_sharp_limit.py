@@ -31,9 +31,8 @@ dt = 0.25 * eps ** 2 / lw
 steps = int(np.ceil(0.06 / dt))
 dt = 0.06 / steps
 checkpoints = [0.02, 0.04, 0.06]
-state, ledger, snaps = flow.run(state, spec, "semi_implicit", dt=dt,
-                                t_end=0.06, snapshot_times=checkpoints,
-                                solver="spectral")
+state, ledger, snaps = flow.run(state, spec, dt=dt, t_end=0.06,
+                                snapshot_times=checkpoints)
 sig = sharp.constant_scalar_sigma(np.sqrt(2) / 6)
 traj = sharp.evolve_radial(0.4, sig, 0.06, tol=1e-12, center=(0.5, 0.5))
 print(f"{'t':>6} {'R (ODE)':>9} {'R (extracted)':>14} {'rel err':>9}")
@@ -57,9 +56,8 @@ lw = flow.reaction_lipschitz(spec, grid, (-0.06, 1.06))
 dt = 0.5 * eps ** 2 / lw
 steps = int(np.ceil(0.2 / dt))
 dt = 0.2 / steps
-state, ledger, snaps = flow.run(state, spec, "semi_implicit", dt=dt,
-                                t_end=0.2, snapshot_times=[0.1, 0.2],
-                                solver="spectral")
+state, ledger, snaps = flow.run(state, spec, dt=dt, t_end=0.2,
+                                snapshot_times=[0.1, 0.2])
 print(f"{'t':>6} {'p (exact)':>10} {'p (extracted)':>14} {'drift err':>10}")
 for s in snaps:
     p_exact = 0.7 - kappa * s.time

@@ -308,8 +308,7 @@ def run_dissipation(grid_n: int = 256, eps: float = 0.02,
     state = flow.PhaseState(Field(grid, u0), eps)
     defects = []
     for dt in dt_list:
-        ledger = flow.run(state, spec, "semi_implicit", dt=dt, t_end=t_end,
-                          solver="spectral").ledger
+        ledger = flow.run(state, spec, dt=dt, t_end=t_end).ledger
         defects.append(ledger.final_defect)
         ratio = defects[-2] / defects[-1] if len(defects) > 1 else float("nan")
         res.csv_rows.append([dt, defects[-1], ratio])
@@ -348,9 +347,8 @@ def run_ac_to_mcf_radial(r0: float = 0.4, t_end: float = 0.06,
         dt = frac * eps ** 2 / lw
         n_steps = int(np.ceil(t_end / dt))
         dt = t_end / n_steps
-        snaps = flow.run(state, spec, "semi_implicit", dt=dt, t_end=t_end,
-                         snapshot_times=checkpoints,
-                         solver="spectral").snapshots
+        snaps = flow.run(state, spec, dt=dt, t_end=t_end,
+                         snapshot_times=checkpoints).snapshots
         errs = []
         for s in snaps:
             r_ode = float(traj.position(s.time))
@@ -392,9 +390,8 @@ def run_ac_to_mcf_1d_drift(kappa: float = 0.5, p0: float = 0.7,
         dt = frac * eps ** 2 / lw
         n_steps = int(np.ceil(t_end / dt))
         dt = t_end / n_steps
-        snaps = flow.run(state, spec, "semi_implicit", dt=dt, t_end=t_end,
-                         snapshot_times=checkpoints,
-                         solver="spectral").snapshots
+        snaps = flow.run(state, spec, dt=dt, t_end=t_end,
+                         snapshot_times=checkpoints).snapshots
         errs = []
         for s in snaps:
             p_exact = float(traj.position(s.time))

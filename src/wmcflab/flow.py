@@ -1,20 +1,18 @@
 """Time integration of the heterogeneous Allen-Cahn equation.
 
-Two interchangeable schemes advance du/dt = Lap u - dW_du(x, u)/eps^2 with
-zero-flux boundaries:
+Two schemes advance du/dt = Lap u - dW_du(x, u)/eps^2 with zero-flux
+boundaries, each through one entry point:
 
-  * semi-implicit splitting (diffusion implicit, reaction explicit),
-    stable for dt <= eps^2 / L where L bounds |d2W/du2| on the invariant
-    box;
-  * minimizing movements: each step minimizes
+  * ``run``: semi-implicit splitting (diffusion implicit, reaction
+    explicit), stable for dt <= eps^2 / L where L bounds |d2W/du2| on the
+    invariant box. It checks the step and the stability bound once,
+    builds the per-run operators (the cell centers, the spectral
+    denominator) once, solves each step directly in the cosine basis and
+    returns a ``RunResult``;
+  * ``step_minmov``: one minimizing-movements step, which minimizes
         (1/eps) E[u] + 1/(2 dt) ||u - u_prev||_L2^2,
-    which gives exact per-step energy decay and, for wells monotone
-    outside a box, a maximum principle via clamp comparison.
-
-``run`` is the one stepping entry point for both. It checks the scheme,
-the solver and the semi-implicit stability bound once, builds the
-per-run operators (the cell centers, the spectral denominator) once, and
-returns a ``RunResult``.
+    giving exact per-step energy decay and, for wells monotone outside a
+    box, a maximum principle via clamp comparison. Callers loop over it.
 
 One descent kernel, ``_bb_descent`` (Barzilai-Borwein steps under a
 nonmonotone Armijo line search), has two callers: ``step_minmov``
@@ -126,27 +124,6 @@ def _spectral_solve(denom: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     from scipy.fft import dctn, idctn
     coeff = dctn(rhs, type=2, norm="ortho")
     return idctn(coeff / denom, type=2, norm="ortho")
-
-
-def _cg(apply_op, rhs, tol: float = 1e-10, max_iter: int = 20000):
-    """Plain conjugate gradient on arrays; returns (solution, residual)."""
-    x = rhs.copy()
-    r = rhs - apply_op(x)
-    p = r.copy()
-    rr = float(np.sum(r * r))
-    target = max(tol, 1e-14 * np.sqrt(float(np.sum(rhs * rhs))))
-    for _ in range(max_iter):
-        if np.sqrt(rr) <= target:
-            return x, float(np.sqrt(rr))
-        ap = apply_op(p)
-        alpha = rr / float(np.sum(p * ap))
-        x = x + alpha * p
-        r = r - alpha * ap
-        rr_new = float(np.sum(r * r))
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise NumericError("conjugate gradient did not reach the residual target",
-                       achieved=float(np.sqrt(rr)), last_iterate=x)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +297,11 @@ class DissipationLedger:
     dissipation_increments: list = field(default_factory=list)
     defects: list = field(default_factory=list)
     inner_residuals: list = field(default_factory=list)
-    minimality_slacks: list = field(default_factory=list)
     # running sum of dissipation_increments and its rounding-error carry
     _total: float = field(default=0.0, init=False, repr=False, compare=False)
     _carry: float = field(default=0.0, init=False, repr=False, compare=False)
 
-    def append(self, step, time, energy_val, increment, residual, slack=None):
+    def append(self, step, time, energy_val, increment, residual):
         self.steps.append(step)
         self.times.append(time)
         self.energies.append(energy_val)
@@ -340,15 +316,10 @@ class DissipationLedger:
         self.defects.append(abs(self.e_initial - energy_val
                                 - (t + self._carry)))
         self.inner_residuals.append(residual)
-        self.minimality_slacks.append(slack)
 
     @property
     def final_defect(self) -> float:
         return self.defects[-1] if self.defects else 0.0
-
-    def energy_nonincreasing(self, tol: float = 0.0) -> bool:
-        es = [self.e_initial] + self.energies
-        return all(e1 <= e0 + tol for e0, e1 in zip(es, es[1:]))
 
 
 class RunResult(NamedTuple):
@@ -359,33 +330,35 @@ class RunResult(NamedTuple):
     snapshots: list            # states right after each snapshot time
 
 
-def run(state: PhaseState, spec: WellSpec, scheme: str, dt: float,
-        t_end: float, trunc: Optional[float] = None,
-        snapshot_times=(), cg_tol: float = 1e-10,
-        solver: str = "cg") -> RunResult:
-    """Advance to t_end recording the dissipation ledger.
+def run(state: PhaseState, spec: WellSpec, dt: float, t_end: float,
+        snapshot_times=()) -> RunResult:
+    """Advance to t_end by semi-implicit steps, recording the ledger.
 
-    scheme "semi_implicit" solves
-    (I - dt Lap) u_new = u_old - (dt/eps^2) dW_du(x, u_old) per step, by
-    conjugate gradients to residual ``cg_tol`` (solver="cg") or directly
-    in the cosine basis (solver="spectral"; the two agree to the CG
-    tolerance, and the direct route is there for long fine-step runs).
-    dt must not exceed the stability bound eps^2 / L_W on the initial
-    value box; otherwise ValueError. scheme "minimizing_movements" takes
-    one ``step_minmov`` per step, clamped at ``trunc``.
+    Each step solves
+    (I - dt Lap) u_new = u_old - (dt/eps^2) dW_du(x, u_old)
+    directly in the cosine basis, where the mirrored-ghost Neumann
+    Laplacian of the uniform grid is diagonal. The ledger's
+    ``inner_residuals`` hold the L2 residual of that system, so each
+    direct solve is checked against the stencil it inverts.
 
-    ``dt`` must divide t_end - state.time (to 1e-9 dt); otherwise
-    ValueError. ``snapshots`` holds the state right after the first step
-    reaching each of ``snapshot_times`` (empty when none are asked for).
+    ``dt`` must divide t_end - state.time (to 1e-9 dt) and must not
+    exceed the stability bound eps^2 / L_W on the initial value box;
+    otherwise ValueError. A step reaches a snapshot time t once its time
+    is at least t - 1e-12. ``snapshots`` holds, for each entry of
+    ``snapshot_times`` in increasing order, the first state that reaches
+    it (empty when none are asked for). Every entry must lie in
+    (state.time, t_end] under that slack, so that the initial state does
+    not reach it and the final one does; otherwise ValueError.
     """
-    if scheme not in ("semi_implicit", "minimizing_movements"):
-        raise ValueError(f"unknown scheme: {scheme}")
-    if solver not in ("cg", "spectral"):
-        raise ValueError(f"unknown solver: {solver}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end <= state.time:
         raise ValueError("t_end must exceed the current time")
+    bad = [t for t in snapshot_times
+           if not state.time + 1e-12 < t <= t_end + 1e-12]
+    if bad:
+        raise ValueError(f"snapshot times {bad} lie outside "
+                         f"(time, t_end] = ({state.time}, {t_end}]")
     grid = state.u.grid
     pts = grid.points()
     eps = state.eps
@@ -396,38 +369,29 @@ def run(state: PhaseState, spec: WellSpec, scheme: str, dt: float,
                          f"t_end - time = {span}")
     ledger = DissipationLedger(e_initial=energy_face(state.u.values, grid,
                                                      eps, spec, pts))
-    if scheme == "semi_implicit":
-        lo, hi = float(np.min(state.u.values)), float(np.max(state.u.values))
-        pad = 0.05 * max(hi - lo, 1.0)
-        lw = reaction_lipschitz(spec, grid, (lo - pad, hi + pad))
-        if dt > eps ** 2 / lw * (1 + 1e-9):
-            raise ValueError(f"dt={dt} exceeds the stability bound "
-                             f"{eps ** 2 / lw}")
-        denom = _spectral_denominator(grid, dt) if solver == "spectral" \
-            else None
+    lo, hi = float(np.min(state.u.values)), float(np.max(state.u.values))
+    pad = 0.05 * max(hi - lo, 1.0)
+    lw = reaction_lipschitz(spec, grid, (lo - pad, hi + pad))
+    if dt > eps ** 2 / lw * (1 + 1e-9):
+        raise ValueError(f"dt={dt} exceeds the stability bound "
+                         f"{eps ** 2 / lw}")
+    denom = _spectral_denominator(grid, dt)
     snapshots = []
     want = sorted(snapshot_times)
     for k in range(1, n_steps + 1):
         u_old = state.u.values
-        if scheme == "semi_implicit":
-            rhs = u_old - (dt / eps ** 2) * spec.dW_du(pts, u_old)
-            if solver == "spectral":
-                sol = _spectral_solve(denom, rhs)
-                resid = float(np.sqrt(np.sum(
-                    (sol - dt * _lap(sol, grid) - rhs) ** 2)))
-            else:
-                sol, resid = _cg(lambda v: v - dt * _lap(v, grid), rhs,
-                                 tol=cg_tol)
-            state = state.replace(sol, time=state.time + dt)
-            e_now = energy_face(sol, grid, eps, spec, pts)
-            slack = None
-        else:
-            state, rec = step_minmov(state, spec, dt, trunc=trunc)
-            e_now, resid, slack = rec.energy, rec.inner_residual, rec.slack
-        increment = eps / dt * float(np.sum((state.u.values - u_old) ** 2)) \
+        rhs = u_old - (dt / eps ** 2) * spec.dW_du(pts, u_old)
+        sol = _spectral_solve(denom, rhs)
+        resid = float(np.sqrt(np.sum(
+            (sol - dt * _lap(sol, grid) - rhs) ** 2)))
+        state = state.replace(sol, time=state.time + dt)
+        e_now = energy_face(sol, grid, eps, spec, pts)
+        increment = eps / dt * float(np.sum((sol - u_old) ** 2)) \
             * grid.cell_volume
-        ledger.append(k, state.time, e_now, increment, resid, slack)
-        while want and state.time >= want[0] - 1e-12:
+        ledger.append(k, state.time, e_now, increment, resid)
+        # the last step reaches every remaining time, whatever rounding
+        # the accumulated state.time carries
+        while want and (k == n_steps or state.time >= want[0] - 1e-12):
             snapshots.append(state)
             want.pop(0)
     return RunResult(state, ledger, snapshots)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import NumericError
+from .errors import GeometryError, NumericError
 from .quadrature import adaptive_gauss_legendre
 from .wells import (QuarticWellSpec, WellSpec, as_points, grad_gamma,
                     normalized_well_dx, sigma_n, surface_tension)
@@ -228,6 +228,9 @@ class SharpTrajectory:
 
     ``positions`` holds R(t) for spheres or p(t) for 1-d points;
     ``velocities`` holds V in the n_A convention at the sample times.
+    ``position`` and ``velocity`` raise GeometryError at any time outside
+    [times[0], times[-1]] (to 1e-12 max(1, t_end)), where the trajectory
+    was never computed.
     """
 
     kind: str                      # "sphere" | "point1d"
@@ -240,14 +243,28 @@ class SharpTrajectory:
     _dense: Optional[Callable] = None
     _vel: Optional[Callable] = None
 
+    def _check_time(self, t: np.ndarray) -> None:
+        lo, hi = float(self.times[0]), float(self.times[-1])
+        slack = 1e-12 * max(1.0, hi)
+        if t.ndim == 0:
+            first = last = float(t)
+        else:
+            first, last = float(np.min(t)), float(np.max(t))
+        if not (lo - slack <= first and last <= hi + slack):
+            bad = last if lo - slack <= first else first
+            raise GeometryError(f"time {bad:.6g} outside the trajectory's "
+                                f"[{lo:.6g}, {hi:.6g}]")
+
     def position(self, t):
         t = np.asarray(t, dtype=float)
+        self._check_time(t)
         if self._dense is not None:
             return self._dense(t)
         return np.interp(t, self.times, self.positions)
 
     def velocity(self, t):
         t = np.asarray(t, dtype=float)
+        self._check_time(t)
         if self._vel is not None:
             return self._vel(t)
         return np.interp(t, self.times, self.velocities)

@@ -252,6 +252,15 @@ def test_invariant_report():
     assert inv.n_samples == 2000
 
 
+def test_invariants_past_the_trajectory_raise():
+    # the trajectory ends at t = 0.04; invariants sampled at later times
+    # would check R(0.04) again and report ok()
+    traj, sigma = radial_setup()
+    cal = calib.build_calibration(traj, sigma)
+    with pytest.raises(GeometryError, match="outside"):
+        calib.calibration_invariants(cal, [0.5, 1.0], n_per_time=400)
+
+
 def test_weak_strong_rejects_extinct_reference():
     # the r0 = 0.4 disk goes extinct at t = 0.08; checks along the missing
     # part of the reference must not pass

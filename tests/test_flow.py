@@ -44,9 +44,30 @@ class TestEnergy:
         assert e2 < e1
 
 
-def one_step(st, spec, dt, **kw):
-    return flow.run(st, spec, "semi_implicit", dt=dt, t_end=st.time + dt,
-                    **kw).state
+def one_step(st, spec, dt):
+    return flow.run(st, spec, dt=dt, t_end=st.time + dt).state
+
+
+def _cg(apply_op, rhs, tol: float = 1e-10, max_iter: int = 20000):
+    """Plain conjugate gradient on arrays; returns (solution, residual).
+    The reference solver the direct spectral solve is checked against."""
+    x = rhs.copy()
+    r = rhs - apply_op(x)
+    p = r.copy()
+    rr = float(np.sum(r * r))
+    target = max(tol, 1e-14 * np.sqrt(float(np.sum(rhs * rhs))))
+    for _ in range(max_iter):
+        if np.sqrt(rr) <= target:
+            return x, float(np.sqrt(rr))
+        ap = apply_op(p)
+        alpha = rr / float(np.sum(p * ap))
+        x = x + alpha * p
+        r = r - alpha * ap
+        rr_new = float(np.sum(r * r))
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    raise NumericError("conjugate gradient did not reach the residual target",
+                       achieved=float(np.sqrt(rr)), last_iterate=x)
 
 
 class TestSemiImplicit:
@@ -66,8 +87,7 @@ class TestSemiImplicit:
     def test_standing_profile_is_stationary(self):
         spec = wells.constant_quartic()
         st = profile_state(n=256, eps=0.05)
-        out = flow.run(st, spec, "semi_implicit", dt=5e-4, t_end=0.2,
-                       solver="spectral").state
+        out = flow.run(st, spec, dt=5e-4, t_end=0.2).state
         pos = extract_levelset(out.u, 0.5).position()
         assert abs(pos - 0.5) <= 1e-3
 
@@ -85,9 +105,11 @@ class TestSemiImplicit:
         pts = g.points()
         st = flow.PhaseState(
             Field(g, 0.5 + 0.3 * np.sin(5 * pts[..., 0]) * pts[..., 1]), 0.06)
-        a = one_step(st, spec, 2e-4, solver="cg", cg_tol=1e-13)
-        b = one_step(st, spec, 2e-4, solver="spectral")
-        assert_allclose(a.u.values, b.u.values, atol=1e-11)
+        dt = 2e-4
+        rhs = st.u.values - (dt / st.eps ** 2) * spec.dW_du(pts, st.u.values)
+        a, _ = _cg(lambda v: v - dt * flow._lap(v, g), rhs, tol=1e-13)
+        b = one_step(st, spec, dt)
+        assert_allclose(a, b.u.values, atol=1e-11)
 
 
 class TestMinimizingMovements:
@@ -132,8 +154,7 @@ class TestRun:
         spec = wells.constant_quartic()
         g = Grid.interval(0.0, 1.0, 64)
         st = flow.PhaseState(Field.constant(g, 1.0), 0.05)
-        ledger = flow.run(st, spec, "semi_implicit", dt=1e-4,
-                          t_end=5e-3).ledger
+        ledger = flow.run(st, spec, dt=1e-4, t_end=5e-3).ledger
         assert ledger.final_defect <= 1e-14
 
     def test_defect_first_order_in_dt(self):
@@ -141,8 +162,7 @@ class TestRun:
         st = profile_state(n=256, eps=0.02)
         defects = []
         for dt in (4e-5, 2e-5):
-            led = flow.run(st, spec, "semi_implicit", dt=dt, t_end=0.01,
-                           solver="spectral").ledger
+            led = flow.run(st, spec, dt=dt, t_end=0.01).ledger
             defects.append(led.final_defect)
         assert defects[1] < defects[0]
 
@@ -154,51 +174,69 @@ class TestRun:
         eps = 0.08
         u = 1.0 / (1.0 + np.exp(-np.sqrt(2) * (0.3 - r) / eps))
         st = flow.PhaseState(Field(g, u), eps)
-        led = flow.run(st, spec, "semi_implicit", dt=5e-4, t_end=0.02,
-                       solver="spectral").ledger
+        led = flow.run(st, spec, dt=5e-4, t_end=0.02).ledger
         es = np.array([led.e_initial] + led.energies)
         assert np.all(np.diff(es) < 0)
 
     def test_minmov_run_records_slack(self):
         spec = wells.constant_quartic()
         st = profile_state(n=128, eps=0.05)
-        led = flow.run(st, spec, "minimizing_movements", dt=2e-4,
-                       t_end=2e-3, trunc=1.0).ledger
-        assert all(s >= -1e-12 for s in led.minimality_slacks)
-        assert led.energy_nonincreasing(tol=1e-12)
+        es = [flow.energy_face(st.u.values, st.u.grid, st.eps, spec)]
+        slacks = []
+        for _ in range(10):
+            st, rec = flow.step_minmov(st, spec, 2e-4, trunc=1.0)
+            es.append(rec.energy)
+            slacks.append(rec.slack)
+        assert all(s >= -1e-12 for s in slacks)
+        assert all(e1 <= e0 + 1e-12 for e0, e1 in zip(es, es[1:]))
 
     def test_dt_not_dividing_span_raises(self):
         spec = wells.constant_quartic()
         st = profile_state(n=128, eps=0.05)
         with pytest.raises(ValueError, match=r"dt=0\.0003 .* 0\.001$"):
-            flow.run(st, spec, "semi_implicit", dt=3e-4, t_end=1e-3)
+            flow.run(st, spec, dt=3e-4, t_end=1e-3)
         later = flow.PhaseState(st.u, st.eps, time=2e-4)
         with pytest.raises(ValueError, match="does not divide"):
-            flow.run(later, spec, "minimizing_movements", dt=2e-4,
-                     t_end=1e-3 + 1e-4)
+            flow.run(later, spec, dt=2e-4, t_end=1e-3 + 1e-4)
 
-    def test_unknown_scheme(self):
+    def test_nonpositive_dt_raises(self):
         spec = wells.constant_quartic()
         st = profile_state(n=128)
-        with pytest.raises(ValueError):
-            flow.run(st, spec, "leapfrog", dt=1e-4, t_end=1e-3)
-
-    def test_unknown_solver_and_nonpositive_dt(self):
-        spec = wells.constant_quartic()
-        st = profile_state(n=128)
-        with pytest.raises(ValueError, match="unknown solver"):
-            flow.run(st, spec, "semi_implicit", dt=1e-4, t_end=1e-3,
-                     solver="lu")
         for dt in (0.0, -1e-4):
             with pytest.raises(ValueError, match="dt must be positive"):
-                flow.run(st, spec, "semi_implicit", dt=dt, t_end=1e-3)
+                flow.run(st, spec, dt=dt, t_end=1e-3)
+
+    def test_snapshot_times_outside_the_run_raise(self):
+        # no step reaches a time past t_end, and the first step is not the
+        # state at or before the start
+        spec = wells.constant_quartic()
+        st = profile_state(n=64, eps=0.05)
+        for times in ([1e-3, 5e-3], [-1.0], [0.0], [2e-3 + 1e-9]):
+            with pytest.raises(ValueError, match="outside"):
+                flow.run(st, spec, dt=5e-4, t_end=2e-3, snapshot_times=times)
+        later = flow.PhaseState(st.u, st.eps, time=1e-3)
+        with pytest.raises(ValueError, match="outside"):
+            flow.run(later, spec, dt=5e-4, t_end=2e-3,
+                     snapshot_times=[5e-4])
+
+    def test_last_step_reaches_t_end_despite_rounding(self):
+        # 1000 steps of 1e-3 from t = 1000 add up to 2.4e-11 short of
+        # t_end, beyond the 1e-12 slack
+        spec = wells.constant_quartic()
+        base = profile_state(n=16, eps=0.1)
+        st = flow.PhaseState(base.u, base.eps, time=1000.0)
+        t_end = 1000.0 + 1000 * 1e-3
+        result = flow.run(st, spec, dt=1e-3, t_end=t_end,
+                          snapshot_times=[t_end])
+        assert result.state.time < t_end - 1e-12
+        assert len(result.snapshots) == 1
+        assert result.snapshots[0] is result.state
 
     def test_result_shape_does_not_depend_on_snapshots(self):
         spec = wells.constant_quartic()
         st = profile_state(n=64, eps=0.05)
-        plain = flow.run(st, spec, "semi_implicit", dt=5e-4, t_end=2e-3)
-        snap = flow.run(st, spec, "semi_implicit", dt=5e-4, t_end=2e-3,
-                        snapshot_times=[1e-3])
+        plain = flow.run(st, spec, dt=5e-4, t_end=2e-3)
+        snap = flow.run(st, spec, dt=5e-4, t_end=2e-3, snapshot_times=[1e-3])
         assert type(plain) is type(snap) is flow.RunResult
         assert plain.snapshots == []
         assert [s.time for s in snap.snapshots] == pytest.approx([1e-3])
@@ -214,9 +252,10 @@ class TestRun:
                 4 * np.pi * st.u.grid.axis_centers(0))), 0.05)
         dists = []
         for dt in (4e-4, 2e-4):
-            a = flow.run(st, spec, "semi_implicit", dt=dt, t_end=4e-3).state
-            b = flow.run(st, spec, "minimizing_movements", dt=dt,
-                         t_end=4e-3).state
+            a = flow.run(st, spec, dt=dt, t_end=4e-3).state
+            b = st
+            for _ in range(round(4e-3 / dt)):
+                b, _ = flow.step_minmov(b, spec, dt)
             vol = st.u.grid.cell_volume
             dists.append(np.sqrt(np.sum((a.u.values - b.u.values) ** 2) * vol))
         assert dists[1] < dists[0]
@@ -244,6 +283,33 @@ class TestLedgerProperties:
             assert abs(ledger.defects[i] - ref) <= 4 * math.ulp(big)
 
 
+class TestSnapshotProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(hst.sampled_from((0.0, 0.3, 1.0)), hst.integers(1, 12),
+           hst.lists(hst.floats(0.0, 1.0, exclude_min=True), max_size=6))
+    def test_one_snapshot_per_time_first_state_reaching_it(self, t0, n,
+                                                           fracs):
+        # in-window times, including the step times themselves and t_end
+        spec = wells.constant_quartic()
+        base = profile_state(n=32, eps=0.1)
+        st = flow.PhaseState(base.u, base.eps, time=t0)
+        dt = 1e-4
+        t_end = t0 + n * dt
+        times = [t0 + f * n * dt for f in fracs] + [t_end]
+        times = [t for t in times if t > t0 + 1e-12]
+        result = flow.run(st, spec, dt=dt, t_end=t_end, snapshot_times=times)
+        assert len(result.snapshots) == len(times)
+        step_times = result.ledger.times
+        for t, snap in zip(sorted(times), result.snapshots):
+            j = step_times.index(snap.time)
+            assert snap.time >= t - 1e-12
+            before = step_times[j - 1] if j > 0 else t0
+            assert before < t - 1e-12
+            # the snapshot is the state of that step, bit for bit
+            again = flow.run(st, spec, dt=dt, t_end=t0 + (j + 1) * dt).state
+            assert np.array_equal(snap.u.values, again.u.values)
+
+
 @hst.composite
 def implicit_systems(draw):
     dim = draw(hst.sampled_from((1, 2)))
@@ -260,17 +326,17 @@ class TestSpectralSolveProperties:
     @given(implicit_systems())
     def test_matches_cg(self, system):
         g, dt, rhs = system
-        cg_tol = 1e-10
+        tol = 1e-10
         denom = flow._spectral_denominator(g, dt)
         direct = flow._spectral_solve(denom, rhs)
-        iterative, resid = flow._cg(lambda v: v - dt * flow._lap(v, g), rhs,
-                                    tol=cg_tol)
-        assert resid <= cg_tol
+        iterative, resid = _cg(lambda v: v - dt * flow._lap(v, g), rhs,
+                               tol=tol)
+        assert resid <= tol
         # (I - dt Lap) has spectrum >= 1, so the error is at most the
         # CG residual (plus roundoff of the direct solve)
         err = float(np.sqrt(np.sum((direct - iterative) ** 2)))
         scale = float(np.sqrt(np.sum(rhs ** 2)))
-        assert err <= cg_tol + 1e-13 * max(scale, 1.0)
+        assert err <= tol + 1e-13 * max(scale, 1.0)
 
 
 class TestConstrainedMinimization:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wmcflab import sharp, wells
+from wmcflab.errors import GeometryError
 from wmcflab.testfields import dilation_field, rotation_field, translation_field
 
 SQRT2_6 = 0.23570226039551587
@@ -61,6 +62,30 @@ class TestEvolveRadial:
         assert traj.truncated
         assert traj.t_end < 1.0
         assert traj.positions[-1] <= 1.1e-3
+
+    def test_times_outside_the_trajectory_raise(self):
+        # nothing was computed outside [0, t_end]; clamping t there would
+        # answer R(t_end) for every later time
+        sig = sharp.constant_scalar_sigma(1.0)
+        truncated = sharp.evolve_radial(0.05, sig, 1.0, tol=1e-10)
+        full = sharp.evolve_radial(0.4, sig, 0.04, tol=1e-12)
+        sampled = sharp.SharpTrajectory(kind="point1d",
+                                        times=np.linspace(0.0, 0.5, 5),
+                                        positions=np.linspace(0.4, 0.2, 5),
+                                        velocities=np.full(5, 0.4))
+        for traj in (truncated, full, sampled):
+            t_end = traj.t_end
+            for t in (t_end + 1e-9, -1e-9, 1.0 + t_end, np.nan,
+                      np.array([0.0, t_end + 1e-9])):
+                with pytest.raises(GeometryError, match="outside"):
+                    traj.position(t)
+                with pytest.raises(GeometryError, match="outside"):
+                    traj.velocity(t)
+            # the ends themselves, and rounding just past them, still answer
+            for t in (0.0, t_end, t_end * (1 + 1e-15), -1e-15,
+                      np.array([0.0, t_end])):
+                assert np.all(np.isfinite(traj.position(t)))
+                assert np.all(np.isfinite(traj.velocity(t)))
 
 
 class TestEvolvePoint:
