@@ -14,6 +14,11 @@ boundaries, each through one entry point:
     giving exact per-step energy decay and, for wells monotone outside a
     box, a maximum principle via clamp comparison. Callers loop over it.
 
+Each entry point binds the well to the grid once (``wells.bind``): a
+quartic's m(x), a(x) and b(x) are evaluated on the cell centers at the
+start of the run or descent, and every W/dW_du evaluation after that
+takes the bound coefficients instead of the positions.
+
 One descent kernel, ``_bb_descent`` (Barzilai-Borwein steps under a
 nonmonotone Armijo line search), has two callers: ``step_minmov``
 (unconstrained, one minimizing-movements step) and
@@ -33,6 +38,7 @@ increments to about one ulp, and each defect matches the ``math.fsum``
 form to within 4 ulp of the largest magnitude involved.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -40,7 +46,7 @@ import numpy as np
 
 from .errors import NumericError
 from .grid import Field, Grid, gradient_neumann, integrate, laplacian_neumann
-from .wells import WellSpec
+from .wells import WellSpec, bind
 
 
 @dataclass(frozen=True)
@@ -70,11 +76,16 @@ def _lap(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def energy_face(values: np.ndarray, grid: Grid, eps: float,
-                spec: WellSpec, pts=None) -> float:
-    """Discrete energy with face-difference gradient quadrature."""
-    if pts is None:
-        pts = grid.points()
-    w = spec.W(pts, values)
+                spec: WellSpec, bound=None) -> float:
+    """Discrete energy with face-difference gradient quadrature.
+
+    ``bound`` is ``wells.bind(spec, grid.points())``, bound once by the
+    caller that evaluates the energy many times on one grid; when it is
+    omitted, W is evaluated on the cell centers.
+    """
+    if bound is None:
+        bound = grid.points()
+    w = spec.W(bound, values)
     total = float(np.sum(w)) / eps
     h = grid.spacing
     if grid.dim == 1:
@@ -87,11 +98,20 @@ def energy_face(values: np.ndarray, grid: Grid, eps: float,
 
 def reaction_lipschitz(spec: WellSpec, grid: Grid, box, n_u: int = 41,
                        max_pts: int = 4096) -> float:
-    """Estimate max |d2W/du2| over grid x box by differencing dW_du."""
-    pts = grid.points().reshape(-1, grid.dim)
-    if len(pts) > max_pts:
-        stride = int(np.ceil(len(pts) / max_pts))
-        pts = pts[::stride]
+    """Estimate max |d2W/du2| over grid x box by differencing dW_du.
+
+    A grid of more than ``max_pts`` cells is sampled on a sub-lattice of
+    at most ``max_pts`` points, evenly spaced along each axis and holding
+    the first and last cell of every axis, so a well that is monotone
+    along an axis is sampled at both ends of it.
+    """
+    pts = grid.points()
+    if math.prod(grid.cells) > max_pts:
+        per_axis = max_pts if grid.dim == 1 else math.isqrt(max_pts)
+        idx = [np.linspace(0, n - 1, min(n, per_axis)).round().astype(int)
+               for n in grid.cells]
+        pts = pts[np.ix_(*idx)]
+    pts = pts.reshape(-1, grid.dim)
     us = np.linspace(box[0], box[1], n_u)
     delta = 1e-5 * max(1.0, box[1] - box[0])
     X = np.repeat(pts, n_u, axis=0)
@@ -227,17 +247,18 @@ def step_minmov(state: PhaseState, spec: WellSpec, h_step: float,
     if h_step <= 0:
         raise ValueError("h_step must be positive")
     grid = state.u.grid
-    pts = grid.points()
+    bound = bind(spec, grid.points())
     eps = state.eps
     u_prev = state.u.values
     vol = grid.cell_volume
 
     def objective(u):
         move = float(np.sum((u - u_prev) ** 2)) * vol
-        return energy_face(u, grid, eps, spec, pts) / eps + move / (2 * h_step)
+        return energy_face(u, grid, eps, spec, bound) / eps \
+            + move / (2 * h_step)
 
     def gradient(u):
-        return (spec.dW_du(pts, u) / eps - eps * _lap(u, grid)) / eps \
+        return (spec.dW_du(bound, u) / eps - eps * _lap(u, grid)) / eps \
             + (u - u_prev) / h_step
 
     def l2_norm(g):
@@ -263,7 +284,7 @@ def step_minmov(state: PhaseState, spec: WellSpec, h_step: float,
             u, J = clamped, J_clamped
     move_sq = float(np.sum((u - u_prev) ** 2)) * vol
     slack = eps * (J_prev - J)  # = E_prev - E_new - (eps/2h)||du||^2 exactly
-    e_new = energy_face(u, grid, eps, spec, pts)
+    e_new = energy_face(u, grid, eps, spec, bound)
     record = MinMovRecord(time=state.time + h_step, energy=e_new,
                           movement_sq=move_sq, slack=slack,
                           inner_residual=gnorm, iterations=iters)
@@ -338,8 +359,9 @@ def run(state: PhaseState, spec: WellSpec, dt: float, t_end: float,
     (I - dt Lap) u_new = u_old - (dt/eps^2) dW_du(x, u_old)
     directly in the cosine basis, where the mirrored-ghost Neumann
     Laplacian of the uniform grid is diagonal. The ledger's
-    ``inner_residuals`` hold the L2 residual of that system, so each
-    direct solve is checked against the stencil it inverts.
+    ``inner_residuals`` hold the L2 residual of that system on every
+    step, so each direct solve is checked against the stencil it
+    inverts. The well is bound to the cell centers once per run.
 
     ``dt`` must divide t_end - state.time (to 1e-9 dt) and must not
     exceed the stability bound eps^2 / L_W on the initial value box;
@@ -360,7 +382,7 @@ def run(state: PhaseState, spec: WellSpec, dt: float, t_end: float,
         raise ValueError(f"snapshot times {bad} lie outside "
                          f"(time, t_end] = ({state.time}, {t_end}]")
     grid = state.u.grid
-    pts = grid.points()
+    bound = bind(spec, grid.points())
     eps = state.eps
     span = t_end - state.time
     n_steps = int(round(span / dt))
@@ -368,7 +390,7 @@ def run(state: PhaseState, spec: WellSpec, dt: float, t_end: float,
         raise ValueError(f"dt={dt} does not divide the time span "
                          f"t_end - time = {span}")
     ledger = DissipationLedger(e_initial=energy_face(state.u.values, grid,
-                                                     eps, spec, pts))
+                                                     eps, spec, bound))
     lo, hi = float(np.min(state.u.values)), float(np.max(state.u.values))
     pad = 0.05 * max(hi - lo, 1.0)
     lw = reaction_lipschitz(spec, grid, (lo - pad, hi + pad))
@@ -380,12 +402,12 @@ def run(state: PhaseState, spec: WellSpec, dt: float, t_end: float,
     want = sorted(snapshot_times)
     for k in range(1, n_steps + 1):
         u_old = state.u.values
-        rhs = u_old - (dt / eps ** 2) * spec.dW_du(pts, u_old)
+        rhs = u_old - (dt / eps ** 2) * spec.dW_du(bound, u_old)
         sol = _spectral_solve(denom, rhs)
-        resid = float(np.sqrt(np.sum(
-            (sol - dt * _lap(sol, grid) - rhs) ** 2)))
         state = state.replace(sol, time=state.time + dt)
-        e_now = energy_face(sol, grid, eps, spec, pts)
+        resid = float(np.sqrt(np.sum(
+            (sol - dt * laplacian_neumann(state.u).values - rhs) ** 2)))
+        e_now = energy_face(sol, grid, eps, spec, bound)
         increment = eps / dt * float(np.sum((sol - u_old) ** 2)) \
             * grid.cell_volume
         ledger.append(k, state.time, e_now, increment, resid)
@@ -423,6 +445,7 @@ def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
     the residual still above ``tol_residual``.
     """
     pts = grid.points()
+    bound = bind(spec, pts)
     mean_a = float(np.mean(spec.a(pts)))
     mean_b = float(np.mean(spec.b(pts)))
     if not (min(mean_a, mean_b) - 1e-12 <= mass <= max(mean_a, mean_b) + 1e-12):
@@ -433,10 +456,10 @@ def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
         return u + (mass - float(np.mean(u)))
 
     def objective(u):
-        return energy_face(u, grid, eps, spec, pts)
+        return energy_face(u, grid, eps, spec, bound)
 
     def gradient(u):
-        return spec.dW_du(pts, u) / eps - eps * _lap(u, grid)
+        return spec.dW_du(bound, u) / eps - eps * _lap(u, grid)
 
     lw = reaction_lipschitz(spec, grid, (float(np.min(init.values)) - 0.5,
                                          float(np.max(init.values)) + 0.5))

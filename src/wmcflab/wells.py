@@ -14,6 +14,11 @@ quantities of the sharp-interface theory live here:
 
 together with the one-dimensional transition profile solving
 v' = sqrt(2 W_n(x, v)), v(0) = 1/2, with x frozen.
+
+A run on a grid evaluates W and dW_du many times on the same positions.
+``bind(spec, pts)`` evaluates a quartic's m(x), a(x) and b(x) on them
+once; the spec's W and dW_du take the bound coefficients in place of the
+positions and give the same bits.
 """
 
 from dataclasses import dataclass, field
@@ -466,10 +471,57 @@ class QuarticWellSpec(WellSpec):
         return 1.0 / (1.0 + np.exp(-rate * np.asarray(s, dtype=float)))
 
 
+@dataclass(frozen=True)
+class BoundQuartic:
+    """The coefficients of a quartic well on fixed positions.
+
+    ``m``, ``a`` and ``b`` are the amplitude and the two wells, evaluated
+    once on the positions given to ``bind``. A coefficient whose entries
+    all have the same bits is a 0-d scalar: a scalar 1.0 or 0.0 gives the
+    same bits as the array it replaces and saves its arithmetic. The
+    spec's ``W`` and ``dW_du`` take it in place of the positions.
+    """
+
+    m: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
+def _collapse(c) -> np.ndarray:
+    """``c`` as a 0-d scalar when all its entries have the same bits."""
+    flat = np.ascontiguousarray(c, dtype=float).reshape(-1)
+    if flat.size and np.all(flat.view(np.int64) == flat[:1].view(np.int64)):
+        return flat[0]
+    return np.asarray(c, dtype=float)
+
+
+def bind(spec: WellSpec, pts):
+    """The well bound to fixed positions, for repeated W/dW_du calls.
+
+    A run or a descent evaluates W(x, u) and dW_du(x, u) many times on
+    the same positions x with changing u. For a QuarticWellSpec this
+    evaluates m(x), a(x) and b(x) once and returns them as a
+    ``BoundQuartic``; ``spec.W(bound, u)`` and ``spec.dW_du(bound, u)``
+    then give the same bits as ``spec.W(pts, u)`` and
+    ``spec.dW_du(pts, u)``. Any other WellSpec gets ``pts`` back
+    unchanged.
+    """
+    if not isinstance(spec, QuarticWellSpec):
+        return pts
+    pts = as_points(pts)
+    return BoundQuartic(*(_collapse(f(pts))
+                          for f in (spec.amplitude, spec.a, spec.b)))
+
+
 def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
                       amplitude=None, grad_amplitude=None,
                       bounds=None) -> QuarticWellSpec:
-    """Quartic double well with moving wells and optional amplitude m(x)."""
+    """Quartic double well with moving wells and optional amplitude m(x).
+
+    ``W`` and ``dW_du`` take either positions or a ``BoundQuartic`` from
+    ``bind``; both forms evaluate m (u - a)^2 (u - b)^2 and its u-partial
+    in the same operation order.
+    """
     if amplitude is None:
         amplitude = lambda x: np.ones(np.shape(x)[:-1])
         grad_amplitude = lambda x: np.zeros(np.shape(x))
@@ -477,9 +529,14 @@ def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
         raise ValueError("grad_amplitude required when amplitude is given")
 
     def W(x, u):
+        if isinstance(x, BoundQuartic):
+            return x.m * (u - x.a) ** 2 * (u - x.b) ** 2
         return amplitude(x) * (u - a(x)) ** 2 * (u - b(x)) ** 2
 
     def dW_du(x, u):
+        if isinstance(x, BoundQuartic):
+            da, db = u - x.a, u - x.b
+            return x.m * 2.0 * da * db * (da + db)
         da, db = u - a(x), u - b(x)
         return amplitude(x) * 2.0 * da * db * (da + db)
 

@@ -261,6 +261,53 @@ class TestRun:
         assert dists[1] < dists[0]
 
 
+def disk_state(n=32, eps=0.08, radius=0.3):
+    g = Grid.box((0, 0), (1, 1), (n, n))
+    pts = g.points()
+    r = np.sqrt((pts[..., 0] - 0.5) ** 2 + (pts[..., 1] - 0.5) ** 2)
+    return flow.PhaseState(Field(g, 1.0 / (1.0 + np.exp((r - radius) / eps))),
+                           eps)
+
+
+class TestInnerResiduals:
+    @pytest.mark.parametrize("spec, st, dt", [
+        (wells.exp_scaled_quartic(0.5), profile_state(n=128, eps=0.05), 1e-4),
+        (wells.affine_scaled_quartic(slope=0.5, axis=1), disk_state(), 2e-4),
+    ])
+    def test_every_step_records_its_solve_residual(self, spec, st, dt):
+        # the residual checks that each direct solve solved its system;
+        # it is recorded on every step, not on a sample of them
+        n = 20
+        result = flow.run(st, spec, dt=dt, t_end=n * dt,
+                          snapshot_times=[k * dt for k in range(1, n + 1)])
+        residuals = result.ledger.inner_residuals
+        assert len(residuals) == len(result.ledger.steps) == n
+        g = st.u.grid
+        pts = g.points()
+        states = [st] + result.snapshots
+        for before, after, resid in zip(states, states[1:], residuals):
+            u = before.u.values
+            rhs = u - (dt / st.eps ** 2) * spec.dW_du(pts, u)
+            sol = after.u.values
+            own = float(np.sqrt(np.sum((sol - dt * flow._lap(sol, g)
+                                        - rhs) ** 2)))
+            assert resid == pytest.approx(own, rel=1e-6, abs=0.0)
+            assert resid <= 1e-10 * float(np.sqrt(np.sum(rhs ** 2)))
+
+
+class TestReactionLipschitz:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_sampled_estimate_equals_full_grid_maximum(self, axis):
+        # the amplitude exp(4 x_axis) peaks on the last row or column,
+        # which the sub-lattice keeps whichever axis it varies along
+        spec = wells.exp_scaled_quartic(2.0, axis=axis)
+        g = Grid.box((0, 0), (1, 1), (128, 128))
+        box = (-0.06, 1.06)
+        sampled = flow.reaction_lipschitz(spec, g, box)
+        full = flow.reaction_lipschitz(spec, g, box, max_pts=128 * 128)
+        assert sampled == full
+
+
 class TestLedgerProperties:
     @settings(max_examples=100, deadline=None)
     @given(hst.integers(0, 2 ** 32 - 1), hst.integers(1, 400))

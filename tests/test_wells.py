@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose
 
 from wmcflab import wells
 from wmcflab.errors import DomainError
+from wmcflab.grid import Grid
 from wmcflab.quadrature import adaptive_gauss_legendre
 
 SQRT2_6 = 0.23570226039551587  # sqrt(2)/6
@@ -275,6 +276,41 @@ class TestProfileGridProperties:
                                        x, s)
         assert np.all(np.diff(v) >= 0.0)
         assert np.all((v >= 0.0) & (v <= 1.0))
+
+
+@hst.composite
+def bound_problems(draw):
+    """A quartic well, a cell-centred lattice of [0, 1]^d (d = 1 or 2)
+    and values u on it."""
+    dim = draw(hst.sampled_from((1, 2)))
+    cells = tuple(draw(hst.integers(8, 16)) for _ in range(dim))
+    pts = Grid((0.0,) * dim, (1.0,) * dim, cells).points()
+    u = draw(hnp.arrays(float, cells, elements=hst.floats(-2.0, 3.0)))
+    return draw(quartic_wells(dim)), pts, u
+
+
+class TestBind:
+    @settings(max_examples=150, deadline=None)
+    @given(bound_problems())
+    def test_bound_well_is_bit_identical_to_positions(self, problem):
+        spec, pts, u = problem
+        bound = wells.bind(spec, pts)
+        assert np.array_equal(spec.W(bound, u), spec.W(pts, u))
+        assert np.array_equal(spec.dW_du(bound, u), spec.dW_du(pts, u))
+
+    @settings(max_examples=30, deadline=None)
+    @given(bound_problems())
+    def test_plain_spec_gets_the_positions_back(self, problem):
+        spec, pts, _ = problem
+        assert wells.bind(plain_spec(spec), pts) is pts
+
+    def test_constant_coefficients_collapse_to_scalars(self):
+        pts = Grid((0.0, 0.0), (1.0, 1.0), (8, 8)).points()
+        bound = wells.bind(wells.exp_scaled_quartic(0.5, axis=1), pts)
+        assert np.ndim(bound.a) == np.ndim(bound.b) == 0
+        assert (bound.a, bound.b) == (0.0, 1.0)
+        assert bound.m.shape == (8, 8)
+        assert np.ndim(wells.bind(wells.constant_quartic(), pts).m) == 0
 
 
 class TestValidateAssumptions:
