@@ -103,7 +103,8 @@ def reaction_lipschitz(spec: WellSpec, grid: Grid, box, n_u: int = 41,
     A grid of more than ``max_pts`` cells is sampled on a sub-lattice of
     at most ``max_pts`` points, evenly spaced along each axis and holding
     the first and last cell of every axis, so a well that is monotone
-    along an axis is sampled at both ends of it.
+    along an axis is sampled at both ends of it. The well is bound once
+    to the sampled points and u varies along a new trailing axis.
     """
     pts = grid.points()
     if math.prod(grid.cells) > max_pts:
@@ -111,12 +112,11 @@ def reaction_lipschitz(spec: WellSpec, grid: Grid, box, n_u: int = 41,
         idx = [np.linspace(0, n - 1, min(n, per_axis)).round().astype(int)
                for n in grid.cells]
         pts = pts[np.ix_(*idx)]
-    pts = pts.reshape(-1, grid.dim)
+    bound = bind(spec, pts.reshape(-1, 1, grid.dim))
     us = np.linspace(box[0], box[1], n_u)
     delta = 1e-5 * max(1.0, box[1] - box[0])
-    X = np.repeat(pts, n_u, axis=0)
-    U = np.tile(us, len(pts))
-    d2 = (spec.dW_du(X, U + delta) - spec.dW_du(X, U - delta)) / (2 * delta)
+    d2 = (spec.dW_du(bound, us + delta)
+          - spec.dW_du(bound, us - delta)) / (2 * delta)
     return float(np.max(np.abs(d2)))
 
 

@@ -476,10 +476,11 @@ class BoundQuartic:
     """The coefficients of a quartic well on fixed positions.
 
     ``m``, ``a`` and ``b`` are the amplitude and the two wells, evaluated
-    once on the positions given to ``bind``. A coefficient whose entries
-    all have the same bits is a 0-d scalar: a scalar 1.0 or 0.0 gives the
-    same bits as the array it replaces and saves its arithmetic. The
-    spec's ``W`` and ``dW_du`` take it in place of the positions.
+    once on the positions given to ``bind``. There a coefficient whose
+    entries all have the same bits is a 0-d scalar: a scalar 1.0 or 0.0
+    gives the same bits as the array it replaces and saves its
+    arithmetic. The spec's ``W`` and ``dW_du`` take it in place of the
+    positions, and build an uncollapsed one when given positions.
     """
 
     m: np.ndarray
@@ -519,8 +520,9 @@ def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
     """Quartic double well with moving wells and optional amplitude m(x).
 
     ``W`` and ``dW_du`` take either positions or a ``BoundQuartic`` from
-    ``bind``; both forms evaluate m (u - a)^2 (u - b)^2 and its u-partial
-    in the same operation order.
+    ``bind``. Positions are bound on the spot, without collapsing, so
+    both forms go through the one formula m (u - a)^2 (u - b)^2 (and its
+    u-partial) and give the same bits.
     """
     if amplitude is None:
         amplitude = lambda x: np.ones(np.shape(x)[:-1])
@@ -528,17 +530,19 @@ def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
     if grad_amplitude is None:
         raise ValueError("grad_amplitude required when amplitude is given")
 
-    def W(x, u):
+    def coefficients(x) -> BoundQuartic:
         if isinstance(x, BoundQuartic):
-            return x.m * (u - x.a) ** 2 * (u - x.b) ** 2
-        return amplitude(x) * (u - a(x)) ** 2 * (u - b(x)) ** 2
+            return x
+        return BoundQuartic(amplitude(x), a(x), b(x))
+
+    def W(x, u):
+        c = coefficients(x)
+        return c.m * (u - c.a) ** 2 * (u - c.b) ** 2
 
     def dW_du(x, u):
-        if isinstance(x, BoundQuartic):
-            da, db = u - x.a, u - x.b
-            return x.m * 2.0 * da * db * (da + db)
-        da, db = u - a(x), u - b(x)
-        return amplitude(x) * 2.0 * da * db * (da + db)
+        c = coefficients(x)
+        da, db = u - c.a, u - c.b
+        return c.m * 2.0 * da * db * (da + db)
 
     def dW_dx(x, u):
         da, db = u - a(x), u - b(x)

@@ -1,5 +1,6 @@
 """Time integration: stepping, ledger bookkeeping, constrained minima."""
 
+import dataclasses
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -306,6 +307,19 @@ class TestReactionLipschitz:
         sampled = flow.reaction_lipschitz(spec, g, box)
         full = flow.reaction_lipschitz(spec, g, box, max_pts=128 * 128)
         assert sampled == full
+
+    @pytest.mark.parametrize("cells", [(100,), (24, 40)])
+    def test_plain_spec_gives_the_quartic_estimate(self, cells):
+        # a plain WellSpec is not bound: dW_du broadcasts the positions
+        # against u itself
+        spec = wells.affine_scaled_quartic(offset=1.0, slope=1.5,
+                                           axis=len(cells) - 1)
+        plain = wells.WellSpec(**{f.name: getattr(spec, f.name)
+                                  for f in dataclasses.fields(wells.WellSpec)})
+        g = Grid.box((0.0,) * len(cells), (1.0,) * len(cells), cells)
+        box = (-0.3, 1.2)
+        assert flow.reaction_lipschitz(plain, g, box, max_pts=256) \
+            == flow.reaction_lipschitz(spec, g, box, max_pts=256)
 
 
 class TestLedgerProperties:
