@@ -25,19 +25,20 @@ disk = sharp.Sphere((0.5, 0.5), 0.3)
 print("homogeneous: constant sigma, dilation field")
 spec = wells.constant_quartic()
 dil = dilation_field((0.5, 0.5), 0.38, 0.47)
-tab = var.first_variation_convergence((0.08, 0.04), disk, spec, dil, grid)
+rows = var.first_variation_convergence((0.08, 0.04), disk, spec, dil, grid)
 target = -2 * np.pi * 0.3 * np.sqrt(2) / 6
-print(f"  sharp value {tab.rows[0].sharp:+.8f}  (closed form {target:+.8f})")
-for r in tab.rows:
+print(f"  sharp value {rows[0].sharp:+.8f}  (closed form {target:+.8f})")
+for r in rows:
     print(f"  eps = {r.eps:5.3f}: diffuse = {r.diffuse:+.6f}  "
           f"gap = {r.gap:.2e}")
 
 print("\nheterogeneous: sigma = sqrt(1 + x) sqrt(2)/6, translation field")
 spec_h = wells.affine_scaled_quartic(offset=1.0, slope=1.0)
 trans = translation_field((1.0, 0.0), (0.5, 0.5), 0.38, 0.47)
-tab = var.first_variation_convergence((0.08, 0.04), disk, spec_h, trans, grid)
-print(f"  sharp value {tab.rows[0].sharp:+.8f}  (pure grad-sigma pairing)")
-for r in tab.rows:
+rows = var.first_variation_convergence((0.08, 0.04), disk, spec_h, trans,
+                                       grid)
+print(f"  sharp value {rows[0].sharp:+.8f}  (pure grad-sigma pairing)")
+for r in rows:
     print(f"  eps = {r.eps:5.3f}: diffuse = {r.diffuse:+.6f}  "
           f"gap = {r.gap:.2e}")
 

@@ -124,11 +124,10 @@ class Calibration:
 
 
 def build_calibration(traj: SharpTrajectory, sigma: SurfaceTension,
-                      r: Optional[float] = None,
-                      c: Optional[float] = None) -> Calibration:
+                      r: Optional[float] = None) -> Calibration:
     """Calibration for a radial trajectory.
 
-    Defaults: tube radius r = 0.4 min_t R(t) and c = 1.01 / r^2. The
+    The tube radius r defaults to 0.4 min_t R(t), and c = 1.01 / r^2. The
     cutoff support is shrunk to 1/sqrt(c) so |xi| <= max{0, 1 - c dist^2}
     holds exactly (the bound needs c strictly above 1/r^2 to leave a
     margin inside the tube).
@@ -138,13 +137,10 @@ def build_calibration(traj: SharpTrajectory, sigma: SurfaceTension,
     r_min_traj = float(np.min(traj.positions))
     if r is None:
         r = 0.4 * r_min_traj
-    if c is None:
-        c = 1.01 / r ** 2
+    c = 1.01 / r ** 2
     if r >= r_min_traj:
         raise GeometryError("tube radius must stay below min_t R(t) for a "
                             "single-valued projection")
-    if c < 1.0 / r ** 2:
-        raise GeometryError("need c >= 1/r^2 so the cutoff fits the tube")
     return Calibration(traj=traj, sigma=sigma, r=r, c=c, r_g=1.0 / np.sqrt(c))
 
 
@@ -248,8 +244,8 @@ class InvariantReport:
     c_theta_coercivity: float         # max min{dist,1} / |theta|
     n_samples: int
 
-    def ok(self, tol: float = 1e-10) -> bool:
-        return (self.max_xi_bound_violation <= tol
+    def ok(self) -> bool:
+        return (self.max_xi_bound_violation <= 1e-10
                 and self.max_boundary_xi_error <= 1e-9
                 and self.max_boundary_b_error <= 1e-9
                 and self.theta_sign_violations == 0
@@ -257,12 +253,13 @@ class InvariantReport:
 
 
 def calibration_invariants(cal: Calibration, times, n_per_time: int = 1000,
-                           box_pad: float = 1.5, seed: int = 0) -> InvariantReport:
-    """Sample the defining inequalities of the calibration tuple."""
+                           seed: int = 0) -> InvariantReport:
+    """Sample the defining inequalities of the calibration tuple in the
+    box of half-width 1.5 max_t R(t) about the center."""
     rng = np.random.default_rng(seed)
     center = np.array(cal.traj.center)
     r_max = float(np.max(cal.traj.positions))
-    half = box_pad * r_max
+    half = 1.5 * r_max
     worst_bound = -np.inf
     worst_xi = 0.0
     worst_b = 0.0
@@ -306,21 +303,23 @@ def calibration_invariants(cal: Calibration, times, n_per_time: int = 1000,
 # relative and bulk energies
 # ---------------------------------------------------------------------------
 
-def relative_energy(weak, cal: Calibration, sigma: SurfaceTension, t: float,
-                    n_nodes: int = 1024) -> float:
-    """int sigma (1 - n_weak . xi) dH over the weak interface; >= 0."""
-    pts, w, normals = weak.boundary_nodes(n_nodes)
+def relative_energy(weak, cal: Calibration, sigma: SurfaceTension,
+                    t: float) -> float:
+    """int sigma (1 - n_weak . xi) dH over the weak interface (1024
+    nodes); >= 0."""
+    pts, w, normals = weak.boundary_nodes(1024)
     xi = cal.xi(pts, t)
     vals = sigma.value(pts) * (1.0 - np.sum(normals * xi, axis=-1))
     return float(np.sum(w * vals))
 
 
-def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension, t: float,
-                n_r: int = 256, n_ang: int = 256) -> float:
+def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension,
+                t: float) -> float:
     """int sigma (chi_strong - chi_weak) theta dx; >= 0 by sign conditions.
 
-    ``weak`` is either a Sphere concentric with the calibrated flow (exact
-    annulus quadrature) or a phase-indicator Field (grid quadrature).
+    ``weak`` is either a Sphere concentric with the calibrated flow
+    (annulus quadrature, 256 Gauss-Legendre radii times 256 angles) or a
+    phase-indicator Field (grid quadrature).
     """
     if isinstance(weak, Field):
         pts = weak.grid.points()
@@ -339,17 +338,17 @@ def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension, t: float,
         if abs(r_w - r_s) < 1e-15:
             return 0.0
         lo, hi = min(r_w, r_s), max(r_w, r_s)
-        gl, glw = np.polynomial.legendre.leggauss(n_r)
+        gl, glw = np.polynomial.legendre.leggauss(256)
         rho = 0.5 * (hi - lo) * (gl + 1.0) + lo
         wr = 0.5 * (hi - lo) * glw
-        theta_ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
+        theta_ang = 2.0 * np.pi * np.arange(256) / 256
         e = np.stack([np.cos(theta_ang), np.sin(theta_ang)], axis=-1)
         pts = center + rho[:, None, None] * e[None, :, :]
         # on the annulus chi_strong - chi_weak = -sign(r_w - r_s)
         sgn = -np.sign(r_w - r_s)
         vals = sigma.value(pts) * sgn * _truncation(r_s - rho, cal.r)[:, None]
         return float(np.sum(vals * rho[:, None] * wr[:, None])
-                     * (2.0 * np.pi / n_ang))
+                     * (2.0 * np.pi / 256))
     raise TypeError("weak phase must be a Sphere or an indicator Field")
 
 
@@ -363,13 +362,14 @@ class CoercivityReport:
     c_theta: Optional[float]
 
 
-def coercivity_check(weak, cal: Calibration, sigma: SurfaceTension, t: float,
-                     n_nodes: int = 1024) -> CoercivityReport:
-    """Tilt coercivity with constant exactly 1: tilt + slack = E_rel.
+def coercivity_check(weak, cal: Calibration, sigma: SurfaceTension,
+                     t: float) -> CoercivityReport:
+    """Tilt coercivity with constant exactly 1: tilt + slack = E_rel, on
+    1024 nodes of the weak interface.
 
     Also reports the empirical constants for the distance and mass
     coercivity bounds (None when E_rel vanishes)."""
-    pts, w, normals = weak.boundary_nodes(n_nodes)
+    pts, w, normals = weak.boundary_nodes(1024)
     xi = cal.xi(pts, t)
     sig = sigma.value(pts)
     tilt = float(np.sum(w * sig * 0.5 * np.sum((normals - xi) ** 2, axis=-1)))
@@ -391,14 +391,6 @@ def coercivity_check(weak, cal: Calibration, sigma: SurfaceTension, t: float,
 # ---------------------------------------------------------------------------
 # Gronwall stability
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComparisonPair:
-    """A weak trajectory compared against a calibrated strong one."""
-
-    weak: SharpTrajectory
-    strong: SharpTrajectory
-
 
 @dataclass
 class GronwallReport:
@@ -443,23 +435,23 @@ def _fit_constant(times, values, forcing, zero_tol, offset=0.0):
     return float(np.max(running[1:])) if len(times) > 1 else 0.0
 
 
-def gronwall_verify(pair: ComparisonPair, cal: Calibration,
+def gronwall_verify(weak: SharpTrajectory, cal: Calibration,
                     sigma: SurfaceTension, times,
                     zero_tol: float = 1e-8) -> GronwallReport:
     """Fit the stability constants of the relative/bulk energy estimates.
 
     Computes t -> E_rel, E_bulk for the weak trajectory against the
-    calibrated flow, fits the smallest Gronwall constants making
-    E(T') <= E(0) + C int_0^T' E dt hold at every grid time, reports
-    their stability under time-grid halving, and (for zero initial error)
-    verifies that both energies stay below ``zero_tol``.
+    strong flow that ``cal`` calibrates, fits the smallest Gronwall
+    constants making E(T') <= E(0) + C int_0^T' E dt hold at every grid
+    time, reports their stability under time-grid halving, and (for zero
+    initial error) verifies that both energies stay below ``zero_tol``.
     """
     times = np.asarray(times, dtype=float)
-    e_rel = np.array([relative_energy(pair.weak.interface_at(t), cal, sigma, t)
+    e_rel = np.array([relative_energy(weak.interface_at(t), cal, sigma, t)
                       for t in times])
-    e_bulk = np.array([bulk_energy(pair.weak.interface_at(t), cal, sigma, t)
+    e_bulk = np.array([bulk_energy(weak.interface_at(t), cal, sigma, t)
                        for t in times])
-    slack = np.array([coercivity_check(pair.weak.interface_at(t), cal, sigma,
+    slack = np.array([coercivity_check(weak.interface_at(t), cal, sigma,
                                        t).slack for t in times])
     c_rel = _fit_constant(times, e_rel, e_rel, zero_tol)
     c_bulk = _fit_constant(times, e_bulk, e_rel + e_bulk, zero_tol,

@@ -96,9 +96,10 @@ def energy_face(values: np.ndarray, grid: Grid, eps: float,
     return total * grid.cell_volume
 
 
-def reaction_lipschitz(spec: WellSpec, grid: Grid, box, n_u: int = 41,
+def reaction_lipschitz(spec: WellSpec, grid: Grid, box,
                        max_pts: int = 4096) -> float:
-    """Estimate max |d2W/du2| over grid x box by differencing dW_du.
+    """Estimate max |d2W/du2| over grid x box by differencing dW_du at 41
+    evenly spaced values of u.
 
     A grid of more than ``max_pts`` cells is sampled on a sub-lattice of
     at most ``max_pts`` points, evenly spaced along each axis and holding
@@ -113,7 +114,7 @@ def reaction_lipschitz(spec: WellSpec, grid: Grid, box, n_u: int = 41,
                for n in grid.cells]
         pts = pts[np.ix_(*idx)]
     bound = bind(spec, pts.reshape(-1, 1, grid.dim))
-    us = np.linspace(box[0], box[1], n_u)
+    us = np.linspace(box[0], box[1], 41)
     delta = 1e-5 * max(1.0, box[1] - box[0])
     d2 = (spec.dW_du(bound, us + delta)
           - spec.dW_du(bound, us - delta)) / (2 * delta)
@@ -161,14 +162,14 @@ class MinMovRecord:
 
 
 def _bb_descent(objective, gradient, u0, alpha0, max_iter, vol, stationary,
-                obj_tol=None, project=None, history: int = 10):
+                obj_tol=None, project=None):
     """Barzilai-Borwein descent with nonmonotone Armijo backtracking.
 
     The module's one descent loop. Each iteration first asks
     ``stationary(g)`` of the gradient g at the current iterate and stops
     if it holds. Otherwise it steps along -g from the BB step length,
     halving the step (at most 60 times) until the objective is below the
-    Armijo line from the largest of the last ``history`` objective values.
+    Armijo line from the largest of the last 10 objective values.
 
     * ``step_minmov`` descends freely. Its ``stationary`` is a small L2
       gradient norm, and it also stops once the objective changes by at
@@ -224,7 +225,7 @@ def _bb_descent(objective, gradient, u0, alpha0, max_iter, vol, stationary,
         u, J_new = trial, J_trial
         g = gradient(u)
         recent.append(J_new)
-        if len(recent) > history:
+        if len(recent) > 10:
             recent.pop(0)
         if obj_tol is not None \
                 and abs(J - J_new) <= obj_tol * max(1.0, abs(J_new)):
@@ -235,8 +236,8 @@ def _bb_descent(objective, gradient, u0, alpha0, max_iter, vol, stationary,
 
 
 def step_minmov(state: PhaseState, spec: WellSpec, h_step: float,
-                trunc: Optional[float] = None, max_iter: int = 2000):
-    """One minimizing-movements step.
+                trunc: Optional[float] = None):
+    """One minimizing-movements step of at most 2000 descent iterations.
 
     Returns (new_state, MinMovRecord). The record's slack certifies the
     exact minimality comparison against the previous iterate; with
@@ -270,7 +271,7 @@ def step_minmov(state: PhaseState, spec: WellSpec, h_step: float,
     lip = lw / eps ** 2 + 4 * grid.dim / float(np.min(grid.spacing)) ** 2 \
         + 1.0 / h_step
     u, J, g, iters = _bb_descent(objective, gradient, u_prev,
-                                 alpha0=1.0 / lip, max_iter=max_iter, vol=vol,
+                                 alpha0=1.0 / lip, max_iter=2000, vol=vol,
                                  stationary=lambda g: l2_norm(g) <= 1e-9,
                                  obj_tol=1e-12)
     gnorm = l2_norm(g)

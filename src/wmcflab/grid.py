@@ -195,11 +195,10 @@ def pair_density(density: Field, testfn: Field) -> float:
 @dataclass(frozen=True)
 class LevelSetSample:
     """Crossing points of {f = level}: positions (1-d) or a marching-squares
-    point cloud plus segments (2-d)."""
+    point cloud (2-d)."""
 
     dim: int
     points: np.ndarray          # (n,) in 1-d, (n, 2) in 2-d
-    segments: tuple = ()        # 2-d only: pairs of point indices
 
     def fitted_circle(self):
         """Least-squares circle (center, radius) through the crossing points."""
@@ -244,46 +243,38 @@ def extract_levelset(f: Field, level: float) -> LevelSetSample:
     xs = f.grid.axis_centers(0)
     ys = f.grid.axis_centers(1)
     pts = []
-    edge_index = {}
+    seen = set()
 
     def crossing(i0, j0, i1, j1):
+        """Append the crossing on this cell edge, once per edge."""
         if (i1, j1) < (i0, j0):
             i0, j0, i1, j1 = i1, j1, i0, j0
         key = (i0, j0, i1, j1)
-        if key in edge_index:
-            return edge_index[key]
+        if key in seen:
+            return
         d0, d1 = d[i0, j0], d[i1, j1]
         if d0 * d1 >= 0 and not (d0 == 0 or d1 == 0):
-            return None
+            return
         if d0 == d1:
             theta = 0.5
         else:
             theta = d0 / (d0 - d1)
         if not (0.0 <= theta <= 1.0):
-            return None
-        p = np.array([xs[i0] + theta * (xs[i1] - xs[i0]),
-                      ys[j0] + theta * (ys[j1] - ys[j0])])
-        edge_index[key] = len(pts)
-        pts.append(p)
-        return edge_index[key]
+            return
+        seen.add(key)
+        pts.append(np.array([xs[i0] + theta * (xs[i1] - xs[i0]),
+                             ys[j0] + theta * (ys[j1] - ys[j0])]))
 
-    nx, ny = f.grid.cells
-    segs = []
     mixed_i, mixed_j = np.nonzero(
         (np.sign(d[:-1, :-1]) != np.sign(d[1:, :-1]))
         | (np.sign(d[:-1, :-1]) != np.sign(d[:-1, 1:]))
         | (np.sign(d[:-1, :-1]) != np.sign(d[1:, 1:]))
     )
     for i, j in zip(mixed_i, mixed_j):
-        ids = [crossing(i, j, i + 1, j),
-               crossing(i + 1, j, i + 1, j + 1),
-               crossing(i + 1, j + 1, i, j + 1),
-               crossing(i, j + 1, i, j)]
-        hits = [k for k in ids if k is not None]
-        if len(hits) >= 2:
-            segs.append((hits[0], hits[1]))
-        if len(hits) == 4:
-            segs.append((hits[2], hits[3]))
+        crossing(i, j, i + 1, j)
+        crossing(i + 1, j, i + 1, j + 1)
+        crossing(i + 1, j + 1, i, j + 1)
+        crossing(i, j + 1, i, j)
     if not pts:
         raise ExtractionError("no crossings located")
-    return LevelSetSample(2, np.array(pts), tuple(segs))
+    return LevelSetSample(2, np.array(pts))

@@ -23,7 +23,7 @@ def _apply(f, lo, hi, nodes, weights):
     return half * (weights @ fx)
 
 
-def adaptive_gauss_legendre(f, lo, hi, tol=1e-10, max_panels=20000):
+def adaptive_gauss_legendre(f, lo, hi, tol=1e-10):
     """Integrate ``f`` over [lo, hi] to absolute accuracy ``tol``.
 
     ``f`` must be vectorized over a 1-d array of nodes; it may return a
@@ -31,7 +31,7 @@ def adaptive_gauss_legendre(f, lo, hi, tol=1e-10, max_panels=20000):
     case every component meets ``tol``.
 
     Returns (value, error_estimate). Raises NumericError (carrying the
-    achieved estimate) if the panel budget is exhausted.
+    achieved estimate) if the budget of 20000 panels is exhausted.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -51,7 +51,7 @@ def adaptive_gauss_legendre(f, lo, hi, tol=1e-10, max_panels=20000):
     while stack:
         a, b = stack.pop()
         panels += 1
-        if panels > max_panels:
+        if panels > 20000:
             raise NumericError(
                 "quadrature did not converge within the panel budget",
                 achieved=err_acc,

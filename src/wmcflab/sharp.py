@@ -5,8 +5,8 @@ Sign conventions, fixed here once and imported everywhere:
   * the b-phase A carries the inner normal n_A (pointing into A);
   * H_A = -div n_A, so H = (N-1)/R for a ball;
   * V is the normal speed in the direction n_A, so V = -dR/dt for a
-    shrinking ball and V = dp/dt for a 1-d point with the b-phase on the
-    right (orientation +1).
+    shrinking ball and V = dp/dt for a 1-d point, whose b-phase is always
+    on the right.
 
 With these conventions the flow sigma V = sigma H_A - grad sigma . n_A
 reads, for radial sigma(rho) about the ball center,
@@ -76,11 +76,11 @@ def sigma_from_well(spec: WellSpec, tol: float = 1e-10) -> SurfaceTension:
     return SurfaceTension(value=value, grad=grad)
 
 
-def sigma_field_of(spec: WellSpec, tol: float = 1e-10) -> SurfaceTension:
+def sigma_field_of(spec: WellSpec) -> SurfaceTension:
     """Surface tension of a well: closed form for the quartic family
     (sigma = sqrt(2 m) gamma^3 / 6), adaptive quadrature otherwise."""
     if not isinstance(spec, QuarticWellSpec):
-        return sigma_from_well(spec, tol=tol)
+        return sigma_from_well(spec)
 
     def value(x):
         return spec.sigma_exact(x)
@@ -119,13 +119,14 @@ class ScalarSigma:
 
         return SurfaceTension(value=val, grad=grad)
 
-    def along_axis(self, axis: int = 0, dim: int = 1) -> SurfaceTension:
+    def along_axis(self) -> SurfaceTension:
+        """Lift to a SurfaceTension of the first coordinate x_0."""
         def val(x):
-            return self.value(np.asarray(x)[..., axis])
+            return self.value(np.asarray(x)[..., 0])
 
         def grad(x):
             g = np.zeros(np.shape(x))
-            g[..., axis] = self.deriv(np.asarray(x)[..., axis])
+            g[..., 0] = self.deriv(np.asarray(x)[..., 0])
             return g
 
         return SurfaceTension(value=val, grad=grad)
@@ -147,10 +148,9 @@ def exponential_scalar_sigma(kappa: float, scale: float = 1.0) -> ScalarSigma:
 
 @dataclass(frozen=True)
 class Point1D:
-    """1-d point interface; orientation +1 puts the b-phase on the right."""
+    """1-d point interface with the b-phase on its right."""
 
     p: float
-    orientation: int = 1
 
     @property
     def dim(self) -> int:
@@ -159,15 +159,12 @@ class Point1D:
     def signed_distance(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         val = x[..., 0] if x.shape and x.shape[-1] == 1 else x
-        return self.orientation * (val - self.p)
-
-    def curvature(self) -> float:
-        return 0.0
+        return val - self.p
 
     def boundary_nodes(self, n: int = 1):
         pts = np.array([[self.p]])
         weights = np.array([1.0])
-        normals = np.array([[float(self.orientation)]])
+        normals = np.array([[1.0]])
         return pts, weights, normals
 
 
@@ -191,9 +188,6 @@ class Sphere:
     def signed_distance(self, x) -> np.ndarray:
         dx = np.asarray(x, dtype=float) - np.array(self.center)
         return self.radius - np.linalg.norm(dx, axis=-1)
-
-    def curvature(self) -> float:
-        return (self.dim - 1) / self.radius
 
     def boundary_nodes(self, n: int = 1024):
         """Uniform angular nodes with trapezoid weights (2-d spheres)."""
@@ -238,7 +232,6 @@ class SharpTrajectory:
     positions: np.ndarray
     velocities: np.ndarray
     center: Optional[tuple] = None
-    orientation: int = 1
     truncated: bool = False
     _dense: Optional[Callable] = None
     _vel: Optional[Callable] = None
@@ -273,7 +266,7 @@ class SharpTrajectory:
         pos = float(self.position(t))
         if self.kind == "sphere":
             return Sphere(self.center, pos)
-        return Point1D(pos, self.orientation)
+        return Point1D(pos)
 
     @property
     def t_end(self) -> float:
@@ -281,22 +274,23 @@ class SharpTrajectory:
 
 
 def evolve_radial(r0: float, sigma: ScalarSigma, t_end: float,
-                  tol: float = 1e-10, ndim: int = 2, center=(0.0, 0.0),
-                  r_min: float = 1e-3, n_samples: int = 257) -> SharpTrajectory:
-    """Integrate dR/dt = -(N-1)/R - sigma'(R)/sigma(R) from R(0) = r0.
+                  tol: float = 1e-10, center=(0.0, 0.0)) -> SharpTrajectory:
+    """Integrate dR/dt = -(N-1)/R - sigma'(R)/sigma(R) from R(0) = r0,
+    with N = len(center), sampled at 257 times.
 
-    Stops (and flags truncation) if R reaches ``r_min`` before ``t_end``.
+    Stops (and flags truncation) if R reaches 1e-3 before ``t_end``.
     For constant sigma the closed form is R(t) = sqrt(r0^2 - 2(N-1)t).
     """
     if r0 <= 0:
         raise ValueError("r0 must be positive")
+    ndim = len(center)
 
     def rhs(_, y):
         r = y[0]
         return [-(ndim - 1) / r - float(sigma.deriv(r)) / float(sigma.value(r))]
 
     def extinction(_, y):
-        return y[0] - r_min
+        return y[0] - 1e-3
 
     extinction.terminal = True
 
@@ -306,7 +300,7 @@ def evolve_radial(r0: float, sigma: ScalarSigma, t_end: float,
         raise NumericError("radial flow integration failed: " + sol.message)
     truncated = sol.status == 1
     t_stop = sol.t[-1]
-    ts = np.linspace(0.0, t_stop, n_samples)
+    ts = np.linspace(0.0, t_stop, 257)
     rs = sol.sol(ts)[0]
     vel = np.array([-rhs(t, [r])[0] for t, r in zip(ts, rs)])  # V = -dR/dt
 
@@ -324,23 +318,19 @@ def evolve_radial(r0: float, sigma: ScalarSigma, t_end: float,
 
 
 def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
-                   tol: float = 1e-10, orientation: int = 1,
-                   domain=(0.0, 1.0), margin: float = 0.0,
-                   n_samples: int = 257) -> SharpTrajectory:
-    """Integrate dp/dt = -sigma'(p)/sigma(p); the point slides toward
-    lower sigma. Truncates if p leaves the domain margin."""
-
-    lo, hi = domain
+                   tol: float = 1e-10) -> SharpTrajectory:
+    """Integrate dp/dt = -sigma'(p)/sigma(p), sampled at 257 times; the
+    point slides toward lower sigma. Truncates if p leaves [0, 1]."""
 
     def rhs(_, y):
         p = y[0]
         return [-float(sigma.deriv(p)) / float(sigma.value(p))]
 
     def exit_low(_, y):
-        return y[0] - (lo + margin)
+        return y[0]
 
     def exit_high(_, y):
-        return (hi - margin) - y[0]
+        return 1.0 - y[0]
 
     exit_low.terminal = True
     exit_high.terminal = True
@@ -351,9 +341,9 @@ def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
         raise NumericError("point flow integration failed: " + sol.message)
     truncated = sol.status == 1
     t_stop = sol.t[-1]
-    ts = np.linspace(0.0, t_stop, n_samples)
+    ts = np.linspace(0.0, t_stop, 257)
     ps = sol.sol(ts)[0]
-    vel = np.array([orientation * rhs(t, [p])[0] for t, p in zip(ts, ps)])
+    vel = np.array([rhs(t, [p])[0] for t, p in zip(ts, ps)])
 
     def dense(t):
         tt = np.clip(np.asarray(t, dtype=float), 0.0, t_stop)
@@ -361,11 +351,11 @@ def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
 
     def vel_dense(t):
         p = dense(t)
-        return -orientation * sigma.deriv(p) / sigma.value(p)
+        return -sigma.deriv(p) / sigma.value(p)
 
     return SharpTrajectory(kind="point1d", times=ts, positions=ps,
-                           velocities=vel, orientation=orientation,
-                           truncated=truncated, _dense=dense, _vel=vel_dense)
+                           velocities=vel, truncated=truncated,
+                           _dense=dense, _vel=vel_dense)
 
 
 # ---------------------------------------------------------------------------
@@ -380,34 +370,23 @@ class SpaceTimeTest:
     dt: Callable[[np.ndarray, float], np.ndarray]
 
 
-def _bulk_integral(traj: SharpTrajectory, fn, t: float, n_r: int = 64,
-                   n_ang: int = 128, domain=None) -> float:
-    """int_{A(t)} fn(x) dx for the parametrized phase."""
-    if traj.kind == "sphere":
-        R = float(traj.position(t))
-        gl_nodes, gl_w = np.polynomial.legendre.leggauss(n_r)
-        r = 0.5 * R * (gl_nodes + 1.0)
-        wr = 0.5 * R * gl_w
-        theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        wt = 2.0 * np.pi / n_ang
-        e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        pts = np.array(traj.center) + r[:, None, None] * e[None, :, :]
-        vals = fn(pts)
-        return float(np.sum(vals * r[:, None] * wr[:, None] * wt))
-    # point1d: A is the half-interval on the orientation side
-    lo, hi = domain
-    p = float(traj.position(t))
-    a, b = (p, hi) if traj.orientation > 0 else (lo, p)
-    gl_nodes, gl_w = np.polynomial.legendre.leggauss(n_r)
-    x = 0.5 * (b - a) * (gl_nodes + 1.0) + a
-    w = 0.5 * (b - a) * gl_w
-    vals = fn(x[:, None])
-    return float(np.sum(vals * w))
+def _bulk_integral(traj: SharpTrajectory, fn, t: float) -> float:
+    """int_{A(t)} fn(x) dx for the disk A(t) of a radial trajectory
+    (64 Gauss-Legendre radii times 128 angles)."""
+    R = float(traj.position(t))
+    gl_nodes, gl_w = np.polynomial.legendre.leggauss(64)
+    r = 0.5 * R * (gl_nodes + 1.0)
+    wr = 0.5 * R * gl_w
+    theta = 2.0 * np.pi * np.arange(128) / 128
+    wt = 2.0 * np.pi / 128
+    e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    pts = np.array(traj.center) + r[:, None, None] * e[None, :, :]
+    vals = fn(pts)
+    return float(np.sum(vals * r[:, None] * wr[:, None] * wt))
 
 
 def transport_residual(traj: SharpTrajectory, zeta: SpaceTimeTest,
-                       t_prime: float, n_t: int = 512,
-                       n_boundary: int = 256, domain=None) -> float:
+                       t_prime: float, n_t: int = 512) -> float:
     """LHS - RHS of the distributional normal-velocity identity.
 
     LHS: int_{A(T')} zeta(., T') - int_{A(0)} zeta(., 0)
@@ -415,19 +394,21 @@ def transport_residual(traj: SharpTrajectory, zeta: SpaceTimeTest,
          - int_0^T' int_{boundary} V zeta dH dt
 
     Time quadrature is the trapezoid rule on ``n_t`` intervals (second
-    order under step halving).
+    order under step halving); the boundary integral takes 256 nodes.
+    Raises GeometryError for a trajectory that is not radial.
     """
-    lhs = (_bulk_integral(traj, lambda x: zeta.value(x, t_prime), t_prime,
-                          domain=domain)
-           - _bulk_integral(traj, lambda x: zeta.value(x, 0.0), 0.0,
-                            domain=domain))
+    if traj.kind != "sphere":
+        raise GeometryError("transport residuals are computed for radial "
+                            "flows")
+    lhs = (_bulk_integral(traj, lambda x: zeta.value(x, t_prime), t_prime)
+           - _bulk_integral(traj, lambda x: zeta.value(x, 0.0), 0.0))
 
     ts = np.linspace(0.0, t_prime, n_t + 1)
 
     def integrand(t):
-        bulk = _bulk_integral(traj, lambda x: zeta.dt(x, t), t, domain=domain)
+        bulk = _bulk_integral(traj, lambda x: zeta.dt(x, t), t)
         iface = traj.interface_at(t)
-        pts, w, _ = iface.boundary_nodes(n_boundary)
+        pts, w, _ = iface.boundary_nodes(256)
         v = float(traj.velocity(t))
         surf = float(np.sum(w * v * zeta.value(pts, t)))
         return bulk - surf
@@ -437,13 +418,12 @@ def transport_residual(traj: SharpTrajectory, zeta: SpaceTimeTest,
     return lhs - rhs
 
 
-def motion_law_residual(interface, V, sigma: SurfaceTension, psi,
-                        n_nodes: int = 1024) -> float:
-    """Boundary quadrature of
+def motion_law_residual(interface, V, sigma: SurfaceTension, psi) -> float:
+    """Boundary quadrature (1024 nodes) of
        int sigma V (psi . n) + int sigma (Id - n x n):grad psi
        + int grad sigma . psi,
     which vanishes for true solutions of the weighted flow."""
-    pts, w, normals = interface.boundary_nodes(n_nodes)
+    pts, w, normals = interface.boundary_nodes(1024)
     V = np.broadcast_to(np.asarray(V, dtype=float), w.shape)
     sig = sigma.value(pts)
     psi_vals = psi.psi(pts)
@@ -456,33 +436,27 @@ def motion_law_residual(interface, V, sigma: SurfaceTension, psi,
     return float(term_v + term_curv + term_grad)
 
 
-@dataclass(frozen=True)
-class DissipationCheck:
-    lhs: float      # E[T'] + int_0^T' int sigma V^2
-    rhs: float      # E[0]
-    slack: float    # rhs - lhs, >= -tol for admissible flows
-
-
 def dissipation_check(traj: SharpTrajectory, sigma: SurfaceTension,
                       t_prime: float, n_t: int = 1024,
-                      n_boundary: int = 512,
-                      velocity_scale: float = 1.0) -> DissipationCheck:
-    """Optimal-dissipation comparison E[T'] + int sigma V^2 vs E[0].
+                      velocity_scale: float = 1.0) -> float:
+    """Slack E[0] - (E[T'] + int_0^T' int sigma V^2) of the optimal
+    dissipation inequality; >= -tol for admissible flows.
 
-    ``velocity_scale`` rescales V inside the dissipation integral only
-    (used to demonstrate that inflated velocities violate the inequality).
+    Time quadrature is the trapezoid rule on ``n_t`` intervals, and every
+    boundary integral takes 512 nodes. ``velocity_scale`` rescales V
+    inside the dissipation integral only (used to demonstrate that
+    inflated velocities violate the inequality).
     """
     ts = np.linspace(0.0, t_prime, n_t + 1)
 
     def diss(t):
         iface = traj.interface_at(t)
-        pts, w, _ = iface.boundary_nodes(n_boundary)
+        pts, w, _ = iface.boundary_nodes(512)
         v = velocity_scale * float(traj.velocity(t))
         return float(np.sum(w * sigma.value(pts) * v * v))
 
     vals = np.array([diss(t) for t in ts])
     integral = float(np.trapezoid(vals, ts))
-    e_end = weighted_perimeter(traj.interface_at(t_prime), sigma, n_boundary)
-    e_start = weighted_perimeter(traj.interface_at(0.0), sigma, n_boundary)
-    lhs = e_end + integral
-    return DissipationCheck(lhs=lhs, rhs=e_start, slack=e_start - lhs)
+    e_end = weighted_perimeter(traj.interface_at(t_prime), sigma, 512)
+    e_start = weighted_perimeter(traj.interface_at(0.0), sigma, 512)
+    return e_start - (e_end + integral)

@@ -17,14 +17,12 @@ import numpy as np
 class TestVectorField:
     psi: Callable[[np.ndarray], np.ndarray]     # (..., d) -> (..., d)
     jac: Callable[[np.ndarray], np.ndarray]     # (..., d) -> (..., d, d)
-    tag: str = "custom"
 
 
 def zero_field(dim: int) -> TestVectorField:
     return TestVectorField(
         psi=lambda x: np.zeros(np.shape(x)),
         jac=lambda x: np.zeros(np.shape(x) + (dim,)),
-        tag="zero",
     )
 
 
@@ -78,7 +76,7 @@ def dilation_field(center, r_inner: float, r_outer: float) -> TestVectorField:
         return phi(x)[..., None, None] * eye \
             + (dphi(x) / rho)[..., None, None] * outer
 
-    return TestVectorField(psi=psi, jac=jac, tag="dilation")
+    return TestVectorField(psi=psi, jac=jac)
 
 
 def rotation_field(center, r_inner: float, r_outer: float) -> TestVectorField:
@@ -103,7 +101,7 @@ def rotation_field(center, r_inner: float, r_outer: float) -> TestVectorField:
         return phi(x)[..., None, None] * J \
             + (dphi(x) / rho)[..., None, None] * outer
 
-    return TestVectorField(psi=psi, jac=jac, tag="rotation")
+    return TestVectorField(psi=psi, jac=jac)
 
 
 def translation_field(direction, center, r_inner: float,
@@ -122,7 +120,7 @@ def translation_field(direction, center, r_inner: float,
         grad_phi = (dphi(x) / rho)[..., None] * dx
         return e[..., :, None] * grad_phi[..., None, :]
 
-    return TestVectorField(psi=psi, jac=jac, tag="translation-bump")
+    return TestVectorField(psi=psi, jac=jac)
 
 
 def translation_bump(direction, center, radius: float) -> TestVectorField:
@@ -151,10 +149,10 @@ def translation_bump(direction, center, radius: float) -> TestVectorField:
         grad_b = (dbump(np.linalg.norm(dx, axis=-1)) / rho)[..., None] * dx
         return e[..., :, None] * grad_b[..., None, :]
 
-    return TestVectorField(psi=psi, jac=jac, tag="translation-bump")
+    return TestVectorField(psi=psi, jac=jac)
 
 
-def check_admissible(psi: TestVectorField, grid, tol: float = 1e-12) -> float:
+def check_admissible(psi: TestVectorField, grid) -> float:
     """Max |psi . n_Omega| over boundary cell centers of the grid."""
     worst = 0.0
     pts = grid.points()

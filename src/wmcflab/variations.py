@@ -14,7 +14,6 @@ evaluated here by boundary quadrature as the independent reference.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,43 +46,37 @@ def interface_boundary_margin(interface, grid: Grid) -> float:
 class RecoveryState:
     """Diffuse state u = a + gamma * profile(sdist/eps) over a sharp set."""
 
-    interface: object
-    eps: float
     state: PhaseState
     energy_diffuse: float
     energy_sharp: float
 
 
-def build_recovery(interface, spec: WellSpec, grid: Grid, eps: float,
-                   margin_factor: float = 2.0,
-                   sigma: Optional[SurfaceTension] = None,
-                   dtau: float = 0.1) -> RecoveryState:
+def build_recovery(interface, spec: WellSpec, grid: Grid,
+                   eps: float) -> RecoveryState:
     """Construct the recovery state for a parametrized interface.
 
     Requires eps >= 4 max spacing (profile resolution) and an interface at
-    distance >= margin_factor * eps from the domain boundary; the profile
-    tail truncated at the boundary is exp(-sqrt(2) margin/eps) per unit of
-    gamma, so the default factor 2 keeps it below 6e-2 and it decays
-    rapidly along eps sweeps. The built energy is checked against the
-    weighted perimeter (they agree to O(eps) + O(h^2/eps^2)).
+    distance >= 2 eps from the domain boundary; the profile tail truncated
+    at the boundary is exp(-sqrt(2) margin/eps) per unit of gamma, so the
+    factor 2 keeps it below 6e-2 and it decays rapidly along eps sweeps.
+    The profile is ``optimal_profile_grid`` of the signed distance over
+    eps. The built energy is checked against the weighted perimeter under
+    ``sigma_field_of(spec)`` (they agree to O(eps) + O(h^2/eps^2)).
     """
     hmax = float(np.max(grid.spacing))
     if eps < 4.0 * hmax:
         raise ResolutionError(f"eps={eps} under-resolved: needs >= {4 * hmax}")
     margin = interface_boundary_margin(interface, grid)
-    if margin < margin_factor * eps:
-        raise GeometryError(
-            f"interface margin {margin:.4g} below {margin_factor} * eps")
+    if margin < 2.0 * eps:
+        raise GeometryError(f"interface margin {margin:.4g} below 2.0 * eps")
     pts = grid.points()
     sdist = interface.signed_distance(pts)
-    v = optimal_profile_grid(spec, pts, sdist / eps, dtau=dtau)
+    v = optimal_profile_grid(spec, pts, sdist / eps)
     a = spec.a(pts)
     g = spec.b(pts) - spec.a(pts)
     u = Field(grid, a + g * v)
     state = PhaseState(u, eps)
-    if sigma is None:
-        sigma = sigma_field_of(spec)
-    e_sharp = weighted_perimeter(interface, sigma)
+    e_sharp = weighted_perimeter(interface, sigma_field_of(spec))
     e_diff = diffuse_energy(state, spec)
     hmax_sq = hmax ** 2
     guard = 5.0 * (eps + hmax_sq / eps ** 2) * max(1.0, e_sharp) + 1e-10
@@ -91,8 +84,8 @@ def build_recovery(interface, spec: WellSpec, grid: Grid, eps: float,
         raise GeometryError(
             f"recovery energy {e_diff:.6g} is inconsistent with the weighted "
             f"perimeter {e_sharp:.6g} (guard {guard:.2g})")
-    return RecoveryState(interface=interface, eps=eps, state=state,
-                         energy_diffuse=e_diff, energy_sharp=e_sharp)
+    return RecoveryState(state=state, energy_diffuse=e_diff,
+                         energy_sharp=e_sharp)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +185,9 @@ def diffuse_first_variation(state: PhaseState, spec: WellSpec,
 
 
 def sharp_first_variation(interface, sigma: SurfaceTension,
-                          psi: TestVectorField, n_nodes: int = 1024) -> float:
+                          psi: TestVectorField) -> float:
     """-int sigma (Id - n x n):grad Psi dH - int grad sigma . Psi dH."""
-    pts, w, normals = interface.boundary_nodes(n_nodes)
+    pts, w, normals = interface.boundary_nodes(1024)
     jac = psi.jac(pts)
     tr = np.trace(jac, axis1=-2, axis2=-1)
     njn = np.einsum("...i,...ij,...j->...", normals, jac, normals)
@@ -214,38 +207,22 @@ class SweepRow:
     energy_sharp: float
 
 
-@dataclass
-class SweepTable:
-    rows: list
-
-    def column(self, name):
-        return np.array([getattr(r, name) for r in self.rows])
-
-    def gaps_strictly_decreasing(self) -> bool:
-        gaps = self.column("gap")
-        return bool(np.all(np.diff(gaps) < 0))
-
-
 def first_variation_convergence(eps_list, interface, spec: WellSpec,
-                                psi: TestVectorField, grid: Grid,
-                                sigma: Optional[SurfaceTension] = None,
-                                margin_factor: float = 2.0) -> SweepTable:
-    """Table of (eps, diffuse, sharp, gap, ...) along an eps sweep.
+                                psi: TestVectorField, grid: Grid) -> list:
+    """One ``SweepRow`` per eps, largest eps first.
 
-    The sharp value is the boundary-quadrature oracle; recovery states are
-    rebuilt per eps on the given grid (eps < 4 max spacing raises).
+    The sharp value is the boundary-quadrature oracle under
+    ``sigma_field_of(spec)``; recovery states are rebuilt per eps on the
+    given grid (eps < 4 max spacing raises).
     """
-    if sigma is None:
-        sigma = sigma_field_of(spec)
-    sharp_val = sharp_first_variation(interface, sigma, psi)
+    sharp_val = sharp_first_variation(interface, sigma_field_of(spec), psi)
     rows = []
     for eps in sorted(eps_list, reverse=True):
-        rec = build_recovery(interface, spec, grid, eps,
-                             margin_factor=margin_factor, sigma=sigma)
+        rec = build_recovery(interface, spec, grid, eps)
         fv = diffuse_first_variation(rec.state, spec, psi)
         rows.append(SweepRow(eps=eps, diffuse=fv.value, sharp=sharp_val,
                              gap=abs(fv.value - sharp_val),
                              defect=equipartition_defect(rec.state, spec),
                              energy=rec.energy_diffuse,
                              energy_sharp=rec.energy_sharp))
-    return SweepTable(rows)
+    return rows

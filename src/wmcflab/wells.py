@@ -151,7 +151,7 @@ def sigma_n(spec: WellSpec, x, tol: float = 1e-10) -> np.ndarray:
     return val
 
 
-def geodesic_distance(spec: WellSpec, x, v: float, tol: float = 1e-10) -> float:
+def geodesic_distance(spec: WellSpec, x, v: float) -> float:
     """d_n(x, v) = int_0^v sqrt(2 W_n(x, s)) ds (signed for v < 0)."""
     x = as_points(x)
     spec.check_position(x)
@@ -159,7 +159,7 @@ def geodesic_distance(spec: WellSpec, x, v: float, tol: float = 1e-10) -> float:
     def integrand(t):
         return np.sqrt(np.maximum(2.0 * normalized_well(spec, x, t), 0.0))
 
-    val, _ = adaptive_gauss_legendre(integrand, 0.0, float(v), tol=tol)
+    val, _ = adaptive_gauss_legendre(integrand, 0.0, float(v), tol=1e-10)
     return float(val)
 
 
@@ -170,7 +170,7 @@ def geodesic_distance(spec: WellSpec, x, v: float, tol: float = 1e-10) -> float:
 _TAIL = 1e-12
 
 
-def optimal_profile(spec: WellSpec, x, s, atol: float = 1e-10):
+def optimal_profile(spec: WellSpec, x, s):
     """Transition profile v(s) solving v' = sqrt(2 W_n(x, v))/gamma(x),
     v(0) = 1/2, with x frozen.
 
@@ -210,7 +210,7 @@ def optimal_profile(spec: WellSpec, x, s, atol: float = 1e-10):
         if not np.any(mask):
             continue
         sol = solve_ivp(rhs, span, [0.5], method="RK45", events=[event],
-                        dense_output=True, atol=atol, rtol=1e-10)
+                        dense_output=True, atol=1e-10, rtol=1e-10)
         if not sol.success:
             raise NumericError("profile integration failed: " + sol.message)
         s_edge = sol.t[-1]
@@ -253,15 +253,15 @@ def _well_classes(spec: WellSpec, pts: np.ndarray):
     return cls, a[rep], b[rep] - a[rep], pts[rep]
 
 
-def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray,
-                         dtau: float = 0.1, tau_stop: float = 34.0):
+def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray):
     """Frozen-x profile values v(x_i, s_i) for many points at once.
 
-    Marches the substituted variable tau with v = 1/(1 + exp(-tau)), where
+    Marches the substituted variable tau with v = 1/(1 + exp(-tau)) in
+    steps of 0.1 up to tau = 34, where
     ds/dtau = gamma v(1-v)/sqrt(2 W_n(x, v)) is bounded and smooth,
     accumulating s(tau) (Simpson per step) and inverting the local cubic
     Hermite at each point's target arclength. Exact up to roundoff for the
-    quartic family, where ds/dtau is constant in tau; O(dtau^4) otherwise.
+    quartic family, where ds/dtau is constant in tau; O(0.1^4) otherwise.
     Targets beyond the marching window (tails below 1e-14) clamp to 0/1.
 
     The march runs once per distinct well, not once per point: a
@@ -296,9 +296,8 @@ def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray,
         s_lo = np.zeros(count.size)
         phi_lo = phi(a_c, g_c, x_c, 0.0)
         tau = 0.0
-        step = abs(dtau)
-        while active.size and tau < tau_stop:
-            tau_hi = min(tau + step, tau_stop)
+        while active.size and tau < 34.0:
+            tau_hi = min(tau + 0.1, 34.0)
             h = tau_hi - tau
             phi_mid = phi(a_c, g_c, x_c, sgn * (tau + 0.5 * h))
             phi_hi = phi(a_c, g_c, x_c, sgn * tau_hi)
@@ -356,16 +355,14 @@ class AssumptionReport:
     c_coercive: float
     c_derivative_control: float
     n_samples: int
-    n_derivative_samples: int
     violations: list = field(default_factory=list)
 
     def ok(self) -> bool:
         return not self.violations
 
 
-def validate_assumptions(spec: WellSpec, positions, u_values,
-                         fd_step: float = 1e-5, wn_floor: float = 1e-12,
-                         blowup: float = 1e6) -> AssumptionReport:
+def validate_assumptions(spec: WellSpec, positions,
+                         u_values) -> AssumptionReport:
     """Probe the structural bounds on a sample lattice (report-only).
 
     Checks, empirically over positions x u_values:
@@ -374,8 +371,9 @@ def validate_assumptions(spec: WellSpec, positions, u_values,
         d = min(|u-a|, |u-b|) < 1;
       * L2 coercivity W >= |u|^2/C - C (smallest pointwise C reported);
       * derivative control |partial_x sqrt(W_n)| <= C sqrt(W_n), via
-        centered differences in x, only where W_n > wn_floor.
-    A sampled ratio above ``blowup`` is flagged as a violation.
+        centered differences in x with step 1e-5, only where
+        W_n > 1e-12.
+    A sampled ratio above 1e6 is flagged as a violation.
     """
     pts = as_points(positions).reshape(-1, np.shape(as_points(positions))[-1])
     us = np.asarray(u_values, dtype=float).reshape(-1)
@@ -406,7 +404,7 @@ def validate_assumptions(spec: WellSpec, positions, u_values,
         c1, c2 = float(np.min(ratio)), float(np.max(ratio))
     else:
         c1 = c2 = float("nan")
-    if np.isfinite(c2) and c2 > blowup:
+    if np.isfinite(c2) and c2 > 1e6:
         violations.append("quadratic-growth ratio exceeds blow-up threshold")
 
     c_coer = float(np.max((-Wv + np.sqrt(Wv ** 2 + 4.0 * U ** 2)) / 2.0))
@@ -414,7 +412,7 @@ def validate_assumptions(spec: WellSpec, positions, u_values,
     # derivative control on the normalized well, frozen v = (u - a) / gamma
     V = (U - A) / (B - A)
     wn = normalized_well(spec, X, V)
-    mask = wn > wn_floor
+    mask = wn > 1e-12
     n_deriv = int(np.count_nonzero(mask))
     if n_deriv:
         Xm, Vm = X[mask], V[mask]
@@ -423,21 +421,20 @@ def validate_assumptions(spec: WellSpec, positions, u_values,
         grad = np.zeros((n_deriv, dim))
         for ax in range(dim):
             shift = np.zeros(dim)
-            shift[ax] = fd_step
+            shift[ax] = 1e-5
             wp = normalized_well(spec, Xm + shift, Vm)
             wm = normalized_well(spec, Xm - shift, Vm)
             grad[:, ax] = (np.sqrt(np.maximum(wp, 0.0))
-                           - np.sqrt(np.maximum(wm, 0.0))) / (2.0 * fd_step)
+                           - np.sqrt(np.maximum(wm, 0.0))) / 2e-5
         ratio = np.linalg.norm(grad, axis=1) / sq
         c_deriv = float(np.max(ratio))
-        if c_deriv > blowup:
+        if c_deriv > 1e6:
             violations.append("derivative-control ratio exceeds blow-up "
                               "threshold")
     else:
         c_deriv = float("nan")
 
-    return AssumptionReport(c1, c2, c_coer, c_deriv, len(Wv), n_deriv,
-                            violations)
+    return AssumptionReport(c1, c2, c_coer, c_deriv, len(Wv), violations)
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +570,23 @@ def constant_quartic(a0: float = 0.0, b0: float = 1.0,
     )
 
 
+def _unit_wells_quartic(m, grad_m) -> QuarticWellSpec:
+    """Quartic with wells a = 0, b = 1 and amplitude m(x)."""
+    return canonical_quartic(
+        a=lambda x: np.zeros(np.shape(x)[:-1]),
+        grad_a=lambda x: np.zeros(np.shape(x)),
+        b=lambda x: np.ones(np.shape(x)[:-1]),
+        grad_b=lambda x: np.zeros(np.shape(x)),
+        delta_sep=1.0, amplitude=m, grad_amplitude=grad_m,
+    )
+
+
 def affine_scaled_quartic(offset: float = 1.0, slope: float = 1.0,
-                          axis: int = 0, a0: float = 0.0, b0: float = 1.0,
-                          bounds=None) -> QuarticWellSpec:
-    """Quartic with amplitude m(x) = offset + slope * x_axis.
+                          axis: int = 0) -> QuarticWellSpec:
+    """Quartic with wells 0, 1 and amplitude m(x) = offset + slope * x_axis.
 
     Gives the heterogeneous surface tension
-    sigma(x) = sqrt(2 (offset + slope x_axis)) (b0-a0)^3 / 6.
+    sigma(x) = sqrt(2 (offset + slope x_axis)) / 6.
     """
     def m(x):
         return offset + slope * x[..., axis]
@@ -589,22 +596,14 @@ def affine_scaled_quartic(offset: float = 1.0, slope: float = 1.0,
         g[..., axis] = slope
         return g
 
-    return canonical_quartic(
-        a=lambda x: a0 * np.ones(np.shape(x)[:-1]),
-        grad_a=lambda x: np.zeros(np.shape(x)),
-        b=lambda x: b0 * np.ones(np.shape(x)[:-1]),
-        grad_b=lambda x: np.zeros(np.shape(x)),
-        delta_sep=b0 - a0, amplitude=m, grad_amplitude=grad_m,
-        bounds=bounds,
-    )
+    return _unit_wells_quartic(m, grad_m)
 
 
-def exp_scaled_quartic(kappa: float, axis: int = 0, a0: float = 0.0,
-                       b0: float = 1.0, bounds=None) -> QuarticWellSpec:
-    """Quartic with amplitude m(x) = exp(2 kappa x_axis).
+def exp_scaled_quartic(kappa: float, axis: int = 0) -> QuarticWellSpec:
+    """Quartic with wells 0, 1 and amplitude m(x) = exp(2 kappa x_axis).
 
-    sigma(x) = (sqrt(2)/6) (b0-a0)^3 exp(kappa x_axis), so a flat 1-d
-    interface drifts with exact speed -kappa (sigma'/sigma = kappa).
+    sigma(x) = (sqrt(2)/6) exp(kappa x_axis), so a flat 1-d interface
+    drifts with exact speed -kappa (sigma'/sigma = kappa).
     """
     def m(x):
         return np.exp(2.0 * kappa * x[..., axis])
@@ -614,14 +613,7 @@ def exp_scaled_quartic(kappa: float, axis: int = 0, a0: float = 0.0,
         g[..., axis] = 2.0 * kappa * np.exp(2.0 * kappa * x[..., axis])
         return g
 
-    return canonical_quartic(
-        a=lambda x: a0 * np.ones(np.shape(x)[:-1]),
-        grad_a=lambda x: np.zeros(np.shape(x)),
-        b=lambda x: b0 * np.ones(np.shape(x)[:-1]),
-        grad_b=lambda x: np.zeros(np.shape(x)),
-        delta_sep=b0 - a0, amplitude=m, grad_amplitude=grad_m,
-        bounds=bounds,
-    )
+    return _unit_wells_quartic(m, grad_m)
 
 
 def linear_wells_quartic(a0: float, a_slope: float, b0: float,

@@ -224,8 +224,7 @@ class TestGronwall:
         other = sharp.evolve_radial(0.4, sharp.constant_scalar_sigma(SQRT2_6),
                                     0.04, tol=1e-12, center=CENTER)
         times = np.linspace(0.0, 0.038, 21)
-        rep = calib.gronwall_verify(calib.ComparisonPair(other, traj), cal,
-                                    sigma, times)
+        rep = calib.gronwall_verify(other, cal, sigma, times)
         assert rep.zero_initial and rep.zero_preserved
 
     def test_perturbed_radius_fitted_constant(self):
@@ -234,8 +233,7 @@ class TestGronwall:
         pert = sharp.evolve_radial(0.42, sharp.constant_scalar_sigma(SQRT2_6),
                                    0.04, tol=1e-12, center=CENTER)
         times = np.linspace(0.0, 0.038, 41)
-        rep = calib.gronwall_verify(calib.ComparisonPair(pert, traj), cal,
-                                    sigma, times)
+        rep = calib.gronwall_verify(pert, cal, sigma, times)
         assert np.isfinite(rep.fitted_c_rel) and rep.fitted_c_rel > 0
         assert rep.stable_within(2.0)
         assert rep.exp_bound_holds

@@ -9,7 +9,7 @@ import pytest
 
 from wmcflab import cli, wells
 from wmcflab.errors import DomainError, ExtractionError, NumericError
-from wmcflab.experiments import run_surface_tension
+from wmcflab.experiments import run_dissipation, run_surface_tension
 
 
 def write(tmp_path, text, name="config.txt"):
@@ -179,6 +179,21 @@ class TestRun:
         assert cli.main(["validate", path]) == 0
         assert cli.main(["run", path]) == 2
         assert "GeometryError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, n", [("equipartition", 128),
+                                         ("gibbs_thomson", 64)])
+    def test_single_eps_sweep_exits_1(self, tmp_path, capsys, name, n):
+        # one eps shows no decrease, so "strictly decreasing" must fail
+        path = write(tmp_path, f"experiment={name}\ngrid.n={n}\neps=0.08\n"
+                               f"out_dir={tmp_path}\n")
+        assert cli.main(["validate", path]) == 0
+        assert cli.main(["run", path]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_single_dt_dissipation_fails(self):
+        # one dt gives no halving ratio to check
+        res = run_dissipation(dt_list=(3.5e-5,))
+        assert not res.passed
 
     def test_failed_check_exits_nonzero(self, tmp_path, monkeypatch):
         from wmcflab.experiments import ExperimentResult

@@ -127,6 +127,16 @@ class TestTransport:
             dt=lambda x, t: np.zeros(np.shape(x)[:-1]))
         assert abs(sharp.transport_residual(traj, ones, 0.06)) <= 1e-9
 
+    def test_point_trajectory_raises_geometry_error(self):
+        # the bulk integral is a disk quadrature: only radial flows have one
+        sig = sharp.exponential_scalar_sigma(0.5)
+        traj = sharp.evolve_point1d(0.7, sig, 0.2, tol=1e-12)
+        ones = sharp.SpaceTimeTest(
+            value=lambda x, t: np.ones(np.shape(x)[:-1]),
+            dt=lambda x, t: np.zeros(np.shape(x)[:-1]))
+        with pytest.raises(GeometryError, match="radial"):
+            sharp.transport_residual(traj, ones, 0.1)
+
     def test_polynomial_test_function_second_order(self):
         # x^2 y^2 moment of the disk depends nonlinearly on R(t)^2, so the
         # trapezoid error is visible and second order
@@ -177,23 +187,23 @@ class TestDissipation:
     def test_exact_flow_slack_vanishes(self):
         sig_s = sharp.constant_scalar_sigma(SQRT2_6)
         traj = sharp.evolve_radial(0.4, sig_s, 0.06, tol=1e-12, center=CENTER)
-        out = sharp.dissipation_check(traj, const_sigma2d(), 0.06, n_t=4096)
-        assert abs(out.slack) <= 1e-6
+        slack = sharp.dissipation_check(traj, const_sigma2d(), 0.06, n_t=4096)
+        assert abs(slack) <= 1e-6
 
     def test_frozen_trajectory_has_zero_slack(self):
         times = np.linspace(0.0, 1.0, 5)
         traj = sharp.SharpTrajectory(kind="sphere", times=times,
                                      positions=np.full(5, 0.3),
                                      velocities=np.zeros(5), center=CENTER)
-        out = sharp.dissipation_check(traj, const_sigma2d(), 1.0)
-        assert out.slack == 0.0
+        slack = sharp.dissipation_check(traj, const_sigma2d(), 1.0)
+        assert slack == 0.0
 
     def test_inflated_velocity_flags_violation(self):
         sig_s = sharp.constant_scalar_sigma(SQRT2_6)
         traj = sharp.evolve_radial(0.4, sig_s, 0.06, tol=1e-12, center=CENTER)
-        out = sharp.dissipation_check(traj, const_sigma2d(), 0.06,
-                                      velocity_scale=2.0)
-        assert out.slack < -1e-3
+        slack = sharp.dissipation_check(traj, const_sigma2d(), 0.06,
+                                        velocity_scale=2.0)
+        assert slack < -1e-3
 
 
 class TestSigmaFields:
