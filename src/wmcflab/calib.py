@@ -26,9 +26,15 @@ import numpy as np
 
 from .errors import GeometryError
 from .grid import Field, integrate
-from .sharp import SharpTrajectory, Sphere, SurfaceTension, indicator
+from .sharp import (SharpTrajectory, Sphere, SurfaceTension, _gauss_legendre,
+                    _require_disk, _unit_circle, indicator)
 
 _NEAR = 1e-4
+
+# The annulus rule of bulk_energy, fixed at import: 256 Gauss-Legendre
+# radii times 256 uniform angles.
+_ANNULUS_NODES, _ANNULUS_WEIGHTS = _gauss_legendre(256)
+_ANNULUS_DIRS = _unit_circle(256)
 
 
 def _cutoff(s: np.ndarray, r_g: float) -> np.ndarray:
@@ -318,9 +324,11 @@ def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension,
     """int sigma (chi_strong - chi_weak) theta dx; >= 0 by sign conditions.
 
     ``weak`` is either a Sphere concentric with the calibrated flow
-    (annulus quadrature, 256 Gauss-Legendre radii times 256 angles) or a
-    phase-indicator Field (grid quadrature).
+    (annulus quadrature on the rule fixed at import, 256 Gauss-Legendre
+    radii times 256 angles) or a phase-indicator Field (grid quadrature).
+    Raises GeometryError unless the calibrated flow is radial in 2-d.
     """
+    _require_disk(cal.traj, "bulk energies")
     if isinstance(weak, Field):
         pts = weak.grid.points()
         chi_weak = weak.values
@@ -338,12 +346,9 @@ def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension,
         if abs(r_w - r_s) < 1e-15:
             return 0.0
         lo, hi = min(r_w, r_s), max(r_w, r_s)
-        gl, glw = np.polynomial.legendre.leggauss(256)
-        rho = 0.5 * (hi - lo) * (gl + 1.0) + lo
-        wr = 0.5 * (hi - lo) * glw
-        theta_ang = 2.0 * np.pi * np.arange(256) / 256
-        e = np.stack([np.cos(theta_ang), np.sin(theta_ang)], axis=-1)
-        pts = center + rho[:, None, None] * e[None, :, :]
+        rho = 0.5 * (hi - lo) * (_ANNULUS_NODES + 1.0) + lo
+        wr = 0.5 * (hi - lo) * _ANNULUS_WEIGHTS
+        pts = center + rho[:, None, None] * _ANNULUS_DIRS[None, :, :]
         # on the annulus chi_strong - chi_weak = -sign(r_w - r_s)
         sgn = -np.sign(r_w - r_s)
         vals = sigma.value(pts) * sgn * _truncation(r_s - rho, cal.r)[:, None]
@@ -398,6 +403,7 @@ class GronwallReport:
     e_rel: np.ndarray
     e_bulk: np.ndarray
     coercivity_slack: np.ndarray
+    coercivity_identity_error: np.ndarray
     fitted_c_rel: float
     fitted_c_bulk: float
     fitted_c_rel_coarse: float
@@ -445,14 +451,18 @@ def gronwall_verify(weak: SharpTrajectory, cal: Calibration,
     constants making E(T') <= E(0) + C int_0^T' E dt hold at every grid
     time, reports their stability under time-grid halving, and (for zero
     initial error) verifies that both energies stay below ``zero_tol``.
+    The tilt coercivity check runs at every time too; the report keeps
+    its slack and identity error. The weak interface is built once per
+    time.
     """
     times = np.asarray(times, dtype=float)
-    e_rel = np.array([relative_energy(weak.interface_at(t), cal, sigma, t)
-                      for t in times])
-    e_bulk = np.array([bulk_energy(weak.interface_at(t), cal, sigma, t)
-                       for t in times])
-    slack = np.array([coercivity_check(weak.interface_at(t), cal, sigma,
-                                       t).slack for t in times])
+    ifaces = [weak.interface_at(t) for t in times]
+    e_rel = np.array([relative_energy(iface, cal, sigma, t)
+                      for iface, t in zip(ifaces, times)])
+    e_bulk = np.array([bulk_energy(iface, cal, sigma, t)
+                       for iface, t in zip(ifaces, times)])
+    co = [coercivity_check(iface, cal, sigma, t)
+          for iface, t in zip(ifaces, times)]
     c_rel = _fit_constant(times, e_rel, e_rel, zero_tol)
     c_bulk = _fit_constant(times, e_bulk, e_rel + e_bulk, zero_tol,
                            offset=float(e_rel[0]))
@@ -471,7 +481,9 @@ def gronwall_verify(weak: SharpTrajectory, cal: Calibration,
     else:
         exp_ok = bool(np.all(e_rel <= e_rel[0] + zero_tol))
     return GronwallReport(times=times, e_rel=e_rel, e_bulk=e_bulk,
-                          coercivity_slack=slack,
+                          coercivity_slack=np.array([c.slack for c in co]),
+                          coercivity_identity_error=np.array(
+                              [c.identity_error for c in co]),
                           fitted_c_rel=c_rel, fitted_c_bulk=c_bulk,
                           fitted_c_rel_coarse=c_rel_half,
                           fitted_c_bulk_coarse=c_bulk_half,

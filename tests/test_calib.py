@@ -153,6 +153,16 @@ class TestEnergies:
         e = calib.relative_energy(weak, cal, sigma, 0.01)
         assert_allclose(e, sharp.weighted_perimeter(weak, sigma), rtol=1e-12)
 
+    def test_bulk_energy_three_d_raises_geometry_error(self):
+        # the annulus and grid rules integrate over 2-d phases only
+        center = (0.5, 0.5, 0.5)
+        sig_s = sharp.constant_scalar_sigma(SQRT2_6)
+        sigma = sig_s.about(center)
+        traj = sharp.evolve_radial(0.3, sig_s, 0.01, tol=1e-10, center=center)
+        cal = calib.build_calibration(traj, sigma)
+        with pytest.raises(GeometryError, match="radial 2-d"):
+            calib.bulk_energy(sharp.Sphere(center, 0.32), cal, sigma, 0.005)
+
     def test_bulk_energy_zero_for_equal_sets(self):
         traj, sigma = radial_setup()
         cal = calib.build_calibration(traj, sigma)
@@ -239,6 +249,12 @@ class TestGronwall:
         assert rep.exp_bound_holds
         assert np.all(rep.e_rel >= 0) and np.all(rep.e_bulk >= 0)
         assert np.all(rep.coercivity_slack >= 0)
+        k = 17
+        co = calib.coercivity_check(pert.interface_at(times[k]), cal, sigma,
+                                    times[k])
+        assert rep.coercivity_slack[k] == co.slack
+        assert rep.coercivity_identity_error[k] == co.identity_error
+        assert np.all(rep.coercivity_identity_error <= 1e-12)
 
 
 def test_invariant_report():
@@ -264,3 +280,20 @@ def test_weak_strong_rejects_extinct_reference():
     # part of the reference must not pass
     with pytest.raises(GeometryError, match="before t_end"):
         run_weak_strong(t_end=0.5)
+
+
+def test_weak_strong_checks_coercivity_once_per_time(monkeypatch):
+    # gronwall_verify runs the check at every time of both cases; the
+    # runner's verdict reads the perturbed case's report
+    calls = []
+    check = calib.coercivity_check
+
+    def counted(*args):
+        calls.append(args[3])
+        return check(*args)
+
+    monkeypatch.setattr(calib, "coercivity_check", counted)
+    res = run_weak_strong(n_times=5)
+    assert len(calls) == 2 * 5
+    verdict = [c for c in res.checks if c.name.startswith("tilt coercivity")]
+    assert len(verdict) == 1 and verdict[0].passed

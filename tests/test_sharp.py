@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from wmcflab import sharp, wells
@@ -14,6 +16,51 @@ CENTER = (0.5, 0.5)
 
 def const_sigma2d(c=SQRT2_6):
     return sharp.constant_scalar_sigma(c).about(CENTER)
+
+
+# Per-sample loop forms of transport_residual and dissipation_check: an
+# interface, its boundary nodes and a fresh quadrature table per time
+# sample. The reference the blocked library forms are checked against.
+
+def _bulk_integral_loop(traj, fn, t):
+    R = float(traj.position(t))
+    gl_nodes, gl_w = np.polynomial.legendre.leggauss(64)
+    r = 0.5 * R * (gl_nodes + 1.0)
+    wr = 0.5 * R * gl_w
+    theta = 2.0 * np.pi * np.arange(128) / 128
+    e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    pts = np.array(traj.center) + r[:, None, None] * e[None, :, :]
+    return float(np.sum(fn(pts) * r[:, None] * wr[:, None]
+                        * (2.0 * np.pi / 128)))
+
+
+def transport_residual_loop(traj, zeta, t_prime, n_t):
+    lhs = (_bulk_integral_loop(traj, lambda x: zeta.value(x, t_prime), t_prime)
+           - _bulk_integral_loop(traj, lambda x: zeta.value(x, 0.0), 0.0))
+    ts = np.linspace(0.0, t_prime, n_t + 1)
+
+    def integrand(t):
+        bulk = _bulk_integral_loop(traj, lambda x: zeta.dt(x, t), t)
+        pts, w, _ = traj.interface_at(t).boundary_nodes(256)
+        v = float(traj.velocity(t))
+        return bulk - float(np.sum(w * v * zeta.value(pts, t)))
+
+    vals = np.array([integrand(t) for t in ts])
+    return lhs - float(np.trapezoid(vals, ts))
+
+
+def dissipation_check_loop(traj, sigma, t_prime, n_t, velocity_scale=1.0):
+    ts = np.linspace(0.0, t_prime, n_t + 1)
+
+    def diss(t):
+        pts, w, _ = traj.interface_at(t).boundary_nodes(512)
+        v = velocity_scale * float(traj.velocity(t))
+        return float(np.sum(w * sigma.value(pts) * v * v))
+
+    integral = float(np.trapezoid(np.array([diss(t) for t in ts]), ts))
+    e_end = sharp.weighted_perimeter(traj.interface_at(t_prime), sigma, 512)
+    e_start = sharp.weighted_perimeter(traj.interface_at(0.0), sigma, 512)
+    return e_start - (e_end + integral)
 
 
 class TestWeightedPerimeter:
@@ -204,6 +251,82 @@ class TestDissipation:
         slack = sharp.dissipation_check(traj, const_sigma2d(), 0.06,
                                         velocity_scale=2.0)
         assert slack < -1e-3
+
+
+class TestBlockedOraclesMatchLoops:
+    # x-dependent zeta whose value is evaluated on a column of times, and
+    # a sigma that is not radial about the disk's center
+    ZETA = sharp.SpaceTimeTest(
+        value=lambda x, t: np.cos(3.0 * t + 2.0 * x[..., 0]) * x[..., 1] ** 2,
+        dt=lambda x, t: -3.0 * np.sin(3.0 * t + 2.0 * x[..., 0])
+        * x[..., 1] ** 2)
+    SIGMA = sharp.exponential_scalar_sigma(0.8, scale=0.3).along_axis()
+
+    # n_t + 1 is one short block (9), whole blocks (256) and whole blocks
+    # plus a remainder (301) at the block size of 64
+    @settings(max_examples=30, deadline=None)
+    @given(hst.floats(0.3, 0.45), hst.floats(0.05, 1.0),
+           hst.integers(1, 400), hst.floats(0.25, 3.0))
+    @example(0.4, 1.0, 8, 1.0)
+    @example(0.3, 0.5, 255, 2.0)
+    @example(0.45, 0.9, 300, 1.0)
+    def test_library_equals_loop_reference(self, r0, t_frac, n_t, scale):
+        traj = sharp.evolve_radial(r0, sharp.exponential_scalar_sigma(0.7),
+                                   0.02, tol=1e-12, center=CENTER)
+        t_prime = t_frac * traj.t_end
+        got = sharp.transport_residual(traj, self.ZETA, t_prime, n_t=n_t)
+        ref = transport_residual_loop(traj, self.ZETA, t_prime, n_t)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+        got = sharp.dissipation_check(traj, self.SIGMA, t_prime, n_t=n_t,
+                                      velocity_scale=scale)
+        ref = dissipation_check_loop(traj, self.SIGMA, t_prime, n_t,
+                                     velocity_scale=scale)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+class TestQuadratureTables:
+    def test_cached_tables_are_read_only(self):
+        from wmcflab import calib
+        tables = (sharp._DISK_NODES, sharp._DISK_WEIGHTS, sharp._DISK_DIRS,
+                  sharp._unit_circle(512), calib._ANNULUS_NODES,
+                  calib._ANNULUS_WEIGHTS, calib._ANNULUS_DIRS)
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    def test_boundary_nodes_are_fresh_arrays(self):
+        circle = sharp.Sphere(CENTER, 0.3)
+        pts, w, normals = circle.boundary_nodes(64)
+        pts[:] = w[:] = normals[:] = 0.0
+        pts, w, normals = circle.boundary_nodes(64)
+        assert_allclose(np.linalg.norm(normals, axis=-1), 1.0, rtol=1e-15)
+        assert_allclose(np.linalg.norm(pts - np.array(CENTER), axis=-1), 0.3,
+                        rtol=1e-15)
+
+
+class TestNotRadial2D:
+    # every oracle quadrature is a disk or circle rule
+    def test_three_d_trajectory_raises_geometry_error(self):
+        sig = sharp.constant_scalar_sigma(1.0)
+        traj = sharp.evolve_radial(0.3, sig, 0.01, tol=1e-10,
+                                   center=(0.5, 0.5, 0.5))
+        ones = sharp.SpaceTimeTest(
+            value=lambda x, t: np.ones(np.shape(x)[:-1]),
+            dt=lambda x, t: np.zeros(np.shape(x)[:-1]))
+        with pytest.raises(GeometryError, match="radial 2-d"):
+            sharp.transport_residual(traj, ones, 0.01)
+        with pytest.raises(GeometryError, match="radial 2-d"):
+            sharp.dissipation_check(traj, sig.about((0.5, 0.5, 0.5)), 0.01)
+
+    def test_point_trajectory_dissipation_raises_geometry_error(self):
+        sig = sharp.exponential_scalar_sigma(0.5)
+        traj = sharp.evolve_point1d(0.7, sig, 0.2, tol=1e-12)
+        with pytest.raises(GeometryError, match="radial 2-d"):
+            sharp.dissipation_check(traj, sig.along_axis(), 0.1)
+
+    def test_three_d_sphere_boundary_nodes_raise_geometry_error(self):
+        with pytest.raises(GeometryError, match="2-d circle"):
+            sharp.Sphere((0.5, 0.5, 0.5), 0.3).boundary_nodes(64)
 
 
 class TestSigmaFields:
