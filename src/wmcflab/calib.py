@@ -451,18 +451,18 @@ def gronwall_verify(weak: SharpTrajectory, cal: Calibration,
     constants making E(T') <= E(0) + C int_0^T' E dt hold at every grid
     time, reports their stability under time-grid halving, and (for zero
     initial error) verifies that both energies stay below ``zero_tol``.
-    The tilt coercivity check runs at every time too; the report keeps
-    its slack and identity error. The weak interface is built once per
-    time.
+    The tilt coercivity check runs at every time too, and E_rel is read
+    off its report (the same 1024-node sum as ``relative_energy``, to a
+    few ulp); the report keeps its slack and identity error. The weak
+    interface is built once per time.
     """
     times = np.asarray(times, dtype=float)
     ifaces = [weak.interface_at(t) for t in times]
-    e_rel = np.array([relative_energy(iface, cal, sigma, t)
-                      for iface, t in zip(ifaces, times)])
-    e_bulk = np.array([bulk_energy(iface, cal, sigma, t)
-                       for iface, t in zip(ifaces, times)])
     co = [coercivity_check(iface, cal, sigma, t)
           for iface, t in zip(ifaces, times)]
+    e_rel = np.array([c.e_rel for c in co])
+    e_bulk = np.array([bulk_energy(iface, cal, sigma, t)
+                       for iface, t in zip(ifaces, times)])
     c_rel = _fit_constant(times, e_rel, e_rel, zero_tol)
     c_bulk = _fit_constant(times, e_bulk, e_rel + e_bulk, zero_tol,
                            offset=float(e_rel[0]))

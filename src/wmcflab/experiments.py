@@ -327,6 +327,33 @@ def run_dissipation(grid_n: int = 256, eps: float = 0.02,
 # convergence to the sharp flow
 # ---------------------------------------------------------------------------
 
+def _track_flow(res, spec, front, traj, t_end, runs, fit, scale):
+    """Track the diffuse flow against the exact ``traj`` on each (eps,
+    grid, frac) of ``runs``: start from the optimal profile across
+    ``front``, step with dt = frac eps^2 / Lip(dW/du) rounded to divide
+    ``t_end``, and at five checkpoints append the CSV row (eps, t, exact,
+    fit, |fit - exact| / scale(t, exact)), fit read off the 1/2 level set.
+    Returns each run's largest error."""
+    checkpoints = [t_end * k / 5.0 for k in range(1, 6)]
+    max_errs = []
+    for eps, grid, frac in runs:
+        pts = grid.points()
+        u0 = wells.optimal_profile_grid(spec, pts,
+                                        front.signed_distance(pts) / eps)
+        state = flow.PhaseState(Field(grid, u0), eps)
+        lw = flow.reaction_lipschitz(spec, grid, (-0.06, 1.06))
+        dt = t_end / int(np.ceil(t_end / (frac * eps ** 2 / lw)))
+        errs = []
+        for s in flow.run(state, spec, dt=dt, t_end=t_end,
+                          snapshot_times=checkpoints).snapshots:
+            exact = float(traj.position(s.time))
+            found = fit(extract_levelset(s.u, 0.5))
+            errs.append(abs(found - exact) / scale(s.time, exact))
+            res.csv_rows.append([eps, s.time, exact, found, errs[-1]])
+        max_errs.append(max(errs))
+    return max_errs
+
+
 def run_ac_to_mcf_radial(r0: float = 0.4, t_end: float = 0.06,
                          runs=((0.04, 128, 0.25), (0.02, 256, 0.125)),
                          rel_tol: float = 0.05) -> ExperimentResult:
@@ -335,31 +362,12 @@ def run_ac_to_mcf_radial(r0: float = 0.4, t_end: float = 0.06,
     res = ExperimentResult("ac_to_mcf_radial",
                            csv_header=["eps", "t", "R_ode", "R_extracted",
                                        "rel_err"])
-    spec = wells.constant_quartic()
-    sig = sharp.constant_scalar_sigma(SQRT2_OVER_6)
-    traj = _radial_reference(r0, sig, t_end)
-    checkpoints = [t_end * k / 5.0 for k in range(1, 6)]
-    max_errs = []
-    for eps, n, frac in runs:
-        grid = _unit_box(n)
-        pts = grid.points()
-        disk = sharp.Sphere((0.5, 0.5), r0)
-        u0 = wells.optimal_profile_grid(spec, pts,
-                                        disk.signed_distance(pts) / eps)
-        state = flow.PhaseState(Field(grid, u0), eps)
-        lw = flow.reaction_lipschitz(spec, grid, (-0.06, 1.06))
-        dt = frac * eps ** 2 / lw
-        n_steps = int(np.ceil(t_end / dt))
-        dt = t_end / n_steps
-        snaps = flow.run(state, spec, dt=dt, t_end=t_end,
-                         snapshot_times=checkpoints).snapshots
-        errs = []
-        for s in snaps:
-            r_ode = float(traj.position(s.time))
-            r_fit = extract_levelset(s.u, 0.5).fitted_circle()[1]
-            errs.append(abs(r_fit - r_ode) / r_ode)
-            res.csv_rows.append([eps, s.time, r_ode, r_fit, errs[-1]])
-        max_errs.append(max(errs))
+    traj = _radial_reference(r0, sharp.constant_scalar_sigma(SQRT2_OVER_6),
+                             t_end)
+    max_errs = _track_flow(
+        res, wells.constant_quartic(), sharp.Sphere((0.5, 0.5), r0), traj,
+        t_end, [(eps, _unit_box(n), frac) for eps, n, frac in runs],
+        fit=lambda ls: ls.fitted_circle()[1], scale=lambda t, r: r)
     res.add("extracted radius within 5% of the ODE radius at finest eps",
             max_errs[-1] <= rel_tol, f"max rel err {max_errs[-1]:.4f}")
     res.add("max checkpoint error decreases with eps",
@@ -378,32 +386,14 @@ def run_ac_to_mcf_1d_drift(kappa: float = 0.5, p0: float = 0.7,
                            csv_header=["eps", "t", "p_exact", "p_extracted",
                                        "err_over_traveled"])
     spec = wells.exp_scaled_quartic(kappa)
-    grid = Grid.interval(0.0, 1.0, grid_n)
-    pts = grid.points()
     sig = sharp.exponential_scalar_sigma(kappa, scale=SQRT2_OVER_6)
     traj = _full_length(sharp.evolve_point1d(p0, sig, t_end, tol=1e-12),
                         t_end)
-    checkpoints = [t_end * k / 5.0 for k in range(1, 6)]
-    max_errs = []
-    for eps, frac in runs:
-        point = sharp.Point1D(p0)
-        u0 = wells.optimal_profile_grid(spec, pts,
-                                        point.signed_distance(pts) / eps)
-        state = flow.PhaseState(Field(grid, u0), eps)
-        lw = flow.reaction_lipschitz(spec, grid, (-0.06, 1.06))
-        dt = frac * eps ** 2 / lw
-        n_steps = int(np.ceil(t_end / dt))
-        dt = t_end / n_steps
-        snaps = flow.run(state, spec, dt=dt, t_end=t_end,
-                         snapshot_times=checkpoints).snapshots
-        errs = []
-        for s in snaps:
-            p_exact = float(traj.position(s.time))
-            p_fit = extract_levelset(s.u, 0.5).position()
-            rel = abs(p_fit - p_exact) / (kappa * s.time)
-            errs.append(rel)
-            res.csv_rows.append([eps, s.time, p_exact, p_fit, rel])
-        max_errs.append(max(errs))
+    grid = Grid.interval(0.0, 1.0, grid_n)
+    max_errs = _track_flow(
+        res, spec, sharp.Point1D(p0), traj, t_end,
+        [(eps, grid, frac) for eps, frac in runs],
+        fit=lambda ls: ls.position(), scale=lambda t, p: kappa * t)
     res.add("position error <= 5% of traveled distance at finest eps",
             max_errs[-1] <= rel_tol, f"max rel err {max_errs[-1]:.4f}")
     res.add("error decreases with eps",

@@ -13,7 +13,9 @@ reads, for radial sigma(rho) about the ball center,
 
     dR/dt = -(N-1)/R - sigma'(R)/sigma(R)
 
-and for a 1-d point interface dp/dt = -sigma'(p)/sigma(p).
+and for a 1-d point interface dp/dt = -sigma'(p)/sigma(p). Both exact
+references come from one integrator (``_integrate``): each flow states
+only its rate law, its stop events and the sign relating V to dy/dt.
 """
 
 from dataclasses import dataclass
@@ -241,6 +243,11 @@ class SharpTrajectory:
     ``position`` and ``velocity`` raise GeometryError at any time outside
     [times[0], times[-1]] (to 1e-12 max(1, t_end)), where the trajectory
     was never computed.
+
+    ``position(ts)`` on an array and ``position(t)`` at each scalar of it
+    can differ by one ulp at a few times (scipy's dense output evaluates
+    the two forms in different operation orders), so two routes that must
+    agree bitwise should read one evaluation.
     """
 
     kind: str                      # "sphere" | "point1d"
@@ -289,10 +296,45 @@ class SharpTrajectory:
         return float(self.times[-1])
 
 
+def _integrate(rate, y0: float, t_end: float, tol: float, stops, sign: float,
+               **fields) -> SharpTrajectory:
+    """The one integrator behind both reference flows: dy/dt = rate(y)
+    from y(0) = y0 by RK45 at rtol = atol = ``tol``, stopping early (and
+    flagging ``truncated``) at the first zero of a ``stops`` function of y.
+    Position is the dense interpolant and V = sign * rate(position), at the
+    257 sample times and at any time alike; ``fields`` (kind, center) go
+    to the SharpTrajectory."""
+    def event(stop):
+        def at_zero(_, y):
+            return stop(y[0])
+        at_zero.terminal = True
+        return at_zero
+
+    sol = solve_ivp(lambda _, y: [rate(y[0])], (0.0, t_end), [y0],
+                    method="RK45", rtol=tol, atol=tol, dense_output=True,
+                    events=[event(stop) for stop in stops])
+    if not sol.success:
+        raise NumericError("sharp flow integration failed: " + sol.message)
+    t_stop = sol.t[-1]
+
+    def position(t):
+        tt = np.clip(np.asarray(t, dtype=float), 0.0, t_stop)
+        return sol.sol(np.atleast_1d(tt))[0].reshape(np.shape(t))
+
+    def velocity(t):
+        return sign * rate(position(t))
+
+    ts = np.linspace(0.0, t_stop, 257)
+    return SharpTrajectory(times=ts, positions=position(ts),
+                           velocities=velocity(ts),
+                           truncated=sol.status == 1, _dense=position,
+                           _vel=velocity, **fields)
+
+
 def evolve_radial(r0: float, sigma: ScalarSigma, t_end: float,
                   tol: float = 1e-10, center=(0.0, 0.0)) -> SharpTrajectory:
     """Integrate dR/dt = -(N-1)/R - sigma'(R)/sigma(R) from R(0) = r0,
-    with N = len(center), sampled at 257 times.
+    with N = len(center), sampled at 257 times; V = -dR/dt.
 
     Stops (and flags truncation) if R reaches 1e-3 before ``t_end``.
     For constant sigma the closed form is R(t) = sqrt(r0^2 - 2(N-1)t).
@@ -300,78 +342,20 @@ def evolve_radial(r0: float, sigma: ScalarSigma, t_end: float,
     if r0 <= 0:
         raise ValueError("r0 must be positive")
     ndim = len(center)
-
-    def rhs(_, y):
-        r = y[0]
-        return [-(ndim - 1) / r - float(sigma.deriv(r)) / float(sigma.value(r))]
-
-    def extinction(_, y):
-        return y[0] - 1e-3
-
-    extinction.terminal = True
-
-    sol = solve_ivp(rhs, (0.0, t_end), [r0], method="RK45", rtol=tol,
-                    atol=tol, dense_output=True, events=[extinction])
-    if not sol.success:
-        raise NumericError("radial flow integration failed: " + sol.message)
-    truncated = sol.status == 1
-    t_stop = sol.t[-1]
-    ts = np.linspace(0.0, t_stop, 257)
-    rs = sol.sol(ts)[0]
-    vel = np.array([-rhs(t, [r])[0] for t, r in zip(ts, rs)])  # V = -dR/dt
-
-    def dense(t):
-        tt = np.clip(np.asarray(t, dtype=float), 0.0, t_stop)
-        return sol.sol(np.atleast_1d(tt))[0].reshape(np.shape(t))
-
-    def vel_dense(t):
-        r = dense(t)
-        return (ndim - 1) / r + sigma.deriv(r) / sigma.value(r)
-
-    return SharpTrajectory(kind="sphere", times=ts, positions=rs,
-                           velocities=vel, center=tuple(center),
-                           truncated=truncated, _dense=dense, _vel=vel_dense)
+    return _integrate(
+        lambda r: -(ndim - 1) / r - sigma.deriv(r) / sigma.value(r),
+        r0, t_end, tol, [lambda r: r - 1e-3], -1.0,
+        kind="sphere", center=tuple(center))
 
 
 def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
                    tol: float = 1e-10) -> SharpTrajectory:
     """Integrate dp/dt = -sigma'(p)/sigma(p), sampled at 257 times; the
-    point slides toward lower sigma. Truncates if p leaves [0, 1]."""
-
-    def rhs(_, y):
-        p = y[0]
-        return [-float(sigma.deriv(p)) / float(sigma.value(p))]
-
-    def exit_low(_, y):
-        return y[0]
-
-    def exit_high(_, y):
-        return 1.0 - y[0]
-
-    exit_low.terminal = True
-    exit_high.terminal = True
-
-    sol = solve_ivp(rhs, (0.0, t_end), [p0], method="RK45", rtol=tol,
-                    atol=tol, dense_output=True, events=[exit_low, exit_high])
-    if not sol.success:
-        raise NumericError("point flow integration failed: " + sol.message)
-    truncated = sol.status == 1
-    t_stop = sol.t[-1]
-    ts = np.linspace(0.0, t_stop, 257)
-    ps = sol.sol(ts)[0]
-    vel = np.array([rhs(t, [p])[0] for t, p in zip(ts, ps)])
-
-    def dense(t):
-        tt = np.clip(np.asarray(t, dtype=float), 0.0, t_stop)
-        return sol.sol(np.atleast_1d(tt))[0].reshape(np.shape(t))
-
-    def vel_dense(t):
-        p = dense(t)
-        return -sigma.deriv(p) / sigma.value(p)
-
-    return SharpTrajectory(kind="point1d", times=ts, positions=ps,
-                           velocities=vel, truncated=truncated,
-                           _dense=dense, _vel=vel_dense)
+    point slides toward lower sigma, and V = dp/dt. Stops (and flags
+    truncation) if p leaves [0, 1] through either end."""
+    return _integrate(lambda p: -sigma.deriv(p) / sigma.value(p),
+                      p0, t_end, tol, [lambda p: p, lambda p: 1.0 - p], 1.0,
+                      kind="point1d")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from wmcflab import calib, sharp
@@ -225,6 +227,21 @@ class TestCoercivity:
                                      0.01)
         assert rep.c_dist is not None and rep.c_dist > 0
         assert rep.c_theta is not None and rep.c_theta > 0
+
+    # gronwall_verify reads E_rel off the coercivity report; both sum
+    # sigma (1 - n . xi) >= 0 over the same 1024 nodes, in two rounding
+    # orders, so they agree to a few ulp
+    @settings(max_examples=40, deadline=None)
+    @given(hst.floats(1e-4, 0.1), hst.sampled_from((-1.0, 1.0)),
+           hst.floats(0.0, 0.04))
+    @example(0.02, 1.0, 0.0039)
+    def test_e_rel_equals_relative_energy(self, offset, side, t):
+        traj, sigma = radial_setup()
+        cal = calib.build_calibration(traj, sigma)
+        weak = sharp.Sphere(CENTER, float(traj.position(t)) + side * offset)
+        e_rel = calib.coercivity_check(weak, cal, sigma, t).e_rel
+        ref = calib.relative_energy(weak, cal, sigma, t)
+        assert abs(e_rel - ref) <= 8 * np.finfo(float).eps * ref
 
 
 class TestGronwall:

@@ -180,6 +180,16 @@ class TestRun:
         assert cli.main(["run", path]) == 2
         assert "GeometryError" in capsys.readouterr().err
 
+    def test_point_leaving_the_domain_exits_2(self, tmp_path, capsys):
+        # dp/dt = -kappa carries the point from 0.1 out through x = 0 at
+        # t = 0.02, before t_end = 0.2: no checkpoint has a reference
+        path = write(tmp_path, "experiment=ac_to_mcf_1d_drift\ntol.kappa=5\n"
+                               f"tol.p0=0.1\nout_dir={tmp_path}\n")
+        assert cli.main(["validate", path]) == 0
+        assert cli.main(["run", path]) == 2
+        assert "GeometryError" in capsys.readouterr().err
+        assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
+
     @pytest.mark.parametrize("name, n", [("equipartition", 128),
                                          ("gibbs_thomson", 64)])
     def test_single_eps_sweep_exits_1(self, tmp_path, capsys, name, n):

@@ -5,7 +5,7 @@ import pickle
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -135,12 +135,31 @@ def grid_fields(draw, count=1):
         for _ in range(count))
 
 
-def _stencil_scale(g, u, w):
-    """Bound on sum |Lap| |u| |w| that scales the roundoff of the
-    summation-by-parts identities below."""
+def _roundoff_bound(g, u, w):
+    """Bound on |sum Lap(u) w - sum u Lap(w)| from roundoff, for the
+    summation-by-parts identities below.
+
+    The relative part, 64 eps times a bound on sum |Lap| |u| |w|, covers
+    results in the normal range. A quotient or product that lands below
+    it rounds by up to half a subnormal spacing however small it is, which
+    no relative bound sees. Each summed term carries one such quotient per
+    axis (in Lap, then scaled by the other factor) and one such product;
+    sums of subnormals are exact. The absolute part allows four times that
+    error, n (2 + max|u| + max|w|) subnormal spacings.
+    """
     inv_h2 = float(np.sum(1.0 / g.spacing ** 2))
     a, b = np.abs(u.values), np.abs(w.values)
-    return 4.0 * inv_h2 * max(np.sum(a) * np.max(b), np.sum(b) * np.max(a))
+    scale = 4.0 * inv_h2 * max(np.sum(a) * np.max(b), np.sum(b) * np.max(a))
+    tiny = np.finfo(float).smallest_subnormal \
+        * a.size * (2.0 + np.max(a) + np.max(b))
+    return 64 * np.finfo(float).eps * scale + 4.0 * tiny
+
+
+# f at the smallest subnormal: s1 = 0 exactly, while each product of s2
+# rounds by one subnormal spacing (|s1 - s2| = 5e-324)
+_G8 = Grid((0.0,), (5.0,), (8,))
+SUBNORMAL_CASE = (_G8, Field(_G8, np.full(8, 5e-324)),
+                  Field(_G8, np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])))
 
 
 class TestLaplacianProperties:
@@ -153,21 +172,21 @@ class TestLaplacianProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(grid_fields())
+    @example((SUBNORMAL_CASE[0], SUBNORMAL_CASE[1]))
     def test_output_sums_to_zero(self, gf):
         g, f = gf
         ones = Field.constant(g, 1.0)
         total = float(np.sum(laplacian_neumann(f).values))
-        assert abs(total) <= 64 * np.finfo(float).eps \
-            * _stencil_scale(g, f, ones)
+        assert abs(total) <= _roundoff_bound(g, f, ones)
 
     @settings(max_examples=60, deadline=None)
     @given(grid_fields(count=2))
+    @example(SUBNORMAL_CASE)
     def test_symmetric(self, gfw):
         g, f, w = gfw
         s1 = float(np.sum(laplacian_neumann(f).values * w.values))
         s2 = float(np.sum(f.values * laplacian_neumann(w).values))
-        assert abs(s1 - s2) <= 64 * np.finfo(float).eps \
-            * _stencil_scale(g, f, w)
+        assert abs(s1 - s2) <= _roundoff_bound(g, f, w)
 
 
 class TestGradient:

@@ -21,9 +21,11 @@ def const_sigma2d(c=SQRT2_6):
 # Per-sample loop forms of transport_residual and dissipation_check: an
 # interface, its boundary nodes and a fresh quadrature table per time
 # sample. The reference the blocked library forms are checked against.
+# Like the library, each reads R and V from one evaluation on its time
+# grid: the dense output at a scalar time can differ from the same time
+# in an array by one ulp (see SharpTrajectory).
 
-def _bulk_integral_loop(traj, fn, t):
-    R = float(traj.position(t))
+def _bulk_integral_loop(traj, fn, R):
     gl_nodes, gl_w = np.polynomial.legendre.leggauss(64)
     r = 0.5 * R * (gl_nodes + 1.0)
     wr = 0.5 * R * gl_w
@@ -35,29 +37,31 @@ def _bulk_integral_loop(traj, fn, t):
 
 
 def transport_residual_loop(traj, zeta, t_prime, n_t):
-    lhs = (_bulk_integral_loop(traj, lambda x: zeta.value(x, t_prime), t_prime)
-           - _bulk_integral_loop(traj, lambda x: zeta.value(x, 0.0), 0.0))
     ts = np.linspace(0.0, t_prime, n_t + 1)
+    radii, vels = traj.position(ts), traj.velocity(ts)
+    lhs = (_bulk_integral_loop(traj, lambda x: zeta.value(x, t_prime),
+                               radii[-1])
+           - _bulk_integral_loop(traj, lambda x: zeta.value(x, 0.0), radii[0]))
 
-    def integrand(t):
-        bulk = _bulk_integral_loop(traj, lambda x: zeta.dt(x, t), t)
-        pts, w, _ = traj.interface_at(t).boundary_nodes(256)
-        v = float(traj.velocity(t))
+    def integrand(t, R, v):
+        bulk = _bulk_integral_loop(traj, lambda x: zeta.dt(x, t), R)
+        pts, w, _ = sharp.Sphere(traj.center, R).boundary_nodes(256)
         return bulk - float(np.sum(w * v * zeta.value(pts, t)))
 
-    vals = np.array([integrand(t) for t in ts])
+    vals = np.array([integrand(*tRv) for tRv in zip(ts, radii, vels)])
     return lhs - float(np.trapezoid(vals, ts))
 
 
 def dissipation_check_loop(traj, sigma, t_prime, n_t, velocity_scale=1.0):
     ts = np.linspace(0.0, t_prime, n_t + 1)
 
-    def diss(t):
-        pts, w, _ = traj.interface_at(t).boundary_nodes(512)
-        v = velocity_scale * float(traj.velocity(t))
+    def diss(R, v):
+        pts, w, _ = sharp.Sphere(traj.center, R).boundary_nodes(512)
+        v = velocity_scale * v
         return float(np.sum(w * sigma.value(pts) * v * v))
 
-    integral = float(np.trapezoid(np.array([diss(t) for t in ts]), ts))
+    vals = [diss(R, v) for R, v in zip(traj.position(ts), traj.velocity(ts))]
+    integral = float(np.trapezoid(np.array(vals), ts))
     e_end = sharp.weighted_perimeter(traj.interface_at(t_prime), sigma, 512)
     e_start = sharp.weighted_perimeter(traj.interface_at(0.0), sigma, 512)
     return e_start - (e_end + integral)
@@ -146,6 +150,26 @@ class TestEvolvePoint:
         sig = sharp.exponential_scalar_sigma(kappa)
         traj = sharp.evolve_point1d(0.7, sig, 0.2, tol=1e-12)
         assert traj.position(0.2) == pytest.approx(0.7 - kappa * 0.2, abs=1e-9)
+        assert not traj.truncated
+
+    @pytest.mark.parametrize("kappa, p0, end", [(5.0, 0.1, 0.0),
+                                                (-5.0, 0.9, 1.0)])
+    def test_leaving_the_interval_truncates(self, kappa, p0, end):
+        # dp/dt = -kappa reaches the end of [0, 1] at t = 0.02
+        sig = sharp.exponential_scalar_sigma(kappa)
+        traj = sharp.evolve_point1d(p0, sig, 1.0, tol=1e-12)
+        assert traj.truncated
+        assert traj.t_end == pytest.approx(0.02, abs=1e-9)
+        assert traj.positions[-1] == pytest.approx(end, abs=1e-9)
+        with pytest.raises(GeometryError, match="outside"):
+            traj.position(0.03)
+
+    def test_velocity_samples_are_the_dense_velocity(self):
+        for traj in (sharp.evolve_point1d(0.7, sharp.exponential_scalar_sigma(
+                         0.5), 0.2, tol=1e-12),
+                     sharp.evolve_radial(0.4, sharp.exponential_scalar_sigma(
+                         0.7), 0.02, tol=1e-12, center=CENTER)):
+            assert np.array_equal(traj.velocities, traj.velocity(traj.times))
 
     def test_slides_toward_sigma_minimum(self):
         x_star = 0.55
@@ -270,6 +294,9 @@ class TestBlockedOraclesMatchLoops:
     @example(0.4, 1.0, 8, 1.0)
     @example(0.3, 0.5, 255, 2.0)
     @example(0.45, 0.9, 300, 1.0)
+    # R(t) at the 45th of 60 times differs by one ulp between the array
+    # and the scalar evaluation of the dense output
+    @example(0.44587435900277567, 0.902811082193058, 59, 1.0)
     def test_library_equals_loop_reference(self, r0, t_frac, n_t, scale):
         traj = sharp.evolve_radial(r0, sharp.exponential_scalar_sigma(0.7),
                                    0.02, tol=1e-12, center=CENTER)
