@@ -73,7 +73,7 @@ def build_recovery(interface, spec: WellSpec, grid: Grid,
     sdist = interface.signed_distance(pts)
     v = optimal_profile_grid(spec, pts, sdist / eps)
     a = spec.a(pts)
-    g = spec.b(pts) - spec.a(pts)
+    g = spec.b(pts) - a
     u = Field(grid, a + g * v)
     state = PhaseState(u, eps)
     e_sharp = weighted_perimeter(interface, sigma_field_of(spec))
@@ -145,7 +145,7 @@ def diffuse_first_variation(state: PhaseState, spec: WellSpec,
     eps = state.eps
     u = state.u.values
     a = spec.a(pts)
-    g = spec.b(pts) - spec.a(pts)
+    g = spec.b(pts) - a
     v = (u - a) / g
     grad_v = gradient_neumann(Field(grid, v))
     grad_u = gradient_neumann(state.u)

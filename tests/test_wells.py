@@ -16,7 +16,7 @@ from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from wmcflab import wells
-from wmcflab.errors import DomainError
+from wmcflab.errors import DomainError, GeometryError
 from wmcflab.grid import Grid
 from wmcflab.quadrature import adaptive_gauss_legendre
 
@@ -216,6 +216,92 @@ def plain_spec(spec):
                              for f in dataclasses.fields(wells.WellSpec)})
 
 
+def _unsorted_classes(spec, pts):
+    """``wells._well_classes`` with the class id of each point in the
+    given order, as the stepping march indexes them."""
+    order, sorted_cls, a_c, g_c, x_c = wells._well_classes(spec, pts)
+    cls = np.empty_like(sorted_cls)
+    cls[order] = sorted_cls
+    return cls, a_c, g_c, x_c
+
+
+def stepping_march(spec, points, s):
+    """The profile march step by step in tau: the reference that
+    ``wells.optimal_profile_grid`` must reproduce bit for bit.
+
+    Each step of 0.1 evaluates ds/dtau at its midpoint and end for every
+    class that still holds an unplaced point, adds the Simpson increment
+    to s and places the points whose target it crossed by the same
+    Hermite-Newton inversion; a class leaves the march when its last
+    point is placed.
+    """
+    points = wells.as_points(points)
+    s = np.asarray(s, dtype=float)
+    flat_pts = points.reshape(-1, points.shape[-1])
+    flat_s = s.reshape(-1)
+    out = np.full(flat_s.shape, 0.5)
+
+    def phi(a, g, x, tau):
+        v = 1.0 / (1.0 + np.exp(-tau))
+        wn = spec.W(x, a + g * v)
+        return g * v * (1.0 - v) / np.sqrt(np.maximum(2.0 * wn, 1e-300))
+
+    for sgn in (1.0, -1.0):
+        active = np.flatnonzero(sgn * flat_s > 0)
+        if active.size == 0:
+            continue
+        targets = sgn * flat_s[active]
+        cls, a_c, g_c, x_c = _unsorted_classes(spec, flat_pts[active])
+        count = np.bincount(cls)
+        s_lo = np.zeros(count.size)
+        phi_lo = phi(a_c, g_c, x_c, 0.0)
+        tau = 0.0
+        while active.size and tau < 34.0:
+            tau_hi = min(tau + 0.1, 34.0)
+            h = tau_hi - tau
+            phi_mid = phi(a_c, g_c, x_c, sgn * (tau + 0.5 * h))
+            phi_hi = phi(a_c, g_c, x_c, sgn * tau_hi)
+            s_hi = s_lo + (h / 6.0) * (phi_lo + 4.0 * phi_mid + phi_hi)
+            crossed = targets <= s_hi[cls]
+            if np.any(crossed):
+                c, tc = cls[crossed], targets[crossed]
+                p0, p1 = s_lo[c], s_hi[c]
+                m0, m1 = h * phi_lo[c], h * phi_hi[c]
+                t = np.clip((tc - p0) / np.maximum(p1 - p0, 1e-300), 0.0, 1.0)
+                for _ in range(4):
+                    h00 = (1 + 2 * t) * (1 - t) ** 2
+                    h10 = t * (1 - t) ** 2
+                    h01 = t * t * (3 - 2 * t)
+                    h11 = t * t * (t - 1)
+                    val = h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
+                    d00 = 6 * t * (t - 1)
+                    d10 = (1 - t) * (1 - 3 * t)
+                    d01 = -d00
+                    d11 = t * (3 * t - 2)
+                    der = d00 * p0 + d10 * m0 + d01 * p1 + d11 * m1
+                    t = np.clip(t - (val - tc) / np.maximum(der, 1e-300),
+                                0.0, 1.0)
+                tau_star = sgn * (tau + t * h)
+                out[active[crossed]] = 1.0 / (1.0 + np.exp(-tau_star))
+                keep = ~crossed
+                active = active[keep]
+                targets = targets[keep]
+                cls = cls[keep]
+                count -= np.bincount(c, minlength=count.size)
+                live = count > 0
+                if not live.all():
+                    cls = (np.cumsum(live, dtype=np.int32) - 1)[cls]
+                    a_c, g_c, x_c = a_c[live], g_c[live], x_c[live]
+                    count = count[live]
+                    s_hi, phi_hi = s_hi[live], phi_hi[live]
+            s_lo = s_hi
+            phi_lo = phi_hi
+            tau = tau_hi
+        out[active] = 1.0 if sgn > 0 else 0.0
+
+    return out.reshape(s.shape)
+
+
 @hst.composite
 def quartic_wells(draw, dim):
     """A constant, affine-amplitude, exp-amplitude or linear moving-well
@@ -244,7 +330,8 @@ def quartic_wells(draw, dim):
 _coords = hst.one_of(hst.sampled_from((0.0, 0.25, 0.5, 1.0)),
                      hst.floats(0.0, 1.0))
 _arclengths = hst.one_of(hst.just(0.0), hst.floats(-60.0, 60.0),
-                         hst.sampled_from((-1e3, -1e-300, 1e-300, 1e3)))
+                         hst.sampled_from((-np.inf, -1e3, -1e-300, 1e-300,
+                                           1e3, np.inf)))
 
 
 @hst.composite
@@ -255,6 +342,74 @@ def profile_problems(draw):
     pts = draw(hnp.arrays(float, (n, dim), elements=_coords))
     s = draw(hnp.arrays(float, n, elements=_arclengths))
     return draw(quartic_wells(dim)), pts, s
+
+
+@hst.composite
+def march_problems(draw):
+    """A profile problem in which up to five targets lie exactly on a knot
+    arclength s(tau_k) of their own well, on either side of the profile."""
+    spec, pts, s = draw(profile_problems())
+    for _ in range(draw(hst.integers(0, 5))):
+        i = draw(hst.integers(0, s.size - 1))
+        sgn = draw(hst.sampled_from((1.0, -1.0)))
+        x = pts[i:i + 1]
+        a = spec.a(x)
+        _, knots = wells._arclength_table(spec, a, spec.b(x) - a, x, sgn)
+        s[i] = sgn * knots[draw(hst.integers(1, knots.shape[0] - 1)), 0]
+    return spec, pts, s
+
+
+class TestProfileGridMatchesSteppingMarch:
+    @settings(max_examples=150, deadline=None)
+    @given(march_problems(), hst.booleans())
+    def test_bit_identical(self, problem, plain):
+        spec, pts, s = problem
+        if plain:
+            spec = plain_spec(spec)
+        assert np.array_equal(wells.optimal_profile_grid(spec, pts, s),
+                              stepping_march(spec, pts, s))
+
+    @pytest.mark.parametrize("kind", ("affine", "constant", "plain"))
+    def test_bit_identical_across_blocks(self, kind):
+        # an affine well has 128 classes along x_0 of a 128 x 160 lattice;
+        # each side of the profile holds 65 of them, 10 240 points: two
+        # tables, and two searches in the first. A constant well is one
+        # class per side, and the plain copy one class per point
+        assert wells._PROFILE_CLASSES < 128
+        assert wells._PROFILE_POINTS < 64 * 160
+        spec = wells.affine_scaled_quartic(offset=1.0, slope=2.0)
+        if kind == "constant":
+            spec = wells.constant_quartic(0.0, 1.5, amplitude=2.0)
+        elif kind == "plain":
+            spec = plain_spec(spec)
+        pts = Grid((0.0, 0.0), (1.0, 1.0), (128, 160)).points()
+        # up to 26 in |s|, beyond the window of every well here
+        s = (pts[..., 0] - 0.5) / 0.02 + (pts[..., 1] - 0.5)
+        assert np.array_equal(wells.optimal_profile_grid(spec, pts, s),
+                              stepping_march(spec, pts, s))
+
+
+class TestProfileArclength:
+    def test_grid_rejects_nan(self):
+        spec = wells.constant_quartic()
+        with pytest.raises(GeometryError, match="NaN at 1 of 3"):
+            wells.optimal_profile_grid(spec, np.full((3, 1), 0.3),
+                                       np.array([np.nan, np.inf, -np.inf]))
+
+    def test_scalar_solver_rejects_nan(self):
+        spec = wells.constant_quartic()
+        with pytest.raises(GeometryError, match="NaN at 1 of 3"):
+            wells.optimal_profile(spec, 0.3,
+                                  np.array([np.nan, np.inf, -np.inf]))
+
+    def test_infinite_arclengths_clamp(self):
+        spec = wells.constant_quartic()
+        s = np.array([np.inf, -np.inf])
+        assert np.array_equal(
+            wells.optimal_profile_grid(spec, np.full((2, 1), 0.3), s),
+            [1.0, 0.0])
+        assert np.array_equal(wells.optimal_profile(spec, 0.3, s),
+                              [1.0, 0.0])
 
 
 class TestProfileGridProperties:
