@@ -171,15 +171,13 @@ class CalibrationResiduals:
     r4: np.ndarray
 
     def ratios(self) -> dict:
+        """max residual / dist^k over the samples at dist >= _NEAR; NaN
+        (not measured) when no sample lies that far out."""
         mask = self.dist >= _NEAR
-        out = {}
-        for name, vals, power in (("r1", self.r1, 1), ("r2", self.r2, 2),
-                                  ("r3", self.r3, 1), ("r4", self.r4, 1)):
-            if np.any(mask):
-                out[name] = float(np.max(vals[mask] / self.dist[mask] ** power))
-            else:
-                out[name] = 0.0
-        return out
+        terms = (("r1", self.r1, 1), ("r2", self.r2, 2), ("r3", self.r3, 1),
+                 ("r4", self.r4, 1))
+        return {name: float(np.max(vals[mask] / self.dist[mask] ** k))
+                if np.any(mask) else float("nan") for name, vals, k in terms}
 
 
 def _dt4(f, t, delta):
@@ -249,13 +247,6 @@ class InvariantReport:
     theta_sign_violations: int
     c_theta_coercivity: float         # max min{dist,1} / |theta|
     n_samples: int
-
-    def ok(self) -> bool:
-        return (self.max_xi_bound_violation <= 1e-10
-                and self.max_boundary_xi_error <= 1e-9
-                and self.max_boundary_b_error <= 1e-9
-                and self.theta_sign_violations == 0
-                and np.isfinite(self.c_theta_coercivity))
 
 
 def calibration_invariants(cal: Calibration, times, n_per_time: int = 1000,
@@ -408,37 +399,21 @@ class GronwallReport:
     fitted_c_bulk: float
     fitted_c_rel_coarse: float
     fitted_c_bulk_coarse: float
-    zero_initial: bool
-    zero_preserved: Optional[bool]
-    exp_bound_holds: bool
-
-    def stable_within(self, factor: float = 2.0) -> bool:
-        pairs = ((self.fitted_c_rel, self.fitted_c_rel_coarse),
-                 (self.fitted_c_bulk, self.fitted_c_bulk_coarse))
-        for fine, coarse in pairs:
-            if not (np.isfinite(fine) and np.isfinite(coarse)):
-                continue
-            big, small = max(fine, coarse), min(fine, coarse)
-            if small <= 0:
-                continue
-            if big / small > factor:
-                return False
-        return True
+    exp_bound_excess: float   # max_t E_rel(t) - E_rel(0) e^{C_rel t}(1 + 1e-9)
 
 
 def _fit_constant(times, values, forcing, zero_tol, offset=0.0):
     """Smallest C with values(T) <= values(0) + offset + C int_0^T forcing
-    at every grid time T, guarded for vanishing integrals."""
+    at every grid time T, guarded for vanishing integrals; NaN when there
+    is no second time to fit on."""
+    if len(times) < 2:
+        return float("nan")
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (forcing[1:] + forcing[:-1]) * np.diff(times))])
-    running = np.zeros_like(values)
-    for k in range(1, len(times)):
-        growth = values[k] - values[0] - offset
-        if cum[k] < 1e-14:
-            running[k] = 0.0 if growth <= zero_tol else np.inf
-        else:
-            running[k] = max(growth, 0.0) / cum[k]
-    return float(np.max(running[1:])) if len(times) > 1 else 0.0
+    growth = values[1:] - values[0] - offset
+    return float(np.max(np.where(
+        cum[1:] < 1e-14, np.where(growth <= zero_tol, 0.0, np.inf),
+        np.maximum(growth, 0.0) / np.maximum(cum[1:], 1e-14))))
 
 
 def gronwall_verify(weak: SharpTrajectory, cal: Calibration,
@@ -449,12 +424,12 @@ def gronwall_verify(weak: SharpTrajectory, cal: Calibration,
     Computes t -> E_rel, E_bulk for the weak trajectory against the
     strong flow that ``cal`` calibrates, fits the smallest Gronwall
     constants making E(T') <= E(0) + C int_0^T' E dt hold at every grid
-    time, reports their stability under time-grid halving, and (for zero
-    initial error) verifies that both energies stay below ``zero_tol``.
-    The tilt coercivity check runs at every time too, and E_rel is read
-    off its report (the same 1024-node sum as ``relative_energy``, to a
-    few ulp); the report keeps its slack and identity error. The weak
-    interface is built once per time.
+    time, refits them on every second time, and reports the excess of
+    E_rel over the exponential bound E_rel(0) exp(C_rel t); it measures
+    and decides nothing. The tilt coercivity check runs at every time too,
+    and E_rel is read off its report (the same 1024-node sum as
+    ``relative_energy``, to a few ulp); the report keeps its slack and
+    identity error. The weak interface is built once per time.
     """
     times = np.asarray(times, dtype=float)
     ifaces = [weak.interface_at(t) for t in times]
@@ -470,16 +445,8 @@ def gronwall_verify(weak: SharpTrajectory, cal: Calibration,
     c_rel_half = _fit_constant(coarse, e_rel[::2], e_rel[::2], zero_tol)
     c_bulk_half = _fit_constant(coarse, e_bulk[::2], (e_rel + e_bulk)[::2],
                                 zero_tol, offset=float(e_rel[0]))
-    zero_initial = e_rel[0] <= zero_tol and e_bulk[0] <= zero_tol
-    zero_preserved = None
-    if zero_initial:
-        zero_preserved = bool(np.all(e_rel <= zero_tol)
-                              and np.all(e_bulk <= zero_tol))
-    if np.isfinite(c_rel) and e_rel[0] > 0:
-        exp_ok = bool(np.all(e_rel <= e_rel[0] * np.exp(c_rel * times)
-                             * (1 + 1e-9) + zero_tol))
-    else:
-        exp_ok = bool(np.all(e_rel <= e_rel[0] + zero_tol))
+    excess = float(np.max(e_rel - e_rel[0] * np.exp(c_rel * times)
+                          * (1 + 1e-9)))
     return GronwallReport(times=times, e_rel=e_rel, e_bulk=e_bulk,
                           coercivity_slack=np.array([c.slack for c in co]),
                           coercivity_identity_error=np.array(
@@ -487,6 +454,4 @@ def gronwall_verify(weak: SharpTrajectory, cal: Calibration,
                           fitted_c_rel=c_rel, fitted_c_bulk=c_bulk,
                           fitted_c_rel_coarse=c_rel_half,
                           fitted_c_bulk_coarse=c_bulk_half,
-                          zero_initial=zero_initial,
-                          zero_preserved=zero_preserved,
-                          exp_bound_holds=exp_ok)
+                          exp_bound_excess=excess)

@@ -21,12 +21,16 @@ of the experiment's runner:
     well.name, well.<p> -> well      (WELL_REGISTRY factory called with <p>)
 
 A key the experiment does not take is rejected with exit 2, by both
-``validate`` and ``run``. ``validate`` checks keys, types, names and
-eps >= 4 grid spacings; it does not check geometry (boundary margins,
-extinction before t_end): the experiment checks that when it starts, and
-``run`` exits 2.
+``validate`` and ``run``. ``validate`` checks keys, types, names, that an
+eps sweep has two or more values, all distinct (each experiment that takes
+one checks a strict decrease over it) and eps >= 4 grid spacings; it does
+not check geometry (boundary margins, extinction before t_end): the
+experiment checks that when it starts, and ``run`` exits 2.
 
 Commands: ``wmcf run <config>``, ``wmcf list``, ``wmcf validate <config>``.
+``run`` appends one line per check to ``summary.txt``: PASS or FAIL, the
+experiment and check names, then each part of the check as its label,
+worst entry, relation and bound.
 Exit codes for run: 0 all checks pass, 1 a check failed, 2 invalid config
 or parameters (parse and validation errors, and the ValueError subclasses
 of ``errors``: DomainError, ResolutionError, GeometryError,
@@ -102,7 +106,10 @@ def _positive(convert):
 
 
 def _eps_list(text):
-    return tuple(_positive(float)(tok) for tok in text.split(","))
+    values = tuple(_positive(float)(tok) for tok in text.split(","))
+    if len(set(values)) < max(len(values), 2):
+        raise ValueError(f"needs two or more distinct values, got {text!r}")
+    return values
 
 
 def resolve(entries: dict):

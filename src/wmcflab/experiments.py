@@ -3,8 +3,9 @@
 Each experiment wires the library modules into one verifiable claim of
 the sharp-interface theory (first-variation convergence, Gibbs-Thomson,
 equipartition, flow convergence, BV residuals, calibration, weak-strong
-stability) and returns a result object holding pass/fail checks plus a
-CSV table. The CLI and the acceptance suite both drive these functions.
+stability) and returns a result object holding checks, stored as data
+and judged by one evaluator (``holds``), plus a CSV table. The CLI and the
+acceptance suite both drive these functions.
 """
 
 import csv
@@ -19,11 +20,53 @@ from .grid import Field, Grid, extract_levelset
 SQRT2_OVER_6 = float(np.sqrt(2.0) / 6.0)
 
 
-@dataclass
+# elementwise relations; "decreasing" is judged on the whole sequence
+_COMPARE = {"<=": np.less_equal, "<": np.less, ">=": np.greater_equal,
+            ">": np.greater}
+
+
+def holds(value, relation, bound) -> bool:
+    """The one verdict rule: ``value`` (a scalar or an array) stands in
+    ``relation`` to ``bound`` at every entry. An empty value, or one that
+    holds a NaN or an infinity, fails: that quantity was not computed.
+    ``decreasing`` ignores ``bound`` and needs at least two values, each
+    below the one before."""
+    vals = np.asarray(value, dtype=float).ravel()
+    if vals.size == 0 or not np.all(np.isfinite(vals)):
+        return False
+    if relation == "decreasing":
+        return vals.size >= 2 and bool(np.all(np.diff(vals) < 0))
+    return bool(np.all(_COMPARE[relation](vals, bound)))
+
+
+def _describe(label, value, relation, bound) -> str:
+    """``label worst relation bound``; the worst entry is the first
+    non-finite one, else the largest under < and <=, the smallest under
+    > and >=. A decreasing part shows its whole sequence."""
+    vals = np.asarray(value, dtype=float).ravel()
+    if relation == "decreasing":
+        return f"{label} {' -> '.join(f'{v:.4g}' for v in vals)} decreasing"
+    bad = vals[~np.isfinite(vals)]
+    worst = ("empty" if vals.size == 0 else f"{bad[0]:.4g}" if bad.size
+             else f"{vals.max() if relation[0] == '<' else vals.min():.4g}")
+    return f"{label} {worst} {relation} {bound:.4g}"
+
+
+@dataclass(frozen=True)
 class Check:
+    """A named verdict stored as data: it passes when it has parts and
+    every part ``(label, value, relation, bound)`` holds."""
+
     name: str
-    passed: bool
-    detail: str = ""
+    parts: tuple
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.parts) and all(holds(*p[1:]) for p in self.parts)
+
+    @property
+    def detail(self) -> str:
+        return ", ".join(_describe(*p) for p in self.parts)
 
 
 @dataclass
@@ -33,12 +76,12 @@ class ExperimentResult:
     csv_header: list = field(default_factory=list)
     csv_rows: list = field(default_factory=list)
 
-    def add(self, name, passed, detail=""):
-        self.checks.append(Check(name, bool(passed), detail))
+    def add(self, name, *parts):
+        self.checks.append(Check(name, parts))
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -52,13 +95,6 @@ class ExperimentResult:
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
             yield f"{status}  {self.name}: {c.name}  {c.detail}"
-
-
-def _strictly_decreasing(seq) -> bool:
-    """True when ``seq`` holds at least two values, each below the one
-    before; a single value shows no decrease, so it fails."""
-    vals = np.asarray(seq, dtype=float)
-    return vals.size >= 2 and bool(np.all(np.diff(vals) < 0))
 
 
 def _unit_box(n: int) -> Grid:
@@ -114,7 +150,7 @@ def run_surface_tension(well=None, n_points: int = 50, seed: int = 0,
     for k in range(n_points):
         res.csv_rows.append([pts[k, 0], pts[k, 1], quad[k], exact[k], rel[k]])
     res.add("sigma quadrature matches closed form",
-            np.max(rel) <= tol, f"max rel err {np.max(rel):.2e}")
+            ("rel err", rel, "<=", tol))
     return res
 
 
@@ -159,12 +195,11 @@ def run_equipartition(grid_n: int = 512,
                 gap_series.setdefault((tn, pn), []).append(gap)
                 row.append(gap)
         res.csv_rows.append(row)
-    res.add("defect strictly decreasing", _strictly_decreasing(defects),
-            " -> ".join(f"{d:.3e}" for d in defects))
+    res.add("defect strictly decreasing",
+            ("defect", defects, "decreasing", None))
     for (tn, pn), gaps in gap_series.items():
         res.add(f"pairing gap {pn} with {tn} strictly decreasing",
-                _strictly_decreasing(gaps),
-                " -> ".join(f"{v:.2e}" for v in gaps))
+                ("gap", gaps, "decreasing", None))
     return res
 
 
@@ -197,11 +232,10 @@ def run_first_variation(grid_n: int = 512, eps_list=(0.08, 0.04, 0.02),
         res.csv_rows.append(["homogeneous", r.eps, r.diffuse, r.sharp, r.gap,
                              r.defect, r.energy, r.energy_sharp])
     res.add("sharp dilation value matches -2 pi R sigma",
-            abs(rows[0].sharp - target) <= sharp_tol,
-            f"{rows[0].sharp:.8f} vs {target:.8f}")
+            ("|sharp + 2 pi R sigma|", abs(rows[0].sharp - target), "<=",
+             sharp_tol))
     res.add("homogeneous |diffuse - sharp| strictly decreasing",
-            _strictly_decreasing([r.gap for r in rows]),
-            " -> ".join(f"{r.gap:.2e}" for r in rows))
+            ("gap", [r.gap for r in rows], "decreasing", None))
 
     spec_a = wells.affine_scaled_quartic(offset=1.0, slope=1.0, axis=0)
     trans = tf.translation_field((1.0, 0.0), (0.5, 0.5), radius + 0.08, 0.47)
@@ -210,11 +244,9 @@ def run_first_variation(grid_n: int = 512, eps_list=(0.08, 0.04, 0.02),
         res.csv_rows.append(["heterogeneous", r.eps, r.diffuse, r.sharp,
                              r.gap, r.defect, r.energy, r.energy_sharp])
     res.add("heterogeneous grad-sigma pairing is nonzero",
-            abs(rows[0].sharp) > 1e-3,
-            f"sharp value {rows[0].sharp:.6f}")
+            ("|sharp|", abs(rows[0].sharp), ">", 1e-3))
     res.add("heterogeneous |diffuse - sharp| strictly decreasing",
-            _strictly_decreasing([r.gap for r in rows]),
-            " -> ".join(f"{r.gap:.2e}" for r in rows))
+            ("gap", [r.gap for r in rows], "decreasing", None))
     return res
 
 
@@ -249,11 +281,9 @@ def run_gibbs_thomson(grid_n: int = 256, eps_list=(0.08, 0.04, 0.02),
         res.csv_rows.append([eps, out.lam, errs[-1], out.residual, fitted,
                              out.iterations])
     res.add("|lambda_eps - lambda_0| strictly decreasing",
-            _strictly_decreasing(errs),
-            " -> ".join(f"{e:.4f}" for e in errs))
+            ("|lambda_eps - lambda_0|", errs, "decreasing", None))
     res.add("stationarity residual below tolerance at every eps",
-            max(resids) <= residual_tol,
-            f"max residual {max(resids):.2e}")
+            ("residual", resids, "<=", residual_tol))
     return res
 
 
@@ -276,18 +306,17 @@ def run_minimizing_movements(grid_n: int = 512, eps: float = 0.05,
     state = flow.PhaseState(Field(grid, np.clip(u0, -1.0, 1.0)), eps)
     # wells monotone outside [-C, C]; C0 = max(|u0|_inf, C)
     c0 = max(float(np.max(np.abs(state.u.values))), 1.0)
-    slacks, sup_violation = [], 0.0
+    slacks, sups = [], []
     for k in range(1, n_steps + 1):
         state, rec = flow.step_minmov(state, spec, h_step, trunc=c0)
         slacks.append(rec.slack)
-        sup = float(np.max(np.abs(state.u.values)))
-        sup_violation = max(sup_violation, sup - c0)
+        sups.append(float(np.max(np.abs(state.u.values))))
         res.csv_rows.append([k, state.time, rec.energy, rec.movement_sq,
-                             rec.slack, sup])
+                             rec.slack, sups[-1]])
     res.add("per-step energy decrease (slack >= -1e-10 at all steps)",
-            min(slacks) >= -1e-10, f"min slack {min(slacks):.2e}")
+            ("slack", slacks, ">=", -1e-10))
     res.add("maximum principle box never violated",
-            sup_violation <= 1e-12, f"worst excess {sup_violation:.2e}")
+            ("max|u| - C0", np.array(sups) - c0, "<=", 1e-12))
     return res
 
 
@@ -316,10 +345,8 @@ def run_dissipation(grid_n: int = 256, eps: float = 0.02,
         ratio = defects[-2] / defects[-1] if len(defects) > 1 else float("nan")
         res.csv_rows.append([dt, defects[-1], ratio])
     ratios = [defects[i] / defects[i + 1] for i in range(len(defects) - 1)]
-    # one dt gives no ratio, so nothing was checked
     res.add(f"defect decreases by >= {factor} per dt-halving",
-            bool(ratios) and all(r >= factor for r in ratios),
-            "ratios " + ", ".join(f"{r:.3f}" for r in ratios))
+            ("ratio", ratios, ">=", factor))
     return res
 
 
@@ -369,10 +396,9 @@ def run_ac_to_mcf_radial(r0: float = 0.4, t_end: float = 0.06,
         t_end, [(eps, _unit_box(n), frac) for eps, n, frac in runs],
         fit=lambda ls: ls.fitted_circle()[1], scale=lambda t, r: r)
     res.add("extracted radius within 5% of the ODE radius at finest eps",
-            max_errs[-1] <= rel_tol, f"max rel err {max_errs[-1]:.4f}")
+            ("rel err", max_errs[-1], "<=", rel_tol))
     res.add("max checkpoint error decreases with eps",
-            _strictly_decreasing(max_errs),
-            " -> ".join(f"{e:.4f}" for e in max_errs))
+            ("max rel err", max_errs, "decreasing", None))
     return res
 
 
@@ -395,10 +421,9 @@ def run_ac_to_mcf_1d_drift(kappa: float = 0.5, p0: float = 0.7,
         [(eps, grid, frac) for eps, frac in runs],
         fit=lambda ls: ls.position(), scale=lambda t, p: kappa * t)
     res.add("position error <= 5% of traveled distance at finest eps",
-            max_errs[-1] <= rel_tol, f"max rel err {max_errs[-1]:.4f}")
+            ("rel err", max_errs[-1], "<=", rel_tol))
     res.add("error decreases with eps",
-            _strictly_decreasing(max_errs),
-            " -> ".join(f"{e:.4f}" for e in max_errs))
+            ("max rel err", max_errs, "decreasing", None))
     return res
 
 
@@ -422,16 +447,15 @@ def run_bv_residuals(r0: float = 0.4, t_end: float = 0.06,
               ("translation_x", tf.translation_field((1, 0), center, 0.45, 0.49)),
               ("translation_y", tf.translation_field((0, 1), center, 0.45, 0.49)),
               ("bump", tf.translation_bump((1, 1), center, 0.49))]
-    worst_motion = 0.0
+    motion = []
     for t in (0.0, t_end / 2, t_end):
         iface = traj.interface_at(t)
         v = float(traj.velocity(t))
         for name, psi in fields:
-            r = sharp.motion_law_residual(iface, v, sigma, psi)
-            worst_motion = max(worst_motion, abs(r))
-            res.csv_rows.append(["motion_law", t, name, r])
+            motion.append(sharp.motion_law_residual(iface, v, sigma, psi))
+            res.csv_rows.append(["motion_law", t, name, motion[-1]])
     res.add("motion-law residuals below tolerance for 5 test fields",
-            worst_motion <= tol, f"worst {worst_motion:.2e}")
+            ("|residual|", np.abs(motion), "<=", tol))
 
     ones = sharp.SpaceTimeTest(
         value=lambda x, t: np.ones(np.shape(x)[:-1]),
@@ -439,16 +463,16 @@ def run_bv_residuals(r0: float = 0.4, t_end: float = 0.06,
     tr = sharp.transport_residual(traj, ones, t_end)
     res.csv_rows.append(["transport", t_end, "constant", tr])
     res.add("transport residual (constant test function) below tolerance",
-            abs(tr) <= tol, f"residual {tr:.2e}")
+            ("|residual|", abs(tr), "<=", tol))
 
     slack = sharp.dissipation_check(traj, sigma, t_end, n_t=4096)
     res.csv_rows.append(["dissipation", t_end, "", slack])
     res.add("dissipation slack below tolerance",
-            abs(slack) <= tol, f"slack {slack:.2e}")
+            ("|slack|", abs(slack), "<=", tol))
     slack2 = sharp.dissipation_check(traj, sigma, t_end, velocity_scale=2.0)
     res.csv_rows.append(["dissipation_doubled_v", t_end, "", slack2])
     res.add("doubled velocity violates the dissipation inequality",
-            slack2 < -tol, f"slack {slack2:.2e}")
+            ("slack", slack2, "<", -tol))
     return res
 
 
@@ -474,8 +498,13 @@ def run_calibration(r0: float = 0.4, t_end: float = 0.04,
                      ["theta_sign_violations", float(inv.theta_sign_violations)],
                      ["theta_coercivity_constant", inv.c_theta_coercivity]]
     res.add("|xi| bound, boundary identities, and theta sign/coercivity "
-            f"hold at {inv.n_samples} samples", inv.ok(),
-            f"worst bound violation {inv.max_xi_bound_violation:.2e}")
+            f"hold at {inv.n_samples} samples",
+            ("|xi| bound violation", inv.max_xi_bound_violation, "<=", 1e-10),
+            ("boundary xi error", inv.max_boundary_xi_error, "<=", 1e-9),
+            ("boundary B error", inv.max_boundary_b_error, "<=", 1e-9),
+            ("theta sign violations", inv.theta_sign_violations, "<=", 0),
+            ("theta coercivity constant", inv.c_theta_coercivity, "<",
+             np.inf))
 
     rng = np.random.default_rng(seed)
     times = np.linspace(0.002, t_end - 0.002, 7)
@@ -489,14 +518,13 @@ def run_calibration(r0: float = 0.4, t_end: float = 0.04,
     fd_half = ratios(2000, 5e-5)
     for k in base:
         res.csv_rows.append([f"ratio_{k}", base[k]])
-    stable = all(
-        np.isfinite(base[k]) and base[k] > 0
-        and max(refined[k], base[k]) / max(min(refined[k], base[k]), 1e-300) <= 2.0
-        and max(fd_half[k], base[k]) / max(min(fd_half[k], base[k]), 1e-300) <= 2.0
-        for k in base)
+    b, r, f = (np.array(list(d.values())) for d in (base, refined, fd_half))
+    spread = [np.maximum(o, b) / np.maximum(np.minimum(o, b), 1e-300)
+              for o in (r, f)]
     res.add("residual ratios bounded and stable within 2x under refinement",
-            stable,
-            ", ".join(f"{k}={base[k]:.1f}" for k in sorted(base)))
+            ("ratio", b, ">", 0.0),
+            ("spread under 2x samples", spread[0], "<=", 2.0),
+            ("spread under fd_dt / 2", spread[1], "<=", 2.0))
     return res
 
 
@@ -524,24 +552,23 @@ def run_weak_strong(r0: float = 0.4, delta: float = 0.02,
         res.csv_rows.append(["identical", t, rep.e_rel[k], rep.e_bulk[k],
                              rep.coercivity_slack[k]])
     res.add("identical data keeps E_rel, E_bulk below 1e-8",
-            bool(rep.zero_preserved),
-            f"max E_rel {rep.e_rel.max():.2e}, max E_bulk {rep.e_bulk.max():.2e}")
+            ("E_rel", rep.e_rel, "<=", zero_tol),
+            ("E_bulk", rep.e_bulk, "<=", zero_tol))
 
     pert = _radial_reference(r0 + delta, sig_s, t_end)
     rep2 = calib.gronwall_verify(pert, cal, sigma, times, zero_tol=zero_tol)
     for k, t in enumerate(times):
         res.csv_rows.append(["perturbed", t, rep2.e_rel[k], rep2.e_bulk[k],
                              rep2.coercivity_slack[k]])
-    identity = float(np.max(rep2.coercivity_identity_error))
     res.add("tilt coercivity holds with constant 1 and nonnegative slack",
-            identity <= 1e-12
-            and float(np.min(rep2.coercivity_slack)) >= -1e-14,
-            f"max identity error {identity:.2e}")
+            ("identity error", rep2.coercivity_identity_error, "<=", 1e-12),
+            ("slack", rep2.coercivity_slack, ">=", -1e-14))
+    c_fine, c_coarse = rep2.fitted_c_rel, rep2.fitted_c_rel_coarse
     res.add("fitted Gronwall constant stable within 2x under grid halving",
-            rep2.stable_within(2.0),
-            f"C_rel {rep2.fitted_c_rel:.3f} vs {rep2.fitted_c_rel_coarse:.3f}")
+            ("C_rel", c_fine, "<=", 2.0 * c_coarse),
+            ("C_rel coarse", c_coarse, "<=", 2.0 * c_fine))
     res.add("pointwise exponential bound E_rel(t) <= E_rel(0) exp(C t)",
-            rep2.exp_bound_holds, "")
+            ("excess", rep2.exp_bound_excess, "<=", zero_tol))
     return res
 
 

@@ -50,10 +50,9 @@ def test_criterion_04_gibbs_thomson():
     result = ex.run_gibbs_thomson(grid_n=256, eps_list=(0.08, 0.04, 0.02),
                                   radius=0.25, residual_tol=1e-3)
     lam0 = -0.9428090415820635
-    errs = [row[2] for row in result.csv_rows]
     result.add("lambda target is -0.942809",
-               abs((-ex.SQRT2_OVER_6 / 0.25) - lam0) <= 1e-12,
-               f"errors vs target: {[f'{e:.4f}' for e in errs]}")
+               ("|-sigma/R - target|", abs((-ex.SQRT2_OVER_6 / 0.25) - lam0),
+                "<=", 1e-12))
     report(4, result)
 
 
@@ -74,8 +73,9 @@ def test_criterion_07_ac_to_mcf_radial():
     # R0 = 0.4 to t = 0.06 (ODE gives exactly 0.2); extracted radius
     # within 5% at 5 checkpoints at eps = 0.02, improving from eps = 0.04
     result = ex.run_ac_to_mcf_radial(r0=0.4, t_end=0.06, rel_tol=0.05)
-    sig_check = abs(np.sqrt(0.4 ** 2 - 2 * 0.06) - 0.2) <= 1e-12
-    result.add("ODE oracle hits R = 0.2 exactly", sig_check, "")
+    result.add("ODE oracle hits R = 0.2 exactly",
+               ("|R(0.06) - 0.2|", abs(np.sqrt(0.4 ** 2 - 2 * 0.06) - 0.2),
+                "<=", 1e-12))
     report(7, result)
 
 

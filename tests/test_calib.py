@@ -97,6 +97,8 @@ class TestResiduals:
             assert res.r2.max() <= 1e-3
             assert res.r3.max() <= 1e-5
             assert res.r4.max() <= 1e-12
+            # no sample lies _NEAR off the interface: no ratio is measured
+            assert all(np.isnan(v) for v in res.ratios().values())
 
     def test_frozen_sphere_r3_vanishes(self):
         traj = frozen_sphere()
@@ -244,7 +246,39 @@ class TestCoercivity:
         assert abs(e_rel - ref) <= 8 * np.finfo(float).eps * ref
 
 
+def fit_constant_loop(times, values, forcing, zero_tol, offset):
+    """Reference: the time loop that calib._fit_constant vectorizes."""
+    if len(times) < 2:
+        return float("nan")
+    cum = np.concatenate([[0.0], np.cumsum(
+        0.5 * (forcing[1:] + forcing[:-1]) * np.diff(times))])
+    running = np.zeros_like(values)
+    for k in range(1, len(times)):
+        growth = values[k] - values[0] - offset
+        if cum[k] < 1e-14:
+            running[k] = 0.0 if growth <= zero_tol else np.inf
+        else:
+            running[k] = max(growth, 0.0) / cum[k]
+    return float(np.max(running[1:]))
+
+
 class TestGronwall:
+    # same arithmetic per time, so the fits agree bitwise; dt = 0 and
+    # values within zero_tol of E(0) reach the vanishing-integral branch
+    @settings(max_examples=200, deadline=None)
+    @given(hst.lists(hst.tuples(hst.sampled_from((0.0, 1e-3, 0.01)),
+                                hst.floats(-1e-8, 0.1),
+                                hst.floats(0.0, 0.1)), min_size=1,
+                     max_size=8),
+           hst.sampled_from((0.0, 0.05, -1e-9)))
+    def test_fit_constant_matches_time_loop(self, rows, offset):
+        dts, values, forcing = (np.array(c) for c in zip(*rows))
+        times = np.cumsum(dts)
+        got = calib._fit_constant(times, values, forcing, 1e-8, offset)
+        ref = fit_constant_loop(times, values, forcing, 1e-8, offset)
+        assert got == ref or (np.isnan(got) and np.isnan(ref))
+        assert np.isnan(got) == (len(rows) < 2)
+
     def test_identical_trajectories_stay_at_zero(self):
         traj, sigma = radial_setup()
         cal = calib.build_calibration(traj, sigma)
@@ -252,7 +286,7 @@ class TestGronwall:
                                     0.04, tol=1e-12, center=CENTER)
         times = np.linspace(0.0, 0.038, 21)
         rep = calib.gronwall_verify(other, cal, sigma, times)
-        assert rep.zero_initial and rep.zero_preserved
+        assert np.all(rep.e_rel <= 1e-8) and np.all(rep.e_bulk <= 1e-8)
 
     def test_perturbed_radius_fitted_constant(self):
         traj, sigma = radial_setup()
@@ -262,8 +296,12 @@ class TestGronwall:
         times = np.linspace(0.0, 0.038, 41)
         rep = calib.gronwall_verify(pert, cal, sigma, times)
         assert np.isfinite(rep.fitted_c_rel) and rep.fitted_c_rel > 0
-        assert rep.stable_within(2.0)
-        assert rep.exp_bound_holds
+        c_rel = (rep.fitted_c_rel, rep.fitted_c_rel_coarse)
+        assert max(c_rel) <= 2.0 * min(c_rel)
+        # the E_rel(0) offset exceeds every bulk growth, so both bulk fits
+        # are zero and leave nothing to compare
+        assert rep.fitted_c_bulk == rep.fitted_c_bulk_coarse == 0.0
+        assert rep.exp_bound_excess <= 1e-8
         assert np.all(rep.e_rel >= 0) and np.all(rep.e_bulk >= 0)
         assert np.all(rep.coercivity_slack >= 0)
         k = 17
@@ -279,13 +317,17 @@ def test_invariant_report():
     cal = calib.build_calibration(traj, sigma)
     inv = calib.calibration_invariants(cal, np.linspace(0, 0.04, 5),
                                        n_per_time=400)
-    assert inv.ok()
+    assert inv.max_xi_bound_violation <= 1e-10
+    assert inv.max_boundary_xi_error <= 1e-9
+    assert inv.max_boundary_b_error <= 1e-9
+    assert inv.theta_sign_violations == 0
+    assert np.isfinite(inv.c_theta_coercivity)
     assert inv.n_samples == 2000
 
 
 def test_invariants_past_the_trajectory_raise():
     # the trajectory ends at t = 0.04; invariants sampled at later times
-    # would check R(0.04) again and report ok()
+    # would check R(0.04) again and pass
     traj, sigma = radial_setup()
     cal = calib.build_calibration(traj, sigma)
     with pytest.raises(GeometryError, match="outside"):

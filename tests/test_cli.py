@@ -175,7 +175,7 @@ class TestRun:
         # passes validation, but the eps = 0.3 profile of the r = 0.3 disk
         # does not fit in the unit box
         path = write(tmp_path, "experiment=equipartition\ngrid.n=64\n"
-                               f"eps=0.3\nout_dir={tmp_path}\n")
+                               f"eps=0.3,0.2\nout_dir={tmp_path}\n")
         assert cli.main(["validate", path]) == 0
         assert cli.main(["run", path]) == 2
         assert "GeometryError" in capsys.readouterr().err
@@ -192,13 +192,17 @@ class TestRun:
 
     @pytest.mark.parametrize("name, n", [("equipartition", 128),
                                          ("gibbs_thomson", 64)])
-    def test_single_eps_sweep_exits_1(self, tmp_path, capsys, name, n):
-        # one eps shows no decrease, so "strictly decreasing" must fail
-        path = write(tmp_path, f"experiment={name}\ngrid.n={n}\neps=0.08\n"
-                               f"out_dir={tmp_path}\n")
-        assert cli.main(["validate", path]) == 0
-        assert cli.main(["run", path]) == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_single_eps_sweep_exits_2(self, tmp_path, capsys, name, n):
+        # one eps, or a repeated one, shows no strict decrease, so
+        # "strictly decreasing" could only fail: both commands reject it
+        for eps in ("0.08", "0.08,0.08", "0.08,0.04,0.08"):
+            path = write(tmp_path, f"experiment={name}\ngrid.n={n}\n"
+                                   f"eps={eps}\nout_dir={tmp_path}\n")
+            assert cli.main(["validate", path]) == 2
+            assert "distinct values" in capsys.readouterr().out
+            assert cli.main(["run", path]) == 2
+            assert "distinct values" in capsys.readouterr().err
+        assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
 
     def test_single_dt_dissipation_fails(self):
         # one dt gives no halving ratio to check
@@ -210,7 +214,7 @@ class TestRun:
 
         def failing(**kw):
             res = ExperimentResult("surface_tension", csv_header=["a"])
-            res.add("synthetic check", False, "nope")
+            res.add("synthetic check", ("value", 1.0, "<", 0.0))
             return res
         monkeypatch.setitem(cli.REGISTRY, "surface_tension",
                             (failing, "synthetic"))
@@ -245,6 +249,10 @@ class TestRun:
         assert [ln.split()[0] for ln in lines] == [
             "PASS", "table:", "PASS", "table:"]
         assert lines[1] == "table: surface_tension_20260101-000000.csv"
+        # PASS/FAIL, experiment: check, then label worst relation bound
+        assert lines[0].startswith("PASS  surface_tension: sigma quadrature "
+                                   "matches closed form  rel err ")
+        assert lines[0].endswith(" <= 1e-08")
         assert lines[3] == "table: surface_tension_20260101-000000_1.csv"
 
     def test_surface_tension_without_oracle_exits_2(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from wmcflab import flow, sharp, variations as var, wells
 from wmcflab.errors import GeometryError, ResolutionError
-from wmcflab.experiments import _strictly_decreasing
+from wmcflab.experiments import holds
 from wmcflab.grid import Field, Grid, extract_levelset
 from wmcflab.testfields import (check_admissible, dilation_field,
                                 translation_field, zero_field)
@@ -207,7 +207,7 @@ class TestFirstVariation:
         g = Grid.box((0, 0), (1, 1), (128, 128))
         rows = var.first_variation_convergence(
             [0.08, 0.04], disk(), spec, dilation_field(CENTER, 0.38, 0.47), g)
-        assert _strictly_decreasing([r.gap for r in rows])
+        assert holds([r.gap for r in rows], "decreasing", None)
 
     def test_zero_field_sweep_rows_are_zero(self):
         spec = wells.constant_quartic()
