@@ -395,7 +395,8 @@ def run_ac_to_mcf_radial(r0: float = 0.4, t_end: float = 0.06,
         res, wells.constant_quartic(), sharp.Sphere((0.5, 0.5), r0), traj,
         t_end, [(eps, _unit_box(n), frac) for eps, n, frac in runs],
         fit=lambda ls: ls.fitted_circle()[1], scale=lambda t, r: r)
-    res.add("extracted radius within 5% of the ODE radius at finest eps",
+    res.add(f"extracted radius within {100 * rel_tol:g}% of the ODE radius "
+            "at finest eps",
             ("rel err", max_errs[-1], "<=", rel_tol))
     res.add("max checkpoint error decreases with eps",
             ("max rel err", max_errs, "decreasing", None))
@@ -420,7 +421,8 @@ def run_ac_to_mcf_1d_drift(kappa: float = 0.5, p0: float = 0.7,
         res, spec, sharp.Point1D(p0), traj, t_end,
         [(eps, grid, frac) for eps, frac in runs],
         fit=lambda ls: ls.position(), scale=lambda t, p: kappa * t)
-    res.add("position error <= 5% of traveled distance at finest eps",
+    res.add(f"position error <= {100 * rel_tol:g}% of traveled distance at "
+            "finest eps",
             ("rel err", max_errs[-1], "<=", rel_tol))
     res.add("error decreases with eps",
             ("max rel err", max_errs, "decreasing", None))
@@ -551,7 +553,8 @@ def run_weak_strong(r0: float = 0.4, delta: float = 0.02,
     for k, t in enumerate(times):
         res.csv_rows.append(["identical", t, rep.e_rel[k], rep.e_bulk[k],
                              rep.coercivity_slack[k]])
-    res.add("identical data keeps E_rel, E_bulk below 1e-8",
+    bound = np.format_float_scientific(zero_tol, trim="-", exp_digits=1)
+    res.add(f"identical data keeps E_rel, E_bulk below {bound}",
             ("E_rel", rep.e_rel, "<=", zero_tol),
             ("E_bulk", rep.e_bulk, "<=", zero_tol))
 

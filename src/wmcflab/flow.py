@@ -88,12 +88,16 @@ def energy_face(values: np.ndarray, grid: Grid, eps: float,
     w = spec.W(bound, values)
     total = float(np.sum(w)) / eps
     h = grid.spacing
-    if grid.dim == 1:
-        total += 0.5 * eps * float(np.sum(np.diff(values) ** 2)) / h[0] ** 2
-    else:
-        total += 0.5 * eps * float(np.sum(np.diff(values, axis=0) ** 2)) / h[0] ** 2
-        total += 0.5 * eps * float(np.sum(np.diff(values, axis=1) ** 2)) / h[1] ** 2
+    total += 0.5 * eps * _sum_sq(values[1:] - values[:-1]) / h[0] ** 2
+    if grid.dim == 2:
+        total += 0.5 * eps * _sum_sq(values[:, 1:] - values[:, :-1]) / h[1] ** 2
     return total * grid.cell_volume
+
+
+def _sum_sq(d: np.ndarray) -> float:
+    """Sum of squares of the fresh difference array ``d``, squared in place."""
+    np.square(d, out=d)
+    return float(np.sum(d))
 
 
 def reaction_lipschitz(spec: WellSpec, grid: Grid, box,
@@ -468,7 +472,7 @@ def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
     u, _, g, iters = _bb_descent(
         objective, gradient, init.values, alpha0=1.0 / lip,
         max_iter=max_iter, vol=grid.cell_volume, project=project,
-        stationary=lambda g: float(np.std(-g)) <= tol_residual)
+        stationary=lambda g: float(np.std(g)) <= tol_residual)
     lam_field = -g
     resid = float(np.std(lam_field))
     if resid > tol_residual:

@@ -159,8 +159,16 @@ def laplacian_neumann(f: Field) -> Field:
     if f.grid.dim == 1:
         out = (p[2:] - 2.0 * v + p[:-2]) / h[0] ** 2
     else:
-        out = (p[2:, 1:-1] - 2.0 * v + p[:-2, 1:-1]) / h[0] ** 2
-        out = out + (p[1:-1, 2:] - 2.0 * v + p[1:-1, :-2]) / h[1] ** 2
+        # (p_up - 2v + p_down) / h0^2 + (p_right - 2v + p_left) / h1^2,
+        # evaluated in that order with 2v formed once and in-place sums
+        v2 = 2.0 * v
+        out = p[2:, 1:-1] - v2
+        out += p[:-2, 1:-1]
+        out /= h[0] ** 2
+        across = p[1:-1, 2:] - v2
+        across += p[1:-1, :-2]
+        across /= h[1] ** 2
+        out += across
     return Field(f.grid, out)
 
 

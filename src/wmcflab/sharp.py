@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import GeometryError, NumericError
 from .quadrature import adaptive_gauss_legendre
@@ -304,6 +303,8 @@ def _integrate(rate, y0: float, t_end: float, tol: float, stops, sign: float,
     Position is the dense interpolant and V = sign * rate(position), at the
     257 sample times and at any time alike; ``fields`` (kind, center) go
     to the SharpTrajectory."""
+    from scipy.integrate import solve_ivp
+
     def event(stop):
         def at_zero(_, y):
             return stop(y[0])

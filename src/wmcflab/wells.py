@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, GeometryError, NumericError
 from .quadrature import adaptive_gauss_legendre
@@ -190,6 +189,7 @@ def optimal_profile(spec: WellSpec, x, s):
     the quartic family the result is the logistic profile with rate
     sqrt(2 m) gamma.
     """
+    from scipy.integrate import solve_ivp
     x = as_points(x)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     _reject_nan(s_arr)

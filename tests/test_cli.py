@@ -4,8 +4,12 @@ import dataclasses
 import glob
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
+
+import wmcflab
 
 from wmcflab import cli, wells
 from wmcflab.errors import DomainError, ExtractionError, NumericError
@@ -113,10 +117,51 @@ class TestValidateConfig:
         assert len(kwargs) + len(problems) == len(entries) - 2
 
 
-@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
-    os.path.dirname(__file__), os.pardir, "configs", "*.cfg"))))
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                      "configs", "*.cfg")))
+
+
+@pytest.mark.parametrize("path", CONFIGS)
 def test_shipped_config_validates(path, capsys):
     assert cli.main(["validate", path]) == 0, capsys.readouterr().out
+
+
+# Runs in a fresh interpreter: list and validate must leave SciPy unloaded,
+# and the two ODE callers must still load scipy.integrate when first called.
+COLD_START = """
+import contextlib, io, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+import wmcflab
+from wmcflab import cli, sharp, wells
+assert scipy_modules() == [], scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["list"]) == 0
+    for path in sys.argv[1:]:
+        assert cli.main(["validate", path]) == 0, path
+assert scipy_modules() == [], scipy_modules()
+
+v = wells.optimal_profile(wells.constant_quartic(), 0.5, [-1.0, 0.0, 1.0])
+assert v[1] == 0.5 and 0.0 < v[0] < 0.5 < v[2] < 1.0, v
+assert "scipy.integrate" in sys.modules
+traj = sharp.evolve_radial(0.4, sharp.constant_scalar_sigma(1.0), 0.01)
+assert abs(traj.positions[-1] - (0.4 ** 2 - 2 * 0.01) ** 0.5) < 1e-8
+print("ok")
+"""
+
+
+def test_cold_start_loads_no_scipy_until_an_ode_is_solved():
+    src = os.path.dirname(os.path.dirname(wmcflab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, *CONFIGS],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 class TestListExperiments:

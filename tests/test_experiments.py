@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from wmcflab.experiments import Check, ExperimentResult, holds, run_weak_strong
+from wmcflab.experiments import (Check, ExperimentResult, holds,
+                                 run_ac_to_mcf_1d_drift, run_weak_strong)
 
 ELEMENTWISE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
                ">": operator.gt}
@@ -107,3 +108,19 @@ def test_weak_strong_without_a_coarse_fit_fails(n_times):
                         "grid halving"]
     assert not verdicts["pointwise exponential bound E_rel(t) <= "
                         "E_rel(0) exp(C t)"]
+
+
+def test_weak_strong_name_states_zero_tol():
+    res = run_weak_strong(n_times=5, zero_tol=1e-6)
+    first = res.checks[0]
+    assert first.name == "identical data keeps E_rel, E_bulk below 1e-6"
+    assert [bound for *_, bound in first.parts] == [1e-6, 1e-6]
+
+
+def test_flow_runner_name_states_rel_tol():
+    res = run_ac_to_mcf_1d_drift(t_end=0.02, grid_n=256,
+                                 runs=((0.04, 0.5), (0.02, 0.5)), rel_tol=0.1)
+    first = res.checks[0]
+    assert first.name == ("position error <= 10% of traveled distance at "
+                          "finest eps")
+    assert first.parts[0][3] == 0.1

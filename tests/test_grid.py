@@ -125,6 +125,7 @@ def _lap_reference(v, h):
 
 
 values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+spans = st.floats(0.01, 1e3, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -169,6 +170,19 @@ class TestLaplacianProperties:
         g, f = gf
         lap = laplacian_neumann(f).values
         assert np.array_equal(lap, _lap_reference(f.values, g.spacing))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(sizes, sizes), st.tuples(spans, spans), st.data())
+    def test_2d_bit_identical_to_unfused_expression(self, cells, span, data):
+        # the in-place 2-d stencil against the expression it replaced,
+        # on boxes 0.01 to 1000 long per axis
+        g = Grid((0.0, 0.0), span, cells)
+        v = data.draw(hnp.arrays(float, cells, elements=values))
+        h = g.spacing
+        p = np.pad(v, 1, mode="edge")
+        old = (p[2:, 1:-1] - 2.0 * v + p[:-2, 1:-1]) / h[0] ** 2
+        old = old + (p[1:-1, 2:] - 2.0 * v + p[1:-1, :-2]) / h[1] ** 2
+        assert np.array_equal(laplacian_neumann(Field(g, v)).values, old)
 
     @settings(max_examples=60, deadline=None)
     @given(grid_fields())
