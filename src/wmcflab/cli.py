@@ -23,8 +23,9 @@ of the experiment's runner:
 A key the experiment does not take is rejected with exit 2, by both
 ``validate`` and ``run``. ``validate`` checks keys, types, names, that an
 eps sweep has two or more values, all distinct (each experiment that takes
-one checks a strict decrease over it) and eps >= 4 grid spacings; it does
-not check geometry (boundary margins, extinction before t_end): the
+one checks a strict decrease over it) and eps >= 4 grid spacings (of
+grid.n, or of the runner's default grid_n when the config sets none); it
+does not check geometry (boundary margins, extinction before t_end): the
 experiment checks that when it starts, and ``run`` exits 2.
 
 Commands: ``wmcf run <config>``, ``wmcf list``, ``wmcf validate <config>``.
@@ -176,12 +177,13 @@ def resolve(entries: dict):
             kwargs["well"] = factory(**well_kwargs)
         except ValueError as exc:
             problems.append(f"well.name: {exc}")
-    if "grid_n" in kwargs:
-        h = 1.0 / kwargs["grid_n"]
+    if "grid_n" in params:
+        grid_n = kwargs.get("grid_n", params["grid_n"].default)
+        h = 1.0 / grid_n
         for eps in kwargs.get("eps_list", ()):
             if eps < 4.0 * h:
                 problems.append(f"eps={eps} below 4*spacing={4 * h} for "
-                                f"grid.n={kwargs['grid_n']}")
+                                f"grid.n={grid_n}")
     return runner, kwargs, out_dir, problems
 
 

@@ -2,8 +2,7 @@
 
 
 class DomainError(ValueError):
-    """A position lies outside the domain closure of a well specification,
-    or a well lies outside the family an experiment has an oracle for."""
+    """A position lies outside the domain closure of a well specification."""
 
 
 class ResolutionError(ValueError):

@@ -14,8 +14,8 @@ boundaries, each through one entry point:
     giving exact per-step energy decay and, for wells monotone outside a
     box, a maximum principle via clamp comparison. Callers loop over it.
 
-Each entry point binds the well to the grid once (``wells.bind``): a
-quartic's m(x), a(x) and b(x) are evaluated on the cell centers at the
+Each entry point binds the well to the grid once (``wells.bind``): the
+well's m(x), a(x) and b(x) are evaluated on the cell centers at the
 start of the run or descent, and every W/dW_du evaluation after that
 takes the bound coefficients instead of the positions.
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import NumericError
 from .grid import Field, Grid, gradient_neumann, integrate, laplacian_neumann
-from .wells import WellSpec, bind
+from .wells import BoundQuartic, WellSpec, bind
 
 
 @dataclass(frozen=True)
@@ -76,15 +76,12 @@ def _lap(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def energy_face(values: np.ndarray, grid: Grid, eps: float,
-                spec: WellSpec, bound=None) -> float:
+                spec: WellSpec, bound: BoundQuartic) -> float:
     """Discrete energy with face-difference gradient quadrature.
 
     ``bound`` is ``wells.bind(spec, grid.points())``, bound once by the
-    caller that evaluates the energy many times on one grid; when it is
-    omitted, W is evaluated on the cell centers.
+    caller that evaluates the energy many times on one grid.
     """
-    if bound is None:
-        bound = grid.points()
     w = spec.W(bound, values)
     total = float(np.sum(w)) / eps
     h = grid.spacing
@@ -449,10 +446,9 @@ def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
     descent stops (line search exhausted or ``max_iter`` reached) with
     the residual still above ``tol_residual``.
     """
-    pts = grid.points()
-    bound = bind(spec, pts)
-    mean_a = float(np.mean(spec.a(pts)))
-    mean_b = float(np.mean(spec.b(pts)))
+    bound = bind(spec, grid.points())
+    mean_a = float(np.mean(bound.a))
+    mean_b = float(np.mean(bound.b))
     if not (min(mean_a, mean_b) - 1e-12 <= mass <= max(mean_a, mean_b) + 1e-12):
         raise ValueError(f"mass {mass} outside the admissible range "
                          f"[{mean_a}, {mean_b}]")

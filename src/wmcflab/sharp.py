@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import GeometryError, NumericError
 from .quadrature import adaptive_gauss_legendre
-from .wells import (QuarticWellSpec, WellSpec, as_points, grad_gamma,
-                    normalized_well_dx, sigma_n, surface_tension)
+from .wells import (WellSpec, as_points, grad_gamma, normalized_well_dx,
+                    sigma_n, surface_tension)
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +79,9 @@ def sigma_from_well(spec: WellSpec, tol: float = 1e-10) -> SurfaceTension:
 
 
 def sigma_field_of(spec: WellSpec) -> SurfaceTension:
-    """Surface tension of a well: closed form for the quartic family
-    (sigma = sqrt(2 m) gamma^3 / 6), adaptive quadrature otherwise."""
-    if not isinstance(spec, QuarticWellSpec):
-        return sigma_from_well(spec)
-
+    """Surface tension of a well in closed form,
+    sigma = sqrt(2 m) gamma^3 / 6; ``sigma_from_well`` is the quadrature
+    route to the same field."""
     def value(x):
         return spec.sigma_exact(x)
 

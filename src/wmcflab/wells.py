@@ -1,10 +1,11 @@
-"""Heterogeneous double-well potentials with moving wells.
+"""The heterogeneous quartic double well with moving wells.
 
-A well specification bundles the two well branches a(x) < b(x), the
-potential W(x, u) >= 0 vanishing exactly on the branches, and analytic
-partial derivatives. Positions are arrays whose last axis is the spatial
-dimension; a bare scalar is accepted as a 1-d point. All derived scalar
-quantities of the sharp-interface theory live here:
+A ``WellSpec`` is the potential W(x, u) = m(x) |u - a(x)|^2 |u - b(x)|^2
+with wells a(x) < b(x) and a positive amplitude m(x), together with
+analytic partial derivatives and the closed forms of the quartic.
+Positions are arrays whose last axis is the spatial dimension; a bare
+scalar is accepted as a 1-d point. All derived scalar quantities of the
+sharp-interface theory live here:
 
     gamma(x)        = b(x) - a(x)                      (well separation)
     W_n(x, v)       = W(x, a(x) + gamma(x) v)          (normalized well)
@@ -13,12 +14,15 @@ quantities of the sharp-interface theory live here:
     d_n(x, v)       = int_0^v sqrt(2 W_n(x, s)) ds     (geodesic distance)
 
 together with the one-dimensional transition profile solving
-v' = sqrt(2 W_n(x, v)), v(0) = 1/2, with x frozen.
+v' = sqrt(2 W_n(x, v)), v(0) = 1/2, with x frozen. The quadratures and
+the profile solvers evaluate W itself, so each is an independent route
+to the closed forms sigma = sqrt(2 m) gamma^3 / 6 and the logistic
+profile with rate sqrt(2 m) gamma.
 
 A run on a grid evaluates W and dW_du many times on the same positions.
-``bind(spec, pts)`` evaluates a quartic's m(x), a(x) and b(x) on them
-once; the spec's W and dW_du take the bound coefficients in place of the
-positions and give the same bits.
+``bind(spec, pts)`` evaluates m(x), a(x) and b(x) on them once; the
+spec's W and dW_du take the bound coefficients in place of the positions
+and give the same bits.
 """
 
 from dataclasses import dataclass, field
@@ -43,19 +47,26 @@ def as_points(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WellSpec:
-    """Double-well data with moving wells and analytic derivatives.
+    """The quartic W(x, u) = m(x) |u - a(x)|^2 |u - b(x)|^2 with moving
+    wells, analytic derivatives and closed forms; built by
+    ``canonical_quartic``.
 
-    ``a``, ``b`` map positions (..., d) -> (...); ``grad_a``, ``grad_b``
-    map (..., d) -> (..., d). ``W`` and ``dW_du`` map (positions, u) to
-    (...); ``dW_dx`` to (..., d). ``delta_sep`` is a strict lower bound
-    on b - a. ``bounds`` (d, 2), when given, is the domain closure used
-    for position checks.
+    ``a``, ``b`` and the positive ``amplitude`` m map positions (..., d)
+    -> (...); ``grad_a``, ``grad_b`` and ``grad_amplitude`` map (..., d)
+    -> (..., d). ``W`` and ``dW_du`` map (positions or a ``BoundQuartic``,
+    u) to (...); ``dW_dx`` maps (positions, u) to (..., d).
+    ``delta_sep`` is a strict lower bound on b - a. ``bounds`` (d, 2),
+    when given, is the domain closure used for position checks.
+    sigma = sqrt(2 m) gamma^3 / 6 and the equipartitioned profile is
+    logistic with rate sqrt(2 m) gamma.
     """
 
     a: Scalar
     b: Scalar
+    amplitude: Scalar
     grad_a: Vector
     grad_b: Vector
+    grad_amplitude: Vector
     W: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dW_du: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dW_dx: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -69,6 +80,20 @@ class WellSpec:
         hi = self.bounds[:, 1] + 1e-12
         if np.any(x < lo) or np.any(x > hi):
             raise DomainError("position outside the domain closure")
+
+    def sigma_exact(self, x) -> np.ndarray:
+        x = as_points(x)
+        g = self.b(x) - self.a(x)
+        return np.sqrt(2.0 * self.amplitude(x)) * g ** 3 / 6.0
+
+    def profile_rate(self, x) -> np.ndarray:
+        x = as_points(x)
+        g = self.b(x) - self.a(x)
+        return np.sqrt(2.0 * self.amplitude(x)) * g
+
+    def profile_exact(self, x, s) -> np.ndarray:
+        rate = self.profile_rate(x)
+        return 1.0 / (1.0 + np.exp(-rate * np.asarray(s, dtype=float)))
 
 
 def gamma(spec: WellSpec, x) -> np.ndarray:
@@ -185,9 +210,9 @@ def optimal_profile(spec: WellSpec, x, s):
     that equipartitions the energy pointwise, so u = a + gamma v recovers
     the surface tension exactly in 1-d. Integration is an adaptive
     embedded Runge-Kutta pair; values beyond the window where the tails
-    are below 1e-12 clamp to 0/1, and a NaN s raises GeometryError. For
-    the quartic family the result is the logistic profile with rate
-    sqrt(2 m) gamma.
+    are below 1e-12 clamp to 0/1, and a NaN s raises GeometryError. The
+    exact result is ``spec.profile_exact``, the logistic profile with
+    rate sqrt(2 m) gamma.
     """
     from scipy.integrate import solve_ivp
     x = as_points(x)
@@ -267,26 +292,20 @@ def _well_classes(spec: WellSpec, pts: np.ndarray):
 
     Returns the order that sorts the points by class, the class id of
     each sorted point (int32, nondecreasing) and, per class, a, b - a and
-    one representative position; points of one class have the same
-    W(x, .). A QuarticWellSpec groups its points by the triple (a, b, m),
-    found by lexsort, change flags and a cumulative sum; any other well
-    keeps one class per point, in the given order.
+    one representative position; points of one class share the triple
+    (a, b, m) and so W(x, .). Classes are found by lexsort, change flags
+    and a cumulative sum.
     """
     a, b = spec.a(pts), spec.b(pts)
-    n = a.size
-    if isinstance(spec, QuarticWellSpec):
-        keys = (a, b, spec.amplitude(pts))
-        order = np.lexsort(keys)
-        new = np.zeros(n, dtype=bool)
-        new[0] = True
-        for key in keys:
-            key = key[order]
-            new[1:] |= key[1:] != key[:-1]
-        cls = np.cumsum(new, dtype=np.int32) - 1
-        rep = order[new]
-    else:
-        order = rep = np.arange(n)
-        cls = np.arange(n, dtype=np.int32)
+    keys = (a, b, spec.amplitude(pts))
+    order = np.lexsort(keys)
+    new = np.zeros(a.size, dtype=bool)
+    new[0] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    cls = np.cumsum(new, dtype=np.int32) - 1
+    rep = order[new]
     return order, cls, a[rep], b[rep] - a[rep], pts[rep]
 
 
@@ -364,20 +383,16 @@ def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray):
     341 knots and 340 step midpoints (681 evaluations) and a cumulative
     sum gives s at the knots; each point then finds its step by one
     binary search in its well's table, O(log 341), and inverts the local
-    cubic Hermite there. Exact up to roundoff for the quartic family,
-    where ds/dtau is constant in tau; O(0.1^4) otherwise. Targets beyond
-    the window (tails below 1e-14) clamp to 0/1; a NaN target raises
-    GeometryError.
+    cubic Hermite there. Exact up to roundoff, since ds/dtau =
+    1/(sqrt(2 m) gamma) is constant in tau for the quartic. Targets
+    beyond the window (tails below 1e-14) clamp to 0/1; a NaN target
+    raises GeometryError.
 
-    A QuarticWellSpec groups its points by (a, b, m), so a well that
-    varies along one axis of an n^d grid builds n tables, and a constant
-    well one. Any other well keeps one table per point, so every point
-    pays the 681 evaluations of the whole window, where a step-by-step
-    march would stop at the point's own step: on a 256^2 grid that took
-    2 to 3 times as long as such a march. Every well of the registry, the CLI and
-    the demos is a QuarticWellSpec. Tables are built for at most
-    _PROFILE_CLASSES wells and searched by at most _PROFILE_POINTS points
-    at a time, which bounds the temporaries for any grid.
+    Points are grouped by (a, b, m), so a well that varies along one axis
+    of an n^d grid builds n tables, and a constant well one. Tables are
+    built for at most _PROFILE_CLASSES wells and searched by at most
+    _PROFILE_POINTS points at a time, which bounds the temporaries for
+    any grid.
 
     Agrees with optimal_profile to solver tolerance; kept vectorized so
     diffuse states can be built on large grids.
@@ -508,33 +523,6 @@ def validate_assumptions(spec: WellSpec, positions,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuarticWellSpec(WellSpec):
-    """W(x, u) = m(x) |u - a(x)|^2 |u - b(x)|^2 with closed forms attached.
-
-    m is a positive amplitude (m = 1 recovers the canonical quartic);
-    sigma = sqrt(2 m) gamma^3 / 6 and the equipartitioned profile is
-    logistic with rate sqrt(2 m) gamma.
-    """
-
-    amplitude: Scalar = None
-    grad_amplitude: Vector = None
-
-    def sigma_exact(self, x) -> np.ndarray:
-        x = as_points(x)
-        g = self.b(x) - self.a(x)
-        return np.sqrt(2.0 * self.amplitude(x)) * g ** 3 / 6.0
-
-    def profile_rate(self, x) -> np.ndarray:
-        x = as_points(x)
-        g = self.b(x) - self.a(x)
-        return np.sqrt(2.0 * self.amplitude(x)) * g
-
-    def profile_exact(self, x, s) -> np.ndarray:
-        rate = self.profile_rate(x)
-        return 1.0 / (1.0 + np.exp(-rate * np.asarray(s, dtype=float)))
-
-
-@dataclass(frozen=True)
 class BoundQuartic:
     """The coefficients of a quartic well on fixed positions.
 
@@ -559,19 +547,15 @@ def _collapse(c) -> np.ndarray:
     return np.asarray(c, dtype=float)
 
 
-def bind(spec: WellSpec, pts):
+def bind(spec: WellSpec, pts) -> BoundQuartic:
     """The well bound to fixed positions, for repeated W/dW_du calls.
 
     A run or a descent evaluates W(x, u) and dW_du(x, u) many times on
-    the same positions x with changing u. For a QuarticWellSpec this
-    evaluates m(x), a(x) and b(x) once and returns them as a
-    ``BoundQuartic``; ``spec.W(bound, u)`` and ``spec.dW_du(bound, u)``
-    then give the same bits as ``spec.W(pts, u)`` and
-    ``spec.dW_du(pts, u)``. Any other WellSpec gets ``pts`` back
-    unchanged.
+    the same positions x with changing u. This evaluates m(x), a(x) and
+    b(x) once and returns them as a ``BoundQuartic``;
+    ``spec.W(bound, u)`` and ``spec.dW_du(bound, u)`` then give the same
+    bits as ``spec.W(pts, u)`` and ``spec.dW_du(pts, u)``.
     """
-    if not isinstance(spec, QuarticWellSpec):
-        return pts
     pts = as_points(pts)
     return BoundQuartic(*(_collapse(f(pts))
                           for f in (spec.amplitude, spec.a, spec.b)))
@@ -579,7 +563,7 @@ def bind(spec: WellSpec, pts):
 
 def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
                       amplitude=None, grad_amplitude=None,
-                      bounds=None) -> QuarticWellSpec:
+                      bounds=None) -> WellSpec:
     """Quartic double well with moving wells and optional amplitude m(x).
 
     ``W`` and ``dW_du`` take either positions or a ``BoundQuartic`` from
@@ -614,15 +598,14 @@ def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
         return (da ** 2 * db ** 2)[..., None] * grad_amplitude(x) \
             + amplitude(x)[..., None] * well
 
-    return QuarticWellSpec(a=a, b=b, grad_a=grad_a, grad_b=grad_b,
-                           W=W, dW_du=dW_du, dW_dx=dW_dx,
-                           delta_sep=delta_sep, bounds=bounds,
-                           amplitude=amplitude,
-                           grad_amplitude=grad_amplitude)
+    return WellSpec(a=a, b=b, amplitude=amplitude, grad_a=grad_a,
+                    grad_b=grad_b, grad_amplitude=grad_amplitude,
+                    W=W, dW_du=dW_du, dW_dx=dW_dx,
+                    delta_sep=delta_sep, bounds=bounds)
 
 
 def constant_quartic(a0: float = 0.0, b0: float = 1.0,
-                     amplitude: float = 1.0, bounds=None) -> QuarticWellSpec:
+                     amplitude: float = 1.0, bounds=None) -> WellSpec:
     """Canonical quartic with constant wells (and constant amplitude)."""
     return canonical_quartic(
         a=lambda x: a0 * np.ones(np.shape(x)[:-1]),
@@ -636,7 +619,7 @@ def constant_quartic(a0: float = 0.0, b0: float = 1.0,
     )
 
 
-def _unit_wells_quartic(m, grad_m) -> QuarticWellSpec:
+def _unit_wells_quartic(m, grad_m) -> WellSpec:
     """Quartic with wells a = 0, b = 1 and amplitude m(x)."""
     return canonical_quartic(
         a=lambda x: np.zeros(np.shape(x)[:-1]),
@@ -648,7 +631,7 @@ def _unit_wells_quartic(m, grad_m) -> QuarticWellSpec:
 
 
 def affine_scaled_quartic(offset: float = 1.0, slope: float = 1.0,
-                          axis: int = 0) -> QuarticWellSpec:
+                          axis: int = 0) -> WellSpec:
     """Quartic with wells 0, 1 and amplitude m(x) = offset + slope * x_axis.
 
     Gives the heterogeneous surface tension
@@ -665,7 +648,7 @@ def affine_scaled_quartic(offset: float = 1.0, slope: float = 1.0,
     return _unit_wells_quartic(m, grad_m)
 
 
-def exp_scaled_quartic(kappa: float, axis: int = 0) -> QuarticWellSpec:
+def exp_scaled_quartic(kappa: float, axis: int = 0) -> WellSpec:
     """Quartic with wells 0, 1 and amplitude m(x) = exp(2 kappa x_axis).
 
     sigma(x) = (sqrt(2)/6) exp(kappa x_axis), so a flat 1-d interface
@@ -684,7 +667,7 @@ def exp_scaled_quartic(kappa: float, axis: int = 0) -> QuarticWellSpec:
 
 def linear_wells_quartic(a0: float, a_slope: float, b0: float,
                          b_slope: float, axis: int = 0, delta_sep=None,
-                         bounds=None) -> QuarticWellSpec:
+                         bounds=None) -> WellSpec:
     """Canonical quartic whose wells move linearly along one axis."""
     if delta_sep is None:
         if bounds is None:

@@ -1,6 +1,5 @@
 """Config parsing, validation, registry, and exit-code contract."""
 
-import dataclasses
 import glob
 import inspect
 import os
@@ -11,9 +10,8 @@ import pytest
 
 import wmcflab
 
-from wmcflab import cli, wells
-from wmcflab.errors import DomainError, ExtractionError, NumericError
-from wmcflab.experiments import run_dissipation, run_surface_tension
+from wmcflab import cli, errors
+from wmcflab.experiments import run_dissipation
 
 
 def write(tmp_path, text, name="config.txt"):
@@ -56,11 +54,17 @@ class TestValidateConfig:
                                "eps=0.08,0.04,0.02,0.01\n")
         assert cli.validate_config(path) == []
 
-    def test_underresolved_eps_flagged(self, tmp_path):
-        path = write(tmp_path, "experiment=equipartition\ngrid.n=128\n"
-                               "eps=0.02,0.01\n")
-        problems = cli.validate_config(path)
-        assert any("4*spacing" in p for p in problems)
+    def test_underresolved_eps_flagged(self, tmp_path, capsys):
+        # without grid.n the runner's default grid, 512 cells, sets the
+        # spacing; run rejects both configs before computing
+        for text in ("grid.n=128\neps=0.02,0.01\n", "eps=0.006,0.005\n"):
+            path = write(tmp_path, f"experiment=equipartition\n{text}"
+                                   f"out_dir={tmp_path}\n")
+            problems = cli.validate_config(path)
+            assert any("4*spacing" in p for p in problems)
+            assert cli.main(["run", path]) == 2
+            assert "4*spacing" in capsys.readouterr().err
+        assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
 
     def test_unknown_well_names_registry(self, tmp_path):
         path = write(tmp_path, "experiment=equipartition\n"
@@ -198,23 +202,21 @@ class TestRun:
         summary = (out / "summary.txt").read_text()
         assert summary.startswith("PASS")
 
-    def test_numeric_failure_exits_3(self, tmp_path, monkeypatch):
-        def exploding(**kw):
-            raise NumericError("synthetic blow-up")
+    @pytest.mark.parametrize("name, code", [
+        ("DomainError", 2), ("ResolutionError", 2), ("GeometryError", 2),
+        ("GridMismatchError", 2), ("NumericError", 3), ("ExtractionError", 3)])
+    def test_library_error_exit_code(self, tmp_path, monkeypatch, capsys,
+                                     name, code):
+        def raising(**kw):
+            raise getattr(errors, name)("synthetic")
         monkeypatch.setitem(cli.REGISTRY, "surface_tension",
-                            (exploding, "synthetic"))
+                            (raising, "synthetic"))
+        out = tmp_path / "out"
         path = write(tmp_path, f"experiment=surface_tension\n"
-                               f"out_dir={tmp_path}\n")
-        assert cli.main(["run", path]) == 3
-
-    def test_extraction_failure_exits_3(self, tmp_path, monkeypatch):
-        def lost(**kw):
-            raise ExtractionError("synthetic: no crossings")
-        monkeypatch.setitem(cli.REGISTRY, "surface_tension",
-                            (lost, "synthetic"))
-        path = write(tmp_path, f"experiment=surface_tension\n"
-                               f"out_dir={tmp_path}\n")
-        assert cli.main(["run", path]) == 3
+                               f"out_dir={out}\n")
+        assert cli.main(["run", path]) == code
+        assert name in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_geometry_error_exits_2(self, tmp_path, capsys):
         # passes validation, but the eps = 0.3 profile of the r = 0.3 disk
@@ -299,19 +301,6 @@ class TestRun:
                                    "matches closed form  rel err ")
         assert lines[0].endswith(" <= 1e-08")
         assert lines[3] == "table: surface_tension_20260101-000000_1.csv"
-
-    def test_surface_tension_without_oracle_exits_2(self, tmp_path, capsys):
-        # a plain WellSpec has no closed-form sigma to check against
-        quartic = wells.constant_quartic()
-        plain = wells.WellSpec(**{f.name: getattr(quartic, f.name)
-                                  for f in dataclasses.fields(wells.WellSpec)})
-        with pytest.raises(DomainError, match="sigma_exact"):
-            run_surface_tension(well=plain)
-        out = tmp_path / "out"
-        assert cli.run_experiment("surface_tension", run_surface_tension,
-                                  {"well": plain}, str(out)) == 2
-        assert "DomainError" in capsys.readouterr().err
-        assert os.listdir(out) == []
 
     def test_custom_well_for_equipartition(self, tmp_path):
         out = tmp_path / "res"

@@ -1,6 +1,5 @@
 """Time integration: stepping, ledger bookkeeping, constrained minima."""
 
-import dataclasses
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -145,8 +144,10 @@ class TestMinimizingMovements:
         g = Grid.interval(0.0, 1.0, 128)
         rng = np.random.default_rng(4)
         u = 0.5 + 1.5 * rng.standard_normal(g.cells)
-        e_raw = flow.energy_face(u, g, 0.05, spec)
-        e_clamped = flow.energy_face(np.clip(u, -1.0, 1.0), g, 0.05, spec)
+        bound = wells.bind(spec, g.points())
+        e_raw = flow.energy_face(u, g, 0.05, spec, bound)
+        e_clamped = flow.energy_face(np.clip(u, -1.0, 1.0), g, 0.05, spec,
+                                     bound)
         assert e_clamped <= e_raw
 
 
@@ -182,7 +183,8 @@ class TestRun:
     def test_minmov_run_records_slack(self):
         spec = wells.constant_quartic()
         st = profile_state(n=128, eps=0.05)
-        es = [flow.energy_face(st.u.values, st.u.grid, st.eps, spec)]
+        es = [flow.energy_face(st.u.values, st.u.grid, st.eps, spec,
+                               wells.bind(spec, st.u.grid.points()))]
         slacks = []
         for _ in range(10):
             st, rec = flow.step_minmov(st, spec, 2e-4, trunc=1.0)
@@ -307,19 +309,6 @@ class TestReactionLipschitz:
         sampled = flow.reaction_lipschitz(spec, g, box)
         full = flow.reaction_lipschitz(spec, g, box, max_pts=128 * 128)
         assert sampled == full
-
-    @pytest.mark.parametrize("cells", [(100,), (24, 40)])
-    def test_plain_spec_gives_the_quartic_estimate(self, cells):
-        # a plain WellSpec is not bound: dW_du broadcasts the positions
-        # against u itself
-        spec = wells.affine_scaled_quartic(offset=1.0, slope=1.5,
-                                           axis=len(cells) - 1)
-        plain = wells.WellSpec(**{f.name: getattr(spec, f.name)
-                                  for f in dataclasses.fields(wells.WellSpec)})
-        g = Grid.box((0.0,) * len(cells), (1.0,) * len(cells), cells)
-        box = (-0.3, 1.2)
-        assert flow.reaction_lipschitz(plain, g, box, max_pts=256) \
-            == flow.reaction_lipschitz(spec, g, box, max_pts=256)
 
 
 class TestLedgerProperties:

@@ -6,8 +6,6 @@ Quartic oracles used below (gamma = b - a, amplitude m):
   profile = logistic with rate sqrt(2 m) gamma.
 """
 
-import dataclasses
-
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -209,11 +207,15 @@ class TestProfileGrid:
                         atol=1e-7)
 
 
-def plain_spec(spec):
-    """The same well as a plain WellSpec, which the profile march cannot
-    group by (a, b, m): one class per point."""
-    return wells.WellSpec(**{f.name: getattr(spec, f.name)
-                             for f in dataclasses.fields(wells.WellSpec)})
+def per_point(spec, points, s):
+    """``wells.optimal_profile_grid`` with each point passed alone: one
+    class, one arclength table and one search per point."""
+    flat_pts = points.reshape(-1, points.shape[-1])
+    flat_s = np.asarray(s, dtype=float).reshape(-1)
+    out = [wells.optimal_profile_grid(spec, flat_pts[i:i + 1],
+                                      flat_s[i:i + 1])[0]
+           for i in range(flat_s.size)]
+    return np.array(out).reshape(np.shape(s))
 
 
 def _unsorted_classes(spec, pts):
@@ -361,27 +363,33 @@ def march_problems(draw):
 
 class TestProfileGridMatchesSteppingMarch:
     @settings(max_examples=150, deadline=None)
-    @given(march_problems(), hst.booleans())
-    def test_bit_identical(self, problem, plain):
+    @given(march_problems())
+    def test_bit_identical(self, problem):
         spec, pts, s = problem
-        if plain:
-            spec = plain_spec(spec)
         assert np.array_equal(wells.optimal_profile_grid(spec, pts, s),
                               stepping_march(spec, pts, s))
 
-    @pytest.mark.parametrize("kind", ("affine", "constant", "plain"))
+    @pytest.mark.parametrize("kind", ("affine", "constant", "both_axes"))
     def test_bit_identical_across_blocks(self, kind):
         # an affine well has 128 classes along x_0 of a 128 x 160 lattice;
         # each side of the profile holds 65 of them, 10 240 points: two
         # tables, and two searches in the first. A constant well is one
-        # class per side, and the plain copy one class per point
+        # class per side, and a well that varies along both axes one class
+        # per point
         assert wells._PROFILE_CLASSES < 128
         assert wells._PROFILE_POINTS < 64 * 160
         spec = wells.affine_scaled_quartic(offset=1.0, slope=2.0)
         if kind == "constant":
             spec = wells.constant_quartic(0.0, 1.5, amplitude=2.0)
-        elif kind == "plain":
-            spec = plain_spec(spec)
+        elif kind == "both_axes":
+            spec = wells.canonical_quartic(
+                a=lambda x: 0.3 * x[..., 1], grad_a=lambda x: np.stack(
+                    [np.zeros(x.shape[:-1]), np.full(x.shape[:-1], 0.3)], -1),
+                b=lambda x: np.ones(np.shape(x)[:-1]),
+                grad_b=lambda x: np.zeros(np.shape(x)), delta_sep=0.6,
+                amplitude=lambda x: 1.0 + 2.0 * x[..., 0],
+                grad_amplitude=lambda x: np.stack(
+                    [np.full(x.shape[:-1], 2.0), np.zeros(x.shape[:-1])], -1))
         pts = Grid((0.0, 0.0), (1.0, 1.0), (128, 160)).points()
         # up to 26 in |s|, beyond the window of every well here
         s = (pts[..., 0] - 0.5) / 0.02 + (pts[..., 1] - 0.5)
@@ -417,18 +425,16 @@ class TestProfileGridProperties:
     @given(profile_problems())
     def test_grouped_march_is_bit_identical_to_per_point(self, problem):
         spec, pts, s = problem
-        grouped = wells.optimal_profile_grid(spec, pts, s)
-        per_point = wells.optimal_profile_grid(plain_spec(spec), pts, s)
-        assert np.array_equal(grouped, per_point)
+        assert np.array_equal(wells.optimal_profile_grid(spec, pts, s),
+                              per_point(spec, pts, s))
 
     @settings(max_examples=100, deadline=None)
-    @given(profile_problems(), hst.booleans())
-    def test_monotone_in_s_and_in_unit_interval(self, problem, plain):
+    @given(profile_problems())
+    def test_monotone_in_s_and_in_unit_interval(self, problem):
         spec, pts, s = problem
         x = np.repeat(pts[:1], s.size, axis=0)
         s = np.sort(s)
-        v = wells.optimal_profile_grid(plain_spec(spec) if plain else spec,
-                                       x, s)
+        v = wells.optimal_profile_grid(spec, x, s)
         assert np.all(np.diff(v) >= 0.0)
         assert np.all((v >= 0.0) & (v <= 1.0))
 
@@ -452,12 +458,6 @@ class TestBind:
         bound = wells.bind(spec, pts)
         assert np.array_equal(spec.W(bound, u), spec.W(pts, u))
         assert np.array_equal(spec.dW_du(bound, u), spec.dW_du(pts, u))
-
-    @settings(max_examples=30, deadline=None)
-    @given(bound_problems())
-    def test_plain_spec_gets_the_positions_back(self, problem):
-        spec, pts, _ = problem
-        assert wells.bind(plain_spec(spec), pts) is pts
 
     def test_constant_coefficients_collapse_to_scalars(self):
         pts = Grid((0.0, 0.0), (1.0, 1.0), (8, 8)).points()
@@ -506,18 +506,12 @@ class TestValidateAssumptions:
         assert rep.c_derivative_control == pytest.approx(expected, rel=1e-4)
 
     def test_flags_nonvanishing_well(self):
-        bad = wells.WellSpec(
-            a=lambda x: np.zeros(np.shape(x)[:-1]),
-            b=lambda x: np.ones(np.shape(x)[:-1]),
-            grad_a=lambda x: np.zeros(np.shape(x)),
-            grad_b=lambda x: np.zeros(np.shape(x)),
-            W=lambda x, u: (u - 0.0) ** 2 * (u - 1.0) ** 2 + 1e-3,
-            dW_du=lambda x, u: 2 * u * (u - 1) * (2 * u - 1),
-            dW_dx=lambda x, u: np.zeros(np.shape(x)),
-            delta_sep=1.0)
+        # b - a = 1 - x_0 is 0.5 at x_0 = 0.5, below the declared 0.9
+        bad = wells.linear_wells_quartic(0.0, 0.5, 1.0, -0.5, delta_sep=0.9)
         rep = wells.validate_assumptions(bad, np.array([[0.5]]),
                                          np.linspace(0, 1, 5))
         assert not rep.ok()
+        assert rep.violations == ["b - a drops below delta_sep"]
 
 
 class TestQuadrature:
