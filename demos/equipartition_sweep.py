@@ -25,9 +25,7 @@ print(f"{'eps':>6} {'defect':>12} {'E_eps':>10} {'E_sharp':>10} "
 for eps in (0.08, 0.04, 0.02):
     rec = var.build_recovery(disk, spec, grid, eps)
     defect = var.equipartition_defect(rec.state, spec)
-    pot = var.measure_pairing(rec.state, spec, "potential", one)
-    gra = var.measure_pairing(rec.state, spec, "gradient", one)
-    geo = var.measure_pairing(rec.state, spec, "geometric", one)
+    pot, gra, geo = var.measure_pairing(rec.state, spec, one)
     print(f"{eps:6.3f} {defect:12.3e} {rec.energy_diffuse:10.6f} "
           f"{rec.energy_sharp:10.6f} {abs(pot - gra):12.3e} "
           f"{abs(pot - geo):12.3e} {abs(gra - geo):12.3e}")

@@ -178,9 +178,7 @@ def run_equipartition(grid_n: int = 512,
         defects.append(defect)
         row = [eps, defect]
         for tn, psi in testers.items():
-            pot = var.measure_pairing(rec.state, spec, "potential", psi)
-            gra = var.measure_pairing(rec.state, spec, "gradient", psi)
-            geo = var.measure_pairing(rec.state, spec, "geometric", psi)
+            pot, gra, geo = var.measure_pairing(rec.state, spec, psi)
             for pn, gap in zip(pair_names, (abs(pot - gra), abs(pot - geo),
                                             abs(gra - geo))):
                 gap_series.setdefault((tn, pn), []).append(gap)

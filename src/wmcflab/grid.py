@@ -202,8 +202,8 @@ def pair_density(density: Field, testfn: Field) -> float:
 
 @dataclass(frozen=True)
 class LevelSetSample:
-    """Crossing points of {f = level}: positions (1-d) or a marching-squares
-    point cloud (2-d)."""
+    """Points of {f = level} found by ``extract_levelset``, sorted by x, then
+    by y: positions (1-d) or points in the plane (2-d)."""
 
     dim: int
     points: np.ndarray          # (n,) in 1-d, (n, 2) in 2-d
@@ -233,56 +233,34 @@ def fit_circle(points: np.ndarray):
 
 
 def extract_levelset(f: Field, level: float) -> LevelSetSample:
-    """Locate {f = level} by linear interpolation between cell centers."""
+    """Locate {f = level} by linear interpolation between cell centers.
+
+    Every edge between neighbouring centers whose values lie strictly on
+    opposite sides of the level gives one crossing, at center + theta * h
+    along the edge's axis with theta = d0 / (d0 - d1), d = f - level; every
+    center exactly at the level gives one point.
+    """
     d = f.values - level
     if np.all(d > 0) or np.all(d < 0):
         raise ExtractionError("field does not cross the requested level")
-    if f.grid.dim == 1:
-        x = f.grid.axis_centers(0)
-        sign_change = d[:-1] * d[1:] < 0
-        theta = d[:-1][sign_change] / (d[:-1][sign_change] - d[1:][sign_change])
-        crossings = x[:-1][sign_change] + theta * f.grid.spacing[0]
-        exact = x[d == 0]
-        pts = np.sort(np.concatenate([crossings, exact]))
-        if len(pts) == 0:
-            raise ExtractionError("no sign change between adjacent cells")
-        return LevelSetSample(1, pts)
-
-    xs = f.grid.axis_centers(0)
-    ys = f.grid.axis_centers(1)
-    pts = []
-    seen = set()
-
-    def crossing(i0, j0, i1, j1):
-        """Append the crossing on this cell edge, once per edge."""
-        if (i1, j1) < (i0, j0):
-            i0, j0, i1, j1 = i1, j1, i0, j0
-        key = (i0, j0, i1, j1)
-        if key in seen:
-            return
-        d0, d1 = d[i0, j0], d[i1, j1]
-        if d0 * d1 >= 0 and not (d0 == 0 or d1 == 0):
-            return
-        if d0 == d1:
-            theta = 0.5
-        else:
-            theta = d0 / (d0 - d1)
-        if not (0.0 <= theta <= 1.0):
-            return
-        seen.add(key)
-        pts.append(np.array([xs[i0] + theta * (xs[i1] - xs[i0]),
-                             ys[j0] + theta * (ys[j1] - ys[j0])]))
-
-    mixed_i, mixed_j = np.nonzero(
-        (np.sign(d[:-1, :-1]) != np.sign(d[1:, :-1]))
-        | (np.sign(d[:-1, :-1]) != np.sign(d[:-1, 1:]))
-        | (np.sign(d[:-1, :-1]) != np.sign(d[1:, 1:]))
-    )
-    for i, j in zip(mixed_i, mixed_j):
-        crossing(i, j, i + 1, j)
-        crossing(i + 1, j, i + 1, j + 1)
-        crossing(i + 1, j + 1, i, j + 1)
-        crossing(i, j + 1, i, j)
-    if not pts:
+    grid = f.grid
+    centers = [grid.axis_centers(k) for k in range(grid.dim)]
+    # signs, not products: d0 * d1 underflows to zero for tiny values
+    side = np.sign(d)
+    blocks = [np.stack([c[i] for c, i in zip(centers, np.nonzero(d == 0))],
+                       axis=-1)]
+    for k in range(grid.dim):
+        lo = tuple(slice(None, -1) if m == k else slice(None)
+                   for m in range(grid.dim))
+        hi = tuple(slice(1, None) if m == k else slice(None)
+                   for m in range(grid.dim))
+        edges = side[lo] * side[hi] < 0
+        d0, d1 = d[lo][edges], d[hi][edges]
+        coords = [c[i] for c, i in zip(centers, np.nonzero(edges))]
+        coords[k] = coords[k] + d0 / (d0 - d1) * grid.spacing[k]
+        blocks.append(np.stack(coords, axis=-1))
+    pts = np.concatenate(blocks)
+    if len(pts) == 0:
         raise ExtractionError("no crossings located")
-    return LevelSetSample(2, np.array(pts))
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return LevelSetSample(grid.dim, pts[:, 0] if grid.dim == 1 else pts)

@@ -102,26 +102,19 @@ def equipartition_defect(state: PhaseState, spec: WellSpec) -> float:
     return integrate(Field(state.u.grid, dens))
 
 
-def measure_density(state: PhaseState, spec: WellSpec, which: str) -> Field:
-    """One of the three localized densities converging to sigma |grad chi|."""
-    pts = state.u.grid.points()
-    if which == "potential":
-        vals = 2.0 / state.eps * spec.W(pts, state.u.values)
-    elif which == "gradient":
-        vals = state.eps * gradient_neumann(state.u).norm() ** 2
-    elif which == "geometric":
-        w = spec.W(pts, state.u.values)
-        vals = np.sqrt(np.maximum(2.0 * w, 0.0)) \
-            * gradient_neumann(state.u).norm()
-    else:
-        raise ValueError("which must be potential, gradient or geometric")
-    return Field(state.u.grid, vals)
-
-
-def measure_pairing(state: PhaseState, spec: WellSpec, which: str,
-                    testfn: Field) -> float:
-    """Pair the selected density with a continuous test sample."""
-    return pair_density(measure_density(state, spec, which), testfn)
+def measure_pairing(state: PhaseState, spec: WellSpec,
+                    testfn: Field) -> tuple:
+    """Pair the three localized densities converging to sigma |grad chi|
+    with a continuous test sample: (potential, gradient, geometric) for
+    2 W(x, u) / eps, eps |grad u|^2 and sqrt(2 W(x, u)) |grad u|."""
+    grid = state.u.grid
+    w = spec.W(grid.points(), state.u.values)
+    potential = pair_density(Field(grid, 2.0 / state.eps * w), testfn)
+    root_2w = np.sqrt(np.maximum(2.0 * w, 0.0))
+    gn = gradient_neumann(state.u).norm()
+    gradient = pair_density(Field(grid, state.eps * gn ** 2), testfn)
+    geometric = pair_density(Field(grid, root_2w * gn), testfn)
+    return potential, gradient, geometric
 
 
 # ---------------------------------------------------------------------------

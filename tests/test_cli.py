@@ -277,9 +277,9 @@ class TestRun:
                    "c2.txt")
         assert cli.main(["run", p1]) == 0
         assert cli.main(["run", p2]) == 0
-        f1 = glob.glob(str(out1 / "*.csv"))[0]
-        f2 = glob.glob(str(out2 / "*.csv"))[0]
-        assert open(f1, "rb").read() == open(f2, "rb").read()
+        f1 = next(out1.glob("*.csv"))
+        f2 = next(out2.glob("*.csv"))
+        assert f1.read_bytes() == f2.read_bytes()
 
     def test_same_second_runs_keep_both_tables(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.time, "strftime",

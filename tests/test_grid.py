@@ -5,9 +5,10 @@ import pickle
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial import cKDTree
 
 from wmcflab.errors import ExtractionError, GridMismatchError
 from wmcflab.grid import (Field, Grid, VectorField, extract_levelset,
@@ -285,6 +286,52 @@ class TestPairing:
         assert abs(val - np.sqrt(2) / 6) <= 5 * (eps ** 2 + g.spacing[0] ** 2 / eps)
 
 
+def _levelset_reference(f, level):
+    """Crossing points by the former two algorithms: sign changes between
+    neighbours in 1-d, a walk over mixed cells that appends each crossing
+    edge once in 2-d."""
+    d = f.values - level
+    if f.grid.dim == 1:
+        x = f.grid.axis_centers(0)
+        sign_change = d[:-1] * d[1:] < 0
+        theta = d[:-1][sign_change] / (d[:-1][sign_change] - d[1:][sign_change])
+        crossings = x[:-1][sign_change] + theta * f.grid.spacing[0]
+        return np.sort(np.concatenate([crossings, x[d == 0]]))
+
+    xs = f.grid.axis_centers(0)
+    ys = f.grid.axis_centers(1)
+    pts = []
+    seen = set()
+
+    def crossing(i0, j0, i1, j1):
+        if (i1, j1) < (i0, j0):
+            i0, j0, i1, j1 = i1, j1, i0, j0
+        key = (i0, j0, i1, j1)
+        if key in seen:
+            return
+        d0, d1 = d[i0, j0], d[i1, j1]
+        if d0 * d1 >= 0 and not (d0 == 0 or d1 == 0):
+            return
+        theta = 0.5 if d0 == d1 else d0 / (d0 - d1)
+        if not (0.0 <= theta <= 1.0):
+            return
+        seen.add(key)
+        pts.append(np.array([xs[i0] + theta * (xs[i1] - xs[i0]),
+                             ys[j0] + theta * (ys[j1] - ys[j0])]))
+
+    mixed_i, mixed_j = np.nonzero(
+        (np.sign(d[:-1, :-1]) != np.sign(d[1:, :-1]))
+        | (np.sign(d[:-1, :-1]) != np.sign(d[:-1, 1:]))
+        | (np.sign(d[:-1, :-1]) != np.sign(d[1:, 1:]))
+    )
+    for i, j in zip(mixed_i, mixed_j):
+        crossing(i, j, i + 1, j)
+        crossing(i + 1, j, i + 1, j + 1)
+        crossing(i + 1, j + 1, i, j + 1)
+        crossing(i, j + 1, i, j)
+    return np.array(pts).reshape(-1, 2)
+
+
 class TestLevelSet:
     def test_linear_crossing(self):
         g = Grid.interval(0.0, 1.0, 64)
@@ -315,3 +362,46 @@ class TestLevelSet:
         assert_allclose(center, [0.2, -0.1], atol=1e-12)
         assert radius == pytest.approx(0.45, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(grid_fields(), st.sampled_from((0.0, 0.5)))
+    def test_matches_former_algorithms(self, gf, level):
+        # fields with no value at the level, where both rules take the same
+        # edges; the reference tests d0 * d1 < 0, so fields where that
+        # product underflows to zero are left to test_tiny_values_cross
+        g, f = gf
+        d = f.values - level
+        assume(np.any(d > 0) and np.any(d < 0) and not np.any(d == 0))
+        for k in range(g.dim):
+            dk = np.moveaxis(d, k, 0)
+            assume(not np.any((dk[:-1] * dk[1:] == 0)
+                              & (np.sign(dk[:-1]) != np.sign(dk[1:]))))
+        got = extract_levelset(f, level).points
+        ref = _levelset_reference(f, level)
+        if g.dim == 1:
+            assert np.array_equal(got, ref)
+        else:
+            # the reference steps by xs[i + 1] - xs[i] in place of h, a few
+            # units in the last place of the largest coordinate apart; that
+            # can swap two crossings with near-equal x in sorted order, so
+            # each point is matched to its nearest neighbour in the other set
+            tol = 1e-15 * max(1.0, *map(abs, g.lower + g.upper))
+            assert got.shape == ref.shape
+            assert np.max(cKDTree(ref).query(got)[0]) <= tol
+            assert np.max(cKDTree(got).query(ref)[0]) <= tol
+
+    def test_centers_on_the_level_counted_once(self):
+        # v = x + y is exactly 1 on the 8 anti-diagonal centers, and no
+        # edge straddles 1; the former walk returned each center once per
+        # edge touching it, 28 points that weight the circle fit unevenly
+        g = Grid.box((0, 0), (1, 1), (8, 8))
+        f = Field.from_function(g, lambda p: p[..., 0] + p[..., 1])
+        x = g.axis_centers(0)
+        assert np.array_equal(extract_levelset(f, 1.0).points,
+                              np.stack([x, x[::-1]], axis=-1))
+
+    def test_tiny_values_cross(self):
+        # d0 * d1 underflows to zero here; the sign test still finds the
+        # crossing halfway between the two middle centers
+        g = Grid.interval(0.0, 1.0, 8)
+        f = Field(g, np.where(g.axis_centers(0) < 0.5, 1e-200, -1e-200))
+        assert np.array_equal(extract_levelset(f, 0.0).points, [0.5])

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from wmcflab import flow, sharp, variations as var, wells
 from wmcflab.errors import GeometryError, ResolutionError
 from wmcflab.experiments import holds
-from wmcflab.grid import Field, Grid, extract_levelset
+from wmcflab.grid import Field, Grid, extract_levelset, gradient_neumann
 from wmcflab.testfields import (check_admissible, dilation_field,
                                 translation_field, zero_field)
 
@@ -122,7 +122,7 @@ class TestEquipartition:
         st = flow.PhaseState(
             Field(g, 0.5 + 0.4 * np.sin(5 * pts[..., 0]) * pts[..., 1]), 0.06)
         e = flow.energy(st, spec)
-        geo = var.measure_pairing(st, spec, "geometric", Field.constant(g, 1.0))
+        _, _, geo = var.measure_pairing(st, spec, Field.constant(g, 1.0))
         defect = var.equipartition_defect(st, spec)
         assert abs((e - geo) - 0.5 * defect) <= 1e-10 * max(1.0, e)
 
@@ -135,23 +135,21 @@ class TestMeasurePairings:
                                       0.02)
 
     def test_geometric_density_pairs_to_sigma(self):
-        val = var.measure_pairing(self.rec.state, self.spec, "geometric",
-                                  Field.constant(self.g, 1.0))
+        _, _, val = var.measure_pairing(self.rec.state, self.spec,
+                                        Field.constant(self.g, 1.0))
         assert abs(val - SQRT2_6) <= 5 * (0.02 + self.g.spacing[0] ** 2)
 
     def test_faraway_test_function_pairs_to_nothing(self):
         psi = Field.from_function(
             self.g, lambda p: np.exp(-((p[..., 0] - 0.05) / 0.02) ** 2))
-        val = var.measure_pairing(self.rec.state, self.spec, "geometric", psi)
-        assert abs(val) <= 1e-8
+        for val in var.measure_pairing(self.rec.state, self.spec, psi):
+            assert abs(val) <= 1e-8
 
     def test_pairwise_gaps_bounded_by_defect(self):
         # |int (a^2 - b^2)| <= sqrt(defect * 4E) via Cauchy-Schwarz
         st, spec = self.rec.state, self.spec
         one = Field.constant(self.g, 1.0)
-        pot = var.measure_pairing(st, spec, "potential", one)
-        gra = var.measure_pairing(st, spec, "gradient", one)
-        geo = var.measure_pairing(st, spec, "geometric", one)
+        pot, gra, geo = var.measure_pairing(st, spec, one)
         defect = var.equipartition_defect(st, spec)
         e = flow.energy(st, spec)
         bound = np.sqrt(defect * 4 * e) + 1e-12
@@ -159,10 +157,26 @@ class TestMeasurePairings:
         assert abs(pot - geo) <= bound
         assert abs(gra - geo) <= bound
 
-    def test_unknown_density_raises(self):
-        with pytest.raises(ValueError):
-            var.measure_pairing(self.rec.state, self.spec, "bogus",
-                                Field.constant(self.g, 1.0))
+    def test_pairings_equal_density_formulas(self):
+        # one evaluation of W and |grad u| serves all three densities and
+        # gives the bits of each formula evaluated on its own
+        spec = wells.linear_wells_quartic(0.0, 0.4, 1.0, 0.0,
+                                          bounds=np.array([[0., 1.], [0., 1.]]))
+        g = Grid.box((0, 0), (1, 1), (64, 64))
+        st = var.build_recovery(disk(), spec, g, 0.08).state
+        psi = Field.from_function(g, lambda p: 1.0 + 0.5 * p[..., 0])
+        pts = g.points()
+
+        def pair(dens):
+            return float(np.sum(dens * psi.values) * g.cell_volume)
+
+        w = spec.W(pts, st.u.values)
+        gn = np.sqrt(sum(c ** 2 for c in
+                         gradient_neumann(st.u).components))
+        assert var.measure_pairing(st, spec, psi) == (
+            pair(2.0 / st.eps * w),
+            pair(st.eps * gn ** 2),
+            pair(np.sqrt(np.maximum(2.0 * w, 0.0)) * gn))
 
 
 class TestFirstVariation:
