@@ -5,10 +5,11 @@ boundaries, each through one entry point:
 
   * ``run``: semi-implicit splitting (diffusion implicit, reaction
     explicit), stable for dt <= eps^2 / L where L bounds |d2W/du2| on the
-    invariant box. It checks the step and the stability bound once,
-    builds the per-run operators (the cell centers, the spectral
-    denominator) once, solves each step directly in the cosine basis and
-    returns a ``RunResult``;
+    invariant box. It checks the step and the stability bound once and
+    hands the steps to one private kernel, ``_march``, which builds the
+    per-run operators (the spectral denominator) and its work arrays
+    once, solves each step directly in the cosine basis and returns a
+    ``RunResult``;
   * ``step_minmov``: one minimizing-movements step, which minimizes
         (1/eps) E[u] + 1/(2 dt) ||u - u_prev||_L2^2,
     giving exact per-step energy decay and, for wells monotone outside a
@@ -17,7 +18,12 @@ boundaries, each through one entry point:
 Each entry point binds the well to the grid once (``wells.bind``): the
 well's m(x), a(x) and b(x) are evaluated on the cell centers at the
 start of the run or descent, and every W/dW_du evaluation after that
-takes the bound coefficients instead of the positions.
+takes the bound coefficients instead of the positions. The descent
+evaluates them through ``spec.W`` and ``spec.dW_du``. The run kernel
+forms u - a and u - b once per state and evaluates W (for the ledger)
+and dW_du (for the next step) from them with ``wells.quartic_W`` and
+``wells.quartic_dW_du``, the formula the spec's closures call, so every
+stepped value has the bits of the closures.
 
 One descent kernel, ``_bb_descent`` (Barzilai-Borwein steps under a
 nonmonotone Armijo line search), has two callers: ``step_minmov``
@@ -46,7 +52,7 @@ import numpy as np
 
 from .errors import NumericError
 from .grid import Field, Grid, gradient_neumann, integrate, laplacian_neumann
-from .wells import BoundQuartic, WellSpec, bind
+from .wells import BoundQuartic, WellSpec, bind, quartic_W, quartic_dW_du
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,13 @@ def energy_face(values: np.ndarray, grid: Grid, eps: float,
     ``bound`` is ``wells.bind(spec, grid.points())``, bound once by the
     caller that evaluates the energy many times on one grid.
     """
-    w = spec.W(bound, values)
-    total = float(np.sum(w)) / eps
+    return _face_energy(spec.W(bound, values), values, grid, eps)
+
+
+def _face_energy(w: np.ndarray, values: np.ndarray, grid: Grid,
+                 eps: float) -> float:
+    """``energy_face`` from the well values w = W(x, values)."""
+    total = float(w.sum()) / eps
     h = grid.spacing
     total += 0.5 * eps * _sum_sq(values[1:] - values[:-1]) / h[0] ** 2
     if grid.dim == 2:
@@ -92,9 +103,9 @@ def energy_face(values: np.ndarray, grid: Grid, eps: float,
 
 
 def _sum_sq(d: np.ndarray) -> float:
-    """Sum of squares of the fresh difference array ``d``, squared in place."""
+    """Sum of squares of the scratch array ``d``, squared in place."""
     np.square(d, out=d)
-    return float(np.sum(d))
+    return float(d.sum())
 
 
 def reaction_lipschitz(spec: WellSpec, grid: Grid, box,
@@ -145,7 +156,8 @@ def _spectral_solve(denom: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     diagonalizes exactly in the DCT-II basis."""
     from scipy.fft import dctn, idctn
     coeff = dctn(rhs, type=2, norm="ortho")
-    return idctn(coeff / denom, type=2, norm="ortho")
+    coeff /= denom
+    return idctn(coeff, type=2, norm="ortho", overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +375,11 @@ def run(state: PhaseState, spec: WellSpec, dt: float, t_end: float,
     Laplacian of the uniform grid is diagonal. The ledger's
     ``inner_residuals`` hold the L2 residual of that system on every
     step, so each direct solve is checked against the stencil it
-    inverts. The well is bound to the cell centers once per run.
+    inverts: every step hands its new state to ``laplacian_neumann`` as
+    a ``Field``, so a non-finite state raises ValueError on the step
+    that produced it. The well is bound to the cell centers once per
+    run, and the steps run in ``_march`` with work arrays allocated once
+    per run; each returned state owns its array.
 
     ``dt`` must divide t_end - state.time (to 1e-9 dt) and must not
     exceed the stability bound eps^2 / L_W on the initial value box;
@@ -399,25 +415,71 @@ def run(state: PhaseState, spec: WellSpec, dt: float, t_end: float,
     if dt > eps ** 2 / lw * (1 + 1e-9):
         raise ValueError(f"dt={dt} exceeds the stability bound "
                          f"{eps ** 2 / lw}")
+    return _march(state, bound, dt, n_steps, ledger, snapshot_times)
+
+
+def _march(state: PhaseState, bound: BoundQuartic, dt: float, n_steps: int,
+           ledger: DissipationLedger, snapshot_times) -> RunResult:
+    """The step loop of ``run``: ``n_steps`` semi-implicit steps from
+    ``state``, each appended to ``ledger``.
+
+    Bit for bit the arithmetic of one step at a time through
+    ``spec.dW_du``, ``_spectral_solve``, ``laplacian_neumann`` and
+    ``energy_face``, with less dispatch around it:
+
+    * the work arrays are allocated once; every stepped state is the
+      fresh array ``_spectral_solve`` returns, never one of them;
+    * u - a and u - b of each new state feed both the next step's
+      reaction and the state's ledger energy, through
+      ``wells.quartic_dW_du`` and ``wells.quartic_W``, the formula of the
+      spec's dW_du and W (the last step's reaction goes unused);
+    * a ``PhaseState`` is built only for a snapshot and the final state.
+      The ``Field`` handed to the residual stencil is built on every
+      step, so a non-finite state raises ValueError on the step that
+      produced it.
+    """
+    grid = state.u.grid
+    eps = state.eps
+    m, a, b = bound.m, bound.a, bound.b
     denom = _spectral_denominator(grid, dt)
+    rate, scale, vol = dt / eps ** 2, eps / dt, grid.cell_volume
+    rhs, work = np.empty(grid.cells), np.empty(grid.cells)
+    f = state.u
+    u = f.values
+    da, db = u - a, u - b
+    dw = quartic_dW_du(m, da, db)
+    time = state.time
     snapshots = []
     want = sorted(snapshot_times)
     for k in range(1, n_steps + 1):
-        u_old = state.u.values
-        rhs = u_old - (dt / eps ** 2) * spec.dW_du(bound, u_old)
+        np.multiply(dw, rate, out=rhs)
+        np.subtract(u, rhs, out=rhs)
         sol = _spectral_solve(denom, rhs)
-        state = state.replace(sol, time=state.time + dt)
-        resid = float(np.sqrt(np.sum(
-            (sol - dt * laplacian_neumann(state.u).values - rhs) ** 2)))
-        e_now = energy_face(sol, grid, eps, spec, bound)
-        increment = eps / dt * float(np.sum((sol - u_old) ** 2)) \
-            * grid.cell_volume
-        ledger.append(k, state.time, e_now, increment, resid)
+        time = time + dt
+        f = Field(grid, sol)
+        # residual of (I - dt Lap) sol = rhs against the stencil
+        laplacian_neumann(f, out=work)
+        work *= dt
+        np.subtract(sol, work, out=work)
+        work -= rhs
+        resid = math.sqrt(_sum_sq(work))
+        np.subtract(sol, a, out=da)
+        np.subtract(sol, b, out=db)
+        # the next step's reaction first: quartic_W consumes da and db
+        dw = quartic_dW_du(m, da, db)
+        e_now = _face_energy(quartic_W(m, da, db), sol, grid, eps)
+        np.subtract(sol, u, out=work)
+        ledger.append(k, time, e_now, scale * _sum_sq(work) * vol, resid)
+        u = sol
         # the last step reaches every remaining time, whatever rounding
-        # the accumulated state.time carries
-        while want and (k == n_steps or state.time >= want[0] - 1e-12):
+        # the accumulated time carries
+        while want and (k == n_steps or time >= want[0] - 1e-12):
+            if state.u is not f:
+                state = PhaseState(f, eps, time)
             snapshots.append(state)
             want.pop(0)
+    if state.u is not f:
+        state = PhaseState(f, eps, time)
     return RunResult(state, ledger, snapshots)
 
 

@@ -3,11 +3,13 @@
 Ghost cells mirror the boundary cell across the face (edge replication),
 which encodes the 90-degree Neumann condition, keeps the 3/5-point
 Laplacian symmetric, and makes its output sum to zero exactly (telescoping
-fluxes). Fields are immutable value holders; all operators are pure.
+fluxes). Fields are immutable value holders; all operators are pure
+(``laplacian_neumann`` can write its result into an array the caller
+gives it).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -87,7 +89,7 @@ class Field:
         if vals.shape != self.grid.cells:
             raise ValueError(f"values shape {vals.shape} does not match grid "
                              f"cells {self.grid.cells}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -112,7 +114,7 @@ class VectorField:
         for c in comps:
             if c.shape != self.grid.cells:
                 raise ValueError("component shape does not match grid")
-            if not np.all(np.isfinite(c)):
+            if not np.isfinite(c).all():
                 raise ValueError("vector field values must be finite")
         object.__setattr__(self, "components", comps)
 
@@ -129,44 +131,44 @@ def _same_grid(f, g):
         raise GridMismatchError("fields live on different grids")
 
 
-def _padded(values: np.ndarray) -> np.ndarray:
-    """Copy of ``values`` with one ghost layer per side on every axis, each
-    ghost repeating its boundary cell (the values of ``np.pad(mode="edge")``
-    on the edges; 2-d corners are left unset, no stencil reads them)."""
-    p = np.empty(tuple(n + 2 for n in values.shape), dtype=values.dtype)
-    if values.ndim == 1:
-        p[1:-1] = values
-        p[0] = values[0]
-        p[-1] = values[-1]
-    else:
-        p[1:-1, 1:-1] = values
-        p[0, 1:-1] = values[0]
-        p[-1, 1:-1] = values[-1]
-        p[1:-1, 0] = values[:, 0]
-        p[1:-1, -1] = values[:, -1]
-    return p
+def _second_difference(v: np.ndarray, axis: int,
+                       out: np.ndarray) -> np.ndarray:
+    """(v[i+1] - 2 v[i]) + v[i-1] along ``axis`` into ``out`` (which must
+    not overlap ``v``), each ghost repeating its boundary cell.
+
+    No padded copy: ``out`` starts as -2v, every cell but the last adds
+    its forward neighbour and the last its ghost (itself), then every
+    cell but the first adds its backward neighbour and the first itself.
+    x + (-2v) rounds as x - 2v, so the bits are those of the padded
+    formula.
+    """
+    vt, ot = (v, out) if axis == 0 else (v.T, out.T)
+    np.multiply(v, -2.0, out=out)
+    ot[:-1] += vt[1:]
+    ot[-1] += vt[-1]
+    ot[1:] += vt[:-1]
+    ot[0] += vt[0]
+    return out
 
 
-def laplacian_neumann(f: Field) -> Field:
+def laplacian_neumann(f: Field, out: Optional[np.ndarray] = None) -> Field:
     """Second-order 3/5-point stencil with mirrored ghost cells.
 
     The output sums to zero exactly up to roundoff (discrete divergence
-    theorem for zero-flux boundaries).
+    theorem for zero-flux boundaries). The stencil reads ``f.values``
+    through slices, with no padded copy; ``out``, when given, is an array
+    of the grid's shape, not overlapping ``f.values``, that receives the
+    values of the returned field.
     """
     v = f.values
     h = f.grid.spacing
-    p = _padded(v)
-    if f.grid.dim == 1:
-        out = (p[2:] - 2.0 * v + p[:-2]) / h[0] ** 2
-    else:
-        # (p_up - 2v + p_down) / h0^2 + (p_right - 2v + p_left) / h1^2,
-        # evaluated in that order with 2v formed once and in-place sums
-        v2 = 2.0 * v
-        out = p[2:, 1:-1] - v2
-        out += p[:-2, 1:-1]
-        out /= h[0] ** 2
-        across = p[1:-1, 2:] - v2
-        across += p[1:-1, :-2]
+    if out is None:
+        out = np.empty_like(v)
+    # (v_up - 2v + v_down) / h0^2 [+ (v_right - 2v + v_left) / h1^2]
+    _second_difference(v, 0, out)
+    out /= h[0] ** 2
+    if f.grid.dim == 2:
+        across = _second_difference(v, 1, np.empty_like(v))
         across /= h[1] ** 2
         out += across
     return Field(f.grid, out)
@@ -176,12 +178,16 @@ def gradient_neumann(f: Field) -> VectorField:
     """Centered differences with mirrored ghosts (even extension)."""
     v = f.values
     h = f.grid.spacing
-    p = _padded(v)
-    if f.grid.dim == 1:
-        comps = [(p[2:] - p[:-2]) / (2.0 * h[0])]
-    else:
-        comps = [(p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h[0]),
-                 (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h[1])]
+    comps = []
+    for axis in range(f.grid.dim):
+        # (v[i+1] - v[i-1]) / 2h, a boundary ghost repeating its cell
+        d = np.empty_like(v)
+        vt, gt = (v, d) if axis == 0 else (v.T, d.T)
+        np.subtract(vt[2:], vt[:-2], out=gt[1:-1])
+        gt[0] = vt[1] - vt[0]
+        gt[-1] = vt[-1] - vt[-2]
+        d /= 2.0 * h[axis]
+        comps.append(d)
     return VectorField(f.grid, tuple(comps))
 
 

@@ -22,7 +22,10 @@ profile with rate sqrt(2 m) gamma.
 A run on a grid evaluates W and dW_du many times on the same positions.
 ``bind(spec, pts)`` evaluates m(x), a(x) and b(x) on them once; the
 spec's W and dW_du take the bound coefficients in place of the positions
-and give the same bits.
+and give the same bits. Both go through ``quartic_W`` and
+``quartic_dW_du``, the formula as a function of u - a and u - b, which
+the semi-implicit run also calls with the differences it shares between
+a state's energy and its reaction.
 """
 
 from dataclasses import dataclass, field
@@ -561,6 +564,32 @@ def bind(spec: WellSpec, pts) -> BoundQuartic:
                           for f in (spec.amplitude, spec.a, spec.b)))
 
 
+def quartic_W(m, da, db):
+    """The quartic m (u - a)^2 (u - b)^2 from the differences da = u - a
+    and db = u - b, evaluated as (m da^2) db^2.
+
+    ``da`` and ``db`` are two scratch arrays (or scalars) the caller
+    gives up. When ``da`` is an array of the result's shape, the terms
+    are formed in place and ``da`` is returned, so nothing is allocated,
+    as numpy's temporary elision does for the expression written with
+    the differences inline. Otherwise the expression allocates.
+    """
+    if isinstance(da, np.ndarray) \
+            and da.shape == np.broadcast(m, da, db).shape:
+        da **= 2
+        da *= m
+        db **= 2
+        da *= db
+        return da
+    return m * da ** 2 * db ** 2
+
+
+def quartic_dW_du(m, da, db):
+    """Its u-partial 2 m (u - a)(u - b)(2u - a - b) from da and db,
+    evaluated as ((2 m da) db)(da + db); ``da`` and ``db`` are kept."""
+    return m * 2.0 * da * db * (da + db)
+
+
 def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
                       amplitude=None, grad_amplitude=None,
                       bounds=None) -> WellSpec:
@@ -568,8 +597,8 @@ def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
 
     ``W`` and ``dW_du`` take either positions or a ``BoundQuartic`` from
     ``bind``. Positions are bound on the spot, without collapsing, so
-    both forms go through the one formula m (u - a)^2 (u - b)^2 (and its
-    u-partial) and give the same bits.
+    both forms go through the one formula, ``quartic_W`` and
+    ``quartic_dW_du``, and give the same bits.
     """
     if amplitude is None:
         amplitude = lambda x: np.ones(np.shape(x)[:-1])
@@ -584,12 +613,11 @@ def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
 
     def W(x, u):
         c = coefficients(x)
-        return c.m * (u - c.a) ** 2 * (u - c.b) ** 2
+        return quartic_W(c.m, u - c.a, u - c.b)
 
     def dW_du(x, u):
         c = coefficients(x)
-        da, db = u - c.a, u - c.b
-        return c.m * 2.0 * da * db * (da + db)
+        return quartic_dW_du(c.m, u - c.a, u - c.b)
 
     def dW_dx(x, u):
         da, db = u - a(x), u - b(x)

@@ -5,7 +5,7 @@ import math
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
@@ -68,6 +68,56 @@ def _cg(apply_op, rhs, tol: float = 1e-10, max_iter: int = 20000):
         rr = rr_new
     raise NumericError("conjugate gradient did not reach the residual target",
                        achieved=float(np.sqrt(rr)), last_iterate=x)
+
+
+def _reference_run(state, spec, dt, t_end, snapshot_times=()):
+    """``flow.run`` as one step at a time: a ``PhaseState`` per step, W and
+    dW_du through the spec's closures, the residual stencil on a padded
+    copy and the energy summed as ``energy_face`` wrote it. The reference
+    the run kernel is checked against bit for bit; it takes valid
+    arguments only."""
+    from scipy.fft import dctn, idctn
+
+    grid = state.u.grid
+    bound = wells.bind(spec, grid.points())
+    eps = state.eps
+    h = grid.spacing
+
+    def lap(v):
+        p = np.pad(v, 1, mode="edge")
+        if grid.dim == 1:
+            return (p[2:] - 2.0 * v + p[:-2]) / h[0] ** 2
+        v2 = 2.0 * v
+        out = (p[2:, 1:-1] - v2 + p[:-2, 1:-1]) / h[0] ** 2
+        return out + (p[1:-1, 2:] - v2 + p[1:-1, :-2]) / h[1] ** 2
+
+    def energy(v):
+        total = float(np.sum(spec.W(bound, v))) / eps
+        total += 0.5 * eps * float(np.sum((v[1:] - v[:-1]) ** 2)) / h[0] ** 2
+        if grid.dim == 2:
+            total += 0.5 * eps * float(
+                np.sum((v[:, 1:] - v[:, :-1]) ** 2)) / h[1] ** 2
+        return total * grid.cell_volume
+
+    n_steps = int(round((t_end - state.time) / dt))
+    ledger = flow.DissipationLedger(e_initial=energy(state.u.values))
+    denom = flow._spectral_denominator(grid, dt)
+    snapshots = []
+    want = sorted(snapshot_times)
+    for k in range(1, n_steps + 1):
+        u_old = state.u.values
+        rhs = u_old - (dt / eps ** 2) * spec.dW_du(bound, u_old)
+        sol = idctn(dctn(rhs, type=2, norm="ortho") / denom, type=2,
+                    norm="ortho")
+        state = state.replace(sol, time=state.time + dt)
+        resid = float(np.sqrt(np.sum((sol - dt * lap(sol) - rhs) ** 2)))
+        increment = eps / dt * float(np.sum((sol - u_old) ** 2)) \
+            * grid.cell_volume
+        ledger.append(k, state.time, energy(sol), increment, resid)
+        while want and (k == n_steps or state.time >= want[0] - 1e-12):
+            snapshots.append(state)
+            want.pop(0)
+    return flow.RunResult(state, ledger, snapshots)
 
 
 class TestSemiImplicit:
@@ -481,3 +531,103 @@ class TestDescentProperties:
                                    h_step, trunc=c0)
         assert rec.slack >= -1e-12
         assert float(np.max(np.abs(st.u.values))) <= c0 + 1e-12
+
+
+LEDGER_LISTS = ("steps", "times", "energies", "dissipation_increments",
+                "defects", "inner_residuals")
+
+
+@hst.composite
+def run_problems(draw):
+    """A small 1-d or 2-d run: a constant, exponentially scaled or
+    moving-well quartic, a start time, a stable dt, a few steps and
+    snapshot times inside the run."""
+    dim = draw(hst.sampled_from((1, 2)))
+    n_max = 40 if dim == 1 else 16
+    cells = tuple(draw(hst.integers(8, n_max)) for _ in range(dim))
+    g = Grid((0.0,) * dim, tuple(draw(hst.floats(0.5, 2.0)) for _ in cells),
+             cells)
+    kind = draw(hst.sampled_from(("constant", "exp", "linear")))
+    if kind == "constant":
+        spec = wells.constant_quartic()
+    elif kind == "exp":
+        spec = wells.exp_scaled_quartic(draw(hst.floats(-1.0, 1.0)),
+                                        axis=draw(hst.integers(0, dim - 1)))
+    else:
+        spec = wells.linear_wells_quartic(
+            0.0, 0.2, 1.0, -0.1, axis=draw(hst.integers(0, dim - 1)),
+            bounds=np.array([[lo, up] for lo, up in zip(g.lower, g.upper)]))
+    eps = draw(hst.floats(0.05, 0.3))
+    v = draw(hnp.arrays(float, cells, elements=hst.floats(-0.2, 1.2)))
+    t0 = draw(hst.floats(0.0, 10.0))
+    # the stability bound run() checks, on the box it checks it on
+    lo, hi = float(np.min(v)), float(np.max(v))
+    pad = 0.05 * max(hi - lo, 1.0)
+    lw = flow.reaction_lipschitz(spec, g, (lo - pad, hi + pad))
+    dt = draw(hst.floats(0.05, 1.0)) * eps ** 2 / lw
+    n = draw(hst.integers(1, 12))
+    t_end = t0 + n * dt
+    # t_end - t0 carries the rounding of t0 + n dt, which run() accepts
+    # up to 1e-9 dt
+    assume(abs(n * dt - (t_end - t0)) <= 1e-9 * dt)
+    fracs = draw(hst.lists(hst.floats(0.0, 1.0, exclude_min=True),
+                           max_size=5))
+    times = [t for t in [t0 + f * n * dt for f in fracs]
+             if t0 + 1e-12 < t <= t_end + 1e-12]
+    state = flow.PhaseState(Field(g, v), eps, time=t0)
+    return state, spec, dt, t_end, times
+
+
+class TestRunKernelProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(run_problems())
+    def test_bit_identical_to_reference_loop(self, problem):
+        state, spec, dt, t_end, times = problem
+        got = flow.run(state, spec, dt, t_end, snapshot_times=times)
+        ref = _reference_run(state, spec, dt, t_end, snapshot_times=times)
+        assert np.array_equal(got.state.u.values, ref.state.u.values)
+        assert got.state.time == ref.state.time
+        assert got.state.eps == ref.state.eps
+        assert len(got.snapshots) == len(ref.snapshots)
+        for a, b in zip(got.snapshots, ref.snapshots):
+            assert np.array_equal(a.u.values, b.u.values)
+            assert a.time == b.time
+        assert ([s is got.state for s in got.snapshots]
+                == [s is ref.state for s in ref.snapshots])
+        assert repr(got.ledger.e_initial) == repr(ref.ledger.e_initial)
+        for name in LEDGER_LISTS:
+            # repr compares the bits and the types (np.float64 or float)
+            assert repr(getattr(got.ledger, name)) \
+                == repr(getattr(ref.ledger, name))
+        # every state returned owns its array: no two distinct states
+        # share memory with each other or with the input
+        distinct = {id(s): s.u.values for s in got.snapshots + [got.state]}
+        arrays = list(distinct.values()) + [state.u.values]
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+
+
+class TestFinitenessGuard:
+    @pytest.mark.parametrize("st", [profile_state(n=64, eps=0.05),
+                                    disk_state(n=16)])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_nonfinite_solve_raises_on_its_step(self, monkeypatch, st, k):
+        # a NaN in the k-th solve is caught in step k: no later solve runs
+        import scipy.fft
+
+        real = scipy.fft.idctn
+        calls = []
+
+        def idctn(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == k:
+                out.flat[out.size // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(scipy.fft, "idctn", idctn)
+        spec = wells.constant_quartic()
+        with pytest.raises(ValueError, match="field values must be finite"):
+            flow.run(st, spec, dt=2e-4, t_end=5 * 2e-4)
+        assert len(calls) == k

@@ -125,6 +125,15 @@ def _lap_reference(v, h):
     return out + (p[:, 2:] - 2.0 * v + p[:, :-2]) / h[1] ** 2
 
 
+def _grad_reference(v, h):
+    """Centered differences as written with ``np.pad(mode="edge")`` ghosts."""
+    p = np.pad(v, 1, mode="edge")
+    if v.ndim == 1:
+        return [(p[2:] - p[:-2]) / (2.0 * h[0])]
+    return [(p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h[0]),
+            (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h[1])]
+
+
 values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 spans = st.floats(0.01, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -168,9 +177,19 @@ class TestLaplacianProperties:
     @settings(max_examples=60, deadline=None)
     @given(grid_fields())
     def test_bit_identical_to_pad_formula(self, gf):
+        # with and without out=, which then holds the returned values; the
+        # gradient's ghosts too
         g, f = gf
-        lap = laplacian_neumann(f).values
-        assert np.array_equal(lap, _lap_reference(f.values, g.spacing))
+        ref = _lap_reference(f.values, g.spacing)
+        assert np.array_equal(laplacian_neumann(f).values, ref)
+        out = np.full(g.cells, np.nan)
+        assert laplacian_neumann(f, out=out).values is out
+        assert np.array_equal(out, ref)
+        comps = gradient_neumann(f).components
+        ref = _grad_reference(f.values, g.spacing)
+        assert len(comps) == len(ref) == g.dim
+        for c, r in zip(comps, ref):
+            assert np.array_equal(c, r)
 
     @settings(max_examples=60, deadline=None)
     @given(st.tuples(sizes, sizes), st.tuples(spans, spans), st.data())

@@ -458,6 +458,20 @@ class TestBind:
         bound = wells.bind(spec, pts)
         assert np.array_equal(spec.W(bound, u), spec.W(pts, u))
         assert np.array_equal(spec.dW_du(bound, u), spec.dW_du(pts, u))
+        # and to the formula written inline, on the grid, broadcast the way
+        # reaction_lipschitz binds (points x values) and at one point with
+        # a scalar value; u itself is left as it was
+        flat = pts.reshape(-1, 1, pts.shape[-1])
+        for x, v in ((pts, u), (flat, u.reshape(-1)[:7]),
+                     (pts.reshape(-1, pts.shape[-1])[:1], float(u.flat[0]))):
+            c = wells.bind(spec, x)
+            kept = np.copy(v)
+            w = spec.W(c, v)
+            assert np.array_equal(w, c.m * (v - c.a) ** 2 * (v - c.b) ** 2)
+            da, db = v - c.a, v - c.b
+            assert np.array_equal(spec.dW_du(c, v),
+                                  c.m * 2.0 * da * db * (da + db))
+            assert np.array_equal(v, kept)
 
     def test_constant_coefficients_collapse_to_scalars(self):
         pts = Grid((0.0, 0.0), (1.0, 1.0), (8, 8)).points()
