@@ -18,8 +18,7 @@ boundaries, each through one entry point:
 Each entry point binds the well to the grid once (``wells.bind``): the
 well's m(x), a(x) and b(x) are evaluated on the cell centers at the
 start of the run or descent, and every W/dW_du evaluation after that
-takes the bound coefficients instead of the positions. The descent
-evaluates them through ``spec.W`` and ``spec.dW_du``. The run kernel
+takes the bound coefficients instead of the positions. The run kernel
 forms u - a and u - b once per state and evaluates W (for the ledger)
 and dW_du (for the next step) from them with ``wells.quartic_W`` and
 ``wells.quartic_dW_du``, the formula the spec's closures call, so every
@@ -28,7 +27,13 @@ stepped value has the bits of the closures.
 One descent kernel, ``_bb_descent`` (Barzilai-Borwein steps under a
 nonmonotone Armijo line search), has two callers: ``step_minmov``
 (unconstrained, one minimizing-movements step) and
-``minimize_constrained`` (projected onto mean(u) = mass).
+``minimize_constrained`` (projected onto mean(u) = mass). It is the
+descent analogue of ``_march``: its work arrays are allocated once per
+descent and rotated, and u - a and u - b of each trial feed both that
+trial's energy and, once the trial is accepted, its gradient, in the
+operation order of the spec's closures, so every iterate has the bits
+of a descent written through ``spec.W``, ``spec.dW_du`` and
+``energy_face``.
 
 The inner solvers work with the face-difference quadrature of the
 gradient energy, whose exact L2-gradient is the compact 3/5-point Neumann
@@ -77,10 +82,6 @@ def energy(state: PhaseState, spec: WellSpec) -> float:
     return integrate(Field(state.u.grid, dens))
 
 
-def _lap(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return laplacian_neumann(Field(grid, values)).values
-
-
 def energy_face(values: np.ndarray, grid: Grid, eps: float,
                 spec: WellSpec, bound: BoundQuartic) -> float:
     """Discrete energy with face-difference gradient quadrature.
@@ -92,14 +93,33 @@ def energy_face(values: np.ndarray, grid: Grid, eps: float,
 
 
 def _face_energy(w: np.ndarray, values: np.ndarray, grid: Grid,
-                 eps: float) -> float:
-    """``energy_face`` from the well values w = W(x, values)."""
+                 eps: float, work: Optional[np.ndarray] = None) -> float:
+    """``energy_face`` from the well values w = W(x, values).
+
+    The face differences go into ``work`` when it is given: a
+    C-contiguous scratch array of the grid's shape, which may be ``w``
+    itself (w is summed first).
+    """
     total = float(w.sum()) / eps
     h = grid.spacing
-    total += 0.5 * eps * _sum_sq(values[1:] - values[:-1]) / h[0] ** 2
+    total += 0.5 * eps * _sum_sq(_face_difference(values, 0, work)) / h[0] ** 2
     if grid.dim == 2:
-        total += 0.5 * eps * _sum_sq(values[:, 1:] - values[:, :-1]) / h[1] ** 2
+        total += 0.5 * eps * _sum_sq(_face_difference(values, 1, work)) \
+            / h[1] ** 2
     return total * grid.cell_volume
+
+
+def _face_difference(values: np.ndarray, axis: int,
+                     work: Optional[np.ndarray]) -> np.ndarray:
+    """values[i+1] - values[i] along ``axis``: a new array, or, with
+    ``work`` given, a C-contiguous view of its leading cells, which sums
+    in the order a new array does."""
+    hi, lo = ((values[1:], values[:-1]) if axis == 0
+              else (values[:, 1:], values[:, :-1]))
+    if work is None:
+        return hi - lo
+    out = work.reshape(-1)[:lo.size].reshape(lo.shape)
+    return np.subtract(hi, lo, out=out)
 
 
 def _sum_sq(d: np.ndarray) -> float:
@@ -174,76 +194,148 @@ class MinMovRecord:
     iterations: int
 
 
-def _bb_descent(objective, gradient, u0, alpha0, max_iter, vol, stationary,
-                obj_tol=None, project=None):
+def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
+                anchor=None, h_step=None, obj_tol=None):
     """Barzilai-Borwein descent with nonmonotone Armijo backtracking.
 
-    The module's one descent loop. Each iteration first asks
-    ``stationary(g)`` of the gradient g at the current iterate and stops
-    if it holds. Otherwise it steps along -g from the BB step length,
-    halving the step (at most 60 times) until the objective is below the
-    Armijo line from the largest of the last 10 objective values.
+    The module's one descent loop, with two callers:
 
-    * ``step_minmov`` descends freely. Its ``stationary`` is a small L2
-      gradient norm, and it also stops once the objective changes by at
-      most ``obj_tol`` relative in one iteration.
-    * ``minimize_constrained`` passes ``project``, which restores the
-      constraint after every trial step. The search direction is then
-      the mean-free part of -g. It stops only when ``stationary`` holds
-      (the multiplier field is flat to its tolerance).
+    * ``step_minmov`` passes ``anchor`` (the previous state) and
+      ``h_step``, and descends J(u) = E(u)/eps + ||u - anchor||^2/(2 h)
+      freely along -g. It stops once the L2 norm of g is at most
+      ``tol``, or once J changes by at most ``obj_tol`` relative in one
+      iteration.
+    * ``minimize_constrained`` passes ``mass`` and descends J(u) = E(u).
+      Every iterate and trial is shifted to mean(u) = mass, and the
+      search direction is the mean-free part of -g. It stops only once
+      the standard deviation of g is at most ``tol`` (the multiplier
+      field is flat to its tolerance).
 
-    If all 60 halvings fail, the descent stops at the current iterate;
-    the caller judges that iterate by its gradient. Returns
-    (u, J, g, iterations) with J and g the objective and gradient at u.
-    Raises NumericError after ``max_iter`` iterations without a stop.
+    E is ``energy_face`` of the well ``bound`` on ``grid``. Each
+    iteration first tests the gradient g at the current iterate and
+    stops if it is stationary. Otherwise it steps from the BB step
+    length, halving the step (at most 60 times) until J is below the
+    Armijo line from the largest of the last 10 values of J.
+
+    The arithmetic is bit for bit that of the objective and gradient
+    written through ``energy_face``, ``spec.dW_du`` and
+    ``laplacian_neumann``, with less dispatch around it:
+
+    * the work arrays are allocated once per descent and rotated: the
+      iterate and the previous one, whose array takes the trials once
+      the BB step has used it; the gradient and the previous one; the
+      centred gradient (constrained only); u - a and u - b; and two
+      scratch arrays;
+    * J of a trial keeps that trial's u - a and u - b, evaluating W from
+      them without consuming them in the order of ``wells.quartic_W``;
+      the gradient of the accepted trial takes its reaction from the
+      same differences, in the order of ``wells.quartic_dW_du``;
+    * one mean of g feeds both the stationarity test and the direction.
+
+    The gradient hands every iterate to ``laplacian_neumann`` as a
+    ``Field``, so a non-finite iterate raises ValueError. If all 60
+    halvings fail, the descent stops at the current iterate; the caller
+    judges that iterate by its gradient. Returns (u, J, g, iterations)
+    with J and g the objective and gradient at u, in arrays of this
+    descent. Raises NumericError after ``max_iter`` iterations without a
+    stop.
     """
-    u = u0.copy()
-    if project is not None:
-        u = project(u)
+    constrained = mass is not None
+    m, a, b = bound.m, bound.a, bound.b
+    m2 = m * 2.0
+    vol = grid.cell_volume
+    u, u_prev, g, g_prev, da, db, s1, s2 = (
+        np.empty(grid.cells) for _ in range(8))
+    centred = np.empty(grid.cells) if constrained else None
+
+    def objective(v):
+        """J at v; leaves v - a in da and v - b in db."""
+        np.subtract(v, a, out=da)
+        np.subtract(v, b, out=db)
+        np.multiply(da, da, out=s1)
+        np.multiply(s1, m, out=s1)
+        np.multiply(db, db, out=s2)
+        np.multiply(s1, s2, out=s1)
+        e = _face_energy(s1, v, grid, eps, work=s1)
+        if constrained:
+            return e
+        np.subtract(v, anchor, out=s2)
+        return e / eps + _sum_sq(s2) * vol / (2 * h_step)
+
+    def gradient(v, out):
+        """The gradient at v into ``out``, from the da and db of v."""
+        np.multiply(da, m2, out=out)
+        out *= db
+        np.add(da, db, out=s1)
+        out *= s1
+        out /= eps
+        laplacian_neumann(Field(grid, v), out=s1)
+        np.multiply(s1, eps, out=s1)
+        out -= s1
+        if not constrained:
+            out /= eps
+            np.subtract(v, anchor, out=s1)
+            np.divide(s1, h_step, out=s1)
+            out += s1
+
+    np.copyto(u, u0)
+    if constrained:
+        u += mass - float(np.mean(u))
     J = objective(u)
-    g = gradient(u)
+    gradient(u, g)
     recent = [J]
     alpha = alpha0
-    u_prev = None
-    g_prev = None
     for it in range(max_iter):
-        if stationary(g):
-            return u, J, g, it
-        if project is not None:
-            d = -(g - np.mean(g))
+        # stationarity, and the slope gd of J along the direction -c
+        if constrained:
+            c = centred
+            np.subtract(g, float(np.mean(g)), out=c)
+            np.multiply(c, c, out=s1)
+            # the standard deviation of g, as np.std forms it
+            if math.sqrt(float(s1.sum()) / g.size) <= tol:
+                return u, J, g, it
+            np.multiply(g, c, out=s1)
+            gd = -float(s1.sum()) * vol
         else:
-            d = -g
-        gd = float(np.sum(g * d)) * vol
+            c = g
+            np.multiply(g, g, out=s1)
+            gg = float(s1.sum())
+            if math.sqrt(gg * vol) <= tol:
+                return u, J, g, it
+            gd = -gg * vol
         # Barzilai-Borwein step from the previous displacement pair
-        if u_prev is not None:
-            s = u - u_prev
-            y = g - g_prev
-            sy = float(np.sum(s * y)) * vol
-            ss = float(np.sum(s * s)) * vol
+        if it > 0:
+            np.subtract(u, u_prev, out=s1)
+            np.subtract(g, g_prev, out=s2)
+            s2 *= s1
+            sy = float(s2.sum()) * vol
+            ss = _sum_sq(s1) * vol
             if sy > 1e-300:
                 alpha = min(max(ss / sy, 1e-6 * alpha0), 1e6 * alpha0)
+        trial = u_prev
         ref = max(recent)
         step = alpha
         for _ in range(60):
-            trial = u + step * d
-            if project is not None:
-                trial = project(trial)
+            np.multiply(c, -step, out=trial)
+            trial += u
+            if constrained:
+                trial += mass - float(np.mean(trial))
             J_trial = objective(trial)
             if J_trial <= ref + 1e-4 * step * gd:
                 break
             step *= 0.5
         else:
             return u, J, g, it
-        u_prev, g_prev = u, g
-        u, J_new = trial, J_trial
-        g = gradient(u)
-        recent.append(J_new)
+        u_prev, u = u, trial
+        g_prev, g = g, g_prev
+        gradient(u, g)
+        recent.append(J_trial)
         if len(recent) > 10:
             recent.pop(0)
         if obj_tol is not None \
-                and abs(J - J_new) <= obj_tol * max(1.0, abs(J_new)):
-            return u, J_new, g, it + 1
-        J = J_new
+                and abs(J - J_trial) <= obj_tol * max(1.0, abs(J_trial)):
+            return u, J_trial, g, it + 1
+        J = J_trial
     raise NumericError("descent did not converge within the iteration budget",
                        last_iterate=u)
 
@@ -267,27 +359,20 @@ def step_minmov(state: PhaseState, spec: WellSpec, h_step: float,
     vol = grid.cell_volume
 
     def objective(u):
+        # the descent's J, for the comparisons after it
         move = float(np.sum((u - u_prev) ** 2)) * vol
         return energy_face(u, grid, eps, spec, bound) / eps \
             + move / (2 * h_step)
-
-    def gradient(u):
-        return (spec.dW_du(bound, u) / eps - eps * _lap(u, grid)) / eps \
-            + (u - u_prev) / h_step
-
-    def l2_norm(g):
-        return np.sqrt(float(np.sum(g * g)) * vol)
 
     lw = reaction_lipschitz(spec, grid,
                             (float(np.min(u_prev)) - 0.5,
                              float(np.max(u_prev)) + 0.5))
     lip = lw / eps ** 2 + 4 * grid.dim / float(np.min(grid.spacing)) ** 2 \
         + 1.0 / h_step
-    u, J, g, iters = _bb_descent(objective, gradient, u_prev,
-                                 alpha0=1.0 / lip, max_iter=2000, vol=vol,
-                                 stationary=lambda g: l2_norm(g) <= 1e-9,
-                                 obj_tol=1e-12)
-    gnorm = l2_norm(g)
+    u, J, g, iters = _bb_descent(u_prev, grid, eps, bound, alpha0=1.0 / lip,
+                                 max_iter=2000, tol=1e-9, anchor=u_prev,
+                                 h_step=h_step, obj_tol=1e-12)
+    gnorm = np.sqrt(float(np.sum(g * g)) * vol)
     J_prev = objective(u_prev)
     if J > J_prev:
         u, J = u_prev.copy(), J_prev
@@ -381,9 +466,9 @@ def run(state: PhaseState, spec: WellSpec, dt: float, t_end: float,
     run, and the steps run in ``_march`` with work arrays allocated once
     per run; each returned state owns its array.
 
-    ``dt`` must divide t_end - state.time (to 1e-9 dt) and must not
-    exceed the stability bound eps^2 / L_W on the initial value box;
-    otherwise ValueError. A step reaches a snapshot time t once its time
+    ``dt`` must divide t_end - state.time (to 1e-9 dt) into at least
+    one step and must not exceed the stability bound eps^2 / L_W on the
+    initial value box; otherwise ValueError. A step reaches a snapshot time t once its time
     is at least t - 1e-12. ``snapshots`` holds, for each entry of
     ``snapshot_times`` in increasing order, the first state that reaches
     it (empty when none are asked for). Every entry must lie in
@@ -404,7 +489,7 @@ def run(state: PhaseState, spec: WellSpec, dt: float, t_end: float,
     eps = state.eps
     span = t_end - state.time
     n_steps = int(round(span / dt))
-    if abs(n_steps * dt - span) > 1e-9 * dt:
+    if n_steps == 0 or abs(n_steps * dt - span) > 1e-9 * dt:
         raise ValueError(f"dt={dt} does not divide the time span "
                          f"t_end - time = {span}")
     ledger = DissipationLedger(e_initial=energy_face(state.u.values, grid,
@@ -515,22 +600,12 @@ def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
         raise ValueError(f"mass {mass} outside the admissible range "
                          f"[{mean_a}, {mean_b}]")
 
-    def project(u):
-        return u + (mass - float(np.mean(u)))
-
-    def objective(u):
-        return energy_face(u, grid, eps, spec, bound)
-
-    def gradient(u):
-        return spec.dW_du(bound, u) / eps - eps * _lap(u, grid)
-
     lw = reaction_lipschitz(spec, grid, (float(np.min(init.values)) - 0.5,
                                          float(np.max(init.values)) + 0.5))
     lip = lw / eps + eps * 4 * grid.dim / float(np.min(grid.spacing)) ** 2
-    u, _, g, iters = _bb_descent(
-        objective, gradient, init.values, alpha0=1.0 / lip,
-        max_iter=max_iter, vol=grid.cell_volume, project=project,
-        stationary=lambda g: float(np.std(g)) <= tol_residual)
+    u, _, g, iters = _bb_descent(init.values, grid, eps, bound,
+                                 alpha0=1.0 / lip, max_iter=max_iter,
+                                 tol=tol_residual, mass=mass)
     lam_field = -g
     resid = float(np.std(lam_field))
     if resid > tol_residual:

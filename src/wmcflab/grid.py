@@ -141,13 +141,39 @@ def _second_difference(v: np.ndarray, axis: int,
     cell but the first adds its backward neighbour and the first itself.
     x + (-2v) rounds as x - 2v, so the bits are those of the padded
     formula.
+
+    Along axis 1 of a 2-d array both neighbour passes run over the
+    flattened arrays, contiguous in memory. There a row's last cell adds
+    the next row's first and its first cell the previous row's last, so
+    the two boundary columns are then formed again, with the additions
+    above. ``out`` must be C-contiguous for this (ValueError otherwise);
+    a ``v`` that is not is read through a C-contiguous copy.
     """
-    vt, ot = (v, out) if axis == 0 else (v.T, out.T)
     np.multiply(v, -2.0, out=out)
-    ot[:-1] += vt[1:]
-    ot[-1] += vt[-1]
-    ot[1:] += vt[:-1]
-    ot[0] += vt[0]
+    if axis == 0:
+        out[:-1] += v[1:]
+        out[-1] += v[-1]
+        out[1:] += v[:-1]
+        out[0] += v[0]
+        return out
+    if not out.flags.c_contiguous:
+        raise ValueError("the second difference along axis 1 needs a "
+                         "C-contiguous out")
+    vf = np.ascontiguousarray(v).reshape(-1)
+    of = out.reshape(-1)
+    of[:-1] += vf[1:]
+    of[1:] += vf[:-1]
+    first, last = out[:, 0], out[:, -1]
+    np.multiply(v[:, 0], -2.0, out=first)
+    np.multiply(v[:, -1], -2.0, out=last)
+    # in a 1-cell row the one cell is first and last, and adds only its
+    # two ghosts
+    if v.shape[1] > 1:
+        first += v[:, 1]
+    last += v[:, -1]
+    if v.shape[1] > 1:
+        last += v[:, -2]
+    first += v[:, 0]
     return out
 
 
@@ -168,7 +194,7 @@ def laplacian_neumann(f: Field, out: Optional[np.ndarray] = None) -> Field:
     _second_difference(v, 0, out)
     out /= h[0] ** 2
     if f.grid.dim == 2:
-        across = _second_difference(v, 1, np.empty_like(v))
+        across = _second_difference(v, 1, np.empty(v.shape))
         across /= h[1] ** 2
         out += across
     return Field(f.grid, out)

@@ -572,7 +572,9 @@ def quartic_W(m, da, db):
     gives up. When ``da`` is an array of the result's shape, the terms
     are formed in place and ``da`` is returned, so nothing is allocated,
     as numpy's temporary elision does for the expression written with
-    the differences inline. Otherwise the expression allocates.
+    the differences inline. Otherwise the expression allocates. Both
+    square by multiplication (an array's ``**= 2`` is x * x), so a point
+    evaluated alone has the bits it has inside an array.
     """
     if isinstance(da, np.ndarray) \
             and da.shape == np.broadcast(m, da, db).shape:
@@ -581,7 +583,7 @@ def quartic_W(m, da, db):
         db **= 2
         da *= db
         return da
-    return m * da ** 2 * db ** 2
+    return m * (da * da) * (db * db)
 
 
 def quartic_dW_du(m, da, db):

@@ -1,19 +1,24 @@
 """Time integration: stepping, ledger bookkeeping, constrained minima."""
 
 import math
+from typing import NamedTuple
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
-from wmcflab import flow, wells
+from wmcflab import flow, sharp, wells
 from wmcflab.errors import NumericError
-from wmcflab.grid import Field, Grid, extract_levelset
+from wmcflab.grid import Field, Grid, extract_levelset, laplacian_neumann
 
 SQRT2_6 = 0.23570226039551587
+
+
+def _lap(values, grid):
+    return laplacian_neumann(Field(grid, values)).values
 
 
 def profile_state(n=512, eps=0.02, center=0.5, grid=None):
@@ -157,7 +162,7 @@ class TestSemiImplicit:
             Field(g, 0.5 + 0.3 * np.sin(5 * pts[..., 0]) * pts[..., 1]), 0.06)
         dt = 2e-4
         rhs = st.u.values - (dt / st.eps ** 2) * spec.dW_du(pts, st.u.values)
-        a, _ = _cg(lambda v: v - dt * flow._lap(v, g), rhs, tol=1e-13)
+        a, _ = _cg(lambda v: v - dt * _lap(v, g), rhs, tol=1e-13)
         b = one_step(st, spec, dt)
         assert_allclose(a, b.u.values, atol=1e-11)
 
@@ -252,6 +257,18 @@ class TestRun:
         with pytest.raises(ValueError, match="does not divide"):
             flow.run(later, spec, dt=2e-4, t_end=1e-3 + 1e-4)
 
+    def test_span_shorter_than_one_step_raises(self):
+        # round(span / dt) = 0 passes the divisibility slack, but a run of
+        # no steps would return its input with an empty ledger
+        spec = wells.constant_quartic()
+        base = profile_state(n=16, eps=0.1)
+        st = flow.PhaseState(base.u, base.eps, time=1.0)
+        for t_end, times in ((1.0 + 5e-13, ()), (1.0 + 5e-13, [1.0 + 1.2e-12]),
+                             (1.0 + 4e-4, ())):
+            with pytest.raises(ValueError, match="does not divide"):
+                flow.run(st, spec, dt=1e-3, t_end=t_end,
+                         snapshot_times=times)
+
     def test_nonpositive_dt_raises(self):
         spec = wells.constant_quartic()
         st = profile_state(n=128)
@@ -342,7 +359,7 @@ class TestInnerResiduals:
             u = before.u.values
             rhs = u - (dt / st.eps ** 2) * spec.dW_du(pts, u)
             sol = after.u.values
-            own = float(np.sqrt(np.sum((sol - dt * flow._lap(sol, g)
+            own = float(np.sqrt(np.sum((sol - dt * _lap(sol, g)
                                         - rhs) ** 2)))
             assert resid == pytest.approx(own, rel=1e-6, abs=0.0)
             assert resid <= 1e-10 * float(np.sqrt(np.sum(rhs ** 2)))
@@ -429,7 +446,7 @@ class TestSpectralSolveProperties:
         tol = 1e-10
         denom = flow._spectral_denominator(g, dt)
         direct = flow._spectral_solve(denom, rhs)
-        iterative, resid = _cg(lambda v: v - dt * flow._lap(v, g), rhs,
+        iterative, resid = _cg(lambda v: v - dt * _lap(v, g), rhs,
                                tol=tol)
         assert resid <= tol
         # (I - dt Lap) has spectrum >= 1, so the error is at most the
@@ -531,6 +548,315 @@ class TestDescentProperties:
                                    h_step, trunc=c0)
         assert rec.slack >= -1e-12
         assert float(np.max(np.abs(st.u.values))) <= c0 + 1e-12
+
+
+def _reference_descent(objective, gradient, u0, alpha0, max_iter, vol,
+                       stationary, obj_tol=None, project=None):
+    """The descent loop written on its callers' closures: new arrays on
+    every iteration, and u - a and u - b formed anew by every W and dW_du
+    call through the spec. With ``_reference_minmov`` and
+    ``_reference_constrained``, the reference the descent kernel is
+    checked against bit for bit."""
+    u = u0.copy()
+    if project is not None:
+        u = project(u)
+    J = objective(u)
+    g = gradient(u)
+    recent = [J]
+    alpha = alpha0
+    u_prev = None
+    g_prev = None
+    for it in range(max_iter):
+        if stationary(g):
+            return u, J, g, it
+        if project is not None:
+            d = -(g - np.mean(g))
+        else:
+            d = -g
+        gd = float(np.sum(g * d)) * vol
+        if u_prev is not None:
+            s = u - u_prev
+            y = g - g_prev
+            sy = float(np.sum(s * y)) * vol
+            ss = float(np.sum(s * s)) * vol
+            if sy > 1e-300:
+                alpha = min(max(ss / sy, 1e-6 * alpha0), 1e6 * alpha0)
+        ref = max(recent)
+        step = alpha
+        for _ in range(60):
+            trial = u + step * d
+            if project is not None:
+                trial = project(trial)
+            J_trial = objective(trial)
+            if J_trial <= ref + 1e-4 * step * gd:
+                break
+            step *= 0.5
+        else:
+            return u, J, g, it
+        u_prev, g_prev = u, g
+        u, J_new = trial, J_trial
+        g = gradient(u)
+        recent.append(J_new)
+        if len(recent) > 10:
+            recent.pop(0)
+        if obj_tol is not None \
+                and abs(J - J_new) <= obj_tol * max(1.0, abs(J_new)):
+            return u, J_new, g, it + 1
+        J = J_new
+    raise NumericError("descent did not converge within the iteration budget",
+                       last_iterate=u)
+
+
+def _reference_minmov(state, spec, h_step, trunc=None):
+    """``flow.step_minmov`` on ``_reference_descent``; valid arguments."""
+    grid = state.u.grid
+    bound = wells.bind(spec, grid.points())
+    eps = state.eps
+    u_prev = state.u.values
+    vol = grid.cell_volume
+
+    def objective(u):
+        move = float(np.sum((u - u_prev) ** 2)) * vol
+        return flow.energy_face(u, grid, eps, spec, bound) / eps \
+            + move / (2 * h_step)
+
+    def gradient(u):
+        return (spec.dW_du(bound, u) / eps - eps * _lap(u, grid)) / eps \
+            + (u - u_prev) / h_step
+
+    def l2_norm(g):
+        return np.sqrt(float(np.sum(g * g)) * vol)
+
+    lw = flow.reaction_lipschitz(spec, grid, (float(np.min(u_prev)) - 0.5,
+                                              float(np.max(u_prev)) + 0.5))
+    lip = lw / eps ** 2 + 4 * grid.dim / float(np.min(grid.spacing)) ** 2 \
+        + 1.0 / h_step
+    u, J, g, iters = _reference_descent(
+        objective, gradient, u_prev, alpha0=1.0 / lip, max_iter=2000,
+        vol=vol, stationary=lambda g: l2_norm(g) <= 1e-9, obj_tol=1e-12)
+    gnorm = l2_norm(g)
+    J_prev = objective(u_prev)
+    if J > J_prev:
+        u, J = u_prev.copy(), J_prev
+    if trunc is not None:
+        clamped = np.clip(u, -trunc, trunc)
+        J_clamped = objective(clamped)
+        if J_clamped <= J:
+            u, J = clamped, J_clamped
+    move_sq = float(np.sum((u - u_prev) ** 2)) * vol
+    slack = eps * (J_prev - J)
+    e_new = flow.energy_face(u, grid, eps, spec, bound)
+    record = flow.MinMovRecord(time=state.time + h_step, energy=e_new,
+                               movement_sq=move_sq, slack=slack,
+                               inner_residual=gnorm, iterations=iters)
+    return state.replace(u, time=state.time + h_step), record
+
+
+def _reference_constrained(spec, grid, eps, mass, init, tol_residual=2e-4,
+                           max_iter=60000):
+    """``flow.minimize_constrained`` on ``_reference_descent``."""
+    bound = wells.bind(spec, grid.points())
+    mean_a = float(np.mean(bound.a))
+    mean_b = float(np.mean(bound.b))
+    if not (min(mean_a, mean_b) - 1e-12 <= mass
+            <= max(mean_a, mean_b) + 1e-12):
+        raise ValueError(f"mass {mass} outside the admissible range "
+                         f"[{mean_a}, {mean_b}]")
+
+    def project(u):
+        return u + (mass - float(np.mean(u)))
+
+    def objective(u):
+        return flow.energy_face(u, grid, eps, spec, bound)
+
+    def gradient(u):
+        return spec.dW_du(bound, u) / eps - eps * _lap(u, grid)
+
+    lw = flow.reaction_lipschitz(spec, grid,
+                                 (float(np.min(init.values)) - 0.5,
+                                  float(np.max(init.values)) + 0.5))
+    lip = lw / eps + eps * 4 * grid.dim / float(np.min(grid.spacing)) ** 2
+    u, _, g, iters = _reference_descent(
+        objective, gradient, init.values, alpha0=1.0 / lip,
+        max_iter=max_iter, vol=grid.cell_volume, project=project,
+        stationary=lambda g: float(np.std(g)) <= tol_residual)
+    lam_field = -g
+    resid = float(np.std(lam_field))
+    if resid > tol_residual:
+        raise NumericError("constrained minimization stopped above the "
+                           "stationarity tolerance", achieved=resid,
+                           last_iterate=u)
+    return flow.ConstrainedMinimum(
+        state=flow.PhaseState(Field(grid, u), eps),
+        lam=float(np.mean(lam_field)), residual=resid, iterations=iters)
+
+
+class Descent(NamedTuple):
+    """One call of a descent's caller: ``minimize_constrained`` with
+    ``kwargs`` (mass, tol_residual, max_iter), or ``step_minmov`` from the
+    state (u0, eps, time) with ``kwargs`` (h_step, trunc)."""
+
+    constrained: bool
+    grid: Grid
+    spec: wells.WellSpec
+    eps: float
+    u0: np.ndarray
+    time: float
+    kwargs: dict
+
+    def run(self, reference=False):
+        init = Field(self.grid, self.u0)
+        if self.constrained:
+            fn = _reference_constrained if reference \
+                else flow.minimize_constrained
+            return fn(self.spec, self.grid, self.eps, init=init,
+                      **self.kwargs)
+        fn = _reference_minmov if reference else flow.step_minmov
+        return fn(flow.PhaseState(init, self.eps, self.time), self.spec,
+                  **self.kwargs)
+
+
+def gibbs_thomson_descent(n=64, eps=0.08, radius=0.25):
+    """The constrained descent of ``run_gibbs_thomson`` at one eps."""
+    spec = wells.constant_quartic()
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), (n, n))
+    pts = g.points()
+    disk = sharp.Sphere((0.5, 0.5), radius)
+    v0 = wells.optimal_profile_grid(spec, pts,
+                                    disk.signed_distance(pts) / eps)
+    return Descent(True, g, spec, eps, v0, 0.0,
+                   dict(mass=float(np.mean(v0)), tol_residual=1e-3 / 5.0,
+                        max_iter=60000))
+
+
+def wide_minmov_descent(cells=(72, 130), eps=0.1):
+    """A minimizing-movements step whose face differences along axis 1
+    (72 x 129) outnumber the 8192 elements numpy reduces in one buffer."""
+    g = Grid((0.0, 0.0), (1.0, 2.0), cells)
+    pts = g.points()
+    r = np.hypot(pts[..., 0] - 0.5, pts[..., 1] - 1.0)
+    u0 = 1.0 / (1.0 + np.exp((r - 0.3) / eps)) + 0.05 * np.sin(9 * pts[..., 1])
+    return Descent(False, g, wells.exp_scaled_quartic(0.5, axis=1), eps, u0,
+                   0.0, dict(h_step=2e-4, trunc=None))
+
+
+@hst.composite
+def kernel_descents(draw):
+    """A ``Descent`` of either caller on a 1-d or non-square 2-d grid,
+    with a constant, exponentially scaled or moving-well quartic; some
+    masses lie outside the admissible range and some budgets are too
+    small."""
+    dim = draw(hst.sampled_from((1, 2)))
+    if dim == 1:
+        cells = (draw(hst.integers(8, 48)),)
+    else:
+        n0 = draw(hst.integers(8, 16))
+        cells = (n0, draw(hst.integers(8, 16).filter(lambda n: n != n0)))
+    g = Grid((0.0,) * dim, tuple(draw(hst.floats(0.5, 2.0)) for _ in cells),
+             cells)
+    kind = draw(hst.sampled_from(("constant", "exp", "linear")))
+    if kind == "constant":
+        spec = wells.constant_quartic()
+    elif kind == "exp":
+        spec = wells.exp_scaled_quartic(draw(hst.floats(-1.0, 1.0)),
+                                        axis=draw(hst.integers(0, dim - 1)))
+    else:
+        spec = wells.linear_wells_quartic(
+            0.0, 0.3, 1.0, 0.0, axis=draw(hst.integers(0, dim - 1)),
+            bounds=np.array([[lo, up] for lo, up in zip(g.lower, g.upper)]))
+    eps = draw(hst.floats(0.05, 0.3))
+    v = draw(hnp.arrays(float, cells, elements=hst.floats(0.0, 1.0)))
+    if draw(hst.booleans()):
+        pts = g.points()
+        u0 = spec.a(pts) + (spec.b(pts) - spec.a(pts)) * v
+        shift = draw(hst.sampled_from((0.0, 0.0, 0.0, 0.0, -1.5, 1.5)))
+        kwargs = dict(mass=float(np.mean(u0)) + shift,
+                      tol_residual=draw(hst.sampled_from((1e-3, 1e-4))),
+                      max_iter=draw(hst.sampled_from((60000, 3))))
+        return Descent(True, g, spec, eps, u0, 0.0, kwargs)
+    u0 = 3.0 * v - 1.5
+    trunc = draw(hst.sampled_from(
+        (None, 1.0, max(float(np.max(np.abs(u0))), 1.0))))
+    return Descent(False, g, spec, eps, u0, draw(hst.floats(0.0, 10.0)),
+                   dict(h_step=draw(hst.floats(1e-5, 1e-2)), trunc=trunc))
+
+
+def _outcome(descent, reference=False):
+    """(result, None) of a descent's call, or (None, the error it raised)."""
+    try:
+        return descent.run(reference), None
+    except (ValueError, NumericError) as exc:
+        return None, exc
+
+
+def _returned_arrays(result):
+    if isinstance(result, flow.ConstrainedMinimum):
+        return [result.state.u.values]
+    return [result[0].u.values]
+
+
+class TestDescentKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_descents())
+    @example(gibbs_thomson_descent())
+    @example(wide_minmov_descent())
+    def test_bit_identical_to_reference_loop(self, descent):
+        got, got_exc = _outcome(descent)
+        ref, ref_exc = _outcome(descent, reference=True)
+        assert type(got_exc) is type(ref_exc)
+        if ref_exc is not None:
+            # the mass-range ValueError and the NumericError with the
+            # iterate it stopped at
+            assert str(got_exc) == str(ref_exc)
+            if isinstance(ref_exc, NumericError):
+                assert repr(got_exc.achieved) == repr(ref_exc.achieved)
+                assert got_exc.last_iterate.tobytes() \
+                    == ref_exc.last_iterate.tobytes()
+                assert not np.shares_memory(got_exc.last_iterate, descent.u0)
+            return
+        if descent.constrained:
+            assert got.state.u.values.tobytes() == ref.state.u.values.tobytes()
+            assert (got.state.eps, got.state.time) \
+                == (ref.state.eps, ref.state.time)
+            # repr compares the bits and the types
+            assert repr((got.lam, got.residual, got.iterations)) \
+                == repr((ref.lam, ref.residual, ref.iterations))
+        else:
+            (got_state, got_rec), (ref_state, ref_rec) = got, ref
+            assert got_state.u.values.tobytes() == ref_state.u.values.tobytes()
+            assert (got_state.eps, got_state.time) \
+                == (ref_state.eps, ref_state.time)
+            assert repr(got_rec) == repr(ref_rec)
+        # every returned array is its own: it shares no memory with the
+        # input or with the result of another call
+        again, _ = _outcome(descent)
+        arrays = _returned_arrays(got) + _returned_arrays(again)
+        for i, x in enumerate(arrays):
+            assert not np.shares_memory(x, descent.u0)
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nonfinite_iterate_raises_through_field(self, constrained, dim):
+        # a NaN slipped into the input after its Field was built reaches
+        # the gradient's Field, which rejects it
+        g = Grid((0.0,) * dim, (1.0,) * dim, (12,) * dim)
+        spec = wells.constant_quartic()
+        for reference in (False, True):
+            init = Field(g, np.full(g.cells, 0.5))
+            init.values.flat[5] = np.nan
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValueError,
+                                  match="field values must be finite"):
+                if constrained:
+                    fn = _reference_constrained if reference \
+                        else flow.minimize_constrained
+                    fn(spec, g, 0.1, 0.5, init)
+                else:
+                    fn = _reference_minmov if reference \
+                        else flow.step_minmov
+                    fn(flow.PhaseState(init, 0.1), spec, 1e-3)
 
 
 LEDGER_LISTS = ("steps", "times", "energies", "dissipation_increments",

@@ -11,9 +11,9 @@ from numpy.testing import assert_allclose
 from scipy.spatial import cKDTree
 
 from wmcflab.errors import ExtractionError, GridMismatchError
-from wmcflab.grid import (Field, Grid, VectorField, extract_levelset,
-                          fit_circle, gradient_neumann, integrate,
-                          laplacian_neumann, pair_density)
+from wmcflab.grid import (Field, Grid, VectorField, _second_difference,
+                          extract_levelset, fit_circle, gradient_neumann,
+                          integrate, laplacian_neumann, pair_density)
 
 
 def test_grid_validation():
@@ -125,6 +125,16 @@ def _lap_reference(v, h):
     return out + (p[:, 2:] - 2.0 * v + p[:, :-2]) / h[1] ** 2
 
 
+def _second_difference_reference(v, axis):
+    """(v[i+1] - 2 v[i]) + v[i-1] along ``axis`` of a 2-d array, with
+    ``np.pad(mode="edge")`` ghosts."""
+    if axis == 0:
+        p = np.pad(v, ((1, 1), (0, 0)), mode="edge")
+        return p[2:, :] - 2.0 * v + p[:-2, :]
+    p = np.pad(v, ((0, 0), (1, 1)), mode="edge")
+    return p[:, 2:] - 2.0 * v + p[:, :-2]
+
+
 def _grad_reference(v, h):
     """Centered differences as written with ``np.pad(mode="edge")`` ghosts."""
     p = np.pad(v, 1, mode="edge")
@@ -203,6 +213,56 @@ class TestLaplacianProperties:
         old = (p[2:, 1:-1] - 2.0 * v + p[:-2, 1:-1]) / h[0] ** 2
         old = old + (p[1:-1, 2:] - 2.0 * v + p[1:-1, :-2]) / h[1] ** 2
         assert np.array_equal(laplacian_neumann(Field(g, v)).values, old)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((1, 2)), st.integers(1, 6), st.booleans(),
+           st.data())
+    def test_second_difference_on_short_axes(self, short, other, flip, data):
+        # boxes with a 1-cell or 2-cell axis (below the 8 cells a Grid
+        # allows), where a boundary cell's neighbour is the other boundary
+        # cell or itself
+        shape = (other, short) if flip else (short, other)
+        v = data.draw(hnp.arrays(float, shape, elements=values))
+        for axis in (0, 1):
+            out = np.full(shape, np.nan)
+            assert _second_difference(v, axis, out) is out
+            assert out.tobytes() == _second_difference_reference(v, axis) \
+                .tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(sizes, sizes), st.tuples(spans, spans),
+           st.sampled_from(("transposed", "strided")), st.data())
+    def test_noncontiguous_input_matches_pad_formula(self, cells, span,
+                                                     layout, data):
+        # a transposed view and a strided slice, with and without out=;
+        # out= may itself be a transposed view
+        g = Grid((0.0, 0.0), span, cells)
+        if layout == "transposed":
+            base = data.draw(hnp.arrays(float, cells[::-1], elements=values))
+            v = base.T
+        else:
+            base = data.draw(hnp.arrays(
+                float, (2 * cells[0], 3 * cells[1]), elements=values))
+            v = base[::2, ::3]
+        assert not v.flags.c_contiguous
+        kept = base.copy()
+        f = Field(g, v)
+        ref = _lap_reference(v, g.spacing)
+        assert laplacian_neumann(f).values.tobytes() == ref.tobytes()
+        for out in (np.full(cells, np.nan), np.full(cells[::-1], np.nan).T):
+            assert laplacian_neumann(f, out=out).values is out
+            assert out.tobytes() == ref.tobytes()
+        assert np.array_equal(base, kept)
+
+    def test_second_difference_rejects_noncontiguous_out_across(self):
+        # along axis 1 the passes run over the flattened out, which a
+        # non-C-contiguous out cannot give without a copy
+        v = np.arange(12.0).reshape(3, 4)
+        out = np.zeros((4, 3)).T
+        with pytest.raises(ValueError, match="C-contiguous out"):
+            _second_difference(v, 1, out)
+        _second_difference(v, 0, out)
+        assert out.tobytes() == _second_difference_reference(v, 0).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(grid_fields())

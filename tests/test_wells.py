@@ -467,11 +467,28 @@ class TestBind:
             c = wells.bind(spec, x)
             kept = np.copy(v)
             w = spec.W(c, v)
-            assert np.array_equal(w, c.m * (v - c.a) ** 2 * (v - c.b) ** 2)
             da, db = v - c.a, v - c.b
+            assert np.array_equal(w, c.m * (da * da) * (db * db))
             assert np.array_equal(spec.dW_du(c, v),
                                   c.m * 2.0 * da * db * (da + db))
             assert np.array_equal(v, kept)
+
+    @settings(max_examples=40, deadline=None)
+    @given(bound_problems(), hst.integers(0, 2 ** 32 - 1))
+    def test_scalar_and_array_W_agree(self, problem, seed):
+        # W at one point has the same bits whether u comes alone or inside
+        # an array, bound or at positions, over many u
+        spec, pts, u = problem
+        us = np.concatenate([
+            u.reshape(-1),
+            np.random.default_rng(seed).uniform(-3.0, 3.0, 500)])
+        x = pts.reshape(-1, pts.shape[-1])
+        for p in (x[:1], x[-1:]):
+            c = wells.bind(spec, p)
+            array_w = spec.W(c, us)
+            for where in (c, p[0]):
+                alone = np.array([spec.W(where, float(v)) for v in us])
+                assert alone.tobytes() == array_w.tobytes()
 
     def test_constant_coefficients_collapse_to_scalars(self):
         pts = Grid((0.0, 0.0), (1.0, 1.0), (8, 8)).points()
