@@ -28,6 +28,7 @@ from .errors import GeometryError
 from .grid import Field, integrate
 from .sharp import (SharpTrajectory, Sphere, SurfaceTension, _gauss_legendre,
                     _require_disk, _unit_circle, indicator)
+from .wells import point_norm
 
 _NEAR = 1e-4
 
@@ -79,7 +80,7 @@ class Calibration:
     # -- radial geometry -------------------------------------------------
     def _geometry(self, x, t):
         dx = np.asarray(x, dtype=float) - np.array(self.traj.center)
-        rho = np.maximum(np.linalg.norm(dx, axis=-1), 1e-300)
+        rho = np.maximum(point_norm(dx), 1e-300)
         e = dx / rho[..., None]
         sdist = float(self.traj.position(t)) - rho
         return rho, e, sdist
@@ -211,7 +212,7 @@ def calibration_residuals(cal: Calibration, points: np.ndarray, times,
         JB = cal.grad_B(points, t)
         adv_xi = np.einsum("...ij,...j->...i", Jxi, Bv)
         jbt_xi = np.einsum("...ji,...j->...i", JB, xi)
-        r1 = np.linalg.norm(dt_xi + adv_xi + jbt_xi, axis=-1)
+        r1 = point_norm(dt_xi + adv_xi + jbt_xi)
 
         dt_xi2 = _dt4(lambda s: np.sum(cal.xi(points, s) ** 2, axis=-1),
                       t, fd_dt)
@@ -270,7 +271,7 @@ def calibration_invariants(cal: Calibration, times, n_per_time: int = 1000,
         xi = cal.xi(pts, t)
         bound = np.maximum(0.0, 1.0 - cal.c * dist ** 2)
         worst_bound = max(worst_bound,
-                          float(np.max(np.linalg.norm(xi, axis=-1) - bound)))
+                          float(np.max(point_norm(xi) - bound)))
         theta = cal.theta(pts, t)
         sdist = cal.signed_distance(pts, t)
         sign_bad += int(np.count_nonzero(np.sign(theta) != np.sign(sdist)))
@@ -287,7 +288,7 @@ def calibration_invariants(cal: Calibration, times, n_per_time: int = 1000,
         Bb = cal.B(bpts, t)
         v = cal.velocity_scalar(t)
         worst_b = max(worst_b, float(np.max(
-            np.linalg.norm(Bb - v * normals, axis=-1))))
+            point_norm(Bb - v * normals))))
     return InvariantReport(max_xi_bound_violation=worst_bound,
                            max_boundary_xi_error=worst_xi,
                            max_boundary_b_error=worst_b,

@@ -348,7 +348,9 @@ def step_minmov(state: PhaseState, spec: WellSpec, h_step: float,
     exact minimality comparison against the previous iterate; with
     ``trunc`` = C0 given (wells monotone outside [-C0, C0]) the clamped
     candidate is taken whenever it does not increase the objective, which
-    enforces the maximum principle exactly.
+    enforces the maximum principle exactly. Raises NumericError, with the
+    descent's iterate as ``last_iterate``, when the gradient norm there is
+    not finite.
     """
     if h_step <= 0:
         raise ValueError("h_step must be positive")
@@ -373,6 +375,10 @@ def step_minmov(state: PhaseState, spec: WellSpec, h_step: float,
                                  max_iter=2000, tol=1e-9, anchor=u_prev,
                                  h_step=h_step, obj_tol=1e-12)
     gnorm = np.sqrt(float(np.sum(g * g)) * vol)
+    if not np.isfinite(gnorm):
+        raise NumericError("minimizing-movements descent reached a "
+                           "non-finite gradient", achieved=gnorm,
+                           last_iterate=u)
     J_prev = objective(u_prev)
     if J > J_prev:
         u, J = u_prev.copy(), J_prev
@@ -591,7 +597,7 @@ def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
     stationarity of the constrained first-order conditions. Raises
     NumericError, with the current iterate as ``last_iterate``, when the
     descent stops (line search exhausted or ``max_iter`` reached) with
-    the residual still above ``tol_residual``.
+    the residual still above ``tol_residual`` or not finite.
     """
     bound = bind(spec, grid.points())
     mean_a = float(np.mean(bound.a))
@@ -608,7 +614,7 @@ def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
                                  tol=tol_residual, mass=mass)
     lam_field = -g
     resid = float(np.std(lam_field))
-    if resid > tol_residual:
+    if not resid <= tol_residual:   # a NaN residual fails too
         raise NumericError("constrained minimization stopped above the "
                            "stationarity tolerance", achieved=resid,
                            last_iterate=u)

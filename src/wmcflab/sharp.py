@@ -27,7 +27,7 @@ import numpy as np
 from .errors import GeometryError, NumericError
 from .quadrature import adaptive_gauss_legendre
 from .wells import (WellSpec, as_points, grad_gamma, normalized_well_dx,
-                    sigma_n, surface_tension)
+                    point_norm, sigma_n, surface_tension)
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +109,12 @@ class ScalarSigma:
         c = np.asarray(center, dtype=float)
 
         def val(x):
-            rho = np.linalg.norm(np.asarray(x) - c, axis=-1)
+            rho = point_norm(np.asarray(x) - c)
             return self.value(rho)
 
         def grad(x):
             dx = np.asarray(x, dtype=float) - c
-            rho = np.maximum(np.linalg.norm(dx, axis=-1), 1e-300)
+            rho = np.maximum(point_norm(dx), 1e-300)
             return (self.deriv(rho) / rho)[..., None] * dx
 
         return SurfaceTension(value=val, grad=grad)
@@ -197,7 +197,7 @@ class Sphere:
 
     def signed_distance(self, x) -> np.ndarray:
         dx = np.asarray(x, dtype=float) - np.array(self.center)
-        return self.radius - np.linalg.norm(dx, axis=-1)
+        return self.radius - point_norm(dx)
 
     def boundary_nodes(self, n: int = 1024):
         """Uniform angular nodes with trapezoid weights (2-d spheres).

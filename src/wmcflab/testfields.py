@@ -12,6 +12,8 @@ from typing import Callable
 
 import numpy as np
 
+from .wells import point_norm
+
 
 @dataclass(frozen=True)
 class TestVectorField:
@@ -45,11 +47,11 @@ def _radial_cutoff(center, r_inner, r_outer):
         raise ValueError("r_outer must exceed r_inner")
 
     def phi(x):
-        rho = np.linalg.norm(np.asarray(x, float) - c, axis=-1)
+        rho = point_norm(np.asarray(x, float) - c)
         return 1.0 - _smoothstep((rho - r_inner) / width)
 
     def dphi(x):
-        rho = np.linalg.norm(np.asarray(x, float) - c, axis=-1)
+        rho = point_norm(np.asarray(x, float) - c)
         return -_smoothstep_deriv((rho - r_inner) / width) / width
 
     return c, phi, dphi
@@ -70,7 +72,7 @@ def dilation_field(center, r_inner: float, r_outer: float) -> TestVectorField:
     def jac(x):
         x = np.asarray(x, dtype=float)
         dx = x - c
-        rho = np.maximum(np.linalg.norm(dx, axis=-1), 1e-300)
+        rho = np.maximum(point_norm(dx), 1e-300)
         eye = np.eye(x.shape[-1])
         outer = dx[..., :, None] * dx[..., None, :]
         return phi(x)[..., None, None] * eye \
@@ -95,7 +97,7 @@ def rotation_field(center, r_inner: float, r_outer: float) -> TestVectorField:
     def jac(x):
         x = np.asarray(x, dtype=float)
         dx = x - c
-        rho = np.maximum(np.linalg.norm(dx, axis=-1), 1e-300)
+        rho = np.maximum(point_norm(dx), 1e-300)
         rot = dx @ J.T
         outer = rot[..., :, None] * dx[..., None, :]
         return phi(x)[..., None, None] * J \
@@ -116,7 +118,7 @@ def translation_field(direction, center, r_inner: float,
     def jac(x):
         x = np.asarray(x, dtype=float)
         dx = x - c
-        rho = np.maximum(np.linalg.norm(dx, axis=-1), 1e-300)
+        rho = np.maximum(point_norm(dx), 1e-300)
         grad_phi = (dphi(x) / rho)[..., None] * dx
         return e[..., :, None] * grad_phi[..., None, :]
 
@@ -139,14 +141,15 @@ def translation_bump(direction, center, radius: float) -> TestVectorField:
                         -6.0 * tc * (1.0 - tc ** 2) ** 2 / radius, 0.0)
 
     def psi(x):
-        rho = np.linalg.norm(np.asarray(x, float) - c, axis=-1)
+        rho = point_norm(np.asarray(x, float) - c)
         return bump(rho)[..., None] * e
 
     def jac(x):
         x = np.asarray(x, dtype=float)
         dx = x - c
-        rho = np.maximum(np.linalg.norm(dx, axis=-1), 1e-300)
-        grad_b = (dbump(np.linalg.norm(dx, axis=-1)) / rho)[..., None] * dx
+        r = point_norm(dx)
+        rho = np.maximum(r, 1e-300)
+        grad_b = (dbump(r) / rho)[..., None] * dx
         return e[..., :, None] * grad_b[..., None, :]
 
     return TestVectorField(psi=psi, jac=jac)

@@ -635,6 +635,10 @@ def _reference_minmov(state, spec, h_step, trunc=None):
         objective, gradient, u_prev, alpha0=1.0 / lip, max_iter=2000,
         vol=vol, stationary=lambda g: l2_norm(g) <= 1e-9, obj_tol=1e-12)
     gnorm = l2_norm(g)
+    if not np.isfinite(gnorm):
+        raise NumericError("minimizing-movements descent reached a "
+                           "non-finite gradient", achieved=gnorm,
+                           last_iterate=u)
     J_prev = objective(u_prev)
     if J > J_prev:
         u, J = u_prev.copy(), J_prev
@@ -682,7 +686,7 @@ def _reference_constrained(spec, grid, eps, mass, init, tol_residual=2e-4,
         stationary=lambda g: float(np.std(g)) <= tol_residual)
     lam_field = -g
     resid = float(np.std(lam_field))
-    if resid > tol_residual:
+    if not resid <= tol_residual:
         raise NumericError("constrained minimization stopped above the "
                            "stationarity tolerance", achieved=resid,
                            last_iterate=u)
@@ -857,6 +861,29 @@ class TestDescentKernelProperties:
                     fn = _reference_minmov if reference \
                         else flow.step_minmov
                     fn(flow.PhaseState(init, 0.1), spec, 1e-3)
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    def test_overflowing_gradient_raises_numeric_error(self, constrained):
+        # finite input whose gradient overflows: the constrained residual
+        # is NaN and the minimizing-movements gradient norm inf, and
+        # neither may come back as a result
+        g = Grid.box((0.0, 0.0), (1.0, 1.0), (16, 16))
+        spec = wells.constant_quartic()
+        u0 = np.full(g.cells, 0.5)
+        u0[3, 4], u0[9, 11] = 1e120, -1e120
+        for reference in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NumericError) as exc:
+                if constrained:
+                    fn = _reference_constrained if reference \
+                        else flow.minimize_constrained
+                    fn(spec, g, 0.05, float(np.mean(u0)), Field(g, u0))
+                else:
+                    fn = _reference_minmov if reference \
+                        else flow.step_minmov
+                    fn(flow.PhaseState(Field(g, u0), 0.05), spec, 1e-4)
+            assert not np.isfinite(exc.value.achieved)
+            assert exc.value.last_iterate is not None
 
 
 LEDGER_LISTS = ("steps", "times", "energies", "dissipation_increments",

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from wmcflab import sharp, wells
 from wmcflab.errors import GeometryError
+from wmcflab.experiments import _unit_box
 from wmcflab.testfields import dilation_field, rotation_field, translation_field
 
 SQRT2_6 = 0.23570226039551587
@@ -371,6 +372,42 @@ class TestSigmaFields:
         exact = sharp.sigma_field_of(spec)
         pts = np.random.default_rng(1).uniform(0.1, 0.9, size=(5, 1))
         assert_allclose(by_quad.grad(pts), exact.grad(pts), atol=1e-8)
+
+
+def _annulus_cloud(center, r_in=0.1, r_out=0.45, n=256):
+    """n Gauss-Legendre radii in [r_in, r_out] times n angles about center,
+    shape (n, n, 2), like the annulus rule of ``calib.bulk_energy``."""
+    nodes, _ = np.polynomial.legendre.leggauss(n)
+    r = r_in + 0.5 * (r_out - r_in) * (nodes + 1.0)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    return np.array(center) + r[:, None, None] * e[None, :, :]
+
+
+class TestPointNormCallSites:
+    """The radial fields keep the bits of their ``np.linalg.norm`` forms."""
+
+    CLOUDS = {"box512": lambda: _unit_box(512).points(),
+              "annulus": lambda: _annulus_cloud(CENTER)}
+
+    @pytest.mark.parametrize("cloud", sorted(CLOUDS))
+    def test_sphere_signed_distance(self, cloud):
+        x = self.CLOUDS[cloud]()
+        disk = sharp.Sphere(CENTER, 0.3)
+        want = 0.3 - np.linalg.norm(x - np.array(CENTER), axis=-1)
+        assert disk.signed_distance(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cloud", sorted(CLOUDS))
+    def test_scalar_sigma_about(self, cloud):
+        x = self.CLOUDS[cloud]()
+        prof = sharp.exponential_scalar_sigma(0.7, scale=SQRT2_6)
+        field = prof.about(CENTER)
+        c = np.asarray(CENTER, dtype=float)
+        rho = np.linalg.norm(x - c, axis=-1)
+        assert field.value(x).tobytes() == prof.value(rho).tobytes()
+        rho = np.maximum(rho, 1e-300)
+        want = (prof.deriv(rho) / rho)[..., None] * (x - c)
+        assert field.grad(x).tobytes() == want.tobytes()
 
 
 def test_rotation_field_pairs_to_zero():

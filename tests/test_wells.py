@@ -33,6 +33,38 @@ def moving_spec(**kw):
         delta_sep=1.0, **kw)
 
 
+# coordinates of either sign: magnitudes near 1, where the order of the
+# additions shows in the rounding, and magnitudes whose squares run from
+# below the subnormals to past overflow; with +-0, +-inf and NaN of either
+# sign
+_MAGNITUDES = hst.one_of(hst.floats(0.5, 2.0), hst.floats(1e-160, 1e160))
+_POINT_COORDS = hst.one_of(
+    _MAGNITUDES, _MAGNITUDES.map(lambda v: -v),
+    hst.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]))
+
+
+class TestPointNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+           hst.sampled_from((1, 2, 3)), hst.data())
+    def test_bits_of_numpy_norm(self, lead, d, data):
+        # every coordinate drawn, none filled in
+        x = data.draw(hnp.arrays(float, lead + (d,), elements=_POINT_COORDS,
+                                 fill=hst.nothing()))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = wells.point_norm(x)
+            want = np.linalg.norm(x, axis=-1)
+        assert type(got) is type(want)
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        # the bits, signed zeros included, of every number; not the sign of
+        # a NaN summed from two NaNs, which numpy's add takes from either
+        # operand depending on where the element falls in its vector loop
+        num = ~np.isnan(want)
+        assert got[num].tobytes() == want[num].tobytes()
+
+
 class TestGamma:
     def test_constant_wells(self):
         spec = wells.constant_quartic()
