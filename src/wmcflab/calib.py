@@ -12,6 +12,9 @@ with a C^1 even quartic cutoff g supported on |s| < 1/sqrt(c) <= r and a
 C^2 odd truncation tau of the identity (tau(s) = s for |s| <= r/2, = r
 sign s beyond r). All spatial derivatives are closed-form radial
 geometry; time derivatives are centered differences on the trajectory.
+``Calibration.at(x, t)`` evaluates xi, its gradient and divergence,
+theta and its gradient, the signed distance and V(t) together; the
+caller forms B = V xi, grad B = V grad xi and dist = |sdist|.
 
 The relative energy int sigma (1 - n . xi) dH and the bulk energy
 int sigma (chi_strong - chi_weak) theta dx are both nonnegative and
@@ -20,7 +23,7 @@ constant exactly 1 for the tilt, via 2(1 - xi.n) = |n-xi|^2 + 1 - |xi|^2).
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -67,6 +70,18 @@ def _truncation_deriv(s: np.ndarray, r: float) -> np.ndarray:
     return np.where(a <= r / 2, 1.0, np.where(a >= r, 0.0, dp))
 
 
+class CalibrationFields(NamedTuple):
+    """The calibration at a point cloud x (..., N) and one time t."""
+
+    sdist: np.ndarray        # R(t) - |x - center|, > 0 inside
+    v: float                 # V(t), the normal velocity
+    xi: np.ndarray           # (..., N)
+    grad_xi: np.ndarray      # (..., N, N)
+    div_xi: np.ndarray
+    theta: np.ndarray
+    grad_theta: np.ndarray   # (..., N)
+
+
 @dataclass(frozen=True)
 class Calibration:
     """Evaluable calibration tuple around a radial trajectory."""
@@ -77,57 +92,25 @@ class Calibration:
     c: float                 # quadratic decay constant in |xi| bound
     r_g: float               # cutoff support radius, 1/sqrt(c)
 
-    # -- radial geometry -------------------------------------------------
-    def _geometry(self, x, t):
+    def at(self, x, t) -> CalibrationFields:
+        """Every field at x and time t from one evaluation of R(t), V(t)
+        and the radial geometry (rho = |x - center| is clamped at 1e-300,
+        so the center gets a finite unit vector)."""
         dx = np.asarray(x, dtype=float) - np.array(self.traj.center)
         rho = np.maximum(point_norm(dx), 1e-300)
         e = dx / rho[..., None]
         sdist = float(self.traj.position(t)) - rho
-        return rho, e, sdist
-
-    def signed_distance(self, x, t):
-        _, _, sdist = self._geometry(x, t)
-        return sdist
-
-    def distance(self, x, t):
-        return np.abs(self.signed_distance(x, t))
-
-    def velocity_scalar(self, t) -> float:
-        return float(self.traj.velocity(t))
-
-    # -- fields ----------------------------------------------------------
-    def xi(self, x, t):
-        _, e, sdist = self._geometry(x, t)
-        return -_cutoff(sdist, self.r_g)[..., None] * e
-
-    def grad_xi(self, x, t):
-        rho, e, sdist = self._geometry(x, t)
         g = _cutoff(sdist, self.r_g)
         dg = _cutoff_deriv(sdist, self.r_g)
-        eye = np.eye(e.shape[-1])
         ee = e[..., :, None] * e[..., None, :]
-        return dg[..., None, None] * ee - (g / rho)[..., None, None] * (eye - ee)
-
-    def div_xi(self, x, t):
-        rho, _, sdist = self._geometry(x, t)
-        g = _cutoff(sdist, self.r_g)
-        dg = _cutoff_deriv(sdist, self.r_g)
-        n_minus_1 = len(self.traj.center) - 1
-        return dg - n_minus_1 * g / rho
-
-    def B(self, x, t):
-        return self.velocity_scalar(t) * self.xi(x, t)
-
-    def grad_B(self, x, t):
-        return self.velocity_scalar(t) * self.grad_xi(x, t)
-
-    def theta(self, x, t):
-        _, _, sdist = self._geometry(x, t)
-        return _truncation(sdist, self.r)
-
-    def grad_theta(self, x, t):
-        _, e, sdist = self._geometry(x, t)
-        return -_truncation_deriv(sdist, self.r)[..., None] * e
+        grad_xi = (dg[..., None, None] * ee
+                   - (g / rho)[..., None, None] * (np.eye(e.shape[-1]) - ee))
+        return CalibrationFields(
+            sdist=sdist, v=float(self.traj.velocity(t)),
+            xi=-g[..., None] * e, grad_xi=grad_xi,
+            div_xi=dg - (len(self.traj.center) - 1) * g / rho,
+            theta=_truncation(sdist, self.r),
+            grad_theta=-_truncation_deriv(sdist, self.r)[..., None] * e)
 
 
 def build_calibration(traj: SharpTrajectory, sigma: SurfaceTension,
@@ -137,17 +120,20 @@ def build_calibration(traj: SharpTrajectory, sigma: SurfaceTension,
     The tube radius r defaults to 0.4 min_t R(t), and c = 1.01 / r^2. The
     cutoff support is shrunk to 1/sqrt(c) so |xi| <= max{0, 1 - c dist^2}
     holds exactly (the bound needs c strictly above 1/r^2 to leave a
-    margin inside the tube).
+    margin inside the tube). Raises GeometryError unless 0 < r < min_t R(t).
     """
     if traj.kind != "sphere":
         raise GeometryError("calibrations are built around radial flows")
     r_min_traj = float(np.min(traj.positions))
     if r is None:
         r = 0.4 * r_min_traj
-    c = 1.01 / r ** 2
+    if not (np.isfinite(r) and r > 0):
+        raise GeometryError("tube radius must be a positive finite number, "
+                            f"got {r!r}")
     if r >= r_min_traj:
         raise GeometryError("tube radius must stay below min_t R(t) for a "
                             "single-valued projection")
+    c = 1.01 / r ** 2
     return Calibration(traj=traj, sigma=sigma, r=r, c=c, r_g=1.0 / np.sqrt(c))
 
 
@@ -181,10 +167,9 @@ class CalibrationResiduals:
                 if np.any(mask) else float("nan") for name, vals, k in terms}
 
 
-def _dt4(f, t, delta):
-    """Fourth-order centered time derivative of a field callable."""
-    return (-f(t + 2 * delta) + 8.0 * f(t + delta)
-            - 8.0 * f(t - delta) + f(t - 2 * delta)) / (12.0 * delta)
+# fourth-order centered time difference: (shift in fd_dt, weight) in the
+# order the terms are summed, the sum divided by 12 fd_dt
+_DT4 = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
 
 
 def calibration_residuals(cal: Calibration, points: np.ndarray, times,
@@ -195,49 +180,45 @@ def calibration_residuals(cal: Calibration, points: np.ndarray, times,
     derivatives are centered differences with step ``fd_dt`` (4th order,
     so the differencing noise stays below the O(dist^2) structure of r2
     near the interface). Times must sit at least 2 fd_dt inside the
-    trajectory's time window.
+    trajectory's time window. Each time takes one ``cal.at`` per shifted
+    time, then one at t.
     """
     points = np.asarray(points, dtype=float)
     t_lo, t_hi = float(cal.traj.times[0]), float(cal.traj.times[-1])
-    dists, r1s, r2s, r3s, r4s = [], [], [], [], []
+    sig = cal.sigma.value(points)
+    grad_log = cal.sigma.grad(points) / sig[..., None]
+    rows = []
     for t in np.atleast_1d(times):
         t = float(t)
         if t - 2 * fd_dt < t_lo - 1e-15 or t + 2 * fd_dt > t_hi + 1e-15:
             raise ValueError("sample times must be >= 2 fd_dt inside the "
                              "trajectory window")
-        xi = cal.xi(points, t)
-        dt_xi = _dt4(lambda s: cal.xi(points, s), t, fd_dt)
-        Bv = cal.B(points, t)
-        Jxi = cal.grad_xi(points, t)
-        JB = cal.grad_B(points, t)
-        adv_xi = np.einsum("...ij,...j->...i", Jxi, Bv)
-        jbt_xi = np.einsum("...ji,...j->...i", JB, xi)
+        dt_xi = dt_xi2 = dt_theta = 0.0
+        for k, w in _DT4:
+            s = cal.at(points, t + k * fd_dt)
+            dt_xi = dt_xi + w * s.xi
+            dt_xi2 = dt_xi2 + w * np.sum(s.xi ** 2, axis=-1)
+            dt_theta = dt_theta + w * s.theta
+            del s  # one evaluation alive at a time
+        dt_xi, dt_xi2, dt_theta = (d / (12.0 * fd_dt)
+                                   for d in (dt_xi, dt_xi2, dt_theta))
+        f = cal.at(points, t)
+        Bv = f.v * f.xi
+        adv_xi = np.einsum("...ij,...j->...i", f.grad_xi, Bv)
+        jbt_xi = np.einsum("...ji,...j->...i", f.v * f.grad_xi, f.xi)
         r1 = point_norm(dt_xi + adv_xi + jbt_xi)
 
-        dt_xi2 = _dt4(lambda s: np.sum(cal.xi(points, s) ** 2, axis=-1),
-                      t, fd_dt)
-        grad_xi2 = 2.0 * np.einsum("...ji,...j->...i", Jxi, xi)
+        grad_xi2 = 2.0 * np.einsum("...ji,...j->...i", f.grad_xi, f.xi)
         r2 = np.abs(dt_xi2 + np.sum(Bv * grad_xi2, axis=-1))
 
-        dt_theta = _dt4(lambda s: cal.theta(points, s), t, fd_dt)
-        r3 = np.abs(dt_theta + np.sum(Bv * cal.grad_theta(points, t), axis=-1))
+        r3 = np.abs(dt_theta + np.sum(Bv * f.grad_theta, axis=-1))
 
-        sig = cal.sigma.value(points)
-        grad_log = cal.sigma.grad(points) / sig[..., None]
-        r4 = np.abs(-cal.div_xi(points, t)
-                    - np.sum(grad_log * xi, axis=-1)
-                    - np.sum(Bv * xi, axis=-1))
+        r4 = np.abs(-f.div_xi
+                    - np.sum(grad_log * f.xi, axis=-1)
+                    - np.sum(Bv * f.xi, axis=-1))
 
-        dists.append(cal.distance(points, t))
-        r1s.append(r1)
-        r2s.append(r2)
-        r3s.append(r3)
-        r4s.append(r4)
-    return CalibrationResiduals(dist=np.concatenate(dists),
-                                r1=np.concatenate(r1s),
-                                r2=np.concatenate(r2s),
-                                r3=np.concatenate(r3s),
-                                r4=np.concatenate(r4s))
+        rows.append((np.abs(f.sdist), r1, r2, r3, r4))
+    return CalibrationResiduals(*map(np.concatenate, zip(*rows)))
 
 
 @dataclass
@@ -267,28 +248,25 @@ def calibration_invariants(cal: Calibration, times, n_per_time: int = 1000,
     for t in np.atleast_1d(times):
         t = float(t)
         pts = center + rng.uniform(-half, half, size=(n_per_time, len(center)))
-        dist = cal.distance(pts, t)
-        xi = cal.xi(pts, t)
+        f = cal.at(pts, t)
+        dist = np.abs(f.sdist)
         bound = np.maximum(0.0, 1.0 - cal.c * dist ** 2)
         worst_bound = max(worst_bound,
-                          float(np.max(point_norm(xi) - bound)))
-        theta = cal.theta(pts, t)
-        sdist = cal.signed_distance(pts, t)
-        sign_bad += int(np.count_nonzero(np.sign(theta) != np.sign(sdist)))
+                          float(np.max(point_norm(f.xi) - bound)))
+        sign_bad += int(np.count_nonzero(np.sign(f.theta)
+                                         != np.sign(f.sdist)))
         far = dist > 1e-12
         c_theta = max(c_theta, float(np.max(
-            np.minimum(dist[far], 1.0) / np.abs(theta[far]))))
+            np.minimum(dist[far], 1.0) / np.abs(f.theta[far]))))
         total += n_per_time
 
         iface = cal.traj.interface_at(t)
         bpts, _, normals = iface.boundary_nodes(64)
-        xi_b = cal.xi(bpts, t)
+        fb = cal.at(bpts, t)
         worst_xi = max(worst_xi, float(np.max(np.abs(
-            np.sum(xi_b * normals, axis=-1) - 1.0))))
-        Bb = cal.B(bpts, t)
-        v = cal.velocity_scalar(t)
+            np.sum(fb.xi * normals, axis=-1) - 1.0))))
         worst_b = max(worst_b, float(np.max(
-            point_norm(Bb - v * normals))))
+            point_norm(fb.v * fb.xi - fb.v * normals))))
     return InvariantReport(max_xi_bound_violation=worst_bound,
                            max_boundary_xi_error=worst_xi,
                            max_boundary_b_error=worst_b,
@@ -306,7 +284,7 @@ def relative_energy(weak, cal: Calibration, sigma: SurfaceTension,
     """int sigma (1 - n_weak . xi) dH over the weak interface (1024
     nodes); >= 0."""
     pts, w, normals = weak.boundary_nodes(1024)
-    xi = cal.xi(pts, t)
+    xi = cal.at(pts, t).xi
     vals = sigma.value(pts) * (1.0 - np.sum(normals * xi, axis=-1))
     return float(np.sum(w * vals))
 
@@ -326,7 +304,7 @@ def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension,
         chi_weak = weak.values
         chi_strong = indicator(cal.traj.interface_at(t), pts)
         vals = sigma.value(pts) * (chi_strong - chi_weak) \
-            * cal.theta(pts, t)
+            * cal.at(pts, t).theta
         return integrate(Field(weak.grid, vals))
     if isinstance(weak, Sphere):
         center = np.array(cal.traj.center)
@@ -367,14 +345,14 @@ def coercivity_check(weak, cal: Calibration, sigma: SurfaceTension,
     Also reports the empirical constants for the distance and mass
     coercivity bounds (None when E_rel vanishes)."""
     pts, w, normals = weak.boundary_nodes(1024)
-    xi = cal.xi(pts, t)
+    f = cal.at(pts, t)
+    xi = f.xi
     sig = sigma.value(pts)
     tilt = float(np.sum(w * sig * 0.5 * np.sum((normals - xi) ** 2, axis=-1)))
     slack = float(np.sum(w * sig * 0.5 * (1.0 - np.sum(xi ** 2, axis=-1))))
     e_rel = float(np.sum(w * sig * (1.0 - np.sum(normals * xi, axis=-1))))
-    dist = cal.distance(pts, t)
-    dist_term = float(np.sum(w * sig * np.minimum(dist ** 2, 1.0)))
-    theta_term = float(np.sum(w * sig * cal.theta(pts, t) ** 2))
+    dist_term = float(np.sum(w * sig * np.minimum(f.sdist ** 2, 1.0)))
+    theta_term = float(np.sum(w * sig * f.theta ** 2))
     if e_rel > 1e-15:
         c_dist = dist_term / e_rel
         c_theta = theta_term / e_rel

@@ -1,5 +1,7 @@
 """Calibrations, relative/bulk energies, coercivity, Gronwall fits."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from wmcflab import calib, sharp
 from wmcflab.errors import GeometryError
 from wmcflab.experiments import run_weak_strong
 from wmcflab.grid import Field, Grid
+from wmcflab.wells import point_norm
 
 SQRT2_6 = 0.23570226039551587
 CENTER = (0.5, 0.5)
@@ -45,11 +48,10 @@ class TestBuildCalibration:
         t = 0.02
         iface = traj.interface_at(t)
         pts, _, normals = iface.boundary_nodes(128)
-        xi = cal.xi(pts, t)
-        assert np.max(np.abs(np.sum(xi * normals, axis=-1) - 1.0)) <= 1e-14
-        B = cal.B(pts, t)
-        v = cal.velocity_scalar(t)
-        assert np.max(np.linalg.norm(B - v * normals, axis=-1)) <= 1e-12
+        f = cal.at(pts, t)
+        assert np.max(np.abs(np.sum(f.xi * normals, axis=-1) - 1.0)) <= 1e-14
+        B = f.v * f.xi
+        assert np.max(np.linalg.norm(B - f.v * normals, axis=-1)) <= 1e-12
         # |B| = V = (N-1)/R for constant sigma
         assert_allclose(np.linalg.norm(B, axis=-1), 1.0 / iface.radius,
                         rtol=1e-9)
@@ -61,8 +63,9 @@ class TestBuildCalibration:
         R = float(traj.position(t))
         far = np.array([[0.5 + R + cal.r + 0.05, 0.5],
                         [0.5, 0.5 - R - cal.r - 0.05]])
-        assert np.max(np.linalg.norm(cal.xi(far, t), axis=-1)) == 0.0
-        assert_allclose(np.abs(cal.theta(far, t)), cal.r, atol=1e-14)
+        f = cal.at(far, t)
+        assert np.max(np.linalg.norm(f.xi, axis=-1)) == 0.0
+        assert_allclose(np.abs(f.theta), cal.r, atol=1e-14)
 
     def test_xi_length_bound_sampled(self):
         traj, sigma = radial_setup()
@@ -70,20 +73,197 @@ class TestBuildCalibration:
         rng = np.random.default_rng(0)
         pts = np.array(CENTER) + rng.uniform(-0.5, 0.5, size=(4000, 2))
         for t in (0.0, 0.02, 0.039):
-            dist = cal.distance(pts, t)
-            bound = np.maximum(0.0, 1.0 - cal.c * dist ** 2)
-            assert np.max(np.linalg.norm(cal.xi(pts, t), axis=-1) - bound) <= 1e-14
+            f = cal.at(pts, t)
+            bound = np.maximum(0.0, 1.0 - cal.c * np.abs(f.sdist) ** 2)
+            assert np.max(np.linalg.norm(f.xi, axis=-1) - bound) <= 1e-14
 
     def test_tube_too_wide_raises(self):
         traj, sigma = radial_setup()
         with pytest.raises(GeometryError):
             calib.build_calibration(traj, sigma, r=0.5)
 
+    # a negative radius flips every theta sign, NaN makes every field
+    # NaN, zero divides by zero in c = 1.01 / r^2
+    @pytest.mark.parametrize("r", [-0.1, float("nan"), 0.0, float("inf")])
+    def test_tube_radius_not_positive_finite_raises(self, r):
+        traj, sigma = radial_setup()
+        with pytest.raises(GeometryError, match="positive finite"):
+            calib.build_calibration(traj, sigma, r=r)
+
     def test_point_trajectory_rejected(self):
         sig = sharp.constant_scalar_sigma(1.0)
         traj = sharp.evolve_point1d(0.5, sig, 0.1, tol=1e-10)
         with pytest.raises(GeometryError):
             calib.build_calibration(traj, sig.along_axis())
+
+
+class PerFieldReference:
+    """Reference: the per-field evaluators that Calibration.at replaces,
+    each re-deriving the radial geometry and R(t) on its own."""
+
+    def __init__(self, cal):
+        self.cal = cal
+
+    def _geometry(self, x, t):
+        dx = np.asarray(x, dtype=float) - np.array(self.cal.traj.center)
+        rho = np.maximum(point_norm(dx), 1e-300)
+        e = dx / rho[..., None]
+        sdist = float(self.cal.traj.position(t)) - rho
+        return rho, e, sdist
+
+    def signed_distance(self, x, t):
+        return self._geometry(x, t)[2]
+
+    def distance(self, x, t):
+        return np.abs(self.signed_distance(x, t))
+
+    def velocity_scalar(self, t):
+        return float(self.cal.traj.velocity(t))
+
+    def xi(self, x, t):
+        _, e, sdist = self._geometry(x, t)
+        return -calib._cutoff(sdist, self.cal.r_g)[..., None] * e
+
+    def grad_xi(self, x, t):
+        rho, e, sdist = self._geometry(x, t)
+        g = calib._cutoff(sdist, self.cal.r_g)
+        dg = calib._cutoff_deriv(sdist, self.cal.r_g)
+        eye = np.eye(e.shape[-1])
+        ee = e[..., :, None] * e[..., None, :]
+        return (dg[..., None, None] * ee
+                - (g / rho)[..., None, None] * (eye - ee))
+
+    def div_xi(self, x, t):
+        rho, _, sdist = self._geometry(x, t)
+        g = calib._cutoff(sdist, self.cal.r_g)
+        dg = calib._cutoff_deriv(sdist, self.cal.r_g)
+        n_minus_1 = len(self.cal.traj.center) - 1
+        return dg - n_minus_1 * g / rho
+
+    def B(self, x, t):
+        return self.velocity_scalar(t) * self.xi(x, t)
+
+    def grad_B(self, x, t):
+        return self.velocity_scalar(t) * self.grad_xi(x, t)
+
+    def theta(self, x, t):
+        return calib._truncation(self.signed_distance(x, t), self.cal.r)
+
+    def grad_theta(self, x, t):
+        _, e, sdist = self._geometry(x, t)
+        return -calib._truncation_deriv(sdist, self.cal.r)[..., None] * e
+
+
+def _dt4(f, t, delta):
+    """Reference: fourth-order centered time derivative of a callable."""
+    return (-f(t + 2 * delta) + 8.0 * f(t + delta)
+            - 8.0 * f(t - delta) + f(t - 2 * delta)) / (12.0 * delta)
+
+
+def residuals_reference(cal, points, t, fd_dt):
+    """Reference: calib.calibration_residuals at one time, per field."""
+    ref = PerFieldReference(cal)
+    xi = ref.xi(points, t)
+    dt_xi = _dt4(lambda s: ref.xi(points, s), t, fd_dt)
+    Bv = ref.B(points, t)
+    Jxi = ref.grad_xi(points, t)
+    JB = ref.grad_B(points, t)
+    adv_xi = np.einsum("...ij,...j->...i", Jxi, Bv)
+    jbt_xi = np.einsum("...ji,...j->...i", JB, xi)
+    r1 = point_norm(dt_xi + adv_xi + jbt_xi)
+    dt_xi2 = _dt4(lambda s: np.sum(ref.xi(points, s) ** 2, axis=-1),
+                  t, fd_dt)
+    grad_xi2 = 2.0 * np.einsum("...ji,...j->...i", Jxi, xi)
+    r2 = np.abs(dt_xi2 + np.sum(Bv * grad_xi2, axis=-1))
+    dt_theta = _dt4(lambda s: ref.theta(points, s), t, fd_dt)
+    r3 = np.abs(dt_theta + np.sum(Bv * ref.grad_theta(points, t), axis=-1))
+    sig = cal.sigma.value(points)
+    grad_log = cal.sigma.grad(points) / sig[..., None]
+    r4 = np.abs(-ref.div_xi(points, t)
+                - np.sum(grad_log * xi, axis=-1)
+                - np.sum(Bv * xi, axis=-1))
+    return ref.distance(points, t), r1, r2, r3, r4
+
+
+@functools.lru_cache(maxsize=None)
+def calibration_about(center):
+    # to t = 0.02 the 3-d sphere shrinks from 0.4 to 0.28 (it is extinct
+    # at t = 0.04), so the tube keeps a radius of 0.11 in both dimensions
+    sig_s = sharp.constant_scalar_sigma(SQRT2_6)
+    traj = sharp.evolve_radial(0.4, sig_s, 0.02, tol=1e-12, center=center)
+    return calib.build_calibration(traj, sig_s.about(center))
+
+
+# the center itself (where rho is clamped at 1e-300) and points at
+# distances 0-0.6 from it, through the tube, the cutoff edge and beyond;
+# 3-d exercises the (N - 1) g / rho term of div xi
+@hst.composite
+def clouds(draw):
+    center = draw(hst.sampled_from((CENTER, (0.5, 0.5, 0.5))))
+    dirs = hst.tuples(*[hst.floats(-1.0, 1.0)] * len(center)).filter(
+        lambda u: np.hypot.reduce(u) > 0.1)
+    rows = draw(hst.lists(hst.tuples(hst.floats(0.0, 0.6), dirs),
+                          min_size=1, max_size=12))
+    pts = [np.array(center)] + [np.array(center) + rho * np.array(u)
+                                / np.hypot.reduce(u) for rho, u in rows]
+    return center, np.array(pts)
+
+
+class TestEvaluator:
+    @settings(max_examples=60, deadline=None)
+    @given(clouds(), hst.floats(0.0, 0.02))
+    def test_at_matches_per_field_reference(self, cloud, t):
+        center, pts = cloud
+        cal = calibration_about(center)
+        ref = PerFieldReference(cal)
+        f = cal.at(pts, t)
+        for got, want in ((f.sdist, ref.signed_distance(pts, t)),
+                          (f.xi, ref.xi(pts, t)),
+                          (f.grad_xi, ref.grad_xi(pts, t)),
+                          (f.div_xi, ref.div_xi(pts, t)),
+                          (f.theta, ref.theta(pts, t)),
+                          (f.grad_theta, ref.grad_theta(pts, t)),
+                          (f.v * f.xi, ref.B(pts, t)),
+                          (f.v * f.grad_xi, ref.grad_B(pts, t)),
+                          (np.abs(f.sdist), ref.distance(pts, t))):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert f.v == ref.velocity_scalar(t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(clouds(), hst.floats(2e-4, 0.02 - 2e-4),
+           hst.sampled_from((1e-4, 5e-5)))
+    def test_residuals_match_per_field_reference(self, cloud, t, fd_dt):
+        center, pts = cloud
+        cal = calibration_about(center)
+        res = calib.calibration_residuals(cal, pts, [t], fd_dt=fd_dt)
+        got = (res.dist, res.r1, res.r2, res.r3, res.r4)
+        for g, w in zip(got, residuals_reference(cal, pts, t, fd_dt)):
+            assert g.tobytes() == w.tobytes()
+
+    def test_one_evaluation_per_time(self, monkeypatch):
+        cal = calibration_about(CENTER)
+        counts = {"position": 0, "velocity": 0, "at": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("position", "velocity"):
+            monkeypatch.setattr(sharp.SharpTrajectory, name,
+                                counted(name, getattr(sharp.SharpTrajectory,
+                                                      name)))
+        pts = np.array(CENTER) + np.array([[0.0, 0.0], [0.3, 0.1]])
+        cal.at(pts, 0.02)
+        assert counts == {"position": 1, "velocity": 1, "at": 0}
+
+        monkeypatch.setattr(calib.Calibration, "at",
+                            counted("at", calib.Calibration.at))
+        calib.calibration_residuals(cal, pts, [0.005, 0.01, 0.015])
+        assert counts["at"] == 5 * 3
+        assert counts["position"] == counts["velocity"] == 1 + 5 * 3
 
 
 class TestResiduals:
