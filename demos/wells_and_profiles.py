@@ -22,7 +22,7 @@ for x in (0.1, 0.35, 0.6, 0.85):
     g = wells.gamma(spec, x)
     s_quad = wells.surface_tension(spec, x)
     s_exact = float(spec.sigma_exact(np.array([x])))
-    s_n = wells.sigma_n(spec, x)
+    s_n = wells.geodesic_distance(spec, x, 1.0)
     print(f"{x:6.2f} {g:8.4f} {s_quad:14.10f} {s_exact:14.10f} {s_n:10.6f}")
 
 print("\ngeodesic distance d_n(x, v) at x = 0.5 (d_n(1) = sigma_n):")

@@ -120,10 +120,15 @@ def build_calibration(traj: SharpTrajectory, sigma: SurfaceTension,
     The tube radius r defaults to 0.4 min_t R(t), and c = 1.01 / r^2. The
     cutoff support is shrunk to 1/sqrt(c) so |xi| <= max{0, 1 - c dist^2}
     holds exactly (the bound needs c strictly above 1/r^2 to leave a
-    margin inside the tube). Raises GeometryError unless 0 < r < min_t R(t).
+    margin inside the tube). Raises GeometryError unless 0 < r < min_t R(t),
+    and for a truncated trajectory (the sphere went extinct): its R(t)
+    stops at the extinction floor, not at t_end.
     """
     if traj.kind != "sphere":
         raise GeometryError("calibrations are built around radial flows")
+    if traj.truncated:
+        raise GeometryError("calibrations need a full-length trajectory, "
+                            f"got one truncated at t = {traj.t_end:.4g}")
     r_min_traj = float(np.min(traj.positions))
     if r is None:
         r = 0.4 * r_min_traj

@@ -33,9 +33,10 @@ Commands: ``wmcf run <config>``, ``wmcf list``, ``wmcf validate <config>``.
 experiment and check names, then each part of the check as its label,
 worst entry, relation and bound.
 Exit codes for run: 0 all checks pass, 1 a check failed, 2 invalid config
-or parameters (parse and validation errors, and the ValueError subclasses
-of ``errors``: DomainError, ResolutionError, GeometryError,
-GridMismatchError), 3 numeric failure (NumericError, ExtractionError).
+or parameters (parse and validation errors, and any ValueError the
+experiment raises, among them the ValueError subclasses of ``errors``:
+DomainError, ResolutionError, GeometryError, GridMismatchError), 3
+numeric failure (NumericError, ExtractionError).
 Orchestration is single-threaded, so outputs are deterministic; to cap the
 BLAS thread pools, set OMP_NUM_THREADS / OPENBLAS_NUM_THREADS in the
 environment before the process starts.
@@ -50,8 +51,7 @@ import time
 import numpy as np
 
 from . import wells
-from .errors import (DomainError, ExtractionError, GeometryError,
-                     GridMismatchError, NumericError, ResolutionError)
+from .errors import ExtractionError, NumericError
 from .experiments import REGISTRY
 
 
@@ -204,8 +204,7 @@ def run_experiment(name, runner, kwargs, out_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
     try:
         result = runner(**kwargs)
-    except (DomainError, ResolutionError, GeometryError,
-            GridMismatchError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"parameter error: {type(exc).__name__}: {exc}\n")
         return 2
     except (NumericError, ExtractionError) as exc:

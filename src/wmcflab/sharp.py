@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import GeometryError, NumericError
 from .quadrature import adaptive_gauss_legendre
-from .wells import (WellSpec, as_points, grad_gamma, normalized_well_dx,
-                    point_norm, sigma_n, surface_tension)
+from .wells import (WellSpec, as_points, geodesic_distance, grad_gamma,
+                    normalized_well, normalized_well_dx, point_norm,
+                    surface_tension)
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +59,7 @@ def sigma_from_well(spec: WellSpec, tol: float = 1e-10) -> SurfaceTension:
             # d/dx sqrt(2 W_n) * gamma = partial_x W_n / sqrt(2 W_n) * gamma
             P = pts[None, :, :].repeat(len(t), axis=0)
             V = t[:, None] * np.ones(len(pts))[None, :]
-            wn = np.maximum(
-                spec.W(P, spec.a(P) + (spec.b(P) - spec.a(P)) * V), 1e-300)
+            wn = np.maximum(normalized_well(spec, P, V), 1e-300)
             dwn = normalized_well_dx(spec, P, V)
             g = (spec.b(pts) - spec.a(pts))[None, :, None]
             vals = g * dwn / np.sqrt(2.0 * wn)[..., None]
@@ -68,9 +68,9 @@ def sigma_from_well(spec: WellSpec, tol: float = 1e-10) -> SurfaceTension:
         val, _ = adaptive_gauss_legendre(integrand, 0.0, 1.0, tol=tol)
         # grad sigma = grad(gamma sigma_n) = sigma_n grad gamma + gamma grad sigma_n;
         # integrating gamma * d/dx sqrt(2 W_n) gives gamma grad sigma_n only,
-        # so add the separation part.
+        # so add the separation part, with sigma_n = d_n(x, 1).
         g1 = np.asarray(val).reshape(pts.shape)
-        g2 = np.asarray(sigma_n(spec, pts, tol=tol)).reshape(len(pts), 1) \
+        g2 = geodesic_distance(spec, pts, 1.0, tol=tol)[:, None] \
             * grad_gamma(spec, pts)
         out = (g1 + g2).reshape(x.shape)
         return out

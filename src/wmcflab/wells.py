@@ -10,8 +10,8 @@ sharp-interface theory live here:
     gamma(x)        = b(x) - a(x)                      (well separation)
     W_n(x, v)       = W(x, a(x) + gamma(x) v)          (normalized well)
     sigma(x)        = int_a^b sqrt(2 W(x, s)) ds       (surface tension)
-    sigma_n(x)      = int_0^1 sqrt(2 W_n(x, s)) ds     = sigma / gamma
     d_n(x, v)       = int_0^v sqrt(2 W_n(x, s)) ds     (geodesic distance)
+    sigma_n(x)      = d_n(x, 1)                        = sigma / gamma
 
 together with the one-dimensional transition profile solving
 v' = sqrt(2 W_n(x, v)), v(0) = 1/2, with x frozen. The quadratures and
@@ -151,62 +151,49 @@ def normalized_well_dx(spec: WellSpec, x, v) -> np.ndarray:
     return spec.dW_dx(x, u) + spec.dW_du(x, u)[..., None] * drift
 
 
+def _well_integral(spec: WellSpec, x, v: float, tol: float, integrand):
+    """int_0^v integrand(pts, t) dt at each position of x, by one adaptive
+    quadrature over the batch.
+
+    ``pts`` holds the positions flattened to (n, d) and ``integrand``
+    maps them and the (k,) nodes t to (k, n) values. Returns an array of
+    shape x.shape[:-1], or a float for a single position.
+    """
+    x = as_points(x)
+    spec.check_position(x)
+    pts = x.reshape(-1, x.shape[-1])
+    val, _ = adaptive_gauss_legendre(lambda t: integrand(pts, t), 0.0, v,
+                                     tol=tol)
+    val = np.asarray(val).reshape(x.shape[:-1])
+    return float(val) if val.ndim == 0 else val
+
+
 def surface_tension(spec: WellSpec, x, tol: float = 1e-10) -> np.ndarray:
     """sigma(x) = int_{a(x)}^{b(x)} sqrt(2 W(x, s)) ds by adaptive quadrature.
 
     Vectorized over a batch of positions (the u-interval is rescaled to a
     common reference interval, which is exact for the affine substitution).
     """
-    x = as_points(x)
-    spec.check_position(x)
-    ax = np.atleast_1d(spec.a(x))
-    gax = np.atleast_1d(spec.b(x) - spec.a(x))
-    pts = x.reshape(-1, x.shape[-1])
-    a_flat = ax.reshape(-1)
-    g_flat = gax.reshape(-1)
-
-    def integrand(t):
+    def integrand(pts, t):
         # s = a + gamma t, ds = gamma dt; evaluates W itself, not W_n
+        a_flat = spec.a(pts)
+        g_flat = spec.b(pts) - a_flat
         u = a_flat[None, :] + g_flat[None, :] * t[:, None]
         w = spec.W(pts[None, :, :].repeat(len(t), axis=0), u)
         return g_flat[None, :] * np.sqrt(np.maximum(2.0 * w, 0.0))
 
-    val, _ = adaptive_gauss_legendre(integrand, 0.0, 1.0, tol=tol)
-    val = np.asarray(val).reshape(ax.shape)
-    if np.asarray(spec.a(x)).ndim == 0:
-        return float(val.reshape(()))
-    return val
+    return _well_integral(spec, x, 1.0, tol, integrand)
 
 
-def sigma_n(spec: WellSpec, x, tol: float = 1e-10) -> np.ndarray:
-    """Normalized surface tension int_0^1 sqrt(2 W_n(x, s)) ds = sigma/gamma."""
-    x = as_points(x)
-    spec.check_position(x)
-    shape = np.atleast_1d(spec.a(x)).shape
-    pts = x.reshape(-1, x.shape[-1])
-
-    def integrand(t):
+def geodesic_distance(spec: WellSpec, x, v: float, tol: float = 1e-10):
+    """d_n(x, v) = int_0^v sqrt(2 W_n(x, s)) ds (signed for v < 0) at each
+    position of x; d_n(x, 1) is the normalized surface tension sigma_n."""
+    def integrand(pts, t):
         wn = normalized_well(spec, pts[None, :, :].repeat(len(t), axis=0),
                              t[:, None] * np.ones(len(pts))[None, :])
         return np.sqrt(np.maximum(2.0 * wn, 0.0))
 
-    val, _ = adaptive_gauss_legendre(integrand, 0.0, 1.0, tol=tol)
-    val = np.asarray(val).reshape(shape)
-    if np.asarray(spec.a(x)).ndim == 0:
-        return float(val.reshape(()))
-    return val
-
-
-def geodesic_distance(spec: WellSpec, x, v: float) -> float:
-    """d_n(x, v) = int_0^v sqrt(2 W_n(x, s)) ds (signed for v < 0)."""
-    x = as_points(x)
-    spec.check_position(x)
-
-    def integrand(t):
-        return np.sqrt(np.maximum(2.0 * normalized_well(spec, x, t), 0.0))
-
-    val, _ = adaptive_gauss_legendre(integrand, 0.0, float(v), tol=1e-10)
-    return float(val)
+    return _well_integral(spec, x, float(v), tol, integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +609,7 @@ def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
     ``quartic_dW_du``, and give the same bits.
     """
     if amplitude is None:
-        amplitude = lambda x: np.ones(np.shape(x)[:-1])
-        grad_amplitude = lambda x: np.zeros(np.shape(x))
+        amplitude, grad_amplitude = _coefficient(1.0)
     if grad_amplitude is None:
         raise ValueError("grad_amplitude required when amplitude is given")
 
@@ -653,30 +639,29 @@ def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
                     delta_sep=delta_sep, bounds=bounds)
 
 
+def _coefficient(c0: float, slope: float = 0.0, axis: int = 0):
+    """The coefficient c0 + slope * x_axis and its gradient, as position
+    callables; a zero slope gives the constant c0 * 1."""
+    if slope == 0:
+        def value(x):
+            return c0 * np.ones(np.shape(x)[:-1])
+    else:
+        def value(x):
+            return c0 + slope * x[..., axis]
+
+    def grad(x):
+        g = np.zeros(np.shape(x))
+        g[..., axis] = slope
+        return g
+
+    return value, grad
+
+
 def constant_quartic(a0: float = 0.0, b0: float = 1.0,
                      amplitude: float = 1.0, bounds=None) -> WellSpec:
     """Canonical quartic with constant wells (and constant amplitude)."""
-    return canonical_quartic(
-        a=lambda x: a0 * np.ones(np.shape(x)[:-1]),
-        grad_a=lambda x: np.zeros(np.shape(x)),
-        b=lambda x: b0 * np.ones(np.shape(x)[:-1]),
-        grad_b=lambda x: np.zeros(np.shape(x)),
-        delta_sep=b0 - a0,
-        amplitude=lambda x: amplitude * np.ones(np.shape(x)[:-1]),
-        grad_amplitude=lambda x: np.zeros(np.shape(x)),
-        bounds=bounds,
-    )
-
-
-def _unit_wells_quartic(m, grad_m) -> WellSpec:
-    """Quartic with wells a = 0, b = 1 and amplitude m(x)."""
-    return canonical_quartic(
-        a=lambda x: np.zeros(np.shape(x)[:-1]),
-        grad_a=lambda x: np.zeros(np.shape(x)),
-        b=lambda x: np.ones(np.shape(x)[:-1]),
-        grad_b=lambda x: np.zeros(np.shape(x)),
-        delta_sep=1.0, amplitude=m, grad_amplitude=grad_m,
-    )
+    return canonical_quartic(*_coefficient(a0), *_coefficient(b0), b0 - a0,
+                             *_coefficient(amplitude), bounds=bounds)
 
 
 def affine_scaled_quartic(offset: float = 1.0, slope: float = 1.0,
@@ -686,15 +671,8 @@ def affine_scaled_quartic(offset: float = 1.0, slope: float = 1.0,
     Gives the heterogeneous surface tension
     sigma(x) = sqrt(2 (offset + slope x_axis)) / 6.
     """
-    def m(x):
-        return offset + slope * x[..., axis]
-
-    def grad_m(x):
-        g = np.zeros(np.shape(x))
-        g[..., axis] = slope
-        return g
-
-    return _unit_wells_quartic(m, grad_m)
+    return canonical_quartic(*_coefficient(0.0), *_coefficient(1.0), 1.0,
+                             *_coefficient(offset, slope, axis))
 
 
 def exp_scaled_quartic(kappa: float, axis: int = 0) -> WellSpec:
@@ -711,7 +689,8 @@ def exp_scaled_quartic(kappa: float, axis: int = 0) -> WellSpec:
         g[..., axis] = 2.0 * kappa * np.exp(2.0 * kappa * x[..., axis])
         return g
 
-    return _unit_wells_quartic(m, grad_m)
+    return canonical_quartic(*_coefficient(0.0), *_coefficient(1.0), 1.0,
+                             m, grad_m)
 
 
 def linear_wells_quartic(a0: float, a_slope: float, b0: float,
@@ -727,17 +706,6 @@ def linear_wells_quartic(a0: float, a_slope: float, b0: float,
         if delta_sep <= 0:
             raise ValueError("wells touch inside the given bounds")
 
-    def mk_grad(slope):
-        def grad(x):
-            g = np.zeros(np.shape(x))
-            g[..., axis] = slope
-            return g
-        return grad
-
-    return canonical_quartic(
-        a=lambda x: a0 + a_slope * x[..., axis],
-        grad_a=mk_grad(a_slope),
-        b=lambda x: b0 + b_slope * x[..., axis],
-        grad_b=mk_grad(b_slope),
-        delta_sep=delta_sep, bounds=bounds,
-    )
+    return canonical_quartic(*_coefficient(a0, a_slope, axis),
+                             *_coefficient(b0, b_slope, axis),
+                             delta_sep, bounds=bounds)

@@ -90,6 +90,17 @@ class TestBuildCalibration:
         with pytest.raises(GeometryError, match="positive finite"):
             calib.build_calibration(traj, sigma, r=r)
 
+    def test_truncated_trajectory_rejected(self):
+        # the 3-d sphere of radius 0.4 goes extinct at t = 0.04: R(t)
+        # stops at the 1e-3 floor, which would set a 4e-4 tube radius
+        sig_s = sharp.constant_scalar_sigma(SQRT2_6)
+        center = (0.5, 0.5, 0.5)
+        traj = sharp.evolve_radial(0.4, sig_s, 0.04, tol=1e-12,
+                                   center=center)
+        assert traj.truncated
+        with pytest.raises(GeometryError, match="truncated"):
+            calib.build_calibration(traj, sig_s.about(center))
+
     def test_point_trajectory_rejected(self):
         sig = sharp.constant_scalar_sigma(1.0)
         traj = sharp.evolve_point1d(0.5, sig, 0.1, tol=1e-10)

@@ -1,5 +1,6 @@
 """Config parsing, validation, registry, and exit-code contract."""
 
+import builtins
 import glob
 import inspect
 import os
@@ -204,11 +205,13 @@ class TestRun:
 
     @pytest.mark.parametrize("name, code", [
         ("DomainError", 2), ("ResolutionError", 2), ("GeometryError", 2),
-        ("GridMismatchError", 2), ("NumericError", 3), ("ExtractionError", 3)])
+        ("GridMismatchError", 2), ("NumericError", 3), ("ExtractionError", 3),
+        ("ValueError", 2)])
     def test_library_error_exit_code(self, tmp_path, monkeypatch, capsys,
                                      name, code):
         def raising(**kw):
-            raise getattr(errors, name)("synthetic")
+            raise (getattr(errors, name, None)
+                   or getattr(builtins, name))("synthetic")
         monkeypatch.setitem(cli.REGISTRY, "surface_tension",
                             (raising, "synthetic"))
         out = tmp_path / "out"
@@ -236,6 +239,17 @@ class TestRun:
         assert cli.main(["run", path]) == 2
         assert "GeometryError" in capsys.readouterr().err
         assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
+
+    def test_step_not_dividing_the_span_exits_2(self, tmp_path, capsys):
+        # the dissipation run's dt = 3.5e-5 does not divide t_end = 0.01:
+        # flow.run raises a plain ValueError, a parameter error
+        out = tmp_path / "out"
+        path = write(tmp_path, "experiment=dissipation\nt_end=0.01\n"
+                               f"out_dir={out}\n")
+        assert cli.main(["validate", path]) == 0
+        assert cli.main(["run", path]) == 2
+        assert "does not divide the time span" in capsys.readouterr().err
+        assert glob.glob(os.path.join(out, "*.csv")) == []
 
     @pytest.mark.parametrize("name, n", [("equipartition", 128),
                                          ("gibbs_thomson", 64)])

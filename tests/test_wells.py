@@ -1,7 +1,7 @@
 """Well-potential operations against closed forms.
 
 Quartic oracles used below (gamma = b - a, amplitude m):
-  sigma = sqrt(2 m) gamma^3 / 6, sigma_n = sigma / gamma,
+  sigma = sqrt(2 m) gamma^3 / 6, sigma_n = d_n(1) = sigma / gamma,
   d_n(v) = sqrt(2 m) gamma^2 (v^2/2 - v^3/3),
   profile = logistic with rate sqrt(2 m) gamma.
 """
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
-from wmcflab import wells
+from wmcflab import cli, wells
 from wmcflab.errors import DomainError, GeometryError
 from wmcflab.grid import Grid
 from wmcflab.quadrature import adaptive_gauss_legendre
@@ -122,21 +122,24 @@ class TestSurfaceTension:
 
 
 class TestSigmaN:
+    """sigma_n = d_n(x, 1), the geodesic distance across the well."""
+
     def test_canonical(self):
         spec = wells.constant_quartic()
-        assert_allclose(wells.sigma_n(spec, 0.7), SQRT2_6, rtol=1e-10)
+        assert_allclose(wells.geodesic_distance(spec, 0.7, 1.0), SQRT2_6,
+                        rtol=1e-10)
 
     def test_gamma_two(self):
         spec = wells.constant_quartic(0.0, 2.0)
-        assert_allclose(wells.sigma_n(spec, 0.7), 0.9428090415820634,
-                        rtol=1e-10)
+        assert_allclose(wells.geodesic_distance(spec, 0.7, 1.0),
+                        0.9428090415820634, rtol=1e-10)
 
     def test_definitional_identity(self):
         spec = moving_spec()
         xs = np.random.default_rng(1).uniform(0.0, 1.0, size=(20, 1))
         tol = 1e-10
         sig = wells.surface_tension(spec, xs, tol=tol)
-        sn = wells.sigma_n(spec, xs, tol=tol)
+        sn = wells.geodesic_distance(spec, xs, 1.0, tol=tol)
         g = wells.gamma(spec, xs)
         assert np.max(np.abs(sn * g - sig)) <= 2 * tol * np.max(np.abs(sig)) + 2 * tol
 
@@ -162,11 +165,230 @@ class TestGeodesicDistance:
         ds = [wells.geodesic_distance(spec, 0.25, v) for v in vs]
         assert all(d1 >= d0 - 1e-12 for d0, d1 in zip(ds, ds[1:]))
         assert ds[0] == 0.0
-        assert_allclose(ds[-1], wells.sigma_n(spec, 0.25), rtol=1e-8)
+        sigma_n = spec.sigma_exact(np.array([0.25])) / wells.gamma(spec, 0.25)
+        assert_allclose(ds[-1], float(sigma_n), rtol=1e-8)
 
     def test_signed_for_negative_v(self):
         spec = wells.constant_quartic()
         assert wells.geodesic_distance(spec, 0.3, -0.3) < 0
+
+
+# References: the quartic factories writing their own lambdas, and the
+# normalized surface tension as a quadrature of its own. The factories
+# now build their coefficients with ``wells._coefficient`` and sigma_n is
+# ``geodesic_distance(spec, x, 1)``; the properties below check that both
+# give these bits.
+
+def reference_constant(a0=0.0, b0=1.0, amplitude=1.0, bounds=None):
+    return wells.canonical_quartic(
+        a=lambda x: a0 * np.ones(np.shape(x)[:-1]),
+        grad_a=lambda x: np.zeros(np.shape(x)),
+        b=lambda x: b0 * np.ones(np.shape(x)[:-1]),
+        grad_b=lambda x: np.zeros(np.shape(x)),
+        delta_sep=b0 - a0,
+        amplitude=lambda x: amplitude * np.ones(np.shape(x)[:-1]),
+        grad_amplitude=lambda x: np.zeros(np.shape(x)),
+        bounds=bounds,
+    )
+
+
+def reference_unit_wells(m, grad_m):
+    return wells.canonical_quartic(
+        a=lambda x: np.zeros(np.shape(x)[:-1]),
+        grad_a=lambda x: np.zeros(np.shape(x)),
+        b=lambda x: np.ones(np.shape(x)[:-1]),
+        grad_b=lambda x: np.zeros(np.shape(x)),
+        delta_sep=1.0, amplitude=m, grad_amplitude=grad_m,
+    )
+
+
+def reference_affine(offset=1.0, slope=1.0, axis=0):
+    def m(x):
+        return offset + slope * x[..., axis]
+
+    def grad_m(x):
+        g = np.zeros(np.shape(x))
+        g[..., axis] = slope
+        return g
+
+    return reference_unit_wells(m, grad_m)
+
+
+def reference_exp(kappa, axis=0):
+    def m(x):
+        return np.exp(2.0 * kappa * x[..., axis])
+
+    def grad_m(x):
+        g = np.zeros(np.shape(x))
+        g[..., axis] = 2.0 * kappa * np.exp(2.0 * kappa * x[..., axis])
+        return g
+
+    return reference_unit_wells(m, grad_m)
+
+
+def reference_linear(a0, a_slope, b0, b_slope, axis, delta_sep, bounds):
+    def mk_grad(slope):
+        def grad(x):
+            g = np.zeros(np.shape(x))
+            g[..., axis] = slope
+            return g
+        return grad
+
+    # with canonical_quartic's default amplitude m = 1 written out
+    return wells.canonical_quartic(
+        a=lambda x: a0 + a_slope * x[..., axis],
+        grad_a=mk_grad(a_slope),
+        b=lambda x: b0 + b_slope * x[..., axis],
+        grad_b=mk_grad(b_slope),
+        delta_sep=delta_sep, bounds=bounds,
+        amplitude=lambda x: np.ones(np.shape(x)[:-1]),
+        grad_amplitude=lambda x: np.zeros(np.shape(x)),
+    )
+
+
+def reference_sigma_n(spec, x, tol=1e-10):
+    """Normalized surface tension int_0^1 sqrt(2 W_n(x, s)) ds = sigma/gamma."""
+    x = wells.as_points(x)
+    spec.check_position(x)
+    shape = np.atleast_1d(spec.a(x)).shape
+    pts = x.reshape(-1, x.shape[-1])
+
+    def integrand(t):
+        wn = wells.normalized_well(spec, pts[None, :, :].repeat(len(t), axis=0),
+                                   t[:, None] * np.ones(len(pts))[None, :])
+        return np.sqrt(np.maximum(2.0 * wn, 0.0))
+
+    val, _ = adaptive_gauss_legendre(integrand, 0.0, 1.0, tol=tol)
+    val = np.asarray(val).reshape(shape)
+    if np.asarray(spec.a(x)).ndim == 0:
+        return float(val.reshape(()))
+    return val
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+@hst.composite
+def factory_pairs(draw, dim):
+    """A quartic factory at drawn arguments on [0, 1]^dim, built by the
+    factory and by its reference; slopes and kappa may be exactly 0."""
+    axis = draw(hst.integers(0, dim - 1))
+    slope = hst.one_of(hst.just(0.0), hst.floats(-0.4, 0.4))
+    bounds = draw(hst.sampled_from((None, np.array([[0.0, 1.0]] * dim))))
+    kind = draw(hst.sampled_from(("constant", "affine", "exp", "linear")))
+    if kind == "constant":
+        a0 = draw(hst.floats(-1.0, 1.0))
+        args = (a0, a0 + draw(hst.floats(0.5, 2.0)),
+                draw(hst.floats(0.2, 5.0)), bounds)
+        return wells.constant_quartic(*args), reference_constant(*args)
+    if kind == "affine":
+        args = (draw(hst.floats(0.5, 2.0)), draw(slope), axis)
+        return wells.affine_scaled_quartic(*args), reference_affine(*args)
+    if kind == "exp":
+        args = (draw(hst.one_of(hst.just(0.0), hst.floats(-1.0, 1.0))), axis)
+        return wells.exp_scaled_quartic(*args), reference_exp(*args)
+    # a zero slope gives the constant form a0 * 1, which has the bits of
+    # a0 + 0 x at finite x for every a0 but -0.0 (then -0.0 against 0.0):
+    # adding 0.0 turns a drawn -0.0 into 0.0
+    a0 = draw(hst.floats(-0.5, 0.5)) + 0.0
+    args = (a0, draw(slope), a0 + draw(hst.floats(0.8, 1.5)), draw(slope),
+            axis, 0.1, bounds)
+    return wells.linear_wells_quartic(*args), reference_linear(*args)
+
+
+@hst.composite
+def lattice_problems(draw, max_cells=16):
+    """A factory pair, the cell centres of an n^d lattice of [0, 1]^d
+    (d = 1 or 2) and values u on it."""
+    dim = draw(hst.sampled_from((1, 2)))
+    cells = tuple(draw(hst.integers(8, max_cells)) for _ in range(dim))
+    pts = Grid((0.0,) * dim, (1.0,) * dim, cells).points()
+    u = draw(hnp.arrays(float, cells, elements=hst.floats(-2.0, 3.0)))
+    return draw(factory_pairs(dim)), pts, u
+
+
+class TestFactoriesMatchReference:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_problems())
+    def test_coefficients_and_derivatives_bit_identical(self, problem):
+        (spec, ref), pts, u = problem
+        assert spec.delta_sep == ref.delta_sep
+        assert bits(spec.bounds) == bits(ref.bounds)
+        for name in ("a", "b", "amplitude",
+                     "grad_a", "grad_b", "grad_amplitude"):
+            assert bits(getattr(spec, name)(pts)) \
+                == bits(getattr(ref, name)(pts)), name
+        for name in ("W", "dW_du", "dW_dx"):
+            assert bits(getattr(spec, name)(pts, u)) \
+                == bits(getattr(ref, name)(pts, u)), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_problems())
+    def test_unit_geodesic_distance_is_sigma_n(self, problem):
+        (spec, ref), pts, _ = problem
+        assert bits(wells.geodesic_distance(spec, pts, 1.0)) \
+            == bits(reference_sigma_n(ref, pts))
+        x = pts.reshape(-1, pts.shape[-1])[-1]
+        assert type(wells.geodesic_distance(spec, x, 1.0)) is float
+        assert bits(wells.geodesic_distance(spec, x, 1.0)) \
+            == bits(reference_sigma_n(ref, x))
+
+    @settings(max_examples=30, deadline=None)
+    @given(lattice_problems(max_cells=10), hst.floats(-0.5, 1.0))
+    def test_batch_agrees_with_per_point_calls(self, problem, v):
+        # for v <= 1 the integrand sqrt(2 m) gamma^2 |s (1 - s)| is a
+        # polynomial on [v, 0] or [0, v], so every point converges on the
+        # first panel, alone or in a batch. The panel's weighted sum is one
+        # matrix-vector product, whose summation order depends on the batch
+        # width (OpenBLAS's vector body and tail), so the batch and a single
+        # point can differ in the last bits
+        (spec, _), pts, _ = problem
+        x = pts.reshape(-1, pts.shape[-1])
+        batch = wells.geodesic_distance(spec, pts, v)
+        assert batch.shape == pts.shape[:-1]
+        single = np.array([wells.geodesic_distance(spec, p, v) for p in x])
+        gap = np.abs(batch.reshape(-1) - single)
+        assert np.all(gap <= 8 * np.finfo(float).eps * np.abs(single))
+
+
+# every public quartic factory, and every WELL_REGISTRY well, at arguments
+PUBLIC_FACTORIES = {
+    "constant_quartic": lambda: wells.constant_quartic(),
+    "affine_scaled_quartic": lambda: wells.affine_scaled_quartic(axis=1),
+    "exp_scaled_quartic": lambda: wells.exp_scaled_quartic(0.5),
+    "linear_wells_quartic": lambda: wells.linear_wells_quartic(
+        0.0, 0.6, 1.0, 0.0, delta_sep=0.4),
+}
+
+
+class TestFactoriesRouteThroughCanonicalQuartic:
+    """The per-layer tracer wraps ``wells.canonical_quartic`` by name to
+    trace every spec's W and dW_du, so each factory must build its spec
+    by exactly one call of that name."""
+
+    def test_every_public_factory_is_listed(self):
+        public = {name for name in vars(wells) if name.endswith("_quartic")
+                  and not name.startswith("_")}
+        assert public - {"canonical_quartic"} == set(PUBLIC_FACTORIES)
+
+    @pytest.mark.parametrize("build", (
+        [PUBLIC_FACTORIES[name] for name in sorted(PUBLIC_FACTORIES)]
+        + [cli.WELL_REGISTRY[name] for name in sorted(cli.WELL_REGISTRY)]),
+        ids=(sorted(PUBLIC_FACTORIES) + sorted(cli.WELL_REGISTRY)))
+    def test_one_canonical_quartic_call(self, monkeypatch, build):
+        built = []
+        original = wells.canonical_quartic
+
+        def counting(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(wells, "canonical_quartic", counting)
+        spec = build()
+        assert len(built) == 1
+        assert spec is built[0]
 
 
 class TestOptimalProfile:
