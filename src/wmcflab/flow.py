@@ -39,7 +39,9 @@ The inner solvers work with the face-difference quadrature of the
 gradient energy, whose exact L2-gradient is the compact 3/5-point Neumann
 Laplacian; the public ``energy`` diagnostic uses the centered-difference
 quadrature. The two agree to O(h^2) and the ledger inequalities are exact
-for the face form.
+for the face form. ``energy`` is formed from a ``Reading`` of the state
+(W and |grad u|, evaluated once), which also serves the equipartition
+diagnostics of ``variations``.
 
 ``run`` records every step in a ``DissipationLedger``. Its defect uses a
 compensated (Neumaier) running total of the dissipation increments, so
@@ -73,13 +75,35 @@ class PhaseState:
                           self.time if time is None else time)
 
 
+class Reading(NamedTuple):
+    """One reading of a diffuse state: the well values W(x, u) and the
+    centered-difference |grad u| on its grid. The energy, the
+    equipartition defect and the localized densities of the state are all
+    formed from these two arrays. A reading is a snapshot; it does not
+    follow later changes of u."""
+
+    w: np.ndarray
+    grad_norm: np.ndarray
+    eps: float
+    grid: Grid
+
+    def energy(self) -> float:
+        """E = int W(x, u)/eps + (eps/2) |grad u|^2 (centered-difference
+        form)."""
+        dens = self.w / self.eps + 0.5 * self.eps * self.grad_norm ** 2
+        return integrate(Field(self.grid, dens))
+
+
+def read(state: PhaseState, spec: WellSpec, pts: np.ndarray) -> Reading:
+    """Evaluate W and |grad u| of ``state`` once; ``pts`` is
+    ``state.u.grid.points()``, passed by a caller that already holds it."""
+    return Reading(spec.W(pts, state.u.values),
+                   gradient_neumann(state.u).norm(), state.eps, state.u.grid)
+
+
 def energy(state: PhaseState, spec: WellSpec) -> float:
-    """E = int W(x, u)/eps + (eps/2) |grad u|^2 (centered-difference form)."""
-    pts = state.u.grid.points()
-    w = spec.W(pts, state.u.values)
-    grad = gradient_neumann(state.u)
-    dens = w / state.eps + 0.5 * state.eps * grad.norm() ** 2
-    return integrate(Field(state.u.grid, dens))
+    """``Reading.energy`` of one state read on its own."""
+    return read(state, spec, state.u.grid.points()).energy()
 
 
 def energy_face(values: np.ndarray, grid: Grid, eps: float,

@@ -11,6 +11,13 @@ sharp pairing
     -int sigma (Id - n x n):grad Psi d|grad chi_A| - int grad sigma . Psi
 
 evaluated here by boundary quadrature as the independent reference.
+
+A recovery state carries one ``flow.Reading`` of itself (W(x, u) and
+|grad u|, evaluated once by ``build_recovery`` for its energy check).
+The equipartition defect and the three localized densities are formed
+from that reading: ``equipartition_defect(rec.reading)`` and
+``measure_pairing(rec.reading, testfns)``, which pairs the densities with
+every test sample of the call.
 """
 
 from dataclasses import dataclass
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, ResolutionError
-from .flow import PhaseState, energy as diffuse_energy
+from .flow import PhaseState, Reading, read
 from .grid import Field, Grid, gradient_neumann, integrate, pair_density
 from .sharp import (Point1D, Sphere, SurfaceTension, sigma_field_of,
                     weighted_perimeter)
@@ -44,9 +51,11 @@ def interface_boundary_margin(interface, grid: Grid) -> float:
 
 @dataclass(frozen=True)
 class RecoveryState:
-    """Diffuse state u = a + gamma * profile(sdist/eps) over a sharp set."""
+    """Diffuse state u = a + gamma * profile(sdist/eps) over a sharp set,
+    with its reading (W and |grad u| of ``state``)."""
 
     state: PhaseState
+    reading: Reading
     energy_diffuse: float
     energy_sharp: float
 
@@ -61,7 +70,8 @@ def build_recovery(interface, spec: WellSpec, grid: Grid,
     factor 2 keeps it below 6e-2 and it decays rapidly along eps sweeps.
     The profile is ``optimal_profile_grid`` of the signed distance over
     eps. The built energy is checked against the weighted perimeter under
-    ``sigma_field_of(spec)`` (they agree to O(eps) + O(h^2/eps^2)).
+    ``sigma_field_of(spec)`` (they agree to O(eps) + O(h^2/eps^2)); the
+    reading that energy is formed from is returned with the state.
     """
     hmax = float(np.max(grid.spacing))
     if eps < 4.0 * hmax:
@@ -77,44 +87,39 @@ def build_recovery(interface, spec: WellSpec, grid: Grid,
     u = Field(grid, a + g * v)
     state = PhaseState(u, eps)
     e_sharp = weighted_perimeter(interface, sigma_field_of(spec))
-    e_diff = diffuse_energy(state, spec)
+    reading = read(state, spec, pts)
+    e_diff = reading.energy()
     hmax_sq = hmax ** 2
     guard = 5.0 * (eps + hmax_sq / eps ** 2) * max(1.0, e_sharp) + 1e-10
     if abs(e_diff - e_sharp) > guard:
         raise GeometryError(
             f"recovery energy {e_diff:.6g} is inconsistent with the weighted "
             f"perimeter {e_sharp:.6g} (guard {guard:.2g})")
-    return RecoveryState(state=state, energy_diffuse=e_diff,
-                         energy_sharp=e_sharp)
+    return RecoveryState(state=state, reading=reading,
+                         energy_diffuse=e_diff, energy_sharp=e_sharp)
 
 
 # ---------------------------------------------------------------------------
 # equipartition
 # ---------------------------------------------------------------------------
 
-def equipartition_defect(state: PhaseState, spec: WellSpec) -> float:
+def equipartition_defect(reading: Reading) -> float:
     """int (sqrt(eps) |grad u| - sqrt(2 W(x,u))/sqrt(eps))^2 dx >= 0."""
-    pts = state.u.grid.points()
-    w = spec.W(pts, state.u.values)
-    gn = gradient_neumann(state.u).norm()
-    root_eps = np.sqrt(state.eps)
-    dens = (root_eps * gn - np.sqrt(np.maximum(2.0 * w, 0.0)) / root_eps) ** 2
-    return integrate(Field(state.u.grid, dens))
+    root_eps = np.sqrt(reading.eps)
+    dens = (root_eps * reading.grad_norm
+            - np.sqrt(np.maximum(2.0 * reading.w, 0.0)) / root_eps) ** 2
+    return integrate(Field(reading.grid, dens))
 
 
-def measure_pairing(state: PhaseState, spec: WellSpec,
-                    testfn: Field) -> tuple:
+def measure_pairing(reading: Reading, testfns) -> list:
     """Pair the three localized densities converging to sigma |grad chi|
-    with a continuous test sample: (potential, gradient, geometric) for
+    with each continuous test sample of ``testfns``: one triple
+    (potential, gradient, geometric) per sample, in order, for
     2 W(x, u) / eps, eps |grad u|^2 and sqrt(2 W(x, u)) |grad u|."""
-    grid = state.u.grid
-    w = spec.W(grid.points(), state.u.values)
-    potential = pair_density(Field(grid, 2.0 / state.eps * w), testfn)
-    root_2w = np.sqrt(np.maximum(2.0 * w, 0.0))
-    gn = gradient_neumann(state.u).norm()
-    gradient = pair_density(Field(grid, state.eps * gn ** 2), testfn)
-    geometric = pair_density(Field(grid, root_2w * gn), testfn)
-    return potential, gradient, geometric
+    grid, eps, w, gn = reading.grid, reading.eps, reading.w, reading.grad_norm
+    densities = (Field(grid, 2.0 / eps * w), Field(grid, eps * gn ** 2),
+                 Field(grid, np.sqrt(np.maximum(2.0 * w, 0.0)) * gn))
+    return [tuple(pair_density(d, t) for d in densities) for t in testfns]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +211,8 @@ def first_variation_convergence(eps_list, interface, spec: WellSpec,
 
     The sharp value is the boundary-quadrature oracle under
     ``sigma_field_of(spec)``; recovery states are rebuilt per eps on the
-    given grid (eps < 4 max spacing raises).
+    given grid (eps < 4 max spacing raises), and the defect column comes
+    from each state's reading.
     """
     sharp_val = sharp_first_variation(interface, sigma_field_of(spec), psi)
     rows = []
@@ -215,7 +221,8 @@ def first_variation_convergence(eps_list, interface, spec: WellSpec,
         fv = diffuse_first_variation(rec.state, spec, psi)
         rows.append(SweepRow(eps=eps, diffuse=fv.value, sharp=sharp_val,
                              gap=abs(fv.value - sharp_val),
-                             defect=equipartition_defect(rec.state, spec),
+                             defect=equipartition_defect(rec.reading),
                              energy=rec.energy_diffuse,
                              energy_sharp=rec.energy_sharp))
+        del rec  # release the state and its reading before the next build
     return rows

@@ -1,10 +1,14 @@
 """Recovery states, equipartition diagnostics, first-variation routes."""
 
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wmcflab import flow, sharp, variations as var, wells
+from wmcflab import experiments as ex, flow, grid as grid_module, sharp
+from wmcflab import variations as var, wells
 from wmcflab.errors import GeometryError, ResolutionError
 from wmcflab.experiments import holds
 from wmcflab.grid import Field, Grid, extract_levelset, gradient_neumann
@@ -95,20 +99,21 @@ class TestEquipartition:
         spec = wells.constant_quartic()
         g = Grid.box((0, 0), (1, 1), (32, 32))
         st = flow.PhaseState(Field.constant(g, 1.0), 0.05)
-        assert var.equipartition_defect(st, spec) == 0.0
+        reading = flow.read(st, spec, g.points())
+        assert var.equipartition_defect(reading) == 0.0
 
     def test_exact_1d_profile_defect_below_tolerance(self):
         spec = wells.constant_quartic()
         g = Grid.interval(0.0, 1.0, 2048)
         rec = var.build_recovery(sharp.Point1D(0.5), spec, g, 0.05)
-        assert var.equipartition_defect(rec.state, spec) <= 1e-6
+        assert var.equipartition_defect(rec.reading) <= 1e-6
 
     def test_defect_decreases_on_disk_sweep(self):
         spec = wells.linear_wells_quartic(0.0, 0.4, 1.0, 0.0,
                                           bounds=np.array([[0., 1.], [0., 1.]]))
         g = Grid.box((0, 0), (1, 1), (256, 256))
         defects = [var.equipartition_defect(
-            var.build_recovery(disk(), spec, g, eps).state, spec)
+            var.build_recovery(disk(), spec, g, eps).reading)
             for eps in (0.08, 0.04, 0.02)]
         assert defects[2] < defects[1] < defects[0]
 
@@ -121,9 +126,11 @@ class TestEquipartition:
         rng = np.random.default_rng(0)
         st = flow.PhaseState(
             Field(g, 0.5 + 0.4 * np.sin(5 * pts[..., 0]) * pts[..., 1]), 0.06)
-        e = flow.energy(st, spec)
-        _, _, geo = var.measure_pairing(st, spec, Field.constant(g, 1.0))
-        defect = var.equipartition_defect(st, spec)
+        reading = flow.read(st, spec, pts)
+        e = reading.energy()
+        [(_, _, geo)] = var.measure_pairing(reading,
+                                            [Field.constant(g, 1.0)])
+        defect = var.equipartition_defect(reading)
         assert abs((e - geo) - 0.5 * defect) <= 1e-10 * max(1.0, e)
 
 
@@ -135,48 +142,112 @@ class TestMeasurePairings:
                                       0.02)
 
     def test_geometric_density_pairs_to_sigma(self):
-        _, _, val = var.measure_pairing(self.rec.state, self.spec,
-                                        Field.constant(self.g, 1.0))
+        [(_, _, val)] = var.measure_pairing(self.rec.reading,
+                                            [Field.constant(self.g, 1.0)])
         assert abs(val - SQRT2_6) <= 5 * (0.02 + self.g.spacing[0] ** 2)
 
     def test_faraway_test_function_pairs_to_nothing(self):
         psi = Field.from_function(
             self.g, lambda p: np.exp(-((p[..., 0] - 0.05) / 0.02) ** 2))
-        for val in var.measure_pairing(self.rec.state, self.spec, psi):
+        [triple] = var.measure_pairing(self.rec.reading, [psi])
+        for val in triple:
             assert abs(val) <= 1e-8
 
     def test_pairwise_gaps_bounded_by_defect(self):
         # |int (a^2 - b^2)| <= sqrt(defect * 4E) via Cauchy-Schwarz
-        st, spec = self.rec.state, self.spec
         one = Field.constant(self.g, 1.0)
-        pot, gra, geo = var.measure_pairing(st, spec, one)
-        defect = var.equipartition_defect(st, spec)
-        e = flow.energy(st, spec)
+        [(pot, gra, geo)] = var.measure_pairing(self.rec.reading, [one])
+        defect = var.equipartition_defect(self.rec.reading)
+        e = self.rec.energy_diffuse
         bound = np.sqrt(defect * 4 * e) + 1e-12
         assert abs(pot - gra) <= bound
         assert abs(pot - geo) <= bound
         assert abs(gra - geo) <= bound
 
     def test_pairings_equal_density_formulas(self):
-        # one evaluation of W and |grad u| serves all three densities and
-        # gives the bits of each formula evaluated on its own
+        # one reading of W and |grad u| serves the energy, the defect and
+        # all three densities of every test sample, and gives the bits of
+        # each formula evaluated on its own
         spec = wells.linear_wells_quartic(0.0, 0.4, 1.0, 0.0,
                                           bounds=np.array([[0., 1.], [0., 1.]]))
         g = Grid.box((0, 0), (1, 1), (64, 64))
-        st = var.build_recovery(disk(), spec, g, 0.08).state
-        psi = Field.from_function(g, lambda p: 1.0 + 0.5 * p[..., 0])
+        rec = var.build_recovery(disk(), spec, g, 0.08)
+        st = rec.state
+        testers = [Field.constant(g, 1.0),
+                   Field.from_function(g, lambda p: 1.0 + 0.5 * p[..., 0]),
+                   Field.from_function(g, lambda p: np.exp(
+                       -((p[..., 0] - 0.5) ** 2
+                         + (p[..., 1] - 0.5) ** 2) / 0.08))]
         pts = g.points()
-
-        def pair(dens):
-            return float(np.sum(dens * psi.values) * g.cell_volume)
-
         w = spec.W(pts, st.u.values)
         gn = np.sqrt(sum(c ** 2 for c in
                          gradient_neumann(st.u).components))
-        assert var.measure_pairing(st, spec, psi) == (
-            pair(2.0 / st.eps * w),
-            pair(st.eps * gn ** 2),
-            pair(np.sqrt(np.maximum(2.0 * w, 0.0)) * gn))
+
+        def pair(dens, psi):
+            return float(np.sum(dens * psi.values) * g.cell_volume)
+
+        assert var.measure_pairing(rec.reading, testers) == [
+            (pair(2.0 / st.eps * w, psi),
+             pair(st.eps * gn ** 2, psi),
+             pair(np.sqrt(np.maximum(2.0 * w, 0.0)) * gn, psi))
+            for psi in testers]
+        assert rec.reading.energy() == rec.energy_diffuse \
+            == flow.energy(st, spec) \
+            == float(np.sum(w / st.eps + 0.5 * st.eps * gn ** 2)
+                     * g.cell_volume)
+        root_eps = np.sqrt(st.eps)
+        defect = float(np.sum((root_eps * gn - np.sqrt(
+            np.maximum(2.0 * w, 0.0)) / root_eps) ** 2) * g.cell_volume)
+        assert var.equipartition_defect(rec.reading) == defect
+
+
+class TestOneReadingPerState:
+    """The equipartition and first-variation sweeps read each recovery
+    state once: one |grad u| and one W on the full grid per eps."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = collections.Counter()
+        original = grid_module.gradient_neumann
+
+        def counted(*args, **kwargs):
+            counts["gradient_neumann"] += 1
+            return original(*args, **kwargs)
+
+        # every module binding of the one function, as imported by name
+        for module in (grid_module, flow, var):
+            assert module.gradient_neumann is original
+            monkeypatch.setattr(module, "gradient_neumann", counted)
+        return counts
+
+    @staticmethod
+    def counted_well(spec, counts, cells):
+        def W(x, u):
+            if np.shape(u) == cells:
+                counts["W_full_grid"] += 1
+            return spec.W(x, u)
+        return dataclasses.replace(spec, W=W)
+
+    def test_equipartition_reads_each_state_once(self, counts):
+        spec = wells.linear_wells_quartic(
+            0.0, 0.6, 1.0, 0.0, bounds=np.array([[0., 1.], [0., 1.]]))
+        result = ex.run_equipartition(
+            grid_n=64, eps_list=(0.1, 0.08),
+            well=self.counted_well(spec, counts, (64, 64)))
+        assert len(result.csv_rows) == 2
+        assert counts == {"gradient_neumann": 2, "W_full_grid": 2}
+
+    def test_first_variation_sweep_reads_each_state_once(self, counts):
+        # per eps: the reading, and the normalized well W(x, a + gamma v)
+        # of the reassembled route (an evaluation at a different u); the
+        # diffuse first variation takes grad v, grad u and grad of the
+        # direct route's inner product
+        spec = self.counted_well(wells.constant_quartic(), counts, (64, 64))
+        g = Grid.box((0, 0), (1, 1), (64, 64))
+        rows = var.first_variation_convergence(
+            (0.1, 0.08), disk(), spec, dilation_field(CENTER, 0.38, 0.47), g)
+        assert len(rows) == 2
+        assert counts == {"gradient_neumann": 2 * 4, "W_full_grid": 2 * 2}
 
 
 class TestFirstVariation:
