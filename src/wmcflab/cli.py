@@ -17,15 +17,19 @@ of the experiment's runner:
     grid.n              -> grid_n    (positive int)
     eps                 -> eps_list  (comma-separated positive floats)
     t_end               -> t_end     (positive float)
-    tol.<name>          -> <name>    (a float parameter of the runner)
+    tol.<name>          -> <name>    (a float parameter of the runner;
+                                      finite: inf and nan are rejected)
     well.name, well.<p> -> well      (WELL_REGISTRY factory called with <p>)
 
 A key the experiment does not take is rejected with exit 2, by both
-``validate`` and ``run``. ``validate`` checks keys, types, names, that an
-eps sweep has two or more values, all distinct (each experiment that takes
-one checks a strict decrease over it) and eps >= 4 grid spacings (of
-grid.n, or of the runner's default grid_n when the config sets none); it
-does not check geometry (boundary margins, extinction before t_end): the
+``validate`` and ``run``, and so is a ``tol.<name>`` that is not finite
+(``float`` parses inf and nan; an infinite tolerance can stop a solve
+at once and pass the check it bounds, and a nan one compares false).
+``validate`` checks keys, types, names, that an eps sweep has two or
+more values, all distinct (each experiment that takes one checks a
+strict decrease over it) and eps >= 4 grid spacings (of grid.n, or of
+the runner's default grid_n when the config sets none); it does not
+check geometry (boundary margins, extinction before t_end): the
 experiment checks that when it starts, and ``run`` exits 2.
 
 Commands: ``wmcf run <config>``, ``wmcf list``, ``wmcf validate <config>``.
@@ -106,6 +110,13 @@ def _positive(convert):
     return read
 
 
+def _finite(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
 def _eps_list(text):
     values = tuple(_positive(float)(tok) for tok in text.split(","))
     if len(set(values)) < max(len(values), 2):
@@ -155,7 +166,7 @@ def resolve(entries: dict):
         elif key == "t_end":
             forward(key, "t_end", _positive(float))
         elif key.startswith("tol."):
-            forward(key, key[4:], float, accepted=floats,
+            forward(key, key[4:], _finite, accepted=floats,
                     takes_no=f"experiment {name!r} takes no float")
         elif key.startswith("well."):
             if factory is None:

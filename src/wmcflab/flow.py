@@ -53,7 +53,7 @@ form to within 4 ulp of the largest magnitude involved.
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -94,10 +94,13 @@ class Reading(NamedTuple):
         return integrate(Field(self.grid, dens))
 
 
-def read(state: PhaseState, spec: WellSpec, pts: np.ndarray) -> Reading:
-    """Evaluate W and |grad u| of ``state`` once; ``pts`` is
-    ``state.u.grid.points()``, passed by a caller that already holds it."""
-    return Reading(spec.W(pts, state.u.values),
+def read(state: PhaseState, spec: WellSpec,
+         x: Union[np.ndarray, BoundQuartic]) -> Reading:
+    """Evaluate W and |grad u| of ``state`` once. ``x`` is positions or a
+    bound well: ``state.u.grid.points()`` or ``wells.bind`` of the spec
+    to them, passed by a caller that already holds it; both give the same
+    bits."""
+    return Reading(spec.W(x, state.u.values),
                    gradient_neumann(state.u).norm(), state.eps, state.u.grid)
 
 

@@ -30,7 +30,7 @@ from .grid import Field, Grid, gradient_neumann, integrate, pair_density
 from .sharp import (Point1D, Sphere, SurfaceTension, sigma_field_of,
                     weighted_perimeter)
 from .testfields import TestVectorField
-from .wells import (WellSpec, grad_gamma, normalized_well,
+from .wells import (WellSpec, bind, grad_gamma, normalized_well,
                     normalized_well_dx, optimal_profile_grid)
 
 _NORMAL_THRESHOLD = 1e-12
@@ -69,9 +69,11 @@ def build_recovery(interface, spec: WellSpec, grid: Grid,
     at the boundary is exp(-sqrt(2) margin/eps) per unit of gamma, so the
     factor 2 keeps it below 6e-2 and it decays rapidly along eps sweeps.
     The profile is ``optimal_profile_grid`` of the signed distance over
-    eps. The built energy is checked against the weighted perimeter under
-    ``sigma_field_of(spec)`` (they agree to O(eps) + O(h^2/eps^2)); the
-    reading that energy is formed from is returned with the state.
+    eps; the well is bound to the grid once (``wells.bind``), and u and
+    its reading are formed from the bound coefficients. The built energy
+    is checked against the weighted perimeter under ``sigma_field_of(spec)``
+    (they agree to O(eps) + O(h^2/eps^2)); the reading that energy is
+    formed from is returned with the state.
     """
     hmax = float(np.max(grid.spacing))
     if eps < 4.0 * hmax:
@@ -82,12 +84,11 @@ def build_recovery(interface, spec: WellSpec, grid: Grid,
     pts = grid.points()
     sdist = interface.signed_distance(pts)
     v = optimal_profile_grid(spec, pts, sdist / eps)
-    a = spec.a(pts)
-    g = spec.b(pts) - a
-    u = Field(grid, a + g * v)
+    well = bind(spec, pts)
+    u = Field(grid, well.a + (well.b - well.a) * v)
     state = PhaseState(u, eps)
     e_sharp = weighted_perimeter(interface, sigma_field_of(spec))
-    reading = read(state, spec, pts)
+    reading = read(state, spec, well)
     e_diff = reading.energy()
     hmax_sq = hmax ** 2
     guard = 5.0 * (eps + hmax_sq / eps ** 2) * max(1.0, e_sharp) + 1e-10

@@ -286,6 +286,9 @@ def _tau_knots():
 
 
 _TAU, _TAU_STEP, _TAU_MID = _tau_knots()
+# Rows of an arclength table as the step search reads it: the search
+# reaches rows up to 511, and the rows past the last knot hold +inf.
+_TABLE_ROWS = 1 << _TAU_STEP.size.bit_length()
 
 # Wells per arclength table and points per search of the profile march:
 # a table holds 681 x 64 values of ds/dtau, a search 2^13 points, however
@@ -319,8 +322,9 @@ def _well_classes(spec: WellSpec, pts: np.ndarray):
 
 
 def _arclength_table(spec: WellSpec, a, g, x, sgn: float):
-    """ds/dtau and s(tau) at the knots for the wells (a, g, x), each of
-    shape (341, wells), on the side sgn of the profile.
+    """ds/dtau at the knots, shape (341, wells), and s(tau), shape
+    (_TABLE_ROWS, wells), for the wells (a, g, x) on the side sgn of the
+    profile; the rows of s past the last knot hold +inf.
 
     One W call evaluates ds/dtau at the knots and the step midpoints; s is
     the cumulative sum of the Simpson increments, added in knot order.
@@ -330,9 +334,11 @@ def _arclength_table(spec: WellSpec, a, g, x, sgn: float):
     wn = spec.W(x[None], a + g * v)
     phi = g * v * (1.0 - v) / np.sqrt(np.maximum(2.0 * wn, 1e-300))
     phi, phi_mid = phi[:_TAU.size], phi[_TAU.size:]
-    s = np.zeros_like(phi)
+    s = np.full((_TABLE_ROWS, phi.shape[1]), np.inf)
+    s[0] = 0.0
     np.cumsum((_TAU_STEP / 6.0)[:, None]
-              * (phi[:-1] + 4.0 * phi_mid + phi[1:]), axis=0, out=s[1:])
+              * (phi[:-1] + 4.0 * phi_mid + phi[1:]), axis=0,
+              out=s[1:_TAU.size])
     return phi, s
 
 
@@ -340,43 +346,81 @@ def _invert_profile(phi, s, col, targets, sgn: float) -> np.ndarray:
     """Profile values at positive target arclengths on the side sgn.
 
     Point i reads column col[i] of the tables of ``_arclength_table``. A
-    branchless binary search finds the first step k with
-    target <= s[k + 1]; four Newton steps invert the cubic Hermite of
-    s(tau) on that step. A target beyond s at the last knot clamps to 1
-    (sgn > 0) or 0.
+    branchless binary search over the padded table finds the first step k
+    with target <= s[k + 1], tracking the flat offset k * wells + col[i];
+    four Newton steps invert the cubic Hermite of s(tau) on that step,
+    each term written into work arrays allocated once per call. A target
+    beyond s at the last knot clamps to 1 (sgn > 0) or 0.
     """
     n_cls = s.shape[1]
     flat_s, flat_phi = s.reshape(-1), phi.reshape(-1)
     last = _TAU_STEP.size
-    # the largest k <= 511 with s[min(k, last)] < target: k >= last when
-    # the target lies beyond the window, else the crossing step
-    k = np.zeros(col.shape, dtype=np.intp)
+    # off = k * n_cls + col for the largest k with s[k] < target; the rows
+    # past the last knot read +inf, so k = last when the target lies
+    # beyond the window, else the crossing step
+    off = col.astype(np.intp)
+    up = np.empty_like(off)
+    below = np.empty(off.shape, dtype=bool)
+    s_up = np.empty(targets.shape)
     step = 1 << (last.bit_length() - 1)
     while step:
-        up = k + step
-        k = np.where(flat_s[np.minimum(up, last) * n_cls + col] < targets,
-                     up, k)
+        np.add(off, step * n_cls, out=up)
+        # every index is in range; "clip" writes to out unbuffered
+        np.take(flat_s, up, out=s_up, mode="clip")
+        np.less(s_up, targets, out=below)
+        np.copyto(off, up, where=below)
         step >>= 1
+    k = off // n_cls
     out = np.full(targets.shape, 1.0 if sgn > 0 else 0.0)
     placed = k < last
-    k, tc = k[placed], targets[placed]
-    lo = k * n_cls + col[placed]
+    k, tc, lo = k[placed], targets[placed], off[placed]
     h = _TAU_STEP[k]
     p0, p1 = flat_s[lo], flat_s[lo + n_cls]
     m0, m1 = h * flat_phi[lo], h * flat_phi[lo + n_cls]
     t = np.clip((tc - p0) / np.maximum(p1 - p0, 1e-300), 0.0, 1.0)
+    omt, omt2, twot, tt, tm1, th, val, der, w = (np.empty_like(t)
+                                                  for _ in range(9))
     for _ in range(4):
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        val = h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
-        d00 = 6 * t * (t - 1)
-        d10 = (1 - t) * (1 - 3 * t)
-        d01 = -d00
-        d11 = t * (3 * t - 2)
-        der = d00 * p0 + d10 * m0 + d01 * p1 + d11 * m1
-        t = np.clip(t - (val - tc) / np.maximum(der, 1e-300), 0.0, 1.0)
+        np.subtract(1.0, t, out=omt)
+        np.multiply(omt, omt, out=omt2)
+        np.add(t, t, out=twot)
+        np.multiply(t, t, out=tt)
+        np.subtract(t, 1.0, out=tm1)
+        np.multiply(t, 3.0, out=th)
+        # val - tc with val = ((h00 p0 + h10 m0) + h01 p1) + h11 m1
+        np.add(twot, 1.0, out=val)     # h00 = (1 + 2t)(1 - t)^2
+        val *= omt2
+        val *= p0
+        np.multiply(t, omt2, out=w)    # h10 = t (1 - t)^2
+        w *= m0
+        val += w
+        np.subtract(3.0, twot, out=w)  # h01 = t^2 (3 - 2t)
+        w *= tt
+        w *= p1
+        val += w
+        np.multiply(tt, tm1, out=w)    # h11 = t^2 (t - 1)
+        w *= m1
+        val += w
+        val -= tc
+        # der, the same form; 2t is exact, so (2t) 3 is 6t
+        d00 = np.multiply(twot, 3.0, out=twot)
+        d00 *= tm1                     # d00 = 6t (t - 1)
+        np.multiply(d00, p0, out=der)
+        np.subtract(1.0, th, out=w)    # d10 = (1 - t)(1 - 3t)
+        w *= omt
+        w *= m0
+        der += w
+        np.negative(d00, out=w)        # d01 = -d00
+        w *= p1
+        der += w
+        np.subtract(th, 2.0, out=w)    # d11 = t (3t - 2)
+        w *= t
+        w *= m1
+        der += w
+        np.maximum(der, 1e-300, out=der)
+        val /= der
+        t -= val
+        np.clip(t, 0.0, 1.0, out=t)
     tau_star = sgn * (_TAU[k] + t * h)
     out[placed] = 1.0 / (1.0 + np.exp(-tau_star))
     return out
@@ -390,12 +434,16 @@ def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray):
     takes s(tau) on the fixed knots tau = 0, 0.1, ..., 34 by Simpson's
     rule per step. Per distinct well one W call evaluates ds/dtau at the
     341 knots and 340 step midpoints (681 evaluations) and a cumulative
-    sum gives s at the knots; each point then finds its step by one
-    binary search in its well's table, O(log 341), and inverts the local
-    cubic Hermite there. Exact up to roundoff, since ds/dtau =
+    sum gives s at the knots, padded with +inf to 512 rows. Each point
+    then finds its step by one branchless binary search in its well's
+    padded table, nine rounds of an add, a gather, a compare and a select
+    on its flat table offset, and inverts the local cubic Hermite there
+    by four Newton steps whose terms go into work arrays allocated once
+    per point block. Exact up to roundoff, since ds/dtau =
     1/(sqrt(2 m) gamma) is constant in tau for the quartic. Targets
     beyond the window (tails below 1e-14) clamp to 0/1; a NaN target
-    raises GeometryError.
+    raises GeometryError, and points whose shape is not s.shape + (d,)
+    raise ValueError.
 
     Points are grouped by (a, b, m), so a well that varies along one axis
     of an n^d grid builds n tables, and a constant well one. Tables are
@@ -408,6 +456,9 @@ def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray):
     """
     points = as_points(points)
     s = np.asarray(s, dtype=float)
+    if points.shape[:-1] != s.shape:
+        raise ValueError(f"profile points of shape {points.shape} do not "
+                         f"match arclengths of shape {s.shape}")
     _reject_nan(s)
     flat_pts = points.reshape(-1, points.shape[-1])
     flat_s = s.reshape(-1)

@@ -107,6 +107,20 @@ class TestValidateConfig:
         assert cli.main(["run", path]) == 2
         assert glob.glob(str(tmp_path / "**" / "*.csv"), recursive=True) == []
 
+    # float() parses inf and nan; with residual_tol=inf the Gibbs-Thomson
+    # descent stops at iteration 0 and its residual check passes
+    @pytest.mark.parametrize("text", [
+        "experiment=gibbs_thomson\ntol.residual_tol=inf\n",
+        "experiment=surface_tension\ntol.tol=nan\n",
+    ])
+    def test_non_finite_tolerance_is_rejected(self, tmp_path, capsys, text):
+        path = write(tmp_path, text + f"out_dir={tmp_path}\n")
+        assert cli.main(["validate", path]) == 2
+        assert "must be finite" in capsys.readouterr().out
+        assert cli.main(["run", path]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
+
     @pytest.mark.parametrize("name", sorted(cli.REGISTRY))
     def test_every_key_reaches_a_runner_parameter(self, name):
         runner = cli.REGISTRY[name][0]

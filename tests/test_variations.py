@@ -81,6 +81,30 @@ class TestBuildRecovery:
         h = float(np.max(g.spacing))
         assert abs(radius - 0.3) <= h + 10 * eps ** 2
 
+    @pytest.mark.parametrize("spec", (
+        wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0,
+                                   bounds=np.array([[0., 1.], [0., 1.]])),
+        wells.exp_scaled_quartic(0.5),
+        wells.affine_scaled_quartic(1.0, 0.5, axis=1),
+        wells.constant_quartic(-0.2, 1.1, amplitude=2.0)),
+        ids=("moving", "exp", "affine", "constant"))
+    def test_state_and_reading_have_the_bits_of_positions(self, spec):
+        # the well is bound once and u and its reading are formed from the
+        # bound coefficients, which may be collapsed to scalars; written
+        # with the coefficients at the positions they give the same bits
+        g = Grid.box((0, 0), (1, 1), (48, 48))
+        rec = var.build_recovery(disk(), spec, g, 0.1)
+        pts = g.points()
+        v = wells.optimal_profile_grid(spec, pts,
+                                       disk().signed_distance(pts) / 0.1)
+        a = spec.a(pts)
+        u = a + (spec.b(pts) - a) * v
+        assert rec.state.u.values.tobytes() == u.tobytes()
+        reading = flow.read(rec.state, spec, pts)
+        assert rec.reading.w.tobytes() == reading.w.tobytes()
+        assert rec.reading.grad_norm.tobytes() == reading.grad_norm.tobytes()
+        assert rec.energy_diffuse == reading.energy()
+
     def test_underresolved_eps_raises(self):
         spec = wells.constant_quartic()
         g = Grid.box((0, 0), (1, 1), (32, 32))

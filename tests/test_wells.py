@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
-from wmcflab import cli, wells
+from wmcflab import cli, flow, wells
 from wmcflab.errors import DomainError, GeometryError
-from wmcflab.grid import Grid
+from wmcflab.grid import Field, Grid
 from wmcflab.quadrature import adaptive_gauss_legendre
 
 SQRT2_6 = 0.23570226039551587  # sqrt(2)/6
@@ -270,14 +270,18 @@ def bits(a):
     return a.shape, a.dtype, a.tobytes()
 
 
+FACTORY_KINDS = ("constant", "affine", "exp", "linear")
+
+
 @hst.composite
-def factory_pairs(draw, dim):
-    """A quartic factory at drawn arguments on [0, 1]^dim, built by the
-    factory and by its reference; slopes and kappa may be exactly 0."""
+def factory_pairs(draw, dim, kinds=FACTORY_KINDS):
+    """A quartic factory (of one of ``kinds``) at drawn arguments on
+    [0, 1]^dim, built by the factory and by its reference; slopes and
+    kappa may be exactly 0."""
     axis = draw(hst.integers(0, dim - 1))
     slope = hst.one_of(hst.just(0.0), hst.floats(-0.4, 0.4))
     bounds = draw(hst.sampled_from((None, np.array([[0.0, 1.0]] * dim))))
-    kind = draw(hst.sampled_from(("constant", "affine", "exp", "linear")))
+    kind = draw(hst.sampled_from(kinds))
     if kind == "constant":
         a0 = draw(hst.floats(-1.0, 1.0))
         args = (a0, a0 + draw(hst.floats(0.5, 2.0)),
@@ -611,7 +615,7 @@ def march_problems(draw):
         x = pts[i:i + 1]
         a = spec.a(x)
         _, knots = wells._arclength_table(spec, a, spec.b(x) - a, x, sgn)
-        s[i] = sgn * knots[draw(hst.integers(1, knots.shape[0] - 1)), 0]
+        s[i] = sgn * knots[draw(hst.integers(1, wells._TAU.size - 1)), 0]
     return spec, pts, s
 
 
@@ -650,6 +654,35 @@ class TestProfileGridMatchesSteppingMarch:
         assert np.array_equal(wells.optimal_profile_grid(spec, pts, s),
                               stepping_march(spec, pts, s))
 
+    @settings(max_examples=60, deadline=None)
+    @given(hst.data())
+    def test_targets_at_the_padded_edge(self, data):
+        # the step search reads +inf past the last knot: a target exactly
+        # at s(34) is placed on the last step, one ulp above it and +inf
+        # lie beyond the window and clamp, on either side of the profile
+        dim = data.draw(hst.sampled_from((1, 2)))
+        spec = data.draw(quartic_wells(dim))
+        x = data.draw(hnp.arrays(float, (3, dim), elements=_coords))
+        last = wells._TAU.size - 1
+        pts, s, beyond = [], [], []
+        for sgn in (1.0, -1.0):
+            for p in x:
+                p = p[None]
+                a = spec.a(p)
+                _, table = wells._arclength_table(spec, a, spec.b(p) - a, p,
+                                                  sgn)
+                assert np.all(table[last + 1:] == np.inf)
+                edge = table[last, 0]
+                for target in (edge, np.nextafter(edge, np.inf), np.inf):
+                    pts.append(p[0])
+                    s.append(sgn * target)
+                    beyond.append(target > edge)
+        pts, s, beyond = np.array(pts), np.array(s), np.array(beyond)
+        v = wells.optimal_profile_grid(spec, pts, s)
+        assert np.array_equal(v, stepping_march(spec, pts, s))
+        assert np.array_equal(v[beyond], np.where(s[beyond] > 0, 1.0, 0.0))
+        assert np.all((v[~beyond] > 0.0) & (v[~beyond] < 1.0))
+
 
 class TestProfileArclength:
     def test_grid_rejects_nan(self):
@@ -657,6 +690,16 @@ class TestProfileArclength:
         with pytest.raises(GeometryError, match="NaN at 1 of 3"):
             wells.optimal_profile_grid(spec, np.full((3, 1), 0.3),
                                        np.array([np.nan, np.inf, -np.inf]))
+
+    @pytest.mark.parametrize("n_points, n_s", ((3, 2), (1, 3)))
+    def test_grid_rejects_mismatched_shapes(self, n_points, n_s):
+        # three points with two arclengths used to give the profile of the
+        # first two points, one point with three a bare IndexError
+        spec = wells.constant_quartic()
+        with pytest.raises(ValueError, match=rf"\({n_points}, 1\).*"
+                                             rf"\({n_s},\)"):
+            wells.optimal_profile_grid(spec, np.full((n_points, 1), 0.3),
+                                       np.linspace(-1.0, 1.0, n_s))
 
     def test_scalar_solver_rejects_nan(self):
         spec = wells.constant_quartic()
@@ -743,6 +786,27 @@ class TestBind:
             for where in (c, p[0]):
                 alone = np.array([spec.W(where, float(v)) for v in us])
                 assert alone.tobytes() == array_w.tobytes()
+
+    @pytest.mark.parametrize("kind", FACTORY_KINDS)
+    @pytest.mark.parametrize("dim", (1, 2))
+    @settings(max_examples=20, deadline=None)
+    @given(data=hst.data())
+    def test_bound_read_is_bit_identical_to_positions(self, dim, kind, data):
+        # flow.read takes positions or a bound well (build_recovery passes
+        # the one it formed u from): W, |grad u| and the energy agree
+        spec, _ = data.draw(factory_pairs(dim, kinds=(kind,)))
+        cells = tuple(data.draw(hst.integers(8, 16)) for _ in range(dim))
+        grid = Grid((0.0,) * dim, (1.0,) * dim, cells)
+        pts = grid.points()
+        u = data.draw(hnp.arrays(float, cells,
+                                 elements=hst.floats(-2.0, 3.0)))
+        state = flow.PhaseState(Field(grid, u),
+                                data.draw(hst.floats(0.01, 1.0)))
+        at_points = flow.read(state, spec, pts)
+        bound = flow.read(state, spec, wells.bind(spec, pts))
+        assert bits(bound.w) == bits(at_points.w)
+        assert bits(bound.grad_norm) == bits(at_points.grad_norm)
+        assert bound.energy().hex() == at_points.energy().hex()
 
     def test_constant_coefficients_collapse_to_scalars(self):
         pts = Grid((0.0, 0.0), (1.0, 1.0), (8, 8)).points()
