@@ -19,12 +19,15 @@ of the experiment's runner:
     t_end               -> t_end     (positive float)
     tol.<name>          -> <name>    (a float parameter of the runner;
                                       finite: inf and nan are rejected)
-    well.name, well.<p> -> well      (WELL_REGISTRY factory called with <p>)
+    well.name, well.<p> -> well      (WELL_REGISTRY factory called with <p>;
+                                      finite: inf and nan are rejected)
 
 A key the experiment does not take is rejected with exit 2, by both
-``validate`` and ``run``, and so is a ``tol.<name>`` that is not finite
-(``float`` parses inf and nan; an infinite tolerance can stop a solve
-at once and pass the check it bounds, and a nan one compares false).
+``validate`` and ``run``, and so is a ``tol.<name>`` or ``well.<p>``
+that is not finite (``float`` parses inf and nan; an infinite tolerance
+can stop a solve at once and pass the check it bounds, a nan one
+compares false, and a non-finite well parameter gives wells that the
+run rejects only once it builds them).
 ``validate`` checks keys, types, names, that an eps sweep has two or
 more values, all distinct (each experiment that takes one checks a
 strict decrease over it) and eps >= 4 grid spacings (of grid.n, or of
@@ -172,7 +175,7 @@ def resolve(entries: dict):
             if factory is None:
                 problems.append(f"{key}: needs a known well.name")
             else:
-                forward(key, key[5:], float, into=well_kwargs,
+                forward(key, key[5:], _finite, into=well_kwargs,
                         accepted=inspect.signature(factory).parameters,
                         takes_no=f"well {well_name!r} takes no")
         else:

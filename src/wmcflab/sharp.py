@@ -16,6 +16,17 @@ reads, for radial sigma(rho) about the ball center,
 and for a 1-d point interface dp/dt = -sigma'(p)/sigma(p). Both exact
 references come from one integrator (``_integrate``): each flow states
 only its rate law, its stop events and the sign relating V to dy/dt.
+
+The sharp first variation of E = int sigma d|grad chi_A| along a test
+field psi is written once, as ``sharp_first_variation``:
+
+    delta E(psi) = -int sigma (Id - n x n):grad psi dH
+                   - int grad sigma . psi dH.
+
+Theorem 3.1 compares the diffuse first variations with it, and the
+motion law of a BV solution (Definition 4.2) is its pairing with the
+velocity: ``motion_law_residual`` is
+int sigma V (psi . n) dH - delta E(psi), zero for a true solution.
 """
 
 from dataclasses import dataclass
@@ -26,6 +37,7 @@ import numpy as np
 
 from .errors import GeometryError, NumericError
 from .quadrature import adaptive_gauss_legendre
+from .testfields import TestVectorField
 from .wells import (WellSpec, as_points, geodesic_distance, grad_gamma,
                     normalized_well, normalized_well_dx, point_norm,
                     surface_tension)
@@ -461,22 +473,29 @@ def transport_residual(traj: SharpTrajectory, zeta: SpaceTimeTest,
     return lhs - rhs
 
 
-def motion_law_residual(interface, V, sigma: SurfaceTension, psi) -> float:
-    """Boundary quadrature (1024 nodes) of
-       int sigma V (psi . n) + int sigma (Id - n x n):grad psi
-       + int grad sigma . psi,
+def sharp_first_variation(interface, sigma: SurfaceTension,
+                          psi: TestVectorField) -> float:
+    """The sharp pairing delta E(psi) =
+       -int sigma (Id - n x n):grad psi dH - int grad sigma . psi dH,
+    by boundary quadrature on 1024 nodes."""
+    pts, w, normals = interface.boundary_nodes(1024)
+    jac = psi.jac(pts)
+    tr = np.trace(jac, axis1=-2, axis2=-1)
+    njn = np.einsum("...i,...ij,...j->...", normals, jac, normals)
+    curv = -np.sum(w * sigma.value(pts) * (tr - njn))
+    grad = -np.sum(w * np.sum(sigma.grad(pts) * psi.psi(pts), axis=-1))
+    return float(curv + grad)
+
+
+def motion_law_residual(interface, V, sigma: SurfaceTension,
+                        psi: TestVectorField) -> float:
+    """int sigma V (psi . n) dH - delta E(psi) on the same 1024 nodes,
     which vanishes for true solutions of the weighted flow."""
     pts, w, normals = interface.boundary_nodes(1024)
     V = np.broadcast_to(np.asarray(V, dtype=float), w.shape)
-    sig = sigma.value(pts)
-    psi_vals = psi.psi(pts)
-    jac = psi.jac(pts)
-    tr = np.trace(jac, axis1=-2, axis2=-1)
-    n_jn = np.einsum("...i,...ij,...j->...", normals, jac, normals)
-    term_v = np.sum(w * sig * V * np.sum(psi_vals * normals, axis=-1))
-    term_curv = np.sum(w * sig * (tr - n_jn))
-    term_grad = np.sum(w * np.sum(sigma.grad(pts) * psi_vals, axis=-1))
-    return float(term_v + term_curv + term_grad)
+    term_v = np.sum(w * sigma.value(pts) * V
+                    * np.sum(psi.psi(pts) * normals, axis=-1))
+    return float(term_v - sharp_first_variation(interface, sigma, psi))
 
 
 def dissipation_check(traj: SharpTrajectory, sigma: SurfaceTension,

@@ -1,10 +1,20 @@
-"""Analytic C^1 test vector fields with hand-coded Jacobians.
+"""Analytic C^1 test vector fields with exact Jacobians.
 
 The first-variation and motion-law pairings need fields that vanish near
 the domain boundary (admissibility Psi . n = 0) and whose Jacobians are
 exact; building them from a small analytic library removes discrete
 differentiation from the error budget. Jacobians use the convention
 jac[..., i, j] = d psi_i / d x_j.
+
+Every field is a radial cut-off times a vector field, built by one
+constructor:
+
+    psi = phi(rho) w,    rho = |x - c|,
+    w = L (x - c)  (L = I: dilation, L = J: rotation)  or  w = e,
+    jac = phi L + w (x) grad phi,    grad phi = (phi'(rho)/rho) (x - c),
+
+with rho clamped at 1e-300 in the quotient (a constant w has no L term).
+A radial profile returns phi and phi' from one evaluation of rho.
 """
 
 from dataclasses import dataclass
@@ -28,33 +38,51 @@ def zero_field(dim: int) -> TestVectorField:
     )
 
 
-def _smoothstep(t):
-    """C^2 monotone 0 -> 1 on [0, 1] (quintic; zero end slopes/curvature)."""
-    t = np.clip(t, 0.0, 1.0)
-    return t ** 3 * (6.0 * t ** 2 - 15.0 * t + 10.0)
-
-
-def _smoothstep_deriv(t):
-    tc = np.clip(t, 0.0, 1.0)
-    return np.where((t > 0) & (t < 1), 30.0 * tc ** 2 * (1.0 - tc) ** 2, 0.0)
-
-
-def _radial_cutoff(center, r_inner, r_outer):
-    """phi(rho) = 1 on rho <= r_inner, 0 on rho >= r_outer, C^2 between."""
-    c = np.asarray(center, dtype=float)
+def _smoothstep_cutoff(r_inner, r_outer):
+    """phi(rho) = 1 on rho <= r_inner, 0 on rho >= r_outer, C^2 between:
+    one minus the quintic smoothstep (zero end slopes and curvature)."""
     width = r_outer - r_inner
     if width <= 0:
         raise ValueError("r_outer must exceed r_inner")
 
-    def phi(x):
-        rho = point_norm(np.asarray(x, float) - c)
-        return 1.0 - _smoothstep((rho - r_inner) / width)
+    def profile(rho):
+        t = np.clip((rho - r_inner) / width, 0.0, 1.0)
+        dphi = -(30.0 * t ** 2 * (1.0 - t) ** 2) / width
+        return 1.0 - t ** 3 * (6.0 * t ** 2 - 15.0 * t + 10.0), dphi
 
-    def dphi(x):
-        rho = point_norm(np.asarray(x, float) - c)
-        return -_smoothstep_deriv((rho - r_inner) / width) / width
+    return profile
 
-    return c, phi, dphi
+
+def _cubic_bump(radius):
+    """phi(rho) = (1 - (rho/radius)^2)^3 inside the radius, 0 outside."""
+    def profile(rho):
+        t = np.minimum(rho / radius, 1.0)
+        return (1.0 - t ** 2) ** 3, -6.0 * t * (1.0 - t ** 2) ** 2 / radius
+
+    return profile
+
+
+def _cutoff_field(center, profile, L, e) -> TestVectorField:
+    """psi = phi(rho) w with w = L (x - c), or w = e when L is None."""
+    c = np.asarray(center, dtype=float)
+
+    def evaluate(x):
+        dx = np.asarray(x, dtype=float) - c
+        rho = point_norm(dx)
+        phi, dphi = profile(rho)
+        return dx, rho, phi, dphi, (e if L is None else dx @ L.T)
+
+    def psi(x):
+        _, _, phi, _, w = evaluate(x)
+        return phi[..., None] * w
+
+    def jac(x):
+        dx, rho, phi, dphi, w = evaluate(x)
+        grad_phi = (dphi / np.maximum(rho, 1e-300))[..., None] * dx
+        outer = w[..., :, None] * grad_phi[..., None, :]
+        return outer if L is None else phi[..., None, None] * L + outer
+
+    return TestVectorField(psi=psi, jac=jac)
 
 
 def dilation_field(center, r_inner: float, r_outer: float) -> TestVectorField:
@@ -63,22 +91,8 @@ def dilation_field(center, r_inner: float, r_outer: float) -> TestVectorField:
     On the plateau the Jacobian is the identity, so the sharp pairing of a
     circle of radius R < r_inner with constant sigma is -(N-1) 2 pi R sigma.
     """
-    c, phi, dphi = _radial_cutoff(center, r_inner, r_outer)
-
-    def psi(x):
-        x = np.asarray(x, dtype=float)
-        return phi(x)[..., None] * (x - c)
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        dx = x - c
-        rho = np.maximum(point_norm(dx), 1e-300)
-        eye = np.eye(x.shape[-1])
-        outer = dx[..., :, None] * dx[..., None, :]
-        return phi(x)[..., None, None] * eye \
-            + (dphi(x) / rho)[..., None, None] * outer
-
-    return TestVectorField(psi=psi, jac=jac)
+    return _cutoff_field(center, _smoothstep_cutoff(r_inner, r_outer),
+                         np.eye(len(center)), None)
 
 
 def rotation_field(center, r_inner: float, r_outer: float) -> TestVectorField:
@@ -87,72 +101,21 @@ def rotation_field(center, r_inner: float, r_outer: float) -> TestVectorField:
     Divergence-free with antisymmetric Jacobian on the plateau; pairs to
     zero with any circle about the same center (rotation invariance).
     """
-    c, phi, dphi = _radial_cutoff(center, r_inner, r_outer)
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-    def psi(x):
-        x = np.asarray(x, dtype=float)
-        return phi(x)[..., None] * (x - c) @ J.T
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        dx = x - c
-        rho = np.maximum(point_norm(dx), 1e-300)
-        rot = dx @ J.T
-        outer = rot[..., :, None] * dx[..., None, :]
-        return phi(x)[..., None, None] * J \
-            + (dphi(x) / rho)[..., None, None] * outer
-
-    return TestVectorField(psi=psi, jac=jac)
+    return _cutoff_field(center, _smoothstep_cutoff(r_inner, r_outer),
+                         np.array([[0.0, -1.0], [1.0, 0.0]]), None)
 
 
 def translation_field(direction, center, r_inner: float,
                       r_outer: float) -> TestVectorField:
     """Constant vector on a disk around ``center``, cut off before r_outer."""
-    e = np.asarray(direction, dtype=float)
-    c, phi, dphi = _radial_cutoff(center, r_inner, r_outer)
-
-    def psi(x):
-        return phi(x)[..., None] * e
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        dx = x - c
-        rho = np.maximum(point_norm(dx), 1e-300)
-        grad_phi = (dphi(x) / rho)[..., None] * dx
-        return e[..., :, None] * grad_phi[..., None, :]
-
-    return TestVectorField(psi=psi, jac=jac)
+    return _cutoff_field(center, _smoothstep_cutoff(r_inner, r_outer), None,
+                         np.asarray(direction, dtype=float))
 
 
 def translation_bump(direction, center, radius: float) -> TestVectorField:
     """Bump-localized translation: psi = e (1 - (rho/radius)^2)^3 inside."""
-    e = np.asarray(direction, dtype=float)
-    c = np.asarray(center, dtype=float)
-
-    def bump(rho):
-        t = rho / radius
-        return np.where(t < 1.0, (1.0 - np.minimum(t, 1.0) ** 2) ** 3, 0.0)
-
-    def dbump(rho):
-        t = rho / radius
-        tc = np.minimum(t, 1.0)
-        return np.where(t < 1.0,
-                        -6.0 * tc * (1.0 - tc ** 2) ** 2 / radius, 0.0)
-
-    def psi(x):
-        rho = point_norm(np.asarray(x, float) - c)
-        return bump(rho)[..., None] * e
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        dx = x - c
-        r = point_norm(dx)
-        rho = np.maximum(r, 1e-300)
-        grad_b = (dbump(r) / rho)[..., None] * dx
-        return e[..., :, None] * grad_b[..., None, :]
-
-    return TestVectorField(psi=psi, jac=jac)
+    return _cutoff_field(center, _cubic_bump(radius), None,
+                         np.asarray(direction, dtype=float))
 
 
 def check_admissible(psi: TestVectorField, grid) -> float:

@@ -10,7 +10,8 @@ sharp pairing
 
     -int sigma (Id - n x n):grad Psi d|grad chi_A| - int grad sigma . Psi
 
-evaluated here by boundary quadrature as the independent reference.
+computed by boundary quadrature in ``sharp.sharp_first_variation`` as the
+independent reference.
 
 A recovery state carries one ``flow.Reading`` of itself (W(x, u) and
 |grad u|, evaluated once by ``build_recovery`` for its energy check).
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import GeometryError, ResolutionError
 from .flow import PhaseState, Reading, read
 from .grid import Field, Grid, gradient_neumann, integrate, pair_density
-from .sharp import (Point1D, Sphere, SurfaceTension, sigma_field_of,
+from .sharp import (Point1D, Sphere, sharp_first_variation, sigma_field_of,
                     weighted_perimeter)
 from .testfields import TestVectorField
 from .wells import (WellSpec, bind, grad_gamma, normalized_well,
@@ -181,18 +182,6 @@ def diffuse_first_variation(state: PhaseState, spec: WellSpec,
 
     return FirstVariation(value=direct, reassembled=reassembled,
                           gap=abs(direct - reassembled))
-
-
-def sharp_first_variation(interface, sigma: SurfaceTension,
-                          psi: TestVectorField) -> float:
-    """-int sigma (Id - n x n):grad Psi dH - int grad sigma . Psi dH."""
-    pts, w, normals = interface.boundary_nodes(1024)
-    jac = psi.jac(pts)
-    tr = np.trace(jac, axis1=-2, axis2=-1)
-    njn = np.einsum("...i,...ij,...j->...", normals, jac, normals)
-    curv = -np.sum(w * sigma.value(pts) * (tr - njn))
-    grad = -np.sum(w * np.sum(sigma.grad(pts) * psi.psi(pts), axis=-1))
-    return float(curv + grad)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """The acceptance arguments are the runners' defaults.
 
-They are also written out in the benchmark's workloads
+The defaults are the one copy: ``test_acceptance.py`` calls every runner
+with them. They are also written out in the benchmark's workloads
 (``perfbench/workloads.py``) and in the shipped configs
 (``configs/*.cfg``). These tests hold both copies equal to the defaults,
 so a changed default cannot leave the benchmark or a config measuring a
