@@ -12,8 +12,15 @@ with a C^1 even quartic cutoff g supported on |s| < 1/sqrt(c) <= r and a
 C^2 odd truncation tau of the identity (tau(s) = s for |s| <= r/2, = r
 sign s beyond r). All spatial derivatives are closed-form radial
 geometry; time derivatives are centered differences on the trajectory.
-``Calibration.at(x, t)`` evaluates xi, its gradient and divergence,
-theta and its gradient, the signed distance and V(t) together; the
+
+Every field is built on one radial frame, ``Calibration._frame(x, t)``:
+from one point norm and one R(t) it gives rho = |x - center|, e, the
+signed distance sdist = R(t) - rho, g, xi = -g e and theta. The shifted
+times of ``calibration_residuals``, ``calibration_invariants`` (with one
+V(t) per time on the interface), ``relative_energy``,
+``coercivity_check`` and the grid branch of ``bulk_energy`` read the
+frame alone. ``Calibration.at(x, t)`` is the frame plus what only the
+residuals at t read: g', grad xi, div xi, grad theta and V(t); the
 caller forms B = V xi, grad B = V grad xi and dist = |sdist|.
 
 The relative energy int sigma (1 - n . xi) dH and the bulk energy
@@ -82,6 +89,17 @@ class CalibrationFields(NamedTuple):
     grad_theta: np.ndarray   # (..., N)
 
 
+class _Frame(NamedTuple):
+    """The radial frame of a calibration at x (..., N) and one time t."""
+
+    rho: np.ndarray          # |x - center|, clamped at 1e-300
+    e: np.ndarray            # (x - center) / rho, (..., N)
+    sdist: np.ndarray        # R(t) - rho
+    g: np.ndarray            # cutoff g(sdist)
+    xi: np.ndarray           # -g e, (..., N)
+    theta: np.ndarray        # tau(sdist)
+
+
 @dataclass(frozen=True)
 class Calibration:
     """Evaluable calibration tuple around a radial trajectory."""
@@ -92,25 +110,33 @@ class Calibration:
     c: float                 # quadratic decay constant in |xi| bound
     r_g: float               # cutoff support radius, 1/sqrt(c)
 
-    def at(self, x, t) -> CalibrationFields:
-        """Every field at x and time t from one evaluation of R(t), V(t)
-        and the radial geometry (rho = |x - center| is clamped at 1e-300,
+    def _frame(self, x, t) -> _Frame:
+        """rho, e, sdist, g, xi and theta at x and time t from one
+        evaluation of R(t) and one point norm (rho is clamped at 1e-300,
         so the center gets a finite unit vector)."""
         dx = np.asarray(x, dtype=float) - np.array(self.traj.center)
         rho = np.maximum(point_norm(dx), 1e-300)
         e = dx / rho[..., None]
         sdist = float(self.traj.position(t)) - rho
         g = _cutoff(sdist, self.r_g)
-        dg = _cutoff_deriv(sdist, self.r_g)
+        return _Frame(rho=rho, e=e, sdist=sdist, g=g, xi=-g[..., None] * e,
+                      theta=_truncation(sdist, self.r))
+
+    def at(self, x, t) -> CalibrationFields:
+        """Every field at x and time t: the frame, plus g', grad xi,
+        div xi, grad theta and one evaluation of V(t)."""
+        f = self._frame(x, t)
+        rho, e, g = f.rho, f.e, f.g
+        dg = _cutoff_deriv(f.sdist, self.r_g)
         ee = e[..., :, None] * e[..., None, :]
         grad_xi = (dg[..., None, None] * ee
                    - (g / rho)[..., None, None] * (np.eye(e.shape[-1]) - ee))
         return CalibrationFields(
-            sdist=sdist, v=float(self.traj.velocity(t)),
-            xi=-g[..., None] * e, grad_xi=grad_xi,
+            sdist=f.sdist, v=float(self.traj.velocity(t)),
+            xi=f.xi, grad_xi=grad_xi,
             div_xi=dg - (len(self.traj.center) - 1) * g / rho,
-            theta=_truncation(sdist, self.r),
-            grad_theta=-_truncation_deriv(sdist, self.r)[..., None] * e)
+            theta=f.theta,
+            grad_theta=-_truncation_deriv(f.sdist, self.r)[..., None] * e)
 
 
 def build_calibration(traj: SharpTrajectory, sigma: SurfaceTension,
@@ -185,22 +211,26 @@ def calibration_residuals(cal: Calibration, points: np.ndarray, times,
     derivatives are centered differences with step ``fd_dt`` (4th order,
     so the differencing noise stays below the O(dist^2) structure of r2
     near the interface). Times must sit at least 2 fd_dt inside the
-    trajectory's time window. Each time takes one ``cal.at`` per shifted
-    time, then one at t.
+    trajectory's time window; an empty time list raises ValueError. Each
+    time takes one ``cal._frame`` per shifted time (the differences read
+    only xi and theta), then one ``cal.at`` at t.
     """
     points = np.asarray(points, dtype=float)
+    times = np.atleast_1d(times)
+    if times.size == 0:
+        raise ValueError("calibration residuals need one or more times")
     t_lo, t_hi = float(cal.traj.times[0]), float(cal.traj.times[-1])
     sig = cal.sigma.value(points)
     grad_log = cal.sigma.grad(points) / sig[..., None]
     rows = []
-    for t in np.atleast_1d(times):
+    for t in times:
         t = float(t)
         if t - 2 * fd_dt < t_lo - 1e-15 or t + 2 * fd_dt > t_hi + 1e-15:
             raise ValueError("sample times must be >= 2 fd_dt inside the "
                              "trajectory window")
         dt_xi = dt_xi2 = dt_theta = 0.0
         for k, w in _DT4:
-            s = cal.at(points, t + k * fd_dt)
+            s = cal._frame(points, t + k * fd_dt)
             dt_xi = dt_xi + w * s.xi
             dt_xi2 = dt_xi2 + w * np.sum(s.xi ** 2, axis=-1)
             dt_theta = dt_theta + w * s.theta
@@ -239,7 +269,16 @@ class InvariantReport:
 def calibration_invariants(cal: Calibration, times, n_per_time: int = 1000,
                            seed: int = 0) -> InvariantReport:
     """Sample the defining inequalities of the calibration tuple in the
-    box of half-width 1.5 max_t R(t) about the center."""
+    box of half-width 1.5 max_t R(t) about the center.
+
+    Raises ValueError for an empty time list or ``n_per_time < 1``: a
+    report on no samples would count no violation and pass."""
+    times = np.atleast_1d(times)
+    if times.size == 0:
+        raise ValueError("calibration invariants need one or more times")
+    if n_per_time < 1:
+        raise ValueError("calibration invariants need n_per_time >= 1, "
+                         f"got {n_per_time!r}")
     rng = np.random.default_rng(seed)
     center = np.array(cal.traj.center)
     r_max = float(np.max(cal.traj.positions))
@@ -250,10 +289,10 @@ def calibration_invariants(cal: Calibration, times, n_per_time: int = 1000,
     sign_bad = 0
     c_theta = 0.0
     total = 0
-    for t in np.atleast_1d(times):
+    for t in times:
         t = float(t)
         pts = center + rng.uniform(-half, half, size=(n_per_time, len(center)))
-        f = cal.at(pts, t)
+        f = cal._frame(pts, t)
         dist = np.abs(f.sdist)
         bound = np.maximum(0.0, 1.0 - cal.c * dist ** 2)
         worst_bound = max(worst_bound,
@@ -267,11 +306,12 @@ def calibration_invariants(cal: Calibration, times, n_per_time: int = 1000,
 
         iface = cal.traj.interface_at(t)
         bpts, _, normals = iface.boundary_nodes(64)
-        fb = cal.at(bpts, t)
+        xi_b = cal._frame(bpts, t).xi
+        v = float(cal.traj.velocity(t))
         worst_xi = max(worst_xi, float(np.max(np.abs(
-            np.sum(fb.xi * normals, axis=-1) - 1.0))))
+            np.sum(xi_b * normals, axis=-1) - 1.0))))
         worst_b = max(worst_b, float(np.max(
-            point_norm(fb.v * fb.xi - fb.v * normals))))
+            point_norm(v * xi_b - v * normals))))
     return InvariantReport(max_xi_bound_violation=worst_bound,
                            max_boundary_xi_error=worst_xi,
                            max_boundary_b_error=worst_b,
@@ -289,7 +329,7 @@ def relative_energy(weak, cal: Calibration, sigma: SurfaceTension,
     """int sigma (1 - n_weak . xi) dH over the weak interface (1024
     nodes); >= 0."""
     pts, w, normals = weak.boundary_nodes(1024)
-    xi = cal.at(pts, t).xi
+    xi = cal._frame(pts, t).xi
     vals = sigma.value(pts) * (1.0 - np.sum(normals * xi, axis=-1))
     return float(np.sum(w * vals))
 
@@ -309,7 +349,7 @@ def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension,
         chi_weak = weak.values
         chi_strong = indicator(cal.traj.interface_at(t), pts)
         vals = sigma.value(pts) * (chi_strong - chi_weak) \
-            * cal.at(pts, t).theta
+            * cal._frame(pts, t).theta
         return integrate(Field(weak.grid, vals))
     if isinstance(weak, Sphere):
         center = np.array(cal.traj.center)
@@ -326,9 +366,14 @@ def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension,
         pts = center + rho[:, None, None] * _ANNULUS_DIRS[None, :, :]
         # on the annulus chi_strong - chi_weak = -sign(r_w - r_s)
         sgn = -np.sign(r_w - r_s)
-        vals = sigma.value(pts) * sgn * _truncation(r_s - rho, cal.r)[:, None]
-        return float(np.sum(vals * rho[:, None] * wr[:, None])
-                     * (2.0 * np.pi / 256))
+        # sigma sgn tau rho wr, in that order: the first product is a new
+        # array (the one sigma.value returns is never written), the rest
+        # go in place
+        vals = sigma.value(pts) * sgn
+        vals *= _truncation(r_s - rho, cal.r)[:, None]
+        vals *= rho[:, None]
+        vals *= wr[:, None]
+        return float(np.sum(vals) * (2.0 * np.pi / 256))
     raise TypeError("weak phase must be a Sphere or an indicator Field")
 
 
@@ -350,7 +395,7 @@ def coercivity_check(weak, cal: Calibration, sigma: SurfaceTension,
     Also reports the empirical constants for the distance and mass
     coercivity bounds (None when E_rel vanishes)."""
     pts, w, normals = weak.boundary_nodes(1024)
-    f = cal.at(pts, t)
+    f = cal._frame(pts, t)
     xi = f.xi
     sig = sigma.value(pts)
     tilt = float(np.sum(w * sig * 0.5 * np.sum((normals - xi) ** 2, axis=-1)))
@@ -413,9 +458,16 @@ def gronwall_verify(weak: SharpTrajectory, cal: Calibration,
     and decides nothing. The tilt coercivity check runs at every time too,
     and E_rel is read off its report (the same 1024-node sum as
     ``relative_energy``, to a few ulp); the report keeps its slack and
-    identity error. The weak interface is built once per time.
+    identity error. The weak interface is built once per time. Raises
+    ValueError unless the times are one or more and strictly increasing
+    (the fits integrate forward from the first time).
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("gronwall_verify needs a 1-d list of one or more "
+                         "times")
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("gronwall_verify needs strictly increasing times")
     ifaces = [weak.interface_at(t) for t in times]
     co = [coercivity_check(iface, cal, sigma, t)
           for iface, t in zip(ifaces, times)]

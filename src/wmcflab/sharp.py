@@ -521,7 +521,11 @@ def dissipation_check(traj: SharpTrajectory, sigma: SurfaceTension,
     vals = np.empty_like(ts)
     for rows, pts, w in _circle_blocks(center, radii, 512):
         vb = v[rows, None]
-        vals[rows] = np.sum(w * sigma.value(pts) * vb * vb, axis=-1)
+        # w sigma V V: the first product is new, the rest go in place
+        dens = w * sigma.value(pts)
+        dens *= vb
+        dens *= vb
+        vals[rows] = np.sum(dens, axis=-1)
     integral = float(np.trapezoid(vals, ts))
     e_end = weighted_perimeter(traj.interface_at(t_prime), sigma, 512)
     e_start = weighted_perimeter(traj.interface_at(0.0), sigma, 512)

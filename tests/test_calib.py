@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
-from wmcflab import calib, sharp
+from wmcflab import calib, cli, sharp
 from wmcflab.errors import GeometryError
 from wmcflab.experiments import run_weak_strong
 from wmcflab.grid import Field, Grid
@@ -270,11 +270,25 @@ class TestEvaluator:
         cal.at(pts, 0.02)
         assert counts == {"position": 1, "velocity": 1, "at": 0}
 
+        # per residual time: four shifted frames (R only) and one at (R
+        # and V) at t
         monkeypatch.setattr(calib.Calibration, "at",
                             counted("at", calib.Calibration.at))
         calib.calibration_residuals(cal, pts, [0.005, 0.01, 0.015])
-        assert counts["at"] == 5 * 3
-        assert counts["position"] == counts["velocity"] == 1 + 5 * 3
+        assert counts["at"] == 3
+        assert counts["position"] == 1 + 5 * 3
+        assert counts["velocity"] == 1 + 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(clouds(), hst.floats(0.0, 0.02))
+    def test_frame_matches_at(self, cloud, t):
+        center, pts = cloud
+        cal = calibration_about(center)
+        fr, f = cal._frame(pts, t), cal.at(pts, t)
+        for got, want in ((fr.sdist, f.sdist), (fr.xi, f.xi),
+                          (fr.theta, f.theta)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestResiduals:
@@ -321,6 +335,11 @@ class TestResiduals:
         cal = calib.build_calibration(traj, sigma)
         with pytest.raises(ValueError):
             calib.calibration_residuals(cal, np.array([[0.5, 0.8]]), [0.0])
+
+    def test_empty_time_list_raises(self):
+        cal = calibration_about(CENTER)
+        with pytest.raises(ValueError, match="one or more times"):
+            calib.calibration_residuals(cal, np.array([[0.5, 0.8]]), [])
 
 
 class TestEnergies:
@@ -503,6 +522,24 @@ class TestGronwall:
         assert np.all(rep.coercivity_identity_error <= 1e-12)
 
 
+class TestGronwallTimes:
+    # the fits integrate forward from times[0]: decreasing times fit
+    # C_rel = 0 where the same times in increasing order fit 7.5
+    @pytest.mark.parametrize("times", [[], [0.03, 0.02, 0.0],
+                                       [0.0, 0.02, 0.02], [0.0, np.nan]])
+    def test_times_not_strictly_increasing_raise(self, times):
+        traj, sigma = radial_setup()
+        cal = calib.build_calibration(traj, sigma)
+        pert = sharp.evolve_radial(0.42, sharp.constant_scalar_sigma(SQRT2_6),
+                                   0.04, tol=1e-12, center=CENTER)
+        with pytest.raises(ValueError, match="gronwall_verify"):
+            calib.gronwall_verify(pert, cal, sigma, times)
+
+    def test_run_exits_2_without_times(self, tmp_path):
+        assert cli.run_experiment("weak_strong", run_weak_strong,
+                                  {"n_times": 0}, str(tmp_path)) == 2
+
+
 def test_invariant_report():
     traj, sigma = radial_setup()
     cal = calib.build_calibration(traj, sigma)
@@ -514,6 +551,16 @@ def test_invariant_report():
     assert inv.theta_sign_violations == 0
     assert np.isfinite(inv.c_theta_coercivity)
     assert inv.n_samples == 2000
+
+
+@pytest.mark.parametrize("times, n_per_time, match", [
+    ([], 400, "one or more times"), ([0.01], 0, "n_per_time"),
+    ([0.01], -3, "n_per_time")])
+def test_invariants_without_samples_raise(times, n_per_time, match):
+    # no sample, no violation: such a report would pass vacuously
+    cal = calibration_about(CENTER)
+    with pytest.raises(ValueError, match=match):
+        calib.calibration_invariants(cal, times, n_per_time=n_per_time)
 
 
 def test_invariants_past_the_trajectory_raise():
