@@ -34,6 +34,12 @@ strict decrease over it) and eps >= 4 grid spacings (of grid.n, or of
 the runner's default grid_n when the config sets none); it does not
 check geometry (boundary margins, extinction before t_end): the
 experiment checks that when it starts, and ``run`` exits 2.
+Every sweep runs its largest step (eps, or dt) first, whatever order it
+is given in, and is judged in that order. A per-halving rate (the
+``tol.factor`` of ``dissipation``) needs each step half the one before
+(relative 1e-9) and a factor > 1; otherwise the runner raises ValueError
+before it computes anything and ``run`` exits 2 (``validate`` does not
+check it).
 
 Commands: ``wmcf run <config>``, ``wmcf list``, ``wmcf validate <config>``.
 ``run`` appends one line per check to ``summary.txt``: PASS or FAIL, the

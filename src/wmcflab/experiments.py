@@ -20,7 +20,7 @@ from .grid import Field, Grid, extract_levelset
 SQRT2_OVER_6 = float(np.sqrt(2.0) / 6.0)
 
 
-# elementwise relations; "decreasing" is judged on the whole sequence
+# elementwise relations; a decreasing part is judged on the whole sequence
 _COMPARE = {"<=": np.less_equal, "<": np.less, ">=": np.greater_equal,
             ">": np.greater}
 
@@ -50,6 +50,15 @@ def _describe(label, value, relation, bound) -> str:
     worst = ("empty" if vals.size == 0 else f"{bad[0]:.4g}" if bad.size
              else f"{vals.max() if relation[0] == '<' else vals.min():.4g}")
     return f"{label} {worst} {relation} {bound:.4g}"
+
+
+def _sweep_part(label, errors, factor=None):
+    """The check part of ``errors``, largest step (eps or dt) first: each
+    below the one before, or each ratio errors[k] / errors[k+1] >= factor."""
+    if factor is None:
+        return (label, errors, "decreasing", None)
+    with np.errstate(all="ignore"):  # a zero error: a non-finite ratio
+        return (label, np.divide(errors[:-1], errors[1:]), ">=", factor)
 
 
 @dataclass(frozen=True)
@@ -171,30 +180,21 @@ def run_equipartition(grid_n: int = 512,
             -((p[..., 0] - 0.5) ** 2 + (p[..., 1] - 0.5) ** 2) / 0.08)),
         "tilt": Field.from_function(grid, lambda p: 1.0 + 0.5 * p[..., 0]),
     }
-    pair_names = ("potential_gradient", "potential_geometric",
-                  "gradient_geometric")
-    res.csv_header = ["eps", "defect"] + [
-        f"gap_{pn}_{tn}" for tn in testers for pn in pair_names]
-    defects = []
-    gap_series = {}
+    pairs = [(pn, tn) for tn in testers for pn in (
+        "potential_gradient", "potential_geometric", "gradient_geometric")]
+    res.csv_header = ["eps", "defect"] + [f"gap_{p}_{t}" for p, t in pairs]
     for eps in sorted(eps_list, reverse=True):
-        rec = var.build_recovery(disk, spec, grid, eps)
-        defect = var.equipartition_defect(rec.reading)
-        pairings = var.measure_pairing(rec.reading, testers.values())
-        del rec  # release the state and its reading before the next build
-        defects.append(defect)
-        row = [eps, defect]
-        for tn, (pot, gra, geo) in zip(testers, pairings):
-            for pn, gap in zip(pair_names, (abs(pot - gra), abs(pot - geo),
-                                            abs(gra - geo))):
-                gap_series.setdefault((tn, pn), []).append(gap)
-                row.append(gap)
+        reading = var.build_recovery(disk, spec, grid, eps).reading
+        row = [eps, var.equipartition_defect(reading)]
+        for pot, gra, geo in var.measure_pairing(reading, testers.values()):
+            row += [abs(pot - gra), abs(pot - geo), abs(gra - geo)]
+        del reading  # release the reading before the next build
         res.csv_rows.append(row)
-    res.add("defect strictly decreasing",
-            ("defect", defects, "decreasing", None))
-    for (tn, pn), gaps in gap_series.items():
+    cols = [[r[j] for r in res.csv_rows] for j in range(1, 2 + len(pairs))]
+    res.add("defect strictly decreasing", _sweep_part("defect", cols[0]))
+    for (pn, tn), gaps in zip(pairs, cols[1:]):
         res.add(f"pairing gap {pn} with {tn} strictly decreasing",
-                ("gap", gaps, "decreasing", None))
+                _sweep_part("gap", gaps))
     return res
 
 
@@ -218,30 +218,30 @@ def run_first_variation(grid_n: int = 512, eps_list=(0.08, 0.04, 0.02),
                                        "energy_sharp"])
     grid = _unit_box(grid_n)
     disk = sharp.Sphere((0.5, 0.5), radius)
-    dil = tf.dilation_field((0.5, 0.5), radius + 0.08, 0.47)
-
-    spec_h = wells.constant_quartic()
-    rows = var.first_variation_convergence(eps_list, disk, spec_h, dil, grid)
     target = -2.0 * np.pi * radius * SQRT2_OVER_6
-    for r in rows:
-        res.csv_rows.append(["homogeneous", r.eps, r.diffuse, r.sharp, r.gap,
-                             r.defect, r.energy, r.energy_sharp])
-    res.add("sharp dilation value matches -2 pi R sigma",
-            ("|sharp + 2 pi R sigma|", abs(rows[0].sharp - target), "<=",
-             sharp_tol))
-    res.add("homogeneous |diffuse - sharp| strictly decreasing",
-            ("gap", [r.gap for r in rows], "decreasing", None))
-
-    spec_a = wells.affine_scaled_quartic(offset=1.0, slope=1.0, axis=0)
-    trans = tf.translation_field((1.0, 0.0), (0.5, 0.5), radius + 0.08, 0.47)
-    rows = var.first_variation_convergence(eps_list, disk, spec_a, trans, grid)
-    for r in rows:
-        res.csv_rows.append(["heterogeneous", r.eps, r.diffuse, r.sharp,
-                             r.gap, r.defect, r.energy, r.energy_sharp])
-    res.add("heterogeneous grad-sigma pairing is nonzero",
-            ("|sharp|", abs(rows[0].sharp), ">", 1e-3))
-    res.add("heterogeneous |diffuse - sharp| strictly decreasing",
-            ("gap", [r.gap for r in rows], "decreasing", None))
+    for branch, spec, psi, sanity, part in (
+            ("homogeneous", wells.constant_quartic(),
+             tf.dilation_field((0.5, 0.5), radius + 0.08, 0.47),
+             "sharp dilation value matches -2 pi R sigma",
+             lambda s: ("|sharp + 2 pi R sigma|", abs(s - target), "<=",
+                        sharp_tol)),
+            ("heterogeneous", wells.affine_scaled_quartic(1.0, 1.0),
+             tf.translation_field((1, 0), (0.5, 0.5), radius + 0.08, 0.47),
+             "heterogeneous grad-sigma pairing is nonzero",
+             lambda s: ("|sharp|", abs(s), ">", 1e-3))):
+        rows = var.first_variation_convergence(eps_list, disk, spec, psi, grid)
+        res.csv_rows += [[branch, r.eps, r.diffuse, r.sharp, r.gap, r.defect,
+                          r.energy, r.energy_sharp] for r in rows]
+        res.add(sanity, part(rows[0].sharp))
+        res.add(f"{branch} |diffuse - sharp| strictly decreasing",
+                _sweep_part("gap", [r.gap for r in rows]))
+    # on the circle 1 + x1 = a + b cos t and sigma = sqrt(2 (1 + x1)) / 6,
+    # so the translation pairing -int d_1 sigma dH is an elliptic integral
+    from scipy.special import ellipk
+    a, b = 1.5, radius
+    closed = -b * ellipk(2 * b / (a + b)) * np.sqrt(2 / (a + b)) / 3
+    res.add("heterogeneous sharp value matches the elliptic closed form",
+            ("rel err", abs(rows[0].sharp / closed - 1.0), "<=", 1e-12))
     return res
 
 
@@ -276,7 +276,7 @@ def run_gibbs_thomson(grid_n: int = 256, eps_list=(0.08, 0.04, 0.02),
         res.csv_rows.append([eps, out.lam, errs[-1], out.residual, fitted,
                              out.iterations])
     res.add("|lambda_eps - lambda_0| strictly decreasing",
-            ("|lambda_eps - lambda_0|", errs, "decreasing", None))
+            _sweep_part("|lambda_eps - lambda_0|", errs))
     res.add("stationarity residual below tolerance at every eps",
             ("residual", resids, "<=", residual_tol))
     return res
@@ -326,6 +326,10 @@ def run_dissipation(grid_n: int = 256, eps: float = 0.02,
     """Discrete dissipation defect on the 1-d standing-profile run; the
     defect is first order in dt once the stiff initial layer is resolved,
     so each halving shrinks it by a factor approaching 2."""
+    dts = sorted(dt_list, reverse=True)
+    if not (factor > 1 and all(abs(b - a / 2) <= 1e-9 * a / 2
+                               for a, b in zip(dts, dts[1:]))):
+        raise ValueError(f"need halving dts and factor > 1: {dts}, {factor}")
     res = ExperimentResult("dissipation",
                            csv_header=["dt", "defect", "ratio_to_previous"])
     spec = wells.constant_quartic()
@@ -333,15 +337,11 @@ def run_dissipation(grid_n: int = 256, eps: float = 0.02,
     pts = grid.points()
     u0 = wells.optimal_profile_grid(spec, pts, (pts[..., 0] - 0.5) / eps)
     state = flow.PhaseState(Field(grid, u0), eps)
-    defects = []
-    for dt in dt_list:
-        ledger = flow.run(state, spec, dt=dt, t_end=t_end).ledger
-        defects.append(ledger.final_defect)
-        ratio = defects[-2] / defects[-1] if len(defects) > 1 else float("nan")
-        res.csv_rows.append([dt, defects[-1], ratio])
-    ratios = [defects[i] / defects[i + 1] for i in range(len(defects) - 1)]
-    res.add(f"defect decreases by >= {factor} per dt-halving",
-            ("ratio", ratios, ">=", factor))
+    defects = [flow.run(state, spec, dt=dt, t_end=t_end).ledger.final_defect
+               for dt in dts]
+    part = _sweep_part("ratio", defects, factor)
+    res.csv_rows += map(list, zip(dts, defects, [np.nan, *part[1]]))
+    res.add(f"defect decreases by >= {factor} per dt-halving", part)
     return res
 
 
@@ -351,14 +351,14 @@ def run_dissipation(grid_n: int = 256, eps: float = 0.02,
 
 def _track_flow(res, spec, front, traj, t_end, runs, fit, scale):
     """Track the diffuse flow against the exact ``traj`` on each (eps,
-    grid, frac) of ``runs``: start from the optimal profile across
-    ``front``, step with dt = frac eps^2 / Lip(dW/du) rounded to divide
-    ``t_end``, and at five checkpoints append the CSV row (eps, t, exact,
-    fit, |fit - exact| / scale(t, exact)), fit read off the 1/2 level set.
-    Returns each run's largest error."""
+    grid, frac) of ``runs``, sorted largest eps first: start from the
+    optimal profile across ``front``, step with dt = frac eps^2 / Lip(dW/du)
+    rounded to divide ``t_end``, and at five checkpoints append the row (eps,
+    t, exact, fit, |fit - exact| / scale(t, exact)), fit read off the 1/2
+    level set. Returns each run's largest error, in that order."""
     checkpoints = [t_end * k / 5.0 for k in range(1, 6)]
     max_errs = []
-    for eps, grid, frac in runs:
+    for eps, grid, frac in sorted(runs, key=lambda r: r[0], reverse=True):
         pts = grid.points()
         u0 = wells.optimal_profile_grid(spec, pts,
                                         front.signed_distance(pts) / eps)
@@ -394,7 +394,7 @@ def run_ac_to_mcf_radial(r0: float = 0.4, t_end: float = 0.06,
             "at finest eps",
             ("rel err", max_errs[-1], "<=", rel_tol))
     res.add("max checkpoint error decreases with eps",
-            ("max rel err", max_errs, "decreasing", None))
+            _sweep_part("max rel err", max_errs))
     return res
 
 
@@ -420,7 +420,7 @@ def run_ac_to_mcf_1d_drift(kappa: float = 0.5, p0: float = 0.7,
             "finest eps",
             ("rel err", max_errs[-1], "<=", rel_tol))
     res.add("error decreases with eps",
-            ("max rel err", max_errs, "decreasing", None))
+            _sweep_part("max rel err", max_errs))
     return res
 
 

@@ -38,8 +38,10 @@ def test_criterion_02_equipartition():
 
 
 def test_criterion_03_first_variation():
-    # sharp dilation value -2 pi R sigma = -0.444288 +- 1e-6 and strictly
-    # decreasing diffuse-sharp gaps, homogeneous and heterogeneous
+    # sharp dilation value -2 pi R sigma = -0.444288 +- 1e-6, strictly
+    # decreasing diffuse-sharp gaps, homogeneous and heterogeneous, and the
+    # heterogeneous sharp value within 1e-12 relative of its closed form
+    # -R 4K(m) / (6 sqrt(2) sqrt(a + b)), a = 1.5, b = R, m = 2b / (a + b)
     result = ex.run_first_variation()
     report(3, result)
 

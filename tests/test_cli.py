@@ -248,6 +248,14 @@ class TestRun:
         assert cli.main(["run", path]) == 2
         assert "GeometryError" in capsys.readouterr().err
 
+    def test_rate_that_is_no_decrease_exits_2(self, tmp_path, capsys):
+        # factor 0.5 would pass a defect that doubles per dt-halving
+        path = write(tmp_path, "experiment=dissipation\ntol.factor=0.5\n"
+                               f"out_dir={tmp_path}\n")
+        assert cli.main(["run", path]) == 2
+        assert "factor > 1" in capsys.readouterr().err
+        assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
+
     def test_point_leaving_the_domain_exits_2(self, tmp_path, capsys):
         # dp/dt = -kappa carries the point from 0.1 out through x = 0 at
         # t = 0.02, before t_end = 0.2: no checkpoint has a reference

@@ -1,6 +1,7 @@
 """The check evaluator: verdicts from (label, value, relation, bound)."""
 
 import operator
+from types import SimpleNamespace
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from wmcflab.experiments import (Check, ExperimentResult, holds,
-                                 run_ac_to_mcf_1d_drift, run_weak_strong)
+from wmcflab import flow, variations as var
+from wmcflab.experiments import (Check, ExperimentResult, _sweep_part, holds,
+                                 run_ac_to_mcf_1d_drift, run_dissipation,
+                                 run_first_variation, run_weak_strong)
 
 ELEMENTWISE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
                ">": operator.gt}
@@ -19,6 +22,8 @@ finite = hst.floats(-1e6, 1e6)
 finite_arrays = hnp.arrays(np.float64, hnp.array_shapes(max_dims=2,
                                                         max_side=6),
                            elements=finite)
+sequences = hnp.arrays(np.float64, hst.integers(2, 8), elements=finite)
+factors = hst.floats(1.0, 10.0, exclude_min=True)
 
 
 @given(hst.sampled_from(RELATIONS), finite,
@@ -51,9 +56,64 @@ def test_elementwise_matches_numpy(relation, vals, bound):
         assert holds(x, relation, bound) == ELEMENTWISE[relation](x, bound)
 
 
-@given(hnp.arrays(np.float64, hst.integers(2, 8), elements=finite))
+@given(sequences)
 def test_decreasing_matches_numpy(vals):
     assert holds(vals, "decreasing", None) == bool(np.all(np.diff(vals) < 0))
+
+
+@given(sequences)
+def test_sweep_part_without_factor_is_a_strict_decrease(vals):
+    _, *part = _sweep_part("err", vals)
+    assert holds(*part) == bool(np.all(np.diff(vals) < 0))
+
+
+@given(hnp.arrays(np.float64, hst.integers(2, 8),
+                  elements=hst.floats(1e-6, 1e6)), factors)
+def test_sweep_part_with_factor_is_each_ratio(vals, factor):
+    _, *part = _sweep_part("err", vals, factor)
+    errs = [float(v) for v in vals]
+    assert holds(*part) == all(a / b >= factor
+                               for a, b in zip(errs, errs[1:]))
+
+
+@given(finite, hst.none() | factors)
+def test_sweep_part_fails_on_a_single_value(x, factor):
+    assert not holds(*_sweep_part("err", [x], factor)[1:])
+
+
+@given(sequences, hst.sampled_from([np.nan, np.inf, -np.inf]),
+       hst.none() | factors, hst.data())
+def test_sweep_part_fails_on_a_nonfinite_entry(vals, bad, factor, data):
+    # an infinite error gives a ratio of inf, nan, 0 or -0, none >= f > 1
+    vals = vals.copy()
+    vals[data.draw(hst.integers(0, vals.size - 1))] = bad
+    assert not holds(*_sweep_part("err", vals, factor)[1:])
+
+
+def test_dissipation_runs_largest_dt_first(monkeypatch):
+    # a stand-in run whose defect is its dt: each halving halves it
+    seen = []
+
+    def run(state, spec, dt, t_end):
+        seen.append(dt)
+        return SimpleNamespace(ledger=SimpleNamespace(final_defect=dt))
+
+    monkeypatch.setattr(flow, "run", run)
+    res = run_dissipation(dt_list=(8.75e-6, 3.5e-5, 1.75e-5))
+    assert seen == [3.5e-5, 1.75e-5, 8.75e-6]
+    assert [row[0] for row in res.csv_rows] == seen
+    assert res.passed
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"dt_list": (3.5e-5, 8.75e-6)},  # one quartering, no halving
+    {"dt_list": (3.5e-5, 1.75e-5, 1e-5)},
+    {"factor": 0.5}, {"factor": 1.0}, {"factor": float("nan")}])
+def test_dissipation_rate_needs_halvings_and_a_decrease(kwargs, monkeypatch):
+    # raised before the first run: a run here would fail the test
+    monkeypatch.setattr(flow, "run", None)
+    with pytest.raises(ValueError, match="halving"):
+        run_dissipation(**kwargs)
 
 
 def test_nan_bound_fails():
@@ -124,3 +184,38 @@ def test_flow_runner_name_states_rel_tol():
     assert first.name == ("position error <= 10% of traveled distance at "
                           "finest eps")
     assert first.parts[0][3] == 0.1
+
+
+def test_flow_verdicts_do_not_depend_on_run_order():
+    # the error grows from eps = 0.04 to 0.02 at this short t_end; given
+    # finest first, the runs used to be judged in that order and pass
+    kwargs = {"t_end": 0.02, "grid_n": 256, "rel_tol": 0.1}
+    given, swapped = [run_ac_to_mcf_1d_drift(runs=runs, **kwargs)
+                      for runs in (((0.04, 0.5), (0.02, 0.5)),
+                                   ((0.02, 0.5), (0.04, 0.5)))]
+    assert repr(given.csv_rows) == repr(swapped.csv_rows)
+    assert given.csv_rows[0][0] == 0.04
+    checks = [[(c.name, c.passed, c.detail) for c in r.checks]
+              for r in (given, swapped)]
+    assert checks[0] == checks[1]
+    assert not dict(c[:2] for c in checks[0])["error decreases with eps"]
+
+
+class TestFirstVariationClosedForm:
+    NAME = "heterogeneous sharp value matches the elliptic closed form"
+
+    def verdict(self):
+        res = run_first_variation(grid_n=128, eps_list=(0.08, 0.04),
+                                  radius=0.25)
+        assert res.checks[-1].name == self.NAME
+        return res.checks[-1].passed
+
+    def test_passes_at_another_radius(self):
+        assert self.verdict()
+
+    def test_sharp_value_off_by_ten_percent_fails(self, monkeypatch):
+        # the boundary quadrature, as bound where the sweep calls it
+        exact = var.sharp_first_variation
+        monkeypatch.setattr(var, "sharp_first_variation",
+                            lambda *args: 1.1 * exact(*args))
+        assert not self.verdict()
