@@ -33,7 +33,9 @@ descent and rotated, and u - a and u - b of each trial feed both that
 trial's energy and, once the trial is accepted, its gradient, in the
 operation order of the spec's closures, so every iterate has the bits
 of a descent written through ``spec.W``, ``spec.dW_du`` and
-``energy_face``.
+``energy_face``. Passes whose result is known are skipped, exactly:
+u - a for a = +0.0, x * m for m = 1.0 (``constant_quartic``'s defaults)
+and, on a dyadic grid, the Laplacian's division (an exact product).
 
 The inner solvers work with the face-difference quadrature of the
 gradient energy, whose exact L2-gradient is the compact 3/5-point Neumann
@@ -251,13 +253,21 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
     * the work arrays are allocated once per descent and rotated: the
       iterate and the previous one, whose array takes the trials once
       the BB step has used it; the gradient and the previous one; the
-      centred gradient (constrained only); u - a and u - b; and two
-      scratch arrays;
+      centred gradient (constrained only); u - a (unless skipped, see
+      below) and u - b; and two scratch arrays;
     * J of a trial keeps that trial's u - a and u - b, evaluating W from
       them without consuming them in the order of ``wells.quartic_W``;
       the gradient of the accepted trial takes its reaction from the
       same differences, in the order of ``wells.quartic_dW_du``;
-    * one mean of g feeds both the stationarity test and the direction.
+    * known passes are skipped: u - a for a scalar a with the bits of
+      +0.0 (v - (+0.0) is v; v - (-0.0) turns -0.0 into +0.0), and W's
+      product with m for m = 1.0 (x * 1.0 is x);
+    * one mean of g feeds both the stationarity test and the direction;
+      each mean is ``np.mean``'s own arithmetic, a sum then a division.
+
+    A constrained iteration makes about 45 array passes: 6 to test g and
+    take the slope, 6 for the BB step, per trial 4 to form it and 11 for
+    J, and 18 for the gradient (11 of them in ``laplacian_neumann``).
 
     The gradient hands every iterate to ``laplacian_neumann`` as a
     ``Field``, so a non-finite iterate raises ValueError. If all 60
@@ -270,17 +280,21 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
     constrained = mass is not None
     m, a, b = bound.m, bound.a, bound.b
     m2 = m * 2.0
+    a_zero = np.ndim(a) == 0 and a == 0.0 and math.copysign(1.0, a) > 0
+    m_one = np.ndim(m) == 0 and m == 1.0
     vol = grid.cell_volume
-    u, u_prev, g, g_prev, da, db, s1, s2 = (
-        np.empty(grid.cells) for _ in range(8))
+    u, u_prev, g, g_prev, db, s1, s2 = (
+        np.empty(grid.cells) for _ in range(7))
+    da = None if a_zero else np.empty(grid.cells)
     centred = np.empty(grid.cells) if constrained else None
 
     def objective(v):
-        """J at v; leaves v - a in da and v - b in db."""
-        np.subtract(v, a, out=da)
+        """J at v; leaves v - a in da (unless a_zero) and v - b in db."""
+        d = v if a_zero else np.subtract(v, a, out=da)
         np.subtract(v, b, out=db)
-        np.multiply(da, da, out=s1)
-        np.multiply(s1, m, out=s1)
+        np.multiply(d, d, out=s1)
+        if not m_one:
+            np.multiply(s1, m, out=s1)
         np.multiply(db, db, out=s2)
         np.multiply(s1, s2, out=s1)
         e = _face_energy(s1, v, grid, eps, work=s1)
@@ -291,9 +305,10 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
 
     def gradient(v, out):
         """The gradient at v into ``out``, from the da and db of v."""
-        np.multiply(da, m2, out=out)
+        d = v if a_zero else da
+        np.multiply(d, m2, out=out)
         out *= db
-        np.add(da, db, out=s1)
+        np.add(d, db, out=s1)
         out *= s1
         out /= eps
         laplacian_neumann(Field(grid, v), out=s1)
@@ -307,7 +322,7 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
 
     np.copyto(u, u0)
     if constrained:
-        u += mass - float(np.mean(u))
+        u += mass - float(u.sum()) / u.size
     J = objective(u)
     gradient(u, g)
     recent = [J]
@@ -316,7 +331,7 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
         # stationarity, and the slope gd of J along the direction -c
         if constrained:
             c = centred
-            np.subtract(g, float(np.mean(g)), out=c)
+            np.subtract(g, float(g.sum()) / g.size, out=c)
             np.multiply(c, c, out=s1)
             # the standard deviation of g, as np.std forms it
             if math.sqrt(float(s1.sum()) / g.size) <= tol:
@@ -346,7 +361,7 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
             np.multiply(c, -step, out=trial)
             trial += u
             if constrained:
-                trial += mass - float(np.mean(trial))
+                trial += mass - float(trial.sum()) / trial.size
             J_trial = objective(trial)
             if J_trial <= ref + 1e-4 * step * gd:
                 break

@@ -5,9 +5,10 @@ which encodes the 90-degree Neumann condition, keeps the 3/5-point
 Laplacian symmetric, and makes its output sum to zero exactly (telescoping
 fluxes). Fields are immutable value holders; all operators are pure
 (``laplacian_neumann`` can write its result into an array the caller
-gives it).
+gives it); on an axis with h_k^2 a power of two it multiplies by 1/h_k^2.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -41,6 +42,8 @@ class Grid:
         h.setflags(write=False)
         object.__setattr__(self, "_spacing", h)
         object.__setattr__(self, "_cell_volume", float(np.prod(h)))
+        object.__setattr__(self, "_stencil_scaling",
+                           tuple(_axis_scaling(float(hk ** 2)) for hk in h))
 
     def __reduce__(self):
         # rebuild through __init__ so copies get their own read-only spacing
@@ -177,6 +180,15 @@ def _second_difference(v: np.ndarray, axis: int,
     return out
 
 
+def _axis_scaling(h2: float):
+    """(ufunc, operand) scaling by 1 / h2: times 1 / h2 when h2 and 1 / h2
+    are powers of two (both round one real, even subnormal or overflowing
+    ones), else / h2."""
+    if math.frexp(h2)[0] == 0.5 and math.frexp(1.0 / h2)[0] == 0.5:
+        return np.multiply, 1.0 / h2
+    return np.divide, h2
+
+
 def laplacian_neumann(f: Field, out: Optional[np.ndarray] = None) -> Field:
     """Second-order 3/5-point stencil with mirrored ghost cells.
 
@@ -184,19 +196,20 @@ def laplacian_neumann(f: Field, out: Optional[np.ndarray] = None) -> Field:
     theorem for zero-flux boundaries). The stencil reads ``f.values``
     through slices, with no padded copy; ``out``, when given, is an array
     of the grid's shape, not overlapping ``f.values``, that receives the
-    values of the returned field.
+    values of the returned field. A power-of-two h_k^2 scales by its exact
+    reciprocal, with the bits of the division (``_axis_scaling``).
     """
     v = f.values
-    h = f.grid.spacing
+    scaling = f.grid._stencil_scaling
     if out is None:
         out = np.empty_like(v)
     # (v_up - 2v + v_down) / h0^2 [+ (v_right - 2v + v_left) / h1^2]
-    _second_difference(v, 0, out)
-    out /= h[0] ** 2
+    op, c = scaling[0]
+    op(_second_difference(v, 0, out), c, out=out)
     if f.grid.dim == 2:
+        op, c = scaling[1]
         across = _second_difference(v, 1, np.empty(v.shape))
-        across /= h[1] ** 2
-        out += across
+        out += op(across, c, out=across)
     return Field(f.grid, out)
 
 

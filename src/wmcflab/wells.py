@@ -590,8 +590,10 @@ class BoundQuartic:
     once on the positions given to ``bind``. There a coefficient whose
     entries all have the same bits is a 0-d scalar: a scalar 1.0 or 0.0
     gives the same bits as the array it replaces and saves its
-    arithmetic. The spec's ``W`` and ``dW_du`` take it in place of the
-    positions, and build an uncollapsed one when given positions.
+    arithmetic; the descent kernel then drops the u - a pass of a +0.0
+    and the * m pass of a 1.0. The spec's ``W`` and ``dW_du`` take it in
+    place of the positions, and build an uncollapsed one when given
+    positions.
     """
 
     m: np.ndarray

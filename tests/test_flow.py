@@ -744,23 +744,44 @@ def wide_minmov_descent(cells=(72, 130), eps=0.1):
                    0.0, dict(h_step=2e-4, trunc=None))
 
 
+def negative_zero_descent():
+    """One constrained iteration, from an odd u0 at mass -0.0 in the odd
+    well u^4 (both wells at -0.0), which then stops on its budget.
+
+    u - a turns the -0.0 cell 3, whose Laplacian is +0.0, into +0.0.
+    Every sum here is exactly +0.0, so the shift to the mass is -0.0,
+    and the sign of that zero reaches the iterate: a kernel that skipped
+    u - a on a == 0.0 would return +0.0 there."""
+    g = Grid.interval(0.0, 1.0, 8)
+    u0 = np.array([0.5, 0.25, -0.0, -0.0, 0.0, 0.0, -0.25, -0.5])
+    return Descent(True, g, wells.constant_quartic(a0=-0.0, b0=-0.0), 0.125,
+                   u0, 0.0, dict(mass=-0.0, tol_residual=1e-3, max_iter=1))
+
+
 @hst.composite
 def kernel_descents(draw):
     """A ``Descent`` of either caller on a 1-d or non-square 2-d grid,
-    with a constant, exponentially scaled or moving-well quartic; some
-    masses lie outside the admissible range and some budgets are too
-    small."""
+    with a constant (wells 0 or -0.0 and 1), exponentially scaled or
+    moving-well quartic; some masses lie outside the admissible range
+    and some budgets are too small. About half the axes are dyadic
+    (spacing 2^-k), where the Laplacian multiplies by 1/h^2."""
     dim = draw(hst.sampled_from((1, 2)))
     if dim == 1:
         cells = (draw(hst.integers(8, 48)),)
     else:
         n0 = draw(hst.integers(8, 16))
         cells = (n0, draw(hst.integers(8, 16).filter(lambda n: n != n0)))
-    g = Grid((0.0,) * dim, tuple(draw(hst.floats(0.5, 2.0)) for _ in cells),
-             cells)
-    kind = draw(hst.sampled_from(("constant", "exp", "linear")))
+    spans = [n * 2.0 ** -draw(hst.integers(n.bit_length() - 1,
+                                           n.bit_length()))
+             if draw(hst.booleans()) else draw(hst.floats(0.5, 2.0))
+             for n in cells]
+    g = Grid((0.0,) * dim, tuple(spans), cells)
+    kind = draw(hst.sampled_from(("constant", "constant -0", "exp",
+                                  "linear")))
     if kind == "constant":
         spec = wells.constant_quartic()
+    elif kind == "constant -0":
+        spec = wells.constant_quartic(a0=-0.0)
     elif kind == "exp":
         spec = wells.exp_scaled_quartic(draw(hst.floats(-1.0, 1.0)),
                                         axis=draw(hst.integers(0, dim - 1)))
@@ -804,6 +825,7 @@ class TestDescentKernelProperties:
     @given(kernel_descents())
     @example(gibbs_thomson_descent())
     @example(wide_minmov_descent())
+    @example(negative_zero_descent())
     def test_bit_identical_to_reference_loop(self, descent):
         got, got_exc = _outcome(descent)
         ref, ref_exc = _outcome(descent, reference=True)

@@ -1,5 +1,6 @@
 """Grid operators: Neumann stencils, quadrature, level sets."""
 
+import math
 import pickle
 
 import hypothesis.extra.numpy as hnp
@@ -11,9 +12,10 @@ from numpy.testing import assert_allclose
 from scipy.spatial import cKDTree
 
 from wmcflab.errors import ExtractionError, GridMismatchError
-from wmcflab.grid import (Field, Grid, VectorField, _second_difference,
-                          extract_levelset, fit_circle, gradient_neumann,
-                          integrate, laplacian_neumann, pair_density)
+from wmcflab.grid import (Field, Grid, VectorField, _axis_scaling,
+                          _second_difference, extract_levelset, fit_circle,
+                          gradient_neumann, integrate, laplacian_neumann,
+                          pair_density)
 
 
 def test_grid_validation():
@@ -33,10 +35,18 @@ sizes = st.integers(8, 40)
 
 @st.composite
 def grids(draw):
+    """1-d and 2-d grids; about half the axes are dyadic: spacing 2^-k
+    from a quarter-integer lower corner, so the upper corner is exact."""
     dim = draw(st.sampled_from((1, 2)))
-    lower = tuple(draw(bounds) for _ in range(dim))
-    upper = tuple(lo + draw(lengths) for lo in lower)
     cells = tuple(draw(sizes) for _ in range(dim))
+    lower, upper = [], []
+    for n in cells:
+        if draw(st.booleans()):
+            lower.append(draw(st.integers(-40, 40)) / 4)
+            upper.append(lower[-1] + n * 2.0 ** -draw(st.integers(2, 6)))
+        else:
+            lower.append(draw(bounds))
+            upper.append(lower[-1] + draw(lengths))
     return Grid(lower, upper, cells)
 
 
@@ -46,6 +56,9 @@ class TestGridProperties:
         for grid in (g, pickle.loads(pickle.dumps(g))):
             with pytest.raises(ValueError):
                 grid.spacing[0] = 1.0
+            # the stencil scaling is derived with the spacing, copies too
+            assert grid._stencil_scaling == tuple(
+                _axis_scaling(float(h ** 2)) for h in grid.spacing)
         expected = (np.array(g.upper) - np.array(g.lower)) / np.array(g.cells)
         assert np.array_equal(g.spacing, expected)
         assert g.cell_volume == float(np.prod(expected))
@@ -145,7 +158,21 @@ def _grad_reference(v, h):
 
 
 values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-spans = st.floats(0.01, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def spans(n):
+    """Lengths of an axis of n cells: a float in [0.01, 1000], or, about
+    half the time, the dyadic n 2^k (spacing 2^k, from 1/128 to 16)."""
+    return st.one_of(
+        st.floats(0.01, 1e3, allow_nan=False, allow_infinity=False),
+        st.integers(-7, 4).map(lambda k: n * 2.0 ** k))
+
+
+@st.composite
+def boxes(draw):
+    """(cells, span) of a 2-d box whose lower corner is the origin."""
+    cells = (draw(sizes), draw(sizes))
+    return cells, tuple(draw(spans(n)) for n in cells)
 
 
 @st.composite
@@ -202,10 +229,11 @@ class TestLaplacianProperties:
             assert np.array_equal(c, r)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.tuples(sizes, sizes), st.tuples(spans, spans), st.data())
-    def test_2d_bit_identical_to_unfused_expression(self, cells, span, data):
+    @given(boxes(), st.data())
+    def test_2d_bit_identical_to_unfused_expression(self, box, data):
         # the in-place 2-d stencil against the expression it replaced,
-        # on boxes 0.01 to 1000 long per axis
+        # on boxes 0.01 to 1000 long per axis, dyadic or not
+        cells, span = box
         g = Grid((0.0, 0.0), span, cells)
         v = data.draw(hnp.arrays(float, cells, elements=values))
         h = g.spacing
@@ -213,6 +241,29 @@ class TestLaplacianProperties:
         old = (p[2:, 1:-1] - 2.0 * v + p[:-2, 1:-1]) / h[0] ** 2
         old = old + (p[1:-1, 2:] - 2.0 * v + p[1:-1, :-2]) / h[1] ** 2
         assert np.array_equal(laplacian_neumann(Field(g, v)).values, old)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.integers(-1074, 1023).map(lambda k: 2.0 ** k),
+                     st.floats(1e-300, 1e300)),
+           hnp.arrays(float, 24, elements=st.one_of(
+               st.floats(allow_nan=False),
+               st.floats(-1e-300, 1e-300),      # subnormal quotients
+               st.floats(1e300, np.finfo(float).max))))
+    @example(2.0 ** -1023, np.array([5e-324, -2.5e-323, 1.0, 1.7e308]))
+    @example(2.0 ** 1023, np.array([5e-324, 3e-308, -1.0, 1.7e308]))
+    @example(2.0 ** -1024, np.array([5e-324, 1.0]))
+    @example(0.1 ** 2, np.arange(1.0, 100.0))
+    def test_scaling_has_the_bits_of_division(self, h2, x):
+        # the stencil's scaling by 1 / h^2 multiplies where h^2 = 2^k and
+        # 2^-k is a double, and has the bits of x / h^2 for every x,
+        # subnormal and overflowing quotients included; any other h^2
+        # keeps the division (the reciprocal of 0.1^2 is inexact, and
+        # multiplying by it would change some quotients of the example)
+        op, c = _axis_scaling(h2)
+        dyadic = math.frexp(h2)[0] == 0.5 and h2 >= 2.0 ** -1023
+        assert op is (np.multiply if dyadic else np.divide)
+        with np.errstate(over="ignore"):
+            assert op(x, c).tobytes() == (x / h2).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from((1, 2)), st.integers(1, 6), st.booleans(),
@@ -230,12 +281,12 @@ class TestLaplacianProperties:
                 .tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(st.tuples(sizes, sizes), st.tuples(spans, spans),
-           st.sampled_from(("transposed", "strided")), st.data())
-    def test_noncontiguous_input_matches_pad_formula(self, cells, span,
-                                                     layout, data):
+    @given(boxes(), st.sampled_from(("transposed", "strided")), st.data())
+    def test_noncontiguous_input_matches_pad_formula(self, box, layout,
+                                                     data):
         # a transposed view and a strided slice, with and without out=;
         # out= may itself be a transposed view
+        cells, span = box
         g = Grid((0.0, 0.0), span, cells)
         if layout == "transposed":
             base = data.draw(hnp.arrays(float, cells[::-1], elements=values))
