@@ -42,11 +42,6 @@ from .wells import point_norm
 
 _NEAR = 1e-4
 
-# The annulus rule of bulk_energy, fixed at import: 256 Gauss-Legendre
-# radii times 256 uniform angles.
-_ANNULUS_NODES, _ANNULUS_WEIGHTS = _gauss_legendre(256)
-_ANNULUS_DIRS = _unit_circle(256)
-
 
 def _cutoff(s: np.ndarray, r_g: float) -> np.ndarray:
     t = np.abs(s) / r_g
@@ -339,7 +334,7 @@ def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension,
     """int sigma (chi_strong - chi_weak) theta dx; >= 0 by sign conditions.
 
     ``weak`` is either a Sphere concentric with the calibrated flow
-    (annulus quadrature on the rule fixed at import, 256 Gauss-Legendre
+    (annulus quadrature on one fixed rule, 256 Gauss-Legendre
     radii times 256 angles) or a phase-indicator Field (grid quadrature).
     Raises GeometryError unless the calibrated flow is radial in 2-d.
     """
@@ -361,9 +356,10 @@ def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension,
         if abs(r_w - r_s) < 1e-15:
             return 0.0
         lo, hi = min(r_w, r_s), max(r_w, r_s)
-        rho = 0.5 * (hi - lo) * (_ANNULUS_NODES + 1.0) + lo
-        wr = 0.5 * (hi - lo) * _ANNULUS_WEIGHTS
-        pts = center + rho[:, None, None] * _ANNULUS_DIRS[None, :, :]
+        nodes, weights = _gauss_legendre(256)
+        rho = 0.5 * (hi - lo) * (nodes + 1.0) + lo
+        wr = 0.5 * (hi - lo) * weights
+        pts = center + rho[:, None, None] * _unit_circle(256)[None, :, :]
         # on the annulus chi_strong - chi_weak = -sign(r_w - r_s)
         sgn = -np.sign(r_w - r_s)
         # sigma sgn tau rho wr, in that order: the first product is a new

@@ -37,9 +37,9 @@ experiment checks that when it starts, and ``run`` exits 2.
 Every sweep runs its largest step (eps, or dt) first, whatever order it
 is given in, and is judged in that order. A per-halving rate (the
 ``tol.factor`` of ``dissipation``) needs each step half the one before
-(relative 1e-9) and a factor > 1; otherwise the runner raises ValueError
-before it computes anything and ``run`` exits 2 (``validate`` does not
-check it).
+(relative 1e-9) and a factor > 1; otherwise ``validate`` reports it and
+``run`` exits 2 before the runner computes anything (one rule,
+``experiments._halving_rate``, for both).
 
 Commands: ``wmcf run <config>``, ``wmcf list``, ``wmcf validate <config>``.
 ``run`` appends one line per check to ``summary.txt``: PASS or FAIL, the
@@ -65,7 +65,7 @@ import numpy as np
 
 from . import wells
 from .errors import ExtractionError, NumericError
-from .experiments import REGISTRY
+from .experiments import REGISTRY, _halving_rate
 
 
 def _make_quartic_constant(a0=0.0, b0=1.0, amplitude=1.0):
@@ -204,6 +204,12 @@ def resolve(entries: dict):
             if eps < 4.0 * h:
                 problems.append(f"eps={eps} below 4*spacing={4 * h} for "
                                 f"grid.n={grid_n}")
+    if "factor" in kwargs and "dt_list" in params:
+        try:
+            _halving_rate(params["dt_list"].default, kwargs["factor"])
+        except ValueError as exc:
+            problems.append(f"tol.factor: {exc}")
+            del kwargs["factor"]
     return runner, kwargs, out_dir, problems
 
 

@@ -319,6 +319,16 @@ def run_minimizing_movements(grid_n: int = 512, eps: float = 0.05,
 # dissipation order
 # ---------------------------------------------------------------------------
 
+def _halving_rate(dt_list, factor) -> list:
+    """``dt_list`` largest first; ValueError unless each step halves the
+    one before (relative 1e-9) and the rate ``factor`` > 1."""
+    dts = sorted(dt_list, reverse=True)
+    if not (factor > 1 and all(abs(b - a / 2) <= 1e-9 * a / 2
+                               for a, b in zip(dts, dts[1:]))):
+        raise ValueError(f"need halving dts and factor > 1: {dts}, {factor}")
+    return dts
+
+
 def run_dissipation(grid_n: int = 256, eps: float = 0.02,
                     dt_list=(3.5e-5, 1.75e-5, 8.75e-6),
                     t_end: float = 0.0196,
@@ -326,10 +336,7 @@ def run_dissipation(grid_n: int = 256, eps: float = 0.02,
     """Discrete dissipation defect on the 1-d standing-profile run; the
     defect is first order in dt once the stiff initial layer is resolved,
     so each halving shrinks it by a factor approaching 2."""
-    dts = sorted(dt_list, reverse=True)
-    if not (factor > 1 and all(abs(b - a / 2) <= 1e-9 * a / 2
-                               for a, b in zip(dts, dts[1:]))):
-        raise ValueError(f"need halving dts and factor > 1: {dts}, {factor}")
+    dts = _halving_rate(dt_list, factor)
     res = ExperimentResult("dissipation",
                            csv_header=["dt", "defect", "ratio_to_previous"])
     spec = wells.constant_quartic()

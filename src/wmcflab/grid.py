@@ -6,6 +6,8 @@ Laplacian symmetric, and makes its output sum to zero exactly (telescoping
 fluxes). Fields are immutable value holders; all operators are pure
 (``laplacian_neumann`` can write its result into an array the caller
 gives it); on an axis with h_k^2 a power of two it multiplies by 1/h_k^2.
+``laplacian_neumann`` also applies the stencil to each field of a
+``FieldStack`` (fields of one grid stacked along a leading axis).
 """
 
 import math
@@ -86,10 +88,11 @@ class Grid:
 class Field:
     grid: Grid
     values: np.ndarray
+    _lead = 0      # axes before the grid's (not a dataclass field)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.cells:
+        if vals.shape[self._lead:] != self.grid.cells:
             raise ValueError(f"values shape {vals.shape} does not match grid "
                              f"cells {self.grid.cells}")
         if not np.isfinite(vals).all():
@@ -103,6 +106,16 @@ class Field:
     @staticmethod
     def constant(grid: Grid, value: float) -> "Field":
         return Field(grid, np.full(grid.cells, float(value)))
+
+
+@dataclass(frozen=True)
+class FieldStack:
+    """Fields of one grid stacked along a leading axis, checked as Field."""
+
+    grid: Grid
+    values: np.ndarray
+    _lead = 1
+    __post_init__ = Field.__post_init__
 
 
 @dataclass(frozen=True)
@@ -136,8 +149,8 @@ def _same_grid(f, g):
 
 def _second_difference(v: np.ndarray, axis: int,
                        out: np.ndarray) -> np.ndarray:
-    """(v[i+1] - 2 v[i]) + v[i-1] along ``axis`` into ``out`` (which must
-    not overlap ``v``), each ghost repeating its boundary cell.
+    """(v[i+1] - 2 v[i]) + v[i-1] along array axis ``axis`` into ``out``
+    (which must not overlap ``v``), each ghost repeating its boundary cell.
 
     No padded copy: ``out`` starts as -2v, every cell but the last adds
     its forward neighbour and the last its ghost (itself), then every
@@ -145,38 +158,41 @@ def _second_difference(v: np.ndarray, axis: int,
     x + (-2v) rounds as x - 2v, so the bits are those of the padded
     formula.
 
-    Along axis 1 of a 2-d array both neighbour passes run over the
-    flattened arrays, contiguous in memory. There a row's last cell adds
-    the next row's first and its first cell the previous row's last, so
-    the two boundary columns are then formed again, with the additions
-    above. ``out`` must be C-contiguous for this (ValueError otherwise);
-    a ``v`` that is not is read through a C-contiguous copy.
+    Along the last axis of an array of two or more axes both neighbour
+    passes run over the flattened arrays, contiguous in memory. There a
+    row's last cell adds the next row's first and its first cell the
+    previous row's last, so the two boundary columns are then formed
+    again, with the additions above, in the same order. ``out`` must be
+    C-contiguous for this (ValueError otherwise); a ``v`` that is not is
+    read through a C-contiguous copy.
     """
     np.multiply(v, -2.0, out=out)
-    if axis == 0:
-        out[:-1] += v[1:]
-        out[-1] += v[-1]
-        out[1:] += v[:-1]
-        out[0] += v[0]
+    axis %= v.ndim
+    if axis < v.ndim - 1 or v.ndim == 1:
+        vt, ot = v.swapaxes(0, axis), out.swapaxes(0, axis)
+        ot[:-1] += vt[1:]
+        ot[-1] += vt[-1]
+        ot[1:] += vt[:-1]
+        ot[0] += vt[0]
         return out
     if not out.flags.c_contiguous:
-        raise ValueError("the second difference along axis 1 needs a "
-                         "C-contiguous out")
+        raise ValueError("the second difference along the last axis needs "
+                         "a C-contiguous out")
     vf = np.ascontiguousarray(v).reshape(-1)
     of = out.reshape(-1)
     of[:-1] += vf[1:]
     of[1:] += vf[:-1]
-    first, last = out[:, 0], out[:, -1]
-    np.multiply(v[:, 0], -2.0, out=first)
-    np.multiply(v[:, -1], -2.0, out=last)
+    first, last = out[..., 0], out[..., -1]
+    np.multiply(v[..., 0], -2.0, out=first)
+    np.multiply(v[..., -1], -2.0, out=last)
     # in a 1-cell row the one cell is first and last, and adds only its
     # two ghosts
-    if v.shape[1] > 1:
-        first += v[:, 1]
-    last += v[:, -1]
-    if v.shape[1] > 1:
-        last += v[:, -2]
-    first += v[:, 0]
+    if v.shape[-1] > 1:
+        first += v[..., 1]
+    last += v[..., -1]
+    if v.shape[-1] > 1:
+        last += v[..., -2]
+    first += v[..., 0]
     return out
 
 
@@ -189,28 +205,30 @@ def _axis_scaling(h2: float):
     return np.divide, h2
 
 
-def laplacian_neumann(f: Field, out: Optional[np.ndarray] = None) -> Field:
+def laplacian_neumann(f, out: Optional[np.ndarray] = None):
     """Second-order 3/5-point stencil with mirrored ghost cells.
 
     The output sums to zero exactly up to roundoff (discrete divergence
     theorem for zero-flux boundaries). The stencil reads ``f.values``
     through slices, with no padded copy; ``out``, when given, is an array
-    of the grid's shape, not overlapping ``f.values``, that receives the
+    of the shape of ``f.values``, not overlapping it, that receives the
     values of the returned field. A power-of-two h_k^2 scales by its exact
     reciprocal, with the bits of the division (``_axis_scaling``).
+    ``f`` is a ``Field`` or a ``FieldStack``; the result is of its kind.
     """
     v = f.values
     scaling = f.grid._stencil_scaling
+    lead = v.ndim - f.grid.dim
     if out is None:
         out = np.empty_like(v)
     # (v_up - 2v + v_down) / h0^2 [+ (v_right - 2v + v_left) / h1^2]
     op, c = scaling[0]
-    op(_second_difference(v, 0, out), c, out=out)
+    op(_second_difference(v, lead, out), c, out=out)
     if f.grid.dim == 2:
         op, c = scaling[1]
-        across = _second_difference(v, 1, np.empty(v.shape))
+        across = _second_difference(v, lead + 1, np.empty(v.shape))
         out += op(across, c, out=across)
-    return Field(f.grid, out)
+    return type(f)(f.grid, out)
 
 
 def gradient_neumann(f: Field) -> VectorField:

@@ -387,6 +387,7 @@ class SpaceTimeTest:
     dt: Callable[[np.ndarray, float], np.ndarray]
 
 
+@lru_cache(maxsize=16)
 def _gauss_legendre(n: int):
     """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
@@ -394,11 +395,6 @@ def _gauss_legendre(n: int):
     weights.flags.writeable = False
     return nodes, weights
 
-
-# The disk rule of _bulk_integral, fixed at import: 64 Gauss-Legendre
-# radii times 128 uniform angles.
-_DISK_NODES, _DISK_WEIGHTS = _gauss_legendre(64)
-_DISK_DIRS = _unit_circle(128)
 
 # Times per block of the boundary sums: a block holds _TIME_BLOCK x n x 2
 # node coordinates (0.5 MB at 512 nodes, inside a 1 MB L2 cache), however
@@ -419,11 +415,11 @@ def _require_disk(traj: SharpTrajectory, what: str) -> None:
 
 def _bulk_integral(center: np.ndarray, radius: float, fn) -> float:
     """int_{A} fn(x) dx for the disk A of ``radius`` about ``center``, by
-    the disk rule fixed at import (64 Gauss-Legendre radii times 128
-    angles)."""
-    r = 0.5 * radius * (_DISK_NODES + 1.0)
-    wr = 0.5 * radius * _DISK_WEIGHTS
-    pts = center + r[:, None, None] * _DISK_DIRS[None, :, :]
+    one fixed disk rule: 64 Gauss-Legendre radii times 128 angles."""
+    nodes, weights = _gauss_legendre(64)
+    r = 0.5 * radius * (nodes + 1.0)
+    wr = 0.5 * radius * weights
+    pts = center + r[:, None, None] * _unit_circle(128)[None, :, :]
     vals = fn(pts)
     return float(np.sum(vals * r[:, None] * wr[:, None] * (2.0 * np.pi / 128)))
 
@@ -451,7 +447,7 @@ def transport_residual(traj: SharpTrajectory, zeta: SpaceTimeTest,
     Time quadrature is the trapezoid rule on ``n_t`` intervals (second
     order under step halving). The trajectory's radius and velocity are
     evaluated once on the whole time grid. The bulk term is one disk
-    quadrature per sample, on the rule fixed at import; the boundary
+    quadrature per sample, on one fixed rule; the boundary
     integral takes 256 nodes and is summed over blocks of _TIME_BLOCK
     times, each row over its own nodes.
     Raises GeometryError for a trajectory that is not radial in 2-d.

@@ -149,8 +149,9 @@ def test_shipped_config_validates(path, capsys):
     assert cli.main(["validate", path]) == 0, capsys.readouterr().out
 
 
-# Runs in a fresh interpreter: list and validate must leave SciPy unloaded,
-# and the two ODE callers must still load scipy.integrate when first called.
+# Runs in a fresh interpreter: list and validate must leave SciPy unloaded
+# and build no Gauss-Legendre rule, and the two ODE callers must still load
+# scipy.integrate when first called.
 COLD_START = """
 import contextlib, io, sys
 
@@ -166,6 +167,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     for path in sys.argv[1:]:
         assert cli.main(["validate", path]) == 0, path
 assert scipy_modules() == [], scipy_modules()
+assert sharp._gauss_legendre.cache_info().currsize == 0
 
 v = wells.optimal_profile(wells.constant_quartic(), 0.5, [-1.0, 0.0, 1.0])
 assert v[1] == 0.5 and 0.0 < v[0] < 0.5 < v[2] < 1.0, v
@@ -252,6 +254,8 @@ class TestRun:
         # factor 0.5 would pass a defect that doubles per dt-halving
         path = write(tmp_path, "experiment=dissipation\ntol.factor=0.5\n"
                                f"out_dir={tmp_path}\n")
+        assert cli.main(["validate", path]) == 2
+        assert "factor > 1" in capsys.readouterr().out
         assert cli.main(["run", path]) == 2
         assert "factor > 1" in capsys.readouterr().err
         assert glob.glob(os.path.join(tmp_path, "*.csv")) == []

@@ -915,8 +915,10 @@ LEDGER_LISTS = ("steps", "times", "energies", "dissipation_increments",
 @hst.composite
 def run_problems(draw):
     """A small 1-d or 2-d run: a constant, exponentially scaled or
-    moving-well quartic, a start time, a stable dt, a few steps and
-    snapshot times inside the run."""
+    moving-well quartic, a start time, a stable dt, a few steps,
+    snapshot times inside the run and the steps per ledger block, at
+    most 6, so that a run crosses several blocks and may end inside
+    one."""
     dim = draw(hst.sampled_from((1, 2)))
     n_max = 40 if dim == 1 else 16
     cells = tuple(draw(hst.integers(8, n_max)) for _ in range(dim))
@@ -940,7 +942,7 @@ def run_problems(draw):
     pad = 0.05 * max(hi - lo, 1.0)
     lw = flow.reaction_lipschitz(spec, g, (lo - pad, hi + pad))
     dt = draw(hst.floats(0.05, 1.0)) * eps ** 2 / lw
-    n = draw(hst.integers(1, 12))
+    n = draw(hst.integers(1, 20))
     t_end = t0 + n * dt
     # t_end - t0 carries the rounding of t0 + n dt, which run() accepts
     # up to 1e-9 dt
@@ -950,14 +952,49 @@ def run_problems(draw):
     times = [t for t in [t0 + f * n * dt for f in fracs]
              if t0 + 1e-12 < t <= t_end + 1e-12]
     state = flow.PhaseState(Field(g, v), eps, time=t0)
-    return state, spec, dt, t_end, times
+    return state, spec, dt, t_end, times, draw(hst.integers(1, 6))
+
+
+def _block_case(cells, n):
+    """A run of ``n`` steps on ``cells`` over the unit box: a smoothed
+    disk (an interval in 1-d) under an exponentially scaled quartic, with
+    snapshots inside the run and at its end."""
+    g = Grid((0.0,) * len(cells), (1.0,) * len(cells), cells)
+    r = np.sqrt(np.sum((g.points() - 0.5) ** 2, axis=-1))
+    spec = wells.exp_scaled_quartic(0.5)
+    state = flow.PhaseState(Field(g, 1.0 / (1.0 + np.exp((r - 0.3) / 0.05))),
+                            0.05, time=0.25)
+    lw = flow.reaction_lipschitz(spec, g, (-0.05, 1.05))
+    dt = 0.5 * 0.05 ** 2 / lw
+    times = [0.25 + f * n * dt for f in (0.3, 0.5, 1.0)]
+    return state, spec, dt, 0.25 + n * dt, times
 
 
 class TestRunKernelProperties:
     @settings(max_examples=80, deadline=None)
     @given(run_problems())
     def test_bit_identical_to_reference_loop(self, problem):
-        state, spec, dt, t_end, times = problem
+        # each block of the ledger holds ``block`` steps
+        *problem, block = problem
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "_BLOCK_CELLS",
+                       block * math.prod(problem[0].u.grid.cells))
+            self.check_against_reference(*problem)
+
+    # at the default block budget: 3 full blocks and one step of 1 024
+    # cells; 2 full blocks and one step of 128^2 cells, whose row sums
+    # each reduce more than numpy's 8 192-element buffer; one step per
+    # block at 256^2
+    @pytest.mark.parametrize("cells, n", [
+        ((1024,), 3 * (flow._BLOCK_CELLS // 1024) + 1),
+        ((128, 128), 2 * (flow._BLOCK_CELLS // 128 ** 2) + 1),
+        ((256, 256), 3),
+    ])
+    def test_default_blocks_bit_identical_to_reference_loop(self, cells, n):
+        self.check_against_reference(*_block_case(cells, n))
+
+    @staticmethod
+    def check_against_reference(state, spec, dt, t_end, times):
         got = flow.run(state, spec, dt, t_end, snapshot_times=times)
         ref = _reference_run(state, spec, dt, t_end, snapshot_times=times)
         assert np.array_equal(got.state.u.values, ref.state.u.values)
@@ -983,12 +1020,28 @@ class TestRunKernelProperties:
                 assert not np.shares_memory(x, y)
 
 
+FINITENESS_STATES = [profile_state(n=64, eps=0.05), disk_state(n=16)]
+
+
 class TestFinitenessGuard:
-    @pytest.mark.parametrize("st", [profile_state(n=64, eps=0.05),
-                                    disk_state(n=16)])
+    @pytest.mark.parametrize("st", FINITENESS_STATES)
     @pytest.mark.parametrize("k", [1, 3])
     def test_nonfinite_solve_raises_on_its_step(self, monkeypatch, st, k):
         # a NaN in the k-th solve is caught in step k: no later solve runs
+        self.check_raises_on_step(monkeypatch, st, k)
+
+    @pytest.mark.parametrize("st", FINITENESS_STATES)
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_nonfinite_solve_in_second_block_raises_on_its_step(
+            self, monkeypatch, st, k):
+        # two steps per ledger block: steps 3 and 4 form the second
+        # block, after the first block's ledger entries are formed
+        monkeypatch.setattr(flow, "_BLOCK_CELLS",
+                            2 * math.prod(st.u.grid.cells))
+        self.check_raises_on_step(monkeypatch, st, k)
+
+    @staticmethod
+    def check_raises_on_step(monkeypatch, st, k):
         import scipy.fft
 
         real = scipy.fft.idctn

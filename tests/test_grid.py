@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.spatial import cKDTree
 
 from wmcflab.errors import ExtractionError, GridMismatchError
-from wmcflab.grid import (Field, Grid, VectorField, _axis_scaling,
+from wmcflab.grid import (Field, FieldStack, Grid, VectorField, _axis_scaling,
                           _second_difference, extract_levelset, fit_circle,
                           gradient_neumann, integrate, laplacian_neumann,
                           pair_density)
@@ -81,6 +81,14 @@ def test_field_shape_and_finiteness():
         Field(g, np.full(16, np.nan))
     with pytest.raises(ValueError):
         VectorField(g, (np.zeros(16), np.zeros(16)))
+    # a stack holds its fields along one leading axis; a Field takes none
+    for bad in (np.zeros(16), np.zeros((2, 8)), np.zeros((2, 1, 16))):
+        with pytest.raises(ValueError, match="does not match"):
+            FieldStack(g, bad)
+    with pytest.raises(ValueError, match="does not match"):
+        Field(g, np.zeros((1, 16)))
+    with pytest.raises(ValueError, match="must be finite"):
+        FieldStack(g, np.full((2, 16), np.inf))
 
 
 class TestLaplacian:
@@ -227,6 +235,16 @@ class TestLaplacianProperties:
         assert len(comps) == len(ref) == g.dim
         for c, r in zip(comps, ref):
             assert np.array_equal(c, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_fields(count=3))
+    def test_stack_has_the_bits_of_each_field(self, gf):
+        # one call on a FieldStack gives each field the bits it gets alone
+        g, *fields = gf
+        lap = laplacian_neumann(FieldStack(g, [f.values for f in fields]))
+        assert isinstance(lap, FieldStack)
+        for f, row in zip(fields, lap.values):
+            assert row.tobytes() == laplacian_neumann(f).values.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(boxes(), st.data())

@@ -314,13 +314,15 @@ class TestBlockedOraclesMatchLoops:
 
 class TestQuadratureTables:
     def test_cached_tables_are_read_only(self):
-        from wmcflab import calib
-        tables = (sharp._DISK_NODES, sharp._DISK_WEIGHTS, sharp._DISK_DIRS,
-                  sharp._unit_circle(512), calib._ANNULUS_NODES,
-                  calib._ANNULUS_WEIGHTS, calib._ANNULUS_DIRS)
+        # the disk rule (64 x 128), the annulus rule of calib (256 x 256)
+        # and a boundary circle, each built once and shared
+        tables = (*sharp._gauss_legendre(64), sharp._unit_circle(128),
+                  *sharp._gauss_legendre(256), sharp._unit_circle(256),
+                  sharp._unit_circle(512))
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
+        assert sharp._gauss_legendre(64)[0] is tables[0]
 
     def test_boundary_nodes_are_fresh_arrays(self):
         circle = sharp.Sphere(CENTER, 0.3)
