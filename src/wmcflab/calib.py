@@ -23,6 +23,9 @@ frame alone. ``Calibration.at(x, t)`` is the frame plus what only the
 residuals at t read: g', grad xi, div xi, grad theta and V(t); the
 caller forms B = V xi, grad B = V grad xi and dist = |sdist|.
 
+sigma is the calibrated flow's: every function here reads
+``cal.traj.sigma``, and a calibration holds no copy of its own.
+
 The relative energy int sigma (1 - n . xi) dH and the bulk energy
 int sigma (chi_strong - chi_weak) theta dx are both nonnegative and
 control the interface tilt, distance, and mass errors (coercivity with
@@ -36,8 +39,9 @@ import numpy as np
 
 from .errors import GeometryError
 from .grid import Field, integrate
-from .sharp import (SharpTrajectory, Sphere, SurfaceTension, _gauss_legendre,
-                    _require_disk, _unit_circle, indicator)
+from .quadrature import gauss_legendre
+from .sharp import (SharpTrajectory, Sphere, _require_disk, _unit_circle,
+                    indicator)
 from .wells import point_norm
 
 _NEAR = 1e-4
@@ -100,7 +104,6 @@ class Calibration:
     """Evaluable calibration tuple around a radial trajectory."""
 
     traj: SharpTrajectory
-    sigma: SurfaceTension
     r: float                 # tube radius
     c: float                 # quadratic decay constant in |xi| bound
     r_g: float               # cutoff support radius, 1/sqrt(c)
@@ -134,9 +137,9 @@ class Calibration:
             grad_theta=-_truncation_deriv(f.sdist, self.r)[..., None] * e)
 
 
-def build_calibration(traj: SharpTrajectory, sigma: SurfaceTension,
+def build_calibration(traj: SharpTrajectory,
                       r: Optional[float] = None) -> Calibration:
-    """Calibration for a radial trajectory.
+    """Calibration for a radial trajectory, with the trajectory's sigma.
 
     The tube radius r defaults to 0.4 min_t R(t), and c = 1.01 / r^2. The
     cutoff support is shrunk to 1/sqrt(c) so |xi| <= max{0, 1 - c dist^2}
@@ -160,7 +163,7 @@ def build_calibration(traj: SharpTrajectory, sigma: SurfaceTension,
         raise GeometryError("tube radius must stay below min_t R(t) for a "
                             "single-valued projection")
     c = 1.01 / r ** 2
-    return Calibration(traj=traj, sigma=sigma, r=r, c=c, r_g=1.0 / np.sqrt(c))
+    return Calibration(traj=traj, r=r, c=c, r_g=1.0 / np.sqrt(c))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +218,8 @@ def calibration_residuals(cal: Calibration, points: np.ndarray, times,
     if times.size == 0:
         raise ValueError("calibration residuals need one or more times")
     t_lo, t_hi = float(cal.traj.times[0]), float(cal.traj.times[-1])
-    sig = cal.sigma.value(points)
-    grad_log = cal.sigma.grad(points) / sig[..., None]
+    sig = cal.traj.sigma.value(points)
+    grad_log = cal.traj.sigma.grad(points) / sig[..., None]
     rows = []
     for t in times:
         t = float(t)
@@ -319,18 +322,16 @@ def calibration_invariants(cal: Calibration, times, n_per_time: int = 1000,
 # relative and bulk energies
 # ---------------------------------------------------------------------------
 
-def relative_energy(weak, cal: Calibration, sigma: SurfaceTension,
-                    t: float) -> float:
+def relative_energy(weak, cal: Calibration, t: float) -> float:
     """int sigma (1 - n_weak . xi) dH over the weak interface (1024
     nodes); >= 0."""
     pts, w, normals = weak.boundary_nodes(1024)
     xi = cal._frame(pts, t).xi
-    vals = sigma.value(pts) * (1.0 - np.sum(normals * xi, axis=-1))
+    vals = cal.traj.sigma.value(pts) * (1.0 - np.sum(normals * xi, axis=-1))
     return float(np.sum(w * vals))
 
 
-def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension,
-                t: float) -> float:
+def bulk_energy(weak, cal: Calibration, t: float) -> float:
     """int sigma (chi_strong - chi_weak) theta dx; >= 0 by sign conditions.
 
     ``weak`` is either a Sphere concentric with the calibrated flow
@@ -343,7 +344,7 @@ def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension,
         pts = weak.grid.points()
         chi_weak = weak.values
         chi_strong = indicator(cal.traj.interface_at(t), pts)
-        vals = sigma.value(pts) * (chi_strong - chi_weak) \
+        vals = cal.traj.sigma.value(pts) * (chi_strong - chi_weak) \
             * cal._frame(pts, t).theta
         return integrate(Field(weak.grid, vals))
     if isinstance(weak, Sphere):
@@ -356,7 +357,7 @@ def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension,
         if abs(r_w - r_s) < 1e-15:
             return 0.0
         lo, hi = min(r_w, r_s), max(r_w, r_s)
-        nodes, weights = _gauss_legendre(256)
+        nodes, weights = gauss_legendre(256)
         rho = 0.5 * (hi - lo) * (nodes + 1.0) + lo
         wr = 0.5 * (hi - lo) * weights
         pts = center + rho[:, None, None] * _unit_circle(256)[None, :, :]
@@ -365,7 +366,7 @@ def bulk_energy(weak, cal: Calibration, sigma: SurfaceTension,
         # sigma sgn tau rho wr, in that order: the first product is a new
         # array (the one sigma.value returns is never written), the rest
         # go in place
-        vals = sigma.value(pts) * sgn
+        vals = cal.traj.sigma.value(pts) * sgn
         vals *= _truncation(r_s - rho, cal.r)[:, None]
         vals *= rho[:, None]
         vals *= wr[:, None]
@@ -383,8 +384,7 @@ class CoercivityReport:
     c_theta: Optional[float]
 
 
-def coercivity_check(weak, cal: Calibration, sigma: SurfaceTension,
-                     t: float) -> CoercivityReport:
+def coercivity_check(weak, cal: Calibration, t: float) -> CoercivityReport:
     """Tilt coercivity with constant exactly 1: tilt + slack = E_rel, on
     1024 nodes of the weak interface.
 
@@ -393,7 +393,7 @@ def coercivity_check(weak, cal: Calibration, sigma: SurfaceTension,
     pts, w, normals = weak.boundary_nodes(1024)
     f = cal._frame(pts, t)
     xi = f.xi
-    sig = sigma.value(pts)
+    sig = cal.traj.sigma.value(pts)
     tilt = float(np.sum(w * sig * 0.5 * np.sum((normals - xi) ** 2, axis=-1)))
     slack = float(np.sum(w * sig * 0.5 * (1.0 - np.sum(xi ** 2, axis=-1))))
     e_rel = float(np.sum(w * sig * (1.0 - np.sum(normals * xi, axis=-1))))
@@ -441,8 +441,7 @@ def _fit_constant(times, values, forcing, zero_tol, offset=0.0):
         np.maximum(growth, 0.0) / np.maximum(cum[1:], 1e-14))))
 
 
-def gronwall_verify(weak: SharpTrajectory, cal: Calibration,
-                    sigma: SurfaceTension, times,
+def gronwall_verify(weak: SharpTrajectory, cal: Calibration, times,
                     zero_tol: float = 1e-8) -> GronwallReport:
     """Fit the stability constants of the relative/bulk energy estimates.
 
@@ -465,10 +464,10 @@ def gronwall_verify(weak: SharpTrajectory, cal: Calibration,
     if not np.all(np.diff(times) > 0):
         raise ValueError("gronwall_verify needs strictly increasing times")
     ifaces = [weak.interface_at(t) for t in times]
-    co = [coercivity_check(iface, cal, sigma, t)
+    co = [coercivity_check(iface, cal, t)
           for iface, t in zip(ifaces, times)]
     e_rel = np.array([c.e_rel for c in co])
-    e_bulk = np.array([bulk_energy(iface, cal, sigma, t)
+    e_bulk = np.array([bulk_energy(iface, cal, t)
                        for iface, t in zip(ifaces, times)])
     c_rel = _fit_constant(times, e_rel, e_rel, zero_tol)
     c_bulk = _fit_constant(times, e_bulk, e_rel + e_bulk, zero_tol,

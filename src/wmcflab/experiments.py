@@ -122,9 +122,10 @@ def _full_length(traj: sharp.SharpTrajectory,
     return traj
 
 
-def _radial_reference(r0: float, sig: sharp.ScalarSigma,
-                      t_end: float) -> sharp.SharpTrajectory:
-    """Exact radial flow about the center of the unit box up to t_end."""
+def _radial_reference(r0: float, t_end: float) -> sharp.SharpTrajectory:
+    """Exact radial flow about the center of the unit box up to t_end, at
+    the one sigma of the radial runners, which their oracles read off it."""
+    sig = sharp.constant_scalar_sigma(SQRT2_OVER_6)
     return _full_length(sharp.evolve_radial(r0, sig, t_end, tol=1e-12,
                                             center=(0.5, 0.5)), t_end)
 
@@ -391,8 +392,7 @@ def run_ac_to_mcf_radial(r0: float = 0.4, t_end: float = 0.06,
     res = ExperimentResult("ac_to_mcf_radial",
                            csv_header=["eps", "t", "R_ode", "R_extracted",
                                        "rel_err"])
-    traj = _radial_reference(r0, sharp.constant_scalar_sigma(SQRT2_OVER_6),
-                             t_end)
+    traj = _radial_reference(r0, t_end)
     max_errs = _track_flow(
         res, wells.constant_quartic(), sharp.Sphere((0.5, 0.5), r0), traj,
         t_end, [(eps, _unit_box(n), frac) for eps, n, frac in runs],
@@ -442,9 +442,7 @@ def run_bv_residuals(r0: float = 0.4, t_end: float = 0.06,
     res = ExperimentResult("bv_residuals",
                            csv_header=["check", "time_or_Tprime", "field",
                                        "residual"])
-    sig_s = sharp.constant_scalar_sigma(SQRT2_OVER_6)
-    sigma = sig_s.about((0.5, 0.5))
-    traj = _radial_reference(r0, sig_s, t_end)
+    traj = _radial_reference(r0, t_end)
     center = (0.5, 0.5)
     fields = [("dilation", tf.dilation_field(center, 0.45, 0.49)),
               ("rotation", tf.rotation_field(center, 0.45, 0.49)),
@@ -456,7 +454,7 @@ def run_bv_residuals(r0: float = 0.4, t_end: float = 0.06,
         iface = traj.interface_at(t)
         v = float(traj.velocity(t))
         for name, psi in fields:
-            motion.append(sharp.motion_law_residual(iface, v, sigma, psi))
+            motion.append(sharp.motion_law_residual(iface, v, traj.sigma, psi))
             res.csv_rows.append(["motion_law", t, name, motion[-1]])
     res.add("motion-law residuals below tolerance for 5 test fields",
             ("|residual|", np.abs(motion), "<=", tol))
@@ -469,11 +467,11 @@ def run_bv_residuals(r0: float = 0.4, t_end: float = 0.06,
     res.add("transport residual (constant test function) below tolerance",
             ("|residual|", abs(tr), "<=", tol))
 
-    slack = sharp.dissipation_check(traj, sigma, t_end, n_t=4096)
+    slack = sharp.dissipation_check(traj, t_end, n_t=4096)
     res.csv_rows.append(["dissipation", t_end, "", slack])
     res.add("dissipation slack below tolerance",
             ("|slack|", abs(slack), "<=", tol))
-    slack2 = sharp.dissipation_check(traj, sigma, t_end, velocity_scale=2.0)
+    slack2 = sharp.dissipation_check(traj, t_end, velocity_scale=2.0)
     res.csv_rows.append(["dissipation_doubled_v", t_end, "", slack2])
     res.add("doubled velocity violates the dissipation inequality",
             ("slack", slack2, "<", -tol))
@@ -490,10 +488,7 @@ def run_calibration(r0: float = 0.4, t_end: float = 0.04,
     points, plus boundedness/stability of the residual ratios."""
     res = ExperimentResult("calibration",
                            csv_header=["quantity", "value"])
-    sig_s = sharp.constant_scalar_sigma(SQRT2_OVER_6)
-    sigma = sig_s.about((0.5, 0.5))
-    traj = _radial_reference(r0, sig_s, t_end)
-    cal = calib.build_calibration(traj, sigma)
+    cal = calib.build_calibration(_radial_reference(r0, t_end))
     inv = calib.calibration_invariants(cal, np.linspace(0, t_end, 10),
                                        n_per_time=n_per_time, seed=seed)
     res.csv_rows += [["xi_bound_violation", inv.max_xi_bound_violation],
@@ -544,14 +539,11 @@ def run_weak_strong(r0: float = 0.4, delta: float = 0.02,
     res = ExperimentResult("weak_strong",
                            csv_header=["case", "t", "E_rel", "E_bulk",
                                        "coercivity_slack"])
-    sig_s = sharp.constant_scalar_sigma(SQRT2_OVER_6)
-    sigma = sig_s.about((0.5, 0.5))
-    strong = _radial_reference(r0, sig_s, t_end)
-    cal = calib.build_calibration(strong, sigma)
+    strong = _radial_reference(r0, t_end)
+    cal = calib.build_calibration(strong)
     times = np.linspace(0.0, t_end * 0.975, n_times)
 
-    same = _radial_reference(r0, sig_s, t_end)
-    rep = calib.gronwall_verify(same, cal, sigma, times, zero_tol=zero_tol)
+    rep = calib.gronwall_verify(strong, cal, times, zero_tol=zero_tol)
     for k, t in enumerate(times):
         res.csv_rows.append(["identical", t, rep.e_rel[k], rep.e_bulk[k],
                              rep.coercivity_slack[k]])
@@ -560,8 +552,8 @@ def run_weak_strong(r0: float = 0.4, delta: float = 0.02,
             ("E_rel", rep.e_rel, "<=", zero_tol),
             ("E_bulk", rep.e_bulk, "<=", zero_tol))
 
-    pert = _radial_reference(r0 + delta, sig_s, t_end)
-    rep2 = calib.gronwall_verify(pert, cal, sigma, times, zero_tol=zero_tol)
+    pert = _radial_reference(r0 + delta, t_end)
+    rep2 = calib.gronwall_verify(pert, cal, times, zero_tol=zero_tol)
     for k, t in enumerate(times):
         res.csv_rows.append(["perturbed", t, rep2.e_rel[k], rep2.e_bulk[k],
                              rep2.coercivity_slack[k]])

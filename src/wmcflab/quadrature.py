@@ -5,12 +5,20 @@ but only Lipschitz at the interval endpoints, so a fixed rule stalls near
 the wells; bisection confines the refinement there.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import NumericError
 
-_N_LO, _W_LO = np.polynomial.legendre.leggauss(10)
-_N_HI, _W_HI = np.polynomial.legendre.leggauss(20)
+
+@lru_cache(maxsize=16)
+def gauss_legendre(n: int):
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _apply(f, lo, hi, nodes, weights):
@@ -44,6 +52,7 @@ def adaptive_gauss_legendre(f, lo, hi, tol=1e-10):
         lo, hi = hi, lo
         sign = -1.0
     total_len = hi - lo
+    (n_lo, w_lo), (n_hi, w_hi) = gauss_legendre(10), gauss_legendre(20)
     stack = [(lo, hi)]
     value = None
     err_acc = 0.0
@@ -56,8 +65,8 @@ def adaptive_gauss_legendre(f, lo, hi, tol=1e-10):
                 "quadrature did not converge within the panel budget",
                 achieved=err_acc,
             )
-        coarse = _apply(f, a, b, _N_LO, _W_LO)
-        fine = _apply(f, a, b, _N_HI, _W_HI)
+        coarse = _apply(f, a, b, n_lo, w_lo)
+        fine = _apply(f, a, b, n_hi, w_hi)
         err = float(np.max(np.abs(fine - coarse)))
         share = tol * (b - a) / total_len
         if err <= share or (b - a) < 1e-14 * total_len:

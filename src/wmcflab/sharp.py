@@ -17,6 +17,10 @@ and for a 1-d point interface dp/dt = -sigma'(p)/sigma(p). Both exact
 references come from one integrator (``_integrate``): each flow states
 only its rate law, its stop events and the sign relating V to dy/dt.
 
+sigma is given once, to the flow: ``SharpTrajectory.sigma`` holds it for
+``dissipation_check`` and ``calib``. Static geometry (``Sphere``,
+``Point1D``) carries none, so the pairings on one interface take sigma.
+
 The sharp first variation of E = int sigma d|grad chi_A| along a test
 field psi is written once, as ``sharp_first_variation``:
 
@@ -36,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GeometryError, NumericError
-from .quadrature import adaptive_gauss_legendre
+from .quadrature import adaptive_gauss_legendre, gauss_legendre
 from .testfields import TestVectorField
 from .wells import (WellSpec, as_points, geodesic_distance, grad_gamma,
                     normalized_well, normalized_well_dx, point_norm,
@@ -248,7 +252,8 @@ class SharpTrajectory:
     """Time-sampled interface with a dense position evaluator.
 
     ``positions`` holds R(t) for spheres or p(t) for 1-d points;
-    ``velocities`` holds V in the n_A convention at the sample times.
+    ``velocities`` holds V in the n_A convention at the sample times, and
+    ``sigma`` the surface tension of the solved flow as a field of x.
     ``position`` and ``velocity`` raise GeometryError at any time outside
     [times[0], times[-1]] (to 1e-12 max(1, t_end)), where the trajectory
     was never computed.
@@ -263,6 +268,7 @@ class SharpTrajectory:
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
+    sigma: SurfaceTension
     center: Optional[tuple] = None
     truncated: bool = False
     _dense: Optional[Callable] = None
@@ -311,8 +317,8 @@ def _integrate(rate, y0: float, t_end: float, tol: float, stops, sign: float,
     from y(0) = y0 by RK45 at rtol = atol = ``tol``, stopping early (and
     flagging ``truncated``) at the first zero of a ``stops`` function of y.
     Position is the dense interpolant and V = sign * rate(position), at the
-    257 sample times and at any time alike; ``fields`` (kind, center) go
-    to the SharpTrajectory."""
+    257 sample times and at any time alike; ``fields`` (kind, sigma,
+    center) go to the SharpTrajectory."""
     from scipy.integrate import solve_ivp
 
     def event(stop):
@@ -356,7 +362,7 @@ def evolve_radial(r0: float, sigma: ScalarSigma, t_end: float,
     return _integrate(
         lambda r: -(ndim - 1) / r - sigma.deriv(r) / sigma.value(r),
         r0, t_end, tol, [lambda r: r - 1e-3], -1.0,
-        kind="sphere", center=tuple(center))
+        kind="sphere", sigma=sigma.about(center), center=tuple(center))
 
 
 def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
@@ -366,7 +372,7 @@ def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
     truncation) if p leaves [0, 1] through either end."""
     return _integrate(lambda p: -sigma.deriv(p) / sigma.value(p),
                       p0, t_end, tol, [lambda p: p, lambda p: 1.0 - p], 1.0,
-                      kind="point1d")
+                      kind="point1d", sigma=sigma.along_axis())
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +393,6 @@ class SpaceTimeTest:
     dt: Callable[[np.ndarray, float], np.ndarray]
 
 
-@lru_cache(maxsize=16)
-def _gauss_legendre(n: int):
-    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
 # Times per block of the boundary sums: a block holds _TIME_BLOCK x n x 2
 # node coordinates (0.5 MB at 512 nodes, inside a 1 MB L2 cache), however
 # long the time grid is. 64 ran the 4 097-time dissipation check about
@@ -413,10 +410,21 @@ def _require_disk(traj: SharpTrajectory, what: str) -> None:
                             f"got a {dim}-d {traj.kind} trajectory")
 
 
+def _sampled(traj: SharpTrajectory, t_prime: float, n_t: int, what: str):
+    """(center, ts, R, V) on the n_t + 1 trapezoid times ts on [0, t_prime].
+    Raises GeometryError unless ``traj`` is radial in 2-d, and ValueError
+    for n_t < 1: the one time t = 0 would compare R(0) with R(0) and pass."""
+    _require_disk(traj, what)
+    if n_t < 1:
+        raise ValueError(f"{what} need n_t >= 1, got {n_t!r}")
+    ts = np.linspace(0.0, t_prime, n_t + 1)
+    return np.array(traj.center), ts, traj.position(ts), traj.velocity(ts)
+
+
 def _bulk_integral(center: np.ndarray, radius: float, fn) -> float:
     """int_{A} fn(x) dx for the disk A of ``radius`` about ``center``, by
     one fixed disk rule: 64 Gauss-Legendre radii times 128 angles."""
-    nodes, weights = _gauss_legendre(64)
+    nodes, weights = gauss_legendre(64)
     r = 0.5 * radius * (nodes + 1.0)
     wr = 0.5 * radius * weights
     pts = center + r[:, None, None] * _unit_circle(128)[None, :, :]
@@ -445,18 +453,13 @@ def transport_residual(traj: SharpTrajectory, zeta: SpaceTimeTest,
          - int_0^T' int_{boundary} V zeta dH dt
 
     Time quadrature is the trapezoid rule on ``n_t`` intervals (second
-    order under step halving). The trajectory's radius and velocity are
-    evaluated once on the whole time grid. The bulk term is one disk
-    quadrature per sample, on one fixed rule; the boundary
-    integral takes 256 nodes and is summed over blocks of _TIME_BLOCK
-    times, each row over its own nodes.
-    Raises GeometryError for a trajectory that is not radial in 2-d.
+    order under step halving), with R and V evaluated once on the whole
+    grid. The bulk term is one disk quadrature per sample, on one fixed
+    rule; the boundary integral takes 256 nodes and is summed over blocks
+    of _TIME_BLOCK times, each row over its own nodes. Raises
+    GeometryError unless the flow is radial in 2-d, ValueError for n_t < 1.
     """
-    _require_disk(traj, "transport residuals")
-    center = np.array(traj.center)
-    ts = np.linspace(0.0, t_prime, n_t + 1)
-    radii = traj.position(ts)
-    v = traj.velocity(ts)
+    center, ts, radii, v = _sampled(traj, t_prime, n_t, "transport residuals")
     lhs = (_bulk_integral(center, radii[-1], lambda x: zeta.value(x, t_prime))
            - _bulk_integral(center, radii[0], lambda x: zeta.value(x, 0.0)))
     bulk = np.array([_bulk_integral(center, r, lambda x: zeta.dt(x, t))
@@ -494,35 +497,31 @@ def motion_law_residual(interface, V, sigma: SurfaceTension,
     return float(term_v - sharp_first_variation(interface, sigma, psi))
 
 
-def dissipation_check(traj: SharpTrajectory, sigma: SurfaceTension,
-                      t_prime: float, n_t: int = 1024,
-                      velocity_scale: float = 1.0) -> float:
+def dissipation_check(traj: SharpTrajectory, t_prime: float,
+                      n_t: int = 1024, velocity_scale: float = 1.0) -> float:
     """Slack E[0] - (E[T'] + int_0^T' int sigma V^2) of the optimal
-    dissipation inequality; >= -tol for admissible flows.
+    dissipation inequality, with the trajectory's own sigma; >= -tol for
+    admissible flows.
 
-    Time quadrature is the trapezoid rule on ``n_t`` intervals, and every
-    boundary integral takes 512 nodes. The trajectory's radius and
-    velocity are evaluated once on the whole time grid, and the
-    dissipation is summed over blocks of _TIME_BLOCK times, each row over
-    its own nodes. ``velocity_scale`` rescales V inside the dissipation
-    integral only (used to demonstrate that inflated velocities violate
-    the inequality). Raises GeometryError for a trajectory that is not
-    radial in 2-d.
+    Time quadrature is the trapezoid rule on ``n_t`` intervals, with R
+    and V evaluated once on the whole grid, and every boundary integral
+    takes 512 nodes. The dissipation is summed over blocks of _TIME_BLOCK
+    times, each row over its own nodes. ``velocity_scale`` rescales V
+    inside the dissipation integral only (used to demonstrate that
+    inflated velocities violate the inequality). Raises GeometryError
+    unless the flow is radial in 2-d, ValueError for n_t < 1.
     """
-    _require_disk(traj, "dissipation checks")
-    center = np.array(traj.center)
-    ts = np.linspace(0.0, t_prime, n_t + 1)
-    radii = traj.position(ts)
-    v = velocity_scale * traj.velocity(ts)
+    center, ts, radii, v = _sampled(traj, t_prime, n_t, "dissipation checks")
+    v = velocity_scale * v
     vals = np.empty_like(ts)
     for rows, pts, w in _circle_blocks(center, radii, 512):
         vb = v[rows, None]
         # w sigma V V: the first product is new, the rest go in place
-        dens = w * sigma.value(pts)
+        dens = w * traj.sigma.value(pts)
         dens *= vb
         dens *= vb
         vals[rows] = np.sum(dens, axis=-1)
     integral = float(np.trapezoid(vals, ts))
-    e_end = weighted_perimeter(traj.interface_at(t_prime), sigma, 512)
-    e_start = weighted_perimeter(traj.interface_at(0.0), sigma, 512)
+    e_end = weighted_perimeter(traj.interface_at(t_prime), traj.sigma, 512)
+    e_start = weighted_perimeter(traj.interface_at(0.0), traj.sigma, 512)
     return e_start - (e_end + integral)

@@ -1,5 +1,6 @@
 """Calibrations, relative/bulk energies, coercivity, Gronwall fits."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -19,32 +20,31 @@ CENTER = (0.5, 0.5)
 
 
 def radial_setup(r0=0.4, t_end=0.04):
-    sig_s = sharp.constant_scalar_sigma(SQRT2_6)
-    sigma = sig_s.about(CENTER)
-    traj = sharp.evolve_radial(r0, sig_s, t_end, tol=1e-12, center=CENTER)
-    return traj, sigma
+    return sharp.evolve_radial(r0, sharp.constant_scalar_sigma(SQRT2_6),
+                               t_end, tol=1e-12, center=CENTER)
 
 
 def frozen_sphere(radius=0.3):
     """Static sphere with zero velocity (frozen test trajectory)."""
     times = np.linspace(0.0, 1.0, 9)
-    return sharp.SharpTrajectory(kind="sphere", times=times,
-                                 positions=np.full(9, radius),
-                                 velocities=np.zeros(9), center=CENTER)
+    return sharp.SharpTrajectory(
+        kind="sphere", times=times, positions=np.full(9, radius),
+        velocities=np.zeros(9),
+        sigma=sharp.constant_scalar_sigma(1.0).about(CENTER), center=CENTER)
 
 
 class TestBuildCalibration:
     def test_defaults(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         r_min = float(np.min(traj.positions))
         assert cal.r == pytest.approx(0.4 * r_min)
         assert cal.c == pytest.approx(1.01 / cal.r ** 2)
         assert cal.r_g <= cal.r
 
     def test_boundary_identities(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         t = 0.02
         iface = traj.interface_at(t)
         pts, _, normals = iface.boundary_nodes(128)
@@ -57,8 +57,8 @@ class TestBuildCalibration:
                         rtol=1e-9)
 
     def test_cutoff_saturation_outside_tube(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         t = 0.01
         R = float(traj.position(t))
         far = np.array([[0.5 + R + cal.r + 0.05, 0.5],
@@ -68,8 +68,8 @@ class TestBuildCalibration:
         assert_allclose(np.abs(f.theta), cal.r, atol=1e-14)
 
     def test_xi_length_bound_sampled(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         rng = np.random.default_rng(0)
         pts = np.array(CENTER) + rng.uniform(-0.5, 0.5, size=(4000, 2))
         for t in (0.0, 0.02, 0.039):
@@ -78,17 +78,17 @@ class TestBuildCalibration:
             assert np.max(np.linalg.norm(f.xi, axis=-1) - bound) <= 1e-14
 
     def test_tube_too_wide_raises(self):
-        traj, sigma = radial_setup()
+        traj = radial_setup()
         with pytest.raises(GeometryError):
-            calib.build_calibration(traj, sigma, r=0.5)
+            calib.build_calibration(traj, r=0.5)
 
     # a negative radius flips every theta sign, NaN makes every field
     # NaN, zero divides by zero in c = 1.01 / r^2
     @pytest.mark.parametrize("r", [-0.1, float("nan"), 0.0, float("inf")])
     def test_tube_radius_not_positive_finite_raises(self, r):
-        traj, sigma = radial_setup()
+        traj = radial_setup()
         with pytest.raises(GeometryError, match="positive finite"):
-            calib.build_calibration(traj, sigma, r=r)
+            calib.build_calibration(traj, r=r)
 
     def test_truncated_trajectory_rejected(self):
         # the 3-d sphere of radius 0.4 goes extinct at t = 0.04: R(t)
@@ -99,13 +99,13 @@ class TestBuildCalibration:
                                    center=center)
         assert traj.truncated
         with pytest.raises(GeometryError, match="truncated"):
-            calib.build_calibration(traj, sig_s.about(center))
+            calib.build_calibration(traj)
 
     def test_point_trajectory_rejected(self):
         sig = sharp.constant_scalar_sigma(1.0)
         traj = sharp.evolve_point1d(0.5, sig, 0.1, tol=1e-10)
         with pytest.raises(GeometryError):
-            calib.build_calibration(traj, sig.along_axis())
+            calib.build_calibration(traj)
 
 
 class PerFieldReference:
@@ -188,8 +188,8 @@ def residuals_reference(cal, points, t, fd_dt):
     r2 = np.abs(dt_xi2 + np.sum(Bv * grad_xi2, axis=-1))
     dt_theta = _dt4(lambda s: ref.theta(points, s), t, fd_dt)
     r3 = np.abs(dt_theta + np.sum(Bv * ref.grad_theta(points, t), axis=-1))
-    sig = cal.sigma.value(points)
-    grad_log = cal.sigma.grad(points) / sig[..., None]
+    sig = cal.traj.sigma.value(points)
+    grad_log = cal.traj.sigma.grad(points) / sig[..., None]
     r4 = np.abs(-ref.div_xi(points, t)
                 - np.sum(grad_log * xi, axis=-1)
                 - np.sum(Bv * xi, axis=-1))
@@ -200,9 +200,9 @@ def residuals_reference(cal, points, t, fd_dt):
 def calibration_about(center):
     # to t = 0.02 the 3-d sphere shrinks from 0.4 to 0.28 (it is extinct
     # at t = 0.04), so the tube keeps a radius of 0.11 in both dimensions
-    sig_s = sharp.constant_scalar_sigma(SQRT2_6)
-    traj = sharp.evolve_radial(0.4, sig_s, 0.02, tol=1e-12, center=center)
-    return calib.build_calibration(traj, sig_s.about(center))
+    traj = sharp.evolve_radial(0.4, sharp.constant_scalar_sigma(SQRT2_6),
+                               0.02, tol=1e-12, center=center)
+    return calib.build_calibration(traj)
 
 
 # the center itself (where rho is clamped at 1e-300) and points at
@@ -293,8 +293,8 @@ class TestEvaluator:
 
 class TestResiduals:
     def test_on_interface_residuals_small(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         for t in (0.01, 0.03):
             pts, _, _ = traj.interface_at(t).boundary_nodes(32)
             res = calib.calibration_residuals(cal, pts, [t])
@@ -305,10 +305,28 @@ class TestResiduals:
             # no sample lies _NEAR off the interface: no ratio is measured
             assert all(np.isnan(v) for v in res.ratios().values())
 
+    def test_weighted_flow_r4_vanishes_on_the_interface(self):
+        # sigma = (sqrt 2 / 6) e^{rho} about the center: grad sigma is not
+        # zero, so r4 = -div xi - grad(log sigma) . xi - B . xi vanishes on
+        # the interface only if the calibration reads the sigma its flow
+        # was solved with
+        traj = sharp.evolve_radial(
+            0.4, sharp.exponential_scalar_sigma(1.0, scale=SQRT2_6), 0.04,
+            tol=1e-12, center=CENTER)
+        constant = sharp.constant_scalar_sigma(SQRT2_6).about(CENTER)
+        mismatched = dataclasses.replace(traj, sigma=constant)
+        for t in np.linspace(0.002, 0.038, 7):
+            pts, _, _ = traj.interface_at(t).boundary_nodes(256)
+            r4 = calib.calibration_residuals(calib.build_calibration(traj),
+                                             pts, [t]).r4
+            assert r4.max() <= 1e-12
+            # the control: the flow's V with another sigma's grad log sigma
+            r4 = calib.calibration_residuals(
+                calib.build_calibration(mismatched), pts, [t]).r4
+            assert r4.min() >= 0.5
+
     def test_frozen_sphere_r3_vanishes(self):
-        traj = frozen_sphere()
-        sigma = sharp.constant_scalar_sigma(1.0).about(CENTER)
-        cal = calib.build_calibration(traj, sigma)
+        cal = calib.build_calibration(frozen_sphere())
         rng = np.random.default_rng(1)
         pts = np.array(CENTER) + rng.uniform(-0.4, 0.4, size=(500, 2))
         res = calib.calibration_residuals(cal, pts, [0.5])
@@ -319,8 +337,8 @@ class TestResiduals:
         assert res.r2.max() <= 1e-11
 
     def test_ratios_stable_under_fd_halving(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         rng = np.random.default_rng(2)
         pts = np.array(CENTER) + rng.uniform(-0.45, 0.45, size=(1500, 2))
         times = np.linspace(0.002, 0.038, 5)
@@ -331,8 +349,8 @@ class TestResiduals:
             assert max(r_a[k], r_b[k]) / min(r_a[k], r_b[k]) <= 2.0
 
     def test_times_outside_window_raise(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         with pytest.raises(ValueError):
             calib.calibration_residuals(cal, np.array([[0.5, 0.8]]), [0.0])
 
@@ -344,99 +362,98 @@ class TestResiduals:
 
 class TestEnergies:
     def test_relative_energy_of_identical_interface(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
-        e = calib.relative_energy(traj.interface_at(0.02), cal, sigma, 0.02)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
+        e = calib.relative_energy(traj.interface_at(0.02), cal, 0.02)
         assert abs(e) <= 1e-14
 
     def test_relative_energy_matches_cutoff_closed_form(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         t, delta = 0.01, 0.015
         R = float(traj.position(t))
         weak = sharp.Sphere(CENTER, R + delta)
-        e = calib.relative_energy(weak, cal, sigma, t)
+        e = calib.relative_energy(weak, cal, t)
         g = (1.0 - (delta / cal.r_g) ** 2) ** 2
         expected = 2 * np.pi * (R + delta) * SQRT2_6 * (1.0 - g)
         assert_allclose(e, expected, rtol=1e-12)
 
     def test_tube_exterior_weak_interface_pays_full_perimeter(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         weak = sharp.Sphere(CENTER, 0.05)  # far inside, outside the tube
-        e = calib.relative_energy(weak, cal, sigma, 0.01)
-        assert_allclose(e, sharp.weighted_perimeter(weak, sigma), rtol=1e-12)
+        e = calib.relative_energy(weak, cal, 0.01)
+        assert_allclose(e, sharp.weighted_perimeter(weak, traj.sigma),
+                        rtol=1e-12)
 
     def test_bulk_energy_three_d_raises_geometry_error(self):
         # the annulus and grid rules integrate over 2-d phases only
         center = (0.5, 0.5, 0.5)
-        sig_s = sharp.constant_scalar_sigma(SQRT2_6)
-        sigma = sig_s.about(center)
-        traj = sharp.evolve_radial(0.3, sig_s, 0.01, tol=1e-10, center=center)
-        cal = calib.build_calibration(traj, sigma)
+        traj = sharp.evolve_radial(0.3, sharp.constant_scalar_sigma(SQRT2_6),
+                                   0.01, tol=1e-10, center=center)
+        cal = calib.build_calibration(traj)
         with pytest.raises(GeometryError, match="radial 2-d"):
-            calib.bulk_energy(sharp.Sphere(center, 0.32), cal, sigma, 0.005)
+            calib.bulk_energy(sharp.Sphere(center, 0.32), cal, 0.005)
 
     def test_bulk_energy_zero_for_equal_sets(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
-        assert calib.bulk_energy(traj.interface_at(0.02), cal, sigma,
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
+        assert calib.bulk_energy(traj.interface_at(0.02), cal,
                                  0.02) == 0.0
 
     def test_bulk_energy_annulus_closed_form(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         t, delta = 0.01, 0.02  # delta < r/2, so theta = sdist there
         R = float(traj.position(t))
         weak = sharp.Sphere(CENTER, R + delta)
-        got = calib.bulk_energy(weak, cal, sigma, t)
+        got = calib.bulk_energy(weak, cal, t)
         # int_R^{R+d} sigma (rho - R) 2 pi rho drho
         expected = 2 * np.pi * SQRT2_6 * (delta ** 2 * R / 2 + delta ** 3 / 3)
         assert_allclose(got, expected, rtol=1e-10)
         assert got > 0
 
     def test_bulk_energy_grid_route_agrees(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         t, delta = 0.01, 0.02
         R = float(traj.position(t))
         weak = sharp.Sphere(CENTER, R + delta)
         grid = Grid.box((0, 0), (1, 1), (256, 256))
         chi = Field(grid, sharp.indicator(weak, grid.points()))
-        by_grid = calib.bulk_energy(chi, cal, sigma, t)
-        exact = calib.bulk_energy(weak, cal, sigma, t)
+        by_grid = calib.bulk_energy(chi, cal, t)
+        exact = calib.bulk_energy(weak, cal, t)
         assert abs(by_grid - exact) <= 0.05 * exact + 1e-5
 
     def test_bulk_energy_complement_strictly_positive(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         grid = Grid.box((0, 0), (1, 1), (128, 128))
         chi = Field(grid, 1.0 - sharp.indicator(traj.interface_at(0.01),
                                                 grid.points()))
-        assert calib.bulk_energy(chi, cal, sigma, 0.01) > 0.01
+        assert calib.bulk_energy(chi, cal, 0.01) > 0.01
 
 
 class TestCoercivity:
     def test_identity_and_slack(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         weak = sharp.Sphere(CENTER, float(traj.position(0.02)) + 0.015)
-        rep = calib.coercivity_check(weak, cal, sigma, 0.02)
+        rep = calib.coercivity_check(weak, cal, 0.02)
         assert rep.identity_error <= 1e-14
         assert rep.slack >= 0.0
         assert rep.tilt <= rep.e_rel
 
     def test_equal_interfaces_all_zero(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
-        rep = calib.coercivity_check(traj.interface_at(0.02), cal, sigma, 0.02)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
+        rep = calib.coercivity_check(traj.interface_at(0.02), cal, 0.02)
         assert rep.tilt <= 1e-14 and rep.e_rel <= 1e-14
 
     def test_exterior_interface_reports_constants(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
-        rep = calib.coercivity_check(sharp.Sphere(CENTER, 0.05), cal, sigma,
-                                     0.01)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
+        rep = calib.coercivity_check(sharp.Sphere(CENTER, 0.05), cal, 0.01)
         assert rep.c_dist is not None and rep.c_dist > 0
         assert rep.c_theta is not None and rep.c_theta > 0
 
@@ -448,11 +465,11 @@ class TestCoercivity:
            hst.floats(0.0, 0.04))
     @example(0.02, 1.0, 0.0039)
     def test_e_rel_equals_relative_energy(self, offset, side, t):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         weak = sharp.Sphere(CENTER, float(traj.position(t)) + side * offset)
-        e_rel = calib.coercivity_check(weak, cal, sigma, t).e_rel
-        ref = calib.relative_energy(weak, cal, sigma, t)
+        e_rel = calib.coercivity_check(weak, cal, t).e_rel
+        ref = calib.relative_energy(weak, cal, t)
         assert abs(e_rel - ref) <= 8 * np.finfo(float).eps * ref
 
 
@@ -490,21 +507,21 @@ class TestGronwall:
         assert np.isnan(got) == (len(rows) < 2)
 
     def test_identical_trajectories_stay_at_zero(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         other = sharp.evolve_radial(0.4, sharp.constant_scalar_sigma(SQRT2_6),
                                     0.04, tol=1e-12, center=CENTER)
         times = np.linspace(0.0, 0.038, 21)
-        rep = calib.gronwall_verify(other, cal, sigma, times)
+        rep = calib.gronwall_verify(other, cal, times)
         assert np.all(rep.e_rel <= 1e-8) and np.all(rep.e_bulk <= 1e-8)
 
     def test_perturbed_radius_fitted_constant(self):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         pert = sharp.evolve_radial(0.42, sharp.constant_scalar_sigma(SQRT2_6),
                                    0.04, tol=1e-12, center=CENTER)
         times = np.linspace(0.0, 0.038, 41)
-        rep = calib.gronwall_verify(pert, cal, sigma, times)
+        rep = calib.gronwall_verify(pert, cal, times)
         assert np.isfinite(rep.fitted_c_rel) and rep.fitted_c_rel > 0
         c_rel = (rep.fitted_c_rel, rep.fitted_c_rel_coarse)
         assert max(c_rel) <= 2.0 * min(c_rel)
@@ -515,7 +532,7 @@ class TestGronwall:
         assert np.all(rep.e_rel >= 0) and np.all(rep.e_bulk >= 0)
         assert np.all(rep.coercivity_slack >= 0)
         k = 17
-        co = calib.coercivity_check(pert.interface_at(times[k]), cal, sigma,
+        co = calib.coercivity_check(pert.interface_at(times[k]), cal,
                                     times[k])
         assert rep.coercivity_slack[k] == co.slack
         assert rep.coercivity_identity_error[k] == co.identity_error
@@ -528,12 +545,12 @@ class TestGronwallTimes:
     @pytest.mark.parametrize("times", [[], [0.03, 0.02, 0.0],
                                        [0.0, 0.02, 0.02], [0.0, np.nan]])
     def test_times_not_strictly_increasing_raise(self, times):
-        traj, sigma = radial_setup()
-        cal = calib.build_calibration(traj, sigma)
+        traj = radial_setup()
+        cal = calib.build_calibration(traj)
         pert = sharp.evolve_radial(0.42, sharp.constant_scalar_sigma(SQRT2_6),
                                    0.04, tol=1e-12, center=CENTER)
         with pytest.raises(ValueError, match="gronwall_verify"):
-            calib.gronwall_verify(pert, cal, sigma, times)
+            calib.gronwall_verify(pert, cal, times)
 
     def test_run_exits_2_without_times(self, tmp_path):
         assert cli.run_experiment("weak_strong", run_weak_strong,
@@ -541,8 +558,8 @@ class TestGronwallTimes:
 
 
 def test_invariant_report():
-    traj, sigma = radial_setup()
-    cal = calib.build_calibration(traj, sigma)
+    traj = radial_setup()
+    cal = calib.build_calibration(traj)
     inv = calib.calibration_invariants(cal, np.linspace(0, 0.04, 5),
                                        n_per_time=400)
     assert inv.max_xi_bound_violation <= 1e-10
@@ -566,8 +583,8 @@ def test_invariants_without_samples_raise(times, n_per_time, match):
 def test_invariants_past_the_trajectory_raise():
     # the trajectory ends at t = 0.04; invariants sampled at later times
     # would check R(0.04) again and pass
-    traj, sigma = radial_setup()
-    cal = calib.build_calibration(traj, sigma)
+    traj = radial_setup()
+    cal = calib.build_calibration(traj)
     with pytest.raises(GeometryError, match="outside"):
         calib.calibration_invariants(cal, [0.5, 1.0], n_per_time=400)
 
@@ -586,7 +603,7 @@ def test_weak_strong_checks_coercivity_once_per_time(monkeypatch):
     check = calib.coercivity_check
 
     def counted(*args):
-        calls.append(args[3])
+        calls.append(args[2])
         return check(*args)
 
     monkeypatch.setattr(calib, "coercivity_check", counted)

@@ -160,14 +160,14 @@ def scipy_modules():
                   if m == "scipy" or m.startswith("scipy."))
 
 import wmcflab
-from wmcflab import cli, sharp, wells
+from wmcflab import cli, quadrature, sharp, wells
 assert scipy_modules() == [], scipy_modules()
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["list"]) == 0
     for path in sys.argv[1:]:
         assert cli.main(["validate", path]) == 0, path
 assert scipy_modules() == [], scipy_modules()
-assert sharp._gauss_legendre.cache_info().currsize == 0
+assert quadrature.gauss_legendre.cache_info().currsize == 0
 
 v = wells.optimal_profile(wells.constant_quartic(), 0.5, [-1.0, 0.0, 1.0])
 assert v[1] == 0.5 and 0.0 < v[0] < 0.5 < v[2] < 1.0, v

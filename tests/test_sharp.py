@@ -1,12 +1,14 @@
 """Sharp-interface flows and BV-solution residuals against closed forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
-from wmcflab import sharp, wells
+from wmcflab import quadrature, sharp, wells
 from wmcflab.errors import GeometryError
 from wmcflab.experiments import _unit_box
 from wmcflab.testfields import dilation_field, rotation_field, translation_field
@@ -53,7 +55,8 @@ def transport_residual_loop(traj, zeta, t_prime, n_t):
     return lhs - float(np.trapezoid(vals, ts))
 
 
-def dissipation_check_loop(traj, sigma, t_prime, n_t, velocity_scale=1.0):
+def dissipation_check_loop(traj, t_prime, n_t, velocity_scale=1.0):
+    sigma = traj.sigma
     ts = np.linspace(0.0, t_prime, n_t + 1)
 
     def diss(R, v):
@@ -124,7 +127,8 @@ class TestEvolveRadial:
         sampled = sharp.SharpTrajectory(kind="point1d",
                                         times=np.linspace(0.0, 0.5, 5),
                                         positions=np.linspace(0.4, 0.2, 5),
-                                        velocities=np.full(5, 0.4))
+                                        velocities=np.full(5, 0.4),
+                                        sigma=sig.along_axis())
         for traj in (truncated, full, sampled):
             t_end = traj.t_end
             for t in (t_end + 1e-9, -1e-9, 1.0 + t_end, np.nan,
@@ -259,28 +263,65 @@ class TestDissipation:
     def test_exact_flow_slack_vanishes(self):
         sig_s = sharp.constant_scalar_sigma(SQRT2_6)
         traj = sharp.evolve_radial(0.4, sig_s, 0.06, tol=1e-12, center=CENTER)
-        slack = sharp.dissipation_check(traj, const_sigma2d(), 0.06, n_t=4096)
+        slack = sharp.dissipation_check(traj, 0.06, n_t=4096)
         assert abs(slack) <= 1e-6
 
     def test_frozen_trajectory_has_zero_slack(self):
         times = np.linspace(0.0, 1.0, 5)
         traj = sharp.SharpTrajectory(kind="sphere", times=times,
                                      positions=np.full(5, 0.3),
-                                     velocities=np.zeros(5), center=CENTER)
-        slack = sharp.dissipation_check(traj, const_sigma2d(), 1.0)
+                                     velocities=np.zeros(5),
+                                     sigma=const_sigma2d(), center=CENTER)
+        slack = sharp.dissipation_check(traj, 1.0)
         assert slack == 0.0
 
     def test_inflated_velocity_flags_violation(self):
         sig_s = sharp.constant_scalar_sigma(SQRT2_6)
         traj = sharp.evolve_radial(0.4, sig_s, 0.06, tol=1e-12, center=CENTER)
-        slack = sharp.dissipation_check(traj, const_sigma2d(), 0.06,
-                                        velocity_scale=2.0)
+        slack = sharp.dissipation_check(traj, 0.06, velocity_scale=2.0)
         assert slack < -1e-3
+
+    def test_trajectory_sigma_is_the_flow_sigma(self):
+        # the lifts of the flow's own profile, bit for bit
+        prof = sharp.exponential_scalar_sigma(0.7, scale=SQRT2_6)
+        radial = sharp.evolve_radial(0.4, prof, 0.02, tol=1e-12,
+                                     center=CENTER)
+        point = sharp.evolve_point1d(0.7, prof, 0.2, tol=1e-12)
+        x = np.random.default_rng(3).uniform(0.0, 1.0, size=(50, 2))
+        for traj, lift in ((radial, prof.about(CENTER)),
+                           (point, prof.along_axis())):
+            for name in ("value", "grad"):
+                got = getattr(traj.sigma, name)(x)
+                assert got.tobytes() == getattr(lift, name)(x).tobytes()
+
+
+class TestTimeGridOfOracles:
+    # n_t = 0 leaves the one time t = 0: the transport residual compares
+    # R(0) with R(0) and reads exactly 0, and the dissipation slack of this
+    # flow reads 0.296 where the default n_t = 1024 reads -4.6e-8
+    @pytest.mark.parametrize("n_t", [0, -1])
+    def test_transport_residual_rejects_no_interval(self, n_t):
+        traj = sharp.evolve_radial(0.4, sharp.constant_scalar_sigma(SQRT2_6),
+                                   0.06, tol=1e-12, center=CENTER)
+        ones = sharp.SpaceTimeTest(
+            value=lambda x, t: np.ones(np.shape(x)[:-1]),
+            dt=lambda x, t: np.zeros(np.shape(x)[:-1]))
+        with pytest.raises(ValueError, match="n_t >= 1"):
+            sharp.transport_residual(traj, ones, 0.06, n_t=n_t)
+
+    @pytest.mark.parametrize("n_t", [0, -1])
+    def test_dissipation_check_rejects_no_interval(self, n_t):
+        traj = sharp.evolve_radial(0.4, sharp.constant_scalar_sigma(SQRT2_6),
+                                   0.06, tol=1e-12, center=CENTER)
+        with pytest.raises(ValueError, match="n_t >= 1"):
+            sharp.dissipation_check(traj, 0.06, n_t=n_t)
 
 
 class TestBlockedOraclesMatchLoops:
     # x-dependent zeta whose value is evaluated on a column of times, and
-    # a sigma that is not radial about the disk's center
+    # a sigma that is not radial about the disk's center: the trajectory's
+    # own sigma is replaced by it, so that the blocked sums are tested
+    # where sigma varies along each circle
     ZETA = sharp.SpaceTimeTest(
         value=lambda x, t: np.cos(3.0 * t + 2.0 * x[..., 0]) * x[..., 1] ** 2,
         dt=lambda x, t: -3.0 * np.sin(3.0 * t + 2.0 * x[..., 0])
@@ -299,30 +340,38 @@ class TestBlockedOraclesMatchLoops:
     # and the scalar evaluation of the dense output
     @example(0.44587435900277567, 0.902811082193058, 59, 1.0)
     def test_library_equals_loop_reference(self, r0, t_frac, n_t, scale):
-        traj = sharp.evolve_radial(r0, sharp.exponential_scalar_sigma(0.7),
-                                   0.02, tol=1e-12, center=CENTER)
+        traj = dataclasses.replace(
+            sharp.evolve_radial(r0, sharp.exponential_scalar_sigma(0.7),
+                                0.02, tol=1e-12, center=CENTER),
+            sigma=self.SIGMA)
         t_prime = t_frac * traj.t_end
         got = sharp.transport_residual(traj, self.ZETA, t_prime, n_t=n_t)
         ref = transport_residual_loop(traj, self.ZETA, t_prime, n_t)
         assert abs(got - ref) <= 1e-13 * abs(ref)
-        got = sharp.dissipation_check(traj, self.SIGMA, t_prime, n_t=n_t,
+        got = sharp.dissipation_check(traj, t_prime, n_t=n_t,
                                       velocity_scale=scale)
-        ref = dissipation_check_loop(traj, self.SIGMA, t_prime, n_t,
+        ref = dissipation_check_loop(traj, t_prime, n_t,
                                      velocity_scale=scale)
         assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 class TestQuadratureTables:
     def test_cached_tables_are_read_only(self):
-        # the disk rule (64 x 128), the annulus rule of calib (256 x 256)
-        # and a boundary circle, each built once and shared
-        tables = (*sharp._gauss_legendre(64), sharp._unit_circle(128),
-                  *sharp._gauss_legendre(256), sharp._unit_circle(256),
+        # the disk rule (64 x 128), the annulus rule of calib (256 x 256),
+        # the 10- and 20-point rules of the adaptive quadrature and a
+        # boundary circle, each built once and shared
+        rule = quadrature.gauss_legendre
+        tables = (*rule(64), sharp._unit_circle(128), *rule(256),
+                  sharp._unit_circle(256), *rule(10), *rule(20),
                   sharp._unit_circle(512))
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
-        assert sharp._gauss_legendre(64)[0] is tables[0]
+        assert rule(64)[0] is tables[0]
+        for n in (10, 20, 64, 256):
+            want = np.polynomial.legendre.leggauss(n)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(rule(n), want))
 
     def test_boundary_nodes_are_fresh_arrays(self):
         circle = sharp.Sphere(CENTER, 0.3)
@@ -346,13 +395,13 @@ class TestNotRadial2D:
         with pytest.raises(GeometryError, match="radial 2-d"):
             sharp.transport_residual(traj, ones, 0.01)
         with pytest.raises(GeometryError, match="radial 2-d"):
-            sharp.dissipation_check(traj, sig.about((0.5, 0.5, 0.5)), 0.01)
+            sharp.dissipation_check(traj, 0.01)
 
     def test_point_trajectory_dissipation_raises_geometry_error(self):
         sig = sharp.exponential_scalar_sigma(0.5)
         traj = sharp.evolve_point1d(0.7, sig, 0.2, tol=1e-12)
         with pytest.raises(GeometryError, match="radial 2-d"):
-            sharp.dissipation_check(traj, sig.along_axis(), 0.1)
+            sharp.dissipation_check(traj, 0.1)
 
     def test_three_d_sphere_boundary_nodes_raise_geometry_error(self):
         with pytest.raises(GeometryError, match="2-d circle"):
