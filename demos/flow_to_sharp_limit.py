@@ -15,17 +15,15 @@ Run:  python demos/flow_to_sharp_limit.py
 
 import numpy as np
 
-from wmcflab import flow, sharp, wells
-from wmcflab.grid import Field, Grid, extract_levelset
+from wmcflab import flow, sharp, variations as var, wells
+from wmcflab.grid import Grid, extract_levelset
 
 print("shrinking disk, constant sigma, eps = 0.04 on a 128^2 grid")
 spec = wells.constant_quartic()
 grid = Grid.box((0.0, 0.0), (1.0, 1.0), (128, 128))
-pts = grid.points()
 eps = 0.04
 disk = sharp.Sphere((0.5, 0.5), 0.4)
-u0 = wells.optimal_profile_grid(spec, pts, disk.signed_distance(pts) / eps)
-state = flow.PhaseState(Field(grid, u0), eps)
+state = var.build_recovery(disk, spec, grid, eps).state
 lw = flow.reaction_lipschitz(spec, grid, (-0.06, 1.06))
 dt = 0.25 * eps ** 2 / lw
 steps = int(np.ceil(0.06 / dt))
@@ -48,10 +46,7 @@ print("\n1-d drift, sigma ~ exp(0.5 x), eps = 0.04 on 1024 cells")
 kappa = 0.5
 spec = wells.exp_scaled_quartic(kappa)
 grid = Grid.interval(0.0, 1.0, 1024)
-pts = grid.points()
-point = sharp.Point1D(0.7)
-u0 = wells.optimal_profile_grid(spec, pts, point.signed_distance(pts) / eps)
-state = flow.PhaseState(Field(grid, u0), eps)
+state = var.build_recovery(sharp.Point1D(0.7), spec, grid, eps).state
 lw = flow.reaction_lipschitz(spec, grid, (-0.06, 1.06))
 dt = 0.5 * eps ** 2 / lw
 steps = int(np.ceil(0.2 / dt))

@@ -30,10 +30,11 @@ compares false, and a non-finite well parameter gives wells that the
 run rejects only once it builds them).
 ``validate`` checks keys, types, names, that an eps sweep has two or
 more values, all distinct (each experiment that takes one checks a
-strict decrease over it) and eps >= 4 grid spacings (of grid.n, or of
-the runner's default grid_n when the config sets none); it does not
-check geometry (boundary margins, extinction before t_end): the
-experiment checks that when it starts, and ``run`` exits 2.
+strict decrease over it) and that every eps a run starts from, set or
+by default, spans >= 4 spacings of grid.n (or of the default grid_n):
+the resolution rule of ``variations.build_recovery``. It does not check
+geometry (boundary margins, the recovery energy, extinction before
+t_end): the experiment checks that when it starts, and ``run`` exits 2.
 Every sweep runs its largest step (eps, or dt) first, whatever order it
 is given in, and is judged in that order. A per-halving rate (the
 ``tol.factor`` of ``dissipation``) needs each step half the one before
@@ -66,6 +67,7 @@ import numpy as np
 from . import wells
 from .errors import ExtractionError, NumericError
 from .experiments import REGISTRY, _halving_rate
+from .variations import _CELLS_PER_EPS
 
 
 def _make_quartic_constant(a0=0.0, b0=1.0, amplitude=1.0):
@@ -198,12 +200,13 @@ def resolve(entries: dict):
         except ValueError as exc:
             problems.append(f"well.name: {exc}")
     if "grid_n" in params:
-        grid_n = kwargs.get("grid_n", params["grid_n"].default)
-        h = 1.0 / grid_n
-        for eps in kwargs.get("eps_list", ()):
-            if eps < 4.0 * h:
-                problems.append(f"eps={eps} below 4*spacing={4 * h} for "
-                                f"grid.n={grid_n}")
+        used = {p: kwargs.get(p, v.default) for p, v in params.items()}
+        floor = _CELLS_PER_EPS * (1.0 / used["grid_n"])
+        for eps in (*used.get("eps_list", ()), used.get("eps", np.inf),
+                    *(run[0] for run in used.get("runs", ()))):
+            if eps < floor:
+                problems.append(f"eps={eps} below {_CELLS_PER_EPS:g}*spacing="
+                                f"{floor} for grid.n={used['grid_n']}")
     if "factor" in kwargs and "dt_list" in params:
         try:
             _halving_rate(params["dt_list"].default, kwargs["factor"])

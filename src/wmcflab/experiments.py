@@ -261,15 +261,13 @@ def run_gibbs_thomson(grid_n: int = 256, eps_list=(0.08, 0.04, 0.02),
                                        "iterations"])
     spec = wells.constant_quartic()
     grid = _unit_box(grid_n)
-    pts = grid.points()
     disk = sharp.Sphere((0.5, 0.5), radius)
     lam0 = -SQRT2_OVER_6 / radius
     errs, resids = [], []
     for eps in sorted(eps_list, reverse=True):
-        v0 = wells.optimal_profile_grid(spec, pts, disk.signed_distance(pts) / eps)
-        init = Field(grid, v0)
-        mass = float(np.mean(v0))
-        out = flow.minimize_constrained(spec, grid, eps, mass, init,
+        init = var.build_recovery(disk, spec, grid, eps).state.u
+        out = flow.minimize_constrained(spec, grid, eps,
+                                        float(np.mean(init.values)), init,
                                         tol_residual=residual_tol / 5.0)
         fitted = extract_levelset(out.state.u, 0.5).fitted_circle()[1]
         errs.append(abs(out.lam - lam0))
@@ -290,18 +288,20 @@ def run_gibbs_thomson(grid_n: int = 256, eps_list=(0.08, 0.04, 0.02),
 def run_minimizing_movements(grid_n: int = 512, eps: float = 0.05,
                              h_step: float = 2e-4, n_steps: int = 200,
                              well=None) -> ExperimentResult:
-    """Per-step exact minimality and the clamp maximum principle."""
+    """Per-step exact minimality and the clamp maximum principle, from the
+    recovery state of the front x = 0.35 plus 0.05 sin(9 pi x), clipped to
+    [-C0, C0], C0 = max(|a|, |b|) of the wells on the grid (the quartic is
+    monotone outside it)."""
     res = ExperimentResult("minimizing_movements",
                            csv_header=["step", "time", "energy",
                                        "movement_sq", "slack", "max_abs_u"])
     spec = well if well is not None else wells.constant_quartic()
     grid = Grid.interval(0.0, 1.0, grid_n)
     pts = grid.points()
-    u0 = wells.optimal_profile_grid(spec, pts, (pts[..., 0] - 0.35) / eps) \
-        + 0.05 * np.sin(9 * np.pi * pts[..., 0])
-    state = flow.PhaseState(Field(grid, np.clip(u0, -1.0, 1.0)), eps)
-    # wells monotone outside [-C, C]; C0 = max(|u0|_inf, C)
-    c0 = max(float(np.max(np.abs(state.u.values))), 1.0)
+    c0 = float(np.max(np.abs([spec.a(pts), spec.b(pts)])))
+    start = var.build_recovery(sharp.Point1D(0.35), spec, grid, eps).state
+    state = start.replace(np.clip(
+        start.u.values + 0.05 * np.sin(9 * np.pi * pts[..., 0]), -c0, c0))
     slacks, sups = [], []
     for k in range(1, n_steps + 1):
         state, rec = flow.step_minmov(state, spec, h_step, trunc=c0)
@@ -341,10 +341,8 @@ def run_dissipation(grid_n: int = 256, eps: float = 0.02,
     res = ExperimentResult("dissipation",
                            csv_header=["dt", "defect", "ratio_to_previous"])
     spec = wells.constant_quartic()
-    grid = Grid.interval(0.0, 1.0, grid_n)
-    pts = grid.points()
-    u0 = wells.optimal_profile_grid(spec, pts, (pts[..., 0] - 0.5) / eps)
-    state = flow.PhaseState(Field(grid, u0), eps)
+    state = var.build_recovery(sharp.Point1D(0.5), spec,
+                               Grid.interval(0.0, 1.0, grid_n), eps).state
     defects = [flow.run(state, spec, dt=dt, t_end=t_end).ledger.final_defect
                for dt in dts]
     part = _sweep_part("ratio", defects, factor)
@@ -360,17 +358,15 @@ def run_dissipation(grid_n: int = 256, eps: float = 0.02,
 def _track_flow(res, spec, front, traj, t_end, runs, fit, scale):
     """Track the diffuse flow against the exact ``traj`` on each (eps,
     grid, frac) of ``runs``, sorted largest eps first: start from the
-    optimal profile across ``front``, step with dt = frac eps^2 / Lip(dW/du)
-    rounded to divide ``t_end``, and at five checkpoints append the row (eps,
-    t, exact, fit, |fit - exact| / scale(t, exact)), fit read off the 1/2
-    level set. Returns each run's largest error, in that order."""
+    checked recovery state of ``front`` (``var.build_recovery``), step with
+    dt = frac eps^2 / Lip(dW/du) rounded to divide ``t_end``, and at five
+    checkpoints append the row (eps, t, exact, fit, |fit - exact| /
+    scale(t, exact)), fit read off the 1/2 level set. Returns each run's
+    largest error, in that order."""
     checkpoints = [t_end * k / 5.0 for k in range(1, 6)]
     max_errs = []
     for eps, grid, frac in sorted(runs, key=lambda r: r[0], reverse=True):
-        pts = grid.points()
-        u0 = wells.optimal_profile_grid(spec, pts,
-                                        front.signed_distance(pts) / eps)
-        state = flow.PhaseState(Field(grid, u0), eps)
+        state = var.build_recovery(front, spec, grid, eps).state
         lw = flow.reaction_lipschitz(spec, grid, (-0.06, 1.06))
         dt = t_end / int(np.ceil(t_end / (frac * eps ** 2 / lw)))
         errs = []

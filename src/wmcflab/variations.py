@@ -35,6 +35,8 @@ from .wells import (WellSpec, bind, grad_gamma, normalized_well,
                     normalized_well_dx, optimal_profile_grid)
 
 _NORMAL_THRESHOLD = 1e-12
+# eps must span this many grid spacings (read by ``cli.resolve`` too)
+_CELLS_PER_EPS = 4.0
 
 
 def interface_boundary_margin(interface, grid: Grid) -> float:
@@ -63,22 +65,25 @@ class RecoveryState:
 
 def build_recovery(interface, spec: WellSpec, grid: Grid,
                    eps: float) -> RecoveryState:
-    """Construct the recovery state for a parametrized interface.
+    """Construct the recovery state for a parametrized interface: the one
+    builder of a diffuse start (the well-prepared data of Theorem 4.3):
+    runners and demos take its ``.state`` (or ``.reading``).
 
-    Requires eps >= 4 max spacing (profile resolution) and an interface at
-    distance >= 2 eps from the domain boundary; the profile tail truncated
-    at the boundary is exp(-sqrt(2) margin/eps) per unit of gamma, so the
-    factor 2 keeps it below 6e-2 and it decays rapidly along eps sweeps.
-    The profile is ``optimal_profile_grid`` of the signed distance over
-    eps; the well is bound to the grid once (``wells.bind``), and u and
-    its reading are formed from the bound coefficients. The built energy
-    is checked against the weighted perimeter under ``sigma_field_of(spec)``
-    (they agree to O(eps) + O(h^2/eps^2)); the reading that energy is
-    formed from is returned with the state.
+    Three checks guard it: eps >= 4 max spacing, the profile resolution
+    (``ResolutionError``); an interface >= 2 eps from the domain boundary
+    (``GeometryError``), where the truncated profile tail is
+    exp(-sqrt(2) margin/eps) per unit of gamma, below 6e-2; and the built
+    energy within the guard of the weighted perimeter under
+    ``sigma_field_of(spec)``, which it matches to O(eps) + O(h^2/eps^2)
+    (``GeometryError``). The profile is ``optimal_profile_grid`` of the
+    signed distance over eps; u = a + (b - a) v (v itself, to the bit,
+    for wells at +0.0 and 1.0) and its reading, returned with the state,
+    use the well bound to the grid once (``wells.bind``).
     """
     hmax = float(np.max(grid.spacing))
-    if eps < 4.0 * hmax:
-        raise ResolutionError(f"eps={eps} under-resolved: needs >= {4 * hmax}")
+    floor = _CELLS_PER_EPS * hmax
+    if eps < floor:
+        raise ResolutionError(f"eps={eps} under-resolved: needs >= {floor}")
     margin = interface_boundary_margin(interface, grid)
     if margin < 2.0 * eps:
         raise GeometryError(f"interface margin {margin:.4g} below 2.0 * eps")

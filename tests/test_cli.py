@@ -56,10 +56,18 @@ class TestValidateConfig:
         assert cli.validate_config(path) == []
 
     def test_underresolved_eps_flagged(self, tmp_path, capsys):
-        # without grid.n the runner's default grid, 512 cells, sets the
-        # spacing; run rejects both configs before computing
-        for text in ("grid.n=128\neps=0.02,0.01\n", "eps=0.006,0.005\n"):
-            path = write(tmp_path, f"experiment=equipartition\n{text}"
+        # without grid.n the runner's default grid (512 cells for
+        # equipartition) sets the spacing, and without eps the runner's
+        # default eps, sweep or runs; run rejects every config before
+        # computing
+        for name, text in (("equipartition", "grid.n=128\neps=0.02,0.01"),
+                           ("equipartition", "eps=0.006,0.005"),
+                           ("minimizing_movements", "tol.eps=0.001"),
+                           ("dissipation", "tol.eps=0.001"),
+                           ("minimizing_movements", "grid.n=64"),
+                           ("gibbs_thomson", "grid.n=64"),
+                           ("ac_to_mcf_1d_drift", "grid.n=128")):
+            path = write(tmp_path, f"experiment={name}\n{text}\n"
                                    f"out_dir={tmp_path}\n")
             problems = cli.validate_config(path)
             assert any("4*spacing" in p for p in problems)
@@ -242,13 +250,18 @@ class TestRun:
         assert os.listdir(out) == []
 
     def test_geometry_error_exits_2(self, tmp_path, capsys):
-        # passes validation, but the eps = 0.3 profile of the r = 0.3 disk
-        # does not fit in the unit box
-        path = write(tmp_path, "experiment=equipartition\ngrid.n=64\n"
-                               f"eps=0.3,0.2\nout_dir={tmp_path}\n")
-        assert cli.main(["validate", path]) == 0
-        assert cli.main(["run", path]) == 2
-        assert "GeometryError" in capsys.readouterr().err
+        # both pass validation, which sees no margins, but the eps = 0.3
+        # profile of the r = 0.3 disk does not fit in the unit box, and
+        # the r = 0.45 disk lies 0.05 from the wall, under 2 eps = 0.16:
+        # the recovery state of the Gibbs-Thomson start rejects it
+        for text in ("equipartition\ngrid.n=64\neps=0.3,0.2",
+                     "gibbs_thomson\ntol.radius=0.45"):
+            path = write(tmp_path, f"experiment={text}\n"
+                                   f"out_dir={tmp_path}\n")
+            assert cli.main(["validate", path]) == 0
+            assert cli.main(["run", path]) == 2
+            assert "GeometryError" in capsys.readouterr().err
+        assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
 
     def test_rate_that_is_no_decrease_exits_2(self, tmp_path, capsys):
         # factor 0.5 would pass a defect that doubles per dt-halving

@@ -1,13 +1,32 @@
 """Failing controls: one planted fault per registry check, each of which
 the named check must FAIL (ROADMAP item 4).
 
-Covered here are the runners of criteria 09-11, whose oracles read sigma
-off the sharp trajectory: ``run_bv_residuals``, ``run_calibration`` and
-``run_weak_strong``, at their defaults (0.1-0.8 s each). Each fault is
-planted with ``monkeypatch`` on the library the runner calls.
+Each fault is planted with ``monkeypatch`` on the library the runner
+calls, at the defaults where they are cheap (01, 06, 08-11) and at small
+sizes elsewhere; ``test_unfaulted_runners_pass`` runs each runner at the
+same arguments without a fault, so a control fails only through its
+fault.
 
-Checks without a failing control, and why:
+Checks without a failing control, and why (measured):
 
+* 02, all ten "strictly decreasing" checks: with 1e-3 added to the
+  defect it still shrinks 1.46, 1.41 and 1.50 times per halving at the
+  acceptance sizes, against 1.53, 1.52 and 1.72 for the true defect, so
+  no rate bound separates the two with margin.
+* 03, both "|diffuse - sharp| strictly decreasing": against the sharp
+  value times 1.1 (homogeneous) or 0.9 (heterogeneous) the gaps stay
+  decreasing at the acceptance sizes (0.065, 0.045, 0.044 and 0.032,
+  0.019, 0.018).
+* 04, "|lambda_eps - lambda_0| strictly decreasing": lambda_0 off by -5,
+  -10 or -20 % stays decreasing; a rate part is ROADMAP item 4.
+* 05, both checks: a no-op descent passes both (slack 0, box margin 0,
+  ROADMAP item 3), and so does a step that ignores the clamp: the
+  iterates never reach the box (max|u| - C0 = -2.9e-7 at the defaults).
+* 07, "max checkpoint error decreases with eps", and 08, "error
+  decreases with eps": a wrong reference moves every run's error alike,
+  so they stay decreasing (07 with r0 off by 5 %: 0.1223 -> 0.1209 at
+  eps 0.04 and 0.035 on 128^2; 08 with kappa times 1.1: 0.1481 ->
+  0.1254).
 * 10, "residual ratios bounded and stable within 2x under refinement":
   it asks only that max r_k / dist^k over samples at dist >= 1e-4 be
   positive and stable within 2x under refinement. A velocity scaled by
@@ -31,8 +50,16 @@ Checks without a failing control, and why:
 
 import dataclasses
 
-from wmcflab import calib, sharp
+import numpy as np
+
+from wmcflab import calib, flow, sharp, variations as var, wells
 from wmcflab import experiments as ex
+from wmcflab.grid import Field
+
+# small arguments of the runners that are slow at their defaults
+FIRST_VARIATION = {"grid_n": 128, "eps_list": (0.08, 0.04), "radius": 0.25}
+GIBBS_THOMSON = {"grid_n": 128, "eps_list": (0.08, 0.04)}
+RADIAL = {"runs": ((0.04, 128, 0.25),)}  # the coarse run of criterion 07
 
 
 def passed(res, prefix) -> bool:
@@ -41,6 +68,87 @@ def passed(res, prefix) -> bool:
     found = [c for c in res.checks if c.name.startswith(prefix)]
     assert len(found) == 1, [c.name for c in res.checks]
     return found[0].passed
+
+
+# ---------------------------------------------------------------------------
+# 01: surface tension
+# ---------------------------------------------------------------------------
+
+def test_01_perturbed_quadrature_fails(monkeypatch):
+    quadrature = wells.surface_tension
+    monkeypatch.setattr(wells, "surface_tension", lambda *args, **kwargs:
+                        (1.0 + 1e-6) * quadrature(*args, **kwargs))
+    assert not passed(ex.run_surface_tension(), "sigma quadrature")
+
+
+# ---------------------------------------------------------------------------
+# 03: first variations
+# ---------------------------------------------------------------------------
+
+def test_03_scaled_sharp_value_fails_both_sanity_checks(monkeypatch):
+    exact = var.sharp_first_variation
+    monkeypatch.setattr(var, "sharp_first_variation",
+                        lambda *args: 1.1 * exact(*args))
+    res = ex.run_first_variation(**FIRST_VARIATION)
+    for prefix in ("sharp dilation value", "heterogeneous sharp value"):
+        assert not passed(res, prefix), prefix
+
+
+def test_03_dropped_grad_sigma_fails_nonzero_pairing(monkeypatch):
+    # on the interface the translation field is constant, so the sharp
+    # pairing is -int grad sigma . psi alone
+    sigma_of = var.sigma_field_of
+    monkeypatch.setattr(var, "sigma_field_of",
+                        lambda spec: dataclasses.replace(
+                            sigma_of(spec),
+                            grad=lambda x: np.zeros(np.shape(x))))
+    res = ex.run_first_variation(**FIRST_VARIATION)
+    assert not passed(res, "heterogeneous grad-sigma pairing is nonzero")
+
+
+# ---------------------------------------------------------------------------
+# 04: Gibbs-Thomson
+# ---------------------------------------------------------------------------
+
+def test_04_early_stop_fails_stationarity(monkeypatch):
+    minimize = flow.minimize_constrained
+    monkeypatch.setattr(flow, "minimize_constrained",
+                        lambda *args, tol_residual: minimize(
+                            *args, tol_residual=25.0 * tol_residual))
+    res = ex.run_gibbs_thomson(**GIBBS_THOMSON)
+    assert not passed(res, "stationarity residual")
+
+
+# ---------------------------------------------------------------------------
+# 06: dissipation
+# ---------------------------------------------------------------------------
+
+def test_06_centred_initial_energy_fails_rate(monkeypatch):
+    # E(0) of the ledger in the centred-difference form, the later
+    # energies in the face form: the defect stops shrinking (ratio 0.9999)
+    monkeypatch.setattr(flow, "energy_face",
+                        lambda values, grid, eps, spec, bound: flow.energy(
+                            flow.PhaseState(Field(grid, values), eps), spec))
+    assert not passed(ex.run_dissipation(), "defect decreases")
+
+
+# ---------------------------------------------------------------------------
+# 07, 08: convergence to the sharp flow
+# ---------------------------------------------------------------------------
+
+def test_07_offset_reference_fails_radius_error(monkeypatch):
+    reference = ex._radial_reference
+    monkeypatch.setattr(ex, "_radial_reference",
+                        lambda r0, t_end: reference(1.05 * r0, t_end))
+    res = ex.run_ac_to_mcf_radial(**RADIAL)
+    assert not passed(res, "extracted radius within")
+
+
+def test_08_scaled_kappa_fails_position_error(monkeypatch):
+    sigma = sharp.exponential_scalar_sigma
+    monkeypatch.setattr(sharp, "exponential_scalar_sigma",
+                        lambda kappa, scale: sigma(1.1 * kappa, scale=scale))
+    assert not passed(ex.run_ac_to_mcf_1d_drift(), "position error")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +240,15 @@ def test_11_tripled_fine_constant_fails_gronwall_stability(monkeypatch):
 
 def test_unfaulted_runners_pass():
     # the controls above fail only through their fault
-    for runner in (ex.run_bv_residuals, ex.run_calibration,
-                   ex.run_weak_strong):
-        res = runner()
+    for runner, kwargs in ((ex.run_surface_tension, {}),
+                           (ex.run_first_variation, FIRST_VARIATION),
+                           (ex.run_gibbs_thomson, GIBBS_THOMSON),
+                           (ex.run_dissipation, {}),
+                           (ex.run_ac_to_mcf_1d_drift, {}),
+                           (ex.run_bv_residuals, {}),
+                           (ex.run_calibration, {}),
+                           (ex.run_weak_strong, {})):
+        res = runner(**kwargs)
         assert res.passed, [c.detail for c in res.checks if not c.passed]
+    # one run shows no decrease; the check its control targets holds
+    assert passed(ex.run_ac_to_mcf_radial(**RADIAL), "extracted radius within")

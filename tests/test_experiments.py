@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from wmcflab import flow, variations as var
+from wmcflab import flow, sharp, variations as var, wells
+from wmcflab.errors import GeometryError
 from wmcflab.experiments import (Check, ExperimentResult, _sweep_part, holds,
-                                 run_ac_to_mcf_1d_drift, run_dissipation,
-                                 run_first_variation, run_weak_strong)
+                                 run_ac_to_mcf_1d_drift, run_ac_to_mcf_radial,
+                                 run_dissipation, run_first_variation,
+                                 run_gibbs_thomson, run_minimizing_movements,
+                                 run_weak_strong)
 
 ELEMENTWISE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
                ">": operator.gt}
@@ -219,3 +222,144 @@ class TestFirstVariationClosedForm:
         monkeypatch.setattr(var, "sharp_first_variation",
                             lambda *args: 1.1 * exact(*args))
         assert not self.verdict()
+
+
+# ---------------------------------------------------------------------------
+# diffuse starts
+# ---------------------------------------------------------------------------
+
+def recorded_builds(monkeypatch) -> list:
+    """Wrap ``variations.build_recovery``; the list it returns collects the
+    state of every recovery state built."""
+    built, build = [], var.build_recovery
+
+    def recording(*args):
+        rec = build(*args)
+        built.append(rec.state)
+        return rec
+
+    monkeypatch.setattr(var, "build_recovery", recording)
+    return built
+
+
+def profile(front, spec, grid, eps):
+    """The optimal profile of the signed distance to ``front`` over eps:
+    the start the runners built by hand before."""
+    pts = grid.points()
+    return wells.optimal_profile_grid(spec, pts,
+                                      front.signed_distance(pts) / eps)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStartsAreRecoveryStates:
+    """Each runner's diffuse start is ``.state`` of
+    ``variations.build_recovery``; for wells at 0 and 1 it has the bits of
+    the optimal profile. The solvers are replaced by stand-ins that record
+    what they are given."""
+
+    def test_gibbs_thomson(self, monkeypatch):
+        built, seen = recorded_builds(monkeypatch), []
+
+        def minimize(spec, grid, eps, mass, init, tol_residual):
+            seen.append((eps, mass, init))
+            return SimpleNamespace(state=flow.PhaseState(init, eps), lam=0.0,
+                                   residual=0.0, iterations=0)
+
+        monkeypatch.setattr(flow, "minimize_constrained", minimize)
+        run_gibbs_thomson(grid_n=64, eps_list=(0.08, 0.12), radius=0.2)
+        assert [eps for eps, *_ in seen] == [0.12, 0.08]
+        assert len(built) == len(seen)
+        for (eps, mass, init), state in zip(seen, built):
+            assert init is state.u
+            v = profile(sharp.Sphere((0.5, 0.5), 0.2),
+                        wells.constant_quartic(), init.grid, eps)
+            assert same_bits(init.values, v)
+            assert mass == float(np.mean(v))
+
+    def test_minimizing_movements(self, monkeypatch):
+        built, seen = recorded_builds(monkeypatch), []
+
+        def step(state, spec, h_step, trunc):
+            seen.append((state, trunc))
+            return state, SimpleNamespace(slack=0.0, energy=0.0,
+                                          movement_sq=0.0)
+
+        monkeypatch.setattr(flow, "step_minmov", step)
+        run_minimizing_movements(grid_n=128, n_steps=1)
+        (state, trunc), = seen
+        grid = state.u.grid
+        v = profile(sharp.Point1D(0.35), wells.constant_quartic(), grid, 0.05)
+        assert len(built) == 1 and same_bits(built[0].u.values, v)
+        perturbed = v + 0.05 * np.sin(9 * np.pi * grid.points()[..., 0])
+        assert same_bits(state.u.values, np.clip(perturbed, -1.0, 1.0))
+        assert trunc == 1.0
+
+    def test_dissipation(self, monkeypatch):
+        built, seen = recorded_builds(monkeypatch), []
+
+        def run(state, spec, dt, t_end):
+            seen.append(state)
+            return SimpleNamespace(ledger=SimpleNamespace(final_defect=dt))
+
+        monkeypatch.setattr(flow, "run", run)
+        run_dissipation()
+        assert len(built) == 1 and len(seen) == 3
+        assert all(state is built[0] for state in seen)
+        assert same_bits(built[0].u.values,
+                         profile(sharp.Point1D(0.5), wells.constant_quartic(),
+                                 built[0].u.grid, 0.02))
+
+    @pytest.mark.parametrize("runner, kwargs, front", [
+        (run_ac_to_mcf_radial, {"runs": ((0.04, 128, 0.25),
+                                         (0.045, 128, 0.25))},
+         sharp.Sphere((0.5, 0.5), 0.4)),
+        (run_ac_to_mcf_1d_drift, {"grid_n": 256,
+                                  "runs": ((0.02, 0.5), (0.04, 0.5))},
+         sharp.Point1D(0.7))])
+    def test_flow_runners(self, monkeypatch, runner, kwargs, front):
+        built, seen = recorded_builds(monkeypatch), []
+
+        def run(state, spec, dt, t_end, snapshot_times):
+            seen.append((state, spec))
+            return SimpleNamespace(snapshots=[state.replace(state.u.values,
+                                                            t_end)])
+
+        monkeypatch.setattr(flow, "run", run)
+        runner(**kwargs)
+        assert [state.eps for state, _ in seen] == sorted(
+            (r[0] for r in kwargs["runs"]), reverse=True)
+        assert len(built) == len(seen)
+        for (state, spec), start in zip(seen, built):
+            assert state is start
+            assert same_bits(state.u.values,
+                             profile(front, spec, state.u.grid, state.eps))
+
+
+def test_gibbs_thomson_rejects_a_start_cut_by_the_wall(monkeypatch):
+    # the r = 0.45 disk lies 0.05 from the wall, under 2 eps: the sweep on
+    # its clipped profile used to FAIL (|lambda - lambda_0| 1.14 -> 1.226);
+    # the recovery state rejects it before any descent
+    monkeypatch.setattr(flow, "minimize_constrained", None)
+    with pytest.raises(GeometryError, match="margin"):
+        run_gibbs_thomson(grid_n=64, eps_list=(0.12, 0.08), radius=0.45)
+
+
+def test_minimizing_movements_box_comes_from_the_well(monkeypatch):
+    # wells at 0 and 2: the start reaches 2 and the box is [-2, 2], not
+    # the [-1, 1] of the unit wells
+    seen, step = [], flow.step_minmov
+
+    def recording(state, spec, h_step, trunc):
+        seen.append((float(np.max(np.abs(state.u.values))), trunc))
+        return step(state, spec, h_step, trunc=trunc)
+
+    monkeypatch.setattr(flow, "step_minmov", recording)
+    res = run_minimizing_movements(grid_n=128, n_steps=5,
+                                   well=wells.constant_quartic(b0=2.0))
+    assert seen[0][0] > 1.9
+    assert all(trunc >= 2.0 for _, trunc in seen)
+    assert res.passed, [c.detail for c in res.checks]
