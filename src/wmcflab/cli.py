@@ -81,6 +81,10 @@ def _make_quartic_moving(a0=0.0, a_slope=0.6, b0=1.0, b_slope=0.0):
 
 
 def _make_quartic_affine(offset=1.0, slope=1.0):
+    # m(x) = offset + slope x_0 is extreme at x_0 = 0 and 1 of the unit box
+    if not min(offset, offset + slope) > 0:
+        raise ValueError(f"amplitude offset + slope x = {offset} + {slope} x "
+                         "must be positive on the unit box")
     return wells.affine_scaled_quartic(offset=offset, slope=slope)
 
 

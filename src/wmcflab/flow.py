@@ -7,9 +7,11 @@ boundaries, each through one entry point:
     explicit), stable for dt <= eps^2 / L where L bounds |d2W/du2| on the
     invariant box. It checks the step and the stability bound once and
     hands the steps to one private kernel, ``_march``, which builds the
-    per-run operators (the spectral denominator) and its work arrays
-    once, solves each step directly in the cosine basis and returns a
-    ``RunResult``;
+    per-run operators and its work arrays once, solves each step
+    directly in the cosine basis and returns a ``RunResult``. The solve
+    calls pocketfft's kernel past ``scipy.fft``'s dispatch if, checked
+    once per run, it has the bits of ``scipy.fft``, else ``scipy.fft``
+    (``_bind_solve``);
   * ``step_minmov``: one minimizing-movements step, which minimizes
         (1/eps) E[u] + 1/(2 dt) ||u - u_prev||_L2^2,
     giving exact per-step energy decay and, for wells monotone outside a
@@ -215,11 +217,45 @@ def _spectral_denominator(grid: Grid, dt: float) -> np.ndarray:
 def _spectral_solve(denom: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Direct solve of (I - dt Lap) u = rhs given its symbol ``denom``
     (see ``_spectral_denominator``); the mirrored Neumann stencil
-    diagonalizes exactly in the DCT-II basis."""
+    diagonalizes exactly in the DCT-II basis. The reference route, and
+    the fallback of ``_bind_solve``, which gives the same bits."""
     from scipy.fft import dctn, idctn
     coeff = dctn(rhs, type=2, norm="ortho")
     coeff /= denom
     return idctn(coeff, type=2, norm="ortho", overwrite_x=True)
+
+
+def _bind_solve(denom: np.ndarray):
+    """``_spectral_solve`` with ``denom`` bound, as a function of rhs,
+    calling pocketfft's cosine kernel with the arguments ``scipy.fft``
+    passes it (type 2, then 3 in place; all axes; orthonormal; one
+    thread). The kernel is private to SciPy, so a probe is solved both
+    ways first: if the kernel does not import, raises TypeError or
+    differs in any bit, this returns the ``scipy.fft`` route instead."""
+    def reference(rhs):
+        return _spectral_solve(denom, rhs)
+
+    try:
+        from scipy.fft._pocketfft.pypocketfft import dct
+    except ImportError:
+        return reference
+    axes = tuple(range(denom.ndim))
+
+    def solve(rhs):
+        coeff = dct(rhs, 2, axes, 1, None, 1, None)
+        coeff /= denom
+        return dct(coeff, 3, axes, 1, coeff, 1, None)
+
+    # generic values: no symmetry, no zeros, full mantissas
+    probe = np.cos(np.arange(denom.size) * 0.7548776662466927)
+    probe = probe.reshape(denom.shape)
+    try:
+        got = solve(probe)
+    except TypeError:
+        return reference
+    want = reference(probe)
+    same = got.shape == want.shape and got.tobytes() == want.tobytes()
+    return solve if same else reference
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +619,15 @@ def _march(state: PhaseState, bound: BoundQuartic, dt: float, n_steps: int,
     ``wells.quartic_dW_du``, the next reaction. These go into one row of
     stacks allocated once per run (the state as a copy, unless a block
     is one step); ``_record`` turns each block, and the last, partial
-    one, into ledger entries. Every stepped state is the fresh array
-    ``_spectral_solve`` returns; a ``PhaseState`` is built only for a
-    snapshot and the final state.
+    one, into ledger entries. The solve is bound once per run
+    (``_bind_solve``); either route makes every stepped state a fresh
+    array with the bits of ``_spectral_solve``. A ``PhaseState`` is
+    built only for a snapshot and the final state.
     """
     grid = state.u.grid
     eps = state.eps
     m, a, b = bound.m, bound.a, bound.b
-    denom = _spectral_denominator(grid, dt)
+    solve = _bind_solve(_spectral_denominator(grid, dt))
     rate = dt / eps ** 2
     k = max(1, min(n_steps, _BLOCK_CELLS // math.prod(grid.cells)))
     rhs, da, db, work = (np.empty((k, *grid.cells)) for _ in range(4))
@@ -606,7 +643,7 @@ def _march(state: PhaseState, bound: BoundQuartic, dt: float, n_steps: int,
         r = rhs[j]
         np.multiply(dw, rate, out=r)
         np.subtract(u, r, out=r)
-        u = _spectral_solve(denom, r)
+        u = solve(r)
         f = Field(grid, u)
         if new is not None:
             new[j] = u

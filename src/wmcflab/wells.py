@@ -712,7 +712,10 @@ def _coefficient(c0: float, slope: float = 0.0, axis: int = 0):
 
 def constant_quartic(a0: float = 0.0, b0: float = 1.0,
                      amplitude: float = 1.0, bounds=None) -> WellSpec:
-    """Canonical quartic with constant wells (and constant amplitude)."""
+    """Canonical quartic with constant wells and a constant amplitude,
+    which must be positive for a double well (else ValueError)."""
+    if not amplitude > 0:
+        raise ValueError(f"amplitude must be positive, got {amplitude}")
     return canonical_quartic(*_coefficient(a0), *_coefficient(b0), b0 - a0,
                              *_coefficient(amplitude), bounds=bounds)
 

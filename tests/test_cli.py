@@ -371,6 +371,26 @@ class TestRun:
         assert code in (0, 1)  # runs through; checks evaluated
         assert os.path.exists(out / "summary.txt")
 
+    # the quartic is a double well only for an amplitude m > 0: with
+    # m = -1 both minimizing-movements checks passed on an inverted well,
+    # and with m = 0 (or m = 0.5 - x) surface_tension failed on "rel err
+    # nan" after a RuntimeWarning
+    @pytest.mark.parametrize("text", [
+        "experiment=minimizing_movements\nwell.name=quartic_constant\n"
+        "well.amplitude=-1\n",
+        "experiment=surface_tension\nwell.name=quartic_constant\n"
+        "well.amplitude=0\n",
+        "experiment=surface_tension\nwell.name=quartic_affine\n"
+        "well.offset=0.5\nwell.slope=-1\n",
+    ])
+    def test_non_positive_amplitude_exits_2(self, tmp_path, capsys, text):
+        path = write(tmp_path, text + f"out_dir={tmp_path}\n")
+        assert cli.main(["validate", path]) == 2
+        assert "must be positive" in capsys.readouterr().out
+        assert cli.main(["run", path]) == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
+
     def test_pinned_well_experiment_rejects_override(self, tmp_path):
         path = write(tmp_path, "experiment=first_variation\n"
                                "well.name=quartic_exp\n"

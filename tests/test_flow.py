@@ -1,6 +1,7 @@
 """Time integration: stepping, ledger bookkeeping, constrained minima."""
 
 import math
+import sys
 from typing import NamedTuple
 
 import hypothesis.extra.numpy as hnp
@@ -438,7 +439,49 @@ def implicit_systems(draw):
     return g, dt, rhs
 
 
+# right-hand side values the transforms must carry bit for bit: signed
+# zeros, subnormals and magnitudes near the top of the range
+SOLVE_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 1e300,
+                  -1e300)
+
+
+@hst.composite
+def solve_inputs(draw):
+    """A 1-d grid of 8 to 2 048 cells or a 2-d one of 8 to 256 cells an
+    axis, over spans that are not powers of two, a dt and a generic
+    right-hand side: uniform values, scaled to subnormal, unit or
+    near-overflow size, with special values at drawn cells."""
+    dim = draw(hst.sampled_from((1, 2)))
+    n_max = 2048 if dim == 1 else 256
+    cells = tuple(draw(hst.integers(8, n_max)) for _ in range(dim))
+    g = Grid((0.0,) * dim, tuple(draw(hst.floats(0.3, 3.0)) for _ in cells),
+             cells)
+    dt = draw(hst.floats(1e-6, 1e-2))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    rhs = rng.uniform(-2.0, 2.0, cells) \
+        * draw(hst.sampled_from((1.0, 1e-310, 1e300)))
+    for i, v in draw(hst.lists(hst.tuples(
+            hst.integers(0, rhs.size - 1), hst.sampled_from(SOLVE_SPECIALS)),
+            max_size=8)):
+        rhs.flat[i] = v
+    return g, dt, rhs
+
+
 class TestSpectralSolveProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(solve_inputs())
+    @example((Grid((0.0, 0.0), (1.7, 0.9), (255, 256)), 3e-4,
+              np.cos(np.arange(255 * 256.0)).reshape(255, 256)))
+    @example((Grid((0.0,), (0.7,), (1023,)), 1e-3,
+              np.resize(SOLVE_SPECIALS, 1023)))
+    def test_bound_solve_has_the_bits_of_scipy_fft(self, system):
+        g, dt, rhs = system
+        denom = flow._spectral_denominator(g, dt)
+        got = flow._bind_solve(denom)(rhs)
+        want = flow._spectral_solve(denom, rhs)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(implicit_systems())
     def test_matches_cg(self, system):
@@ -446,6 +489,8 @@ class TestSpectralSolveProperties:
         tol = 1e-10
         denom = flow._spectral_denominator(g, dt)
         direct = flow._spectral_solve(denom, rhs)
+        # the solve a run binds has the same bits
+        assert flow._bind_solve(denom)(rhs).tobytes() == direct.tobytes()
         iterative, resid = _cg(lambda v: v - dt * _lap(v, g), rhs,
                                tol=tol)
         assert resid <= tol
@@ -996,28 +1041,34 @@ class TestRunKernelProperties:
     @staticmethod
     def check_against_reference(state, spec, dt, t_end, times):
         got = flow.run(state, spec, dt, t_end, snapshot_times=times)
-        ref = _reference_run(state, spec, dt, t_end, snapshot_times=times)
-        assert np.array_equal(got.state.u.values, ref.state.u.values)
-        assert got.state.time == ref.state.time
-        assert got.state.eps == ref.state.eps
-        assert len(got.snapshots) == len(ref.snapshots)
-        for a, b in zip(got.snapshots, ref.snapshots):
-            assert np.array_equal(a.u.values, b.u.values)
-            assert a.time == b.time
-        assert ([s is got.state for s in got.snapshots]
-                == [s is ref.state for s in ref.snapshots])
-        assert repr(got.ledger.e_initial) == repr(ref.ledger.e_initial)
-        for name in LEDGER_LISTS:
-            # repr compares the bits and the types (np.float64 or float)
-            assert repr(getattr(got.ledger, name)) \
-                == repr(getattr(ref.ledger, name))
-        # every state returned owns its array: no two distinct states
-        # share memory with each other or with the input
-        distinct = {id(s): s.u.values for s in got.snapshots + [got.state]}
-        arrays = list(distinct.values()) + [state.u.values]
-        for i, x in enumerate(arrays):
-            for y in arrays[i + 1:]:
-                assert not np.shares_memory(x, y)
+        _assert_is_reference_run(got, state, spec, dt, t_end, times)
+
+
+def _assert_is_reference_run(got, state, spec, dt, t_end, times):
+    """``got``, a ``flow.run`` from these arguments, has the bits of
+    ``_reference_run`` from them, and owns its arrays."""
+    ref = _reference_run(state, spec, dt, t_end, snapshot_times=times)
+    assert np.array_equal(got.state.u.values, ref.state.u.values)
+    assert got.state.time == ref.state.time
+    assert got.state.eps == ref.state.eps
+    assert len(got.snapshots) == len(ref.snapshots)
+    for a, b in zip(got.snapshots, ref.snapshots):
+        assert np.array_equal(a.u.values, b.u.values)
+        assert a.time == b.time
+    assert ([s is got.state for s in got.snapshots]
+            == [s is ref.state for s in ref.snapshots])
+    assert repr(got.ledger.e_initial) == repr(ref.ledger.e_initial)
+    for name in LEDGER_LISTS:
+        # repr compares the bits and the types (np.float64 or float)
+        assert repr(getattr(got.ledger, name)) \
+            == repr(getattr(ref.ledger, name))
+    # every state returned owns its array: no two distinct states
+    # share memory with each other or with the input
+    distinct = {id(s): s.u.values for s in got.snapshots + [got.state]}
+    arrays = list(distinct.values()) + [state.u.values]
+    for i, x in enumerate(arrays):
+        for y in arrays[i + 1:]:
+            assert not np.shares_memory(x, y)
 
 
 FINITENESS_STATES = [profile_state(n=64, eps=0.05), disk_state(n=16)]
@@ -1042,20 +1093,90 @@ class TestFinitenessGuard:
 
     @staticmethod
     def check_raises_on_step(monkeypatch, st, k):
+        # the NaN goes into the k-th solve of the run's bound solve
+        bind = flow._bind_solve
+        calls = []
+
+        def bind_solve(denom):
+            solve = bind(denom)
+
+            def faulty(rhs):
+                out = solve(rhs)
+                calls.append(1)
+                if len(calls) == k:
+                    out.flat[out.size // 2] = np.nan
+                return out
+            return faulty
+
+        monkeypatch.setattr(flow, "_bind_solve", bind_solve)
+        spec = wells.constant_quartic()
+        with pytest.raises(ValueError, match="field values must be finite"):
+            flow.run(st, spec, dt=2e-4, t_end=5 * 2e-4)
+        assert len(calls) == k
+
+
+def _bits_off(dct):
+    """``dct`` with one value of each inverse (type 3) transform one ulp
+    up."""
+    def off(a, type, *args):
+        out = dct(a, type, *args)
+        if type == 3:
+            out.flat[0] = np.nextafter(out.flat[0], np.inf)
+        return out
+    return off
+
+
+def _rejects(*args):
+    raise TypeError("incompatible function arguments")
+
+
+class TestSolveBinding:
+    """A run binds pocketfft's cosine kernel, and it checks the binding
+    against ``scipy.fft`` once; where the kernel is missing or disagrees,
+    every step goes through ``scipy.fft`` with the same bits."""
+
+    @staticmethod
+    def counted_run(*problem):
+        """``flow.run`` of ``problem``, counting its ``scipy.fft.idctn``
+        calls."""
         import scipy.fft
 
         real = scipy.fft.idctn
         calls = []
 
         def idctn(*args, **kwargs):
-            out = real(*args, **kwargs)
             calls.append(1)
-            if len(calls) == k:
-                out.flat[out.size // 2] = np.nan
-            return out
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, "idctn", idctn)
-        spec = wells.constant_quartic()
-        with pytest.raises(ValueError, match="field values must be finite"):
-            flow.run(st, spec, dt=2e-4, t_end=5 * 2e-4)
-        assert len(calls) == k
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.fft, "idctn", idctn)
+            got = flow.run(*problem[:4], snapshot_times=problem[4])
+        return got, len(calls)
+
+    # how the kernel fails, and the scipy.fft calls of its check
+    @pytest.mark.parametrize("fault, checks", [
+        ("missing", 0), ("type_error", 0), ("one_ulp", 1)])
+    @pytest.mark.parametrize("cells", [(64,), (12, 10)])
+    def test_fallback_has_the_bits_of_scipy_fft(self, monkeypatch, fault,
+                                               checks, cells):
+        import scipy.fft  # noqa: F401  (the fallback route, loaded first)
+
+        name = "scipy.fft._pocketfft.pypocketfft"
+        if fault == "missing":
+            monkeypatch.setitem(sys.modules, name, None)
+        else:
+            module = pytest.importorskip(name)
+            monkeypatch.setattr(module, "dct", _rejects if fault == "type_error"
+                                else _bits_off(module.dct))
+        problem = _block_case(cells, 7)
+        got, calls = self.counted_run(*problem)
+        assert calls == 7 + checks
+        _assert_is_reference_run(got, *problem)
+
+    @pytest.mark.parametrize("cells", [(64,), (12, 10)])
+    def test_steps_skip_scipy_fft(self, cells):
+        pytest.importorskip("scipy.fft._pocketfft.pypocketfft")
+        problem = _block_case(cells, 10)
+        got, calls = self.counted_run(*problem)
+        assert calls == 1  # the binding's check
+        _assert_is_reference_run(got, *problem)

@@ -109,6 +109,14 @@ class TestSurfaceTension:
         assert_allclose(wells.surface_tension(spec, 0.3), 2 * SQRT2_6,
                         rtol=1e-10)
 
+    # an amplitude m <= 0 gives no double well; m = 0 used to reach
+    # flow.run and fail there with a ZeroDivisionError in its stability
+    # bound
+    @pytest.mark.parametrize("amplitude", [0.0, -0.0, -1.0, float("nan")])
+    def test_non_positive_amplitude_is_rejected(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be positive"):
+            wells.constant_quartic(amplitude=amplitude)
+
     def test_gamma_two(self):
         spec = wells.constant_quartic(0.0, 2.0)
         assert_allclose(wells.surface_tension(spec, 0.3),
