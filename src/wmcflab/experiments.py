@@ -406,7 +406,10 @@ def run_ac_to_mcf_1d_drift(kappa: float = 0.5, p0: float = 0.7,
                            runs=((0.04, 0.5), (0.02, 0.25)),
                            rel_tol: float = 0.05) -> ExperimentResult:
     """Flat interface in a well with sigma proportional to exp(kappa x):
-    the exact law is p(t) = p0 - kappa t."""
+    the exact law is p(t) = p0 - kappa t. Errors are relative to the
+    distance traveled, |kappa| t, so kappa = 0 raises ValueError."""
+    if kappa == 0:
+        raise ValueError("kappa must be nonzero: errors are over |kappa| t")
     res = ExperimentResult("ac_to_mcf_1d_drift",
                            csv_header=["eps", "t", "p_exact", "p_extracted",
                                        "err_over_traveled"])
@@ -418,7 +421,7 @@ def run_ac_to_mcf_1d_drift(kappa: float = 0.5, p0: float = 0.7,
     max_errs = _track_flow(
         res, spec, sharp.Point1D(p0), traj, t_end,
         [(eps, grid, frac) for eps, frac in runs],
-        fit=lambda ls: ls.position(), scale=lambda t, p: kappa * t)
+        fit=lambda ls: ls.position(), scale=lambda t, p: abs(kappa) * t)
     res.add(f"position error <= {100 * rel_tol:g}% of traveled distance at "
             "finest eps",
             ("rel err", max_errs[-1], "<=", rel_tol))

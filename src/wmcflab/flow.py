@@ -8,10 +8,10 @@ boundaries, each through one entry point:
     invariant box. It checks the step and the stability bound once and
     hands the steps to one private kernel, ``_march``, which builds the
     per-run operators and its work arrays once, solves each step
-    directly in the cosine basis and returns a ``RunResult``. The solve
-    calls pocketfft's kernel past ``scipy.fft``'s dispatch if, checked
-    once per run, it has the bits of ``scipy.fft``, else ``scipy.fft``
-    (``_bind_solve``);
+    directly in the cosine basis, into its row of the block's state
+    stack, and returns a ``RunResult``. The solve calls pocketfft's
+    kernel past ``scipy.fft``'s dispatch if, checked once per run, it
+    has the bits of ``scipy.fft``, else ``scipy.fft`` (``_bind_solve``);
   * ``step_minmov``: one minimizing-movements step, which minimizes
         (1/eps) E[u] + 1/(2 dt) ||u - u_prev||_L2^2,
     giving exact per-step energy decay and, for wells monotone outside a
@@ -22,7 +22,7 @@ well's m(x), a(x) and b(x) are evaluated on the cell centers at the
 start of the run or descent, and every W/dW_du evaluation after that
 takes the bound coefficients instead of the positions. The run kernel
 forms u - a and u - b once per state and evaluates dW_du (for the next
-step) and, once per block, W (for the ledger) from them with
+step, in place) and, once per block, W (for the ledger) from them with
 ``wells.quartic_dW_du`` and ``wells.quartic_W``, the formula the spec's
 closures call, so every stepped value has the bits of the closures.
 
@@ -32,8 +32,9 @@ nonmonotone Armijo line search), has two callers: ``step_minmov``
 ``minimize_constrained`` (projected onto mean(u) = mass). It is the
 descent analogue of ``_march``: its work arrays are allocated once per
 descent and rotated, and u - a and u - b of each trial feed both that
-trial's energy and, once the trial is accepted, its gradient, in the
-operation order of the spec's closures, so every iterate has the bits
+trial's energy and, once the trial is accepted, its gradient (through
+``wells.quartic_dW_du``'s in-place form), in the operation order of
+the spec's closures, so every iterate has the bits
 of a descent written through ``spec.W``, ``spec.dW_du`` and
 ``energy_face``. Passes whose result is known are skipped, exactly:
 u - a for a = +0.0, x * m for m = 1.0 (``constant_quartic``'s defaults)
@@ -67,8 +68,8 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import NumericError
-from .grid import (Field, FieldStack, Grid, gradient_neumann, integrate,
-                   laplacian_neumann)
+from .grid import (Field, FieldStack, Grid, _check_finite, gradient_neumann,
+                   integrate, laplacian_neumann)
 from .wells import BoundQuartic, WellSpec, bind, quartic_W, quartic_dW_du
 
 
@@ -226,14 +227,17 @@ def _spectral_solve(denom: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _bind_solve(denom: np.ndarray):
-    """``_spectral_solve`` with ``denom`` bound, as a function of rhs,
+    """``_spectral_solve`` with ``denom`` bound, as a function of rhs and
+    ``out`` (rhs's shape), which takes the solution and is returned,
     calling pocketfft's cosine kernel with the arguments ``scipy.fft``
-    passes it (type 2, then 3 in place; all axes; orthonormal; one
-    thread). The kernel is private to SciPy, so a probe is solved both
-    ways first: if the kernel does not import, raises TypeError or
-    differs in any bit, this returns the ``scipy.fft`` route instead."""
-    def reference(rhs):
-        return _spectral_solve(denom, rhs)
+    passes it (type 2 into ``out``, then 3 in place; all axes;
+    orthonormal; one thread). The kernel is private to SciPy, so a probe
+    is solved both ways first, by that call: if the kernel does not
+    import, raises TypeError, returns another array or differs in any
+    bit, this returns the ``scipy.fft`` route, which copies into ``out``."""
+    def reference(rhs, out):
+        np.copyto(out, _spectral_solve(denom, rhs))
+        return out
 
     try:
         from scipy.fft._pocketfft.pypocketfft import dct
@@ -241,21 +245,22 @@ def _bind_solve(denom: np.ndarray):
         return reference
     axes = tuple(range(denom.ndim))
 
-    def solve(rhs):
-        coeff = dct(rhs, 2, axes, 1, None, 1, None)
+    def solve(rhs, out):
+        coeff = dct(rhs, 2, axes, 1, out, 1, None)
         coeff /= denom
         return dct(coeff, 3, axes, 1, coeff, 1, None)
 
     # generic values: no symmetry, no zeros, full mantissas
     probe = np.cos(np.arange(denom.size) * 0.7548776662466927)
     probe = probe.reshape(denom.shape)
+    out = np.empty_like(probe)
     try:
-        got = solve(probe)
+        got = solve(probe, out)
     except TypeError:
         return reference
-    want = reference(probe)
-    same = got.shape == want.shape and got.tobytes() == want.tobytes()
-    return solve if same else reference
+    want = reference(probe, np.empty_like(probe))
+    return solve if got is out and got.tobytes() == want.tobytes() \
+        else reference
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +312,8 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
     * J of a trial keeps that trial's u - a and u - b, evaluating W from
       them without consuming them in the order of ``wells.quartic_W``;
       the gradient of the accepted trial takes its reaction from the
-      same differences, in the order of ``wells.quartic_dW_du``;
+      same differences through ``wells.quartic_dW_du``'s in-place form,
+      with 2m formed once per descent;
     * known passes are skipped: u - a for a scalar a with the bits of
       +0.0 (v - (+0.0) is v; v - (-0.0) turns -0.0 into +0.0), and W's
       product with m for m = 1.0 (x * 1.0 is x);
@@ -354,11 +360,7 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
 
     def gradient(v, out):
         """The gradient at v into ``out``, from the da and db of v."""
-        d = v if a_zero else da
-        np.multiply(d, m2, out=out)
-        out *= db
-        np.add(d, db, out=s1)
-        out *= s1
+        quartic_dW_du(m2, v if a_zero else da, db, out=(out, s1))
         out /= eps
         laplacian_neumann(Field(grid, v), out=s1)
         np.multiply(s1, eps, out=s1)
@@ -558,10 +560,10 @@ def run(state: PhaseState, spec: WellSpec, dt: float, t_end: float,
     ``inner_residuals`` hold the L2 residual of that system on every
     step, so each direct solve is checked against the stencil it
     inverts, a block of steps at a time (a ``FieldStack``). Every new
-    state is a ``Field``, so a non-finite state raises ValueError on the
-    step that produced it. The well is bound to the cell centers once per
-    run, and the steps run in ``_march`` with work arrays allocated once
-    per run; each returned state owns its array.
+    state is checked as a ``Field`` is, so a non-finite state raises
+    ValueError on the step that produced it. The well is bound to the
+    cell centers once per run, and the steps run in ``_march`` with work
+    arrays allocated once per run; each returned state owns its array.
 
     ``dt`` must divide t_end - state.time (to 1e-9 dt) into at least
     one step and must not exceed the stability bound eps^2 / L_W on the
@@ -613,42 +615,40 @@ def _march(state: PhaseState, bound: BoundQuartic, dt: float, n_steps: int,
     one step at a time through ``spec.dW_du``, ``_spectral_solve``,
     ``laplacian_neumann`` and ``energy_face``.
 
-    A step does only what the next one needs: its right-hand side, the
-    solve, the ``Field`` of the new state (a non-finite state raises
-    ValueError before the next solve), u - a and u - b and, through
-    ``wells.quartic_dW_du``, the next reaction. These go into one row of
-    stacks allocated once per run (the state as a copy, unless a block
-    is one step); ``_record`` turns each block, and the last, partial
-    one, into ledger entries. The solve is bound once per run
-    (``_bind_solve``); either route makes every stepped state a fresh
-    array with the bits of ``_spectral_solve``. A ``PhaseState`` is
-    built only for a snapshot and the final state.
+    A step does only its arithmetic: its right-hand side, the solve, the
+    finiteness check of the new state (``grid._check_finite``: a
+    non-finite state raises ValueError before the next solve), u - a,
+    u - b and, in place through ``wells.quartic_dW_du``, the next
+    reaction. These go into one row of stacks allocated once per run;
+    the solve (bound once per run, ``_bind_solve``) writes the state into
+    its row, or into a fresh array when a block is one step. ``_record``
+    turns each block, and the last, partial one, into ledger entries. A
+    ``PhaseState`` is built only for a snapshot and the final state, on a
+    copy of the row.
     """
     grid = state.u.grid
     eps = state.eps
-    m, a, b = bound.m, bound.a, bound.b
+    m2, a, b = bound.m * 2.0, bound.a, bound.b
     solve = _bind_solve(_spectral_denominator(grid, dt))
     rate = dt / eps ** 2
     k = max(1, min(n_steps, _BLOCK_CELLS // math.prod(grid.cells)))
     rhs, da, db, work = (np.empty((k, *grid.cells)) for _ in range(4))
-    new = np.empty((k, *grid.cells)) if k > 1 else None  # else read u
-    f = state.u
-    u = f.values
-    dw = quartic_dW_du(m, u - a, u - b)
+    new = np.empty((k, *grid.cells)) if k > 1 else None  # else fresh arrays
+    rows = list(zip(rhs, da, db, work, [None] if new is None else new))
+    u = state.u.values
+    dw = quartic_dW_du(m2, u - a, u - b)
     time = state.time
     before, times, snapshots = u, [], []
     want = sorted(snapshot_times)
     for step in range(1, n_steps + 1):
         j = len(times)
-        r = rhs[j]
+        r, ra, rb, rw, row = rows[j]
         np.multiply(dw, rate, out=r)
         np.subtract(u, r, out=r)
-        u = solve(r)
-        f = Field(grid, u)
-        if new is not None:
-            new[j] = u
-        dw = quartic_dW_du(m, np.subtract(u, a, out=da[j]),
-                           np.subtract(u, b, out=db[j]))
+        u = solve(r, np.empty(grid.cells) if row is None else row)
+        _check_finite(u)
+        quartic_dW_du(m2, np.subtract(u, a, out=ra),
+                      np.subtract(u, b, out=rb), out=(dw, rw))
         time = time + dt
         times.append(time)
         if j + 1 == k or step == n_steps:
@@ -656,16 +656,16 @@ def _march(state: PhaseState, bound: BoundQuartic, dt: float, n_steps: int,
             states = u[None] if new is None else new[:n]
             _record(ledger, step - j, times, before, (states, rhs[:n],
                     da[:n], db[:n], work[:n]), bound, dt, eps, grid)
-            before, times = u, []
+            # the next block overwrites this row before it records
+            before, times = u if new is None else u.copy(), []
         # the last step reaches every remaining time, whatever rounding
         # the accumulated time carries
-        while want and (step == n_steps or time >= want[0] - 1e-12):
-            if state.u is not f:
-                state = PhaseState(f, eps, time)
-            snapshots.append(state)
-            want.pop(0)
-    if state.u is not f:
-        state = PhaseState(f, eps, time)
+        if step == n_steps or want and time >= want[0] - 1e-12:
+            state = PhaseState(Field(grid, u if new is None else u.copy()),
+                               eps, time)
+            while want and (step == n_steps or time >= want[0] - 1e-12):
+                snapshots.append(state)
+                want.pop(0)
     return RunResult(state, ledger, snapshots)
 
 

@@ -84,6 +84,12 @@ class Grid:
         return Grid(tuple(lower), tuple(upper), tuple(cells))
 
 
+def _check_finite(values: np.ndarray) -> None:
+    """Raise ValueError unless all ``values`` are finite, as a ``Field``."""
+    if not np.isfinite(values).all():
+        raise ValueError("field values must be finite")
+
+
 @dataclass(frozen=True)
 class Field:
     grid: Grid
@@ -95,8 +101,7 @@ class Field:
         if vals.shape[self._lead:] != self.grid.cells:
             raise ValueError(f"values shape {vals.shape} does not match grid "
                              f"cells {self.grid.cells}")
-        if not np.isfinite(vals).all():
-            raise ValueError("field values must be finite")
+        _check_finite(vals)
         object.__setattr__(self, "values", vals)
 
     @staticmethod

@@ -24,8 +24,8 @@ A run on a grid evaluates W and dW_du many times on the same positions.
 spec's W and dW_du take the bound coefficients in place of the positions
 and give the same bits. Both go through ``quartic_W`` and
 ``quartic_dW_du``, the formula as a function of u - a and u - b, which
-the semi-implicit run also calls with the differences it shares between
-a state's energy and its reaction.
+the semi-implicit run and the descent also call, in place, with the
+differences they share between a state's energy and its reaction.
 """
 
 from dataclasses import dataclass, field
@@ -645,10 +645,20 @@ def quartic_W(m, da, db):
     return m * (da * da) * (db * db)
 
 
-def quartic_dW_du(m, da, db):
-    """Its u-partial 2 m (u - a)(u - b)(2u - a - b) from da and db,
-    evaluated as ((2 m da) db)(da + db); ``da`` and ``db`` are kept."""
-    return m * 2.0 * da * db * (da + db)
+def quartic_dW_du(m2, da, db, out=None):
+    """Its u-partial 2 m (u - a)(u - b)(2u - a - b) from m2 = m * 2.0, da
+    and db, evaluated as ((m2 da) db)(da + db); ``da`` and ``db`` are
+    kept. With ``out``, a pair of arrays of the result's shape other than
+    da and db, the product goes into the first, which is returned, and
+    da + db into the second: the same bits, with nothing allocated.
+    """
+    if out is None:
+        return m2 * da * db * (da + db)
+    dw, s = out
+    np.multiply(m2, da, out=dw)
+    dw *= db
+    dw *= np.add(da, db, out=s)
+    return dw
 
 
 def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
@@ -677,7 +687,7 @@ def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
 
     def dW_du(x, u):
         c = coefficients(x)
-        return quartic_dW_du(c.m, u - c.a, u - c.b)
+        return quartic_dW_du(c.m * 2.0, u - c.a, u - c.b)
 
     def dW_dx(x, u):
         da, db = u - a(x), u - b(x)

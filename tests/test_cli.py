@@ -283,6 +283,15 @@ class TestRun:
         assert "GeometryError" in capsys.readouterr().err
         assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
 
+    def test_drift_without_drift_exits_2(self, tmp_path, capsys):
+        # kappa = 0 leaves the point at rest: there is no traveled
+        # distance to measure the error against, and no run is made
+        path = write(tmp_path, "experiment=ac_to_mcf_1d_drift\ntol.kappa=0\n"
+                               f"out_dir={tmp_path}\n")
+        assert cli.main(["run", path]) == 2
+        assert "kappa must be nonzero" in capsys.readouterr().err
+        assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
+
     def test_step_not_dividing_the_span_exits_2(self, tmp_path, capsys):
         # the dissipation run's dt = 3.5e-5 does not divide t_end = 0.01:
         # flow.run raises a plain ValueError, a parameter error

@@ -189,6 +189,28 @@ def test_flow_runner_name_states_rel_tol():
     assert first.parts[0][3] == 0.1
 
 
+def test_drift_error_is_relative_to_the_distance_traveled():
+    # kappa < 0 carries the point to the right: the error is still over
+    # the distance |kappa| t, so it is positive and a tolerance of 1e-9
+    # fails instead of passing a negative ratio
+    res = run_ac_to_mcf_1d_drift(kappa=-0.5, p0=0.3, t_end=0.02,
+                                 grid_n=256, runs=((0.04, 0.5), (0.02, 0.5)),
+                                 rel_tol=1e-9)
+    for _, t, exact, found, err in res.csv_rows:
+        assert exact > 0.3
+        assert err == abs(found - exact) / (0.5 * t) > 0
+    assert not res.checks[0].passed
+
+
+def test_drift_without_drift_raises_before_running(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("flow.run called")
+
+    monkeypatch.setattr(flow, "run", forbidden)
+    with pytest.raises(ValueError, match="kappa must be nonzero"):
+        run_ac_to_mcf_1d_drift(kappa=0.0)
+
+
 def test_flow_verdicts_do_not_depend_on_run_order():
     # the error grows from eps = 0.04 to 0.02 at this short t_end; given
     # finest first, the runs used to be judged in that order and pass

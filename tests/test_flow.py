@@ -477,9 +477,11 @@ class TestSpectralSolveProperties:
     def test_bound_solve_has_the_bits_of_scipy_fft(self, system):
         g, dt, rhs = system
         denom = flow._spectral_denominator(g, dt)
-        got = flow._bind_solve(denom)(rhs)
+        # the solve writes into the row of a stack it is given
+        row = np.empty((2, *rhs.shape))[1]
+        got = flow._bind_solve(denom)(rhs, row)
         want = flow._spectral_solve(denom, rhs)
-        assert got.shape == want.shape
+        assert got is row
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -490,7 +492,8 @@ class TestSpectralSolveProperties:
         denom = flow._spectral_denominator(g, dt)
         direct = flow._spectral_solve(denom, rhs)
         # the solve a run binds has the same bits
-        assert flow._bind_solve(denom)(rhs).tobytes() == direct.tobytes()
+        got = flow._bind_solve(denom)(rhs, np.empty_like(rhs))
+        assert got.tobytes() == direct.tobytes()
         iterative, resid = _cg(lambda v: v - dt * _lap(v, g), rhs,
                                tol=tol)
         assert resid <= tol
@@ -1038,6 +1041,18 @@ class TestRunKernelProperties:
     def test_default_blocks_bit_identical_to_reference_loop(self, cells, n):
         self.check_against_reference(*_block_case(cells, n))
 
+    # four steps per block over ten: a snapshot on step 4 (the first
+    # block's last), on step 6 (inside the second) or on step 10 (t_end,
+    # in the last, partial block; the final state is that snapshot)
+    @pytest.mark.parametrize("cells", [(16,), (10, 8)])
+    @pytest.mark.parametrize("step", [4, 6, 10])
+    def test_snapshot_leaves_the_reused_stacks(self, cells, step):
+        state, spec, dt, t_end, _ = _block_case(cells, 10)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "_BLOCK_CELLS", 4 * math.prod(cells))
+            self.check_against_reference(state, spec, dt, t_end,
+                                         [state.time + step * dt])
+
     @staticmethod
     def check_against_reference(state, spec, dt, t_end, times):
         got = flow.run(state, spec, dt, t_end, snapshot_times=times)
@@ -1075,6 +1090,11 @@ FINITENESS_STATES = [profile_state(n=64, eps=0.05), disk_state(n=16)]
 
 
 class TestFinitenessGuard:
+    """A NaN in the k-th solve is caught in step k, whichever route
+    writes the solve into its row of the block's state stack: the bound
+    kernel (the first two tests, where SciPy has it) or the ``scipy.fft``
+    fallback, which copies its solution into the row."""
+
     @pytest.mark.parametrize("st", FINITENESS_STATES)
     @pytest.mark.parametrize("k", [1, 3])
     def test_nonfinite_solve_raises_on_its_step(self, monkeypatch, st, k):
@@ -1091,6 +1111,21 @@ class TestFinitenessGuard:
                             2 * math.prod(st.u.grid.cells))
         self.check_raises_on_step(monkeypatch, st, k)
 
+    @pytest.mark.parametrize("st", FINITENESS_STATES)
+    @pytest.mark.parametrize("block, k", [(5, 1), (5, 3), (2, 3), (2, 4)])
+    def test_fallback_nonfinite_solve_raises_on_its_step(
+            self, monkeypatch, st, block, k):
+        # the kernel is missing, so every step goes through scipy.fft;
+        # one block of all 5 steps, or blocks of 2 with step k in the
+        # second
+        import scipy.fft  # noqa: F401  (the fallback route, loaded first)
+
+        monkeypatch.setitem(sys.modules, "scipy.fft._pocketfft.pypocketfft",
+                            None)
+        monkeypatch.setattr(flow, "_BLOCK_CELLS",
+                            block * math.prod(st.u.grid.cells))
+        self.check_raises_on_step(monkeypatch, st, k)
+
     @staticmethod
     def check_raises_on_step(monkeypatch, st, k):
         # the NaN goes into the k-th solve of the run's bound solve
@@ -1100,12 +1135,13 @@ class TestFinitenessGuard:
         def bind_solve(denom):
             solve = bind(denom)
 
-            def faulty(rhs):
-                out = solve(rhs)
+            def faulty(rhs, out):
+                got = solve(rhs, out)
+                assert got is out
                 calls.append(1)
                 if len(calls) == k:
-                    out.flat[out.size // 2] = np.nan
-                return out
+                    got.flat[got.size // 2] = np.nan
+                return got
             return faulty
 
         monkeypatch.setattr(flow, "_bind_solve", bind_solve)

@@ -825,6 +825,54 @@ class TestBind:
         assert np.ndim(wells.bind(wells.constant_quartic(), pts).m) == 0
 
 
+# values of u, a and b: near the wells, signed zeros, subnormals and
+# magnitudes whose products overflow
+_REACTION_VALUES = hst.one_of(
+    hst.floats(-3.0, 3.0),
+    hst.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309,
+                      1e150, -1e150, 1e300, -1e300]))
+
+
+@hst.composite
+def reaction_problems(draw):
+    """m, a and b, each a scalar or an array of one drawn shape, and u
+    of that shape."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=6))
+
+    def coefficient(elements):
+        if draw(hst.booleans()):
+            return np.float64(draw(elements))
+        return draw(hnp.arrays(float, shape, elements=elements))
+
+    m = coefficient(hst.one_of(
+        hst.floats(1e-3, 1e3),
+        hst.sampled_from([1.0, 5e-324, 1e-310, 1e150, 1e300])))
+    a, b = coefficient(_REACTION_VALUES), coefficient(_REACTION_VALUES)
+    return m, a, b, draw(hnp.arrays(float, shape, elements=_REACTION_VALUES))
+
+
+class TestReactionInPlace:
+    @settings(max_examples=200, deadline=None)
+    @given(reaction_problems())
+    def test_in_place_has_the_bits_of_the_allocating_form(self, problem):
+        # and of spec.dW_du; da and db are kept, da + db is left in the
+        # second array
+        m, a, b, u = problem
+        with np.errstate(all="ignore"):
+            da, db = u - a, u - b
+            kept = da.tobytes(), db.tobytes()
+            out = (np.empty(u.shape), np.empty(u.shape))
+            got = wells.quartic_dW_du(m * 2.0, da, db, out=out)
+            alloc = wells.quartic_dW_du(m * 2.0, da, db)
+            closure = wells.constant_quartic().dW_du(
+                wells.BoundQuartic(m, a, b), u)
+            total = da + db
+        assert got is out[0]
+        assert got.tobytes() == alloc.tobytes() == closure.tobytes()
+        assert out[1].tobytes() == total.tobytes()
+        assert (da.tobytes(), db.tobytes()) == kept
+
+
 class TestValidateAssumptions:
     def test_quadratic_growth_near_wells(self):
         spec = wells.constant_quartic()
