@@ -9,6 +9,7 @@ acceptance suite both drive these functions.
 """
 
 import csv
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,8 +149,7 @@ def run_surface_tension(well=None, n_points: int = 50, seed: int = 0,
     quad = wells.surface_tension(spec, pts, tol=1e-12)
     exact = spec.sigma_exact(pts)
     rel = np.abs(quad - exact) / np.abs(exact)
-    for k in range(n_points):
-        res.csv_rows.append([pts[k, 0], pts[k, 1], quad[k], exact[k], rel[k]])
+    res.csv_rows += map(list, zip(pts[:, 0], pts[:, 1], quad, exact, rel))
     res.add("sigma quadrature matches closed form",
             ("rel err", rel, "<=", tol))
     return res
@@ -355,29 +355,36 @@ def run_dissipation(grid_n: int = 256, eps: float = 0.02,
 # convergence to the sharp flow
 # ---------------------------------------------------------------------------
 
-def _track_flow(res, spec, front, traj, t_end, runs, fit, scale):
-    """Track the diffuse flow against the exact ``traj`` on each (eps,
-    grid, frac) of ``runs``, sorted largest eps first: start from the
-    checked recovery state of ``front`` (``var.build_recovery``), step with
-    dt = frac eps^2 / Lip(dW/du) rounded to divide ``t_end``, and at five
-    checkpoints append the row (eps, t, exact, fit, |fit - exact| /
-    scale(t, exact)), fit read off the 1/2 level set. Returns each run's
-    largest error, in that order."""
-    checkpoints = [t_end * k / 5.0 for k in range(1, 6)]
-    max_errs = []
-    for eps, grid, frac in sorted(runs, key=lambda r: r[0], reverse=True):
+_FlowRun = namedtuple("_FlowRun", ["eps", "dt", "steps", "checkpoints",
+                                   "final_defect", "max_residual"])
+
+
+def track_flow(spec, front, traj, t_end, runs, scale) -> list:
+    """One ``_FlowRun`` of scalars per (eps, grid, frac) of ``runs``, largest
+    eps first: from the checked recovery state of ``front``, dt = frac eps^2 /
+    Lip(dW/du) rounded to divide ``t_end``, the step count, (t, exact, found,
+    err) at the first step reaching each t_end k/5, and the ledger's final
+    defect and largest solve residual. ``exact`` is ``traj``'s, ``found`` the
+    1/2 level set's fitted radius (2-d) or position (1-d), err = |found -
+    exact| / scale(t, exact). No state outlives its run."""
+    def read(s):
+        exact = float(traj.position(s.time))
+        ls = extract_levelset(s.u, 0.5)
+        found = ls.fitted_circle()[1] if ls.dim == 2 else ls.position()
+        return s.time, exact, found, abs(found - exact) / scale(s.time, exact)
+
+    def track(eps, grid, frac):
         state = var.build_recovery(front, spec, grid, eps).state
         lw = flow.reaction_lipschitz(spec, grid, (-0.06, 1.06))
-        dt = t_end / int(np.ceil(t_end / (frac * eps ** 2 / lw)))
-        errs = []
-        for s in flow.run(state, spec, dt=dt, t_end=t_end,
-                          snapshot_times=checkpoints).snapshots:
-            exact = float(traj.position(s.time))
-            found = fit(extract_levelset(s.u, 0.5))
-            errs.append(abs(found - exact) / scale(s.time, exact))
-            res.csv_rows.append([eps, s.time, exact, found, errs[-1]])
-        max_errs.append(max(errs))
-    return max_errs
+        steps = int(np.ceil(t_end / (frac * eps ** 2 / lw)))
+        out = flow.run(state, spec, dt=t_end / steps, t_end=t_end,
+                       snapshot_times=[t_end * k / 5.0 for k in range(1, 6)])
+        return _FlowRun(eps, t_end / steps, steps,
+                        tuple(map(read, out.snapshots)),
+                        out.ledger.final_defect,
+                        max(out.ledger.inner_residuals))
+
+    return [track(*r) for r in sorted(runs, key=lambda r: r[0], reverse=True)]
 
 
 def run_ac_to_mcf_radial(r0: float = 0.4, t_end: float = 0.06,
@@ -385,17 +392,16 @@ def run_ac_to_mcf_radial(r0: float = 0.4, t_end: float = 0.06,
                          rel_tol: float = 0.05) -> ExperimentResult:
     """Shrinking disk under the diffuse flow against the exact radial law
     R' = -1/R (constant sigma): the extracted radius tracks the ODE."""
-    res = ExperimentResult("ac_to_mcf_radial",
-                           csv_header=["eps", "t", "R_ode", "R_extracted",
-                                       "rel_err"])
-    traj = _radial_reference(r0, t_end)
-    max_errs = _track_flow(
-        res, wells.constant_quartic(), sharp.Sphere((0.5, 0.5), r0), traj,
-        t_end, [(eps, _unit_box(n), frac) for eps, n, frac in runs],
-        fit=lambda ls: ls.fitted_circle()[1], scale=lambda t, r: r)
+    res = ExperimentResult("ac_to_mcf_radial", csv_header=[
+        "eps", "t", "R_ode", "R_extracted", "rel_err"])
+    flows = track_flow(wells.constant_quartic(), sharp.Sphere((0.5, 0.5), r0),
+                       _radial_reference(r0, t_end), t_end,
+                       [(eps, _unit_box(n), frac) for eps, n, frac in runs],
+                       scale=lambda t, r: r)
+    res.csv_rows += [[f.eps, *c] for f in flows for c in f.checkpoints]
+    max_errs = [max(c[3] for c in f.checkpoints) for f in flows]
     res.add(f"extracted radius within {100 * rel_tol:g}% of the ODE radius "
-            "at finest eps",
-            ("rel err", max_errs[-1], "<=", rel_tol))
+            "at finest eps", ("rel err", max_errs[-1], "<=", rel_tol))
     res.add("max checkpoint error decreases with eps",
             _sweep_part("max rel err", max_errs))
     return res
@@ -410,23 +416,20 @@ def run_ac_to_mcf_1d_drift(kappa: float = 0.5, p0: float = 0.7,
     distance traveled, |kappa| t, so kappa = 0 raises ValueError."""
     if kappa == 0:
         raise ValueError("kappa must be nonzero: errors are over |kappa| t")
-    res = ExperimentResult("ac_to_mcf_1d_drift",
-                           csv_header=["eps", "t", "p_exact", "p_extracted",
-                                       "err_over_traveled"])
-    spec = wells.exp_scaled_quartic(kappa)
+    res = ExperimentResult("ac_to_mcf_1d_drift", csv_header=[
+        "eps", "t", "p_exact", "p_extracted", "err_over_traveled"])
     sig = sharp.exponential_scalar_sigma(kappa, scale=SQRT2_OVER_6)
     traj = _full_length(sharp.evolve_point1d(p0, sig, t_end, tol=1e-12),
                         t_end)
     grid = Grid.interval(0.0, 1.0, grid_n)
-    max_errs = _track_flow(
-        res, spec, sharp.Point1D(p0), traj, t_end,
-        [(eps, grid, frac) for eps, frac in runs],
-        fit=lambda ls: ls.position(), scale=lambda t, p: abs(kappa) * t)
+    flows = track_flow(wells.exp_scaled_quartic(kappa), sharp.Point1D(p0),
+                       traj, t_end, [(eps, grid, frac) for eps, frac in runs],
+                       scale=lambda t, p: abs(kappa) * t)
+    res.csv_rows += [[f.eps, *c] for f in flows for c in f.checkpoints]
+    max_errs = [max(c[3] for c in f.checkpoints) for f in flows]
     res.add(f"position error <= {100 * rel_tol:g}% of traveled distance at "
-            "finest eps",
-            ("rel err", max_errs[-1], "<=", rel_tol))
-    res.add("error decreases with eps",
-            _sweep_part("max rel err", max_errs))
+            "finest eps", ("rel err", max_errs[-1], "<=", rel_tol))
+    res.add("error decreases with eps", _sweep_part("max rel err", max_errs))
     return res
 
 
@@ -514,8 +517,7 @@ def run_calibration(r0: float = 0.4, t_end: float = 0.04,
     base = ratios(2000, 1e-4)
     refined = ratios(4000, 1e-4)
     fd_half = ratios(2000, 5e-5)
-    for k in base:
-        res.csv_rows.append([f"ratio_{k}", base[k]])
+    res.csv_rows += [[f"ratio_{k}", v] for k, v in base.items()]
     b, r, f = (np.array(list(d.values())) for d in (base, refined, fd_half))
     spread = [np.maximum(o, b) / np.maximum(np.minimum(o, b), 1e-300)
               for o in (r, f)]
@@ -543,9 +545,8 @@ def run_weak_strong(r0: float = 0.4, delta: float = 0.02,
     times = np.linspace(0.0, t_end * 0.975, n_times)
 
     rep = calib.gronwall_verify(strong, cal, times, zero_tol=zero_tol)
-    for k, t in enumerate(times):
-        res.csv_rows.append(["identical", t, rep.e_rel[k], rep.e_bulk[k],
-                             rep.coercivity_slack[k]])
+    res.csv_rows += [["identical", *r] for r in zip(
+        times, rep.e_rel, rep.e_bulk, rep.coercivity_slack)]
     bound = np.format_float_scientific(zero_tol, trim="-", exp_digits=1)
     res.add(f"identical data keeps E_rel, E_bulk below {bound}",
             ("E_rel", rep.e_rel, "<=", zero_tol),
@@ -553,9 +554,8 @@ def run_weak_strong(r0: float = 0.4, delta: float = 0.02,
 
     pert = _radial_reference(r0 + delta, t_end)
     rep2 = calib.gronwall_verify(pert, cal, times, zero_tol=zero_tol)
-    for k, t in enumerate(times):
-        res.csv_rows.append(["perturbed", t, rep2.e_rel[k], rep2.e_bulk[k],
-                             rep2.coercivity_slack[k]])
+    res.csv_rows += [["perturbed", *r] for r in zip(
+        times, rep2.e_rel, rep2.e_bulk, rep2.coercivity_slack)]
     res.add("tilt coercivity holds with constant 1 and nonnegative slack",
             ("identity error", rep2.coercivity_identity_error, "<=", 1e-12),
             ("slack", rep2.coercivity_slack, ">=", -1e-14))

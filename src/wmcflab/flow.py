@@ -713,8 +713,12 @@ def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
     stationarity of the constrained first-order conditions. Raises
     NumericError, with the current iterate as ``last_iterate``, when the
     descent stops (line search exhausted or ``max_iter`` reached) with
-    the residual still above ``tol_residual`` or not finite.
+    the residual still above ``tol_residual`` or not finite, and
+    ValueError, before any descent, when ``tol_residual`` is not positive:
+    a rounded residual is not relied on to reach 0.
     """
+    if not tol_residual > 0:   # NaN too
+        raise ValueError(f"tol_residual must be positive, got {tol_residual}")
     bound = bind(spec, grid.points())
     mean_a = float(np.mean(bound.a))
     mean_b = float(np.mean(bound.b))

@@ -292,6 +292,16 @@ class TestRun:
         assert "kappa must be nonzero" in capsys.readouterr().err
         assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
 
+    def test_unreachable_stationarity_tolerance_exits_2(self, tmp_path,
+                                                        capsys):
+        # no rounded residual is relied on to reach 0: the descent used to
+        # run its 60 000 iterations, then exit 3
+        path = write(tmp_path, "experiment=gibbs_thomson\n"
+                               f"tol.residual_tol=0\nout_dir={tmp_path}\n")
+        assert cli.main(["run", path]) == 2
+        assert "tol_residual must be positive" in capsys.readouterr().err
+        assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
+
     def test_step_not_dividing_the_span_exits_2(self, tmp_path, capsys):
         # the dissipation run's dt = 3.5e-5 does not divide t_end = 0.01:
         # flow.run raises a plain ValueError, a parameter error

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from wmcflab import flow, sharp, variations as var, wells
+from wmcflab import experiments, flow, sharp, variations as var, wells
 from wmcflab.errors import GeometryError
 from wmcflab.experiments import (Check, ExperimentResult, _sweep_part, holds,
                                  run_ac_to_mcf_1d_drift, run_ac_to_mcf_radial,
@@ -226,6 +226,58 @@ def test_flow_verdicts_do_not_depend_on_run_order():
     assert not dict(c[:2] for c in checks[0])["error decreases with eps"]
 
 
+class TestFlowRecords:
+    """``experiments.track_flow`` on criterion 08's acceptance runs, given
+    finest first: the records the runner forms its rows and checks from."""
+
+    @pytest.fixture(scope="class")
+    def drift(self):
+        got, track = [], experiments.track_flow
+
+        def recording(*args, **kwargs):
+            got.extend(track(*args, **kwargs))
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "track_flow", recording)
+            res = run_ac_to_mcf_1d_drift(runs=((0.02, 0.25), (0.04, 0.5)))
+        return res, got
+
+    def test_one_record_per_run_largest_eps_first(self, drift):
+        res, records = drift
+        assert [r.eps for r in records] == [0.04, 0.02]
+        assert repr(res.csv_rows) == repr(
+            [[r.eps, *c] for r in records for c in r.checkpoints])
+
+    def test_records_hold_scalars_only(self, drift):
+        for r in drift[1]:
+            assert len(r.checkpoints) == 5
+            values = [r.eps, r.dt, r.steps, r.final_defect, r.max_residual]
+            values += [v for c in r.checkpoints for v in c]
+            assert all(np.ndim(v) == 0 for v in values)
+
+    def test_every_solve_solved_its_system(self, drift):
+        # measured 1.1e-12 (eps 0.04) and 1.4e-13 (eps 0.02)
+        for r in drift[1]:
+            assert 0.0 <= r.max_residual <= 1e-10
+
+    def test_steps_times_dt_is_t_end(self, drift):
+        for r in drift[1]:
+            assert isinstance(r.steps, int)
+            assert abs(r.steps * r.dt - 0.2) <= 1e-9 * r.dt
+
+    def test_checkpoints_are_the_first_steps_reaching_each_fifth(self, drift):
+        for r in drift[1]:
+            times, t = [], 0.0
+            for _ in range(r.steps):   # flow.run accumulates its time
+                t = t + r.dt
+                times.append(t)
+            # the last step reaches t_end, whatever rounding it carries
+            first = [next((s for s in times if s >= 0.2 * k / 5 - 1e-12),
+                          times[-1]) for k in range(1, 6)]
+            assert [c[0] for c in r.checkpoints] == first
+
+
 class TestFirstVariationClosedForm:
     NAME = "heterogeneous sharp value matches the elliptic closed form"
 
@@ -347,8 +399,10 @@ class TestStartsAreRecoveryStates:
 
         def run(state, spec, dt, t_end, snapshot_times):
             seen.append((state, spec))
-            return SimpleNamespace(snapshots=[state.replace(state.u.values,
-                                                            t_end)])
+            return SimpleNamespace(
+                snapshots=[state.replace(state.u.values, t_end)],
+                ledger=SimpleNamespace(final_defect=0.0,
+                                       inner_residuals=[0.0]))
 
         monkeypatch.setattr(flow, "run", run)
         runner(**kwargs)

@@ -546,6 +546,18 @@ class TestConstrainedMinimization:
                                       max_iter=3)
         assert exc.value.last_iterate is not None
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+    def test_unreachable_tolerance_raises_before_descent(self, monkeypatch,
+                                                         tol):
+        # a tolerance of 0 used to run all max_iter iterations (about 21 s
+        # for Gibbs-Thomson on 64^2), then raise NumericError
+        monkeypatch.setattr(flow, "_bb_descent", None)
+        g = Grid.box((0, 0), (1, 1), (32, 32))
+        with pytest.raises(ValueError, match="tol_residual must be positive"):
+            flow.minimize_constrained(wells.constant_quartic(), g, 0.05, 0.5,
+                                      Field.constant(g, 0.5),
+                                      tol_residual=tol)
+
 
 @hst.composite
 def descent_problems(draw):
