@@ -8,7 +8,7 @@ The first runs of criteria 07 and 08, through their helper
   * a flat 1-d front in a well with sigma ~ exp(kappa x), which slides
     toward lower sigma with exact speed -kappa (heterogeneity-driven).
 
-Each run tracks the extracted interface against the ODE solution at five
+Each run tracks the extracted interface against the exact law at five
 checkpoints, with the drift's error over the distance traveled, kappa t,
 and reports its dissipation ledger defect.
 

@@ -13,9 +13,13 @@ reads, for radial sigma(rho) about the ball center,
 
     dR/dt = -(N-1)/R - sigma'(R)/sigma(R)
 
-and for a 1-d point interface dp/dt = -sigma'(p)/sigma(p). Both exact
-references come from one integrator (``_integrate``): each flow states
-only its rate law, its stop events and the sign relating V to dy/dt.
+and for a 1-d point interface dp/dt = -sigma'(p)/sigma(p). Where
+sigma'/sigma is one constant kappa (``ScalarSigma.log_slope``: sigma =
+c exp(kappa x), or a constant sigma with kappa = 0), the point's law is
+the line p(t) = p0 - kappa t, which ``evolve_point1d`` returns in closed
+form. Every other exact reference comes from one integrator
+(``_integrate``): each flow states only its rate law, its stop events and
+the sign relating V to dy/dt.
 
 sigma is given once, to the flow: ``SharpTrajectory.sigma`` holds it for
 ``dissipation_check`` and ``calib``. Static geometry (``Sphere``,
@@ -115,10 +119,18 @@ def sigma_field_of(spec: WellSpec) -> SurfaceTension:
 
 @dataclass(frozen=True)
 class ScalarSigma:
-    """sigma of one scalar variable (radius or 1-d position)."""
+    """sigma of one scalar variable (radius or 1-d position).
+
+    ``log_slope`` is sigma'/sigma when that ratio is the same constant
+    everywhere (sigma = c exp(log_slope r)), and None otherwise; with it
+    set, ``evolve_point1d`` returns the exact line instead of integrating.
+    It must agree with ``value`` and ``deriv``, which the lifts and every
+    other flow read.
+    """
 
     value: Callable[[float], float]
     deriv: Callable[[float], float]
+    log_slope: Optional[float] = None
 
     def about(self, center) -> SurfaceTension:
         """Lift a radial profile to a SurfaceTension about ``center``."""
@@ -150,12 +162,14 @@ class ScalarSigma:
 
 def constant_scalar_sigma(c: float) -> ScalarSigma:
     return ScalarSigma(value=lambda r: c * np.ones_like(np.asarray(r, float)),
-                       deriv=lambda r: np.zeros_like(np.asarray(r, float)))
+                       deriv=lambda r: np.zeros_like(np.asarray(r, float)),
+                       log_slope=0.0)
 
 
 def exponential_scalar_sigma(kappa: float, scale: float = 1.0) -> ScalarSigma:
     return ScalarSigma(value=lambda r: scale * np.exp(kappa * np.asarray(r, float)),
-                       deriv=lambda r: scale * kappa * np.exp(kappa * np.asarray(r, float)))
+                       deriv=lambda r: scale * kappa * np.exp(kappa * np.asarray(r, float)),
+                       log_slope=float(kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +381,38 @@ def evolve_radial(r0: float, sigma: ScalarSigma, t_end: float,
 
 def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
                    tol: float = 1e-10) -> SharpTrajectory:
-    """Integrate dp/dt = -sigma'(p)/sigma(p), sampled at 257 times; the
+    """The flow dp/dt = -sigma'(p)/sigma(p), sampled at 257 times; the
     point slides toward lower sigma, and V = dp/dt. Stops (and flags
-    truncation) if p leaves [0, 1] through either end."""
-    return _integrate(lambda p: -sigma.deriv(p) / sigma.value(p),
-                      p0, t_end, tol, [lambda p: p, lambda p: 1.0 - p], 1.0,
-                      kind="point1d", sigma=sigma.along_axis())
+    truncation) at the first time p reaches 0 or 1, an end of [0, 1].
+
+    With ``sigma.log_slope`` set (kappa = sigma'/sigma constant) the law
+    is exact: p(t) = p0 - kappa t and V = -kappa, stopped at p0/kappa or
+    (p0 - 1)/kappa if that comes before ``t_end``, with no solver and no
+    SciPy import. Any other sigma is integrated by RK45 at rtol = atol =
+    ``tol``. Both clip times to the stop time and raise the same errors
+    outside the trajectory's window.
+    """
+    fields = dict(kind="point1d", sigma=sigma.along_axis())
+    kappa = sigma.log_slope
+    if kappa is None:
+        return _integrate(lambda p: -sigma.deriv(p) / sigma.value(p),
+                          p0, t_end, tol, [lambda p: p, lambda p: 1.0 - p],
+                          1.0, **fields)
+    # the times the line reaches 0 and 1; a point at rest reaches neither
+    ends = (p0 / kappa, (p0 - 1.0) / kappa) if kappa else ()
+    hits = [t for t in ends if 0.0 <= t < t_end]
+    t_stop = min(hits, default=t_end)
+
+    def position(t):
+        return p0 - kappa * np.clip(np.asarray(t, dtype=float), 0.0, t_stop)
+
+    def velocity(t):
+        return np.full(np.shape(t), -kappa)
+
+    ts = np.linspace(0.0, t_stop, 257)
+    return SharpTrajectory(times=ts, positions=position(ts),
+                           velocities=velocity(ts), truncated=bool(hits),
+                           _dense=position, _vel=velocity, **fields)
 
 
 # ---------------------------------------------------------------------------

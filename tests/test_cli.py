@@ -186,15 +186,39 @@ print("ok")
 """
 
 
-def test_cold_start_loads_no_scipy_until_an_ode_is_solved():
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this wmcflab, and
+    require that it prints ok."""
     src = os.path.dirname(os.path.dirname(wmcflab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", COLD_START, *CONFIGS],
+    proc = subprocess.run([sys.executable, "-c", code, *args],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_cold_start_loads_no_scipy_until_an_ode_is_solved():
+    run_fresh(COLD_START, *CONFIGS)
+
+
+# The drift's sharp reference is the exact line p0 - kappa t: a whole
+# criterion 08 run (small sizes here) solves no ODE, so it never imports
+# scipy.integrate, which adds about 23 MB to the process.
+DRIFT_RUN = """
+import sys
+from wmcflab.experiments import run_ac_to_mcf_1d_drift
+res = run_ac_to_mcf_1d_drift(grid_n=256, runs=((0.08, 0.5), (0.04, 0.25)))
+assert len(res.csv_rows) == 10, res.csv_rows
+assert "scipy.fft" in sys.modules
+assert "scipy.integrate" not in sys.modules, "drift run loaded scipy.integrate"
+print("ok")
+"""
+
+
+def test_drift_run_loads_no_ode_solver():
+    run_fresh(DRIFT_RUN)
 
 
 class TestListExperiments:

@@ -148,13 +148,14 @@ class TestEvolvePoint:
     def test_constant_sigma_is_stationary(self):
         sig = sharp.constant_scalar_sigma(2.0)
         traj = sharp.evolve_point1d(0.4, sig, 0.5, tol=1e-12)
-        assert traj.position(0.5) == pytest.approx(0.4, abs=1e-12)
+        assert traj.position(0.5) == 0.4
+        assert np.all(traj.positions == 0.4)
 
     def test_exponential_sigma_exact_drift(self):
         kappa = 0.5
         sig = sharp.exponential_scalar_sigma(kappa)
         traj = sharp.evolve_point1d(0.7, sig, 0.2, tol=1e-12)
-        assert traj.position(0.2) == pytest.approx(0.7 - kappa * 0.2, abs=1e-9)
+        assert traj.position(0.2) == 0.7 - kappa * 0.2
         assert not traj.truncated
 
     @pytest.mark.parametrize("kappa, p0, end", [(5.0, 0.1, 0.0),
@@ -164,7 +165,7 @@ class TestEvolvePoint:
         sig = sharp.exponential_scalar_sigma(kappa)
         traj = sharp.evolve_point1d(p0, sig, 1.0, tol=1e-12)
         assert traj.truncated
-        assert traj.t_end == pytest.approx(0.02, abs=1e-9)
+        assert traj.t_end == (p0 / kappa if end == 0.0 else (p0 - 1.0) / kappa)
         assert traj.positions[-1] == pytest.approx(end, abs=1e-9)
         with pytest.raises(GeometryError, match="outside"):
             traj.position(0.03)
@@ -175,6 +176,22 @@ class TestEvolvePoint:
                      sharp.evolve_radial(0.4, sharp.exponential_scalar_sigma(
                          0.7), 0.02, tol=1e-12, center=CENTER)):
             assert np.array_equal(traj.velocities, traj.velocity(traj.times))
+
+    @pytest.mark.parametrize("kappa", [0.5, -0.5, 5.0, -5.0])
+    def test_exact_line_matches_the_ode(self, kappa):
+        # the RK45 route on the same sigma, told nothing of its log slope,
+        # is the oracle of the closed form; at |kappa| = 5 the point leaves
+        # [0, 1] before t_end = 0.2 (through 0 for kappa > 0, through 1
+        # for kappa < 0)
+        sig = sharp.exponential_scalar_sigma(kappa, scale=SQRT2_6)
+        exact = sharp.evolve_point1d(0.7, sig, 0.2, tol=1e-12)
+        ode = sharp.evolve_point1d(
+            0.7, dataclasses.replace(sig, log_slope=None), 0.2, tol=1e-12)
+        assert exact.truncated == ode.truncated == (abs(kappa) == 5.0)
+        assert abs(exact.t_end - ode.t_end) <= 1e-9
+        assert_allclose(exact.positions, ode.positions, rtol=0, atol=1e-12)
+        assert_allclose(exact.velocities, ode.velocities, rtol=0, atol=1e-10)
+        assert np.all(exact.velocities == -kappa)
 
     def test_slides_toward_sigma_minimum(self):
         x_star = 0.55
