@@ -35,7 +35,7 @@ rate = float(spec.profile_rate(np.array([x0])))
 for s in (-2.0, -0.5, 0.0, 0.5, 2.0):
     v = wells.optimal_profile(spec, x0, s)
     print(f"  s = {s:5.2f}: v = {v:.8f}   logistic({rate:.4f} s) = "
-          f"{1 / (1 + np.exp(-rate * s)):.8f}")
+          f"{float(spec.profile_exact(np.array([x0]), s)):.8f}")
 
 print("\nstructural assumptions on a lattice (report only):")
 pts = np.linspace(0.05, 0.95, 13).reshape(-1, 1)

@@ -218,8 +218,9 @@ class Sphere:
     def __post_init__(self):
         object.__setattr__(self, "center",
                            tuple(float(c) for c in self.center))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < np.inf:  # NaN fails too
+            raise ValueError(f"radius must be finite and positive, got "
+                             f"{self.radius!r}")
 
     @property
     def dim(self) -> int:
@@ -369,9 +370,10 @@ def evolve_radial(r0: float, sigma: ScalarSigma, t_end: float,
 
     Stops (and flags truncation) if R reaches 1e-3 before ``t_end``.
     For constant sigma the closed form is R(t) = sqrt(r0^2 - 2(N-1)t).
+    ValueError unless r0 is finite and positive.
     """
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
+    if not 0.0 < r0 < np.inf:  # NaN fails too
+        raise ValueError(f"r0 must be finite and positive, got {r0!r}")
     ndim = len(center)
     return _integrate(
         lambda r: -(ndim - 1) / r - sigma.deriv(r) / sigma.value(r),
@@ -383,15 +385,19 @@ def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
                    tol: float = 1e-10) -> SharpTrajectory:
     """The flow dp/dt = -sigma'(p)/sigma(p), sampled at 257 times; the
     point slides toward lower sigma, and V = dp/dt. Stops (and flags
-    truncation) at the first time p reaches 0 or 1, an end of [0, 1].
+    truncation) at the first time p reaches 0 or 1, an end of [0, 1];
+    ValueError unless p0 lies inside (0, 1).
 
     With ``sigma.log_slope`` set (kappa = sigma'/sigma constant) the law
     is exact: p(t) = p0 - kappa t and V = -kappa, stopped at p0/kappa or
-    (p0 - 1)/kappa if that comes before ``t_end``, with no solver and no
-    SciPy import. Any other sigma is integrated by RK45 at rtol = atol =
-    ``tol``. Both clip times to the stop time and raise the same errors
-    outside the trajectory's window.
+    (p0 - 1)/kappa if that comes before ``t_end`` and clipped to [0, 1]
+    against rounding there, with no solver and no SciPy import. Any other
+    sigma is integrated by RK45 at rtol = atol = ``tol``. Both clip times
+    to the stop time and raise the same errors outside the trajectory's
+    window.
     """
+    if not 0.0 < p0 < 1.0:  # NaN fails too
+        raise ValueError(f"p0 must lie inside (0, 1), got {p0!r}")
     fields = dict(kind="point1d", sigma=sigma.along_axis())
     kappa = sigma.log_slope
     if kappa is None:
@@ -404,7 +410,9 @@ def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
     t_stop = min(hits, default=t_end)
 
     def position(t):
-        return p0 - kappa * np.clip(np.asarray(t, dtype=float), 0.0, t_stop)
+        # p0 - kappa t_stop can round past the end it stops at
+        p = p0 - kappa * np.clip(np.asarray(t, dtype=float), 0.0, t_stop)
+        return np.clip(p, 0.0, 1.0)
 
     def velocity(t):
         return np.full(np.shape(t), -kappa)

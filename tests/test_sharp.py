@@ -143,6 +143,15 @@ class TestEvolveRadial:
                 assert np.all(np.isfinite(traj.position(t)))
                 assert np.all(np.isfinite(traj.velocity(t)))
 
+    @pytest.mark.parametrize("r", [0.0, -0.1, np.nan, np.inf, -np.inf])
+    def test_radius_must_be_finite_and_positive(self, r):
+        # NaN fails every <= comparison, so a guard of r <= 0 let it pass
+        with pytest.raises(ValueError, match="finite and positive"):
+            sharp.Sphere(CENTER, r)
+        with pytest.raises(ValueError, match="finite and positive"):
+            sharp.evolve_radial(r, sharp.constant_scalar_sigma(1.0), 0.01,
+                                center=CENTER)
+
 
 class TestEvolvePoint:
     def test_constant_sigma_is_stationary(self):
@@ -192,6 +201,31 @@ class TestEvolvePoint:
         assert_allclose(exact.positions, ode.positions, rtol=0, atol=1e-12)
         assert_allclose(exact.velocities, ode.velocities, rtol=0, atol=1e-10)
         assert np.all(exact.velocities == -kappa)
+
+    @pytest.mark.parametrize("p0", [0.0, 1.0, -0.5, 1.5, np.nan])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_start_outside_the_open_interval_raises(self, p0, exact):
+        # on an end a point stopped at t = 0, outside it ran on untruncated
+        sig = sharp.exponential_scalar_sigma(-1.0)
+        if not exact:
+            sig = dataclasses.replace(sig, log_slope=None)
+        with pytest.raises(ValueError, match=r"inside \(0, 1\)"):
+            sharp.evolve_point1d(p0, sig, 0.2, tol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           hst.one_of(hst.floats(-10.0, -1e-3), hst.floats(1e-3, 10.0)),
+           hst.floats(1e-3, 2.0))
+    # p0 - kappa t_stop rounds to -2.8e-17 unless clipped
+    @example(0.16065200877512686, 9.39850826432265, 0.23173122494154064)
+    def test_exact_line_stops_at_its_first_end(self, p0, kappa, t_end):
+        traj = sharp.evolve_point1d(p0, sharp.exponential_scalar_sigma(kappa),
+                                    t_end)
+        hits = [t for t in (p0 / kappa, (p0 - 1.0) / kappa)
+                if 0.0 <= t < t_end]
+        assert np.all((traj.positions >= 0.0) & (traj.positions <= 1.0))
+        assert traj.truncated == bool(hits)
+        assert traj.t_end == min(hits, default=t_end)
 
     def test_slides_toward_sigma_minimum(self):
         x_star = 0.55
