@@ -10,7 +10,7 @@ acceptance suite both drive these functions.
 
 import csv
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -216,7 +216,8 @@ def run_first_variation(grid_n: int = 512, eps_list=(0.08, 0.04, 0.02),
     res = ExperimentResult("first_variation",
                            csv_header=["branch", "eps", "diffuse", "sharp",
                                        "gap", "defect", "energy",
-                                       "energy_sharp"])
+                                       "energy_sharp", "reassembled",
+                                       "route_gap"])
     grid = _unit_box(grid_n)
     disk = sharp.Sphere((0.5, 0.5), radius)
     target = -2.0 * np.pi * radius * SQRT2_OVER_6
@@ -231,8 +232,7 @@ def run_first_variation(grid_n: int = 512, eps_list=(0.08, 0.04, 0.02),
              "heterogeneous grad-sigma pairing is nonzero",
              lambda s: ("|sharp|", abs(s), ">", 1e-3))):
         rows = var.first_variation_convergence(eps_list, disk, spec, psi, grid)
-        res.csv_rows += [[branch, r.eps, r.diffuse, r.sharp, r.gap, r.defect,
-                          r.energy, r.energy_sharp] for r in rows]
+        res.csv_rows += [[branch, *astuple(r)] for r in rows]
         res.add(sanity, part(rows[0].sharp))
         res.add(f"{branch} |diffuse - sharp| strictly decreasing",
                 _sweep_part("gap", [r.gap for r in rows]))

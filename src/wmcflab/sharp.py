@@ -327,13 +327,15 @@ class SharpTrajectory:
 
 
 def _integrate(rate, y0: float, t_end: float, tol: float, stops, sign: float,
-               **fields) -> SharpTrajectory:
+               bounds=None, **fields) -> SharpTrajectory:
     """The one integrator behind both reference flows: dy/dt = rate(y)
     from y(0) = y0 by RK45 at rtol = atol = ``tol``, stopping early (and
     flagging ``truncated``) at the first zero of a ``stops`` function of y.
-    Position is the dense interpolant and V = sign * rate(position), at the
-    257 sample times and at any time alike; ``fields`` (kind, sigma,
-    center) go to the SharpTrajectory."""
+    Position is the dense interpolant, clipped to ``bounds`` when given,
+    and V = sign * rate(position), at the 257 sample times and at any time
+    alike; ``fields`` (kind, sigma, center) go to the SharpTrajectory.
+    NumericError when the solver fails, or when it cannot locate a stop
+    it stepped across."""
     from scipy.integrate import solve_ivp
 
     def event(stop):
@@ -342,16 +344,25 @@ def _integrate(rate, y0: float, t_end: float, tol: float, stops, sign: float,
         at_zero.terminal = True
         return at_zero
 
-    sol = solve_ivp(lambda _, y: [rate(y[0])], (0.0, t_end), [y0],
-                    method="RK45", rtol=tol, atol=tol, dense_output=True,
-                    events=[event(stop) for stop in stops])
+    try:
+        sol = solve_ivp(lambda _, y: [rate(y[0])], (0.0, t_end), [y0],
+                        method="RK45", rtol=tol, atol=tol, dense_output=True,
+                        events=[event(stop) for stop in stops])
+    except ValueError as exc:
+        # a stop that changes sign over a step but, read through the dense
+        # output at both ends of the step, does not (a zero within rounding
+        # of the step end): brentq refuses the bracket
+        if "different signs" not in str(exc):
+            raise
+        raise NumericError("sharp flow stop not located: " + str(exc)) from exc
     if not sol.success:
         raise NumericError("sharp flow integration failed: " + sol.message)
     t_stop = sol.t[-1]
 
     def position(t):
         tt = np.clip(np.asarray(t, dtype=float), 0.0, t_stop)
-        return sol.sol(np.atleast_1d(tt))[0].reshape(np.shape(t))
+        y = sol.sol(np.atleast_1d(tt))[0].reshape(np.shape(t))
+        return y if bounds is None else np.clip(y, *bounds)
 
     def velocity(t):
         return sign * rate(position(t))
@@ -390,11 +401,12 @@ def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
 
     With ``sigma.log_slope`` set (kappa = sigma'/sigma constant) the law
     is exact: p(t) = p0 - kappa t and V = -kappa, stopped at p0/kappa or
-    (p0 - 1)/kappa if that comes before ``t_end`` and clipped to [0, 1]
-    against rounding there, with no solver and no SciPy import. Any other
-    sigma is integrated by RK45 at rtol = atol = ``tol``. Both clip times
-    to the stop time and raise the same errors outside the trajectory's
-    window.
+    (p0 - 1)/kappa if that comes before ``t_end``, with no solver and no
+    SciPy import. Any other sigma is integrated by RK45 at rtol = atol =
+    ``tol`` (NumericError if a stop at an end cannot be located). Both
+    clip positions to [0, 1] against rounding at the end they stop at and
+    times to the stop time, and raise the same errors outside the
+    trajectory's window.
     """
     if not 0.0 < p0 < 1.0:  # NaN fails too
         raise ValueError(f"p0 must lie inside (0, 1), got {p0!r}")
@@ -403,7 +415,7 @@ def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
     if kappa is None:
         return _integrate(lambda p: -sigma.deriv(p) / sigma.value(p),
                           p0, t_end, tol, [lambda p: p, lambda p: 1.0 - p],
-                          1.0, **fields)
+                          1.0, (0.0, 1.0), **fields)
     # the times the line reaches 0 and 1; a point at rest reaches neither
     ends = (p0 / kappa, (p0 - 1.0) / kappa) if kappa else ()
     hits = [t for t in ends if 0.0 <= t < t_end]

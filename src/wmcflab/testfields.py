@@ -31,13 +31,6 @@ class TestVectorField:
     jac: Callable[[np.ndarray], np.ndarray]     # (..., d) -> (..., d, d)
 
 
-def zero_field(dim: int) -> TestVectorField:
-    return TestVectorField(
-        psi=lambda x: np.zeros(np.shape(x)),
-        jac=lambda x: np.zeros(np.shape(x) + (dim,)),
-    )
-
-
 def _smoothstep_cutoff(r_inner, r_outer):
     """phi(rho) = 1 on rho <= r_inner, 0 on rho >= r_outer, C^2 between:
     one minus the quintic smoothstep (zero end slopes and curvature)."""
@@ -117,15 +110,3 @@ def translation_bump(direction, center, radius: float) -> TestVectorField:
     return _cutoff_field(center, _cubic_bump(radius), None,
                          np.asarray(direction, dtype=float))
 
-
-def check_admissible(psi: TestVectorField, grid) -> float:
-    """Max |psi . n_Omega| over boundary cell centers of the grid."""
-    worst = 0.0
-    pts = grid.points()
-    for axis in range(grid.dim):
-        for side in (0, -1):
-            sl = [slice(None)] * grid.dim
-            sl[axis] = side
-            vals = psi.psi(pts[tuple(sl)])
-            worst = max(worst, float(np.max(np.abs(vals[..., axis]))))
-    return worst

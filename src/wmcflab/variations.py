@@ -198,6 +198,8 @@ class SweepRow:
     defect: float
     energy: float
     energy_sharp: float
+    reassembled: float
+    route_gap: float
 
 
 def first_variation_convergence(eps_list, interface, spec: WellSpec,
@@ -207,7 +209,9 @@ def first_variation_convergence(eps_list, interface, spec: WellSpec,
     The sharp value is the boundary-quadrature oracle under
     ``sigma_field_of(spec)``; recovery states are rebuilt per eps on the
     given grid (eps < 4 max spacing raises), and the defect column comes
-    from each state's reading.
+    from each state's reading. ``diffuse`` is the direct route of
+    ``diffuse_first_variation``, ``reassembled`` its second route and
+    ``route_gap`` their distance.
     """
     sharp_val = sharp_first_variation(interface, sigma_field_of(spec), psi)
     rows = []
@@ -218,6 +222,7 @@ def first_variation_convergence(eps_list, interface, spec: WellSpec,
                              gap=abs(fv.value - sharp_val),
                              defect=equipartition_defect(rec.reading),
                              energy=rec.energy_diffuse,
-                             energy_sharp=rec.energy_sharp))
+                             energy_sharp=rec.energy_sharp,
+                             reassembled=fv.reassembled, route_gap=fv.gap))
         del rec  # release the state and its reading before the next build
     return rows

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from wmcflab import experiments, flow, sharp, variations as var, wells
+from wmcflab import experiments, flow, sharp, testfields as tf
+from wmcflab import variations as var, wells
 from wmcflab.errors import GeometryError
 from wmcflab.experiments import (Check, ExperimentResult, _sweep_part, holds,
                                  run_ac_to_mcf_1d_drift, run_ac_to_mcf_radial,
@@ -296,6 +297,31 @@ class TestFirstVariationClosedForm:
         monkeypatch.setattr(var, "sharp_first_variation",
                             lambda *args: 1.1 * exact(*args))
         assert not self.verdict()
+
+
+def test_first_variation_rows_carry_both_routes():
+    # each branch's recovery state, rebuilt here, gives the row's second
+    # route; its distance to the direct route is the row's route gap
+    res = run_first_variation(grid_n=128, eps_list=(0.08, 0.04))
+    assert res.csv_header[-3:] == ["energy_sharp", "reassembled", "route_gap"]
+    grid = experiments._unit_box(128)
+    disk = sharp.Sphere((0.5, 0.5), 0.3)
+    branches = {
+        "homogeneous": (wells.constant_quartic(),
+                        tf.dilation_field((0.5, 0.5), 0.38, 0.47)),
+        "heterogeneous": (wells.affine_scaled_quartic(1.0, 1.0),
+                          tf.translation_field((1, 0), (0.5, 0.5), 0.38,
+                                               0.47))}
+    assert [row[:2] for row in res.csv_rows] == [
+        [b, eps] for b in branches for eps in (0.08, 0.04)]
+    for row in res.csv_rows:
+        col = dict(zip(res.csv_header, row))
+        spec, psi = branches[col["branch"]]
+        state = var.build_recovery(disk, spec, grid, col["eps"]).state
+        fv = var.diffuse_first_variation(state, spec, psi)
+        assert col["diffuse"] == fv.value
+        assert col["reassembled"] == fv.reassembled
+        assert col["route_gap"] == abs(col["diffuse"] - col["reassembled"])
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from wmcflab import quadrature, sharp, wells
-from wmcflab.errors import GeometryError
+from wmcflab.errors import GeometryError, NumericError
 from wmcflab.experiments import _unit_box
 from wmcflab.testfields import dilation_field, rotation_field, translation_field
+
+from fieldcheck import zero_field
 
 SQRT2_6 = 0.23570226039551587
 CENTER = (0.5, 0.5)
@@ -227,6 +229,31 @@ class TestEvolvePoint:
         assert traj.truncated == bool(hits)
         assert traj.t_end == min(hits, default=t_end)
 
+    @settings(max_examples=200, deadline=None)
+    @given(hst.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           hst.one_of(hst.floats(-10.0, -1e-3), hst.floats(1e-3, 10.0)),
+           hst.floats(1e-3, 2.0))
+    # the dense output rounds to -4.2e-17 at the stop unless clipped
+    @example(0.12428327649956394, 3.412488293872606, 1.2947318336369258)
+    def test_ode_route_stays_in_the_interval(self, p0, kappa, t_end):
+        sig = dataclasses.replace(sharp.exponential_scalar_sigma(kappa),
+                                  log_slope=None)
+        try:
+            traj = sharp.evolve_point1d(p0, sig, t_end, tol=1e-12)
+        except NumericError:  # a stop within rounding of a step end
+            assume(False)
+        assert np.all((traj.positions >= 0.0) & (traj.positions <= 1.0))
+
+    def test_unlocated_stop_is_a_numeric_error(self):
+        # RK45 steps across p = 0, but its dense output at the step's ends
+        # gives the stop one sign, and SciPy's event location raises a
+        # plain ValueError ("f(a) and f(b) must have different signs")
+        sig = dataclasses.replace(
+            sharp.exponential_scalar_sigma(3.726007956461652), log_slope=None)
+        with pytest.raises(NumericError, match="stop not located"):
+            sharp.evolve_point1d(0.0022461445398733737, sig,
+                                 1.7173152419378652, tol=1e-12)
+
     def test_slides_toward_sigma_minimum(self):
         x_star = 0.55
         sig = sharp.ScalarSigma(value=lambda x: 1.0 + (np.asarray(x) - x_star) ** 2,
@@ -284,7 +311,6 @@ class TestMotionLaw:
                                         0.06, tol=1e-12, center=CENTER)
 
     def test_zero_field(self):
-        from wmcflab.testfields import zero_field
         iface = self.traj.interface_at(0.03)
         r = sharp.motion_law_residual(iface, float(self.traj.velocity(0.03)),
                                       self.sig, zero_field(2))

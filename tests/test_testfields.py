@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from wmcflab.grid import Grid
-from wmcflab.testfields import (check_admissible, dilation_field,
-                                rotation_field, translation_bump,
-                                translation_field)
+from wmcflab.testfields import (dilation_field, rotation_field,
+                                translation_bump, translation_field)
 from wmcflab.wells import point_norm
+
+from fieldcheck import check_admissible
 
 KINDS = ("dilation", "rotation", "translation", "bump")
 MIN_WIDTH = 0.05    # least r_outer - r_inner, least r_inner, least bump/2

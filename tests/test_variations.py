@@ -12,8 +12,9 @@ from wmcflab import variations as var, wells
 from wmcflab.errors import GeometryError, ResolutionError
 from wmcflab.experiments import holds
 from wmcflab.grid import Field, Grid, extract_levelset, gradient_neumann
-from wmcflab.testfields import (check_admissible, dilation_field,
-                                translation_field, zero_field)
+from wmcflab.testfields import dilation_field, translation_field
+
+from fieldcheck import check_admissible, zero_field
 
 SQRT2_6 = 0.23570226039551587
 CENTER = (0.5, 0.5)
