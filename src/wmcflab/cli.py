@@ -16,18 +16,19 @@ of the experiment's runner:
 
     grid.n              -> grid_n    (positive int)
     eps                 -> eps_list  (comma-separated positive floats)
-    t_end               -> t_end     (positive float)
+    t_end               -> t_end     (positive finite float)
     tol.<name>          -> <name>    (a float parameter of the runner;
                                       finite: inf and nan are rejected)
     well.name, well.<p> -> well      (WELL_REGISTRY factory called with <p>;
                                       finite: inf and nan are rejected)
 
 A key the experiment does not take is rejected with exit 2, by both
-``validate`` and ``run``, and so is a ``tol.<name>`` or ``well.<p>``
-that is not finite (``float`` parses inf and nan; an infinite tolerance
-can stop a solve at once and pass the check it bounds, a nan one
-compares false, and a non-finite well parameter gives wells that the
-run rejects only once it builds them).
+``validate`` and ``run``, and so is a ``t_end``, ``tol.<name>`` or
+``well.<p>`` that is not finite (``float`` parses inf and nan; no sharp
+reference reaches an infinite t_end, an infinite tolerance can stop a
+solve at once and pass the check it bounds, a nan one compares false,
+and a non-finite well parameter gives wells that the run rejects only
+once it builds them).
 ``validate`` checks keys, types, names, that an eps sweep has two or
 more values, all distinct (each experiment that takes one checks a
 strict decrease over it) and that every eps a run starts from, set or
@@ -179,7 +180,7 @@ def resolve(entries: dict):
         elif key == "eps":
             forward(key, "eps_list", _eps_list)
         elif key == "t_end":
-            forward(key, "t_end", _positive(float))
+            forward(key, "t_end", _positive(_finite))
         elif key.startswith("tol."):
             forward(key, key[4:], _finite, accepted=floats,
                     takes_no=f"experiment {name!r} takes no float")

@@ -124,8 +124,12 @@ def _full_length(traj: sharp.SharpTrajectory,
 
 
 def _radial_reference(r0: float, t_end: float) -> sharp.SharpTrajectory:
-    """Exact radial flow about the center of the unit box up to t_end, at
-    the one sigma of the radial runners, which their oracles read off it."""
+    """Radial flow about the center of the unit box up to t_end, at the
+    one sigma of the radial runners, which their oracles read off it. It
+    is integrated (RK45 at tol 1e-12), not the closed form
+    R(t)^2 = r0^2 - 2t: at the runners' starts R stays within 1e-9
+    relative of that form at all 257 samples (at most 2.4e-10, at
+    r0 = 0.4 and t_end = 0.06)."""
     sig = sharp.constant_scalar_sigma(SQRT2_OVER_6)
     return _full_length(sharp.evolve_radial(r0, sig, t_end, tol=1e-12,
                                             center=(0.5, 0.5)), t_end)

@@ -125,7 +125,10 @@ class ScalarSigma:
     everywhere (sigma = c exp(log_slope r)), and None otherwise; with it
     set, ``evolve_point1d`` returns the exact line instead of integrating.
     It must agree with ``value`` and ``deriv``, which the lifts and every
-    other flow read.
+    other flow read. With ``log_slope`` 0 sigma is constant, and the
+    value of either lift reads no coordinate: it is ``value`` on zeros of
+    the points' shape, which has the bits of ``value`` at every finite
+    point, and a non-finite point gets the constant.
     """
 
     value: Callable[[float], float]
@@ -136,9 +139,13 @@ class ScalarSigma:
         """Lift a radial profile to a SurfaceTension about ``center``."""
         c = np.asarray(center, dtype=float)
 
-        def val(x):
-            rho = point_norm(np.asarray(x) - c)
-            return self.value(rho)
+        if self.log_slope == 0.0:
+            def val(x):
+                return self.value(np.zeros(np.shape(x)[:-1]))
+        else:
+            def val(x):
+                rho = point_norm(np.asarray(x) - c)
+                return self.value(rho)
 
         def grad(x):
             dx = np.asarray(x, dtype=float) - c
@@ -149,8 +156,12 @@ class ScalarSigma:
 
     def along_axis(self) -> SurfaceTension:
         """Lift to a SurfaceTension of the first coordinate x_0."""
-        def val(x):
-            return self.value(np.asarray(x)[..., 0])
+        if self.log_slope == 0.0:
+            def val(x):
+                return self.value(np.zeros(np.shape(x)[:-1]))
+        else:
+            def val(x):
+                return self.value(np.asarray(x)[..., 0])
 
         def grad(x):
             g = np.zeros(np.shape(x))
@@ -381,10 +392,12 @@ def evolve_radial(r0: float, sigma: ScalarSigma, t_end: float,
 
     Stops (and flags truncation) if R reaches 1e-3 before ``t_end``.
     For constant sigma the closed form is R(t) = sqrt(r0^2 - 2(N-1)t).
-    ValueError unless r0 is finite and positive.
+    ValueError unless r0 and t_end are finite and positive.
     """
     if not 0.0 < r0 < np.inf:  # NaN fails too
         raise ValueError(f"r0 must be finite and positive, got {r0!r}")
+    if not 0.0 < t_end < np.inf:  # RK45 never returns from a NaN t_end
+        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
     ndim = len(center)
     return _integrate(
         lambda r: -(ndim - 1) / r - sigma.deriv(r) / sigma.value(r),
@@ -397,7 +410,8 @@ def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
     """The flow dp/dt = -sigma'(p)/sigma(p), sampled at 257 times; the
     point slides toward lower sigma, and V = dp/dt. Stops (and flags
     truncation) at the first time p reaches 0 or 1, an end of [0, 1];
-    ValueError unless p0 lies inside (0, 1).
+    ValueError unless p0 lies inside (0, 1) and t_end is finite and
+    positive.
 
     With ``sigma.log_slope`` set (kappa = sigma'/sigma constant) the law
     is exact: p(t) = p0 - kappa t and V = -kappa, stopped at p0/kappa or
@@ -410,6 +424,8 @@ def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
     """
     if not 0.0 < p0 < 1.0:  # NaN fails too
         raise ValueError(f"p0 must lie inside (0, 1), got {p0!r}")
+    if not 0.0 < t_end < np.inf:  # RK45 never returns from a NaN t_end
+        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
     fields = dict(kind="point1d", sigma=sigma.along_axis())
     kappa = sigma.log_slope
     if kappa is None:

@@ -118,13 +118,16 @@ class TestValidateConfig:
     # float() parses inf and nan; with residual_tol=inf the Gibbs-Thomson
     # descent stops at iteration 0 and its residual check passes. A
     # non-finite well parameter used to pass validate, and run then failed
-    # building the wells ("field values must be finite").
+    # building the wells ("field values must be finite"). An infinite
+    # t_end passed validate, and run then exited 2 at the sharp reference.
     @pytest.mark.parametrize("text", [
         "experiment=gibbs_thomson\ntol.residual_tol=inf\n",
         "experiment=surface_tension\ntol.tol=nan\n",
     ] + [f"experiment=equipartition\ngrid.n=64\neps=0.1,0.08\n"
          f"well.name=quartic_moving\nwell.a_slope={value}\n"
-         for value in ("nan", "inf", "-inf")])
+         for value in ("nan", "inf", "-inf")] + [
+        f"experiment={name}\nt_end={value}\n"
+        for name in ("calibration", "weak_strong") for value in ("inf", "nan")])
     def test_non_finite_tolerance_is_rejected(self, tmp_path, capsys, text):
         path = write(tmp_path, text + f"out_dir={tmp_path}\n")
         assert cli.main(["validate", path]) == 2

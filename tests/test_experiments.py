@@ -18,6 +18,8 @@ from wmcflab.experiments import (Check, ExperimentResult, _sweep_part, holds,
                                  run_gibbs_thomson, run_minimizing_movements,
                                  run_weak_strong)
 
+from test_arguments import defaults
+
 ELEMENTWISE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
                ">": operator.gt}
 RELATIONS = sorted(ELEMENTWISE) + ["decreasing"]
@@ -210,6 +212,23 @@ def test_drift_without_drift_raises_before_running(monkeypatch):
     monkeypatch.setattr(flow, "run", forbidden)
     with pytest.raises(ValueError, match="kappa must be nonzero"):
         run_ac_to_mcf_1d_drift(kappa=0.0)
+
+
+BV, CAL, WS = map(defaults, ("bv_residuals", "calibration", "weak_strong"))
+
+
+# (r0, t_end) of every radial reference 09, 10 and 11 build at their
+# defaults; 11 builds a second one from r0 + delta
+@pytest.mark.parametrize("r0, t_end", sorted({
+    (BV["r0"], BV["t_end"]), (CAL["r0"], CAL["t_end"]),
+    (WS["r0"], WS["t_end"]), (WS["r0"] + WS["delta"], WS["t_end"])}))
+def test_radial_reference_is_the_closed_form_over_its_window(r0, t_end):
+    traj = experiments._radial_reference(r0, t_end)
+    exact = np.sqrt(r0 ** 2 - 2.0 * traj.times)
+    assert len(traj.times) == 257 and traj.times[-1] == t_end
+    assert np.max(np.abs(traj.positions / exact - 1.0)) <= 1e-9
+    # V = -dR/dt = 1/R
+    assert np.max(np.abs(traj.velocities * exact - 1.0)) <= 1e-9
 
 
 def test_flow_verdicts_do_not_depend_on_run_order():

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import hypothesis.extra.numpy as hnp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
@@ -153,6 +154,27 @@ class TestEvolveRadial:
         with pytest.raises(ValueError, match="finite and positive"):
             sharp.evolve_radial(r, sharp.constant_scalar_sigma(1.0), 0.01,
                                 center=CENTER)
+
+
+@pytest.mark.parametrize("t_end", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("route", ["radial", "exact line", "rk45 point"])
+def test_t_end_must_be_finite_and_positive(route, t_end, monkeypatch):
+    # a NaN t_end kept RK45 stepping forever, and the exact line returned
+    # a trajectory of NaN times
+    import scipy.integrate
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", no_solve)
+    sig = sharp.exponential_scalar_sigma(1.0)
+    start = {"radial": lambda: sharp.evolve_radial(0.4, sig, t_end,
+                                                   center=CENTER),
+             "exact line": lambda: sharp.evolve_point1d(0.5, sig, t_end),
+             "rk45 point": lambda: sharp.evolve_point1d(
+                 0.5, dataclasses.replace(sig, log_slope=None), t_end)}
+    with pytest.raises(ValueError, match="t_end must be finite and positive"):
+        start[route]()
 
 
 class TestEvolvePoint:
@@ -536,6 +558,81 @@ class TestPointNormCallSites:
         rho = np.maximum(rho, 1e-300)
         want = (prof.deriv(rho) / rho)[..., None] * (x - c)
         assert field.grad(x).tobytes() == want.tobytes()
+
+
+COORD = hst.one_of(hst.floats(-10.0, 10.0), hst.sampled_from([0.0, -0.0]))
+LEVEL_PROFILES = hst.one_of(
+    hst.floats(-10.0, 10.0).map(sharp.constant_scalar_sigma),
+    hst.floats(1e-3, 10.0).map(lambda s: sharp.exponential_scalar_sigma(0.0, s)))
+
+
+@hst.composite
+def clouds_about(draw):
+    """A finite cloud of shape (n, 2), (a, b, 2), (n, 1) or (2,) and a
+    centre of its dimension, drawn among its points half the time."""
+    n, a, b = (draw(hst.integers(1, 6)) for _ in range(3))
+    shape = draw(hst.sampled_from([(n, 2), (a, b, 2), (n, 1), (2,)]))
+    x = draw(hnp.arrays(np.float64, shape, elements=COORD))
+    center = draw(hnp.arrays(np.float64, shape[-1:], elements=COORD))
+    if draw(hst.booleans()):
+        x[(0,) * (x.ndim - 1)] = center
+    return x, center
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """The shapes ``sharp`` passes to ``point_norm``, one entry a call."""
+    calls = []
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return wells.point_norm(x)
+
+    monkeypatch.setattr(sharp, "point_norm", counting)
+    return calls
+
+
+def _bits(v):
+    return type(v), np.shape(v), np.asarray(v).tobytes()
+
+
+class TestConstantLifts:
+    """With log_slope 0 the lifts' values read no coordinate and keep the
+    bits of the profile at the points; the gradients keep theirs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(LEVEL_PROFILES, clouds_about())
+    def test_lifts_keep_the_bits(self, prof, cloud):
+        x, c = cloud
+        about, axis = prof.about(c), prof.along_axis()
+        rho = wells.point_norm(x - c)
+        assert _bits(about.value(x)) == _bits(prof.value(rho))
+        assert _bits(axis.value(x)) == _bits(prof.value(x[..., 0]))
+        rho = np.maximum(rho, 1e-300)
+        want = (prof.deriv(rho) / rho)[..., None] * (x - c)
+        assert _bits(about.grad(x)) == _bits(want)
+        want = np.zeros(x.shape)
+        want[..., 0] = prof.deriv(x[..., 0])
+        assert _bits(axis.grad(x)) == _bits(want)
+
+    @pytest.mark.parametrize("prof", [
+        sharp.constant_scalar_sigma(SQRT2_6),
+        sharp.exponential_scalar_sigma(0.0, SQRT2_6)],
+        ids=["constant", "exponential0"])
+    def test_constant_lift_reads_no_coordinate(self, prof, norm_calls):
+        x = np.array([[0.1, 0.2], [np.nan, 0.5], [np.inf, -np.inf]])
+        for field in (prof.about(CENTER), prof.along_axis()):
+            assert np.all(field.value(x) == SQRT2_6)
+        assert norm_calls == []
+
+    def test_sloped_lift_reads_coordinates(self, norm_calls):
+        prof = sharp.exponential_scalar_sigma(0.7)
+        # radii 0.1 and 0.3 about CENTER; x_0 0.6 and 0.8
+        x = np.array([[0.6, 0.5], [0.8, 0.5]])
+        for field in (prof.about(CENTER), prof.along_axis()):
+            v = field.value(x)
+            assert v[0] != v[1]
+        assert norm_calls == [(2, 2)]
 
 
 def test_rotation_field_pairs_to_zero():
