@@ -380,33 +380,20 @@ class CoercivityReport:
     e_rel: float
     slack: float         # int sigma (1 - |xi|^2) / 2 >= 0
     identity_error: float
-    c_dist: Optional[float]
-    c_theta: Optional[float]
 
 
 def coercivity_check(weak, cal: Calibration, t: float) -> CoercivityReport:
     """Tilt coercivity with constant exactly 1: tilt + slack = E_rel, on
-    1024 nodes of the weak interface.
-
-    Also reports the empirical constants for the distance and mass
-    coercivity bounds (None when E_rel vanishes)."""
+    1024 nodes of the weak interface, with |tilt + slack - E_rel| as the
+    identity error."""
     pts, w, normals = weak.boundary_nodes(1024)
-    f = cal._frame(pts, t)
-    xi = f.xi
+    xi = cal._frame(pts, t).xi
     sig = cal.traj.sigma.value(pts)
     tilt = float(np.sum(w * sig * 0.5 * np.sum((normals - xi) ** 2, axis=-1)))
     slack = float(np.sum(w * sig * 0.5 * (1.0 - np.sum(xi ** 2, axis=-1))))
     e_rel = float(np.sum(w * sig * (1.0 - np.sum(normals * xi, axis=-1))))
-    dist_term = float(np.sum(w * sig * np.minimum(f.sdist ** 2, 1.0)))
-    theta_term = float(np.sum(w * sig * f.theta ** 2))
-    if e_rel > 1e-15:
-        c_dist = dist_term / e_rel
-        c_theta = theta_term / e_rel
-    else:
-        c_dist = c_theta = None
     return CoercivityReport(tilt=tilt, e_rel=e_rel, slack=slack,
-                            identity_error=abs(tilt + slack - e_rel),
-                            c_dist=c_dist, c_theta=c_theta)
+                            identity_error=abs(tilt + slack - e_rel))
 
 
 # ---------------------------------------------------------------------------
@@ -415,27 +402,24 @@ def coercivity_check(weak, cal: Calibration, t: float) -> CoercivityReport:
 
 @dataclass
 class GronwallReport:
-    times: np.ndarray
     e_rel: np.ndarray
     e_bulk: np.ndarray
     coercivity_slack: np.ndarray
     coercivity_identity_error: np.ndarray
     fitted_c_rel: float
-    fitted_c_bulk: float
     fitted_c_rel_coarse: float
-    fitted_c_bulk_coarse: float
     exp_bound_excess: float   # max_t E_rel(t) - E_rel(0) e^{C_rel t}(1 + 1e-9)
 
 
-def _fit_constant(times, values, forcing, zero_tol, offset=0.0):
-    """Smallest C with values(T) <= values(0) + offset + C int_0^T forcing
-    at every grid time T, guarded for vanishing integrals; NaN when there
-    is no second time to fit on."""
+def _fit_constant(times, values, zero_tol):
+    """Smallest C with values(T) <= values(0) + C int_0^T values at every
+    grid time T, guarded for vanishing integrals; NaN when there is no
+    second time to fit on."""
     if len(times) < 2:
         return float("nan")
     cum = np.concatenate([[0.0], np.cumsum(
-        0.5 * (forcing[1:] + forcing[:-1]) * np.diff(times))])
-    growth = values[1:] - values[0] - offset
+        0.5 * (values[1:] + values[:-1]) * np.diff(times))])
+    growth = values[1:] - values[0]
     return float(np.max(np.where(
         cum[1:] < 1e-14, np.where(growth <= zero_tol, 0.0, np.inf),
         np.maximum(growth, 0.0) / np.maximum(cum[1:], 1e-14))))
@@ -443,19 +427,20 @@ def _fit_constant(times, values, forcing, zero_tol, offset=0.0):
 
 def gronwall_verify(weak: SharpTrajectory, cal: Calibration, times,
                     zero_tol: float = 1e-8) -> GronwallReport:
-    """Fit the stability constants of the relative/bulk energy estimates.
+    """Fit the stability constant of the relative energy estimate.
 
     Computes t -> E_rel, E_bulk for the weak trajectory against the
     strong flow that ``cal`` calibrates, fits the smallest Gronwall
-    constants making E(T') <= E(0) + C int_0^T' E dt hold at every grid
-    time, refits them on every second time, and reports the excess of
-    E_rel over the exponential bound E_rel(0) exp(C_rel t); it measures
-    and decides nothing. The tilt coercivity check runs at every time too,
-    and E_rel is read off its report (the same 1024-node sum as
-    ``relative_energy``, to a few ulp); the report keeps its slack and
-    identity error. The weak interface is built once per time. Raises
-    ValueError unless the times are one or more and strictly increasing
-    (the fits integrate forward from the first time).
+    constant C_rel making E_rel(T') <= E_rel(0) + C_rel int_0^T' E_rel dt
+    hold at every grid time, refits it on every second time, and reports
+    the excess of E_rel over the exponential bound E_rel(0) exp(C_rel t);
+    it measures and decides nothing. E_bulk is reported, not fitted. The
+    tilt coercivity check runs at every time too, and E_rel is read off
+    its report (the same 1024-node sum as ``relative_energy``, to a few
+    ulp); the report keeps its slack and identity error. The weak
+    interface is built once per time. Raises ValueError unless the times
+    are one or more and strictly increasing (the fit integrates forward
+    from the first time).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -469,20 +454,13 @@ def gronwall_verify(weak: SharpTrajectory, cal: Calibration, times,
     e_rel = np.array([c.e_rel for c in co])
     e_bulk = np.array([bulk_energy(iface, cal, t)
                        for iface, t in zip(ifaces, times)])
-    c_rel = _fit_constant(times, e_rel, e_rel, zero_tol)
-    c_bulk = _fit_constant(times, e_bulk, e_rel + e_bulk, zero_tol,
-                           offset=float(e_rel[0]))
-    coarse = times[::2]
-    c_rel_half = _fit_constant(coarse, e_rel[::2], e_rel[::2], zero_tol)
-    c_bulk_half = _fit_constant(coarse, e_bulk[::2], (e_rel + e_bulk)[::2],
-                                zero_tol, offset=float(e_rel[0]))
+    c_rel = _fit_constant(times, e_rel, zero_tol)
+    c_rel_half = _fit_constant(times[::2], e_rel[::2], zero_tol)
     excess = float(np.max(e_rel - e_rel[0] * np.exp(c_rel * times)
                           * (1 + 1e-9)))
-    return GronwallReport(times=times, e_rel=e_rel, e_bulk=e_bulk,
+    return GronwallReport(e_rel=e_rel, e_bulk=e_bulk,
                           coercivity_slack=np.array([c.slack for c in co]),
                           coercivity_identity_error=np.array(
                               [c.identity_error for c in co]),
-                          fitted_c_rel=c_rel, fitted_c_bulk=c_bulk,
-                          fitted_c_rel_coarse=c_rel_half,
-                          fitted_c_bulk_coarse=c_bulk_half,
+                          fitted_c_rel=c_rel, fitted_c_rel_coarse=c_rel_half,
                           exp_bound_excess=excess)

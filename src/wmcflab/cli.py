@@ -15,7 +15,7 @@ Every key other than ``experiment`` and ``out_dir`` reaches one parameter
 of the experiment's runner:
 
     grid.n              -> grid_n    (positive int)
-    eps                 -> eps_list  (comma-separated positive floats)
+    eps                 -> eps_list  (comma-separated positive finite floats)
     t_end               -> t_end     (positive finite float)
     tol.<name>          -> <name>    (a float parameter of the runner;
                                       finite: inf and nan are rejected)
@@ -23,12 +23,13 @@ of the experiment's runner:
                                       finite: inf and nan are rejected)
 
 A key the experiment does not take is rejected with exit 2, by both
-``validate`` and ``run``, and so is a ``t_end``, ``tol.<name>`` or
-``well.<p>`` that is not finite (``float`` parses inf and nan; no sharp
-reference reaches an infinite t_end, an infinite tolerance can stop a
-solve at once and pass the check it bounds, a nan one compares false,
-and a non-finite well parameter gives wells that the run rejects only
-once it builds them).
+``validate`` and ``run``, and so is an ``eps``, ``t_end``, ``tol.<name>``
+or ``well.<p>`` value that is not finite (``float`` parses inf and nan;
+no interface fits in the box at an infinite eps, no sharp reference
+reaches an infinite t_end, an infinite tolerance can stop a solve at
+once and pass the check it bounds, a nan one compares false, and a
+non-finite well parameter gives wells that the run rejects only once it
+builds them).
 ``validate`` checks keys, types, names, that an eps sweep has two or
 more values, all distinct (each experiment that takes one checks a
 strict decrease over it) and that every eps a run starts from, set or
@@ -48,10 +49,11 @@ Commands: ``wmcf run <config>``, ``wmcf list``, ``wmcf validate <config>``.
 experiment and check names, then each part of the check as its label,
 worst entry, relation and bound.
 Exit codes for run: 0 all checks pass, 1 a check failed, 2 invalid config
-or parameters (parse and validation errors, and any ValueError the
-experiment raises, among them the ValueError subclasses of ``errors``:
-DomainError, ResolutionError, GeometryError, GridMismatchError), 3
-numeric failure (NumericError, ExtractionError).
+or parameters (parse and validation errors, an out_dir that cannot be
+made a directory, checked before the experiment starts, and any
+ValueError the experiment raises, among them the ValueError subclasses
+of ``errors``: DomainError, ResolutionError, GeometryError,
+GridMismatchError), 3 numeric failure (NumericError, ExtractionError).
 Orchestration is single-threaded, so outputs are deterministic; to cap the
 BLAS thread pools, set OMP_NUM_THREADS / OPENBLAS_NUM_THREADS in the
 environment before the process starts.
@@ -134,7 +136,7 @@ def _finite(text):
 
 
 def _eps_list(text):
-    values = tuple(_positive(float)(tok) for tok in text.split(","))
+    values = tuple(_positive(_finite)(tok) for tok in text.split(","))
     if len(set(values)) < max(len(values), 2):
         raise ValueError(f"needs two or more distinct values, got {text!r}")
     return values
@@ -235,7 +237,11 @@ def run_experiment(name, runner, kwargs, out_dir) -> int:
     _1, _2, ... appended if that name is taken) under out_dir and appends
     the run's PASS/FAIL lines, closed by a ``table: <csv name>`` line, to
     out_dir/summary.txt. Returns the exit status."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a file at out_dir or on its path
+        sys.stderr.write(f"config error: out_dir {out_dir!r}: {exc}\n")
+        return 2
     try:
         result = runner(**kwargs)
     except ValueError as exc:

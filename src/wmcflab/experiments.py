@@ -363,7 +363,7 @@ _FlowRun = namedtuple("_FlowRun", ["eps", "dt", "steps", "checkpoints",
                                    "final_defect", "max_residual"])
 
 
-def track_flow(spec, front, traj, t_end, runs, scale) -> list:
+def _track_flow(spec, front, traj, t_end, runs, scale) -> list:
     """One ``_FlowRun`` of scalars per (eps, grid, frac) of ``runs``, largest
     eps first: from the checked recovery state of ``front``, dt = frac eps^2 /
     Lip(dW/du) rounded to divide ``t_end``, the step count, (t, exact, found,
@@ -398,10 +398,10 @@ def run_ac_to_mcf_radial(r0: float = 0.4, t_end: float = 0.06,
     R' = -1/R (constant sigma): the extracted radius tracks the ODE."""
     res = ExperimentResult("ac_to_mcf_radial", csv_header=[
         "eps", "t", "R_ode", "R_extracted", "rel_err"])
-    flows = track_flow(wells.constant_quartic(), sharp.Sphere((0.5, 0.5), r0),
-                       _radial_reference(r0, t_end), t_end,
-                       [(eps, _unit_box(n), frac) for eps, n, frac in runs],
-                       scale=lambda t, r: r)
+    flows = _track_flow(wells.constant_quartic(), sharp.Sphere((0.5, 0.5), r0),
+                        _radial_reference(r0, t_end), t_end,
+                        [(eps, _unit_box(n), frac) for eps, n, frac in runs],
+                        scale=lambda t, r: r)
     res.csv_rows += [[f.eps, *c] for f in flows for c in f.checkpoints]
     max_errs = [max(c[3] for c in f.checkpoints) for f in flows]
     res.add(f"extracted radius within {100 * rel_tol:g}% of the ODE radius "
@@ -426,9 +426,9 @@ def run_ac_to_mcf_1d_drift(kappa: float = 0.5, p0: float = 0.7,
     traj = _full_length(sharp.evolve_point1d(p0, sig, t_end, tol=1e-12),
                         t_end)
     grid = Grid.interval(0.0, 1.0, grid_n)
-    flows = track_flow(wells.exp_scaled_quartic(kappa), sharp.Point1D(p0),
-                       traj, t_end, [(eps, grid, frac) for eps, frac in runs],
-                       scale=lambda t, p: abs(kappa) * t)
+    flows = _track_flow(wells.exp_scaled_quartic(kappa), sharp.Point1D(p0),
+                        traj, t_end, [(eps, grid, frac) for eps, frac in runs],
+                        scale=lambda t, p: abs(kappa) * t)
     res.csv_rows += [[f.eps, *c] for f in flows for c in f.checkpoints]
     max_errs = [max(c[3] for c in f.checkpoints) for f in flows]
     res.add(f"position error <= {100 * rel_tol:g}% of traveled distance at "

@@ -275,14 +275,15 @@ def weighted_perimeter(interface, sigma: SurfaceTension,
 
 @dataclass
 class SharpTrajectory:
-    """Time-sampled interface with a dense position evaluator.
+    """Time-sampled interface with dense position and velocity evaluators.
 
-    ``positions`` holds R(t) for spheres or p(t) for 1-d points;
-    ``velocities`` holds V in the n_A convention at the sample times, and
-    ``sigma`` the surface tension of the solved flow as a field of x.
-    ``position`` and ``velocity`` raise GeometryError at any time outside
-    [times[0], times[-1]] (to 1e-12 max(1, t_end)), where the trajectory
-    was never computed.
+    ``positions`` holds R(t) for spheres or p(t) for 1-d points at the
+    sample ``times``; ``sigma`` is the surface tension of the solved flow
+    as a field of x. ``position`` and ``velocity`` (V in the n_A
+    convention) evaluate the flow's dense callables ``_dense`` and
+    ``_vel`` at any time in [times[0], times[-1]] and raise GeometryError
+    outside it (to 1e-12 max(1, t_end)), where the trajectory was never
+    computed.
 
     ``position(ts)`` on an array and ``position(t)`` at each scalar of it
     can differ by one ulp at a few times (scipy's dense output evaluates
@@ -293,14 +294,15 @@ class SharpTrajectory:
     kind: str                      # "sphere" | "point1d"
     times: np.ndarray
     positions: np.ndarray
-    velocities: np.ndarray
     sigma: SurfaceTension
+    _dense: Callable
+    _vel: Callable
     center: Optional[tuple] = None
     truncated: bool = False
-    _dense: Optional[Callable] = None
-    _vel: Optional[Callable] = None
 
-    def _check_time(self, t: np.ndarray) -> None:
+    def _check_time(self, t) -> np.ndarray:
+        """``t`` as a float array; GeometryError outside the window."""
+        t = np.asarray(t, dtype=float)
         lo, hi = float(self.times[0]), float(self.times[-1])
         slack = 1e-12 * max(1.0, hi)
         if t.ndim == 0:
@@ -311,20 +313,13 @@ class SharpTrajectory:
             bad = last if lo - slack <= first else first
             raise GeometryError(f"time {bad:.6g} outside the trajectory's "
                                 f"[{lo:.6g}, {hi:.6g}]")
+        return t
 
     def position(self, t):
-        t = np.asarray(t, dtype=float)
-        self._check_time(t)
-        if self._dense is not None:
-            return self._dense(t)
-        return np.interp(t, self.times, self.positions)
+        return self._dense(self._check_time(t))
 
     def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        self._check_time(t)
-        if self._vel is not None:
-            return self._vel(t)
-        return np.interp(t, self.times, self.velocities)
+        return self._vel(self._check_time(t))
 
     def interface_at(self, t):
         pos = float(self.position(t))
@@ -343,8 +338,9 @@ def _integrate(rate, y0: float, t_end: float, tol: float, stops, sign: float,
     from y(0) = y0 by RK45 at rtol = atol = ``tol``, stopping early (and
     flagging ``truncated``) at the first zero of a ``stops`` function of y.
     Position is the dense interpolant, clipped to ``bounds`` when given,
-    and V = sign * rate(position), at the 257 sample times and at any time
-    alike; ``fields`` (kind, sigma, center) go to the SharpTrajectory.
+    and V = sign * rate(position), at any time; positions are sampled at
+    257 times, and ``fields`` (kind, sigma, center) go to the
+    SharpTrajectory.
     NumericError when the solver fails, or when it cannot locate a stop
     it stepped across."""
     from scipy.integrate import solve_ivp
@@ -375,14 +371,10 @@ def _integrate(rate, y0: float, t_end: float, tol: float, stops, sign: float,
         y = sol.sol(np.atleast_1d(tt))[0].reshape(np.shape(t))
         return y if bounds is None else np.clip(y, *bounds)
 
-    def velocity(t):
-        return sign * rate(position(t))
-
     ts = np.linspace(0.0, t_stop, 257)
     return SharpTrajectory(times=ts, positions=position(ts),
-                           velocities=velocity(ts),
                            truncated=sol.status == 1, _dense=position,
-                           _vel=velocity, **fields)
+                           _vel=lambda t: sign * rate(position(t)), **fields)
 
 
 def evolve_radial(r0: float, sigma: ScalarSigma, t_end: float,
@@ -442,13 +434,11 @@ def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
         p = p0 - kappa * np.clip(np.asarray(t, dtype=float), 0.0, t_stop)
         return np.clip(p, 0.0, 1.0)
 
-    def velocity(t):
-        return np.full(np.shape(t), -kappa)
-
     ts = np.linspace(0.0, t_stop, 257)
     return SharpTrajectory(times=ts, positions=position(ts),
-                           velocities=velocity(ts), truncated=bool(hits),
-                           _dense=position, _vel=velocity, **fields)
+                           truncated=bool(hits), _dense=position,
+                           _vel=lambda t: np.full(np.shape(t), -kappa),
+                           **fields)
 
 
 # ---------------------------------------------------------------------------

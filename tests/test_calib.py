@@ -29,8 +29,9 @@ def frozen_sphere(radius=0.3):
     times = np.linspace(0.0, 1.0, 9)
     return sharp.SharpTrajectory(
         kind="sphere", times=times, positions=np.full(9, radius),
-        velocities=np.zeros(9),
-        sigma=sharp.constant_scalar_sigma(1.0).about(CENTER), center=CENTER)
+        sigma=sharp.constant_scalar_sigma(1.0).about(CENTER),
+        _dense=lambda t: np.full(np.shape(t), radius),
+        _vel=lambda t: np.zeros(np.shape(t)), center=CENTER)
 
 
 class TestBuildCalibration:
@@ -434,28 +435,37 @@ class TestEnergies:
         assert calib.bulk_energy(chi, cal, 0.01) > 0.01
 
 
+@functools.lru_cache(maxsize=None)
+def radial_calibration():
+    return calib.build_calibration(radial_setup())
+
+
 class TestCoercivity:
-    def test_identity_and_slack(self):
-        traj = radial_setup()
-        cal = calib.build_calibration(traj)
-        weak = sharp.Sphere(CENTER, float(traj.position(0.02)) + 0.015)
-        rep = calib.coercivity_check(weak, cal, 0.02)
-        assert rep.identity_error <= 1e-14
+    # weak radii inside and outside the strong one, at times across the
+    # window: 2(1 - n.xi) = |n - xi|^2 + 1 - |xi|^2 splits E_rel into the
+    # tilt and the slack, both >= 0; the identity holds to rounding of the
+    # integrand's scale, int sigma dH (each term lies in [0, 2 sigma])
+    @settings(max_examples=40, deadline=None)
+    @given(hst.floats(1e-4, 0.1), hst.sampled_from((-1.0, 1.0)),
+           hst.floats(0.0, 0.04))
+    @example(0.015, 1.0, 0.02)
+    def test_identity_and_slack(self, offset, side, t):
+        cal = radial_calibration()
+        weak = sharp.Sphere(CENTER,
+                            float(cal.traj.position(t)) + side * offset)
+        rep = calib.coercivity_check(weak, cal, t)
+        pts, w, _ = weak.boundary_nodes(1024)
+        scale = float(np.sum(w * cal.traj.sigma.value(pts)))
+        assert rep.identity_error == abs(rep.tilt + rep.slack - rep.e_rel)
+        assert rep.identity_error <= 1e-14 * scale
         assert rep.slack >= 0.0
-        assert rep.tilt <= rep.e_rel
+        assert 0.0 <= rep.tilt <= rep.e_rel
 
     def test_equal_interfaces_all_zero(self):
         traj = radial_setup()
         cal = calib.build_calibration(traj)
         rep = calib.coercivity_check(traj.interface_at(0.02), cal, 0.02)
         assert rep.tilt <= 1e-14 and rep.e_rel <= 1e-14
-
-    def test_exterior_interface_reports_constants(self):
-        traj = radial_setup()
-        cal = calib.build_calibration(traj)
-        rep = calib.coercivity_check(sharp.Sphere(CENTER, 0.05), cal, 0.01)
-        assert rep.c_dist is not None and rep.c_dist > 0
-        assert rep.c_theta is not None and rep.c_theta > 0
 
     # gronwall_verify reads E_rel off the coercivity report; both sum
     # sigma (1 - n . xi) >= 0 over the same 1024 nodes, in two rounding
@@ -473,15 +483,15 @@ class TestCoercivity:
         assert abs(e_rel - ref) <= 8 * np.finfo(float).eps * ref
 
 
-def fit_constant_loop(times, values, forcing, zero_tol, offset):
+def fit_constant_loop(times, values, zero_tol):
     """Reference: the time loop that calib._fit_constant vectorizes."""
     if len(times) < 2:
         return float("nan")
     cum = np.concatenate([[0.0], np.cumsum(
-        0.5 * (forcing[1:] + forcing[:-1]) * np.diff(times))])
+        0.5 * (values[1:] + values[:-1]) * np.diff(times))])
     running = np.zeros_like(values)
     for k in range(1, len(times)):
-        growth = values[k] - values[0] - offset
+        growth = values[k] - values[0]
         if cum[k] < 1e-14:
             running[k] = 0.0 if growth <= zero_tol else np.inf
         else:
@@ -494,15 +504,13 @@ class TestGronwall:
     # values within zero_tol of E(0) reach the vanishing-integral branch
     @settings(max_examples=200, deadline=None)
     @given(hst.lists(hst.tuples(hst.sampled_from((0.0, 1e-3, 0.01)),
-                                hst.floats(-1e-8, 0.1),
-                                hst.floats(0.0, 0.1)), min_size=1,
-                     max_size=8),
-           hst.sampled_from((0.0, 0.05, -1e-9)))
-    def test_fit_constant_matches_time_loop(self, rows, offset):
-        dts, values, forcing = (np.array(c) for c in zip(*rows))
+                                hst.floats(-1e-8, 0.1)), min_size=1,
+                     max_size=8))
+    def test_fit_constant_matches_time_loop(self, rows):
+        dts, values = (np.array(c) for c in zip(*rows))
         times = np.cumsum(dts)
-        got = calib._fit_constant(times, values, forcing, 1e-8, offset)
-        ref = fit_constant_loop(times, values, forcing, 1e-8, offset)
+        got = calib._fit_constant(times, values, 1e-8)
+        ref = fit_constant_loop(times, values, 1e-8)
         assert got == ref or (np.isnan(got) and np.isnan(ref))
         assert np.isnan(got) == (len(rows) < 2)
 
@@ -525,9 +533,6 @@ class TestGronwall:
         assert np.isfinite(rep.fitted_c_rel) and rep.fitted_c_rel > 0
         c_rel = (rep.fitted_c_rel, rep.fitted_c_rel_coarse)
         assert max(c_rel) <= 2.0 * min(c_rel)
-        # the E_rel(0) offset exceeds every bulk growth, so both bulk fits
-        # are zero and leave nothing to compare
-        assert rep.fitted_c_bulk == rep.fitted_c_bulk_coarse == 0.0
         assert rep.exp_bound_excess <= 1e-8
         assert np.all(rep.e_rel >= 0) and np.all(rep.e_bulk >= 0)
         assert np.all(rep.coercivity_slack >= 0)

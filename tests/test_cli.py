@@ -119,7 +119,8 @@ class TestValidateConfig:
     # descent stops at iteration 0 and its residual check passes. A
     # non-finite well parameter used to pass validate, and run then failed
     # building the wells ("field values must be finite"). An infinite
-    # t_end passed validate, and run then exited 2 at the sharp reference.
+    # t_end passed validate, and run then exited 2 at the sharp reference;
+    # so did an infinite eps in a sweep, at the recovery state's margin.
     @pytest.mark.parametrize("text", [
         "experiment=gibbs_thomson\ntol.residual_tol=inf\n",
         "experiment=surface_tension\ntol.tol=nan\n",
@@ -127,7 +128,9 @@ class TestValidateConfig:
          f"well.name=quartic_moving\nwell.a_slope={value}\n"
          for value in ("nan", "inf", "-inf")] + [
         f"experiment={name}\nt_end={value}\n"
-        for name in ("calibration", "weak_strong") for value in ("inf", "nan")])
+        for name in ("calibration", "weak_strong") for value in ("inf", "nan")
+    ] + [f"experiment=equipartition\ngrid.n=64\neps={value}\n"
+         for value in ("inf,0.1", "0.1,nan")])
     def test_non_finite_tolerance_is_rejected(self, tmp_path, capsys, text):
         path = write(tmp_path, text + f"out_dir={tmp_path}\n")
         assert cli.main(["validate", path]) == 2
@@ -436,6 +439,27 @@ class TestRun:
         assert cli.main(["run", path]) == 2
         assert "must be positive" in capsys.readouterr().err
         assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
+
+    # os.makedirs used to raise FileExistsError (a file at out_dir) or
+    # NotADirectoryError (a file on its path) with a traceback and exit 1,
+    # the code for a failed check, after validate had passed
+    @pytest.mark.parametrize("below", [(), ("results",)])
+    def test_unusable_out_dir_exits_2(self, tmp_path, monkeypatch, capsys,
+                                      below):
+        def never(**kw):
+            raise AssertionError("the runner started")
+        monkeypatch.setitem(cli.REGISTRY, "surface_tension",
+                            (never, "synthetic"))
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        out = os.path.join(blocker, *below)
+        path = write(tmp_path, f"experiment=surface_tension\nout_dir={out}\n")
+        assert cli.main(["validate", path]) == 0
+        assert cli.main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out_dir {out!r}: ")
+        assert "Traceback" not in err
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_pinned_well_experiment_rejects_override(self, tmp_path):
         path = write(tmp_path, "experiment=first_variation\n"

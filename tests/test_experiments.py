@@ -228,7 +228,7 @@ def test_radial_reference_is_the_closed_form_over_its_window(r0, t_end):
     assert len(traj.times) == 257 and traj.times[-1] == t_end
     assert np.max(np.abs(traj.positions / exact - 1.0)) <= 1e-9
     # V = -dR/dt = 1/R
-    assert np.max(np.abs(traj.velocities * exact - 1.0)) <= 1e-9
+    assert np.max(np.abs(traj.velocity(traj.times) * exact - 1.0)) <= 1e-9
 
 
 def test_flow_verdicts_do_not_depend_on_run_order():
@@ -247,19 +247,19 @@ def test_flow_verdicts_do_not_depend_on_run_order():
 
 
 class TestFlowRecords:
-    """``experiments.track_flow`` on criterion 08's acceptance runs, given
+    """``experiments._track_flow`` on criterion 08's acceptance runs, given
     finest first: the records the runner forms its rows and checks from."""
 
     @pytest.fixture(scope="class")
     def drift(self):
-        got, track = [], experiments.track_flow
+        got, track = [], experiments._track_flow
 
         def recording(*args, **kwargs):
             got.extend(track(*args, **kwargs))
             return got
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiments, "track_flow", recording)
+            mp.setattr(experiments, "_track_flow", recording)
             res = run_ac_to_mcf_1d_drift(runs=((0.02, 0.25), (0.04, 0.5)))
         return res, got
 
