@@ -19,9 +19,9 @@ signed distance sdist = R(t) - rho, g, xi = -g e and theta. The shifted
 times of ``calibration_residuals``, ``calibration_invariants`` (with one
 V(t) per time on the interface), ``relative_energy``,
 ``coercivity_check`` and the grid branch of ``bulk_energy`` read the
-frame alone. ``Calibration.at(x, t)`` is the frame plus what only the
-residuals at t read: g', grad xi, div xi, grad theta and V(t); the
-caller forms B = V xi, grad B = V grad xi and dist = |sdist|.
+frame alone. ``Calibration.at(x, t)`` is what the residuals at t read:
+sdist and xi of the frame, plus g', grad xi, div xi, grad theta and V(t);
+the caller forms B = V xi, grad B = V grad xi and dist = |sdist|.
 
 sigma is the calibrated flow's: every function here reads
 ``cal.traj.sigma``, and a calibration holds no copy of its own.
@@ -84,7 +84,6 @@ class CalibrationFields(NamedTuple):
     xi: np.ndarray           # (..., N)
     grad_xi: np.ndarray      # (..., N, N)
     div_xi: np.ndarray
-    theta: np.ndarray
     grad_theta: np.ndarray   # (..., N)
 
 
@@ -121,8 +120,9 @@ class Calibration:
                       theta=_truncation(sdist, self.r))
 
     def at(self, x, t) -> CalibrationFields:
-        """Every field at x and time t: the frame, plus g', grad xi,
-        div xi, grad theta and one evaluation of V(t)."""
+        """The residuals' fields at x and time t: sdist and xi of the
+        frame, plus g', grad xi, div xi, grad theta and one evaluation of
+        V(t)."""
         f = self._frame(x, t)
         rho, e, g = f.rho, f.e, f.g
         dg = _cutoff_deriv(f.sdist, self.r_g)
@@ -133,7 +133,6 @@ class Calibration:
             sdist=f.sdist, v=float(self.traj.velocity(t)),
             xi=f.xi, grad_xi=grad_xi,
             div_xi=dg - (len(self.traj.center) - 1) * g / rho,
-            theta=f.theta,
             grad_theta=-_truncation_deriv(f.sdist, self.r)[..., None] * e)
 
 

@@ -1,14 +1,11 @@
 """Experiment orchestration: config parsing and the wmcf command.
 
 Configs are flat UTF-8 key=value files with '#' comments and dotted
-namespaces, e.g.
+namespaces, each key set at most once, e.g.
 
     experiment=equipartition
     grid.n=512
     eps=0.08,0.04,0.02,0.01
-    well.name=quartic_moving
-    well.a0=0.0
-    well.a_slope=0.6
     out_dir=results
 
 Every key other than ``experiment`` and ``out_dir`` reaches one parameter
@@ -19,24 +16,26 @@ of the experiment's runner:
     t_end               -> t_end     (positive finite float)
     tol.<name>          -> <name>    (a float parameter of the runner;
                                       finite: inf and nan are rejected)
-    well.name, well.<p> -> well      (WELL_REGISTRY factory called with <p>;
-                                      finite: inf and nan are rejected)
 
+Each runner builds the potential its claim is stated for, so no key
+selects a well.
 A key the experiment does not take is rejected with exit 2, by both
-``validate`` and ``run``, and so is an ``eps``, ``t_end``, ``tol.<name>``
-or ``well.<p>`` value that is not finite (``float`` parses inf and nan;
-no interface fits in the box at an infinite eps, no sharp reference
-reaches an infinite t_end, an infinite tolerance can stop a solve at
-once and pass the check it bounds, a nan one compares false, and a
-non-finite well parameter gives wells that the run rejects only once it
-builds them).
-``validate`` checks keys, types, names, that an eps sweep has two or
-more values, all distinct (each experiment that takes one checks a
-strict decrease over it) and that every eps a run starts from, set or
-by default, spans >= 4 spacings of grid.n (or of the default grid_n):
-the resolution rule of ``variations.build_recovery``. It does not check
-geometry (boundary margins, the recovery energy, extinction before
-t_end): the experiment checks that when it starts, and ``run`` exits 2.
+``validate`` and ``run``, and so is a key set twice, and an ``eps``,
+``t_end`` or ``tol.<name>`` value that is not finite (``float`` parses inf
+and nan; no interface fits in the box at an infinite eps, no sharp
+reference reaches an infinite t_end, an infinite tolerance can stop a
+solve at once and pass the check it bounds, and a nan one compares
+false).
+``validate`` checks keys, types, the experiment name, that an eps sweep
+has two or more values, all distinct (each experiment that takes one
+checks a strict decrease over it) and that every eps a run starts from,
+set or by default, spans >= 4 spacings of grid.n (or of the default
+grid_n): the resolution rule of ``variations.build_recovery``, judged
+only when none of grid.n, eps and tol.eps that the config sets is
+rejected, so it never judges a default in place of a value the config
+set. It does not check geometry (boundary margins, the recovery energy,
+extinction before t_end): the experiment checks that when it starts,
+and ``run`` exits 2.
 Every sweep runs its largest step (eps, or dt) first, whatever order it
 is given in, and is judged in that order. A per-halving rate (the
 ``tol.factor`` of ``dissipation``) needs each step half the one before
@@ -67,45 +66,15 @@ import time
 
 import numpy as np
 
-from . import wells
 from .errors import ExtractionError, NumericError
 from .experiments import REGISTRY, _halving_rate
 from .variations import _CELLS_PER_EPS
 
 
-def _make_quartic_constant(a0=0.0, b0=1.0, amplitude=1.0):
-    return wells.constant_quartic(a0=a0, b0=b0, amplitude=amplitude)
-
-
-def _make_quartic_moving(a0=0.0, a_slope=0.6, b0=1.0, b_slope=0.0):
-    return wells.linear_wells_quartic(
-        a0, a_slope, b0, b_slope,
-        axis=0, bounds=np.array([[0.0, 1.0], [0.0, 1.0]]))
-
-
-def _make_quartic_affine(offset=1.0, slope=1.0):
-    # m(x) = offset + slope x_0 is extreme at x_0 = 0 and 1 of the unit box
-    if not min(offset, offset + slope) > 0:
-        raise ValueError(f"amplitude offset + slope x = {offset} + {slope} x "
-                         "must be positive on the unit box")
-    return wells.affine_scaled_quartic(offset=offset, slope=slope)
-
-
-def _make_quartic_exp(kappa=0.5):
-    return wells.exp_scaled_quartic(kappa)
-
-
-WELL_REGISTRY = {
-    "quartic_constant": _make_quartic_constant,
-    "quartic_moving": _make_quartic_moving,
-    "quartic_affine": _make_quartic_affine,
-    "quartic_exp": _make_quartic_exp,
-}
-
-
 def parse_config(path) -> dict:
-    """Flat key=value with '#' comments; raises ValueError on bad lines."""
-    entries = {}
+    """Flat key=value with '#' comments; raises ValueError on bad lines
+    and on a key set twice."""
+    entries, first = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -114,8 +83,12 @@ def parse_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, "
                                  f"got {line!r}")
-            key, val = line.split("=", 1)
-            entries[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in first:
+                raise ValueError(f"{path}:{lineno}: key {key!r} set twice, "
+                                 f"first at line {first[key]}")
+            first[key] = lineno
+            entries[key] = val
     return entries
 
 
@@ -142,6 +115,12 @@ def _eps_list(text):
     return values
 
 
+# config key -> (runner parameter, reader); tol.<name> reaches <name>
+_KEYS = {"grid.n": ("grid_n", _positive(int)),
+         "eps": ("eps_list", _eps_list),
+         "t_end": ("t_end", _positive(_finite))}
+
+
 def resolve(entries: dict):
     """Resolve parsed entries to ``(runner, kwargs, out_dir, problems)``.
 
@@ -157,56 +136,31 @@ def resolve(entries: dict):
                                    + ", ".join(sorted(REGISTRY))]
     runner = REGISTRY[name][0]
     params = inspect.signature(runner).parameters
-    well_name = entries.get("well.name")
-    factory = WELL_REGISTRY.get(well_name)
-    floats = [p for p, v in params.items() if isinstance(v.default, float)]
-    kwargs, well_kwargs, problems = {}, {}, []
-
-    def forward(key, param, read, accepted=params, into=kwargs,
-                takes_no=f"experiment {name!r} takes no"):
+    floats = {p for p, v in params.items() if isinstance(v.default, float)}
+    kwargs, problems = {}, []
+    for key, text in entries.items():
+        if key in ("experiment", "out_dir"):
+            continue
+        if key in _KEYS:
+            (param, read), accepted, kind = _KEYS[key], params, ""
+        elif key.startswith("tol."):
+            param, read, accepted, kind = key[4:], _finite, floats, "float "
+        else:
+            problems.append(f"{key}: unknown key")
+            continue
         if param not in accepted:
-            problems.append(f"{key}: {takes_no} parameter {param!r}")
-        elif param in into:
+            problems.append(f"{key}: experiment {name!r} takes no {kind}"
+                            f"parameter {param!r}")
+        elif param in kwargs:
             problems.append(f"{key}: parameter {param!r} is set twice")
         else:
             try:
-                into[param] = read(entries[key])
+                kwargs[param] = read(text)
             except ValueError as exc:
                 problems.append(f"{key}: {exc}")
-
-    for key in entries:
-        if key in ("experiment", "out_dir", "well.name"):
-            continue
-        if key == "grid.n":
-            forward(key, "grid_n", _positive(int))
-        elif key == "eps":
-            forward(key, "eps_list", _eps_list)
-        elif key == "t_end":
-            forward(key, "t_end", _positive(_finite))
-        elif key.startswith("tol."):
-            forward(key, key[4:], _finite, accepted=floats,
-                    takes_no=f"experiment {name!r} takes no float")
-        elif key.startswith("well."):
-            if factory is None:
-                problems.append(f"{key}: needs a known well.name")
-            else:
-                forward(key, key[5:], _finite, into=well_kwargs,
-                        accepted=inspect.signature(factory).parameters,
-                        takes_no=f"well {well_name!r} takes no")
-        else:
-            problems.append(f"{key}: unknown key")
-    if well_name is not None and "well" not in params:
-        problems.append(f"well.name: experiment {name!r} uses a pinned "
-                        "well; remove well.* from the config")
-    elif well_name is not None and factory is None:
-        problems.append(f"well.name: unknown well {well_name!r}; registry: "
-                        + ", ".join(sorted(WELL_REGISTRY)))
-    elif factory is not None:
-        try:
-            kwargs["well"] = factory(**well_kwargs)
-        except ValueError as exc:
-            problems.append(f"well.name: {exc}")
-    if "grid_n" in params:
+    # past a rejected key, the rule would judge the default in its place
+    rejected = {p.split(":", 1)[0] for p in problems}
+    if "grid_n" in params and not rejected & {"grid.n", "eps", "tol.eps"}:
         used = {p: kwargs.get(p, v.default) for p, v in params.items()}
         floor = _CELLS_PER_EPS * (1.0 / used["grid_n"])
         for eps in (*used.get("eps_list", ()), used.get("eps", np.inf),

@@ -139,7 +139,7 @@ def _radial_reference(r0: float, t_end: float) -> sharp.SharpTrajectory:
 # surface tension oracle
 # ---------------------------------------------------------------------------
 
-def run_surface_tension(well=None, n_points: int = 50, seed: int = 0,
+def run_surface_tension(n_points: int = 50, seed: int = 0,
                         tol: float = 1e-8) -> ExperimentResult:
     """Quadrature sigma against the closed form sqrt(2 m) gamma^3 / 6 for
     quartic wells at random positions."""
@@ -147,8 +147,8 @@ def run_surface_tension(well=None, n_points: int = 50, seed: int = 0,
                            csv_header=["x0", "x1", "sigma_quad",
                                        "sigma_exact", "rel_err"])
     rng = np.random.default_rng(seed)
-    spec = well if well is not None else wells.linear_wells_quartic(
-        0.0, 0.2, 1.1, -0.1, axis=0, delta_sep=0.8)
+    spec = wells.linear_wells_quartic(0.0, 0.2, 1.1, -0.1, axis=0,
+                                      delta_sep=0.8)
     pts = rng.uniform(0.0, 1.0, size=(n_points, 2))
     quad = wells.surface_tension(spec, pts, tol=1e-12)
     exact = spec.sigma_exact(pts)

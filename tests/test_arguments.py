@@ -12,12 +12,10 @@ import glob
 import inspect
 import os
 
-import numpy as np
 import pytest
 
-from wmcflab import cli, variations
-from wmcflab.experiments import REGISTRY, run_equipartition
-from wmcflab.grid import Grid
+from wmcflab import cli
+from wmcflab.experiments import REGISTRY
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
@@ -55,38 +53,11 @@ def test_workload_arguments_are_runner_defaults(workload, name, kwargs):
     assert {k: expected[k] for k in kwargs} == kwargs
 
 
-class _Built(Exception):
-    """Carries the well a runner built, out of its first recovery build."""
-
-
-def default_well(monkeypatch, name):
-    """The well ``name``'s runner builds when it is given none."""
-    assert name == "equipartition", f"no default-well probe for {name!r}"
-
-    def capture(interface, spec, grid, eps):
-        raise _Built(spec)
-
-    monkeypatch.setattr(variations, "build_recovery", capture)
-    with pytest.raises(_Built) as built:
-        run_equipartition(grid_n=64, eps_list=(0.2, 0.1))
-    return built.value.args[0]
-
-
 @pytest.mark.parametrize("path", CONFIGS,
                          ids=[os.path.basename(p) for p in CONFIGS])
-def test_config_arguments_are_runner_defaults(path, monkeypatch):
+def test_config_arguments_are_runner_defaults(path):
     entries = cli.parse_config(path)
     _, kwargs, _, problems = cli.resolve(entries)
     assert problems == []
-    name = entries["experiment"]
-    expected = defaults(name)
-    well = kwargs.pop("well", None)
+    expected = defaults(entries["experiment"])
     assert {k: expected[k] for k in kwargs} == kwargs
-    if well is not None:
-        # wells are compared by their coefficients on a lattice
-        assert expected["well"] is None
-        pts = Grid((0.0, 0.0), (1.0, 1.0), (16, 16)).points()
-        ref = default_well(monkeypatch, name)
-        for field in ("a", "b", "amplitude"):
-            assert np.array_equal(getattr(well, field)(pts),
-                                  getattr(ref, field)(pts)), field

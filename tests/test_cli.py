@@ -4,10 +4,13 @@ import builtins
 import glob
 import inspect
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 import wmcflab
 
@@ -19,6 +22,27 @@ def write(tmp_path, text, name="config.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+RESOLUTION_KEYS = ("grid.n", "eps", "tol.eps")
+# valid and invalid values for each kind of key
+VALUES = {"grid.n": ("64", "512", "0", "-8", "1.5", "abc"),
+          "eps": ("0.08,0.04", "0.02,0.01", "0.005,0.004", "0.08",
+                  "inf,0.1", "0.3,abc", "0.1,-0.05"),
+          "t_end": ("0.01", "0.2", "0", "inf", "nan")}
+TOL_VALUES = ("0.5", "2.0", "0.001", "0", "-1", "inf", "nan", "abc")
+ALL_PARAMS = sorted({p for runner, _ in cli.REGISTRY.values()
+                     for p in inspect.signature(runner).parameters})
+
+
+def config_keys():
+    """A subset of the keys any experiment may be given, each with a valid
+    or an invalid value; an unknown key and well.* keys among them."""
+    keys = [*VALUES, *(f"tol.{p}" for p in ALL_PARAMS), "foo.bar",
+            "well.name", "well.a_slope"]
+    return hst.lists(hst.sampled_from(keys), unique=True).flatmap(
+        lambda chosen: hst.fixed_dictionaries(
+            {k: hst.sampled_from(VALUES.get(k, TOL_VALUES)) for k in chosen}))
 
 
 class TestParseConfig:
@@ -41,6 +65,25 @@ eps=0.08,0.04
         path = write(tmp_path, "this is not a key value pair\n")
         with pytest.raises(ValueError):
             cli.parse_config(path)
+
+    # a key set twice used to take its last value: validate passed both
+    # configs, and the second one ran the weak-strong experiment
+    @pytest.mark.parametrize("text, key, lines", [
+        ("experiment=gibbs_thomson\ngrid.n=64\ngrid.n=256\n"
+         "tol.radius=0.25\ntol.radius=0.45\n", "grid.n", (2, 3)),
+        ("experiment=calibration\n# comment\n\nexperiment=weak_strong\n",
+         "experiment", (1, 4)),
+    ])
+    def test_key_set_twice_raises(self, tmp_path, capsys, text, key, lines):
+        path = write(tmp_path, text + f"out_dir={tmp_path}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{lines[1]}: key '{key}' set twice, first at line "
+                f"{lines[0]}")):
+            cli.parse_config(path)
+        assert cli.main(["validate", path]) == 2
+        assert cli.main(["run", path]) == 2
+        assert "set twice" in capsys.readouterr().err
+        assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
 
     def test_missing_experiment_reported(self, tmp_path):
         path = write(tmp_path, "grid.n=64\n")
@@ -75,13 +118,6 @@ class TestValidateConfig:
             assert "4*spacing" in capsys.readouterr().err
         assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
 
-    def test_unknown_well_names_registry(self, tmp_path):
-        path = write(tmp_path, "experiment=equipartition\n"
-                               "well.name=sextic\n")
-        problems = cli.validate_config(path)
-        assert any("sextic" in p and "quartic_constant" in p
-                   for p in problems)
-
     def test_unknown_experiment_names_registry(self, tmp_path):
         path = write(tmp_path, "experiment=bogus\n")
         problems = cli.validate_config(path)
@@ -91,7 +127,10 @@ class TestValidateConfig:
         path = write(tmp_path, "experiment=equipartition\nfoo.bar=1\n")
         assert any("foo.bar" in p for p in cli.validate_config(path))
 
-    # Each config used to pass validate while run ignored its keys.
+    # Each config used to pass validate while run ignored its keys. Each
+    # runner builds its own well, so every well.* key is unknown, among
+    # them the ones that used to select and shape a well (moving wells, a
+    # non-finite slope, a non-positive amplitude, an unknown well name).
     @pytest.mark.parametrize("text, keys", [
         ("experiment=bv_residuals\ngrid.n=64\neps=0.3\n", ["grid.n", "eps"]),
         ("experiment=calibration\nseed=3\n", ["seed"]),
@@ -99,34 +138,44 @@ class TestValidateConfig:
         ("experiment=surface_tension\ntol.bogus=1\nwell.a_slope=5\n",
          ["tol.bogus", "well.a_slope"]),
         ("experiment=surface_tension\nwell.name=quartic_moving\n"
-         "well.a_slope=notanumber\n", ["well.a_slope"]),
+         "well.a_slope=notanumber\n", ["well.name", "well.a_slope"]),
         ("experiment=surface_tension\nwell.name=quartic_moving\n"
-         "well.foo=1\n", ["well.foo"]),
+         "well.foo=1\n", ["well.name", "well.foo"]),
         ("experiment=calibration\ntol.n_per_time=10\n", ["tol.n_per_time"]),
         ("experiment=first_variation\nwell.name=quartic_exp\n",
          ["well.name"]),
+        ("experiment=equipartition\nwell.name=sextic\n", ["well.name"]),
+        ("experiment=equipartition\ngrid.n=64\neps=0.1,0.08\n"
+         "well.name=quartic_moving\nwell.a0=0.0\nwell.a_slope=0.6\n"
+         "well.b0=1.0\nwell.b_slope=0.0\n",
+         ["well.name", "well.a0", "well.a_slope", "well.b0", "well.b_slope"]),
+        ("experiment=equipartition\ngrid.n=64\neps=0.1,0.08\n"
+         "well.name=quartic_moving\nwell.a_slope=nan\n",
+         ["well.name", "well.a_slope"]),
+        ("experiment=minimizing_movements\nwell.name=quartic_constant\n"
+         "well.amplitude=-1\n", ["well.name", "well.amplitude"]),
+        ("experiment=surface_tension\nwell.name=quartic_affine\n"
+         "well.offset=0.5\nwell.slope=-1\n",
+         ["well.name", "well.offset", "well.slope"]),
     ])
     def test_key_not_taken_is_rejected(self, tmp_path, capsys, text, keys):
         out = tmp_path / "out"
         path = write(tmp_path, text + f"out_dir={out}\n")
         assert cli.main(["validate", path]) == 2
-        named = {p.split(":")[0] for p in capsys.readouterr().out.splitlines()}
-        assert named == set(keys)
+        named = [p.split(":")[0] for p in capsys.readouterr().out.splitlines()]
+        assert named == keys
         assert cli.main(["run", path]) == 2
         assert glob.glob(str(tmp_path / "**" / "*.csv"), recursive=True) == []
 
     # float() parses inf and nan; with residual_tol=inf the Gibbs-Thomson
-    # descent stops at iteration 0 and its residual check passes. A
-    # non-finite well parameter used to pass validate, and run then failed
-    # building the wells ("field values must be finite"). An infinite
-    # t_end passed validate, and run then exited 2 at the sharp reference;
-    # so did an infinite eps in a sweep, at the recovery state's margin.
+    # descent stops at iteration 0 and its residual check passes. An
+    # infinite t_end passed validate, and run then exited 2 at the sharp
+    # reference; so did an infinite eps in a sweep, at the recovery
+    # state's margin.
     @pytest.mark.parametrize("text", [
         "experiment=gibbs_thomson\ntol.residual_tol=inf\n",
         "experiment=surface_tension\ntol.tol=nan\n",
-    ] + [f"experiment=equipartition\ngrid.n=64\neps=0.1,0.08\n"
-         f"well.name=quartic_moving\nwell.a_slope={value}\n"
-         for value in ("nan", "inf", "-inf")] + [
+    ] + [
         f"experiment={name}\nt_end={value}\n"
         for name in ("calibration", "weak_strong") for value in ("inf", "nan")
     ] + [f"experiment=equipartition\ngrid.n=64\neps={value}\n"
@@ -139,19 +188,46 @@ class TestValidateConfig:
         assert "must be finite" in capsys.readouterr().err
         assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
 
+    # a rejected grid.n, eps or tol.eps used to leave the runner's default
+    # in its place, and the resolution rule then reported defaults the
+    # config never set: three more lines for eps=inf,0.1 at grid.n=64
+    @pytest.mark.parametrize("name, text", [
+        ("equipartition", "grid.n=64\neps=inf,0.1"),
+        ("equipartition", "grid.n=32\neps=0.3,abc"),
+        ("equipartition", "grid.n=-64\neps=0.006,0.005"),
+        ("minimizing_movements", "grid.n=64\ntol.eps=nan"),
+    ])
+    def test_rejected_value_reports_one_problem(self, tmp_path, capsys,
+                                                name, text):
+        path = write(tmp_path, f"experiment={name}\n{text}\n"
+                               f"out_dir={tmp_path}\n")
+        assert cli.main(["validate", path]) == 2
+        assert len(capsys.readouterr().out.splitlines()) == 1
+        assert cli.main(["run", path]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
+
     @pytest.mark.parametrize("name", sorted(cli.REGISTRY))
-    def test_every_key_reaches_a_runner_parameter(self, name):
-        runner = cli.REGISTRY[name][0]
-        params = inspect.signature(runner).parameters
-        entries = {"experiment": name, "grid.n": "512", "eps": "0.08",
-                   "t_end": "0.01", "well.name": "quartic_constant",
-                   "well.a0": "0.0"}
-        entries.update({f"tol.{p}": "0.5" for p in params})
-        _, kwargs, _, problems = cli.resolve(entries)
-        assert set(kwargs) <= set(params)
-        # one outcome per key, a kwarg or a problem; experiment is not
-        # forwarded, and well.name with well.a0 yields one outcome
-        assert len(kwargs) + len(problems) == len(entries) - 2
+    @settings(max_examples=100, deadline=None)
+    @given(keys=config_keys())
+    @example(keys={"grid.n": "512", "eps": "0.08", "t_end": "0.01",
+                   "well.name": "quartic_constant", "well.a0": "0.0",
+                   **{f"tol.{p}": "0.5" for p in ALL_PARAMS}})
+    @example(keys={"grid.n": "64", "eps": "inf,0.1"})
+    @example(keys={"grid.n": "32", "eps": "0.3,abc"})
+    def test_every_key_reaches_a_runner_parameter(self, name, keys):
+        entries = {"experiment": name, **keys}
+        runner, kwargs, _, problems = cli.resolve(entries)
+        assert set(kwargs) <= set(inspect.signature(runner).parameters)
+        spacing = [p for p in problems if "4*spacing" in p]
+        by_key = {k: [p for p in problems if p.startswith(f"{k}: ")]
+                  for k in keys}
+        # one outcome per key: a kwarg, or problems that start with it
+        assert sum(map(len, by_key.values())) + len(spacing) == len(problems)
+        assert len(kwargs) + sum(map(bool, by_key.values())) == len(keys)
+        # the resolution rule judges no default in place of a rejected key
+        if any(by_key.get(k) for k in RESOLUTION_KEYS):
+            assert spacing == []
 
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -408,38 +484,6 @@ class TestRun:
         assert lines[0].endswith(" <= 1e-08")
         assert lines[3] == "table: surface_tension_20260101-000000_1.csv"
 
-    def test_custom_well_for_equipartition(self, tmp_path):
-        out = tmp_path / "res"
-        path = write(tmp_path, "experiment=equipartition\n"
-                               "grid.n=128\n"
-                               "eps=0.08,0.05\n"
-                               "well.name=quartic_moving\n"
-                               "well.a_slope=0.5\n"
-                               f"out_dir={out}\n")
-        code = cli.main(["run", path])
-        assert code in (0, 1)  # runs through; checks evaluated
-        assert os.path.exists(out / "summary.txt")
-
-    # the quartic is a double well only for an amplitude m > 0: with
-    # m = -1 both minimizing-movements checks passed on an inverted well,
-    # and with m = 0 (or m = 0.5 - x) surface_tension failed on "rel err
-    # nan" after a RuntimeWarning
-    @pytest.mark.parametrize("text", [
-        "experiment=minimizing_movements\nwell.name=quartic_constant\n"
-        "well.amplitude=-1\n",
-        "experiment=surface_tension\nwell.name=quartic_constant\n"
-        "well.amplitude=0\n",
-        "experiment=surface_tension\nwell.name=quartic_affine\n"
-        "well.offset=0.5\nwell.slope=-1\n",
-    ])
-    def test_non_positive_amplitude_exits_2(self, tmp_path, capsys, text):
-        path = write(tmp_path, text + f"out_dir={tmp_path}\n")
-        assert cli.main(["validate", path]) == 2
-        assert "must be positive" in capsys.readouterr().out
-        assert cli.main(["run", path]) == 2
-        assert "must be positive" in capsys.readouterr().err
-        assert glob.glob(os.path.join(tmp_path, "*.csv")) == []
-
     # os.makedirs used to raise FileExistsError (a file at out_dir) or
     # NotADirectoryError (a file on its path) with a traceback and exit 1,
     # the code for a failed check, after validate had passed
@@ -460,12 +504,6 @@ class TestRun:
         assert err.startswith(f"config error: out_dir {out!r}: ")
         assert "Traceback" not in err
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"
-
-    def test_pinned_well_experiment_rejects_override(self, tmp_path):
-        path = write(tmp_path, "experiment=first_variation\n"
-                               "well.name=quartic_exp\n"
-                               f"out_dir={tmp_path}\n")
-        assert cli.main(["run", path]) == 2
 
 
 def test_validate_command_exit_codes(tmp_path, capsys):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
-from wmcflab import cli, flow, wells
+from wmcflab import flow, wells
 from wmcflab.errors import DomainError, GeometryError
 from wmcflab.grid import Field, Grid
 from wmcflab.quadrature import adaptive_gauss_legendre
@@ -365,7 +365,7 @@ class TestFactoriesMatchReference:
         assert np.all(gap <= 8 * np.finfo(float).eps * np.abs(single))
 
 
-# every public quartic factory, and every WELL_REGISTRY well, at arguments
+# every public quartic factory, at arguments
 PUBLIC_FACTORIES = {
     "constant_quartic": lambda: wells.constant_quartic(),
     "affine_scaled_quartic": lambda: wells.affine_scaled_quartic(axis=1),
@@ -385,10 +385,9 @@ class TestFactoriesRouteThroughCanonicalQuartic:
                   and not name.startswith("_")}
         assert public - {"canonical_quartic"} == set(PUBLIC_FACTORIES)
 
-    @pytest.mark.parametrize("build", (
-        [PUBLIC_FACTORIES[name] for name in sorted(PUBLIC_FACTORIES)]
-        + [cli.WELL_REGISTRY[name] for name in sorted(cli.WELL_REGISTRY)]),
-        ids=(sorted(PUBLIC_FACTORIES) + sorted(cli.WELL_REGISTRY)))
+    @pytest.mark.parametrize(
+        "build", [PUBLIC_FACTORIES[name] for name in sorted(PUBLIC_FACTORIES)],
+        ids=sorted(PUBLIC_FACTORIES))
     def test_one_canonical_quartic_call(self, monkeypatch, build):
         built = []
         original = wells.canonical_quartic
