@@ -67,12 +67,17 @@ eps=0.08,0.04
             cli.parse_config(path)
 
     # a key set twice used to take its last value: validate passed both
-    # configs, and the second one ran the weak-strong experiment
+    # configs, and the second one ran the weak-strong experiment. A repeat
+    # is rejected also when it restates the value with other spacing, and
+    # for out_dir, which reaches no runner parameter.
     @pytest.mark.parametrize("text, key, lines", [
         ("experiment=gibbs_thomson\ngrid.n=64\ngrid.n=256\n"
          "tol.radius=0.25\ntol.radius=0.45\n", "grid.n", (2, 3)),
         ("experiment=calibration\n# comment\n\nexperiment=weak_strong\n",
          "experiment", (1, 4)),
+        ("experiment=surface_tension\n  tol.tol = 1e-6\ntol.tol=1e-6\n",
+         "tol.tol", (2, 3)),
+        ("experiment=surface_tension\nout_dir=elsewhere\n", "out_dir", (2, 3)),
     ])
     def test_key_set_twice_raises(self, tmp_path, capsys, text, key, lines):
         path = write(tmp_path, text + f"out_dir={tmp_path}\n")
@@ -174,10 +179,12 @@ class TestValidateConfig:
     # state's margin.
     @pytest.mark.parametrize("text", [
         "experiment=gibbs_thomson\ntol.residual_tol=inf\n",
+        "experiment=gibbs_thomson\ntol.residual_tol=-inf\n",
         "experiment=surface_tension\ntol.tol=nan\n",
     ] + [
         f"experiment={name}\nt_end={value}\n"
-        for name in ("calibration", "weak_strong") for value in ("inf", "nan")
+        for name in ("calibration", "weak_strong")
+        for value in ("inf", "nan", "-inf")
     ] + [f"experiment=equipartition\ngrid.n=64\neps={value}\n"
          for value in ("inf,0.1", "0.1,nan")])
     def test_non_finite_tolerance_is_rejected(self, tmp_path, capsys, text):
