@@ -33,7 +33,7 @@ constant exactly 1 for the tilt, via 2(1 - xi.n) = |n-xi|^2 + 1 - |xi|^2).
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,14 +136,14 @@ class Calibration:
             grad_theta=-_truncation_deriv(f.sdist, self.r)[..., None] * e)
 
 
-def build_calibration(traj: SharpTrajectory,
-                      r: Optional[float] = None) -> Calibration:
+def build_calibration(traj: SharpTrajectory) -> Calibration:
     """Calibration for a radial trajectory, with the trajectory's sigma.
 
-    The tube radius r defaults to 0.4 min_t R(t), and c = 1.01 / r^2. The
-    cutoff support is shrunk to 1/sqrt(c) so |xi| <= max{0, 1 - c dist^2}
-    holds exactly (the bound needs c strictly above 1/r^2 to leave a
-    margin inside the tube). Raises GeometryError unless 0 < r < min_t R(t),
+    The tube radius is r = 0.4 min_t R(t), so the projection onto the
+    circle is single-valued in the tube, and c = 1.01 / r^2. The cutoff
+    support is shrunk to 1/sqrt(c) so |xi| <= max{0, 1 - c dist^2} holds
+    exactly (the bound needs c strictly above 1/r^2 to leave a margin
+    inside the tube). Raises GeometryError for a flow that is not radial
     and for a truncated trajectory (the sphere went extinct): its R(t)
     stops at the extinction floor, not at t_end.
     """
@@ -152,15 +152,7 @@ def build_calibration(traj: SharpTrajectory,
     if traj.truncated:
         raise GeometryError("calibrations need a full-length trajectory, "
                             f"got one truncated at t = {traj.t_end:.4g}")
-    r_min_traj = float(np.min(traj.positions))
-    if r is None:
-        r = 0.4 * r_min_traj
-    if not (np.isfinite(r) and r > 0):
-        raise GeometryError("tube radius must be a positive finite number, "
-                            f"got {r!r}")
-    if r >= r_min_traj:
-        raise GeometryError("tube radius must stay below min_t R(t) for a "
-                            "single-valued projection")
+    r = 0.4 * float(np.min(traj.positions))
     c = 1.01 / r ** 2
     return Calibration(traj=traj, r=r, c=c, r_g=1.0 / np.sqrt(c))
 

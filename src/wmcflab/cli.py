@@ -8,8 +8,9 @@ namespaces, each key set at most once, e.g.
     eps=0.08,0.04,0.02,0.01
     out_dir=results
 
-Every key other than ``experiment`` and ``out_dir`` reaches one parameter
-of the experiment's runner:
+``out_dir`` (default ``.``) must not be empty. Every key other than
+``experiment`` and ``out_dir`` reaches one parameter of the experiment's
+runner:
 
     grid.n              -> grid_n    (positive int)
     eps                 -> eps_list  (comma-separated positive finite floats)
@@ -20,12 +21,12 @@ of the experiment's runner:
 Each runner builds the potential its claim is stated for, so no key
 selects a well.
 A key the experiment does not take is rejected with exit 2, by both
-``validate`` and ``run``, and so is a key set twice, and an ``eps``,
-``t_end`` or ``tol.<name>`` value that is not finite (``float`` parses inf
-and nan; no interface fits in the box at an infinite eps, no sharp
-reference reaches an infinite t_end, an infinite tolerance can stop a
-solve at once and pass the check it bounds, and a nan one compares
-false).
+``validate`` and ``run``, and so is a key set twice, an empty ``out_dir``
+and an ``eps``, ``t_end`` or ``tol.<name>`` value that is not finite
+(``float`` parses inf and nan; no interface fits in the box at an
+infinite eps, no sharp reference reaches an infinite t_end, an infinite
+tolerance can stop a solve at once and pass the check it bounds, and a
+nan one compares false).
 ``validate`` checks keys, types, the experiment name, that an eps sweep
 has two or more values, all distinct (each experiment that takes one
 checks a strict decrease over it) and that every eps a run starts from,
@@ -51,8 +52,8 @@ Exit codes for run: 0 all checks pass, 1 a check failed, 2 invalid config
 or parameters (parse and validation errors, an out_dir that cannot be
 made a directory, checked before the experiment starts, and any
 ValueError the experiment raises, among them the ValueError subclasses
-of ``errors``: DomainError, ResolutionError, GeometryError,
-GridMismatchError), 3 numeric failure (NumericError, ExtractionError).
+of ``errors``: ResolutionError, GeometryError, GridMismatchError), 3
+numeric failure (NumericError, ExtractionError).
 Orchestration is single-threaded, so outputs are deterministic; to cap the
 BLAS thread pools, set OMP_NUM_THREADS / OPENBLAS_NUM_THREADS in the
 environment before the process starts.
@@ -139,6 +140,8 @@ def resolve(entries: dict):
     floats = {p for p, v in params.items() if isinstance(v.default, float)}
     kwargs, problems = {}, []
     for key, text in entries.items():
+        if key == "out_dir" and not text:
+            problems.append("out_dir: must not be empty")
         if key in ("experiment", "out_dir"):
             continue
         if key in _KEYS:

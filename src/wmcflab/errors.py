@@ -1,17 +1,14 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
-    """A position lies outside the domain closure of a well specification."""
-
-
 class ResolutionError(ValueError):
     """The diffuse width is too small for the grid (eps < 4 * max spacing)."""
 
 
 class GeometryError(ValueError):
     """A geometric precondition failed (interface too close to the boundary,
-    tube radius too large for single-valued projection, ...)."""
+    a calibration around a flow that is not radial or not full-length,
+    ...)."""
 
 
 class GridMismatchError(ValueError):

@@ -48,12 +48,9 @@ for the face form. ``energy`` is formed from a ``Reading`` of the state
 (W and |grad u|, evaluated once), which also serves the equipartition
 diagnostics of ``variations``.
 
-``run`` records every step in a ``DissipationLedger``. Its defect uses a
-compensated (Neumaier) running total of the dissipation increments, so
-one append costs O(1) however long the run. For the nonnegative
-increments a run records, the total matches ``math.fsum`` of the
-increments to about one ulp, and each defect matches the ``math.fsum``
-form to within 4 ulp of the largest magnitude involved.
+``run`` records every step in a ``DissipationLedger``; one append is
+O(1). Its defect is summed once, by ``math.fsum`` of the dissipation
+increments, when it is read.
 
 The run kernel forms the ledger per block of steps (``_BLOCK_CELLS``
 cells), stacked on a leading axis, with the ``laplacian_neumann``,
@@ -497,16 +494,11 @@ def step_minmov(state: PhaseState, spec: WellSpec, h_step: float,
 class DissipationLedger:
     """Per-step energy and dissipation records of a gradient-flow run.
 
-    ``defect`` tracks |E(0) - E(t) - sum of eps ||du/dt||^2 dt|, the
-    discrete residue of the optimal dissipation identity; it vanishes at
-    first order in dt for consistent schemes.
-
-    The sum is a Neumaier-compensated running total of
-    ``dissipation_increments``, so ``append`` is O(1). For nonnegative
-    increments the total agrees with ``math.fsum`` to about one ulp, and
-    ``defects[i]`` agrees with
-    ``abs(e_initial - energies[i] - math.fsum(dissipation_increments[:i+1]))``
-    to within 4 ulp of the largest magnitude in that expression.
+    ``final_defect`` is |E(0) - E(T) - sum of eps ||du/dt||^2 dt| at the
+    last step, the discrete residue of the optimal dissipation identity;
+    it vanishes at first order in dt for consistent schemes. The sum is
+    ``math.fsum`` of ``dissipation_increments``, formed when the defect is
+    read, so ``append`` only records.
     """
 
     e_initial: float
@@ -514,31 +506,21 @@ class DissipationLedger:
     times: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     dissipation_increments: list = field(default_factory=list)
-    defects: list = field(default_factory=list)
     inner_residuals: list = field(default_factory=list)
-    # running sum of dissipation_increments and its rounding-error carry
-    _total: float = field(default=0.0, init=False, repr=False, compare=False)
-    _carry: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def append(self, step, time, energy_val, increment, residual):
         self.steps.append(step)
         self.times.append(time)
         self.energies.append(energy_val)
         self.dissipation_increments.append(increment)
-        s = self._total
-        t = s + increment
-        if abs(s) >= abs(increment):
-            self._carry += (s - t) + increment
-        else:
-            self._carry += (increment - t) + s
-        self._total = t
-        self.defects.append(abs(self.e_initial - energy_val
-                                - (t + self._carry)))
         self.inner_residuals.append(residual)
 
     @property
     def final_defect(self) -> float:
-        return self.defects[-1] if self.defects else 0.0
+        if not self.energies:
+            return 0.0
+        return abs(self.e_initial - self.energies[-1]
+                   - math.fsum(self.dissipation_increments))
 
 
 class RunResult(NamedTuple):

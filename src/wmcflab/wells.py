@@ -29,11 +29,11 @@ differences they share between a state's energy and its reaction.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, NumericError
+from .errors import GeometryError, NumericError
 from .quadrature import adaptive_gauss_legendre
 
 Scalar = Callable[[np.ndarray], np.ndarray]
@@ -77,8 +77,7 @@ class WellSpec:
     -> (...); ``grad_a``, ``grad_b`` and ``grad_amplitude`` map (..., d)
     -> (..., d). ``W`` and ``dW_du`` map (positions or a ``BoundQuartic``,
     u) to (...); ``dW_dx`` maps (positions, u) to (..., d).
-    ``delta_sep`` is a strict lower bound on b - a. ``bounds`` (d, 2),
-    when given, is the domain closure used for position checks.
+    ``delta_sep`` is a strict lower bound on b - a.
     sigma = sqrt(2 m) gamma^3 / 6 and the equipartitioned profile is
     logistic with rate sqrt(2 m) gamma.
     """
@@ -93,15 +92,6 @@ class WellSpec:
     dW_du: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dW_dx: Callable[[np.ndarray, np.ndarray], np.ndarray]
     delta_sep: float
-    bounds: Optional[np.ndarray] = None
-
-    def check_position(self, x: np.ndarray) -> None:
-        if self.bounds is None:
-            return
-        lo = self.bounds[:, 0] - 1e-12
-        hi = self.bounds[:, 1] + 1e-12
-        if np.any(x < lo) or np.any(x > hi):
-            raise DomainError("position outside the domain closure")
 
     def sigma_exact(self, x) -> np.ndarray:
         x = as_points(x)
@@ -119,9 +109,9 @@ class WellSpec:
 
 
 def gamma(spec: WellSpec, x) -> np.ndarray:
-    """Well separation b(x) - a(x); always >= delta_sep."""
+    """Well separation b(x) - a(x); >= delta_sep on the domain the spec
+    is built for (positions are not checked against it)."""
     x = as_points(x)
-    spec.check_position(x)
     return spec.b(x) - spec.a(x)
 
 
@@ -160,7 +150,6 @@ def _well_integral(spec: WellSpec, x, v: float, tol: float, integrand):
     shape x.shape[:-1], or a float for a single position.
     """
     x = as_points(x)
-    spec.check_position(x)
     pts = x.reshape(-1, x.shape[-1])
     val, _ = adaptive_gauss_legendre(lambda t: integrand(pts, t), 0.0, v,
                                      tol=tol)
@@ -662,8 +651,7 @@ def quartic_dW_du(m2, da, db, out=None):
 
 
 def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
-                      amplitude=None, grad_amplitude=None,
-                      bounds=None) -> WellSpec:
+                      amplitude=None, grad_amplitude=None) -> WellSpec:
     """Quartic double well with moving wells and optional amplitude m(x).
 
     ``W`` and ``dW_du`` take either positions or a ``BoundQuartic`` from
@@ -699,7 +687,7 @@ def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
     return WellSpec(a=a, b=b, amplitude=amplitude, grad_a=grad_a,
                     grad_b=grad_b, grad_amplitude=grad_amplitude,
                     W=W, dW_du=dW_du, dW_dx=dW_dx,
-                    delta_sep=delta_sep, bounds=bounds)
+                    delta_sep=delta_sep)
 
 
 def _coefficient(c0: float, slope: float = 0.0, axis: int = 0):
@@ -721,13 +709,13 @@ def _coefficient(c0: float, slope: float = 0.0, axis: int = 0):
 
 
 def constant_quartic(a0: float = 0.0, b0: float = 1.0,
-                     amplitude: float = 1.0, bounds=None) -> WellSpec:
+                     amplitude: float = 1.0) -> WellSpec:
     """Canonical quartic with constant wells and a constant amplitude,
     which must be positive for a double well (else ValueError)."""
     if not amplitude > 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
     return canonical_quartic(*_coefficient(a0), *_coefficient(b0), b0 - a0,
-                             *_coefficient(amplitude), bounds=bounds)
+                             *_coefficient(amplitude))
 
 
 def affine_scaled_quartic(offset: float = 1.0, slope: float = 1.0,
@@ -762,7 +750,11 @@ def exp_scaled_quartic(kappa: float, axis: int = 0) -> WellSpec:
 def linear_wells_quartic(a0: float, a_slope: float, b0: float,
                          b_slope: float, axis: int = 0, delta_sep=None,
                          bounds=None) -> WellSpec:
-    """Canonical quartic whose wells move linearly along one axis."""
+    """Canonical quartic whose wells move linearly along one axis.
+
+    Without ``delta_sep``, the domain ``bounds`` (d, 2) give it: the least
+    separation b - a at the two ends of the axis, which must be positive.
+    """
     if delta_sep is None:
         if bounds is None:
             raise ValueError("delta_sep or bounds required for moving wells")
@@ -774,4 +766,4 @@ def linear_wells_quartic(a0: float, a_slope: float, b0: float,
 
     return canonical_quartic(*_coefficient(a0, a_slope, axis),
                              *_coefficient(b0, b_slope, axis),
-                             delta_sep, bounds=bounds)
+                             delta_sep)

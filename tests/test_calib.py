@@ -78,18 +78,15 @@ class TestBuildCalibration:
             bound = np.maximum(0.0, 1.0 - cal.c * np.abs(f.sdist) ** 2)
             assert np.max(np.linalg.norm(f.xi, axis=-1) - bound) <= 1e-14
 
-    def test_tube_too_wide_raises(self):
-        traj = radial_setup()
-        with pytest.raises(GeometryError):
-            calib.build_calibration(traj, r=0.5)
-
-    # a negative radius flips every theta sign, NaN makes every field
-    # NaN, zero divides by zero in c = 1.01 / r^2
-    @pytest.mark.parametrize("r", [-0.1, float("nan"), 0.0, float("inf")])
-    def test_tube_radius_not_positive_finite_raises(self, r):
-        traj = radial_setup()
-        with pytest.raises(GeometryError, match="positive finite"):
-            calib.build_calibration(traj, r=r)
+    def test_tube_is_fixed_by_the_trajectory(self):
+        # r = 0.4 min_t R(t), c = 1.01 / r^2 and r_g = 1 / sqrt(c), to the
+        # bit, for two shrinking disks and a frozen one
+        for traj in (radial_setup(), radial_setup(0.25, 0.02),
+                     frozen_sphere()):
+            cal = calib.build_calibration(traj)
+            assert cal.r == 0.4 * min(traj.positions)
+            assert cal.c == 1.01 / cal.r ** 2
+            assert cal.r_g == 1.0 / np.sqrt(cal.c)
 
     def test_truncated_trajectory_rejected(self):
         # the 3-d sphere of radius 0.4 goes extinct at t = 0.04: R(t)

@@ -241,7 +241,8 @@ CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
                                       "configs", "*.cfg")))
 
 
-@pytest.mark.parametrize("path", CONFIGS)
+@pytest.mark.parametrize("path", CONFIGS,
+                         ids=[os.path.basename(p) for p in CONFIGS])
 def test_shipped_config_validates(path, capsys):
     assert cli.main(["validate", path]) == 0, capsys.readouterr().out
 
@@ -345,9 +346,8 @@ class TestRun:
         assert summary.startswith("PASS")
 
     @pytest.mark.parametrize("name, code", [
-        ("DomainError", 2), ("ResolutionError", 2), ("GeometryError", 2),
-        ("GridMismatchError", 2), ("NumericError", 3), ("ExtractionError", 3),
-        ("ValueError", 2)])
+        ("ResolutionError", 2), ("GeometryError", 2), ("GridMismatchError", 2),
+        ("NumericError", 3), ("ExtractionError", 3), ("ValueError", 2)])
     def test_library_error_exit_code(self, tmp_path, monkeypatch, capsys,
                                      name, code):
         def raising(**kw):
@@ -511,6 +511,21 @@ class TestRun:
         assert err.startswith(f"config error: out_dir {out!r}: ")
         assert "Traceback" not in err
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+    # an empty out_dir used to pass validate, and run then exited 2 with
+    # "config error: out_dir '': [Errno 2] No such file or directory: ''"
+    @pytest.mark.parametrize("line", ["out_dir=", "out_dir =  "])
+    def test_empty_out_dir_exits_2(self, tmp_path, monkeypatch, capsys,
+                                   line):
+        def never(**kw):
+            raise AssertionError("the runner started")
+        monkeypatch.setitem(cli.REGISTRY, "surface_tension",
+                            (never, "synthetic"))
+        path = write(tmp_path, f"experiment=surface_tension\n{line}\n")
+        assert cli.main(["validate", path]) == 2
+        assert capsys.readouterr().out == "out_dir: must not be empty\n"
+        assert cli.main(["run", path]) == 2
+        assert capsys.readouterr() == ("", "out_dir: must not be empty\n")
 
 
 def test_validate_command_exit_codes(tmp_path, capsys):

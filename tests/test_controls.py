@@ -190,8 +190,8 @@ def test_10_flipped_theta_fails_invariants(monkeypatch):
 def test_10_widened_cutoff_fails_invariants(monkeypatch):
     build = calib.build_calibration
 
-    def widened(traj, r=None):
-        cal = build(traj, r)
+    def widened(traj):
+        cal = build(traj)
         return dataclasses.replace(cal, r_g=1.2 * cal.r_g)
 
     monkeypatch.setattr(calib, "build_calibration", widened)

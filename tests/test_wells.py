@@ -14,7 +14,7 @@ from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from wmcflab import flow, wells
-from wmcflab.errors import DomainError, GeometryError
+from wmcflab.errors import GeometryError
 from wmcflab.grid import Field, Grid
 from wmcflab.quadrature import adaptive_gauss_legendre
 
@@ -76,11 +76,6 @@ class TestGamma:
 
     def test_parabolic_lower_well(self):
         assert wells.gamma(moving_spec(), 0.3) == pytest.approx(1.09, abs=1e-14)
-
-    def test_outside_domain_raises(self):
-        spec = wells.constant_quartic(bounds=np.array([[0.0, 1.0]]))
-        with pytest.raises(DomainError):
-            wells.gamma(spec, 1.5)
 
 
 class TestNormalizedWell:
@@ -187,7 +182,7 @@ class TestGeodesicDistance:
 # ``geodesic_distance(spec, x, 1)``; the properties below check that both
 # give these bits.
 
-def reference_constant(a0=0.0, b0=1.0, amplitude=1.0, bounds=None):
+def reference_constant(a0=0.0, b0=1.0, amplitude=1.0):
     return wells.canonical_quartic(
         a=lambda x: a0 * np.ones(np.shape(x)[:-1]),
         grad_a=lambda x: np.zeros(np.shape(x)),
@@ -196,7 +191,6 @@ def reference_constant(a0=0.0, b0=1.0, amplitude=1.0, bounds=None):
         delta_sep=b0 - a0,
         amplitude=lambda x: amplitude * np.ones(np.shape(x)[:-1]),
         grad_amplitude=lambda x: np.zeros(np.shape(x)),
-        bounds=bounds,
     )
 
 
@@ -234,7 +228,7 @@ def reference_exp(kappa, axis=0):
     return reference_unit_wells(m, grad_m)
 
 
-def reference_linear(a0, a_slope, b0, b_slope, axis, delta_sep, bounds):
+def reference_linear(a0, a_slope, b0, b_slope, axis, delta_sep):
     def mk_grad(slope):
         def grad(x):
             g = np.zeros(np.shape(x))
@@ -248,7 +242,7 @@ def reference_linear(a0, a_slope, b0, b_slope, axis, delta_sep, bounds):
         grad_a=mk_grad(a_slope),
         b=lambda x: b0 + b_slope * x[..., axis],
         grad_b=mk_grad(b_slope),
-        delta_sep=delta_sep, bounds=bounds,
+        delta_sep=delta_sep,
         amplitude=lambda x: np.ones(np.shape(x)[:-1]),
         grad_amplitude=lambda x: np.zeros(np.shape(x)),
     )
@@ -257,7 +251,6 @@ def reference_linear(a0, a_slope, b0, b_slope, axis, delta_sep, bounds):
 def reference_sigma_n(spec, x, tol=1e-10):
     """Normalized surface tension int_0^1 sqrt(2 W_n(x, s)) ds = sigma/gamma."""
     x = wells.as_points(x)
-    spec.check_position(x)
     shape = np.atleast_1d(spec.a(x)).shape
     pts = x.reshape(-1, x.shape[-1])
 
@@ -288,12 +281,11 @@ def factory_pairs(draw, dim, kinds=FACTORY_KINDS):
     kappa may be exactly 0."""
     axis = draw(hst.integers(0, dim - 1))
     slope = hst.one_of(hst.just(0.0), hst.floats(-0.4, 0.4))
-    bounds = draw(hst.sampled_from((None, np.array([[0.0, 1.0]] * dim))))
     kind = draw(hst.sampled_from(kinds))
     if kind == "constant":
         a0 = draw(hst.floats(-1.0, 1.0))
         args = (a0, a0 + draw(hst.floats(0.5, 2.0)),
-                draw(hst.floats(0.2, 5.0)), bounds)
+                draw(hst.floats(0.2, 5.0)))
         return wells.constant_quartic(*args), reference_constant(*args)
     if kind == "affine":
         args = (draw(hst.floats(0.5, 2.0)), draw(slope), axis)
@@ -306,7 +298,7 @@ def factory_pairs(draw, dim, kinds=FACTORY_KINDS):
     # adding 0.0 turns a drawn -0.0 into 0.0
     a0 = draw(hst.floats(-0.5, 0.5)) + 0.0
     args = (a0, draw(slope), a0 + draw(hst.floats(0.8, 1.5)), draw(slope),
-            axis, 0.1, bounds)
+            axis, 0.1)
     return wells.linear_wells_quartic(*args), reference_linear(*args)
 
 
@@ -327,7 +319,6 @@ class TestFactoriesMatchReference:
     def test_coefficients_and_derivatives_bit_identical(self, problem):
         (spec, ref), pts, u = problem
         assert spec.delta_sep == ref.delta_sep
-        assert bits(spec.bounds) == bits(ref.bounds)
         for name in ("a", "b", "amplitude",
                      "grad_a", "grad_b", "grad_amplitude"):
             assert bits(getattr(spec, name)(pts)) \
