@@ -40,8 +40,7 @@ import numpy as np
 from .errors import GeometryError
 from .grid import Field, integrate
 from .quadrature import gauss_legendre
-from .sharp import (SharpTrajectory, Sphere, _require_disk, _unit_circle,
-                    indicator)
+from .sharp import SharpTrajectory, Sphere, _require_disk, indicator
 from .wells import point_norm
 
 _NEAR = 1e-4
@@ -326,9 +325,13 @@ def bulk_energy(weak, cal: Calibration, t: float) -> float:
     """int sigma (chi_strong - chi_weak) theta dx; >= 0 by sign conditions.
 
     ``weak`` is either a Sphere concentric with the calibrated flow
-    (annulus quadrature on one fixed rule, 256 Gauss-Legendre
-    radii times 256 angles) or a phase-indicator Field (grid quadrature).
-    Raises GeometryError unless the calibrated flow is radial in 2-d.
+    (radial quadrature: the integrand on one ray at 256 Gauss-Legendre
+    radii across the annulus, times 2 pi) or a phase-indicator Field
+    (grid quadrature). The radial rule needs sigma of the calibrated flow
+    radial about its centre, as it is for every ``evolve_radial``
+    trajectory (``ScalarSigma.about``): then chi_strong - chi_weak, theta
+    and sigma all depend on rho alone. Raises GeometryError unless the
+    calibrated flow is radial in 2-d.
     """
     _require_disk(cal.traj, "bulk energies")
     if isinstance(weak, Field):
@@ -351,17 +354,17 @@ def bulk_energy(weak, cal: Calibration, t: float) -> float:
         nodes, weights = gauss_legendre(256)
         rho = 0.5 * (hi - lo) * (nodes + 1.0) + lo
         wr = 0.5 * (hi - lo) * weights
-        pts = center + rho[:, None, None] * _unit_circle(256)[None, :, :]
+        ray = center + np.outer(rho, (1.0, 0.0))
         # on the annulus chi_strong - chi_weak = -sign(r_w - r_s)
         sgn = -np.sign(r_w - r_s)
-        # sigma sgn tau rho wr, in that order: the first product is a new
-        # array (the one sigma.value returns is never written), the rest
-        # go in place
-        vals = cal.traj.sigma.value(pts) * sgn
-        vals *= _truncation(r_s - rho, cal.r)[:, None]
-        vals *= rho[:, None]
-        vals *= wr[:, None]
-        return float(np.sum(vals) * (2.0 * np.pi / 256))
+        # sigma sgn tau rho wr along the ray, in that order: the first
+        # product is a new array (the one sigma.value returns is never
+        # written), the rest go in place
+        vals = cal.traj.sigma.value(ray) * sgn
+        vals *= _truncation(r_s - rho, cal.r)
+        vals *= rho
+        vals *= wr
+        return float(np.sum(vals) * (2.0 * np.pi))
     raise TypeError("weak phase must be a Sphere or an indicator Field")
 
 

@@ -34,6 +34,35 @@ def frozen_sphere(radius=0.3):
         _vel=lambda t: np.zeros(np.shape(t)), center=CENTER)
 
 
+@functools.lru_cache(maxsize=None)
+def weighted_calibration(kappa):
+    """Calibration of the radial flow with sigma = (sqrt 2 / 6) e^(kappa
+    rho) about CENTER."""
+    sig = sharp.exponential_scalar_sigma(kappa, SQRT2_6)
+    return calib.build_calibration(sharp.evolve_radial(
+        0.4, sig, 0.04, tol=1e-12, center=CENTER))
+
+
+def bulk_energy_annulus_loop(weak, cal, t):
+    """The 2-d annulus form of ``calib.bulk_energy`` for a concentric
+    weak disk: sigma (chi_strong - chi_weak) theta summed over 256
+    Gauss-Legendre radii times 256 equal angles, with no radial
+    assumption on sigma. The reference the radial rule is checked
+    against."""
+    r_s, r_w = float(cal.traj.position(t)), weak.radius
+    lo, hi = min(r_w, r_s), max(r_w, r_s)
+    gl_nodes, gl_w = np.polynomial.legendre.leggauss(256)
+    r = 0.5 * (hi - lo) * (gl_nodes + 1.0) + lo
+    wr = 0.5 * (hi - lo) * gl_w
+    theta = 2.0 * np.pi * np.arange(256) / 256
+    e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    pts = np.array(cal.traj.center) + r[:, None, None] * e[None, :, :]
+    chi = -np.sign(r_w - r_s)
+    tau = cal._frame(pts, t).theta
+    return float(np.sum(cal.traj.sigma.value(pts) * chi * tau
+                        * r[:, None] * wr[:, None]) * (2.0 * np.pi / 256))
+
+
 class TestBuildCalibration:
     def test_defaults(self):
         traj = radial_setup()
@@ -401,14 +430,32 @@ class TestEnergies:
     def test_bulk_energy_annulus_closed_form(self):
         traj = radial_setup()
         cal = calib.build_calibration(traj)
-        t, delta = 0.01, 0.02  # delta < r/2, so theta = sdist there
+        t = 0.01
         R = float(traj.position(t))
-        weak = sharp.Sphere(CENTER, R + delta)
-        got = calib.bulk_energy(weak, cal, t)
-        # int_R^{R+d} sigma (rho - R) 2 pi rho drho
-        expected = 2 * np.pi * SQRT2_6 * (delta ** 2 * R / 2 + delta ** 3 / 3)
-        assert_allclose(got, expected, rtol=1e-10)
-        assert got > 0
+        # |delta| < r/2, so theta = sdist on the annulus; the weak disk
+        # outside the strong one (delta > 0) and inside it (delta < 0)
+        for delta in (0.02, -0.02):
+            weak = sharp.Sphere(CENTER, R + delta)
+            got = calib.bulk_energy(weak, cal, t)
+            # int sigma |rho - R| 2 pi rho drho between R and R + delta:
+            # 2 pi sigma (delta^2 R / 2 + delta^3 / 3) on either side
+            expected = 2 * np.pi * SQRT2_6 * (delta ** 2 * R / 2
+                                              + delta ** 3 / 3)
+            assert_allclose(got, expected, rtol=1e-10)
+            assert got > 0
+
+    # the radial rule against the 2-d annulus rule it replaced, with a
+    # weighted radial sigma, the weak disk inside and outside, at times
+    # across the window
+    @pytest.mark.parametrize("kappa", (-1.0, 0.0, 0.5, 1.0))
+    @pytest.mark.parametrize("delta", (-0.05, -0.02, 0.01, 0.03))
+    def test_bulk_energy_matches_annulus_loop(self, kappa, delta):
+        cal = weighted_calibration(kappa)
+        for t in (0.0, 0.013, 0.04):
+            weak = sharp.Sphere(CENTER, float(cal.traj.position(t)) + delta)
+            got = calib.bulk_energy(weak, cal, t)
+            ref = bulk_energy_annulus_loop(weak, cal, t)
+            assert abs(got - ref) <= 1e-13 * abs(ref)
 
     def test_bulk_energy_grid_route_agrees(self):
         traj = radial_setup()

@@ -455,9 +455,10 @@ class TestBlockedOraclesMatchLoops:
 
 class TestQuadratureTables:
     def test_cached_tables_are_read_only(self):
-        # the disk rule (64 x 128), the annulus rule of calib (256 x 256),
-        # the 10- and 20-point rules of the adaptive quadrature and a
-        # boundary circle, each built once and shared
+        # the disk rule (64 x 128), the 256 radii of calib's radial bulk
+        # rule and the 256-node circles of transport_residual, the 10- and
+        # 20-point rules of the adaptive quadrature and the 512-node
+        # circles of dissipation_check, each built once and shared
         rule = quadrature.gauss_legendre
         tables = (*rule(64), sharp._unit_circle(128), *rule(256),
                   sharp._unit_circle(256), *rule(10), *rule(20),
@@ -524,8 +525,10 @@ class TestSigmaFields:
 
 
 def _annulus_cloud(center, r_in=0.1, r_out=0.45, n=256):
-    """n Gauss-Legendre radii in [r_in, r_out] times n angles about center,
-    shape (n, n, 2), like the annulus rule of ``calib.bulk_energy``."""
+    """n Gauss-Legendre radii in [r_in, r_out] times n equal angles about
+    center, shape (n, n, 2): a polar cloud off the grid, like the disk
+    rule of ``sharp._bulk_integral`` and the 2-d annulus reference of
+    ``calib.bulk_energy`` in tests/test_calib.py."""
     nodes, _ = np.polynomial.legendre.leggauss(n)
     r = r_in + 0.5 * (r_out - r_in) * (nodes + 1.0)
     theta = 2.0 * np.pi * np.arange(n) / n
