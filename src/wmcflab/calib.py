@@ -40,7 +40,8 @@ import numpy as np
 from .errors import GeometryError
 from .grid import Field, integrate
 from .quadrature import gauss_legendre
-from .sharp import SharpTrajectory, Sphere, _require_disk, indicator
+from .sharp import (SharpTrajectory, Sphere, _require_disk,
+                    _require_radial, indicator)
 from .wells import point_norm
 
 _NEAR = 1e-4
@@ -59,12 +60,14 @@ def _cutoff_deriv(s: np.ndarray, r_g: float) -> np.ndarray:
 
 
 def _truncation(s: np.ndarray, r: float) -> np.ndarray:
-    """Odd, C^2, monotone: identity up to r/2, saturates at r."""
+    """Odd, C^2, monotone: identity up to r/2, saturates at r. The quintic
+    blend is formed on the band r/2 < |s| < r only; min(|s|, r) is the
+    value everywhere else."""
     a = np.abs(s)
-    t = np.clip((a - r / 2) / (r / 2), 0.0, 1.0)
-    p = 3 * t ** 5 - 7 * t ** 4 + 4 * t ** 3 + t
-    blend = r / 2 + (r / 2) * p
-    out = np.where(a <= r / 2, a, np.where(a >= r, r, blend))
+    out = np.minimum(a, r, out=np.empty(np.shape(a)))
+    band = (a > r / 2) & (a < r)
+    t = (a[band] - r / 2) / (r / 2)
+    out[band] = r / 2 + (r / 2) * (3 * t ** 5 - 7 * t ** 4 + 4 * t ** 3 + t)
     return np.sign(s) * out
 
 
@@ -331,7 +334,8 @@ def bulk_energy(weak, cal: Calibration, t: float) -> float:
     radial about its centre, as it is for every ``evolve_radial``
     trajectory (``ScalarSigma.about``): then chi_strong - chi_weak, theta
     and sigma all depend on rho alone. Raises GeometryError unless the
-    calibrated flow is radial in 2-d.
+    calibrated flow is radial in 2-d, and, on the radial rule, unless its
+    sigma reads radial about its centre at the ends of the annulus.
     """
     _require_disk(cal.traj, "bulk energies")
     if isinstance(weak, Field):
@@ -353,6 +357,7 @@ def bulk_energy(weak, cal: Calibration, t: float) -> float:
         lo, hi = min(r_w, r_s), max(r_w, r_s)
         nodes, weights = gauss_legendre(256)
         rho = 0.5 * (hi - lo) * (nodes + 1.0) + lo
+        _require_radial(cal.traj.sigma, center, rho, "bulk energies")
         wr = 0.5 * (hi - lo) * weights
         ray = center + np.outer(rho, (1.0, 0.0))
         # on the annulus chi_strong - chi_weak = -sign(r_w - r_s)

@@ -459,11 +459,11 @@ class SpaceTimeTest:
     dt: Callable[[np.ndarray, float], np.ndarray]
 
 
-# Times per block of the boundary sums: a block holds _TIME_BLOCK x n x 2
-# node coordinates (0.5 MB at 512 nodes, inside a 1 MB L2 cache), however
-# long the time grid is. 64 ran the 4 097-time dissipation check about
-# 15 % faster than 128 on a 2-core AMD EPYC VM; the sums' bits do not
-# depend on it.
+# Times per block of transport_residual's boundary sums: a block holds
+# _TIME_BLOCK x 256 x 2 node coordinates (0.25 MB), however long the time
+# grid is. 64 ran a 4 097-time sum over 512-node circles about 15 %
+# faster than 128 on a 2-core AMD EPYC VM; it was not measured again on
+# 256 nodes. The sums' bits do not depend on it.
 _TIME_BLOCK = 64
 
 
@@ -474,6 +474,25 @@ def _require_disk(traj: SharpTrajectory, what: str) -> None:
     if dim != 2:
         raise GeometryError(f"{what} are computed for radial 2-d flows, "
                             f"got a {dim}-d {traj.kind} trajectory")
+
+
+# the four axis directions at which _require_radial reads sigma
+_AXES = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+
+
+def _require_radial(sigma: SurfaceTension, center: np.ndarray, radii,
+                    what: str) -> None:
+    """Raise GeometryError unless sigma reads the same, to 1e-12 relative,
+    at center +- R e_0 and center +- R e_1 for the smallest and the largest
+    of ``radii``: the radial rules here take sigma on one ray as its value
+    on the whole circle, and a sigma that is not radial about ``center``
+    would give a silent wrong sum."""
+    ends = np.array([np.min(radii), np.max(radii)])
+    vals = sigma.value(center + ends[:, None, None] * _AXES)
+    spread = np.max(vals, axis=-1) - np.min(vals, axis=-1)
+    if not np.all(spread <= 1e-12 * np.max(np.abs(vals), axis=-1)):
+        raise GeometryError(f"{what} need sigma radial about the flow's "
+                            f"centre {tuple(center)}")
 
 
 def _sampled(traj: SharpTrajectory, t_prime: float, n_t: int, what: str):
@@ -570,23 +589,24 @@ def dissipation_check(traj: SharpTrajectory, t_prime: float,
     admissible flows.
 
     Time quadrature is the trapezoid rule on ``n_t`` intervals, with R
-    and V evaluated once on the whole grid, and every boundary integral
-    takes 512 nodes. The dissipation is summed over blocks of _TIME_BLOCK
-    times, each row over its own nodes. ``velocity_scale`` rescales V
-    inside the dissipation integral only (used to demonstrate that
-    inflated velocities violate the inequality). Raises GeometryError
-    unless the flow is radial in 2-d, ValueError for n_t < 1.
+    and V evaluated once on the whole grid. sigma is radial about the
+    flow's centre (``evolve_radial`` lifts its profile with
+    ``ScalarSigma.about``), so the circle of radius R contributes
+    2 pi R sigma(R) V^2, with sigma read once per time on one ray along
+    the first axis; the energies E take 512 boundary nodes.
+    ``velocity_scale`` rescales V inside the dissipation integral only
+    (used to demonstrate that inflated velocities violate the
+    inequality). Raises GeometryError unless the flow is radial in 2-d
+    and its sigma radial about its centre, ValueError for n_t < 1.
     """
     center, ts, radii, v = _sampled(traj, t_prime, n_t, "dissipation checks")
+    _require_radial(traj.sigma, center, radii, "dissipation checks")
     v = velocity_scale * v
-    vals = np.empty_like(ts)
-    for rows, pts, w in _circle_blocks(center, radii, 512):
-        vb = v[rows, None]
-        # w sigma V V: the first product is new, the rest go in place
-        dens = w * traj.sigma.value(pts)
-        dens *= vb
-        dens *= vb
-        vals[rows] = np.sum(dens, axis=-1)
+    # (2 pi R) sigma V V: the first product is new, the rest go in place
+    vals = 2.0 * np.pi * radii
+    vals *= traj.sigma.value(center + np.outer(radii, (1.0, 0.0)))
+    vals *= v
+    vals *= v
     integral = float(np.trapezoid(vals, ts))
     e_end = weighted_perimeter(traj.interface_at(t_prime), traj.sigma, 512)
     e_start = weighted_perimeter(traj.interface_at(0.0), traj.sigma, 512)

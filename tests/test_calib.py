@@ -5,6 +5,7 @@ import functools
 
 import numpy as np
 import pytest
+import hypothesis.extra.numpy as hnp
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
@@ -245,6 +246,60 @@ def clouds(draw):
     pts = [np.array(center)] + [np.array(center) + rho * np.array(u)
                                 / np.hypot.reduce(u) for rho, u in rows]
     return center, np.array(pts)
+
+
+def truncation_where(s, r):
+    """The retired form of ``calib._truncation``: the quintic blend on
+    every sample, picked by np.where. The reference the banded form is
+    checked against, bit for bit."""
+    a = np.abs(s)
+    # a huge |s| overflows (|s| - r/2)/(r/2) before the clip
+    with np.errstate(over="ignore"):
+        t = np.clip((a - r / 2) / (r / 2), 0.0, 1.0)
+    p = 3 * t ** 5 - 7 * t ** 4 + 4 * t ** 3 + t
+    blend = r / 2 + (r / 2) * p
+    out = np.where(a <= r / 2, a, np.where(a >= r, r, blend))
+    return np.sign(s) * out
+
+
+def band_edges(r):
+    """r/2 and r with their float neighbours, and points inside the band
+    close to either end, of both signs."""
+    pts = [x for e in (r / 2, r)
+           for x in (e, np.nextafter(e, 0.0), np.nextafter(e, 2 * e))]
+    pts += [f * r for f in (0.50001, 0.5001, 0.6, 0.9, 0.999, 0.99999)]
+    return pts + [-x for x in pts]
+
+
+@hst.composite
+def truncation_samples(draw):
+    """(s, r): arrays of any shape (a 0-d and an empty one among them)
+    whose entries lie within 1.5 r, on the band's edges, or anywhere
+    (signed zeros, infinities and NaN among them)."""
+    r = draw(hst.floats(1e-3, 1.0))
+    entries = hst.one_of(hst.floats(-1.5 * r, 1.5 * r),
+                         hst.sampled_from(band_edges(r)),
+                         hst.floats(allow_nan=True, allow_infinity=True))
+    shape = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                             max_side=16)
+    return draw(hnp.arrays(np.float64, shape, elements=entries)), r
+
+
+class TestTruncation:
+    # the blend is formed on the band r/2 < |s| < r only, with the same
+    # operations per element, so every bit of the retired form stays
+    @settings(max_examples=200, deadline=None)
+    @given(truncation_samples())
+    @example((np.array([0.0, -0.0]), 0.1))
+    @example((np.array(band_edges(0.1)), 0.1))
+    @example((np.array([np.inf, -np.inf, np.nan, -np.nan]), 0.1))
+    @example((np.array(0.075), 0.1))
+    def test_banded_equals_where_form(self, sample):
+        s, r = sample
+        got = np.asarray(calib._truncation(s, r))
+        want = np.asarray(truncation_where(s, r))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEvaluator:

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
-from wmcflab import quadrature, sharp, wells
+from wmcflab import calib, quadrature, sharp, wells
 from wmcflab.errors import GeometryError, NumericError
 from wmcflab.experiments import _unit_box
 from wmcflab.testfields import dilation_field, rotation_field, translation_field
@@ -26,7 +26,8 @@ def const_sigma2d(c=SQRT2_6):
 
 # Per-sample loop forms of transport_residual and dissipation_check: an
 # interface, its boundary nodes and a fresh quadrature table per time
-# sample. The reference the blocked library forms are checked against.
+# sample. The references the blocked transport sums and the radial
+# dissipation rule are checked against.
 # Like the library, each reads R and V from one evaluation on its time
 # grid: the dense output at a scalar time can differ from the same time
 # in an array by one ulp (see SharpTrajectory).
@@ -379,6 +380,18 @@ class TestDissipation:
         slack = sharp.dissipation_check(traj, 0.06, velocity_scale=2.0)
         assert slack < -1e-3
 
+    # the exact weighted flow: the slack is the trapezoid rule's O(n_t^-2)
+    # error, so it falls by 4 per doubling (measured 3.99-4.00) down to
+    # n_t = 4 096, where criterion 09 reads it
+    @pytest.mark.parametrize("kappa", (-1.0, 0.7, 1.0))
+    def test_weighted_flow_slack_converges_second_order(self, kappa):
+        prof = sharp.exponential_scalar_sigma(kappa, SQRT2_6)
+        traj = sharp.evolve_radial(0.4, prof, 0.06, tol=1e-12, center=CENTER)
+        slacks = [sharp.dissipation_check(traj, 0.06, n_t=n_t)
+                  for n_t in (256, 512, 1024, 2048, 4096)]
+        for coarse, fine in zip(slacks, slacks[1:]):
+            assert abs(coarse) >= 3.9 * abs(fine)
+
     def test_trajectory_sigma_is_the_flow_sigma(self):
         # the lifts of the flow's own profile, bit for bit
         prof = sharp.exponential_scalar_sigma(0.7, scale=SQRT2_6)
@@ -417,9 +430,9 @@ class TestTimeGridOfOracles:
 
 class TestBlockedOraclesMatchLoops:
     # x-dependent zeta whose value is evaluated on a column of times, and
-    # a sigma that is not radial about the disk's center: the trajectory's
-    # own sigma is replaced by it, so that the blocked sums are tested
-    # where sigma varies along each circle
+    # a sigma that is not radial about the disk's center: the transport
+    # trajectory's own sigma is replaced by it, so that the blocked sums
+    # are tested where the integrand varies along each circle
     ZETA = sharp.SpaceTimeTest(
         value=lambda x, t: np.cos(3.0 * t + 2.0 * x[..., 0]) * x[..., 1] ** 2,
         dt=lambda x, t: -3.0 * np.sin(3.0 * t + 2.0 * x[..., 0])
@@ -427,17 +440,23 @@ class TestBlockedOraclesMatchLoops:
     SIGMA = sharp.exponential_scalar_sigma(0.8, scale=0.3).along_axis()
 
     # n_t + 1 is one short block (9), whole blocks (256) and whole blocks
-    # plus a remainder (301) at the block size of 64
+    # plus a remainder (301) at the block size of 64. The dissipation
+    # check runs on the flow's own radial sigma 0.3 e^(kappa rho), against
+    # the 512-node sum it replaced. Its bound is relative to E(0), not to
+    # the slack: the slack is a difference of O(1) energies (-8e-10 at
+    # n_t = 1024), so 1e-13 of it is below the roundoff of either route
     @settings(max_examples=30, deadline=None)
     @given(hst.floats(0.3, 0.45), hst.floats(0.05, 1.0),
-           hst.integers(1, 400), hst.floats(0.25, 3.0))
-    @example(0.4, 1.0, 8, 1.0)
-    @example(0.3, 0.5, 255, 2.0)
-    @example(0.45, 0.9, 300, 1.0)
+           hst.integers(1, 400), hst.floats(0.25, 3.0),
+           hst.sampled_from((-1.0, 0.0, 0.7, 1.0)))
+    @example(0.4, 1.0, 8, 1.0, 0.7)
+    @example(0.3, 0.5, 255, 2.0, -1.0)
+    @example(0.45, 0.9, 300, 1.0, 0.0)
     # R(t) at the 45th of 60 times differs by one ulp between the array
     # and the scalar evaluation of the dense output
-    @example(0.44587435900277567, 0.902811082193058, 59, 1.0)
-    def test_library_equals_loop_reference(self, r0, t_frac, n_t, scale):
+    @example(0.44587435900277567, 0.902811082193058, 59, 1.0, 0.7)
+    def test_library_equals_loop_reference(self, r0, t_frac, n_t, scale,
+                                           kappa):
         traj = dataclasses.replace(
             sharp.evolve_radial(r0, sharp.exponential_scalar_sigma(0.7),
                                 0.02, tol=1e-12, center=CENTER),
@@ -446,11 +465,45 @@ class TestBlockedOraclesMatchLoops:
         got = sharp.transport_residual(traj, self.ZETA, t_prime, n_t=n_t)
         ref = transport_residual_loop(traj, self.ZETA, t_prime, n_t)
         assert abs(got - ref) <= 1e-13 * abs(ref)
+        traj = sharp.evolve_radial(
+            r0, sharp.exponential_scalar_sigma(kappa, scale=0.3), 0.02,
+            tol=1e-12, center=CENTER)
+        t_prime = t_frac * traj.t_end
         got = sharp.dissipation_check(traj, t_prime, n_t=n_t,
                                       velocity_scale=scale)
         ref = dissipation_check_loop(traj, t_prime, n_t,
                                      velocity_scale=scale)
-        assert abs(got - ref) <= 1e-13 * abs(ref)
+        e_start = sharp.weighted_perimeter(traj.interface_at(0.0),
+                                           traj.sigma, 512)
+        assert abs(got - ref) <= 1e-13 * e_start
+
+
+class TestRadialSigmaGuard:
+    # the radial rules read sigma on one ray: a sigma that varies along
+    # the circle (here the x_0 lift of TestBlockedOraclesMatchLoops) must
+    # raise, not give a wrong sum
+    def test_non_radial_sigma_raises(self):
+        traj = dataclasses.replace(
+            sharp.evolve_radial(0.4, sharp.exponential_scalar_sigma(0.7),
+                                0.02, tol=1e-12, center=CENTER),
+            sigma=TestBlockedOraclesMatchLoops.SIGMA)
+        with pytest.raises(GeometryError, match="sigma radial"):
+            sharp.dissipation_check(traj, 0.02)
+        cal = calib.build_calibration(traj)
+        weak = sharp.Sphere(CENTER, float(traj.position(0.01)) + 0.02)
+        with pytest.raises(GeometryError, match="sigma radial"):
+            calib.bulk_energy(weak, cal, 0.01)
+
+    @pytest.mark.parametrize("kappa", (None, -1.0, 0.7, 1.0))
+    def test_flow_sigma_passes(self, kappa):
+        # None: the constant sigma of the radial runners
+        prof = (sharp.constant_scalar_sigma(SQRT2_6) if kappa is None
+                else sharp.exponential_scalar_sigma(kappa, SQRT2_6))
+        traj = sharp.evolve_radial(0.4, prof, 0.02, tol=1e-12, center=CENTER)
+        assert abs(sharp.dissipation_check(traj, 0.02)) <= 1e-6
+        cal = calib.build_calibration(traj)
+        weak = sharp.Sphere(CENTER, float(traj.position(0.01)) - 0.02)
+        assert calib.bulk_energy(weak, cal, 0.01) > 0.0
 
 
 class TestQuadratureTables:
@@ -458,7 +511,9 @@ class TestQuadratureTables:
         # the disk rule (64 x 128), the 256 radii of calib's radial bulk
         # rule and the 256-node circles of transport_residual, the 10- and
         # 20-point rules of the adaptive quadrature and the 512-node
-        # circles of dissipation_check, each built once and shared
+        # circles of the energies E(0) and E(T') of dissipation_check
+        # (its dissipation integral reads sigma on one ray), each built
+        # once and shared
         rule = quadrature.gauss_legendre
         tables = (*rule(64), sharp._unit_circle(128), *rule(256),
                   sharp._unit_circle(256), *rule(10), *rule(20),
