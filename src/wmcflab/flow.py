@@ -39,6 +39,15 @@ of a descent written through ``spec.W``, ``spec.dW_du`` and
 ``energy_face``. Passes whose result is known are skipped, exactly:
 u - a for a = +0.0, x * m for m = 1.0 (``constant_quartic``'s defaults)
 and, on a dyadic grid, the Laplacian's division (an exact product).
+Only a descent's first gradient goes through ``laplacian_neumann`` of a
+``Field``, which checks u0; every later one calls the stencil core
+``grid._laplacian`` into the kernel's own scratch arrays, with no
+``Field`` and no new array. An accepted trial is checked for finiteness
+only when its J is not finite, since a finite J implies a finite trial
+whose Laplacian cannot overflow (within the bounds ``_bb_descent``
+states; past them every gradient is checked). Every pass writes into an
+operand that is dead after it where there is one, and squares with
+``np.square``.
 
 The inner solvers work with the face-difference quadrature of the
 gradient energy, whose exact L2-gradient is the compact 3/5-point Neumann
@@ -65,8 +74,8 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import NumericError
-from .grid import (Field, FieldStack, Grid, _check_finite, gradient_neumann,
-                   integrate, laplacian_neumann)
+from .grid import (Field, FieldStack, Grid, _check_finite, _laplacian,
+                   gradient_neumann, integrate, laplacian_neumann)
 from .wells import BoundQuartic, WellSpec, bind, quartic_W, quartic_dW_du
 
 
@@ -301,33 +310,59 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
     written through ``energy_face``, ``spec.dW_du`` and
     ``laplacian_neumann``, with less dispatch around it:
 
-    * the work arrays are allocated once per descent and rotated: the
-      iterate and the previous one, whose array takes the trials once
-      the BB step has used it; the gradient and the previous one; the
-      centred gradient (constrained only); u - a (unless skipped, see
-      below) and u - b; and two scratch arrays;
+    * the work arrays are allocated once per descent and rotated. They
+      are: the iterate u and the previous one; the gradient g and the
+      previous one; the centred gradient (constrained only); u - a
+      (unless skipped, see below) and u - b; and two scratch arrays s1
+      and s2. The BB step writes its differences u - u_prev and
+      g - g_prev into u_prev and g_prev, which are dead after it; u_prev
+      then takes the trials, and g_prev the next gradient;
     * J of a trial keeps that trial's u - a and u - b, evaluating W from
       them without consuming them in the order of ``wells.quartic_W``;
       the gradient of the accepted trial takes its reaction from the
       same differences through ``wells.quartic_dW_du``'s in-place form,
-      with 2m formed once per descent;
+      with 2m formed once per descent and (u - a) + (u - b) written into
+      u - b, which the gradient gives up;
+    * the first gradient goes through ``laplacian_neumann`` of a
+      ``Field``, which checks u0. Every later one calls the stencil core
+      ``grid._laplacian`` into s1, with s2 as its scratch: no ``Field``
+      and no new array (see below for why no check is lost);
+    * every pass writes into one of its own dead operands where there is
+      one, and squares with ``np.square`` (x * x, one rounding, as
+      ``np.multiply(x, x)`` but cheaper);
     * known passes are skipped: u - a for a scalar a with the bits of
       +0.0 (v - (+0.0) is v; v - (-0.0) turns -0.0 into +0.0), and W's
       product with m for m = 1.0 (x * 1.0 is x);
     * one mean of g feeds both the stationarity test and the direction;
       each mean is ``np.mean``'s own arithmetic, a sum then a division.
 
-    A constrained iteration makes about 45 array passes: 6 to test g and
+    A constrained iteration makes about 43 array passes: 6 to test g and
     take the slope, 6 for the BB step, per trial 4 to form it and 11 for
-    J, and 18 for the gradient (11 of them in ``laplacian_neumann``).
+    J, and 16 for the gradient (9 of them in the stencil; a ``Field``
+    would add 4 more, two finiteness checks of two passes). At 256^2 a
+    binary pass into one of its own operands costs about 21 us, one into
+    a third array about 50 us, ``np.square`` 16 us against 38 us for
+    ``np.multiply(x, x)``, and a ``Field`` of the iterate 18-30 us.
 
-    The gradient hands every iterate to ``laplacian_neumann`` as a
-    ``Field``, so a non-finite iterate raises ValueError. If all 60
-    halvings fail, the descent stops at the current iterate; the caller
-    judges that iterate by its gradient. Returns (u, J, g, iterations)
-    with J and g the objective and gradient at u, in arrays of this
-    descent. Raises NumericError after ``max_iter`` iterations without a
-    stop.
+    Finiteness is checked as ``laplacian_neumann`` of a ``Field`` of
+    every accepted iterate would check it, which the reference written
+    through the closures does: ValueError if the iterate or its
+    Laplacian is not finite. u0 is checked by the first gradient. An
+    accepted trial whose J is finite is finite itself, since every cell
+    enters J through W's quartic (an inf or NaN cell makes its W, and so
+    J, inf or NaN); so the trial is checked (``grid._check_finite``)
+    only when J is not finite. A finite J also bounds |u - a| (W's
+    (u - a)^2 is finite) and every face difference (E's sums of their
+    squares over h_k^2 are finite). Where h_k >= 1e-50, eps >= 1e-100
+    and |a|, |b| <= 1e200 these bounds keep the Laplacian below 1e290,
+    so it cannot overflow; on any other grid, eps or well every gradient
+    goes through ``laplacian_neumann`` of a ``Field``, as the first.
+
+    If all 60 halvings fail, the descent stops at the current iterate;
+    the caller judges that iterate by its gradient. Returns
+    (u, J, g, iterations) with J and g the objective and gradient at u,
+    in arrays of this descent. Raises NumericError after ``max_iter``
+    iterations without a stop.
     """
     constrained = mass is not None
     m, a, b = bound.m, bound.a, bound.b
@@ -335,6 +370,9 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
     a_zero = np.ndim(a) == 0 and a == 0.0 and math.copysign(1.0, a) > 0
     m_one = np.ndim(m) == 0 and m == 1.0
     vol = grid.cell_volume
+    # the bounds under which a finite J keeps the Laplacian finite
+    lap_bounded = (float(np.min(grid.spacing)) >= 1e-50 and eps >= 1e-100
+                   and all(np.max(np.abs(w)) <= 1e200 for w in (a, b)))
     u, u_prev, g, g_prev, db, s1, s2 = (
         np.empty(grid.cells) for _ in range(7))
     da = None if a_zero else np.empty(grid.cells)
@@ -344,10 +382,10 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
         """J at v; leaves v - a in da (unless a_zero) and v - b in db."""
         d = v if a_zero else np.subtract(v, a, out=da)
         np.subtract(v, b, out=db)
-        np.multiply(d, d, out=s1)
+        np.square(d, out=s1)
         if not m_one:
             np.multiply(s1, m, out=s1)
-        np.multiply(db, db, out=s2)
+        np.square(db, out=s2)
         np.multiply(s1, s2, out=s1)
         e = _face_energy(s1, v, grid, eps, work=s1)
         if constrained:
@@ -355,11 +393,15 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
         np.subtract(v, anchor, out=s2)
         return e / eps + _sum_sq(s2) * vol / (2 * h_step)
 
-    def gradient(v, out):
-        """The gradient at v into ``out``, from the da and db of v."""
-        quartic_dW_du(m2, v if a_zero else da, db, out=(out, s1))
+    def gradient(v, out, checked):
+        """The gradient at v into ``out``, from the da and db of v (db is
+        consumed); ``checked`` takes the Laplacian through a ``Field``."""
+        quartic_dW_du(m2, v if a_zero else da, db, out=(out, db))
         out /= eps
-        laplacian_neumann(Field(grid, v), out=s1)
+        if checked:
+            laplacian_neumann(Field(grid, v), out=s1)
+        else:
+            _laplacian(v, grid, s1, s2)
         np.multiply(s1, eps, out=s1)
         out -= s1
         if not constrained:
@@ -372,7 +414,7 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
     if constrained:
         u += mass - float(u.sum()) / u.size
     J = objective(u)
-    gradient(u, g)
+    gradient(u, g, checked=True)
     recent = [J]
     alpha = alpha0
     for it in range(max_iter):
@@ -380,7 +422,7 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
         if constrained:
             c = centred
             np.subtract(g, float(g.sum()) / g.size, out=c)
-            np.multiply(c, c, out=s1)
+            np.square(c, out=s1)
             # the standard deviation of g, as np.std forms it
             if math.sqrt(float(s1.sum()) / g.size) <= tol:
                 return u, J, g, it
@@ -388,18 +430,19 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
             gd = -float(s1.sum()) * vol
         else:
             c = g
-            np.multiply(g, g, out=s1)
+            np.square(g, out=s1)
             gg = float(s1.sum())
             if math.sqrt(gg * vol) <= tol:
                 return u, J, g, it
             gd = -gg * vol
-        # Barzilai-Borwein step from the previous displacement pair
+        # Barzilai-Borwein step from the previous displacement pair, its
+        # differences written into the dead u_prev and g_prev
         if it > 0:
-            np.subtract(u, u_prev, out=s1)
-            np.subtract(g, g_prev, out=s2)
-            s2 *= s1
-            sy = float(s2.sum()) * vol
-            ss = _sum_sq(s1) * vol
+            np.subtract(u, u_prev, out=u_prev)
+            np.subtract(g, g_prev, out=g_prev)
+            g_prev *= u_prev
+            sy = float(g_prev.sum()) * vol
+            ss = _sum_sq(u_prev) * vol
             if sy > 1e-300:
                 alpha = min(max(ss / sy, 1e-6 * alpha0), 1e6 * alpha0)
         trial = u_prev
@@ -418,7 +461,9 @@ def _bb_descent(u0, grid, eps, bound, alpha0, max_iter, tol, mass=None,
             return u, J, g, it
         u_prev, u = u, trial
         g_prev, g = g, g_prev
-        gradient(u, g)
+        if not math.isfinite(J_trial):
+            _check_finite(u)
+        gradient(u, g, checked=not lap_bounded)
         recent.append(J_trial)
         if len(recent) > 10:
             recent.pop(0)

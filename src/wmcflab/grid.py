@@ -7,7 +7,10 @@ fluxes). Fields are immutable value holders; all operators are pure
 (``laplacian_neumann`` can write its result into an array the caller
 gives it); on an axis with h_k^2 a power of two it multiplies by 1/h_k^2.
 ``laplacian_neumann`` also applies the stencil to each field of a
-``FieldStack`` (fields of one grid stacked along a leading axis).
+``FieldStack`` (fields of one grid stacked along a leading axis). It is
+a thin wrapper, which checks and allocates, around the one stencil core
+``_laplacian``, which a loop that owns its work arrays and knows its
+values finite calls directly.
 """
 
 import math
@@ -214,26 +217,44 @@ def laplacian_neumann(f, out: Optional[np.ndarray] = None):
     """Second-order 3/5-point stencil with mirrored ghost cells.
 
     The output sums to zero exactly up to roundoff (discrete divergence
-    theorem for zero-flux boundaries). The stencil reads ``f.values``
-    through slices, with no padded copy; ``out``, when given, is an array
+    theorem for zero-flux boundaries). ``out``, when given, is an array
     of the shape of ``f.values``, not overlapping it, that receives the
-    values of the returned field. A power-of-two h_k^2 scales by its exact
-    reciprocal, with the bits of the division (``_axis_scaling``).
-    ``f`` is a ``Field`` or a ``FieldStack``; the result is of its kind.
+    values of the returned field. ``f`` is a ``Field`` or a
+    ``FieldStack``; the result is of its kind, so a non-finite result
+    raises ValueError as a ``Field`` does. This wrapper allocates what
+    the caller does not give (``out`` and, in 2-d, the scratch array)
+    and leaves the arithmetic to ``_laplacian``.
     """
     v = f.values
-    scaling = f.grid._stencil_scaling
-    lead = v.ndim - f.grid.dim
     if out is None:
         out = np.empty_like(v)
+    scratch = np.empty(v.shape) if f.grid.dim == 2 else None
+    return type(f)(f.grid, _laplacian(v, f.grid, out, scratch))
+
+
+def _laplacian(v: np.ndarray, grid: Grid, out: np.ndarray,
+               scratch: Optional[np.ndarray]) -> np.ndarray:
+    """The stencil of ``laplacian_neumann`` on the values ``v`` of one
+    state, or of a stack of states along a leading axis, into ``out``,
+    which is returned: no check and no allocation.
+
+    It reads ``v`` through slices, with no padded copy (see
+    ``_second_difference``). On a 2-d grid the second axis's difference
+    goes into ``scratch``, a C-contiguous array of v's shape; in 1-d
+    ``scratch`` is unused. ``out`` and ``scratch`` must not overlap ``v``
+    or each other. A power-of-two h_k^2 scales by its exact reciprocal,
+    with the bits of the division (``_axis_scaling``).
+    """
+    scaling = grid._stencil_scaling
+    lead = v.ndim - grid.dim
     # (v_up - 2v + v_down) / h0^2 [+ (v_right - 2v + v_left) / h1^2]
     op, c = scaling[0]
     op(_second_difference(v, lead, out), c, out=out)
-    if f.grid.dim == 2:
+    if grid.dim == 2:
         op, c = scaling[1]
-        across = _second_difference(v, lead + 1, np.empty(v.shape))
+        across = _second_difference(v, lead + 1, scratch)
         out += op(across, c, out=across)
-    return type(f)(f.grid, out)
+    return out
 
 
 def gradient_neumann(f: Field) -> VectorField:

@@ -636,10 +636,13 @@ def quartic_W(m, da, db):
 
 def quartic_dW_du(m2, da, db, out=None):
     """Its u-partial 2 m (u - a)(u - b)(2u - a - b) from m2 = m * 2.0, da
-    and db, evaluated as ((m2 da) db)(da + db); ``da`` and ``db`` are
-    kept. With ``out``, a pair of arrays of the result's shape other than
-    da and db, the product goes into the first, which is returned, and
-    da + db into the second: the same bits, with nothing allocated.
+    and db, evaluated as ((m2 da) db)(da + db). With ``out``, a pair of
+    arrays of the result's shape, the product goes into the first, which
+    is returned, and da + db into the second: the same bits, with nothing
+    allocated. The first must be neither da nor db; the second may be
+    db, which the caller then gives up (da + db is formed after the last
+    read of db). ``da`` is kept, and so is ``db`` unless it is the
+    second array.
     """
     if out is None:
         return m2 * da * db * (da + db)

@@ -1,5 +1,6 @@
 """Time integration: stepping, ledger bookkeeping, constrained minima."""
 
+import itertools
 import math
 import sys
 from typing import NamedTuple
@@ -813,6 +814,37 @@ def negative_zero_descent():
                    u0, 0.0, dict(mass=-0.0, tol_residual=1e-3, max_iter=1))
 
 
+def sigmoid_descent(constrained, dim, span=16e-60):
+    """A descent from a sigmoid on a grid of 16 cells per axis over
+    ``span``; the default spacing 1e-60 lies past the bound below which
+    the kernel's later gradients skip ``laplacian_neumann``'s checks, and
+    there the constrained descent stops on its budget."""
+    g = Grid((0.0,) * dim, (span,) * dim, (16,) * dim)
+    x = g.points()[..., 0] / span
+    u0 = 1.0 / (1.0 + np.exp((x - 0.5) / 0.1))
+    spec = wells.constant_quartic()
+    if constrained:
+        return Descent(True, g, spec, 0.1, u0, 0.0,
+                       dict(mass=float(np.mean(u0)), tol_residual=1e-3,
+                            max_iter=30))
+    return Descent(False, g, spec, 0.1, u0, 0.0,
+                   dict(h_step=1e-3 * span ** 2, trunc=None))
+
+
+def overflowing_laplacian_descent():
+    """A constrained descent at eps = 1e-160 on 4 000 cells of width
+    5e-157, past the bound: the wide profile u0 has a finite Laplacian
+    (about 1.7e307), but the descent sharpens it until the Laplacian of
+    an iterate overflows. A kernel that checked only J there would go on
+    and stop on a NumericError where the reference raises ValueError."""
+    n = 4000
+    g = Grid.interval(0.0, n * 5e-157, n)
+    u0 = 1.0 / (1.0 + np.exp(-(np.arange(n) + 0.5 - n / 2) / 300.0))
+    return Descent(True, g, wells.constant_quartic(amplitude=1e-8), 1e-160,
+                   u0, 0.0, dict(mass=float(np.mean(u0)), tol_residual=1e-3,
+                                 max_iter=5))
+
+
 @hst.composite
 def kernel_descents(draw):
     """A ``Descent`` of either caller on a 1-d or non-square 2-d grid,
@@ -881,6 +913,8 @@ class TestDescentKernelProperties:
     @example(gibbs_thomson_descent())
     @example(wide_minmov_descent())
     @example(negative_zero_descent())
+    @example(sigmoid_descent(True, 2))
+    @example(sigmoid_descent(False, 1))
     def test_bit_identical_to_reference_loop(self, descent):
         got, got_exc = _outcome(descent)
         ref, ref_exc = _outcome(descent, reference=True)
@@ -921,10 +955,11 @@ class TestDescentKernelProperties:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_nonfinite_iterate_raises_through_field(self, constrained, dim):
         # a NaN slipped into the input after its Field was built reaches
-        # the gradient's Field, which rejects it
-        g = Grid((0.0,) * dim, (1.0,) * dim, (12,) * dim)
+        # the first gradient's Field, which rejects it; 16 cells make the
+        # unit box dyadic, where the stencil multiplies by 1/h^2
         spec = wells.constant_quartic()
-        for reference in (False, True):
+        for cells, reference in itertools.product((12, 16), (False, True)):
+            g = Grid((0.0,) * dim, (1.0,) * dim, (cells,) * dim)
             init = Field(g, np.full(g.cells, 0.5))
             init.values.flat[5] = np.nan
             with np.errstate(invalid="ignore"), \
@@ -938,6 +973,42 @@ class TestDescentKernelProperties:
                     fn = _reference_minmov if reference \
                         else flow.step_minmov
                     fn(flow.PhaseState(init, 0.1), spec, 1e-3)
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_each_descent_reaches_laplacian_neumann(self, monkeypatch,
+                                                   constrained, tiny):
+        # one Field-checked Laplacian for u0, then the bare stencil; on a
+        # grid past the bound every gradient goes through the checks.
+        # The counter wraps the binding flow calls, which a traced
+        # benchmark run replaces by its grid.laplacian_neumann span: a
+        # descent that never reached it would leave that span empty.
+        descent = sigmoid_descent(constrained, 1, 16e-60 if tiny else 1.0)
+        calls = []
+
+        def counted(f, out=None):
+            calls.append(1)
+            return laplacian_neumann(f, out)
+
+        monkeypatch.setattr(flow, "laplacian_neumann", counted)
+        got, exc = _outcome(descent)
+        if exc is not None:
+            # a budget run out: every iteration took a gradient
+            assert "iteration budget" in str(exc)
+            iterations = descent.kwargs["max_iter"]
+        else:
+            iterations = got.iterations if constrained \
+                else got[1].iterations
+        assert iterations > 1
+        assert len(calls) == (1 + iterations if tiny else 1)
+
+    def test_overflowing_laplacian_raises_as_the_reference(self):
+        descent = overflowing_laplacian_descent()
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, exc = _outcome(descent)
+            _, ref_exc = _outcome(descent, reference=True)
+        assert type(ref_exc) is type(exc) is ValueError
+        assert str(exc) == str(ref_exc) == "field values must be finite"
 
     @pytest.mark.parametrize("constrained", [True, False])
     def test_overflowing_gradient_raises_numeric_error(self, constrained):

@@ -863,6 +863,43 @@ class TestReactionInPlace:
         assert (da.tobytes(), db.tobytes()) == kept
 
 
+@hst.composite
+def reaction_into_db_problems(draw):
+    """m2 and da, each a scalar or an array of one drawn shape, and db,
+    an array of that shape."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=6))
+
+    def operand(elements):
+        if draw(hst.booleans()):
+            return np.float64(draw(elements))
+        return draw(hnp.arrays(float, shape, elements=elements))
+
+    m2 = operand(hst.one_of(
+        hst.floats(2e-3, 2e3),
+        hst.sampled_from([2.0, 1e-323, 2e-310, 2e150, 2e300])))
+    return m2, operand(_REACTION_VALUES), \
+        draw(hnp.arrays(float, shape, elements=_REACTION_VALUES))
+
+
+class TestReactionIntoDb:
+    @settings(max_examples=200, deadline=None)
+    @given(reaction_into_db_problems())
+    def test_sum_into_db_has_the_bits_of_the_allocating_form(self, problem):
+        # out=(dw, db): the product and da + db as out=None forms them,
+        # with da kept
+        m2, da, db = problem
+        with np.errstate(all="ignore"):
+            alloc = wells.quartic_dW_du(m2, da, db)
+            total = da + db
+            kept = np.copy(da).tobytes()
+            dw = np.empty(db.shape)
+            got = wells.quartic_dW_du(m2, da, db, out=(dw, db))
+        assert got is dw
+        assert got.tobytes() == alloc.tobytes()
+        assert db.tobytes() == total.tobytes()
+        assert np.asarray(da).tobytes() == kept
+
+
 class TestValidateAssumptions:
     def test_quadratic_growth_near_wells(self):
         spec = wells.constant_quartic()
