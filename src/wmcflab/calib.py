@@ -23,8 +23,10 @@ frame alone. ``Calibration.at(x, t)`` is what the residuals at t read:
 sdist and xi of the frame, plus g', grad xi, div xi, grad theta and V(t);
 the caller forms B = V xi, grad B = V grad xi and dist = |sdist|.
 
-sigma is the calibrated flow's: every function here reads
-``cal.traj.sigma``, and a calibration holds no copy of its own.
+sigma is the calibrated flow's, held once as its profile: the functions
+on nodes and point clouds read its field ``cal.traj.sigma``, the radial
+rule of ``bulk_energy`` reads the profile ``cal.traj.profile`` at radii,
+and a calibration holds no copy of its own.
 
 The relative energy int sigma (1 - n . xi) dH and the bulk energy
 int sigma (chi_strong - chi_weak) theta dx are both nonnegative and
@@ -40,8 +42,7 @@ import numpy as np
 from .errors import GeometryError
 from .grid import Field, integrate
 from .quadrature import gauss_legendre
-from .sharp import (SharpTrajectory, Sphere, _require_disk,
-                    _require_radial, indicator)
+from .sharp import SharpTrajectory, Sphere, _require_disk, indicator
 from .wells import point_norm
 
 _NEAR = 1e-4
@@ -328,14 +329,12 @@ def bulk_energy(weak, cal: Calibration, t: float) -> float:
     """int sigma (chi_strong - chi_weak) theta dx; >= 0 by sign conditions.
 
     ``weak`` is either a Sphere concentric with the calibrated flow
-    (radial quadrature: the integrand on one ray at 256 Gauss-Legendre
-    radii across the annulus, times 2 pi) or a phase-indicator Field
-    (grid quadrature). The radial rule needs sigma of the calibrated flow
-    radial about its centre, as it is for every ``evolve_radial``
-    trajectory (``ScalarSigma.about``): then chi_strong - chi_weak, theta
-    and sigma all depend on rho alone. Raises GeometryError unless the
-    calibrated flow is radial in 2-d, and, on the radial rule, unless its
-    sigma reads radial about its centre at the ends of the annulus.
+    (radial quadrature: the integrand at 256 Gauss-Legendre radii across
+    the annulus, times 2 pi) or a phase-indicator Field (grid
+    quadrature). On the radial rule chi_strong - chi_weak, theta and the
+    flow's sigma profile all depend on rho alone, and the profile is read
+    at the radii. Raises GeometryError unless the calibrated flow is
+    radial in 2-d.
     """
     _require_disk(cal.traj, "bulk energies")
     if isinstance(weak, Field):
@@ -357,15 +356,13 @@ def bulk_energy(weak, cal: Calibration, t: float) -> float:
         lo, hi = min(r_w, r_s), max(r_w, r_s)
         nodes, weights = gauss_legendre(256)
         rho = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-        _require_radial(cal.traj.sigma, center, rho, "bulk energies")
         wr = 0.5 * (hi - lo) * weights
-        ray = center + np.outer(rho, (1.0, 0.0))
         # on the annulus chi_strong - chi_weak = -sign(r_w - r_s)
         sgn = -np.sign(r_w - r_s)
-        # sigma sgn tau rho wr along the ray, in that order: the first
-        # product is a new array (the one sigma.value returns is never
+        # sigma sgn tau rho wr at the radii, in that order: the first
+        # product is a new array (the one profile.value returns is never
         # written), the rest go in place
-        vals = cal.traj.sigma.value(ray) * sgn
+        vals = cal.traj.profile.value(rho) * sgn
         vals *= _truncation(r_s - rho, cal.r)
         vals *= rho
         vals *= wr

@@ -270,17 +270,15 @@ def run_gibbs_thomson(grid_n: int = 256, eps_list=(0.08, 0.04, 0.02),
     grid = _unit_box(grid_n)
     disk = sharp.Sphere((0.5, 0.5), radius)
     lam0 = -SQRT2_OVER_6 / radius
-    errs, resids = [], []
     for eps in sorted(eps_list, reverse=True):
         init = var.build_recovery(disk, spec, grid, eps).state.u
         out = flow.minimize_constrained(spec, grid, eps,
                                         float(np.mean(init.values)), init,
                                         tol_residual=residual_tol / 5.0)
         fitted = extract_levelset(out.state.u, 0.5).fitted_circle()[1]
-        errs.append(abs(out.lam - lam0))
-        resids.append(out.residual)
-        res.csv_rows.append([eps, out.lam, errs[-1], out.residual, fitted,
-                             out.iterations])
+        res.csv_rows.append([eps, out.lam, abs(out.lam - lam0), out.residual,
+                             fitted, out.iterations])
+    errs, resids = ([r[j] for r in res.csv_rows] for j in (2, 3))
     res.add("|lambda_eps - lambda_0| strictly decreasing",
             _sweep_part("|lambda_eps - lambda_0|", errs))
     res.add("stationarity residual below tolerance at every eps",
@@ -500,19 +498,17 @@ def run_calibration(r0: float = 0.4, t_end: float = 0.04,
     cal = calib.build_calibration(_radial_reference(r0, t_end))
     inv = calib.calibration_invariants(cal, np.linspace(0, t_end, 10),
                                        n_per_time=n_per_time, seed=seed)
-    res.csv_rows += [["xi_bound_violation", inv.max_xi_bound_violation],
-                     ["boundary_xi_error", inv.max_boundary_xi_error],
-                     ["boundary_B_error", inv.max_boundary_b_error],
-                     ["theta_sign_violations", float(inv.theta_sign_violations)],
-                     ["theta_coercivity_constant", inv.c_theta_coercivity]]
+    parts = (("|xi| bound violation", inv.max_xi_bound_violation, "<=", 1e-10),
+             ("boundary xi error", inv.max_boundary_xi_error, "<=", 1e-9),
+             ("boundary B error", inv.max_boundary_b_error, "<=", 1e-9),
+             ("theta sign violations", inv.theta_sign_violations, "<=", 0),
+             ("theta coercivity constant", inv.c_theta_coercivity, "<",
+              np.inf))
+    res.csv_rows += [[key, float(part[1])] for key, part in zip(
+        ("xi_bound_violation", "boundary_xi_error", "boundary_B_error",
+         "theta_sign_violations", "theta_coercivity_constant"), parts)]
     res.add("|xi| bound, boundary identities, and theta sign/coercivity "
-            f"hold at {inv.n_samples} samples",
-            ("|xi| bound violation", inv.max_xi_bound_violation, "<=", 1e-10),
-            ("boundary xi error", inv.max_boundary_xi_error, "<=", 1e-9),
-            ("boundary B error", inv.max_boundary_b_error, "<=", 1e-9),
-            ("theta sign violations", inv.theta_sign_violations, "<=", 0),
-            ("theta coercivity constant", inv.c_theta_coercivity, "<",
-             np.inf))
+            f"hold at {inv.n_samples} samples", *parts)
 
     rng = np.random.default_rng(seed)
     times = np.linspace(0.002, t_end - 0.002, 7)
@@ -521,9 +517,8 @@ def run_calibration(r0: float = 0.4, t_end: float = 0.04,
         pts = np.array([0.5, 0.5]) + rng.uniform(-0.45, 0.45, size=(n, 2))
         return calib.calibration_residuals(cal, pts, times, fd_dt=fd).ratios()
 
-    base = ratios(2000, 1e-4)
-    refined = ratios(4000, 1e-4)
-    fd_half = ratios(2000, 5e-5)
+    base, refined, fd_half = (ratios(n, fd) for n, fd in (
+        (2000, 1e-4), (4000, 1e-4), (2000, 5e-5)))
     res.csv_rows += [[f"ratio_{k}", v] for k, v in base.items()]
     b, r, f = (np.array(list(d.values())) for d in (base, refined, fd_half))
     spread = [np.maximum(o, b) / np.maximum(np.minimum(o, b), 1e-300)
@@ -550,19 +545,16 @@ def run_weak_strong(r0: float = 0.4, delta: float = 0.02,
     strong = _radial_reference(r0, t_end)
     cal = calib.build_calibration(strong)
     times = np.linspace(0.0, t_end * 0.975, n_times)
-
-    rep = calib.gronwall_verify(strong, cal, times, zero_tol=zero_tol)
-    res.csv_rows += [["identical", *r] for r in zip(
-        times, rep.e_rel, rep.e_bulk, rep.coercivity_slack)]
+    # the calibrated flow itself, then the one started delta further out
+    rep, rep2 = (calib.gronwall_verify(weak, cal, times, zero_tol=zero_tol)
+                 for weak in (strong, _radial_reference(r0 + delta, t_end)))
+    res.csv_rows += [[case, *r] for case, g in zip(
+        ("identical", "perturbed"), (rep, rep2))
+        for r in zip(times, g.e_rel, g.e_bulk, g.coercivity_slack)]
     bound = np.format_float_scientific(zero_tol, trim="-", exp_digits=1)
     res.add(f"identical data keeps E_rel, E_bulk below {bound}",
             ("E_rel", rep.e_rel, "<=", zero_tol),
             ("E_bulk", rep.e_bulk, "<=", zero_tol))
-
-    pert = _radial_reference(r0 + delta, t_end)
-    rep2 = calib.gronwall_verify(pert, cal, times, zero_tol=zero_tol)
-    res.csv_rows += [["perturbed", *r] for r in zip(
-        times, rep2.e_rel, rep2.e_bulk, rep2.coercivity_slack)]
     res.add("tilt coercivity holds with constant 1 and nonnegative slack",
             ("identity error", rep2.coercivity_identity_error, "<=", 1e-12),
             ("slack", rep2.coercivity_slack, ">=", -1e-14))

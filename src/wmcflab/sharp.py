@@ -21,9 +21,13 @@ form. Every other exact reference comes from one integrator
 (``_integrate``): each flow states only its rate law, its stop events and
 the sign relating V to dy/dt.
 
-sigma is given once, to the flow: ``SharpTrajectory.sigma`` holds it for
-``dissipation_check`` and ``calib``. Static geometry (``Sphere``,
-``Point1D``) carries none, so the pairings on one interface take sigma.
+sigma is held once, as the flow's profile: ``SharpTrajectory.profile``
+is the ``ScalarSigma`` the flow was solved with, and its field of x,
+``SharpTrajectory.sigma``, is derived from it. The radial rules
+(``dissipation_check`` and the concentric bulk energy of ``calib``) read
+the profile at radii; the rules on nodes and point clouds read the
+field. Static geometry (``Sphere``, ``Point1D``) carries none, so the
+pairings on one interface take sigma.
 
 The sharp first variation of E = int sigma d|grad chi_A| along a test
 field psi is written once, as ``sharp_first_variation``:
@@ -38,7 +42,7 @@ int sigma V (psi . n) dH - delta E(psi), zero for a true solution.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -124,11 +128,8 @@ class ScalarSigma:
     ``log_slope`` is sigma'/sigma when that ratio is the same constant
     everywhere (sigma = c exp(log_slope r)), and None otherwise; with it
     set, ``evolve_point1d`` returns the exact line instead of integrating.
-    It must agree with ``value`` and ``deriv``, which the lifts and every
-    other flow read. With ``log_slope`` 0 sigma is constant, and the
-    value of either lift reads no coordinate: it is ``value`` on zeros of
-    the points' shape, which has the bits of ``value`` at every finite
-    point, and a non-finite point gets the constant.
+    It must agree with ``value`` and ``deriv``, which the lifts, the
+    radial rules and every other flow read.
     """
 
     value: Callable[[float], float]
@@ -139,13 +140,9 @@ class ScalarSigma:
         """Lift a radial profile to a SurfaceTension about ``center``."""
         c = np.asarray(center, dtype=float)
 
-        if self.log_slope == 0.0:
-            def val(x):
-                return self.value(np.zeros(np.shape(x)[:-1]))
-        else:
-            def val(x):
-                rho = point_norm(np.asarray(x) - c)
-                return self.value(rho)
+        def val(x):
+            rho = point_norm(np.asarray(x) - c)
+            return self.value(rho)
 
         def grad(x):
             dx = np.asarray(x, dtype=float) - c
@@ -156,12 +153,8 @@ class ScalarSigma:
 
     def along_axis(self) -> SurfaceTension:
         """Lift to a SurfaceTension of the first coordinate x_0."""
-        if self.log_slope == 0.0:
-            def val(x):
-                return self.value(np.zeros(np.shape(x)[:-1]))
-        else:
-            def val(x):
-                return self.value(np.asarray(x)[..., 0])
+        def val(x):
+            return self.value(np.asarray(x)[..., 0])
 
         def grad(x):
             g = np.zeros(np.shape(x))
@@ -273,17 +266,22 @@ def weighted_perimeter(interface, sigma: SurfaceTension,
 # trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SharpTrajectory:
     """Time-sampled interface with dense position and velocity evaluators.
 
     ``positions`` holds R(t) for spheres or p(t) for 1-d points at the
-    sample ``times``; ``sigma`` is the surface tension of the solved flow
-    as a field of x. ``position`` and ``velocity`` (V in the n_A
-    convention) evaluate the flow's dense callables ``_dense`` and
-    ``_vel`` at any time in [times[0], times[-1]] and raise GeometryError
-    outside it (to 1e-12 max(1, t_end)), where the trajectory was never
-    computed.
+    sample ``times``. ``profile`` is the ScalarSigma the flow was solved
+    with, its one sigma; ``sigma`` is that profile as a field of x,
+    lifted about ``center`` for a sphere and along x_0 for a point, and
+    built from it on first use; the trajectory is frozen, so the two
+    cannot go out of step, and one made by ``dataclasses.replace`` with
+    another profile reads that one.
+
+    ``position`` and ``velocity`` (V in the n_A convention) evaluate the
+    flow's dense callables ``_dense`` and ``_vel`` at any time in
+    [times[0], times[-1]] and raise GeometryError outside it (to 1e-12
+    max(1, t_end)), where the trajectory was never computed.
 
     ``position(ts)`` on an array and ``position(t)`` at each scalar of it
     can differ by one ulp at a few times (scipy's dense output evaluates
@@ -294,7 +292,7 @@ class SharpTrajectory:
     kind: str                      # "sphere" | "point1d"
     times: np.ndarray
     positions: np.ndarray
-    sigma: SurfaceTension
+    profile: ScalarSigma
     _dense: Callable
     _vel: Callable
     center: Optional[tuple] = None
@@ -314,6 +312,12 @@ class SharpTrajectory:
             raise GeometryError(f"time {bad:.6g} outside the trajectory's "
                                 f"[{lo:.6g}, {hi:.6g}]")
         return t
+
+    @cached_property
+    def sigma(self) -> SurfaceTension:
+        if self.kind == "sphere":
+            return self.profile.about(self.center)
+        return self.profile.along_axis()
 
     def position(self, t):
         return self._dense(self._check_time(t))
@@ -339,7 +343,7 @@ def _integrate(rate, y0: float, t_end: float, tol: float, stops, sign: float,
     flagging ``truncated``) at the first zero of a ``stops`` function of y.
     Position is the dense interpolant, clipped to ``bounds`` when given,
     and V = sign * rate(position), at any time; positions are sampled at
-    257 times, and ``fields`` (kind, sigma, center) go to the
+    257 times, and ``fields`` (kind, profile, center) go to the
     SharpTrajectory.
     NumericError when the solver fails, or when it cannot locate a stop
     it stepped across."""
@@ -394,7 +398,7 @@ def evolve_radial(r0: float, sigma: ScalarSigma, t_end: float,
     return _integrate(
         lambda r: -(ndim - 1) / r - sigma.deriv(r) / sigma.value(r),
         r0, t_end, tol, [lambda r: r - 1e-3], -1.0,
-        kind="sphere", sigma=sigma.about(center), center=tuple(center))
+        kind="sphere", profile=sigma, center=tuple(center))
 
 
 def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
@@ -418,7 +422,7 @@ def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
         raise ValueError(f"p0 must lie inside (0, 1), got {p0!r}")
     if not 0.0 < t_end < np.inf:  # RK45 never returns from a NaN t_end
         raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
-    fields = dict(kind="point1d", sigma=sigma.along_axis())
+    fields = dict(kind="point1d", profile=sigma)
     kappa = sigma.log_slope
     if kappa is None:
         return _integrate(lambda p: -sigma.deriv(p) / sigma.value(p),
@@ -474,25 +478,6 @@ def _require_disk(traj: SharpTrajectory, what: str) -> None:
     if dim != 2:
         raise GeometryError(f"{what} are computed for radial 2-d flows, "
                             f"got a {dim}-d {traj.kind} trajectory")
-
-
-# the four axis directions at which _require_radial reads sigma
-_AXES = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
-
-
-def _require_radial(sigma: SurfaceTension, center: np.ndarray, radii,
-                    what: str) -> None:
-    """Raise GeometryError unless sigma reads the same, to 1e-12 relative,
-    at center +- R e_0 and center +- R e_1 for the smallest and the largest
-    of ``radii``: the radial rules here take sigma on one ray as its value
-    on the whole circle, and a sigma that is not radial about ``center``
-    would give a silent wrong sum."""
-    ends = np.array([np.min(radii), np.max(radii)])
-    vals = sigma.value(center + ends[:, None, None] * _AXES)
-    spread = np.max(vals, axis=-1) - np.min(vals, axis=-1)
-    if not np.all(spread <= 1e-12 * np.max(np.abs(vals), axis=-1)):
-        raise GeometryError(f"{what} need sigma radial about the flow's "
-                            f"centre {tuple(center)}")
 
 
 def _sampled(traj: SharpTrajectory, t_prime: float, n_t: int, what: str):
@@ -589,22 +574,19 @@ def dissipation_check(traj: SharpTrajectory, t_prime: float,
     admissible flows.
 
     Time quadrature is the trapezoid rule on ``n_t`` intervals, with R
-    and V evaluated once on the whole grid. sigma is radial about the
-    flow's centre (``evolve_radial`` lifts its profile with
-    ``ScalarSigma.about``), so the circle of radius R contributes
-    2 pi R sigma(R) V^2, with sigma read once per time on one ray along
-    the first axis; the energies E take 512 boundary nodes.
-    ``velocity_scale`` rescales V inside the dissipation integral only
-    (used to demonstrate that inflated velocities violate the
-    inequality). Raises GeometryError unless the flow is radial in 2-d
-    and its sigma radial about its centre, ValueError for n_t < 1.
+    and V evaluated once on the whole grid. sigma is the flow's radial
+    profile, so the circle of radius R contributes 2 pi R sigma(R) V^2,
+    with the profile read once per time at R; the energies E take 512
+    boundary nodes of its lift. ``velocity_scale`` rescales V inside
+    the dissipation integral only (used to demonstrate that inflated
+    velocities violate the inequality). Raises GeometryError unless the
+    flow is radial in 2-d, ValueError for n_t < 1.
     """
-    center, ts, radii, v = _sampled(traj, t_prime, n_t, "dissipation checks")
-    _require_radial(traj.sigma, center, radii, "dissipation checks")
+    _, ts, radii, v = _sampled(traj, t_prime, n_t, "dissipation checks")
     v = velocity_scale * v
     # (2 pi R) sigma V V: the first product is new, the rest go in place
     vals = 2.0 * np.pi * radii
-    vals *= traj.sigma.value(center + np.outer(radii, (1.0, 0.0)))
+    vals *= traj.profile.value(radii)
     vals *= v
     vals *= v
     integral = float(np.trapezoid(vals, ts))

@@ -131,7 +131,7 @@ class TestEvolveRadial:
         sampled = sharp.SharpTrajectory(kind="point1d",
                                         times=np.linspace(0.0, 0.5, 5),
                                         positions=np.linspace(0.4, 0.2, 5),
-                                        sigma=sig.along_axis(),
+                                        profile=sig,
                                         _dense=lambda t: 0.4 - 0.4 * t,
                                         _vel=lambda t: np.full(np.shape(t),
                                                                -0.4))
@@ -366,7 +366,8 @@ class TestDissipation:
         times = np.linspace(0.0, 1.0, 5)
         traj = sharp.SharpTrajectory(kind="sphere", times=times,
                                      positions=np.full(5, 0.3),
-                                     sigma=const_sigma2d(),
+                                     profile=sharp.constant_scalar_sigma(
+                                         SQRT2_6),
                                      _dense=lambda t: np.full(np.shape(t),
                                                               0.3),
                                      _vel=lambda t: np.zeros(np.shape(t)),
@@ -393,17 +394,42 @@ class TestDissipation:
             assert abs(coarse) >= 3.9 * abs(fine)
 
     def test_trajectory_sigma_is_the_flow_sigma(self):
-        # the lifts of the flow's own profile, bit for bit
+        # the trajectory holds the profile it was solved with; its field
+        # is the lift of that profile, bit for bit, and the radial rules
+        # read it, also after the profile is replaced
         prof = sharp.exponential_scalar_sigma(0.7, scale=SQRT2_6)
         radial = sharp.evolve_radial(0.4, prof, 0.02, tol=1e-12,
                                      center=CENTER)
         point = sharp.evolve_point1d(0.7, prof, 0.2, tol=1e-12)
+        other = sharp.exponential_scalar_sigma(-1.0, scale=0.3)
         x = np.random.default_rng(3).uniform(0.0, 1.0, size=(50, 2))
-        for traj, lift in ((radial, prof.about(CENTER)),
-                           (point, prof.along_axis())):
-            for name in ("value", "grad"):
-                got = getattr(traj.sigma, name)(x)
-                assert got.tobytes() == getattr(lift, name)(x).tobytes()
+        for traj in (radial, point):
+            assert traj.profile is prof
+            for p in (prof, other):
+                traj = dataclasses.replace(traj, profile=p)
+                lift = (p.about(CENTER) if traj.kind == "sphere"
+                        else p.along_axis())
+                for name in ("value", "grad"):
+                    got = getattr(traj.sigma, name)(x)
+                    assert got.tobytes() == getattr(lift, name)(x).tobytes()
+        # sigma x 1.1 scales E(0), E(T') and the dissipation integral, so
+        # the slack, and the bulk energy
+        scaled = dataclasses.replace(radial, profile=sharp.ScalarSigma(
+            value=lambda r: 1.1 * prof.value(r),
+            deriv=lambda r: 1.1 * prof.deriv(r)))
+        for velocity_scale in (1.0, 2.0):
+            slack = sharp.dissipation_check(radial, 0.02,
+                                            velocity_scale=velocity_scale)
+            assert_allclose(sharp.dissipation_check(
+                scaled, 0.02, velocity_scale=velocity_scale), 1.1 * slack,
+                rtol=1e-12, atol=1e-13)
+        for offset in (-0.02, 0.02):
+            weak = sharp.Sphere(CENTER, float(radial.position(0.01)) + offset)
+            e = calib.bulk_energy(weak, calib.build_calibration(radial), 0.01)
+            assert e > 0.0
+            assert_allclose(calib.bulk_energy(
+                weak, calib.build_calibration(scaled), 0.01), 1.1 * e,
+                rtol=1e-13)
 
 
 class TestTimeGridOfOracles:
@@ -429,15 +455,13 @@ class TestTimeGridOfOracles:
 
 
 class TestBlockedOraclesMatchLoops:
-    # x-dependent zeta whose value is evaluated on a column of times, and
-    # a sigma that is not radial about the disk's center: the transport
-    # trajectory's own sigma is replaced by it, so that the blocked sums
-    # are tested where the integrand varies along each circle
+    # an x-dependent zeta whose value is evaluated on a column of times,
+    # so that the blocked transport sums are tested where the integrand
+    # varies along each circle (transport_residual reads no sigma)
     ZETA = sharp.SpaceTimeTest(
         value=lambda x, t: np.cos(3.0 * t + 2.0 * x[..., 0]) * x[..., 1] ** 2,
         dt=lambda x, t: -3.0 * np.sin(3.0 * t + 2.0 * x[..., 0])
         * x[..., 1] ** 2)
-    SIGMA = sharp.exponential_scalar_sigma(0.8, scale=0.3).along_axis()
 
     # n_t + 1 is one short block (9), whole blocks (256) and whole blocks
     # plus a remainder (301) at the block size of 64. The dissipation
@@ -457,10 +481,8 @@ class TestBlockedOraclesMatchLoops:
     @example(0.44587435900277567, 0.902811082193058, 59, 1.0, 0.7)
     def test_library_equals_loop_reference(self, r0, t_frac, n_t, scale,
                                            kappa):
-        traj = dataclasses.replace(
-            sharp.evolve_radial(r0, sharp.exponential_scalar_sigma(0.7),
-                                0.02, tol=1e-12, center=CENTER),
-            sigma=self.SIGMA)
+        traj = sharp.evolve_radial(r0, sharp.exponential_scalar_sigma(0.7),
+                                   0.02, tol=1e-12, center=CENTER)
         t_prime = t_frac * traj.t_end
         got = sharp.transport_residual(traj, self.ZETA, t_prime, n_t=n_t)
         ref = transport_residual_loop(traj, self.ZETA, t_prime, n_t)
@@ -479,21 +501,9 @@ class TestBlockedOraclesMatchLoops:
 
 
 class TestRadialSigmaGuard:
-    # the radial rules read sigma on one ray: a sigma that varies along
-    # the circle (here the x_0 lift of TestBlockedOraclesMatchLoops) must
-    # raise, not give a wrong sum
-    def test_non_radial_sigma_raises(self):
-        traj = dataclasses.replace(
-            sharp.evolve_radial(0.4, sharp.exponential_scalar_sigma(0.7),
-                                0.02, tol=1e-12, center=CENTER),
-            sigma=TestBlockedOraclesMatchLoops.SIGMA)
-        with pytest.raises(GeometryError, match="sigma radial"):
-            sharp.dissipation_check(traj, 0.02)
-        cal = calib.build_calibration(traj)
-        weak = sharp.Sphere(CENTER, float(traj.position(0.01)) + 0.02)
-        with pytest.raises(GeometryError, match="sigma radial"):
-            calib.bulk_energy(weak, cal, 0.01)
-
+    # the radial rules read the flow's profile at radii; on the flows'
+    # own profiles, constant and weighted, they give the exact flow's
+    # slack and a positive bulk energy
     @pytest.mark.parametrize("kappa", (None, -1.0, 0.7, 1.0))
     def test_flow_sigma_passes(self, kappa):
         # None: the constant sigma of the radial runners
@@ -512,8 +522,8 @@ class TestQuadratureTables:
         # rule and the 256-node circles of transport_residual, the 10- and
         # 20-point rules of the adaptive quadrature and the 512-node
         # circles of the energies E(0) and E(T') of dissipation_check
-        # (its dissipation integral reads sigma on one ray), each built
-        # once and shared
+        # (its dissipation integral reads the flow's profile at R(t)),
+        # each built once and shared
         rule = quadrature.gauss_legendre
         tables = (*rule(64), sharp._unit_circle(128), *rule(256),
                   sharp._unit_circle(256), *rule(10), *rule(20),
@@ -654,8 +664,8 @@ def _bits(v):
 
 
 class TestConstantLifts:
-    """With log_slope 0 the lifts' values read no coordinate and keep the
-    bits of the profile at the points; the gradients keep theirs."""
+    """With log_slope 0 the lifts keep the bits of the profile at the
+    points' radius or x_0, values and gradients alike."""
 
     @settings(max_examples=200, deadline=None)
     @given(LEVEL_PROFILES, clouds_about())
@@ -671,16 +681,6 @@ class TestConstantLifts:
         want = np.zeros(x.shape)
         want[..., 0] = prof.deriv(x[..., 0])
         assert _bits(axis.grad(x)) == _bits(want)
-
-    @pytest.mark.parametrize("prof", [
-        sharp.constant_scalar_sigma(SQRT2_6),
-        sharp.exponential_scalar_sigma(0.0, SQRT2_6)],
-        ids=["constant", "exponential0"])
-    def test_constant_lift_reads_no_coordinate(self, prof, norm_calls):
-        x = np.array([[0.1, 0.2], [np.nan, 0.5], [np.inf, -np.inf]])
-        for field in (prof.about(CENTER), prof.along_axis()):
-            assert np.all(field.value(x) == SQRT2_6)
-        assert norm_calls == []
 
     def test_sloped_lift_reads_coordinates(self, norm_calls):
         prof = sharp.exponential_scalar_sigma(0.7)
