@@ -17,8 +17,8 @@ Every field is built on one radial frame, ``Calibration._frame(x, t)``:
 from one point norm and one R(t) it gives rho = |x - center|, e, the
 signed distance sdist = R(t) - rho, g, xi = -g e and theta. The shifted
 times of ``calibration_residuals``, ``calibration_invariants`` (with one
-V(t) per time on the interface), ``relative_energy``,
-``coercivity_check`` and the grid branch of ``bulk_energy`` read the
+V(t) per time on the interface), ``coercivity_check`` (whose ``e_rel``
+is the relative energy) and the grid branch of ``bulk_energy`` read the
 frame alone. ``Calibration.at(x, t)`` is what the residuals at t read:
 sdist and xi of the frame, plus g', grad xi, div xi, grad theta and V(t);
 the caller forms B = V xi, grad B = V grad xi and dist = |sdist|.
@@ -316,15 +316,6 @@ def calibration_invariants(cal: Calibration, times, n_per_time: int = 1000,
 # relative and bulk energies
 # ---------------------------------------------------------------------------
 
-def relative_energy(weak, cal: Calibration, t: float) -> float:
-    """int sigma (1 - n_weak . xi) dH over the weak interface (1024
-    nodes); >= 0."""
-    pts, w, normals = weak.boundary_nodes(1024)
-    xi = cal._frame(pts, t).xi
-    vals = cal.traj.sigma.value(pts) * (1.0 - np.sum(normals * xi, axis=-1))
-    return float(np.sum(w * vals))
-
-
 def bulk_energy(weak, cal: Calibration, t: float) -> float:
     """int sigma (chi_strong - chi_weak) theta dx; >= 0 by sign conditions.
 
@@ -373,7 +364,7 @@ def bulk_energy(weak, cal: Calibration, t: float) -> float:
 @dataclass
 class CoercivityReport:
     tilt: float          # int sigma |n - xi|^2 / 2
-    e_rel: float
+    e_rel: float         # int sigma (1 - n . xi) dH >= 0
     slack: float         # int sigma (1 - |xi|^2) / 2 >= 0
     identity_error: float
 
@@ -432,11 +423,10 @@ def gronwall_verify(weak: SharpTrajectory, cal: Calibration, times,
     the excess of E_rel over the exponential bound E_rel(0) exp(C_rel t);
     it measures and decides nothing. E_bulk is reported, not fitted. The
     tilt coercivity check runs at every time too, and E_rel is read off
-    its report (the same 1024-node sum as ``relative_energy``, to a few
-    ulp); the report keeps its slack and identity error. The weak
-    interface is built once per time. Raises ValueError unless the times
-    are one or more and strictly increasing (the fit integrates forward
-    from the first time).
+    its report (a 1024-node sum); the report keeps its slack and identity
+    error. The weak interface is built once per time. Raises ValueError
+    unless the times are one or more and strictly increasing (the fit
+    integrates forward from the first time).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:

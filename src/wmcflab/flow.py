@@ -49,13 +49,13 @@ states; past them every gradient is checked). Every pass writes into an
 operand that is dead after it where there is one, and squares with
 ``np.square``.
 
-The inner solvers work with the face-difference quadrature of the
-gradient energy, whose exact L2-gradient is the compact 3/5-point Neumann
-Laplacian; the public ``energy`` diagnostic uses the centered-difference
-quadrature. The two agree to O(h^2) and the ledger inequalities are exact
-for the face form. ``energy`` is formed from a ``Reading`` of the state
-(W and |grad u|, evaluated once), which also serves the equipartition
-diagnostics of ``variations``.
+E_eps has one quadrature, the face-difference sum ``energy_face``, whose
+exact L2-gradient is W_u/eps - eps times the compact 3/5-point Neumann
+Laplacian: the schemes descend it, the ledger inequalities are exact for
+it, and ``Reading.energy`` sums it from a reading's own W. A ``Reading``
+of a state (W and the centered-difference |grad u|, evaluated once) also
+serves the equipartition diagnostics of ``variations``, which read |grad
+u| pointwise.
 
 ``run`` records every step in a ``DissipationLedger``; one append is
 O(1). Its defect is summed once, by ``math.fsum`` of the dissipation
@@ -75,7 +75,7 @@ import numpy as np
 
 from .errors import NumericError
 from .grid import (Field, FieldStack, Grid, _check_finite, _laplacian,
-                   gradient_neumann, integrate, laplacian_neumann)
+                   gradient_neumann, laplacian_neumann)
 from .wells import BoundQuartic, WellSpec, bind, quartic_W, quartic_dW_du
 
 
@@ -93,22 +93,21 @@ class PhaseState:
 
 
 class Reading(NamedTuple):
-    """One reading of a diffuse state: the well values W(x, u) and the
-    centered-difference |grad u| on its grid. The energy, the
-    equipartition defect and the localized densities of the state are all
-    formed from these two arrays. A reading is a snapshot; it does not
-    follow later changes of u."""
+    """One reading of a diffuse state: its values u, the well values
+    W(x, u) and the centered-difference |grad u| on its grid. The energy,
+    the equipartition defect and the localized densities of the state are
+    all formed from these arrays. W and |grad u| are a snapshot; ``values``
+    is the state's own array, not a copy."""
 
+    values: np.ndarray
     w: np.ndarray
     grad_norm: np.ndarray
     eps: float
     grid: Grid
 
     def energy(self) -> float:
-        """E = int W(x, u)/eps + (eps/2) |grad u|^2 (centered-difference
-        form)."""
-        dens = self.w / self.eps + 0.5 * self.eps * self.grad_norm ** 2
-        return integrate(Field(self.grid, dens))
+        """``energy_face`` of the state, summed from the reading's W."""
+        return _face_energy(self.w, self.values, self.grid, self.eps)
 
 
 def read(state: PhaseState, spec: WellSpec,
@@ -117,13 +116,9 @@ def read(state: PhaseState, spec: WellSpec,
     bound well: ``state.u.grid.points()`` or ``wells.bind`` of the spec
     to them, passed by a caller that already holds it; both give the same
     bits."""
-    return Reading(spec.W(x, state.u.values),
-                   gradient_neumann(state.u).norm(), state.eps, state.u.grid)
-
-
-def energy(state: PhaseState, spec: WellSpec) -> float:
-    """``Reading.energy`` of one state read on its own."""
-    return read(state, spec, state.u.grid.points()).energy()
+    u = state.u.values
+    return Reading(u, spec.W(x, u), gradient_neumann(state.u).norm(),
+                   state.eps, state.u.grid)
 
 
 def energy_face(values: np.ndarray, grid: Grid, eps: float,

@@ -145,10 +145,6 @@ class VectorField:
     def norm(self) -> np.ndarray:
         return np.sqrt(sum(c ** 2 for c in self.components))
 
-    def dot(self, other: "VectorField") -> np.ndarray:
-        _same_grid(self, other)
-        return sum(c * d for c, d in zip(self.components, other.components))
-
 
 def _same_grid(f, g):
     if f.grid != g.grid:

@@ -1,19 +1,21 @@
 """First-variation functionals and recovery sequences.
 
-The diffuse first variation is evaluated two ways: directly from its
-definition, and through the reassembled form produced by integrating by
-parts against the approximate surface measure eps |gamma grad v|^2 dx
-(projection term, well-separation drift, equipartition correction, and
-the normalized-well spatial pairing). The two routes agree up to
-discretization and O(eps) replacement errors, and both converge to the
-sharp pairing
+The diffuse first variation is evaluated two ways: directly, as the
+exact derivative of the discrete energy ``flow.energy_face`` along
+gamma grad v . Psi, that is its pairing with the L2-gradient
+W_u/eps - eps Lap_h u, and through the reassembled form produced by
+integrating by parts against the approximate surface measure
+eps |gamma grad v|^2 dx (projection term, well-separation drift,
+equipartition correction, and the normalized-well spatial pairing). The
+two routes agree up to discretization and O(eps) replacement errors, and
+both converge to the sharp pairing
 
     -int sigma (Id - n x n):grad Psi d|grad chi_A| - int grad sigma . Psi
 
 computed by boundary quadrature in ``sharp.sharp_first_variation`` as the
 independent reference.
 
-A recovery state carries one ``flow.Reading`` of itself (W(x, u) and
+A recovery state carries one ``flow.Reading`` of itself (u, W(x, u) and
 |grad u|, evaluated once by ``build_recovery`` for its energy check).
 The equipartition defect and the three localized densities are formed
 from that reading: ``equipartition_defect(rec.reading)`` and
@@ -27,7 +29,8 @@ import numpy as np
 
 from .errors import GeometryError, ResolutionError
 from .flow import PhaseState, Reading, read
-from .grid import Field, Grid, gradient_neumann, integrate, pair_density
+from .grid import (Field, Grid, gradient_neumann, integrate, laplacian_neumann,
+                   pair_density)
 from .sharp import (Point1D, Sphere, sharp_first_variation, sigma_field_of,
                     weighted_perimeter)
 from .testfields import TestVectorField
@@ -144,7 +147,9 @@ class FirstVariation:
 
 def diffuse_first_variation(state: PhaseState, spec: WellSpec,
                             psi: TestVectorField) -> FirstVariation:
-    """Diffuse pairing nabla E_eps[u](gamma grad v . Psi), both routes."""
+    """Diffuse pairing nabla E_eps[u](gamma grad v . Psi), both routes;
+    the direct one pairs the L2-gradient of ``flow.energy_face`` with
+    gamma grad v . Psi."""
     grid = state.u.grid
     pts = grid.points()
     eps = state.eps
@@ -153,16 +158,15 @@ def diffuse_first_variation(state: PhaseState, spec: WellSpec,
     g = spec.b(pts) - a
     v = (u - a) / g
     grad_v = gradient_neumann(Field(grid, v))
-    grad_u = gradient_neumann(state.u)
     psi_vals = psi.psi(pts)
     jac = psi.jac(pts)
 
     # direct route
     inner = g * sum(c * psi_vals[..., k]
                     for k, c in enumerate(grad_v.components))
-    grad_inner = gradient_neumann(Field(grid, inner))
-    direct = integrate(Field(grid, spec.dW_du(pts, u) * inner / eps)) \
-        + eps * integrate(Field(grid, grad_u.dot(grad_inner)))
+    residual = spec.dW_du(pts, u) / eps \
+        - eps * laplacian_neumann(state.u).values
+    direct = integrate(Field(grid, residual * inner))
 
     # reassembled route
     gv2 = sum(c ** 2 for c in grad_v.components)

@@ -64,7 +64,8 @@ def test_criterion_05_minimizing_movements():
 
 
 def test_criterion_06_dissipation():
-    # discrete dissipation defect shrinks by >= 1.8 per dt halving
+    # discrete dissipation defect shrinks by >= 1.8 at the finest of three
+    # dt halvings
     result = ex.run_dissipation()
     report(6, result)
 

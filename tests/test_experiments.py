@@ -426,7 +426,7 @@ class TestStartsAreRecoveryStates:
 
         monkeypatch.setattr(flow, "run", run)
         run_dissipation()
-        assert len(built) == 1 and len(seen) == 3
+        assert len(built) == 1 and len(seen) == 4  # one run per default dt
         assert all(state is built[0] for state in seen)
         assert same_bits(built[0].u.values,
                          profile(sharp.Point1D(0.5), wells.constant_quartic(),

@@ -791,7 +791,8 @@ class TestBind:
     @given(data=hst.data())
     def test_bound_read_is_bit_identical_to_positions(self, dim, kind, data):
         # flow.read takes positions or a bound well (build_recovery passes
-        # the one it formed u from): W, |grad u| and the energy agree
+        # the one it formed u from): W, |grad u| and the energy agree, and
+        # the energy has the bits of energy_face
         spec, _ = data.draw(factory_pairs(dim, kinds=(kind,)))
         cells = tuple(data.draw(hst.integers(8, 16)) for _ in range(dim))
         grid = Grid((0.0,) * dim, (1.0,) * dim, cells)
@@ -804,7 +805,9 @@ class TestBind:
         bound = flow.read(state, spec, wells.bind(spec, pts))
         assert bits(bound.w) == bits(at_points.w)
         assert bits(bound.grad_norm) == bits(at_points.grad_norm)
-        assert bound.energy().hex() == at_points.energy().hex()
+        assert bound.energy().hex() == at_points.energy().hex() \
+            == flow.energy_face(u, grid, state.eps, spec,
+                                wells.bind(spec, pts)).hex()
 
     def test_constant_coefficients_collapse_to_scalars(self):
         pts = Grid((0.0, 0.0), (1.0, 1.0), (8, 8)).points()
