@@ -22,8 +22,8 @@ form. Every other exact reference comes from one integrator
 the sign relating V to dy/dt.
 
 sigma is held once, as the flow's profile: ``SharpTrajectory.profile``
-is the ``ScalarSigma`` the flow was solved with, and its field of x,
-``SharpTrajectory.sigma``, is derived from it. The radial rules
+is the ``ScalarSigma`` the flow was solved with, and a sphere's field of
+x, ``SharpTrajectory.sigma``, is derived from it. The radial rules
 (``dissipation_check`` and the concentric bulk energy of ``calib``) read
 the profile at radii; the rules on nodes and point clouds read the
 field. Static geometry (``Sphere``, ``Point1D``) carries none, so the
@@ -50,8 +50,7 @@ import numpy as np
 from .errors import GeometryError, NumericError
 from .quadrature import adaptive_gauss_legendre, gauss_legendre
 from .testfields import TestVectorField
-from .wells import (WellSpec, as_points, geodesic_distance, grad_gamma,
-                    normalized_well, normalized_well_dx, point_norm,
+from .wells import (WellSpec, as_points, grad_gamma, point_norm,
                     surface_tension)
 
 
@@ -68,36 +67,33 @@ class SurfaceTension:
 
 
 def sigma_from_well(spec: WellSpec, tol: float = 1e-10) -> SurfaceTension:
-    """sigma by adaptive quadrature of the well; grad sigma by quadrature of
-    the spatial partial (the endpoint terms vanish since W = 0 on the wells).
+    """sigma by adaptive quadrature of the well; grad sigma by differentiating
+    under the integral: with s = a + gamma t,
+
+        grad sigma(x) = int_0^1 gamma partial_x W(x, s) / sqrt(2 W(x, s)) dt,
+
+    one quadrature per position and component (the endpoint terms of
+    d/dx int_a^b vanish since W = 0 on the wells).
     """
     def value(x):
         return surface_tension(spec, x, tol=tol)
 
+    def component(p, j):
+        a = spec.a(p)
+        g = spec.b(p) - a
+
+        def integrand(t):
+            u = a + g * t
+            w = np.maximum(spec.W(p, u), 1e-300)
+            return g * spec.dW_dx(p, u)[:, j] / np.sqrt(2.0 * w)
+
+        return adaptive_gauss_legendre(integrand, 0.0, 1.0, tol=tol)[0]
+
     def grad(x):
         x = as_points(x)
         pts = x.reshape(-1, x.shape[-1])
-        dim = x.shape[-1]
-
-        def integrand(t):
-            # d/dx sqrt(2 W_n) * gamma = partial_x W_n / sqrt(2 W_n) * gamma
-            P = pts[None, :, :].repeat(len(t), axis=0)
-            V = t[:, None] * np.ones(len(pts))[None, :]
-            wn = np.maximum(normalized_well(spec, P, V), 1e-300)
-            dwn = normalized_well_dx(spec, P, V)
-            g = (spec.b(pts) - spec.a(pts))[None, :, None]
-            vals = g * dwn / np.sqrt(2.0 * wn)[..., None]
-            return vals.reshape(len(t), -1)
-
-        val, _ = adaptive_gauss_legendre(integrand, 0.0, 1.0, tol=tol)
-        # grad sigma = grad(gamma sigma_n) = sigma_n grad gamma + gamma grad sigma_n;
-        # integrating gamma * d/dx sqrt(2 W_n) gives gamma grad sigma_n only,
-        # so add the separation part, with sigma_n = d_n(x, 1).
-        g1 = np.asarray(val).reshape(pts.shape)
-        g2 = geodesic_distance(spec, pts, 1.0, tol=tol)[:, None] \
-            * grad_gamma(spec, pts)
-        out = (g1 + g2).reshape(x.shape)
-        return out
+        return np.array([[component(p, j) for j in range(pts.shape[-1])]
+                         for p in pts]).reshape(x.shape)
 
     return SurfaceTension(value=value, grad=grad)
 
@@ -128,7 +124,7 @@ class ScalarSigma:
     ``log_slope`` is sigma'/sigma when that ratio is the same constant
     everywhere (sigma = c exp(log_slope r)), and None otherwise; with it
     set, ``evolve_point1d`` returns the exact line instead of integrating.
-    It must agree with ``value`` and ``deriv``, which the lifts, the
+    It must agree with ``value`` and ``deriv``, which the lift, the
     radial rules and every other flow read.
     """
 
@@ -148,18 +144,6 @@ class ScalarSigma:
             dx = np.asarray(x, dtype=float) - c
             rho = np.maximum(point_norm(dx), 1e-300)
             return (self.deriv(rho) / rho)[..., None] * dx
-
-        return SurfaceTension(value=val, grad=grad)
-
-    def along_axis(self) -> SurfaceTension:
-        """Lift to a SurfaceTension of the first coordinate x_0."""
-        def val(x):
-            return self.value(np.asarray(x)[..., 0])
-
-        def grad(x):
-            g = np.zeros(np.shape(x))
-            g[..., 0] = self.deriv(np.asarray(x)[..., 0])
-            return g
 
         return SurfaceTension(value=val, grad=grad)
 
@@ -195,10 +179,6 @@ class Point1D:
     """1-d point interface with the b-phase on its right."""
 
     p: float
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     def signed_distance(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -272,11 +252,12 @@ class SharpTrajectory:
 
     ``positions`` holds R(t) for spheres or p(t) for 1-d points at the
     sample ``times``. ``profile`` is the ScalarSigma the flow was solved
-    with, its one sigma; ``sigma`` is that profile as a field of x,
-    lifted about ``center`` for a sphere and along x_0 for a point, and
-    built from it on first use; the trajectory is frozen, so the two
-    cannot go out of step, and one made by ``dataclasses.replace`` with
-    another profile reads that one.
+    with, its one sigma; for a sphere ``sigma`` is that profile as a
+    field of x, lifted about ``center`` and built from it on first use,
+    and a point trajectory's raises GeometryError, since no rule reads a
+    field of its profile. The trajectory is frozen, so the two cannot go
+    out of step, and one made by ``dataclasses.replace`` with another
+    profile reads that one.
 
     ``position`` and ``velocity`` (V in the n_A convention) evaluate the
     flow's dense callables ``_dense`` and ``_vel`` at any time in
@@ -315,9 +296,10 @@ class SharpTrajectory:
 
     @cached_property
     def sigma(self) -> SurfaceTension:
-        if self.kind == "sphere":
-            return self.profile.about(self.center)
-        return self.profile.along_axis()
+        if self.kind != "sphere":
+            raise GeometryError("a point trajectory carries its profile, "
+                                "not a sigma field")
+        return self.profile.about(self.center)
 
     def position(self, t):
         return self._dense(self._check_time(t))

@@ -142,34 +142,30 @@ def normalized_well_dx(spec: WellSpec, x, v) -> np.ndarray:
 
 
 def _well_integral(spec: WellSpec, x, v: float, tol: float, integrand):
-    """int_0^v integrand(pts, t) dt at each position of x, by one adaptive
-    quadrature over the batch.
+    """int_0^v integrand(p, t) dt at each position p of x, by one adaptive
+    quadrature per position.
 
-    ``pts`` holds the positions flattened to (n, d) and ``integrand``
-    maps them and the (k,) nodes t to (k, n) values. Returns an array of
-    shape x.shape[:-1], or a float for a single position.
+    ``integrand`` maps one position p, shape (d,), and the (k,) nodes t
+    to (k,) values, so each position's integral is its own. Returns an
+    array of shape x.shape[:-1], or a float for a single position.
     """
     x = as_points(x)
     pts = x.reshape(-1, x.shape[-1])
-    val, _ = adaptive_gauss_legendre(lambda t: integrand(pts, t), 0.0, v,
-                                     tol=tol)
-    val = np.asarray(val).reshape(x.shape[:-1])
+    val = np.array([adaptive_gauss_legendre(lambda t: integrand(p, t), 0.0,
+                                            v, tol=tol)[0] for p in pts])
+    val = val.reshape(x.shape[:-1])
     return float(val) if val.ndim == 0 else val
 
 
 def surface_tension(spec: WellSpec, x, tol: float = 1e-10) -> np.ndarray:
-    """sigma(x) = int_{a(x)}^{b(x)} sqrt(2 W(x, s)) ds by adaptive quadrature.
-
-    Vectorized over a batch of positions (the u-interval is rescaled to a
-    common reference interval, which is exact for the affine substitution).
-    """
-    def integrand(pts, t):
+    """sigma(x) = int_{a(x)}^{b(x)} sqrt(2 W(x, s)) ds by adaptive quadrature
+    at each position (the u-interval is rescaled to [0, 1], which is exact
+    for the affine substitution)."""
+    def integrand(p, t):
         # s = a + gamma t, ds = gamma dt; evaluates W itself, not W_n
-        a_flat = spec.a(pts)
-        g_flat = spec.b(pts) - a_flat
-        u = a_flat[None, :] + g_flat[None, :] * t[:, None]
-        w = spec.W(pts[None, :, :].repeat(len(t), axis=0), u)
-        return g_flat[None, :] * np.sqrt(np.maximum(2.0 * w, 0.0))
+        a = spec.a(p)
+        g = spec.b(p) - a
+        return g * np.sqrt(np.maximum(2.0 * spec.W(p, a + g * t), 0.0))
 
     return _well_integral(spec, x, 1.0, tol, integrand)
 
@@ -177,10 +173,8 @@ def surface_tension(spec: WellSpec, x, tol: float = 1e-10) -> np.ndarray:
 def geodesic_distance(spec: WellSpec, x, v: float, tol: float = 1e-10):
     """d_n(x, v) = int_0^v sqrt(2 W_n(x, s)) ds (signed for v < 0) at each
     position of x; d_n(x, 1) is the normalized surface tension sigma_n."""
-    def integrand(pts, t):
-        wn = normalized_well(spec, pts[None, :, :].repeat(len(t), axis=0),
-                             t[:, None] * np.ones(len(pts))[None, :])
-        return np.sqrt(np.maximum(2.0 * wn, 0.0))
+    def integrand(p, t):
+        return np.sqrt(np.maximum(2.0 * normalized_well(spec, p, t), 0.0))
 
     return _well_integral(spec, x, float(v), tol, integrand)
 
@@ -486,9 +480,6 @@ class AssumptionReport:
     c_derivative_control: float
     n_samples: int
     violations: list = field(default_factory=list)
-
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def validate_assumptions(spec: WellSpec, positions,

@@ -32,13 +32,18 @@ def const_sigma2d(c=SQRT2_6):
 # grid: the dense output at a scalar time can differ from the same time
 # in an array by one ulp (see SharpTrajectory).
 
+# The 64 Gauss-Legendre radii on [0, 1] and 128 unit directions of the
+# loop's disk rule, built here with numpy once, not by the library's
+# tables, so the reference shares no code with the library
+_GL_NODES, _GL_W = np.polynomial.legendre.leggauss(64)
+_THETA = 2.0 * np.pi * np.arange(128) / 128
+_DIRECTIONS = np.stack([np.cos(_THETA), np.sin(_THETA)], axis=-1)
+
+
 def _bulk_integral_loop(traj, fn, R):
-    gl_nodes, gl_w = np.polynomial.legendre.leggauss(64)
-    r = 0.5 * R * (gl_nodes + 1.0)
-    wr = 0.5 * R * gl_w
-    theta = 2.0 * np.pi * np.arange(128) / 128
-    e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    pts = np.array(traj.center) + r[:, None, None] * e[None, :, :]
+    r = 0.5 * R * (_GL_NODES + 1.0)
+    wr = 0.5 * R * _GL_W
+    pts = np.array(traj.center) + r[:, None, None] * _DIRECTIONS[None, :, :]
     return float(np.sum(fn(pts) * r[:, None] * wr[:, None]
                         * (2.0 * np.pi / 128)))
 
@@ -82,9 +87,10 @@ class TestWeightedPerimeter:
         assert_allclose(val, 2 * np.pi * 0.3 * SQRT2_6, rtol=1e-12)
 
     def test_point_returns_local_sigma(self):
-        sig = sharp.exponential_scalar_sigma(0.5).along_axis()
+        # m = exp(x_0), so sigma = (sqrt(2) / 6) exp(x_0 / 2)
+        sig = sharp.sigma_field_of(wells.exp_scaled_quartic(0.5))
         val = sharp.weighted_perimeter(sharp.Point1D(0.3), sig)
-        assert_allclose(val, np.exp(0.15), rtol=1e-12)
+        assert_allclose(val, SQRT2_6 * np.exp(0.15), rtol=1e-12)
 
     def test_constant_factors_out(self):
         circle = sharp.Sphere(CENTER, 0.17)
@@ -394,24 +400,26 @@ class TestDissipation:
             assert abs(coarse) >= 3.9 * abs(fine)
 
     def test_trajectory_sigma_is_the_flow_sigma(self):
-        # the trajectory holds the profile it was solved with; its field
-        # is the lift of that profile, bit for bit, and the radial rules
-        # read it, also after the profile is replaced
+        # the trajectory holds the profile it was solved with; a sphere's
+        # field is the lift of that profile, bit for bit, and the radial
+        # rules read it, also after the profile is replaced; a point
+        # carries its profile and no field
         prof = sharp.exponential_scalar_sigma(0.7, scale=SQRT2_6)
         radial = sharp.evolve_radial(0.4, prof, 0.02, tol=1e-12,
                                      center=CENTER)
         point = sharp.evolve_point1d(0.7, prof, 0.2, tol=1e-12)
+        assert point.profile is prof
+        with pytest.raises(GeometryError, match="point trajectory"):
+            point.sigma
         other = sharp.exponential_scalar_sigma(-1.0, scale=0.3)
         x = np.random.default_rng(3).uniform(0.0, 1.0, size=(50, 2))
-        for traj in (radial, point):
-            assert traj.profile is prof
-            for p in (prof, other):
-                traj = dataclasses.replace(traj, profile=p)
-                lift = (p.about(CENTER) if traj.kind == "sphere"
-                        else p.along_axis())
-                for name in ("value", "grad"):
-                    got = getattr(traj.sigma, name)(x)
-                    assert got.tobytes() == getattr(lift, name)(x).tobytes()
+        assert radial.profile is prof
+        for p in (prof, other):
+            traj = dataclasses.replace(radial, profile=p)
+            lift = p.about(CENTER)
+            for name in ("value", "grad"):
+                got = getattr(traj.sigma, name)(x)
+                assert got.tobytes() == getattr(lift, name)(x).tobytes()
         # sigma x 1.1 scales E(0), E(T') and the dissipation integral, so
         # the slack, and the bulk energy
         scaled = dataclasses.replace(radial, profile=sharp.ScalarSigma(
@@ -572,21 +580,50 @@ class TestNotRadial2D:
             sharp.Sphere((0.5, 0.5, 0.5), 0.3).boundary_nodes(64)
 
 
-class TestSigmaFields:
-    def test_quadrature_gradient_matches_closed_form(self):
-        spec = wells.affine_scaled_quartic(offset=1.0, slope=1.0)
-        by_quad = sharp.sigma_from_well(spec, tol=1e-11)
-        exact = sharp.sigma_field_of(spec)
-        pts = np.random.default_rng(0).uniform(0.05, 0.95, size=(7, 2))
-        assert_allclose(by_quad.value(pts), exact.value(pts), rtol=1e-9)
-        assert_allclose(by_quad.grad(pts), exact.grad(pts), atol=1e-8)
+# criterion 01's well and its 50 acceptance points (run_surface_tension
+# at its defaults)
+CRITERION_01_WELL = wells.linear_wells_quartic(0.0, 0.2, 1.1, -0.1, axis=0,
+                                               delta_sep=0.8)
+CRITERION_01_POINTS = np.random.default_rng(0).uniform(0.0, 1.0,
+                                                       size=(50, 2))
+MOVING_WELLS = (CRITERION_01_WELL,
+                wells.linear_wells_quartic(0.0, 0.3, 1.0, 0.0, delta_sep=0.7))
 
-    def test_moving_wells_gradient(self):
-        spec = wells.linear_wells_quartic(0.0, 0.3, 1.0, 0.0, delta_sep=0.7)
-        by_quad = sharp.sigma_from_well(spec, tol=1e-11)
-        exact = sharp.sigma_field_of(spec)
-        pts = np.random.default_rng(1).uniform(0.1, 0.9, size=(5, 1))
-        assert_allclose(by_quad.grad(pts), exact.grad(pts), atol=1e-8)
+
+def _grad_rel_err(spec, pts):
+    """max over points of |closed form - grad sigma by quadrature| /
+    |grad sigma by quadrature|, the norms over the components."""
+    by_quad = sharp.sigma_from_well(spec, tol=1e-12).grad(pts)
+    exact = sharp.sigma_field_of(spec).grad(pts)
+    return float(np.max(wells.point_norm(exact - by_quad)
+                        / wells.point_norm(by_quad)))
+
+
+class TestSigmaFields:
+    # the quadrature differentiates under the integral and the closed form
+    # differentiates sqrt(2 m) gamma^3 / 6: two routes to grad sigma, on
+    # the amplitude factories and on moving wells (measured <= 2.6e-15)
+    def test_quadrature_gradient_matches_closed_form(self):
+        pts = CRITERION_01_POINTS
+        for spec in (*MOVING_WELLS, wells.affine_scaled_quartic(1.0, 1.0),
+                     wells.exp_scaled_quartic(0.5)):
+            by_quad = sharp.sigma_from_well(spec, tol=1e-12)
+            assert_allclose(by_quad.value(pts), spec.sigma_exact(pts),
+                            rtol=1e-14)
+            assert _grad_rel_err(spec, pts) <= 1e-14
+
+    def test_moving_wells_gradient(self, monkeypatch):
+        # the closed form's term in grad gamma exists only because the
+        # wells move; without it the two routes part (relative error 1
+        # on 01's well, whose amplitude is constant), and the quadrature,
+        # which reads W and its x-partial alone, does not move
+        pts = CRITERION_01_POINTS
+        for spec in MOVING_WELLS:
+            assert _grad_rel_err(spec, pts) <= 1e-14
+        monkeypatch.setattr(sharp, "grad_gamma",
+                            lambda spec, x: np.zeros(np.shape(x)))
+        for spec in MOVING_WELLS:
+            assert _grad_rel_err(spec, pts) > 0.1
 
 
 def _annulus_cloud(center, r_in=0.1, r_out=0.45, n=256):
@@ -664,31 +701,26 @@ def _bits(v):
 
 
 class TestConstantLifts:
-    """With log_slope 0 the lifts keep the bits of the profile at the
-    points' radius or x_0, values and gradients alike."""
+    """With log_slope 0 the lift keeps the bits of the profile at the
+    points' radius, values and gradients alike."""
 
     @settings(max_examples=200, deadline=None)
     @given(LEVEL_PROFILES, clouds_about())
     def test_lifts_keep_the_bits(self, prof, cloud):
         x, c = cloud
-        about, axis = prof.about(c), prof.along_axis()
+        about = prof.about(c)
         rho = wells.point_norm(x - c)
         assert _bits(about.value(x)) == _bits(prof.value(rho))
-        assert _bits(axis.value(x)) == _bits(prof.value(x[..., 0]))
         rho = np.maximum(rho, 1e-300)
         want = (prof.deriv(rho) / rho)[..., None] * (x - c)
         assert _bits(about.grad(x)) == _bits(want)
-        want = np.zeros(x.shape)
-        want[..., 0] = prof.deriv(x[..., 0])
-        assert _bits(axis.grad(x)) == _bits(want)
 
     def test_sloped_lift_reads_coordinates(self, norm_calls):
         prof = sharp.exponential_scalar_sigma(0.7)
-        # radii 0.1 and 0.3 about CENTER; x_0 0.6 and 0.8
+        # radii 0.1 and 0.3 about CENTER
         x = np.array([[0.6, 0.5], [0.8, 0.5]])
-        for field in (prof.about(CENTER), prof.along_axis()):
-            v = field.value(x)
-            assert v[0] != v[1]
+        v = prof.about(CENTER).value(x)
+        assert v[0] != v[1]
         assert norm_calls == [(2, 2)]
 
 

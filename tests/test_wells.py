@@ -9,11 +9,11 @@ Quartic oracles used below (gamma = b - a, amplitude m):
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
-from wmcflab import flow, wells
+from wmcflab import flow, sharp, wells
 from wmcflab.errors import GeometryError
 from wmcflab.grid import Field, Grid
 from wmcflab.quadrature import adaptive_gauss_legendre
@@ -249,21 +249,20 @@ def reference_linear(a0, a_slope, b0, b_slope, axis, delta_sep):
 
 
 def reference_sigma_n(spec, x, tol=1e-10):
-    """Normalized surface tension int_0^1 sqrt(2 W_n(x, s)) ds = sigma/gamma."""
+    """Normalized surface tension int_0^1 sqrt(2 W_n(x, s)) ds = sigma/gamma,
+    one quadrature per position."""
     x = wells.as_points(x)
-    shape = np.atleast_1d(spec.a(x)).shape
     pts = x.reshape(-1, x.shape[-1])
 
-    def integrand(t):
-        wn = wells.normalized_well(spec, pts[None, :, :].repeat(len(t), axis=0),
-                                   t[:, None] * np.ones(len(pts))[None, :])
-        return np.sqrt(np.maximum(2.0 * wn, 0.0))
+    def sigma_n(p):
+        def integrand(t):
+            wn = wells.normalized_well(spec, p, t)
+            return np.sqrt(np.maximum(2.0 * wn, 0.0))
 
-    val, _ = adaptive_gauss_legendre(integrand, 0.0, 1.0, tol=tol)
-    val = np.asarray(val).reshape(shape)
-    if np.asarray(spec.a(x)).ndim == 0:
-        return float(val.reshape(()))
-    return val
+        return adaptive_gauss_legendre(integrand, 0.0, 1.0, tol=tol)[0]
+
+    val = np.array([sigma_n(p) for p in pts]).reshape(x.shape[:-1])
+    return float(val) if val.ndim == 0 else val
 
 
 def bits(a):
@@ -341,19 +340,51 @@ class TestFactoriesMatchReference:
     @settings(max_examples=30, deadline=None)
     @given(lattice_problems(max_cells=10), hst.floats(-0.5, 1.0))
     def test_batch_agrees_with_per_point_calls(self, problem, v):
-        # for v <= 1 the integrand sqrt(2 m) gamma^2 |s (1 - s)| is a
-        # polynomial on [v, 0] or [0, v], so every point converges on the
-        # first panel, alone or in a batch. The panel's weighted sum is one
-        # matrix-vector product, whose summation order depends on the batch
-        # width (OpenBLAS's vector body and tail), so the batch and a single
-        # point can differ in the last bits
+        # each position is integrated alone, so a batch gives every point
+        # the bits of its single call
         (spec, _), pts, _ = problem
         x = pts.reshape(-1, pts.shape[-1])
         batch = wells.geodesic_distance(spec, pts, v)
         assert batch.shape == pts.shape[:-1]
         single = np.array([wells.geodesic_distance(spec, p, v) for p in x])
-        gap = np.abs(batch.reshape(-1) - single)
-        assert np.all(gap <= 8 * np.finfo(float).eps * np.abs(single))
+        assert bits(batch.reshape(-1)) == bits(single)
+
+
+# criterion 01's well and its 50 acceptance points (run_surface_tension
+# at its defaults)
+CRITERION_01 = (wells.linear_wells_quartic(0.0, 0.2, 1.1, -0.1, axis=0,
+                                           delta_sep=0.8),
+                np.random.default_rng(0).uniform(0.0, 1.0, size=(50, 2)))
+
+
+@hst.composite
+def point_batches(draw):
+    """A quartic factory and a batch of 1 to 60 positions in [0, 1]^d."""
+    dim = draw(hst.sampled_from((1, 2)))
+    spec, _ = draw(factory_pairs(dim))
+    n = draw(hst.integers(1, 60))
+    pts = draw(hnp.arrays(float, (n, dim), elements=hst.floats(0.0, 1.0)))
+    return spec, pts
+
+
+class TestEachPointIntegratedAlone:
+    # sigma, d_n and grad sigma at a point are functions of that point: a
+    # batch gives each point the bits of its single call, whatever the
+    # batch's width and whatever its other points
+    @settings(max_examples=60, deadline=None)
+    @given(point_batches(), hst.floats(-0.5, 1.0))
+    @example(CRITERION_01, 1.0)
+    def test_batch_gives_each_point_its_own_bits(self, batch, v):
+        spec, pts = batch
+        routes = {
+            "surface_tension": lambda x: wells.surface_tension(spec, x),
+            "geodesic_distance": lambda x: wells.geodesic_distance(spec, x,
+                                                                   v),
+            "grad sigma": sharp.sigma_from_well(spec).grad,
+        }
+        for name, route in routes.items():
+            alone = np.array([route(p) for p in pts])
+            assert bits(route(pts)) == bits(alone), name
 
 
 # every public quartic factory, at arguments
@@ -909,7 +940,7 @@ class TestValidateAssumptions:
         pts = np.random.default_rng(2).uniform(0.0, 1.0, size=(10, 2))
         us = np.array([-0.01, 0.01, 0.99, 1.01])
         rep = wells.validate_assumptions(spec, pts, us)
-        assert rep.ok()
+        assert rep.violations == []
         assert rep.c2_quadratic / rep.c1_quadratic < 1.1
 
     def test_constant_landscape_has_zero_derivative_control(self):
@@ -937,7 +968,7 @@ class TestValidateAssumptions:
         m = 1.0 + np.sin(np.pi * pts[:, 0]) ** 2
         dm = np.pi * np.sin(2.0 * np.pi * pts[:, 0])
         expected = np.max(np.abs(dm) / (2.0 * m))
-        assert rep.ok()
+        assert rep.violations == []
         assert rep.c_derivative_control == pytest.approx(expected, rel=1e-4)
 
     def test_flags_nonvanishing_well(self):
@@ -945,7 +976,6 @@ class TestValidateAssumptions:
         bad = wells.linear_wells_quartic(0.0, 0.5, 1.0, -0.5, delta_sep=0.9)
         rep = wells.validate_assumptions(bad, np.array([[0.5]]),
                                          np.linspace(0, 1, 5))
-        assert not rep.ok()
         assert rep.violations == ["b - a drops below delta_sep"]
 
 
