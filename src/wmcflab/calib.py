@@ -11,7 +11,9 @@ trajectory:
 with a C^1 even quartic cutoff g supported on |s| < 1/sqrt(c) <= r and a
 C^2 odd truncation tau of the identity (tau(s) = s for |s| <= r/2, = r
 sign s beyond r). All spatial derivatives are closed-form radial
-geometry; time derivatives are centered differences on the trajectory.
+geometry; time derivatives are centered differences on the trajectory,
+which spans [0, t_end] (``sharp`` raises on a flow that would stop
+earlier) and raises GeometryError at any time outside it.
 
 Every field is built on one radial frame, ``Calibration._frame(x, t)``:
 from one point norm and one R(t) it gives rho = |x - center|, e, the
@@ -146,15 +148,10 @@ def build_calibration(traj: SharpTrajectory) -> Calibration:
     circle is single-valued in the tube, and c = 1.01 / r^2. The cutoff
     support is shrunk to 1/sqrt(c) so |xi| <= max{0, 1 - c dist^2} holds
     exactly (the bound needs c strictly above 1/r^2 to leave a margin
-    inside the tube). Raises GeometryError for a flow that is not radial
-    and for a truncated trajectory (the sphere went extinct): its R(t)
-    stops at the extinction floor, not at t_end.
+    inside the tube). Raises GeometryError for a flow that is not radial.
     """
-    if traj.kind != "sphere":
+    if traj.center is None:
         raise GeometryError("calibrations are built around radial flows")
-    if traj.truncated:
-        raise GeometryError("calibrations need a full-length trajectory, "
-                            f"got one truncated at t = {traj.t_end:.4g}")
     r = 0.4 * float(np.min(traj.positions))
     c = 1.01 / r ** 2
     return Calibration(traj=traj, r=r, c=c, r_g=1.0 / np.sqrt(c))
@@ -202,24 +199,21 @@ def calibration_residuals(cal: Calibration, points: np.ndarray, times,
     Spatial derivatives are the closed-form radial expressions; time
     derivatives are centered differences with step ``fd_dt`` (4th order,
     so the differencing noise stays below the O(dist^2) structure of r2
-    near the interface). Times must sit at least 2 fd_dt inside the
-    trajectory's time window; an empty time list raises ValueError. Each
-    time takes one ``cal._frame`` per shifted time (the differences read
-    only xi and theta), then one ``cal.at`` at t.
+    near the interface). The shifted times t +- 2 fd_dt are read through
+    the trajectory, which raises GeometryError (a ValueError) outside its
+    window; an empty time list raises ValueError. Each time takes one
+    ``cal._frame`` per shifted time (the differences read only xi and
+    theta), then one ``cal.at`` at t.
     """
     points = np.asarray(points, dtype=float)
     times = np.atleast_1d(times)
     if times.size == 0:
         raise ValueError("calibration residuals need one or more times")
-    t_lo, t_hi = float(cal.traj.times[0]), float(cal.traj.times[-1])
     sig = cal.traj.sigma.value(points)
     grad_log = cal.traj.sigma.grad(points) / sig[..., None]
     rows = []
     for t in times:
         t = float(t)
-        if t - 2 * fd_dt < t_lo - 1e-15 or t + 2 * fd_dt > t_hi + 1e-15:
-            raise ValueError("sample times must be >= 2 fd_dt inside the "
-                             "trajectory window")
         dt_xi = dt_xi2 = dt_theta = 0.0
         for k, w in _DT4:
             s = cal._frame(points, t + k * fd_dt)

@@ -5,7 +5,9 @@ the sharp-interface theory (first-variation convergence, Gibbs-Thomson,
 equipartition, flow convergence, BV residuals, calibration, weak-strong
 stability) and returns a result object holding checks, stored as data
 and judged by one evaluator (``holds``), plus a CSV table. The CLI and the
-acceptance suite both drive these functions.
+acceptance suite both drive these functions. A sharp reference that
+would stop before its t_end raises GeometryError where it is solved,
+before any recovery state, flow or calibration is built.
 """
 
 import csv
@@ -15,7 +17,6 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from . import calib, flow, sharp, testfields as tf, variations as var, wells
-from .errors import GeometryError
 from .grid import Field, Grid, extract_levelset
 
 SQRT2_OVER_6 = float(np.sqrt(2.0) / 6.0)
@@ -111,28 +112,16 @@ def _unit_box(n: int) -> Grid:
     return Grid.box((0.0, 0.0), (1.0, 1.0), (n, n))
 
 
-def _full_length(traj: sharp.SharpTrajectory,
-                 t_end: float) -> sharp.SharpTrajectory:
-    """Return ``traj``, or raise GeometryError if it stopped before
-    ``t_end`` (the disk went extinct or the point left the domain): checks
-    against the part of the reference that was never computed would pass
-    vacuously."""
-    if traj.truncated:
-        raise GeometryError(f"sharp reference stops at t = {traj.t_end:.4g}, "
-                            f"before t_end = {t_end:g}")
-    return traj
-
-
 def _radial_reference(r0: float, t_end: float) -> sharp.SharpTrajectory:
     """Radial flow about the center of the unit box up to t_end, at the
     one sigma of the radial runners, which their oracles read off it. It
     is integrated (RK45 at tol 1e-12), not the closed form
     R(t)^2 = r0^2 - 2t: at the runners' starts R stays within 1e-9
     relative of that form at all 257 samples (at most 2.4e-10, at
-    r0 = 0.4 and t_end = 0.06)."""
+    r0 = 0.4 and t_end = 0.06). GeometryError if the disk goes extinct
+    before t_end."""
     sig = sharp.constant_scalar_sigma(SQRT2_OVER_6)
-    return _full_length(sharp.evolve_radial(r0, sig, t_end, tol=1e-12,
-                                            center=(0.5, 0.5)), t_end)
+    return sharp.evolve_radial(r0, sig, t_end, tol=1e-12, center=(0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +204,8 @@ def run_first_variation(grid_n: int = 512, eps_list=(0.08, 0.04, 0.02),
     Homogeneous branch: constant sigma = sqrt(2)/6, dilation field, sharp
     value -2 pi R sigma. Heterogeneous branch: amplitude-scaled quartic
     with sigma = sqrt(1 + x1) sqrt(2)/6 and a localized translation field,
-    isolating the grad-sigma pairing.
+    isolating the grad-sigma pairing, also checked in closed form on
+    criterion 02's moving well, where grad sigma is the wells' slope.
     """
     res = ExperimentResult("first_variation",
                            csv_header=["branch", "eps", "diffuse", "sharp",
@@ -224,6 +214,7 @@ def run_first_variation(grid_n: int = 512, eps_list=(0.08, 0.04, 0.02),
                                        "route_gap"])
     grid = _unit_box(grid_n)
     disk = sharp.Sphere((0.5, 0.5), radius)
+    shift = tf.translation_field((1, 0), (0.5, 0.5), radius + 0.08, 0.47)
     target = -2.0 * np.pi * radius * SQRT2_OVER_6
     sharp_value = {}
     for branch, spec, psi, sanity, part in (
@@ -232,8 +223,7 @@ def run_first_variation(grid_n: int = 512, eps_list=(0.08, 0.04, 0.02),
              "sharp dilation value matches -2 pi R sigma",
              lambda s: ("|sharp + 2 pi R sigma|", abs(s - target), "<=",
                         sharp_tol)),
-            ("heterogeneous", wells.affine_scaled_quartic(1.0, 1.0),
-             tf.translation_field((1, 0), (0.5, 0.5), radius + 0.08, 0.47),
+            ("heterogeneous", wells.affine_scaled_quartic(1.0, 1.0), shift,
              "heterogeneous grad-sigma pairing is nonzero",
              lambda s: ("|sharp|", abs(s), ">", 1e-3))):
         rows = var.first_variation_convergence(eps_list, disk, spec, psi, grid)
@@ -250,6 +240,13 @@ def run_first_variation(grid_n: int = 512, eps_list=(0.08, 0.04, 0.02),
     res.add("heterogeneous sharp value matches the elliptic closed form",
             ("rel err", abs(sharp_value["heterogeneous"] / closed - 1.0),
              "<=", 1e-12))
+    # on 02's well gamma = 1 - 0.6 x0 (0.7 - 0.6 R cos t on the circle) and
+    # sigma = sqrt(2) gamma^3 / 6: -int d_1 sigma dH = 0.3 sqrt(2) int gamma^2
+    moving = sharp.sharp_first_variation(disk, sharp.sigma_field_of(
+        wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0, delta_sep=0.4)), shift)
+    closed = 0.6 * np.sqrt(2.0) * np.pi * radius * (0.49 + 0.18 * radius ** 2)
+    res.add("moving-well sharp value matches its closed form",
+            ("rel err", abs(moving / closed - 1.0), "<=", 1e-12))
     return res
 
 
@@ -419,14 +416,14 @@ def run_ac_to_mcf_1d_drift(kappa: float = 0.5, p0: float = 0.7,
                            rel_tol: float = 0.05) -> ExperimentResult:
     """Flat interface in a well with sigma proportional to exp(kappa x):
     the exact law is p(t) = p0 - kappa t. Errors are relative to the
-    distance traveled, |kappa| t, so kappa = 0 raises ValueError."""
+    distance traveled, |kappa| t, so kappa = 0 raises ValueError; a point
+    that leaves [0, 1] before t_end raises GeometryError."""
     if kappa == 0:
         raise ValueError("kappa must be nonzero: errors are over |kappa| t")
     res = ExperimentResult("ac_to_mcf_1d_drift", csv_header=[
         "eps", "t", "p_exact", "p_extracted", "err_over_traveled"])
     sig = sharp.exponential_scalar_sigma(kappa, scale=SQRT2_OVER_6)
-    traj = _full_length(sharp.evolve_point1d(p0, sig, t_end, tol=1e-12),
-                        t_end)
+    traj = sharp.evolve_point1d(p0, sig, t_end, tol=1e-12)
     grid = Grid.interval(0.0, 1.0, grid_n)
     flows = _track_flow(wells.exp_scaled_quartic(kappa), sharp.Point1D(p0),
                         traj, t_end, [(eps, grid, frac) for eps, frac in runs],

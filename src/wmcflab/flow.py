@@ -535,10 +535,11 @@ class DissipationLedger:
     """Per-step energy and dissipation records of a gradient-flow run.
 
     ``final_defect`` is |E(0) - E(T) - sum of eps ||du/dt||^2 dt| at the
-    last step, the discrete residue of the optimal dissipation identity;
-    it vanishes at first order in dt for consistent schemes. The sum is
-    ``math.fsum`` of ``dissipation_increments``, formed when the defect is
-    read, so ``append`` only records.
+    last step (``run`` records at least one), the discrete residue of the
+    optimal dissipation identity; it vanishes at first order in dt for
+    consistent schemes. The sum is ``math.fsum`` of
+    ``dissipation_increments``, formed when the defect is read, so
+    ``append`` only records.
     """
 
     e_initial: float
@@ -557,8 +558,6 @@ class DissipationLedger:
 
     @property
     def final_defect(self) -> float:
-        if not self.energies:
-            return 0.0
         return abs(self.e_initial - self.energies[-1]
                    - math.fsum(self.dissipation_increments))
 

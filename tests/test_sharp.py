@@ -1,6 +1,7 @@
 """Sharp-interface flows and BV-solution residuals against closed forms."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,15 @@ CENTER = (0.5, 0.5)
 
 def const_sigma2d(c=SQRT2_6):
     return sharp.constant_scalar_sigma(c).about(CENTER)
+
+
+def stop_time(error) -> float:
+    """The stop time a sharp flow's GeometryError names, read back from
+    its repr."""
+    found = re.fullmatch(r"sharp reference stops at t = (\S+), "
+                         r"before t_end = \S+", str(error))
+    assert found, str(error)
+    return float(found.group(1))
 
 
 # Per-sample loop forms of transport_residual and dissipation_check: an
@@ -121,27 +131,27 @@ class TestEvolveRadial:
         expected = 0.5 - (1.0 / 0.5 + 0.7) * t
         assert traj.position(t) == pytest.approx(expected, abs=5e-7)
 
-    def test_extinction_truncates(self):
+    def test_extinction_raises(self):
+        # R reaches the 1e-3 floor at (0.05^2 - 1e-6) / 2 = 1.2495e-3, long
+        # before t_end = 1: no trajectory, so no check reads past the stop
         sig = sharp.constant_scalar_sigma(1.0)
-        traj = sharp.evolve_radial(0.05, sig, 1.0, tol=1e-10)
-        assert traj.truncated
-        assert traj.t_end < 1.0
-        assert traj.positions[-1] <= 1.1e-3
+        with pytest.raises(GeometryError, match="before t_end = 1.0") as info:
+            sharp.evolve_radial(0.05, sig, 1.0, tol=1e-10)
+        assert abs(stop_time(info.value) - 1.2495e-3) <= 1e-9
 
     def test_times_outside_the_trajectory_raise(self):
         # nothing was computed outside [0, t_end]; clamping t there would
         # answer R(t_end) for every later time
         sig = sharp.constant_scalar_sigma(1.0)
-        truncated = sharp.evolve_radial(0.05, sig, 1.0, tol=1e-10)
+        near_extinction = sharp.evolve_radial(0.05, sig, 1e-3, tol=1e-10)
         full = sharp.evolve_radial(0.4, sig, 0.04, tol=1e-12)
-        sampled = sharp.SharpTrajectory(kind="point1d",
-                                        times=np.linspace(0.0, 0.5, 5),
+        sampled = sharp.SharpTrajectory(times=np.linspace(0.0, 0.5, 5),
                                         positions=np.linspace(0.4, 0.2, 5),
                                         profile=sig,
                                         _dense=lambda t: 0.4 - 0.4 * t,
                                         _vel=lambda t: np.full(np.shape(t),
                                                                -0.4))
-        for traj in (truncated, full, sampled):
+        for traj in (near_extinction, full, sampled):
             t_end = traj.t_end
             for t in (t_end + 1e-9, -1e-9, 1.0 + t_end, np.nan,
                       np.array([0.0, t_end + 1e-9])):
@@ -186,6 +196,44 @@ def test_t_end_must_be_finite_and_positive(route, t_end, monkeypatch):
         start[route]()
 
 
+@settings(max_examples=200, deadline=None)
+@given(hst.sampled_from(["radial", "exact line", "rk45 point"]),
+       hst.floats(0.01, 0.99),
+       hst.one_of(hst.floats(-10.0, -1e-3), hst.floats(1e-3, 10.0)),
+       hst.floats(1e-3, 2.0))
+def test_flows_span_t_end_or_name_their_stop(route, start, kappa, t_end):
+    # every trajectory spans [0, t_end]; a flow that would stop earlier
+    # raises at its closed-form stop: (r0^2 - 1e-6) / 2 for the disk of
+    # constant sigma in 2-d, p0 / kappa or (p0 - 1) / kappa for the point,
+    # which the exact line names to the bit and RK45 to 1e-9
+    if route == "radial":
+        closed = (start ** 2 - 1e-6) / 2.0
+        sig = sharp.constant_scalar_sigma(SQRT2_6)
+        flow = lambda: sharp.evolve_radial(start, sig, t_end, tol=1e-12,
+                                           center=CENTER)
+    else:
+        closed = min(t for t in (start / kappa, (start - 1.0) / kappa)
+                     if t >= 0.0)
+        sig = sharp.exponential_scalar_sigma(kappa)
+        if route == "rk45 point":
+            sig = dataclasses.replace(sig, log_slope=None)
+        flow = lambda: sharp.evolve_point1d(start, sig, t_end, tol=1e-12)
+    assume(abs(closed - t_end) > 1e-9)  # within the solver's reach of t_end
+    try:
+        traj = flow()
+    except NumericError:  # a stop within rounding of a step end
+        assume(False)
+    except GeometryError as error:
+        assert closed < t_end
+        if route == "exact line":
+            assert stop_time(error) == closed
+        else:
+            assert abs(stop_time(error) - closed) <= 1e-9
+        return
+    assert closed > t_end
+    assert traj.times[-1] == t_end
+
+
 class TestEvolvePoint:
     def test_constant_sigma_is_stationary(self):
         sig = sharp.constant_scalar_sigma(2.0)
@@ -198,19 +246,18 @@ class TestEvolvePoint:
         sig = sharp.exponential_scalar_sigma(kappa)
         traj = sharp.evolve_point1d(0.7, sig, 0.2, tol=1e-12)
         assert traj.position(0.2) == 0.7 - kappa * 0.2
-        assert not traj.truncated
+        assert traj.times[-1] == 0.2
 
     @pytest.mark.parametrize("kappa, p0, end", [(5.0, 0.1, 0.0),
                                                 (-5.0, 0.9, 1.0)])
-    def test_leaving_the_interval_truncates(self, kappa, p0, end):
-        # dp/dt = -kappa reaches the end of [0, 1] at t = 0.02
+    def test_leaving_the_interval_raises(self, kappa, p0, end):
+        # dp/dt = -kappa reaches the end of [0, 1] at t = 0.02, before
+        # t_end = 1: the error names that time to the bit
         sig = sharp.exponential_scalar_sigma(kappa)
-        traj = sharp.evolve_point1d(p0, sig, 1.0, tol=1e-12)
-        assert traj.truncated
-        assert traj.t_end == (p0 / kappa if end == 0.0 else (p0 - 1.0) / kappa)
-        assert traj.positions[-1] == pytest.approx(end, abs=1e-9)
-        with pytest.raises(GeometryError, match="outside"):
-            traj.position(0.03)
+        with pytest.raises(GeometryError, match="before t_end = 1.0") as info:
+            sharp.evolve_point1d(p0, sig, 1.0, tol=1e-12)
+        assert stop_time(info.value) == (p0 / kappa if end == 0.0
+                                         else (p0 - 1.0) / kappa)
 
     @pytest.mark.parametrize("kappa", [0.5, -0.5, 5.0, -5.0])
     def test_exact_line_matches_the_ode(self, kappa):
@@ -219,11 +266,18 @@ class TestEvolvePoint:
         # [0, 1] before t_end = 0.2 (through 0 for kappa > 0, through 1
         # for kappa < 0)
         sig = sharp.exponential_scalar_sigma(kappa, scale=SQRT2_6)
-        exact = sharp.evolve_point1d(0.7, sig, 0.2, tol=1e-12)
-        ode = sharp.evolve_point1d(
-            0.7, dataclasses.replace(sig, log_slope=None), 0.2, tol=1e-12)
-        assert exact.truncated == ode.truncated == (abs(kappa) == 5.0)
-        assert abs(exact.t_end - ode.t_end) <= 1e-9
+        routes = (sig, dataclasses.replace(sig, log_slope=None))
+        if abs(kappa) == 5.0:
+            stops = []
+            for route in routes:
+                with pytest.raises(GeometryError) as info:
+                    sharp.evolve_point1d(0.7, route, 0.2, tol=1e-12)
+                stops.append(stop_time(info.value))
+            assert abs(stops[0] - stops[1]) <= 1e-9
+            return
+        exact, ode = (sharp.evolve_point1d(0.7, route, 0.2, tol=1e-12)
+                      for route in routes)
+        assert exact.t_end == ode.t_end == 0.2
         assert_allclose(exact.positions, ode.positions, rtol=0, atol=1e-12)
         v_exact, v_ode = (traj.velocity(traj.times) for traj in (exact, ode))
         assert_allclose(v_exact, v_ode, rtol=0, atol=1e-10)
@@ -243,22 +297,26 @@ class TestEvolvePoint:
     @given(hst.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            hst.one_of(hst.floats(-10.0, -1e-3), hst.floats(1e-3, 10.0)),
            hst.floats(1e-3, 2.0))
-    # p0 - kappa t_stop rounds to -2.8e-17 unless clipped
+    # reaches 0 at p0 / kappa = 0.0171, before t_end
     @example(0.16065200877512686, 9.39850826432265, 0.23173122494154064)
     def test_exact_line_stops_at_its_first_end(self, p0, kappa, t_end):
-        traj = sharp.evolve_point1d(p0, sharp.exponential_scalar_sigma(kappa),
-                                    t_end)
+        sig = sharp.exponential_scalar_sigma(kappa)
         hits = [t for t in (p0 / kappa, (p0 - 1.0) / kappa)
                 if 0.0 <= t < t_end]
+        if hits:
+            with pytest.raises(GeometryError) as info:
+                sharp.evolve_point1d(p0, sig, t_end)
+            assert stop_time(info.value) == min(hits)
+            return
+        traj = sharp.evolve_point1d(p0, sig, t_end)
         assert np.all((traj.positions >= 0.0) & (traj.positions <= 1.0))
-        assert traj.truncated == bool(hits)
-        assert traj.t_end == min(hits, default=t_end)
+        assert traj.t_end == t_end
 
     @settings(max_examples=200, deadline=None)
     @given(hst.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            hst.one_of(hst.floats(-10.0, -1e-3), hst.floats(1e-3, 10.0)),
            hst.floats(1e-3, 2.0))
-    # the dense output rounds to -4.2e-17 at the stop unless clipped
+    # reaches 0 at p0 / kappa = 0.0364, before t_end
     @example(0.12428327649956394, 3.412488293872606, 1.2947318336369258)
     def test_ode_route_stays_in_the_interval(self, p0, kappa, t_end):
         sig = dataclasses.replace(sharp.exponential_scalar_sigma(kappa),
@@ -267,7 +325,10 @@ class TestEvolvePoint:
             traj = sharp.evolve_point1d(p0, sig, t_end, tol=1e-12)
         except NumericError:  # a stop within rounding of a step end
             assume(False)
+        except GeometryError:  # a stop before t_end: no trajectory
+            return
         assert np.all((traj.positions >= 0.0) & (traj.positions <= 1.0))
+        assert traj.t_end == t_end
 
     def test_unlocated_stop_is_a_numeric_error(self):
         # RK45 steps across p = 0, but its dense output at the step's ends
@@ -370,7 +431,7 @@ class TestDissipation:
 
     def test_frozen_trajectory_has_zero_slack(self):
         times = np.linspace(0.0, 1.0, 5)
-        traj = sharp.SharpTrajectory(kind="sphere", times=times,
+        traj = sharp.SharpTrajectory(times=times,
                                      positions=np.full(5, 0.3),
                                      profile=sharp.constant_scalar_sigma(
                                          SQRT2_6),
