@@ -12,8 +12,7 @@ import numpy as np
 
 from wmcflab import wells
 
-spec = wells.linear_wells_quartic(a0=0.0, a_slope=0.0, b0=1.1, b_slope=-0.2,
-                                  delta_sep=0.9)
+spec = wells.linear_wells_quartic(a0=0.0, a_slope=0.0, b0=1.1, b_slope=-0.2)
 
 print("quartic well with moving upper branch: a = 0, b = 1.1 - 0.2 x")
 print(f"{'x':>6} {'gamma':>8} {'sigma (quad)':>14} {'sigma (exact)':>14} "

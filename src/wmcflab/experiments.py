@@ -136,8 +136,7 @@ def run_surface_tension(n_points: int = 50, seed: int = 0,
                            csv_header=["x0", "x1", "sigma_quad",
                                        "sigma_exact", "rel_err"])
     rng = np.random.default_rng(seed)
-    spec = wells.linear_wells_quartic(0.0, 0.2, 1.1, -0.1, axis=0,
-                                      delta_sep=0.8)
+    spec = wells.linear_wells_quartic(0.0, 0.2, 1.1, -0.1)
     pts = rng.uniform(0.0, 1.0, size=(n_points, 2))
     quad = wells.surface_tension(spec, pts, tol=1e-12)
     exact = spec.sigma_exact(pts)
@@ -165,8 +164,7 @@ def run_equipartition(grid_n: int = 512,
     res = ExperimentResult("equipartition")
     grid = _unit_box(grid_n)
     spec = well if well is not None else wells.linear_wells_quartic(
-        0.0, 0.6, 1.0, 0.0, axis=0,
-        bounds=np.array([[0.0, 1.0], [0.0, 1.0]]))
+        0.0, 0.6, 1.0, 0.0)
     disk = sharp.Sphere((0.5, 0.5), radius)
     testers = {
         "one": Field.constant(grid, 1.0),
@@ -243,7 +241,7 @@ def run_first_variation(grid_n: int = 512, eps_list=(0.08, 0.04, 0.02),
     # on 02's well gamma = 1 - 0.6 x0 (0.7 - 0.6 R cos t on the circle) and
     # sigma = sqrt(2) gamma^3 / 6: -int d_1 sigma dH = 0.3 sqrt(2) int gamma^2
     moving = sharp.sharp_first_variation(disk, sharp.sigma_field_of(
-        wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0, delta_sep=0.4)), shift)
+        wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0)), shift)
     closed = 0.6 * np.sqrt(2.0) * np.pi * radius * (0.49 + 0.18 * radius ** 2)
     res.add("moving-well sharp value matches its closed form",
             ("rel err", abs(moving / closed - 1.0), "<=", 1e-12))

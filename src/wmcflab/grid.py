@@ -37,8 +37,8 @@ class Grid:
         if self.dim not in (1, 2):
             raise ValueError("only 1-d and 2-d grids are supported")
         for lo, hi, n in zip(self.lower, self.upper, self.cells):
-            if hi <= lo:
-                raise ValueError("upper must exceed lower")
+            if not -np.inf < lo < hi < np.inf:
+                raise ValueError("bounds must be finite, upper above lower")
             if n < 8:
                 raise ValueError("at least 8 cells per axis")
         # derived once; not dataclass fields, so equality and hashing stay

@@ -20,12 +20,13 @@ to the closed forms sigma = sqrt(2 m) gamma^3 / 6 and the logistic
 profile with rate sqrt(2 m) gamma.
 
 A run on a grid evaluates W and dW_du many times on the same positions.
-``bind(spec, pts)`` evaluates m(x), a(x) and b(x) on them once; the
-spec's W and dW_du take the bound coefficients in place of the positions
-and give the same bits. Both go through ``quartic_W`` and
-``quartic_dW_du``, the formula as a function of u - a and u - b, which
-the semi-implicit run and the descent also call, in place, with the
-differences they share between a state's energy and its reaction.
+``bind(spec, pts)`` evaluates m(x), a(x) and b(x) on them once, and
+checks there that m and b - a are finite and positive; the spec's W and
+dW_du take the bound coefficients in place of the positions and give the
+same bits. Both go through ``quartic_W`` and ``quartic_dW_du``, the
+formula as a function of u - a and u - b, which the semi-implicit run
+and the descent also call, in place, with the differences they share
+between a state's energy and its reaction.
 """
 
 from dataclasses import dataclass, field
@@ -76,8 +77,8 @@ class WellSpec:
     ``a``, ``b`` and the positive ``amplitude`` m map positions (..., d)
     -> (...); ``grad_a``, ``grad_b`` and ``grad_amplitude`` map (..., d)
     -> (..., d). ``W`` and ``dW_du`` map (positions or a ``BoundQuartic``,
-    u) to (...); ``dW_dx`` maps (positions, u) to (..., d).
-    ``delta_sep`` is a strict lower bound on b - a.
+    u) to (...); ``dW_dx`` maps (positions, u) to (..., d). No separation
+    is declared: ``bind`` checks m > 0 and b - a > 0 on a run's points.
     sigma = sqrt(2 m) gamma^3 / 6 and the equipartitioned profile is
     logistic with rate sqrt(2 m) gamma.
     """
@@ -91,7 +92,6 @@ class WellSpec:
     W: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dW_du: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dW_dx: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    delta_sep: float
 
     def sigma_exact(self, x) -> np.ndarray:
         x = as_points(x)
@@ -109,8 +109,8 @@ class WellSpec:
 
 
 def gamma(spec: WellSpec, x) -> np.ndarray:
-    """Well separation b(x) - a(x); >= delta_sep on the domain the spec
-    is built for (positions are not checked against it)."""
+    """Well separation b(x) - a(x), unchecked here; ``bind`` checks that
+    it is positive on a run's points."""
     x = as_points(x)
     return spec.b(x) - spec.a(x)
 
@@ -487,7 +487,8 @@ def validate_assumptions(spec: WellSpec, positions,
     """Probe the structural bounds on a sample lattice (report-only).
 
     Checks, empirically over positions x u_values:
-      * W >= 0 and W = 0 exactly on the wells, b - a >= delta_sep;
+      * W >= 0 and W = 0 exactly on the wells, b - a > 0 at every
+        sampled position (touching wells are flagged, not raised);
       * quadratic growth near the wells: C1 d^2 <= W <= C2 d^2 where
         d = min(|u-a|, |u-b|) < 1;
       * L2 coercivity W >= |u|^2/C - C (smallest pointwise C reported);
@@ -502,9 +503,8 @@ def validate_assumptions(spec: WellSpec, positions,
 
     av = spec.a(pts)
     bv = spec.b(pts)
-    gv = bv - av
-    if np.any(gv < spec.delta_sep - 1e-12):
-        violations.append("b - a drops below delta_sep")
+    if np.any(bv - av <= 0):
+        violations.append("wells touch or cross (b - a <= 0)")
     w_at_a = spec.W(pts, av)
     w_at_b = spec.W(pts, bv)
     if np.max(np.abs(w_at_a)) > 1e-12 or np.max(np.abs(w_at_b)) > 1e-12:
@@ -530,8 +530,9 @@ def validate_assumptions(spec: WellSpec, positions,
 
     c_coer = float(np.max((-Wv + np.sqrt(Wv ** 2 + 4.0 * U ** 2)) / 2.0))
 
-    # derivative control on the normalized well, frozen v = (u - a) / gamma
-    V = (U - A) / (B - A)
+    # derivative control on the normalized well, frozen v = (u - a) / gamma;
+    # v is NaN where the wells touch, and W_n there is left out
+    V = np.divide(U - A, B - A, out=np.full(U.shape, np.nan), where=B != A)
     wn = normalized_well(spec, X, V)
     mask = wn > 1e-12
     n_deriv = int(np.count_nonzero(mask))
@@ -596,11 +597,22 @@ def bind(spec: WellSpec, pts) -> BoundQuartic:
     the same positions x with changing u. This evaluates m(x), a(x) and
     b(x) once and returns them as a ``BoundQuartic``;
     ``spec.W(bound, u)`` and ``spec.dW_du(bound, u)`` then give the same
-    bits as ``spec.W(pts, u)`` and ``spec.dW_du(pts, u)``.
+    bits as ``spec.W(pts, u)`` and ``spec.dW_du(pts, u)``. Every run binds
+    its well, so the double well is checked here: GeometryError unless m
+    and b - a are finite and positive at every position.
     """
     pts = as_points(pts)
-    return BoundQuartic(*(_collapse(f(pts))
+    well = BoundQuartic(*(_collapse(f(pts))
                           for f in (spec.amplitude, spec.a, spec.b)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = well.b - well.a
+    for name, c in (("amplitude m", well.m), ("separation b - a", gap)):
+        lo, hi = float(np.min(c)), float(np.max(c))
+        if not (lo > 0 and hi < np.inf):
+            raise GeometryError(f"{name} must be finite and positive at "
+                                f"every bound point; it spans [{lo!r}, "
+                                f"{hi!r}]")
+    return well
 
 
 def quartic_W(m, da, db):
@@ -644,7 +656,7 @@ def quartic_dW_du(m2, da, db, out=None):
     return dw
 
 
-def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
+def canonical_quartic(a, grad_a, b, grad_b,
                       amplitude=None, grad_amplitude=None) -> WellSpec:
     """Quartic double well with moving wells and optional amplitude m(x).
 
@@ -680,8 +692,7 @@ def canonical_quartic(a, grad_a, b, grad_b, delta_sep,
 
     return WellSpec(a=a, b=b, amplitude=amplitude, grad_a=grad_a,
                     grad_b=grad_b, grad_amplitude=grad_amplitude,
-                    W=W, dW_du=dW_du, dW_dx=dW_dx,
-                    delta_sep=delta_sep)
+                    W=W, dW_du=dW_du, dW_dx=dW_dx)
 
 
 def _coefficient(c0: float, slope: float = 0.0, axis: int = 0):
@@ -708,7 +719,7 @@ def constant_quartic(a0: float = 0.0, b0: float = 1.0,
     which must be positive for a double well (else ValueError)."""
     if not amplitude > 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
-    return canonical_quartic(*_coefficient(a0), *_coefficient(b0), b0 - a0,
+    return canonical_quartic(*_coefficient(a0), *_coefficient(b0),
                              *_coefficient(amplitude))
 
 
@@ -719,7 +730,7 @@ def affine_scaled_quartic(offset: float = 1.0, slope: float = 1.0,
     Gives the heterogeneous surface tension
     sigma(x) = sqrt(2 (offset + slope x_axis)) / 6.
     """
-    return canonical_quartic(*_coefficient(0.0), *_coefficient(1.0), 1.0,
+    return canonical_quartic(*_coefficient(0.0), *_coefficient(1.0),
                              *_coefficient(offset, slope, axis))
 
 
@@ -737,27 +748,12 @@ def exp_scaled_quartic(kappa: float, axis: int = 0) -> WellSpec:
         g[..., axis] = 2.0 * kappa * np.exp(2.0 * kappa * x[..., axis])
         return g
 
-    return canonical_quartic(*_coefficient(0.0), *_coefficient(1.0), 1.0,
+    return canonical_quartic(*_coefficient(0.0), *_coefficient(1.0),
                              m, grad_m)
 
 
 def linear_wells_quartic(a0: float, a_slope: float, b0: float,
-                         b_slope: float, axis: int = 0, delta_sep=None,
-                         bounds=None) -> WellSpec:
-    """Canonical quartic whose wells move linearly along one axis.
-
-    Without ``delta_sep``, the domain ``bounds`` (d, 2) give it: the least
-    separation b - a at the two ends of the axis, which must be positive.
-    """
-    if delta_sep is None:
-        if bounds is None:
-            raise ValueError("delta_sep or bounds required for moving wells")
-        lo, hi = bounds[axis]
-        delta_sep = min((b0 - a0) + (b_slope - a_slope) * lo,
-                        (b0 - a0) + (b_slope - a_slope) * hi)
-        if delta_sep <= 0:
-            raise ValueError("wells touch inside the given bounds")
-
+                         b_slope: float, axis: int = 0) -> WellSpec:
+    """Canonical quartic whose wells move linearly along one axis."""
     return canonical_quartic(*_coefficient(a0, a_slope, axis),
-                             *_coefficient(b0, b_slope, axis),
-                             delta_sep)
+                             *_coefficient(b0, b_slope, axis))

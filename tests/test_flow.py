@@ -576,8 +576,7 @@ def descent_problems(draw):
     if draw(hst.booleans()):
         spec = wells.constant_quartic()
     else:
-        spec = wells.linear_wells_quartic(
-            0.0, 0.3, 1.0, 0.0, axis=0, bounds=np.array([[0.0, 1.0]] * dim))
+        spec = wells.linear_wells_quartic(0.0, 0.3, 1.0, 0.0)
     eps = draw(hst.floats(0.05, 0.3))
     v = draw(hnp.arrays(float, cells, elements=hst.floats(0.0, 1.0)))
     return g, spec, eps, v
@@ -885,8 +884,7 @@ def kernel_descents(draw):
                                         axis=draw(hst.integers(0, dim - 1)))
     else:
         spec = wells.linear_wells_quartic(
-            0.0, 0.3, 1.0, 0.0, axis=draw(hst.integers(0, dim - 1)),
-            bounds=np.array([[lo, up] for lo, up in zip(g.lower, g.upper)]))
+            0.0, 0.3, 1.0, 0.0, axis=draw(hst.integers(0, dim - 1)))
     eps = draw(hst.floats(0.05, 0.3))
     v = draw(hnp.arrays(float, cells, elements=hst.floats(0.0, 1.0)))
     if draw(hst.booleans()):
@@ -1069,8 +1067,7 @@ def run_problems(draw):
                                         axis=draw(hst.integers(0, dim - 1)))
     else:
         spec = wells.linear_wells_quartic(
-            0.0, 0.2, 1.0, -0.1, axis=draw(hst.integers(0, dim - 1)),
-            bounds=np.array([[lo, up] for lo, up in zip(g.lower, g.upper)]))
+            0.0, 0.2, 1.0, -0.1, axis=draw(hst.integers(0, dim - 1)))
     eps = draw(hst.floats(0.05, 0.3))
     v = draw(hnp.arrays(float, cells, elements=hst.floats(-0.2, 1.2)))
     t0 = draw(hst.floats(0.0, 10.0))

@@ -28,6 +28,19 @@ def test_grid_validation():
     assert g.cell_volume == pytest.approx((2 / 64) * (1 / 16))
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("side", ("lower", "upper"))
+@pytest.mark.parametrize("dim", (1, 2))
+def test_grid_rejects_non_finite_bounds(dim, side, bad):
+    # a NaN bound passed hi <= lo and gave NaN spacing and cell centres;
+    # an infinite one gave spacing inf
+    for axis in range(dim):
+        bounds = {"lower": [0.0] * dim, "upper": [1.0] * dim}
+        bounds[side][axis] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            Grid(bounds["lower"], bounds["upper"], (16,) * dim)
+
+
 bounds = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 lengths = st.floats(0.1, 10.0, allow_nan=False, allow_infinity=False)
 sizes = st.integers(8, 40)

@@ -643,12 +643,11 @@ class TestNotRadial2D:
 
 # criterion 01's well and its 50 acceptance points (run_surface_tension
 # at its defaults)
-CRITERION_01_WELL = wells.linear_wells_quartic(0.0, 0.2, 1.1, -0.1, axis=0,
-                                               delta_sep=0.8)
+CRITERION_01_WELL = wells.linear_wells_quartic(0.0, 0.2, 1.1, -0.1)
 CRITERION_01_POINTS = np.random.default_rng(0).uniform(0.0, 1.0,
                                                        size=(50, 2))
 MOVING_WELLS = (CRITERION_01_WELL,
-                wells.linear_wells_quartic(0.0, 0.3, 1.0, 0.0, delta_sep=0.7))
+                wells.linear_wells_quartic(0.0, 0.3, 1.0, 0.0))
 
 
 def _grad_rel_err(spec, pts):

@@ -67,8 +67,7 @@ class TestBuildRecovery:
         assert np.max(dist_to_wells[np.abs(sd) >= 10 * eps]) <= 1e-6
 
     def test_values_stay_between_wells(self):
-        spec = wells.linear_wells_quartic(0.0, 0.3, 1.0, 0.0,
-                                          bounds=np.array([[0., 1.], [0., 1.]]))
+        spec = wells.linear_wells_quartic(0.0, 0.3, 1.0, 0.0)
         g = Grid.box((0, 0), (1, 1), (128, 128))
         rec = var.build_recovery(disk(), spec, g, 0.06)
         pts = g.points()
@@ -85,8 +84,7 @@ class TestBuildRecovery:
         assert abs(radius - 0.3) <= h + 10 * eps ** 2
 
     @pytest.mark.parametrize("spec", (
-        wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0,
-                                   bounds=np.array([[0., 1.], [0., 1.]])),
+        wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0),
         wells.exp_scaled_quartic(0.5),
         wells.affine_scaled_quartic(1.0, 0.5, axis=1),
         wells.constant_quartic(-0.2, 1.1, amplitude=2.0)),
@@ -138,8 +136,7 @@ class TestEquipartition:
         assert var.equipartition_defect(rec.reading) <= 1e-6
 
     def test_defect_decreases_on_disk_sweep(self):
-        spec = wells.linear_wells_quartic(0.0, 0.4, 1.0, 0.0,
-                                          bounds=np.array([[0., 1.], [0., 1.]]))
+        spec = wells.linear_wells_quartic(0.0, 0.4, 1.0, 0.0)
         g = Grid.box((0, 0), (1, 1), (256, 256))
         defects = [var.equipartition_defect(
             var.build_recovery(disk(), spec, g, eps).reading)
@@ -200,8 +197,7 @@ class TestMeasurePairings:
         # and all three densities of every test sample, and gives the bits
         # of each formula evaluated on its own: the face-difference energy,
         # and the centered |grad u| of the densities and the defect
-        spec = wells.linear_wells_quartic(0.0, 0.4, 1.0, 0.0,
-                                          bounds=np.array([[0., 1.], [0., 1.]]))
+        spec = wells.linear_wells_quartic(0.0, 0.4, 1.0, 0.0)
         g = Grid.box((0, 0), (1, 1), (64, 64))
         rec = var.build_recovery(disk(), spec, g, 0.08)
         st = rec.state
@@ -261,8 +257,7 @@ class TestOneReadingPerState:
         return dataclasses.replace(spec, W=W)
 
     def test_equipartition_reads_each_state_once(self, counts):
-        spec = wells.linear_wells_quartic(
-            0.0, 0.6, 1.0, 0.0, bounds=np.array([[0., 1.], [0., 1.]]))
+        spec = wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0)
         result = ex.run_equipartition(
             grid_n=64, eps_list=(0.1, 0.08),
             well=self.counted_well(spec, counts, (64, 64)))
@@ -285,8 +280,7 @@ class TestOneReadingPerState:
 
 DERIVATIVE_WELLS = (
     wells.constant_quartic(), wells.affine_scaled_quartic(1.0, 1.0),
-    wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0,
-                               bounds=np.array([[0., 1.], [0., 1.]])))
+    wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0))
 
 
 class TestFirstVariation:

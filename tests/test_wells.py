@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
-from wmcflab import flow, sharp, wells
+from wmcflab import flow, sharp, variations as var, wells
 from wmcflab.errors import GeometryError
 from wmcflab.grid import Field, Grid
 from wmcflab.quadrature import adaptive_gauss_legendre
@@ -29,8 +29,7 @@ def moving_spec(**kw):
                                   + [np.zeros(np.shape(x)[:-1])] * (np.shape(x)[-1] - 1),
                                   axis=-1),
         b=lambda x: np.ones(np.shape(x)[:-1]),
-        grad_b=lambda x: np.zeros(np.shape(x)),
-        delta_sep=1.0, **kw)
+        grad_b=lambda x: np.zeros(np.shape(x)), **kw)
 
 
 # coordinates of either sign: magnitudes near 1, where the order of the
@@ -71,7 +70,7 @@ class TestGamma:
         assert wells.gamma(spec, 0.37) == pytest.approx(1.0, abs=1e-15)
 
     def test_linear_upper_well(self):
-        spec = wells.linear_wells_quartic(0.0, 0.0, 1.0, 0.2, delta_sep=1.0)
+        spec = wells.linear_wells_quartic(0.0, 0.0, 1.0, 0.2)
         assert wells.gamma(spec, 0.5) == pytest.approx(1.1, abs=1e-14)
 
     def test_parabolic_lower_well(self):
@@ -188,7 +187,6 @@ def reference_constant(a0=0.0, b0=1.0, amplitude=1.0):
         grad_a=lambda x: np.zeros(np.shape(x)),
         b=lambda x: b0 * np.ones(np.shape(x)[:-1]),
         grad_b=lambda x: np.zeros(np.shape(x)),
-        delta_sep=b0 - a0,
         amplitude=lambda x: amplitude * np.ones(np.shape(x)[:-1]),
         grad_amplitude=lambda x: np.zeros(np.shape(x)),
     )
@@ -200,7 +198,7 @@ def reference_unit_wells(m, grad_m):
         grad_a=lambda x: np.zeros(np.shape(x)),
         b=lambda x: np.ones(np.shape(x)[:-1]),
         grad_b=lambda x: np.zeros(np.shape(x)),
-        delta_sep=1.0, amplitude=m, grad_amplitude=grad_m,
+        amplitude=m, grad_amplitude=grad_m,
     )
 
 
@@ -228,7 +226,7 @@ def reference_exp(kappa, axis=0):
     return reference_unit_wells(m, grad_m)
 
 
-def reference_linear(a0, a_slope, b0, b_slope, axis, delta_sep):
+def reference_linear(a0, a_slope, b0, b_slope, axis):
     def mk_grad(slope):
         def grad(x):
             g = np.zeros(np.shape(x))
@@ -242,7 +240,6 @@ def reference_linear(a0, a_slope, b0, b_slope, axis, delta_sep):
         grad_a=mk_grad(a_slope),
         b=lambda x: b0 + b_slope * x[..., axis],
         grad_b=mk_grad(b_slope),
-        delta_sep=delta_sep,
         amplitude=lambda x: np.ones(np.shape(x)[:-1]),
         grad_amplitude=lambda x: np.zeros(np.shape(x)),
     )
@@ -297,7 +294,7 @@ def factory_pairs(draw, dim, kinds=FACTORY_KINDS):
     # adding 0.0 turns a drawn -0.0 into 0.0
     a0 = draw(hst.floats(-0.5, 0.5)) + 0.0
     args = (a0, draw(slope), a0 + draw(hst.floats(0.8, 1.5)), draw(slope),
-            axis, 0.1)
+            axis)
     return wells.linear_wells_quartic(*args), reference_linear(*args)
 
 
@@ -317,7 +314,6 @@ class TestFactoriesMatchReference:
     @given(lattice_problems())
     def test_coefficients_and_derivatives_bit_identical(self, problem):
         (spec, ref), pts, u = problem
-        assert spec.delta_sep == ref.delta_sep
         for name in ("a", "b", "amplitude",
                      "grad_a", "grad_b", "grad_amplitude"):
             assert bits(getattr(spec, name)(pts)) \
@@ -352,8 +348,7 @@ class TestFactoriesMatchReference:
 
 # criterion 01's well and its 50 acceptance points (run_surface_tension
 # at its defaults)
-CRITERION_01 = (wells.linear_wells_quartic(0.0, 0.2, 1.1, -0.1, axis=0,
-                                           delta_sep=0.8),
+CRITERION_01 = (wells.linear_wells_quartic(0.0, 0.2, 1.1, -0.1),
                 np.random.default_rng(0).uniform(0.0, 1.0, size=(50, 2)))
 
 
@@ -393,7 +388,7 @@ PUBLIC_FACTORIES = {
     "affine_scaled_quartic": lambda: wells.affine_scaled_quartic(axis=1),
     "exp_scaled_quartic": lambda: wells.exp_scaled_quartic(0.5),
     "linear_wells_quartic": lambda: wells.linear_wells_quartic(
-        0.0, 0.6, 1.0, 0.0, delta_sep=0.4),
+        0.0, 0.6, 1.0, 0.0),
 }
 
 
@@ -611,7 +606,45 @@ def quartic_wells(draw, dim):
     a0 = draw(hst.floats(-0.5, 0.5))
     return wells.linear_wells_quartic(
         a0, draw(hst.floats(-0.3, 0.3)), a0 + draw(hst.floats(0.8, 1.5)),
-        draw(hst.floats(-0.3, 0.3)), axis=axis, delta_sep=0.1)
+        draw(hst.floats(-0.3, 0.3)), axis=axis)
+
+
+# offsets of a coefficient, with the zeros and non-finite values that
+# bind must reject
+_OFFSETS = hst.one_of(hst.floats(-1.0, 2.0),
+                      hst.sampled_from((0.0, -0.0, np.inf, -np.inf, np.nan)))
+
+
+@hst.composite
+def checked_wells(draw, dim):
+    """A quartic on [0, 1]^dim whose m or b - a may be zero, negative or
+    not finite somewhere: one of the four factories at arguments past its
+    double-well range, or canonical_quartic with linear a, b and m whose
+    offsets may be +-0, +-inf or NaN."""
+    axis = draw(hst.integers(0, dim - 1))
+    slope = hst.floats(-1.5, 1.5)
+    kind = draw(hst.sampled_from(FACTORY_KINDS + ("canonical",)))
+    if kind == "constant":
+        a0 = draw(hst.floats(-1.0, 1.0))
+        return wells.constant_quartic(
+            a0, a0 + draw(hst.floats(-0.5, 1.0)),
+            draw(hst.one_of(hst.floats(0.2, 5.0), hst.just(np.inf))))
+    if kind == "affine":
+        return wells.affine_scaled_quartic(draw(hst.floats(-1.0, 2.0)),
+                                           draw(slope), axis)
+    if kind == "exp":
+        # m = exp(2 kappa x_axis) underflows to 0 at the far cells for
+        # kappa below about -400
+        return wells.exp_scaled_quartic(draw(hst.one_of(
+            hst.floats(-1.0, 1.0), hst.floats(-500.0, -300.0),
+            hst.just(np.nan))), axis)
+    if kind == "linear":
+        return wells.linear_wells_quartic(
+            draw(hst.floats(-1.0, 1.0)), draw(slope),
+            draw(hst.floats(-1.0, 1.0)), draw(slope), axis)
+    return wells.canonical_quartic(*(
+        part for _ in range(3)
+        for part in wells._coefficient(draw(_OFFSETS), draw(slope), axis)))
 
 
 # lattice coordinates make points share a well; beyond +-34/rate the
@@ -673,7 +706,7 @@ class TestProfileGridMatchesSteppingMarch:
                 a=lambda x: 0.3 * x[..., 1], grad_a=lambda x: np.stack(
                     [np.zeros(x.shape[:-1]), np.full(x.shape[:-1], 0.3)], -1),
                 b=lambda x: np.ones(np.shape(x)[:-1]),
-                grad_b=lambda x: np.zeros(np.shape(x)), delta_sep=0.6,
+                grad_b=lambda x: np.zeros(np.shape(x)),
                 amplitude=lambda x: 1.0 + 2.0 * x[..., 0],
                 grad_amplitude=lambda x: np.stack(
                     [np.full(x.shape[:-1], 2.0), np.zeros(x.shape[:-1])], -1))
@@ -840,6 +873,25 @@ class TestBind:
             == flow.energy_face(u, grid, state.eps, spec,
                                 wells.bind(spec, pts)).hex()
 
+    @settings(max_examples=200, deadline=None)
+    @given(hst.sampled_from((1, 2)).flatmap(
+        lambda dim: hst.tuples(checked_wells(dim), hst.tuples(
+            *[hst.integers(8, 16)] * dim))))
+    def test_raises_exactly_where_the_double_well_fails(self, problem):
+        spec, cells = problem
+        pts = Grid((0.0,) * len(cells), (1.0,) * len(cells), cells).points()
+        m, a, b = (f(pts) for f in (spec.amplitude, spec.a, spec.b))
+        with np.errstate(invalid="ignore", over="ignore"):
+            gap = b - a
+        if all(np.all(np.isfinite(c) & (c > 0)) for c in (m, gap)):
+            bound = wells.bind(spec, pts)
+            # checked, the coefficients keep their evaluated, collapsed bits
+            for got, c in zip((bound.m, bound.a, bound.b), (m, a, b)):
+                assert bits(got) == bits(wells._collapse(c))
+        else:
+            with pytest.raises(GeometryError, match="finite and positive"):
+                wells.bind(spec, pts)
+
     def test_constant_coefficients_collapse_to_scalars(self):
         pts = Grid((0.0, 0.0), (1.0, 1.0), (8, 8)).points()
         bound = wells.bind(wells.exp_scaled_quartic(0.5, axis=1), pts)
@@ -847,6 +899,43 @@ class TestBind:
         assert (bound.a, bound.b) == (0.0, 1.0)
         assert bound.m.shape == (8, 8)
         assert np.ndim(wells.bind(wells.constant_quartic(), pts).m) == 0
+
+
+# b - a = 1 - 1.2 x_0 is negative on x_0 > 5/6, a NaN amplitude and one
+# that is negative on x_0 < 0.5: each must stop a run where it binds
+BROKEN_WELLS = {
+    "crossing": wells.linear_wells_quartic(0.0, 1.2, 1.0, 0.0),
+    "nan amplitude": wells.exp_scaled_quartic(np.nan),
+    "negative amplitude": wells.affine_scaled_quartic(-0.5, 1.0),
+}
+
+
+class TestEntryPointsRejectABrokenWell:
+    @pytest.mark.parametrize("name", sorted(BROKEN_WELLS))
+    @pytest.mark.parametrize("entry", ("build_recovery", "run", "step_minmov",
+                                       "minimize_constrained"))
+    def test_raises_before_any_state(self, monkeypatch, entry, name):
+        spec = BROKEN_WELLS[name]
+        grid = Grid((0.0, 0.0), (1.0, 1.0), (32, 32))
+        state = flow.PhaseState(Field.constant(grid, 0.5), 0.15)
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("a state was built or stepped")
+
+        for module, attr in ((var, "Field"), (var, "PhaseState"),
+                             (flow, "energy_face"), (flow, "_march"),
+                             (flow, "_bb_descent")):
+            monkeypatch.setattr(module, attr, tripwire)
+        calls = {
+            "build_recovery": lambda: var.build_recovery(
+                sharp.Sphere((0.5, 0.5), 0.25), spec, grid, 0.125),
+            "run": lambda: flow.run(state, spec, 1e-4, 2e-4),
+            "step_minmov": lambda: flow.step_minmov(state, spec, 1e-4),
+            "minimize_constrained": lambda: flow.minimize_constrained(
+                spec, grid, 0.15, 0.8, state.u),
+        }
+        with pytest.raises(GeometryError, match="must be finite and positive"):
+            calls[entry]()
 
 
 # values of u, a and b: near the wells, signed zeros, subnormals and
@@ -958,7 +1047,6 @@ class TestValidateAssumptions:
             grad_a=lambda x: np.zeros(np.shape(x)),
             b=lambda x: np.ones(np.shape(x)[:-1]),
             grad_b=lambda x: np.zeros(np.shape(x)),
-            delta_sep=1.0,
             amplitude=lambda x: 1.0 + np.sin(np.pi * x[..., 0]) ** 2,
             grad_amplitude=lambda x: np.stack(
                 [np.pi * np.sin(2.0 * np.pi * x[..., 0])], axis=-1))
@@ -971,12 +1059,16 @@ class TestValidateAssumptions:
         assert rep.violations == []
         assert rep.c_derivative_control == pytest.approx(expected, rel=1e-4)
 
-    def test_flags_nonvanishing_well(self):
-        # b - a = 1 - x_0 is 0.5 at x_0 = 0.5, below the declared 0.9
-        bad = wells.linear_wells_quartic(0.0, 0.5, 1.0, -0.5, delta_sep=0.9)
-        rep = wells.validate_assumptions(bad, np.array([[0.5]]),
-                                         np.linspace(0, 1, 5))
-        assert rep.violations == ["b - a drops below delta_sep"]
+    def test_flags_touching_wells(self):
+        # b - a = 1 - x_0 vanishes at x_0 = 1 only, flagged where a sample
+        # lands on it; v = (u - a) / gamma has no value there and raises
+        # no warning
+        spec = wells.linear_wells_quartic(0.0, 0.5, 1.0, -0.5)
+        for x_last, flagged in ((0.9, []),
+                                (1.0, ["wells touch or cross (b - a <= 0)"])):
+            rep = wells.validate_assumptions(
+                spec, np.array([[0.5], [x_last]]), np.linspace(0, 1, 5))
+            assert rep.violations == flagged
 
 
 class TestQuadrature:
