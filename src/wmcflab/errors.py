@@ -7,8 +7,8 @@ class ResolutionError(ValueError):
 
 class GeometryError(ValueError):
     """A geometric precondition failed (interface too close to the boundary,
-    a calibration around a flow that is not radial or not full-length,
-    ...)."""
+    a calibration around a flow that is not radial, a sharp flow that
+    stops before t_end, a well that is no double well, ...)."""
 
 
 class GridMismatchError(ValueError):

@@ -153,7 +153,7 @@ def run_surface_tension(n_points: int = 50, seed: int = 0,
 
 def run_equipartition(grid_n: int = 512,
                       eps_list=(0.08, 0.04, 0.02, 0.01),
-                      well=None, radius: float = 0.3) -> ExperimentResult:
+                      radius: float = 0.3) -> ExperimentResult:
     """Equipartition defect and localized-density pairings on disk
     recovery states. Moving wells keep the defect nonzero; over the
     acceptance sweep (512^2, eps 0.08 -> 0.01) it shrinks 1.53, 1.52 and
@@ -163,8 +163,7 @@ def run_equipartition(grid_n: int = 512,
     reading."""
     res = ExperimentResult("equipartition")
     grid = _unit_box(grid_n)
-    spec = well if well is not None else wells.linear_wells_quartic(
-        0.0, 0.6, 1.0, 0.0)
+    spec = wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0)
     disk = sharp.Sphere((0.5, 0.5), radius)
     testers = {
         "one": Field.constant(grid, 1.0),
@@ -286,8 +285,8 @@ def run_gibbs_thomson(grid_n: int = 256, eps_list=(0.08, 0.04, 0.02),
 # ---------------------------------------------------------------------------
 
 def run_minimizing_movements(grid_n: int = 512, eps: float = 0.05,
-                             h_step: float = 2e-4, n_steps: int = 200,
-                             well=None) -> ExperimentResult:
+                             h_step: float = 2e-4,
+                             n_steps: int = 200) -> ExperimentResult:
     """Per-step exact minimality and the clamp maximum principle, from the
     recovery state of the front x = 0.35 plus 0.05 sin(9 pi x), clipped to
     [-C0, C0], C0 = max(|a|, |b|) of the wells on the grid (the quartic is
@@ -295,7 +294,7 @@ def run_minimizing_movements(grid_n: int = 512, eps: float = 0.05,
     res = ExperimentResult("minimizing_movements",
                            csv_header=["step", "time", "energy",
                                        "movement_sq", "slack", "max_abs_u"])
-    spec = well if well is not None else wells.constant_quartic()
+    spec = wells.constant_quartic()
     grid = Grid.interval(0.0, 1.0, grid_n)
     pts = grid.points()
     c0 = float(np.max(np.abs([spec.a(pts), spec.b(pts)])))

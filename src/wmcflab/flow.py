@@ -174,20 +174,22 @@ def _sums(x: np.ndarray, lead: int):
     return float(x.sum()) if lead == 0 else x.reshape(len(x), -1).sum(axis=1)
 
 
-def reaction_lipschitz(spec: WellSpec, grid: Grid, box,
-                       max_pts: int = 4096) -> float:
+_MAX_PTS = 4096
+
+
+def reaction_lipschitz(spec: WellSpec, grid: Grid, box) -> float:
     """Estimate max |d2W/du2| over grid x box by differencing dW_du at 41
     evenly spaced values of u.
 
-    A grid of more than ``max_pts`` cells is sampled on a sub-lattice of
-    at most ``max_pts`` points, evenly spaced along each axis and holding
+    A grid of more than ``_MAX_PTS`` cells is sampled on a sub-lattice of
+    at most ``_MAX_PTS`` points, evenly spaced along each axis and holding
     the first and last cell of every axis, so a well that is monotone
     along an axis is sampled at both ends of it. The well is bound once
     to the sampled points and u varies along a new trailing axis.
     """
     pts = grid.points()
-    if math.prod(grid.cells) > max_pts:
-        per_axis = max_pts if grid.dim == 1 else math.isqrt(max_pts)
+    if math.prod(grid.cells) > _MAX_PTS:
+        per_axis = _MAX_PTS if grid.dim == 1 else math.isqrt(_MAX_PTS)
         idx = [np.linspace(0, n - 1, min(n, per_axis)).round().astype(int)
                for n in grid.cells]
         pts = pts[np.ix_(*idx)]
@@ -723,9 +725,12 @@ class ConstrainedMinimum:
     iterations: int
 
 
+_MAX_ITER = 60000
+
+
 def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
-                         init: Field, tol_residual: float = 2e-4,
-                         max_iter: int = 60000) -> ConstrainedMinimum:
+                         init: Field,
+                         tol_residual: float = 2e-4) -> ConstrainedMinimum:
     """Projected-gradient minimization of E_eps subject to mean(u) = mass.
 
     Each descent step is followed by an exact additive mean correction.
@@ -733,7 +738,7 @@ def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
     the returned residual (its standard deviation) certifies pointwise
     stationarity of the constrained first-order conditions. Raises
     NumericError, with the current iterate as ``last_iterate``, when the
-    descent stops (line search exhausted or ``max_iter`` reached) with
+    descent stops (line search exhausted or ``_MAX_ITER`` reached) with
     the residual still above ``tol_residual`` or not finite, and
     ValueError, before any descent, when ``tol_residual`` is not positive:
     a rounded residual is not relied on to reach 0.
@@ -751,7 +756,7 @@ def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
                                          float(np.max(init.values)) + 0.5))
     lip = lw / eps + eps * 4 * grid.dim / float(np.min(grid.spacing)) ** 2
     u, _, g, iters = _bb_descent(init.values, grid, eps, bound,
-                                 alpha0=1.0 / lip, max_iter=max_iter,
+                                 alpha0=1.0 / lip, max_iter=_MAX_ITER,
                                  tol=tol_residual, mass=mass)
     lam_field = -g
     resid = float(np.std(lam_field))

@@ -52,8 +52,8 @@ import numpy as np
 from .errors import GeometryError, NumericError
 from .quadrature import adaptive_gauss_legendre, gauss_legendre
 from .testfields import TestVectorField
-from .wells import (WellSpec, as_points, grad_gamma, point_norm,
-                    surface_tension)
+from .wells import (WellSpec, _checked_gap, as_points, grad_gamma,
+                    point_norm, surface_tension)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,7 @@ def sigma_from_well(spec: WellSpec, tol: float = 1e-10) -> SurfaceTension:
 
     def grad(x):
         x = as_points(x)
+        _checked_gap(spec.amplitude(x), spec.a(x), spec.b(x))
         pts = x.reshape(-1, x.shape[-1])
         return np.array([[component(p, j) for j in range(pts.shape[-1])]
                          for p in pts]).reshape(x.shape)
@@ -103,14 +104,15 @@ def sigma_from_well(spec: WellSpec, tol: float = 1e-10) -> SurfaceTension:
 def sigma_field_of(spec: WellSpec) -> SurfaceTension:
     """Surface tension of a well in closed form,
     sigma = sqrt(2 m) gamma^3 / 6; ``sigma_from_well`` is the quadrature
-    route to the same field."""
+    route to the same field. Both raise GeometryError at positions outside
+    the double well."""
     def value(x):
         return spec.sigma_exact(x)
 
     def grad(x):
         x = as_points(x)
         m = spec.amplitude(x)
-        g = spec.b(x) - spec.a(x)
+        g = _checked_gap(m, spec.a(x), spec.b(x))
         dm = spec.grad_amplitude(x)
         dg = grad_gamma(spec, x)
         return (g ** 3 / (6.0 * np.sqrt(2.0 * m)))[..., None] * dm \

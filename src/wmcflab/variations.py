@@ -81,7 +81,8 @@ def build_recovery(interface, spec: WellSpec, grid: Grid,
     (``GeometryError``). The profile is ``optimal_profile_grid`` of the
     signed distance over eps; u = a + (b - a) v (v itself, to the bit,
     for wells at +0.0 and 1.0) and its reading, returned with the state,
-    use the well bound to the grid once (``wells.bind``).
+    use the well bound to the grid once (``wells.bind``), before the
+    profile is built, so a broken well raises there.
     """
     hmax = float(np.max(grid.spacing))
     floor = _CELLS_PER_EPS * hmax
@@ -91,9 +92,10 @@ def build_recovery(interface, spec: WellSpec, grid: Grid,
     if margin < 2.0 * eps:
         raise GeometryError(f"interface margin {margin:.4g} below 2.0 * eps")
     pts = grid.points()
-    sdist = interface.signed_distance(pts)
-    v = optimal_profile_grid(spec, pts, sdist / eps)
     well = bind(spec, pts)
+    sdist = interface.signed_distance(pts)
+    sdist /= eps
+    v = optimal_profile_grid(spec, pts, sdist)
     u = Field(grid, well.a + (well.b - well.a) * v)
     state = PhaseState(u, eps)
     e_sharp = weighted_perimeter(interface, sigma_field_of(spec))

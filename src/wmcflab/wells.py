@@ -19,9 +19,11 @@ the profile solvers evaluate W itself, so each is an independent route
 to the closed forms sigma = sqrt(2 m) gamma^3 / 6 and the logistic
 profile with rate sqrt(2 m) gamma.
 
-A run on a grid evaluates W and dW_du many times on the same positions.
-``bind(spec, pts)`` evaluates m(x), a(x) and b(x) on them once, and
-checks there that m and b - a are finite and positive; the spec's W and
+The factories vary a, b and m along x_0 only, and take only the values
+some run sets. A run on a grid evaluates W and dW_du many times on the
+same positions. ``bind(spec, pts)`` evaluates m(x), a(x) and b(x) on
+them once, and checks there that m and b - a are finite and positive,
+as the sigma routes check at their own positions; the spec's W and
 dW_du take the bound coefficients in place of the positions and give the
 same bits. Both go through ``quartic_W`` and ``quartic_dW_du``, the
 formula as a function of u - a and u - b, which the semi-implicit run
@@ -95,8 +97,9 @@ class WellSpec:
 
     def sigma_exact(self, x) -> np.ndarray:
         x = as_points(x)
-        g = self.b(x) - self.a(x)
-        return np.sqrt(2.0 * self.amplitude(x)) * g ** 3 / 6.0
+        m = self.amplitude(x)
+        g = _checked_gap(m, self.a(x), self.b(x))
+        return np.sqrt(2.0 * m) * g ** 3 / 6.0
 
     def profile_rate(self, x) -> np.ndarray:
         x = as_points(x)
@@ -106,6 +109,21 @@ class WellSpec:
     def profile_exact(self, x, s) -> np.ndarray:
         rate = self.profile_rate(x)
         return 1.0 / (1.0 + np.exp(-rate * np.asarray(s, dtype=float)))
+
+
+def _checked_gap(m, a, b):
+    """The separation b - a, once the double well is checked: GeometryError
+    unless m and b - a are finite and positive at every point. ``bind``
+    and the sigma routes check all their positions, before any
+    quadrature."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = b - a
+    for name, c in (("amplitude m", m), ("separation b - a", gap)):
+        lo, hi = float(np.min(c)), float(np.max(c))
+        if not (lo > 0 and hi < np.inf):
+            raise GeometryError(f"{name} must be finite and positive at "
+                                f"every point; it spans [{lo!r}, {hi!r}]")
+    return gap
 
 
 def gamma(spec: WellSpec, x) -> np.ndarray:
@@ -147,9 +165,11 @@ def _well_integral(spec: WellSpec, x, v: float, tol: float, integrand):
 
     ``integrand`` maps one position p, shape (d,), and the (k,) nodes t
     to (k,) values, so each position's integral is its own. Returns an
-    array of shape x.shape[:-1], or a float for a single position.
+    array of shape x.shape[:-1], or a float for a single position;
+    GeometryError unless every position is in the double well.
     """
     x = as_points(x)
+    _checked_gap(spec.amplitude(x), spec.a(x), spec.b(x))
     pts = x.reshape(-1, x.shape[-1])
     val = np.array([adaptive_gauss_legendre(lambda t: integrand(p, t), 0.0,
                                             v, tol=tol)[0] for p in pts])
@@ -604,14 +624,7 @@ def bind(spec: WellSpec, pts) -> BoundQuartic:
     pts = as_points(pts)
     well = BoundQuartic(*(_collapse(f(pts))
                           for f in (spec.amplitude, spec.a, spec.b)))
-    with np.errstate(invalid="ignore", over="ignore"):
-        gap = well.b - well.a
-    for name, c in (("amplitude m", well.m), ("separation b - a", gap)):
-        lo, hi = float(np.min(c)), float(np.max(c))
-        if not (lo > 0 and hi < np.inf):
-            raise GeometryError(f"{name} must be finite and positive at "
-                                f"every bound point; it spans [{lo!r}, "
-                                f"{hi!r}]")
+    _checked_gap(well.m, well.a, well.b)
     return well
 
 
@@ -695,57 +708,51 @@ def canonical_quartic(a, grad_a, b, grad_b,
                     W=W, dW_du=dW_du, dW_dx=dW_dx)
 
 
-def _coefficient(c0: float, slope: float = 0.0, axis: int = 0):
-    """The coefficient c0 + slope * x_axis and its gradient, as position
+def _coefficient(c0: float, slope: float = 0.0):
+    """The coefficient c0 + slope * x_0 and its gradient, as position
     callables; a zero slope gives the constant c0 * 1."""
     if slope == 0:
         def value(x):
             return c0 * np.ones(np.shape(x)[:-1])
     else:
         def value(x):
-            return c0 + slope * x[..., axis]
+            return c0 + slope * x[..., 0]
 
     def grad(x):
         g = np.zeros(np.shape(x))
-        g[..., axis] = slope
+        g[..., 0] = slope
         return g
 
     return value, grad
 
 
-def constant_quartic(a0: float = 0.0, b0: float = 1.0,
-                     amplitude: float = 1.0) -> WellSpec:
-    """Canonical quartic with constant wells and a constant amplitude,
-    which must be positive for a double well (else ValueError)."""
-    if not amplitude > 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
-    return canonical_quartic(*_coefficient(a0), *_coefficient(b0),
-                             *_coefficient(amplitude))
+def constant_quartic() -> WellSpec:
+    """The unit quartic: wells 0 and 1, amplitude 1."""
+    return canonical_quartic(*_coefficient(0.0), *_coefficient(1.0))
 
 
-def affine_scaled_quartic(offset: float = 1.0, slope: float = 1.0,
-                          axis: int = 0) -> WellSpec:
-    """Quartic with wells 0, 1 and amplitude m(x) = offset + slope * x_axis.
+def affine_scaled_quartic(offset: float = 1.0, slope: float = 1.0) -> WellSpec:
+    """Quartic with wells 0, 1 and amplitude m(x) = offset + slope * x_0.
 
     Gives the heterogeneous surface tension
-    sigma(x) = sqrt(2 (offset + slope x_axis)) / 6.
+    sigma(x) = sqrt(2 (offset + slope x_0)) / 6.
     """
     return canonical_quartic(*_coefficient(0.0), *_coefficient(1.0),
-                             *_coefficient(offset, slope, axis))
+                             *_coefficient(offset, slope))
 
 
-def exp_scaled_quartic(kappa: float, axis: int = 0) -> WellSpec:
-    """Quartic with wells 0, 1 and amplitude m(x) = exp(2 kappa x_axis).
+def exp_scaled_quartic(kappa: float) -> WellSpec:
+    """Quartic with wells 0, 1 and amplitude m(x) = exp(2 kappa x_0).
 
-    sigma(x) = (sqrt(2)/6) exp(kappa x_axis), so a flat 1-d interface
+    sigma(x) = (sqrt(2)/6) exp(kappa x_0), so a flat 1-d interface
     drifts with exact speed -kappa (sigma'/sigma = kappa).
     """
     def m(x):
-        return np.exp(2.0 * kappa * x[..., axis])
+        return np.exp(2.0 * kappa * x[..., 0])
 
     def grad_m(x):
         g = np.zeros(np.shape(x))
-        g[..., axis] = 2.0 * kappa * np.exp(2.0 * kappa * x[..., axis])
+        g[..., 0] = 2.0 * kappa * np.exp(2.0 * kappa * x[..., 0])
         return g
 
     return canonical_quartic(*_coefficient(0.0), *_coefficient(1.0),
@@ -753,7 +760,7 @@ def exp_scaled_quartic(kappa: float, axis: int = 0) -> WellSpec:
 
 
 def linear_wells_quartic(a0: float, a_slope: float, b0: float,
-                         b_slope: float, axis: int = 0) -> WellSpec:
-    """Canonical quartic whose wells move linearly along one axis."""
-    return canonical_quartic(*_coefficient(a0, a_slope, axis),
-                             *_coefficient(b0, b_slope, axis))
+                         b_slope: float) -> WellSpec:
+    """Canonical quartic whose wells move linearly along x_0."""
+    return canonical_quartic(*_coefficient(a0, a_slope),
+                             *_coefficient(b0, b_slope))

@@ -503,8 +503,9 @@ def test_minimizing_movements_box_comes_from_the_well(monkeypatch):
         return step(state, spec, h_step, trunc=trunc)
 
     monkeypatch.setattr(flow, "step_minmov", recording)
-    res = run_minimizing_movements(grid_n=128, n_steps=5,
-                                   well=wells.constant_quartic(b0=2.0))
+    well = wells.linear_wells_quartic(0.0, 0.0, 2.0, 0.0)
+    monkeypatch.setattr(wells, "constant_quartic", lambda: well)
+    res = run_minimizing_movements(grid_n=128, n_steps=5)
     assert seen[0][0] > 1.9
     assert all(trunc >= 2.0 for _, trunc in seen)
     assert res.passed, [c.detail for c in res.checks]

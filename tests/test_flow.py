@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 from typing import NamedTuple
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -15,6 +16,8 @@ from numpy.testing import assert_allclose
 from wmcflab import flow, sharp, wells
 from wmcflab.errors import NumericError
 from wmcflab.grid import Field, Grid, extract_levelset, laplacian_neumann
+
+from fieldcheck import along_axis
 
 SQRT2_6 = 0.23570226039551587
 
@@ -351,7 +354,8 @@ def disk_state(n=32, eps=0.08, radius=0.3):
 class TestInnerResiduals:
     @pytest.mark.parametrize("spec, st, dt", [
         (wells.exp_scaled_quartic(0.5), profile_state(n=128, eps=0.05), 1e-4),
-        (wells.affine_scaled_quartic(slope=0.5, axis=1), disk_state(), 2e-4),
+        (along_axis(wells.affine_scaled_quartic(slope=0.5), 1), disk_state(),
+         2e-4),
     ])
     def test_every_step_records_its_solve_residual(self, spec, st, dt):
         # the residual checks that each direct solve solved its system;
@@ -376,14 +380,16 @@ class TestInnerResiduals:
 
 class TestReactionLipschitz:
     @pytest.mark.parametrize("axis", [0, 1])
-    def test_sampled_estimate_equals_full_grid_maximum(self, axis):
+    def test_sampled_estimate_equals_full_grid_maximum(self, monkeypatch,
+                                                        axis):
         # the amplitude exp(4 x_axis) peaks on the last row or column,
         # which the sub-lattice keeps whichever axis it varies along
-        spec = wells.exp_scaled_quartic(2.0, axis=axis)
+        spec = along_axis(wells.exp_scaled_quartic(2.0), axis)
         g = Grid.box((0, 0), (1, 1), (128, 128))
         box = (-0.06, 1.06)
         sampled = flow.reaction_lipschitz(spec, g, box)
-        full = flow.reaction_lipschitz(spec, g, box, max_pts=128 * 128)
+        monkeypatch.setattr(flow, "_MAX_PTS", 128 * 128)
+        full = flow.reaction_lipschitz(spec, g, box)
         assert sampled == full
 
 
@@ -542,21 +548,21 @@ class TestConstrainedMinimization:
         assert abs(out.lam - lam0) <= 0.1
         assert out.residual <= 5e-4
 
-    def test_nonconvergence_raises_with_last_iterate(self):
+    def test_nonconvergence_raises_with_last_iterate(self, monkeypatch):
         spec = wells.constant_quartic()
         g = Grid.box((0, 0), (1, 1), (32, 32))
         pts = g.points()
         u0 = 0.5 + 0.4 * np.sin(6 * pts[..., 0])
+        monkeypatch.setattr(flow, "_MAX_ITER", 3)
         with pytest.raises(NumericError) as exc:
             flow.minimize_constrained(spec, g, 0.05, float(np.mean(u0)),
-                                      Field(g, u0), tol_residual=1e-16,
-                                      max_iter=3)
+                                      Field(g, u0), tol_residual=1e-16)
         assert exc.value.last_iterate is not None
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
     def test_unreachable_tolerance_raises_before_descent(self, monkeypatch,
                                                          tol):
-        # a tolerance of 0 used to run all max_iter iterations (about 21 s
+        # a tolerance of 0 used to run all _MAX_ITER iterations (about 21 s
         # for Gibbs-Thomson on 64^2), then raise NumericError
         monkeypatch.setattr(flow, "_bb_descent", None)
         g = Grid.box((0, 0), (1, 1), (32, 32))
@@ -763,8 +769,9 @@ def _reference_constrained(spec, grid, eps, mass, init, tol_residual=2e-4,
 
 class Descent(NamedTuple):
     """One call of a descent's caller: ``minimize_constrained`` with
-    ``kwargs`` (mass, tol_residual, max_iter), or ``step_minmov`` from the
-    state (u0, eps, time) with ``kwargs`` (h_step, trunc)."""
+    ``kwargs`` (mass, tol_residual, max_iter; the budget max_iter is
+    flow's ``_MAX_ITER`` for the call), or ``step_minmov`` from the state
+    (u0, eps, time) with ``kwargs`` (h_step, trunc)."""
 
     constrained: bool
     grid: Grid
@@ -777,10 +784,15 @@ class Descent(NamedTuple):
     def run(self, reference=False):
         init = Field(self.grid, self.u0)
         if self.constrained:
-            fn = _reference_constrained if reference \
-                else flow.minimize_constrained
-            return fn(self.spec, self.grid, self.eps, init=init,
-                      **self.kwargs)
+            if reference:
+                return _reference_constrained(self.spec, self.grid,
+                                              self.eps, init=init,
+                                              **self.kwargs)
+            kwargs = dict(self.kwargs)
+            with mock.patch.object(flow, "_MAX_ITER", kwargs.pop("max_iter")):
+                return flow.minimize_constrained(self.spec, self.grid,
+                                                 self.eps, init=init,
+                                                 **kwargs)
         fn = _reference_minmov if reference else flow.step_minmov
         return fn(flow.PhaseState(init, self.eps, self.time), self.spec,
                   **self.kwargs)
@@ -806,8 +818,8 @@ def wide_minmov_descent(cells=(72, 130), eps=0.1):
     pts = g.points()
     r = np.hypot(pts[..., 0] - 0.5, pts[..., 1] - 1.0)
     u0 = 1.0 / (1.0 + np.exp((r - 0.3) / eps)) + 0.05 * np.sin(9 * pts[..., 1])
-    return Descent(False, g, wells.exp_scaled_quartic(0.5, axis=1), eps, u0,
-                   0.0, dict(h_step=2e-4, trunc=None))
+    return Descent(False, g, along_axis(wells.exp_scaled_quartic(0.5), 1),
+                   eps, u0, 0.0, dict(h_step=2e-4, trunc=None))
 
 
 def negative_zero_descent():
@@ -820,8 +832,9 @@ def negative_zero_descent():
     u - a on a == 0.0 would return +0.0 there."""
     g = Grid.interval(0.0, 1.0, 8)
     u0 = np.array([0.5, 0.25, -0.0, -0.0, 0.0, 0.0, -0.25, -0.5])
-    return Descent(True, g, wells.constant_quartic(a0=-0.0, b0=-0.0), 0.125,
-                   u0, 0.0, dict(mass=-0.0, tol_residual=1e-3, max_iter=1))
+    return Descent(True, g, wells.linear_wells_quartic(-0.0, 0.0, -0.0, 0.0),
+                   0.125, u0, 0.0,
+                   dict(mass=-0.0, tol_residual=1e-3, max_iter=1))
 
 
 def sigmoid_descent(constrained, dim, span=16e-60):
@@ -850,7 +863,7 @@ def overflowing_laplacian_descent():
     n = 4000
     g = Grid.interval(0.0, n * 5e-157, n)
     u0 = 1.0 / (1.0 + np.exp(-(np.arange(n) + 0.5 - n / 2) / 300.0))
-    return Descent(True, g, wells.constant_quartic(amplitude=1e-8), 1e-160,
+    return Descent(True, g, wells.affine_scaled_quartic(1e-8, 0.0), 1e-160,
                    u0, 0.0, dict(mass=float(np.mean(u0)), tol_residual=1e-3,
                                  max_iter=5))
 
@@ -878,13 +891,14 @@ def kernel_descents(draw):
     if kind == "constant":
         spec = wells.constant_quartic()
     elif kind == "constant -0":
-        spec = wells.constant_quartic(a0=-0.0)
+        spec = wells.linear_wells_quartic(-0.0, 0.0, 1.0, 0.0)
     elif kind == "exp":
-        spec = wells.exp_scaled_quartic(draw(hst.floats(-1.0, 1.0)),
-                                        axis=draw(hst.integers(0, dim - 1)))
+        kappa = draw(hst.floats(-1.0, 1.0))
+        spec = along_axis(wells.exp_scaled_quartic(kappa),
+                          draw(hst.integers(0, dim - 1)))
     else:
-        spec = wells.linear_wells_quartic(
-            0.0, 0.3, 1.0, 0.0, axis=draw(hst.integers(0, dim - 1)))
+        spec = along_axis(wells.linear_wells_quartic(0.0, 0.3, 1.0, 0.0),
+                          draw(hst.integers(0, dim - 1)))
     eps = draw(hst.floats(0.05, 0.3))
     v = draw(hnp.arrays(float, cells, elements=hst.floats(0.0, 1.0)))
     if draw(hst.booleans()):
@@ -1063,11 +1077,12 @@ def run_problems(draw):
     if kind == "constant":
         spec = wells.constant_quartic()
     elif kind == "exp":
-        spec = wells.exp_scaled_quartic(draw(hst.floats(-1.0, 1.0)),
-                                        axis=draw(hst.integers(0, dim - 1)))
+        kappa = draw(hst.floats(-1.0, 1.0))
+        spec = along_axis(wells.exp_scaled_quartic(kappa),
+                          draw(hst.integers(0, dim - 1)))
     else:
-        spec = wells.linear_wells_quartic(
-            0.0, 0.2, 1.0, -0.1, axis=draw(hst.integers(0, dim - 1)))
+        spec = along_axis(wells.linear_wells_quartic(0.0, 0.2, 1.0, -0.1),
+                          draw(hst.integers(0, dim - 1)))
     eps = draw(hst.floats(0.05, 0.3))
     v = draw(hnp.arrays(float, cells, elements=hst.floats(-0.2, 1.2)))
     t0 = draw(hst.floats(0.0, 10.0))

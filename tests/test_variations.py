@@ -16,7 +16,7 @@ from wmcflab.experiments import holds
 from wmcflab.grid import Field, Grid, extract_levelset, gradient_neumann
 from wmcflab.testfields import dilation_field, translation_field
 
-from fieldcheck import check_admissible, zero_field
+from fieldcheck import along_axis, check_admissible, quartic, zero_field
 
 SQRT2_6 = 0.23570226039551587
 CENTER = (0.5, 0.5)
@@ -86,8 +86,8 @@ class TestBuildRecovery:
     @pytest.mark.parametrize("spec", (
         wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0),
         wells.exp_scaled_quartic(0.5),
-        wells.affine_scaled_quartic(1.0, 0.5, axis=1),
-        wells.constant_quartic(-0.2, 1.1, amplitude=2.0)),
+        along_axis(wells.affine_scaled_quartic(1.0, 0.5), 1),
+        quartic(-0.2, 1.1, 2.0)),
         ids=("moving", "exp", "affine", "constant"))
     def test_state_and_reading_have_the_bits_of_positions(self, spec):
         # the well is bound once and u and its reading are formed from the
@@ -256,11 +256,12 @@ class TestOneReadingPerState:
             return spec.W(x, u)
         return dataclasses.replace(spec, W=W)
 
-    def test_equipartition_reads_each_state_once(self, counts):
-        spec = wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0)
-        result = ex.run_equipartition(
-            grid_n=64, eps_list=(0.1, 0.08),
-            well=self.counted_well(spec, counts, (64, 64)))
+    def test_equipartition_reads_each_state_once(self, monkeypatch, counts):
+        # the runner builds its well at call time, here the counted one
+        well = wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0)
+        spec = self.counted_well(well, counts, (64, 64))
+        monkeypatch.setattr(wells, "linear_wells_quartic", lambda *args: spec)
+        result = ex.run_equipartition(grid_n=64, eps_list=(0.1, 0.08))
         assert len(result.csv_rows) == 2
         assert counts == {"gradient_neumann": 2, "W_full_grid": 2}
 

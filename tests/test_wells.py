@@ -18,6 +18,8 @@ from wmcflab.errors import GeometryError
 from wmcflab.grid import Field, Grid
 from wmcflab.quadrature import adaptive_gauss_legendre
 
+from fieldcheck import along_axis, quartic
+
 SQRT2_6 = 0.23570226039551587  # sqrt(2)/6
 
 
@@ -88,7 +90,7 @@ class TestNormalizedWell:
         assert wells.normalized_well(spec, 0.4, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_gamma_two_closed_form(self):
-        spec = wells.constant_quartic(0.0, 2.0)
+        spec = wells.linear_wells_quartic(0.0, 0.0, 2.0, 0.0)
         # W_n = gamma^4 v^2 (1-v)^2 = 16 * 0.0625 = 1 at v = 1/2
         assert wells.normalized_well(spec, 0.1, 0.5) == pytest.approx(1.0)
 
@@ -99,7 +101,7 @@ class TestSurfaceTension:
         assert_allclose(wells.surface_tension(spec, 0.3), SQRT2_6, rtol=1e-10)
 
     def test_amplitude_scales_as_sqrt(self):
-        spec = wells.constant_quartic(amplitude=4.0)  # 1 + q with q = 3
+        spec = wells.affine_scaled_quartic(4.0, 0.0)  # 1 + q with q = 3
         assert_allclose(wells.surface_tension(spec, 0.3), 2 * SQRT2_6,
                         rtol=1e-10)
 
@@ -108,11 +110,13 @@ class TestSurfaceTension:
     # bound
     @pytest.mark.parametrize("amplitude", [0.0, -0.0, -1.0, float("nan")])
     def test_non_positive_amplitude_is_rejected(self, amplitude):
-        with pytest.raises(ValueError, match="amplitude must be positive"):
-            wells.constant_quartic(amplitude=amplitude)
+        with pytest.raises(ValueError,
+                           match="amplitude m must be finite and positive"):
+            wells.surface_tension(
+                wells.affine_scaled_quartic(amplitude, 0.0), 0.3)
 
     def test_gamma_two(self):
-        spec = wells.constant_quartic(0.0, 2.0)
+        spec = wells.linear_wells_quartic(0.0, 0.0, 2.0, 0.0)
         assert_allclose(wells.surface_tension(spec, 0.3),
                         np.sqrt(2.0) * 8.0 / 6.0, rtol=1e-10)
 
@@ -132,7 +136,7 @@ class TestSigmaN:
                         rtol=1e-10)
 
     def test_gamma_two(self):
-        spec = wells.constant_quartic(0.0, 2.0)
+        spec = wells.linear_wells_quartic(0.0, 0.0, 2.0, 0.0)
         assert_allclose(wells.geodesic_distance(spec, 0.7, 1.0),
                         0.9428090415820634, rtol=1e-10)
 
@@ -179,7 +183,8 @@ class TestGeodesicDistance:
 # normalized surface tension as a quadrature of its own. The factories
 # now build their coefficients with ``wells._coefficient`` and sigma_n is
 # ``geodesic_distance(spec, x, 1)``; the properties below check that both
-# give these bits.
+# give these bits. The factories vary along x_0 and ``along_axis`` turns
+# them to x_1, so the references' own ``axis`` checks that turn too.
 
 def reference_constant(a0=0.0, b0=1.0, amplitude=1.0):
     return wells.canonical_quartic(
@@ -282,20 +287,22 @@ def factory_pairs(draw, dim, kinds=FACTORY_KINDS):
         a0 = draw(hst.floats(-1.0, 1.0))
         args = (a0, a0 + draw(hst.floats(0.5, 2.0)),
                 draw(hst.floats(0.2, 5.0)))
-        return wells.constant_quartic(*args), reference_constant(*args)
+        return quartic(*args), reference_constant(*args)
     if kind == "affine":
-        args = (draw(hst.floats(0.5, 2.0)), draw(slope), axis)
-        return wells.affine_scaled_quartic(*args), reference_affine(*args)
+        args = (draw(hst.floats(0.5, 2.0)), draw(slope))
+        return (along_axis(wells.affine_scaled_quartic(*args), axis),
+                reference_affine(*args, axis))
     if kind == "exp":
-        args = (draw(hst.one_of(hst.just(0.0), hst.floats(-1.0, 1.0))), axis)
-        return wells.exp_scaled_quartic(*args), reference_exp(*args)
+        args = (draw(hst.one_of(hst.just(0.0), hst.floats(-1.0, 1.0))),)
+        return (along_axis(wells.exp_scaled_quartic(*args), axis),
+                reference_exp(*args, axis))
     # a zero slope gives the constant form a0 * 1, which has the bits of
     # a0 + 0 x at finite x for every a0 but -0.0 (then -0.0 against 0.0):
     # adding 0.0 turns a drawn -0.0 into 0.0
     a0 = draw(hst.floats(-0.5, 0.5)) + 0.0
-    args = (a0, draw(slope), a0 + draw(hst.floats(0.8, 1.5)), draw(slope),
-            axis)
-    return wells.linear_wells_quartic(*args), reference_linear(*args)
+    args = (a0, draw(slope), a0 + draw(hst.floats(0.8, 1.5)), draw(slope))
+    return (along_axis(wells.linear_wells_quartic(*args), axis),
+            reference_linear(*args, axis))
 
 
 @hst.composite
@@ -385,7 +392,7 @@ class TestEachPointIntegratedAlone:
 # every public quartic factory, at arguments
 PUBLIC_FACTORIES = {
     "constant_quartic": lambda: wells.constant_quartic(),
-    "affine_scaled_quartic": lambda: wells.affine_scaled_quartic(axis=1),
+    "affine_scaled_quartic": lambda: wells.affine_scaled_quartic(),
     "exp_scaled_quartic": lambda: wells.exp_scaled_quartic(0.5),
     "linear_wells_quartic": lambda: wells.linear_wells_quartic(
         0.0, 0.6, 1.0, 0.0),
@@ -433,7 +440,7 @@ class TestOptimalProfile:
     def test_gamma_two_rate(self):
         # equipartitioned profile: du/ds = sqrt(2 W(u)) gives rate
         # sqrt(2) gamma for the quartic, logistic in v
-        spec = wells.constant_quartic(0.0, 2.0)
+        spec = wells.linear_wells_quartic(0.0, 0.0, 2.0, 0.0)
         got = wells.optimal_profile(spec, 0.3, 1.0)
         assert_allclose(got, 1.0 / (1.0 + np.exp(-2.0 * np.sqrt(2.0))),
                         atol=1e-8)
@@ -449,7 +456,7 @@ class TestOptimalProfile:
 
     def test_pointwise_equipartition_identity(self):
         # gamma dv/ds = sqrt(2 W_n(v)) along the profile
-        spec = wells.constant_quartic(0.0, 1.5)
+        spec = wells.linear_wells_quartic(0.0, 0.0, 1.5, 0.0)
         s = np.linspace(-2.0, 2.0, 9)
         delta = 1e-5
         vp = (wells.optimal_profile(spec, 0.3, s + delta)
@@ -471,7 +478,7 @@ class TestProfileGrid:
         assert_allclose(batch, single, atol=1e-7)
 
     def test_exact_for_quartic_family(self):
-        spec = wells.constant_quartic(0.0, 2.0, amplitude=3.0)
+        spec = quartic(0.0, 2.0, 3.0)
         rng = np.random.default_rng(8)
         pts = rng.uniform(0.0, 1.0, size=(50, 1))
         s = rng.uniform(-6.0, 6.0, size=50)
@@ -594,19 +601,19 @@ def quartic_wells(draw, dim):
     kind = draw(hst.sampled_from(("constant", "affine", "exp", "linear")))
     if kind == "constant":
         a0 = draw(hst.floats(-1.0, 1.0))
-        return wells.constant_quartic(a0, a0 + draw(hst.floats(0.5, 2.0)),
-                                      amplitude=draw(hst.floats(0.2, 5.0)))
+        return quartic(a0, a0 + draw(hst.floats(0.5, 2.0)),
+                       draw(hst.floats(0.2, 5.0)))
     if kind == "affine":
-        return wells.affine_scaled_quartic(offset=draw(hst.floats(0.5, 2.0)),
-                                           slope=draw(hst.floats(-0.4, 2.0)),
-                                           axis=axis)
+        return along_axis(wells.affine_scaled_quartic(
+            offset=draw(hst.floats(0.5, 2.0)),
+            slope=draw(hst.floats(-0.4, 2.0))), axis)
     if kind == "exp":
-        return wells.exp_scaled_quartic(draw(hst.floats(-1.0, 1.0)),
-                                        axis=axis)
+        return along_axis(wells.exp_scaled_quartic(
+            draw(hst.floats(-1.0, 1.0))), axis)
     a0 = draw(hst.floats(-0.5, 0.5))
-    return wells.linear_wells_quartic(
+    return along_axis(wells.linear_wells_quartic(
         a0, draw(hst.floats(-0.3, 0.3)), a0 + draw(hst.floats(0.8, 1.5)),
-        draw(hst.floats(-0.3, 0.3)), axis=axis)
+        draw(hst.floats(-0.3, 0.3))), axis)
 
 
 # offsets of a coefficient, with the zeros and non-finite values that
@@ -626,25 +633,25 @@ def checked_wells(draw, dim):
     kind = draw(hst.sampled_from(FACTORY_KINDS + ("canonical",)))
     if kind == "constant":
         a0 = draw(hst.floats(-1.0, 1.0))
-        return wells.constant_quartic(
+        return quartic(
             a0, a0 + draw(hst.floats(-0.5, 1.0)),
             draw(hst.one_of(hst.floats(0.2, 5.0), hst.just(np.inf))))
     if kind == "affine":
-        return wells.affine_scaled_quartic(draw(hst.floats(-1.0, 2.0)),
-                                           draw(slope), axis)
+        return along_axis(wells.affine_scaled_quartic(
+            draw(hst.floats(-1.0, 2.0)), draw(slope)), axis)
     if kind == "exp":
         # m = exp(2 kappa x_axis) underflows to 0 at the far cells for
         # kappa below about -400
-        return wells.exp_scaled_quartic(draw(hst.one_of(
+        return along_axis(wells.exp_scaled_quartic(draw(hst.one_of(
             hst.floats(-1.0, 1.0), hst.floats(-500.0, -300.0),
-            hst.just(np.nan))), axis)
+            hst.just(np.nan)))), axis)
     if kind == "linear":
-        return wells.linear_wells_quartic(
+        return along_axis(wells.linear_wells_quartic(
             draw(hst.floats(-1.0, 1.0)), draw(slope),
-            draw(hst.floats(-1.0, 1.0)), draw(slope), axis)
-    return wells.canonical_quartic(*(
+            draw(hst.floats(-1.0, 1.0)), draw(slope)), axis)
+    return along_axis(wells.canonical_quartic(*(
         part for _ in range(3)
-        for part in wells._coefficient(draw(_OFFSETS), draw(slope), axis)))
+        for part in wells._coefficient(draw(_OFFSETS), draw(slope)))), axis)
 
 
 # lattice coordinates make points share a well; beyond +-34/rate the
@@ -700,7 +707,7 @@ class TestProfileGridMatchesSteppingMarch:
         assert wells._PROFILE_POINTS < 64 * 160
         spec = wells.affine_scaled_quartic(offset=1.0, slope=2.0)
         if kind == "constant":
-            spec = wells.constant_quartic(0.0, 1.5, amplitude=2.0)
+            spec = quartic(0.0, 1.5, 2.0)
         elif kind == "both_axes":
             spec = wells.canonical_quartic(
                 a=lambda x: 0.3 * x[..., 1], grad_a=lambda x: np.stack(
@@ -894,7 +901,7 @@ class TestBind:
 
     def test_constant_coefficients_collapse_to_scalars(self):
         pts = Grid((0.0, 0.0), (1.0, 1.0), (8, 8)).points()
-        bound = wells.bind(wells.exp_scaled_quartic(0.5, axis=1), pts)
+        bound = wells.bind(along_axis(wells.exp_scaled_quartic(0.5), 1), pts)
         assert np.ndim(bound.a) == np.ndim(bound.b) == 0
         assert (bound.a, bound.b) == (0.0, 1.0)
         assert bound.m.shape == (8, 8)
@@ -920,11 +927,11 @@ class TestEntryPointsRejectABrokenWell:
         state = flow.PhaseState(Field.constant(grid, 0.5), 0.15)
 
         def tripwire(*args, **kwargs):
-            raise AssertionError("a state was built or stepped")
+            raise AssertionError("a profile or a state was built or stepped")
 
-        for module, attr in ((var, "Field"), (var, "PhaseState"),
-                             (flow, "energy_face"), (flow, "_march"),
-                             (flow, "_bb_descent")):
+        for module, attr in ((var, "optimal_profile_grid"), (var, "Field"),
+                             (var, "PhaseState"), (flow, "energy_face"),
+                             (flow, "_march"), (flow, "_bb_descent")):
             monkeypatch.setattr(module, attr, tripwire)
         calls = {
             "build_recovery": lambda: var.build_recovery(
@@ -936,6 +943,36 @@ class TestEntryPointsRejectABrokenWell:
         }
         with pytest.raises(GeometryError, match="must be finite and positive"):
             calls[entry]()
+
+
+class TestSigmaRoutesRejectABrokenWell:
+    # each sigma route checks the double well at all its positions before
+    # any quadrature: the crossing well used to give sigma = -6.4677e-4 at
+    # x_0 = 0.95, and x_0 = 0.2 is where the negative amplitude is negative
+    @pytest.mark.parametrize("name", sorted(BROKEN_WELLS))
+    @pytest.mark.parametrize("route", ("sigma_exact", "closed-form value",
+                                       "closed-form grad", "surface_tension",
+                                       "quadrature grad", "geodesic_distance"))
+    def test_raises_before_any_quadrature(self, monkeypatch, route, name):
+        spec = BROKEN_WELLS[name]
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("a quadrature ran")
+
+        for module in (wells, sharp):
+            monkeypatch.setattr(module, "adaptive_gauss_legendre", tripwire)
+        routes = {
+            "sigma_exact": spec.sigma_exact,
+            "closed-form value": sharp.sigma_field_of(spec).value,
+            "closed-form grad": sharp.sigma_field_of(spec).grad,
+            "surface_tension": lambda x: wells.surface_tension(spec, x),
+            "quadrature grad": sharp.sigma_from_well(spec).grad,
+            "geodesic_distance": lambda x: wells.geodesic_distance(spec, x,
+                                                                   1.0),
+        }
+        pts = np.array([[0.5, 0.5], [0.95, 0.5], [0.2, 0.5]])
+        with pytest.raises(GeometryError, match="must be finite and positive"):
+            routes[route](pts)
 
 
 # values of u, a and b: near the wells, signed zeros, subnormals and
