@@ -319,24 +319,19 @@ def run_minimizing_movements(grid_n: int = 512, eps: float = 0.05,
 # dissipation order
 # ---------------------------------------------------------------------------
 
-def _halving_rate(dt_list, factor) -> list:
-    """``dt_list`` largest first; ValueError unless each step halves the
-    one before (relative 1e-9) and the rate ``factor`` > 1."""
-    dts = sorted(dt_list, reverse=True)
-    if not (factor > 1 and all(abs(b - a / 2) <= 1e-9 * a / 2
-                               for a, b in zip(dts, dts[1:]))):
-        raise ValueError(f"need halving dts and factor > 1: {dts}, {factor}")
-    return dts
-
-
 def run_dissipation(grid_n: int = 256, eps: float = 0.02,
                     dt_list=(3.5e-5, 1.75e-5, 8.75e-6, 4.375e-6),
                     t_end: float = 0.0196,
                     factor: float = 1.8) -> ExperimentResult:
     """Dissipation defect of the 1-d standing-profile run: first order in dt
     past the stiff initial layer, so the ratio per halving nears 2 (1.835,
-    1.907, 1.950); the check judges the finest, the CSV keeps them all."""
-    dts = _halving_rate(dt_list, factor)
+    1.907, 1.950); the check judges the finest, the CSV keeps them all.
+    ValueError, before any computation, unless each dt (largest first)
+    halves the one before (relative 1e-9) and the rate ``factor`` > 1."""
+    dts = sorted(dt_list, reverse=True)
+    if not (factor > 1 and all(abs(b - a / 2) <= 1e-9 * a / 2
+                               for a, b in zip(dts, dts[1:]))):
+        raise ValueError(f"need halving dts and factor > 1: {dts}, {factor}")
     res = ExperimentResult("dissipation",
                            csv_header=["dt", "defect", "ratio_to_previous"])
     spec = wells.constant_quartic()

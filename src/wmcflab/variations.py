@@ -38,7 +38,7 @@ from .wells import (WellSpec, bind, grad_gamma, normalized_well,
                     normalized_well_dx, optimal_profile_grid)
 
 _NORMAL_THRESHOLD = 1e-12
-# eps must span this many grid spacings (read by ``cli.resolve`` too)
+# eps must span this many grid spacings
 _CELLS_PER_EPS = 4.0
 
 

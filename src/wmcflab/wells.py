@@ -80,7 +80,8 @@ class WellSpec:
     -> (...); ``grad_a``, ``grad_b`` and ``grad_amplitude`` map (..., d)
     -> (..., d). ``W`` and ``dW_du`` map (positions or a ``BoundQuartic``,
     u) to (...); ``dW_dx`` maps (positions, u) to (..., d). No separation
-    is declared: ``bind`` checks m > 0 and b - a > 0 on a run's points.
+    is declared: ``bind``, the sigma routes and the profile routes check
+    m > 0 and b - a > 0 at the points they read.
     sigma = sqrt(2 m) gamma^3 / 6 and the equipartitioned profile is
     logistic with rate sqrt(2 m) gamma.
     """
@@ -103,8 +104,9 @@ class WellSpec:
 
     def profile_rate(self, x) -> np.ndarray:
         x = as_points(x)
-        g = self.b(x) - self.a(x)
-        return np.sqrt(2.0 * self.amplitude(x)) * g
+        m = self.amplitude(x)
+        g = _checked_gap(m, self.a(x), self.b(x))
+        return np.sqrt(2.0 * m) * g
 
     def profile_exact(self, x, s) -> np.ndarray:
         rate = self.profile_rate(x)
@@ -113,9 +115,9 @@ class WellSpec:
 
 def _checked_gap(m, a, b):
     """The separation b - a, once the double well is checked: GeometryError
-    unless m and b - a are finite and positive at every point. ``bind``
-    and the sigma routes check all their positions, before any
-    quadrature."""
+    unless m and b - a are finite and positive at every point. ``bind``,
+    the sigma routes and the profile routes check all their positions,
+    before any quadrature or profile solve."""
     with np.errstate(invalid="ignore", over="ignore"):
         gap = b - a
     for name, c in (("amplitude m", m), ("separation b - a", gap)):
@@ -222,7 +224,8 @@ def optimal_profile(spec: WellSpec, x, s):
     that equipartitions the energy pointwise, so u = a + gamma v recovers
     the surface tension exactly in 1-d. Integration is an adaptive
     embedded Runge-Kutta pair; values beyond the window where the tails
-    are below 1e-12 clamp to 0/1, and a NaN s raises GeometryError. The
+    are below 1e-12 clamp to 0/1; a NaN s, and a position where m or
+    b - a is not finite and positive, raise GeometryError. The
     exact result is ``spec.profile_exact``, the logistic profile with
     rate sqrt(2 m) gamma.
     """
@@ -230,7 +233,7 @@ def optimal_profile(spec: WellSpec, x, s):
     x = as_points(x)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     _reject_nan(s_arr)
-    gam = float(spec.b(x) - spec.a(x))
+    gam = float(_checked_gap(spec.amplitude(x), spec.a(x), spec.b(x)))
 
     def rhs(_, v):
         wn = normalized_well(spec, x, float(v[0]))
@@ -309,10 +312,10 @@ def _well_classes(spec: WellSpec, pts: np.ndarray):
     each sorted point (int32, nondecreasing) and, per class, a, b - a and
     one representative position; points of one class share the triple
     (a, b, m) and so W(x, .). Classes are found by lexsort, change flags
-    and a cumulative sum.
+    and a cumulative sum; GeometryError unless every class is a double
+    well (``_checked_gap`` on the representatives).
     """
-    a, b = spec.a(pts), spec.b(pts)
-    keys = (a, b, spec.amplitude(pts))
+    a, b, m = keys = (spec.a(pts), spec.b(pts), spec.amplitude(pts))
     order = np.lexsort(keys)
     new = np.zeros(a.size, dtype=bool)
     new[0] = True
@@ -321,7 +324,7 @@ def _well_classes(spec: WellSpec, pts: np.ndarray):
         new[1:] |= key[1:] != key[:-1]
     cls = np.cumsum(new, dtype=np.int32) - 1
     rep = order[new]
-    return order, cls, a[rep], b[rep] - a[rep], pts[rep]
+    return order, cls, a[rep], _checked_gap(m[rep], a[rep], b[rep]), pts[rep]
 
 
 def _arclength_table(spec: WellSpec, a, g, x, sgn: float):

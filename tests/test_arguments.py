@@ -1,24 +1,22 @@
 """The acceptance arguments are the runners' defaults.
 
 The defaults are the one copy: ``test_acceptance.py`` calls every runner
-with them. They are also written out in the benchmark's workloads
-(``perfbench/workloads.py``) and in the shipped configs
-(``configs/*.cfg``). These tests hold both copies equal to the defaults,
-so a changed default cannot leave the benchmark or a config measuring a
+with them, and ``wmcf run`` calls the runner of a config with no
+arguments (a config names an experiment and an ``out_dir``, and can carry
+no argument). The benchmark's workloads (``perfbench/workloads.py``)
+write some of them out by keyword; this test holds those equal to the
+defaults, so a changed default cannot leave the benchmark measuring a
 different run. ``perfbench/`` is only read.
 """
 
-import glob
 import inspect
 import os
 
 import pytest
 
-from wmcflab import cli
 from wmcflab.experiments import REGISTRY
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
 
 
 def load_workloads():
@@ -52,12 +50,3 @@ def test_workload_arguments_are_runner_defaults(workload, name, kwargs):
     assert set(kwargs) <= set(expected)
     assert {k: expected[k] for k in kwargs} == kwargs
 
-
-@pytest.mark.parametrize("path", CONFIGS,
-                         ids=[os.path.basename(p) for p in CONFIGS])
-def test_config_arguments_are_runner_defaults(path):
-    entries = cli.parse_config(path)
-    _, kwargs, _, problems = cli.resolve(entries)
-    assert problems == []
-    expected = defaults(entries["experiment"])
-    assert {k: expected[k] for k in kwargs} == kwargs

@@ -646,8 +646,9 @@ class TestGronwallTimes:
             calib.gronwall_verify(pert, cal, times)
 
     def test_run_exits_2_without_times(self, tmp_path):
-        assert cli.run_experiment("weak_strong", run_weak_strong,
-                                  {"n_times": 0}, str(tmp_path)) == 2
+        assert cli.run_experiment("weak_strong",
+                                  lambda: run_weak_strong(n_times=0),
+                                  str(tmp_path)) == 2
 
 
 def test_invariant_report():

@@ -12,12 +12,12 @@ from hypothesis import strategies as hst
 
 from wmcflab import calib, experiments, flow, sharp, testfields as tf
 from wmcflab import variations as var, wells
-from wmcflab.errors import GeometryError
+from wmcflab.errors import GeometryError, ResolutionError
 from wmcflab.experiments import (Check, ExperimentResult, _sweep_part, holds,
                                  run_ac_to_mcf_1d_drift, run_ac_to_mcf_radial,
-                                 run_dissipation, run_first_variation,
-                                 run_gibbs_thomson, run_minimizing_movements,
-                                 run_weak_strong)
+                                 run_dissipation, run_equipartition,
+                                 run_first_variation, run_gibbs_thomson,
+                                 run_minimizing_movements, run_weak_strong)
 
 from test_arguments import defaults
 
@@ -491,6 +491,32 @@ def test_reference_that_stops_early_raises_first(monkeypatch, name, t_end):
         experiments.REGISTRY[name][0](t_end=t_end)
     found = re.search(r"stops at t = (\S+),", str(info.value))
     assert abs(float(found.group(1)) - stop) <= 1e-9
+
+
+# Arguments a runner rejects before it computes a verdict: an interface
+# too close to the wall for its recovery state, an eps under 4 spacings,
+# a sharp reference that stops before t_end (the p0 = 0.1 point reaches 0
+# at t = 0.02), a stationarity tolerance no descent is relied on to
+# reach, and a dt that does not divide the time span. A config cannot
+# set them; these calls are the Python API's guard, and ``wmcf run``
+# maps each error to exit 2.
+@pytest.mark.parametrize("runner, kwargs, error, fragment", [
+    (run_gibbs_thomson, {"radius": 0.45}, GeometryError, "interface margin"),
+    (run_equipartition, {"grid_n": 64, "eps_list": (0.3, 0.2)},
+     GeometryError, "interface margin"),
+    (run_equipartition, {"grid_n": 128, "eps_list": (0.02, 0.01)},
+     ResolutionError, "under-resolved"),
+    (run_ac_to_mcf_1d_drift, {"kappa": 5.0, "p0": 0.1}, GeometryError,
+     "sharp reference stops"),
+    (run_gibbs_thomson, {"residual_tol": 0.0}, ValueError,
+     "tol_residual must be positive"),
+    (run_dissipation, {"t_end": 0.01}, ValueError,
+     "does not divide the time span"),
+], ids=["gibbs_thomson-wall", "equipartition-wall", "equipartition-grid",
+        "drift-stops", "gibbs_thomson-tolerance", "dissipation-span"])
+def test_runner_rejects_its_arguments(runner, kwargs, error, fragment):
+    with pytest.raises(error, match=fragment):
+        runner(**kwargs)
 
 
 def test_minimizing_movements_box_comes_from_the_well(monkeypatch):

@@ -8,8 +8,8 @@ reason. The scan reads the source with ``ast``:
 * in scope are the module-level functions of ``src/wmcflab/*.py`` and
   the methods of its module-level classes, except names that start with
   ``_``; a class's ``__init__`` is reached through calls of the class
-  name. ``experiments.run_*`` is left out: ``cli.resolve`` and the
-  benchmark reach the runners' parameters by keyword;
+  name. ``experiments.run_*`` is left out: tests size the runners down
+  and the benchmark's workloads pass their parameters by keyword;
 * a default is set when some call in ``src/`` or ``demos/`` whose callee
   name matches (a bare name or an attribute) passes it by position or
   by keyword, or passes ``*`` or ``**``.

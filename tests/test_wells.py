@@ -786,6 +786,21 @@ class TestProfileArclength:
                               [1.0, 0.0])
 
 
+    # a = 1.2 x_0 crosses b = 1 at x_0 = 5/6: at x = (0.95, 0.3), b - a is
+    # -0.14, and each profile route must name the well before it computes
+    @pytest.mark.parametrize("route", [
+        lambda spec, x: spec.profile_rate(x),
+        lambda spec, x: spec.profile_exact(x, 1.0),
+        lambda spec, x: wells.optimal_profile(spec, x, 1.0),
+        lambda spec, x: wells.optimal_profile_grid(spec, x[None],
+                                                   np.array([1.0])),
+    ], ids=["rate", "exact", "solver", "grid"])
+    def test_crossed_wells_are_rejected(self, route):
+        spec = wells.linear_wells_quartic(0.0, 1.2, 1.0, 0.0)
+        with pytest.raises(GeometryError, match="separation b - a"):
+            route(spec, np.array([0.95, 0.3]))
+
+
 class TestProfileGridProperties:
     @settings(max_examples=150, deadline=None)
     @given(profile_problems())
