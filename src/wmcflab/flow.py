@@ -740,11 +740,13 @@ def minimize_constrained(spec: WellSpec, grid: Grid, eps: float, mass: float,
     NumericError, with the current iterate as ``last_iterate``, when the
     descent stops (line search exhausted or ``_MAX_ITER`` reached) with
     the residual still above ``tol_residual`` or not finite, and
-    ValueError, before any descent, when ``tol_residual`` is not positive:
-    a rounded residual is not relied on to reach 0.
+    ValueError, before any descent, when ``tol_residual`` is not positive
+    and finite: a rounded residual is not relied on to reach 0, and an
+    infinite one would pass the starting iterate.
     """
-    if not tol_residual > 0:   # NaN too
-        raise ValueError(f"tol_residual must be positive, got {tol_residual}")
+    if not 0 < tol_residual < math.inf:   # NaN too
+        raise ValueError(f"tol_residual must be positive and finite, got "
+                         f"{tol_residual}")
     bound = bind(spec, grid.points())
     mean_a = float(np.mean(bound.a))
     mean_b = float(np.mean(bound.b))

@@ -2,6 +2,7 @@
 
 import builtins
 import glob
+import inspect
 import os
 import re
 import subprocess
@@ -137,6 +138,20 @@ class TestValidateConfig:
         assert cli.main(["run", path]) == 2
         assert capsys.readouterr().err.splitlines() == lines
         assert not (tmp_path / "out").exists()
+
+    # The format used to take grid.n, eps, t_end and tol.<p> for the float
+    # parameters p of a runner. None of them, and no bare parameter name,
+    # reaches a runner now: each is one problem, in the order written.
+    @pytest.mark.parametrize("name", sorted(cli.REGISTRY))
+    def test_no_key_reaches_a_runner_parameter(self, name):
+        runner = cli.REGISTRY[name][0]
+        params = list(inspect.signature(runner).parameters)
+        keys = list(dict.fromkeys(["grid.n", "eps", "t_end", *params,
+                                   *(f"tol.{p}" for p in params)]))
+        entries = {"experiment": name, **dict.fromkeys(keys, "1"),
+                   "out_dir": "results"}
+        assert cli.resolve(entries) == (
+            runner, "results", [f"{k}: unknown key" for k in keys])
 
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,

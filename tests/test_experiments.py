@@ -15,9 +15,10 @@ from wmcflab import variations as var, wells
 from wmcflab.errors import GeometryError, ResolutionError
 from wmcflab.experiments import (Check, ExperimentResult, _sweep_part, holds,
                                  run_ac_to_mcf_1d_drift, run_ac_to_mcf_radial,
-                                 run_dissipation, run_equipartition,
-                                 run_first_variation, run_gibbs_thomson,
-                                 run_minimizing_movements, run_weak_strong)
+                                 run_calibration, run_dissipation,
+                                 run_equipartition, run_first_variation,
+                                 run_gibbs_thomson, run_minimizing_movements,
+                                 run_weak_strong)
 
 from test_arguments import defaults
 
@@ -515,6 +516,35 @@ def test_reference_that_stops_early_raises_first(monkeypatch, name, t_end):
 ], ids=["gibbs_thomson-wall", "equipartition-wall", "equipartition-grid",
         "drift-stops", "gibbs_thomson-tolerance", "dissipation-span"])
 def test_runner_rejects_its_arguments(runner, kwargs, error, fragment):
+    with pytest.raises(error, match=fragment):
+        runner(**kwargs)
+
+
+# A non-finite argument is rejected before a verdict: an infinite
+# stationarity tolerance used to stop the Gibbs-Thomson descent at
+# iteration 0 with its residual check passed. An infinite or NaN eps in a
+# sweep, and a non-finite t_end, never reach a run.
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("runner, kwargs, error, fragment", [
+    (run_gibbs_thomson, {"residual_tol": INF}, ValueError,
+     "tol_residual must be positive and finite"),
+    (run_gibbs_thomson, {"residual_tol": -INF}, ValueError,
+     "tol_residual must be positive and finite"),
+    *((runner, {"t_end": t_end}, ValueError,
+       "t_end must be finite and positive")
+      for runner in (run_calibration, run_weak_strong)
+      for t_end in (INF, NAN, -INF)),
+    (run_equipartition, {"grid_n": 64, "eps_list": (INF, 0.1)},
+     GeometryError, "interface margin"),
+    (run_equipartition, {"grid_n": 64, "eps_list": (0.1, NAN)},
+     GeometryError, "is NaN"),
+], ids=["gibbs_thomson-inf", "gibbs_thomson--inf",
+        *(f"{name}-{t_end}" for name in ("calibration", "weak_strong")
+          for t_end in ("inf", "nan", "-inf")),
+        "equipartition-inf", "equipartition-nan"])
+def test_non_finite_argument_is_rejected(runner, kwargs, error, fragment):
     with pytest.raises(error, match=fragment):
         runner(**kwargs)
 

@@ -559,11 +559,12 @@ class TestConstrainedMinimization:
                                       Field(g, u0), tol_residual=1e-16)
         assert exc.value.last_iterate is not None
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
     def test_unreachable_tolerance_raises_before_descent(self, monkeypatch,
                                                          tol):
         # a tolerance of 0 used to run all _MAX_ITER iterations (about 21 s
-        # for Gibbs-Thomson on 64^2), then raise NumericError
+        # for Gibbs-Thomson on 64^2), then raise NumericError; an infinite
+        # one used to stop at iteration 0 with its residual check passed
         monkeypatch.setattr(flow, "_bb_descent", None)
         g = Grid.box((0, 0), (1, 1), (32, 32))
         with pytest.raises(ValueError, match="tol_residual must be positive"):
