@@ -1,9 +1,7 @@
 """Tour of the heterogeneous double-well machinery.
 
-Builds a quartic well whose upper branch moves across the domain, prints
-every derived quantity against its closed form, and validates the
-structural assumptions (quadratic growth, coercivity, derivative control)
-on a sample lattice.
+Builds a quartic well whose upper branch moves across the domain and
+prints every derived quantity against its closed form.
 
 Run:  python demos/wells_and_profiles.py
 """
@@ -35,13 +33,3 @@ for s in (-2.0, -0.5, 0.0, 0.5, 2.0):
     v = wells.optimal_profile(spec, x0, s)
     print(f"  s = {s:5.2f}: v = {v:.8f}   logistic({rate:.4f} s) = "
           f"{float(spec.profile_exact(np.array([x0]), s)):.8f}")
-
-print("\nstructural assumptions on a lattice (report only):")
-pts = np.linspace(0.05, 0.95, 13).reshape(-1, 1)
-us = np.linspace(-0.5, 1.6, 43)
-rep = wells.validate_assumptions(spec, pts, us)
-print(f"  quadratic growth constants: C1 = {rep.c1_quadratic:.4f}, "
-      f"C2 = {rep.c2_quadratic:.4f}")
-print(f"  L2 coercivity constant:     C  = {rep.c_coercive:.4f}")
-print(f"  derivative control:         C  = {rep.c_derivative_control:.4f}")
-print(f"  violations: {rep.violations or 'none'}")

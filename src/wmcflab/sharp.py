@@ -189,6 +189,10 @@ class Point1D:
         val = x[..., 0] if x.shape and x.shape[-1] == 1 else x
         return val - self.p
 
+    def margin(self, grid) -> float:
+        """Distance from the point to the nearer end of ``grid``."""
+        return min(self.p - grid.lower[0], grid.upper[0] - self.p)
+
     def boundary_nodes(self, n: int = 1):
         pts = np.array([[self.p]])
         weights = np.array([1.0])
@@ -217,6 +221,14 @@ class Sphere:
     def signed_distance(self, x) -> np.ndarray:
         dx = np.asarray(x, dtype=float) - np.array(self.center)
         return self.radius - point_norm(dx)
+
+    def margin(self, grid) -> float:
+        """Distance from the sphere to the nearest wall of ``grid``."""
+        gaps = []
+        for ax in range(grid.dim):
+            c = self.center[ax]
+            gaps.append(min(c - grid.lower[ax], grid.upper[ax] - c))
+        return min(gaps) - self.radius
 
     def boundary_nodes(self, n: int = 1024):
         """Uniform angular nodes with trapezoid weights (2-d spheres).
@@ -266,7 +278,7 @@ class SharpTrajectory:
     ``position`` and ``velocity`` (V in the n_A convention) evaluate the
     flow's dense callables ``_dense`` and ``_vel`` at any time in
     [times[0], times[-1]] and raise GeometryError outside it (to 1e-12
-    max(1, t_end)), where the trajectory was never computed. The flows
+    max(1, times[-1])), where the trajectory was never computed. The flows
     here span [0, t_end] exactly, or raise where they would stop.
 
     ``position(ts)`` on an array and ``position(t)`` at each scalar of it
@@ -315,10 +327,6 @@ class SharpTrajectory:
         if self.center is None:
             return Point1D(pos)
         return Sphere(self.center, pos)
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
 
 
 def _stopped_early(t_stop: float, t_end: float) -> GeometryError:

@@ -31,8 +31,7 @@ from .errors import GeometryError, ResolutionError
 from .flow import PhaseState, Reading, read
 from .grid import (Field, Grid, gradient_neumann, integrate, laplacian_neumann,
                    pair_density)
-from .sharp import (Point1D, Sphere, sharp_first_variation, sigma_field_of,
-                    weighted_perimeter)
+from .sharp import sharp_first_variation, sigma_field_of, weighted_perimeter
 from .testfields import TestVectorField
 from .wells import (WellSpec, bind, grad_gamma, normalized_well,
                     normalized_well_dx, optimal_profile_grid)
@@ -40,19 +39,6 @@ from .wells import (WellSpec, bind, grad_gamma, normalized_well,
 _NORMAL_THRESHOLD = 1e-12
 # eps must span this many grid spacings
 _CELLS_PER_EPS = 4.0
-
-
-def interface_boundary_margin(interface, grid: Grid) -> float:
-    """Distance from the interface to the domain boundary."""
-    if isinstance(interface, Sphere):
-        gaps = []
-        for ax in range(grid.dim):
-            c = interface.center[ax]
-            gaps.append(min(c - grid.lower[ax], grid.upper[ax] - c))
-        return min(gaps) - interface.radius
-    if isinstance(interface, Point1D):
-        return min(interface.p - grid.lower[0], grid.upper[0] - interface.p)
-    raise TypeError("parametrized interface required")
 
 
 @dataclass(frozen=True)
@@ -74,7 +60,7 @@ def build_recovery(interface, spec: WellSpec, grid: Grid,
 
     Three checks guard it: eps >= 4 max spacing, the profile resolution
     (``ResolutionError``); an interface >= 2 eps from the domain boundary
-    (``GeometryError``), where the truncated profile tail is
+    (``interface.margin(grid)``, else ``GeometryError``), where the truncated profile tail is
     exp(-sqrt(2) margin/eps) per unit of gamma, below 6e-2; and the built
     energy within the guard of the weighted perimeter under
     ``sigma_field_of(spec)``, which it matches to O(eps) + O(h^2/eps^2)
@@ -88,7 +74,7 @@ def build_recovery(interface, spec: WellSpec, grid: Grid,
     floor = _CELLS_PER_EPS * hmax
     if eps < floor:
         raise ResolutionError(f"eps={eps} under-resolved: needs >= {floor}")
-    margin = interface_boundary_margin(interface, grid)
+    margin = interface.margin(grid)
     if margin < 2.0 * eps:
         raise GeometryError(f"interface margin {margin:.4g} below 2.0 * eps")
     pts = grid.points()

@@ -31,7 +31,7 @@ and the descent also call, in place, with the differences they share
 between a state's energy and its reaction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -448,8 +448,10 @@ def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray):
     per point block. Exact up to roundoff, since ds/dtau =
     1/(sqrt(2 m) gamma) is constant in tau for the quartic. Targets
     beyond the window (tails below 1e-14) clamp to 0/1; a NaN target
-    raises GeometryError, and points whose shape is not s.shape + (d,)
-    raise ValueError.
+    raises GeometryError, as does a point where the well is not a double
+    well (``_checked_gap`` on each class where s != 0 and on each point
+    where s = 0), and points whose shape is not s.shape + (d,) raise
+    ValueError.
 
     Points are grouped by (a, b, m), so a well that varies along one axis
     of an n^d grid builds n tables, and a constant well one. Tables are
@@ -469,6 +471,9 @@ def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray):
     flat_pts = points.reshape(-1, points.shape[-1])
     flat_s = s.reshape(-1)
     out = np.full(flat_s.shape, 0.5)
+    if not flat_s.all():  # the sign loop checks the wells where s != 0
+        zero = flat_pts[flat_s == 0]
+        _checked_gap(spec.amplitude(zero), spec.a(zero), spec.b(zero))
 
     for sgn in (1.0, -1.0):
         active = np.flatnonzero(sgn * flat_s > 0)
@@ -487,99 +492,6 @@ def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray):
                                                  targets[p], sgn)
 
     return out.reshape(s.shape)
-
-
-# ---------------------------------------------------------------------------
-# structural assumptions
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AssumptionReport:
-    """Empirical constants for the growth and derivative-control bounds."""
-
-    c1_quadratic: float
-    c2_quadratic: float
-    c_coercive: float
-    c_derivative_control: float
-    n_samples: int
-    violations: list = field(default_factory=list)
-
-
-def validate_assumptions(spec: WellSpec, positions,
-                         u_values) -> AssumptionReport:
-    """Probe the structural bounds on a sample lattice (report-only).
-
-    Checks, empirically over positions x u_values:
-      * W >= 0 and W = 0 exactly on the wells, b - a > 0 at every
-        sampled position (touching wells are flagged, not raised);
-      * quadratic growth near the wells: C1 d^2 <= W <= C2 d^2 where
-        d = min(|u-a|, |u-b|) < 1;
-      * L2 coercivity W >= |u|^2/C - C (smallest pointwise C reported);
-      * derivative control |partial_x sqrt(W_n)| <= C sqrt(W_n), via
-        centered differences in x with step 1e-5, only where
-        W_n > 1e-12.
-    A sampled ratio above 1e6 is flagged as a violation.
-    """
-    pts = as_points(positions).reshape(-1, np.shape(as_points(positions))[-1])
-    us = np.asarray(u_values, dtype=float).reshape(-1)
-    violations = []
-
-    av = spec.a(pts)
-    bv = spec.b(pts)
-    if np.any(bv - av <= 0):
-        violations.append("wells touch or cross (b - a <= 0)")
-    w_at_a = spec.W(pts, av)
-    w_at_b = spec.W(pts, bv)
-    if np.max(np.abs(w_at_a)) > 1e-12 or np.max(np.abs(w_at_b)) > 1e-12:
-        violations.append("W does not vanish on the wells")
-
-    X = np.repeat(pts, len(us), axis=0)
-    U = np.tile(us, len(pts))
-    Wv = spec.W(X, U)
-    if np.min(Wv) < -1e-12:
-        violations.append("W takes negative values")
-
-    A = np.repeat(av, len(us))
-    B = np.repeat(bv, len(us))
-    d = np.minimum(np.abs(U - A), np.abs(U - B))
-    near = (d > 1e-6) & (d < 1.0)
-    if np.any(near):
-        ratio = Wv[near] / d[near] ** 2
-        c1, c2 = float(np.min(ratio)), float(np.max(ratio))
-    else:
-        c1 = c2 = float("nan")
-    if np.isfinite(c2) and c2 > 1e6:
-        violations.append("quadratic-growth ratio exceeds blow-up threshold")
-
-    c_coer = float(np.max((-Wv + np.sqrt(Wv ** 2 + 4.0 * U ** 2)) / 2.0))
-
-    # derivative control on the normalized well, frozen v = (u - a) / gamma;
-    # v is NaN where the wells touch, and W_n there is left out
-    V = np.divide(U - A, B - A, out=np.full(U.shape, np.nan), where=B != A)
-    wn = normalized_well(spec, X, V)
-    mask = wn > 1e-12
-    n_deriv = int(np.count_nonzero(mask))
-    if n_deriv:
-        Xm, Vm = X[mask], V[mask]
-        sq = np.sqrt(wn[mask])
-        dim = pts.shape[-1]
-        grad = np.zeros((n_deriv, dim))
-        for ax in range(dim):
-            shift = np.zeros(dim)
-            shift[ax] = 1e-5
-            wp = normalized_well(spec, Xm + shift, Vm)
-            wm = normalized_well(spec, Xm - shift, Vm)
-            grad[:, ax] = (np.sqrt(np.maximum(wp, 0.0))
-                           - np.sqrt(np.maximum(wm, 0.0))) / 2e-5
-        ratio = point_norm(grad) / sq
-        c_deriv = float(np.max(ratio))
-        if c_deriv > 1e6:
-            violations.append("derivative-control ratio exceeds blow-up "
-                              "threshold")
-    else:
-        c_deriv = float("nan")
-
-    return AssumptionReport(c1, c2, c_coer, c_deriv, len(Wv), violations)
 
 
 # ---------------------------------------------------------------------------

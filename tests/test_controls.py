@@ -278,7 +278,7 @@ def test_11_shifted_identical_data_fails_first_check(monkeypatch):
 
     def shifted(weak, cal, times, **kwargs):
         if weak is cal.traj:  # the identical-data case
-            weak = ex._radial_reference(0.4 + 1e-3, cal.traj.t_end)
+            weak = ex._radial_reference(0.4 + 1e-3, cal.traj.times[-1])
         return verify(weak, cal, times, **kwargs)
 
     monkeypatch.setattr(calib, "gronwall_verify", shifted)

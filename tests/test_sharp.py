@@ -152,7 +152,7 @@ class TestEvolveRadial:
                                         _vel=lambda t: np.full(np.shape(t),
                                                                -0.4))
         for traj in (near_extinction, full, sampled):
-            t_end = traj.t_end
+            t_end = traj.times[-1]
             for t in (t_end + 1e-9, -1e-9, 1.0 + t_end, np.nan,
                       np.array([0.0, t_end + 1e-9])):
                 with pytest.raises(GeometryError, match="outside"):
@@ -277,7 +277,7 @@ class TestEvolvePoint:
             return
         exact, ode = (sharp.evolve_point1d(0.7, route, 0.2, tol=1e-12)
                       for route in routes)
-        assert exact.t_end == ode.t_end == 0.2
+        assert exact.times[-1] == ode.times[-1] == 0.2
         assert_allclose(exact.positions, ode.positions, rtol=0, atol=1e-12)
         v_exact, v_ode = (traj.velocity(traj.times) for traj in (exact, ode))
         assert_allclose(v_exact, v_ode, rtol=0, atol=1e-10)
@@ -310,7 +310,7 @@ class TestEvolvePoint:
             return
         traj = sharp.evolve_point1d(p0, sig, t_end)
         assert np.all((traj.positions >= 0.0) & (traj.positions <= 1.0))
-        assert traj.t_end == t_end
+        assert traj.times[-1] == t_end
 
     @settings(max_examples=200, deadline=None)
     @given(hst.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -328,7 +328,7 @@ class TestEvolvePoint:
         except GeometryError:  # a stop before t_end: no trajectory
             return
         assert np.all((traj.positions >= 0.0) & (traj.positions <= 1.0))
-        assert traj.t_end == t_end
+        assert traj.times[-1] == t_end
 
     def test_unlocated_stop_is_a_numeric_error(self):
         # RK45 steps across p = 0, but its dense output at the step's ends
@@ -552,14 +552,14 @@ class TestBlockedOraclesMatchLoops:
                                            kappa):
         traj = sharp.evolve_radial(r0, sharp.exponential_scalar_sigma(0.7),
                                    0.02, tol=1e-12, center=CENTER)
-        t_prime = t_frac * traj.t_end
+        t_prime = t_frac * traj.times[-1]
         got = sharp.transport_residual(traj, self.ZETA, t_prime, n_t=n_t)
         ref = transport_residual_loop(traj, self.ZETA, t_prime, n_t)
         assert abs(got - ref) <= 1e-13 * abs(ref)
         traj = sharp.evolve_radial(
             r0, sharp.exponential_scalar_sigma(kappa, scale=0.3), 0.02,
             tol=1e-12, center=CENTER)
-        t_prime = t_frac * traj.t_end
+        t_prime = t_frac * traj.times[-1]
         got = sharp.dissipation_check(traj, t_prime, n_t=n_t,
                                       velocity_scale=scale)
         ref = dissipation_check_loop(traj, t_prime, n_t,

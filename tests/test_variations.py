@@ -20,6 +20,7 @@ from fieldcheck import along_axis, check_admissible, quartic, zero_field
 
 SQRT2_6 = 0.23570226039551587
 CENTER = (0.5, 0.5)
+BOX_128 = Grid.box((0, 0), (1, 1), (128, 128))
 
 
 def disk():
@@ -119,6 +120,28 @@ class TestBuildRecovery:
         g = Grid.box((0, 0), (1, 1), (256, 256))
         with pytest.raises(GeometryError):
             var.build_recovery(sharp.Sphere(CENTER, 0.45), spec, g, 0.04)
+
+    # an interface 0.99 * 2 eps from one wall raises, and 1.01 * 2 eps
+    # from it builds: both ends of an interval, and an off-centre circle
+    # at each of the four walls of the unit box
+    @pytest.mark.parametrize("interface, g", [
+        (lambda d: sharp.Point1D(d), Grid.interval(0.0, 1.0, 256)),
+        (lambda d: sharp.Point1D(1.0 - d), Grid.interval(0.0, 1.0, 256)),
+        (lambda d: sharp.Sphere((0.2 + d, 0.45), 0.2), BOX_128),
+        (lambda d: sharp.Sphere((0.8 - d, 0.45), 0.2), BOX_128),
+        (lambda d: sharp.Sphere((0.45, 0.2 + d), 0.2), BOX_128),
+        (lambda d: sharp.Sphere((0.45, 0.8 - d), 0.2), BOX_128),
+    ], ids=["1d-lower", "1d-upper", "x-lower", "x-upper", "y-lower",
+            "y-upper"])
+    def test_margin_guard_at_each_wall(self, interface, g):
+        spec, eps = wells.constant_quartic(), 0.04
+        near, clear = interface(0.99 * 2.0 * eps), interface(1.01 * 2.0 * eps)
+        assert near.margin(g) == pytest.approx(0.99 * 2.0 * eps)
+        assert clear.margin(g) == pytest.approx(1.01 * 2.0 * eps)
+        with pytest.raises(GeometryError, match="interface margin"):
+            var.build_recovery(near, spec, g, eps)
+        rec = var.build_recovery(clear, spec, g, eps)
+        assert rec.energy_diffuse > 0.0
 
 
 class TestEquipartition:

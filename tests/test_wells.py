@@ -787,14 +787,21 @@ class TestProfileArclength:
 
 
     # a = 1.2 x_0 crosses b = 1 at x_0 = 5/6: at x = (0.95, 0.3), b - a is
-    # -0.14, and each profile route must name the well before it computes
+    # -0.14, and each profile route must name the well before it computes,
+    # at arclength 0 too, where a double well gives 1/2 and the grid march
+    # builds no table
     @pytest.mark.parametrize("route", [
         lambda spec, x: spec.profile_rate(x),
         lambda spec, x: spec.profile_exact(x, 1.0),
         lambda spec, x: wells.optimal_profile(spec, x, 1.0),
         lambda spec, x: wells.optimal_profile_grid(spec, x[None],
                                                    np.array([1.0])),
-    ], ids=["rate", "exact", "solver", "grid"])
+        lambda spec, x: spec.profile_exact(x, 0.0),
+        lambda spec, x: wells.optimal_profile(spec, x, 0.0),
+        lambda spec, x: wells.optimal_profile_grid(spec, x[None],
+                                                   np.array([0.0])),
+    ], ids=["rate", "exact", "solver", "grid", "exact-at-0", "solver-at-0",
+            "grid-at-0"])
     def test_crossed_wells_are_rejected(self, route):
         spec = wells.linear_wells_quartic(0.0, 1.2, 1.0, 0.0)
         with pytest.raises(GeometryError, match="separation b - a"):
@@ -1073,54 +1080,6 @@ class TestReactionIntoDb:
         assert got.tobytes() == alloc.tobytes()
         assert db.tobytes() == total.tobytes()
         assert np.asarray(da).tobytes() == kept
-
-
-class TestValidateAssumptions:
-    def test_quadratic_growth_near_wells(self):
-        spec = wells.constant_quartic()
-        pts = np.random.default_rng(2).uniform(0.0, 1.0, size=(10, 2))
-        us = np.array([-0.01, 0.01, 0.99, 1.01])
-        rep = wells.validate_assumptions(spec, pts, us)
-        assert rep.violations == []
-        assert rep.c2_quadratic / rep.c1_quadratic < 1.1
-
-    def test_constant_landscape_has_zero_derivative_control(self):
-        spec = wells.constant_quartic()
-        pts = np.linspace(0.1, 0.9, 7).reshape(-1, 1)
-        us = np.linspace(-0.5, 1.5, 21)
-        rep = wells.validate_assumptions(spec, pts, us)
-        assert rep.c_derivative_control <= 1e-9
-
-    def test_multiplicative_heterogeneity_ratio(self):
-        # W = (1 + sin^2(pi x)) u^2 (1-u)^2: the ratio is v-independent
-        # and equals |m'| / (2 m)
-        spec = wells.canonical_quartic(
-            a=lambda x: np.zeros(np.shape(x)[:-1]),
-            grad_a=lambda x: np.zeros(np.shape(x)),
-            b=lambda x: np.ones(np.shape(x)[:-1]),
-            grad_b=lambda x: np.zeros(np.shape(x)),
-            amplitude=lambda x: 1.0 + np.sin(np.pi * x[..., 0]) ** 2,
-            grad_amplitude=lambda x: np.stack(
-                [np.pi * np.sin(2.0 * np.pi * x[..., 0])], axis=-1))
-        pts = np.linspace(0.05, 0.95, 19).reshape(-1, 1)
-        us = np.linspace(0.1, 0.9, 9)
-        rep = wells.validate_assumptions(spec, pts, us)
-        m = 1.0 + np.sin(np.pi * pts[:, 0]) ** 2
-        dm = np.pi * np.sin(2.0 * np.pi * pts[:, 0])
-        expected = np.max(np.abs(dm) / (2.0 * m))
-        assert rep.violations == []
-        assert rep.c_derivative_control == pytest.approx(expected, rel=1e-4)
-
-    def test_flags_touching_wells(self):
-        # b - a = 1 - x_0 vanishes at x_0 = 1 only, flagged where a sample
-        # lands on it; v = (u - a) / gamma has no value there and raises
-        # no warning
-        spec = wells.linear_wells_quartic(0.0, 0.5, 1.0, -0.5)
-        for x_last, flagged in ((0.9, []),
-                                (1.0, ["wells touch or cross (b - a <= 0)"])):
-            rep = wells.validate_assumptions(
-                spec, np.array([[0.5], [x_last]]), np.linspace(0, 1, 5))
-            assert rep.violations == flagged
 
 
 class TestQuadrature:
