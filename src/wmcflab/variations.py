@@ -60,11 +60,11 @@ def build_recovery(interface, spec: WellSpec, grid: Grid,
 
     Three checks guard it: eps >= 4 max spacing, the profile resolution
     (``ResolutionError``); an interface >= 2 eps from the domain boundary
-    (``interface.margin(grid)``, else ``GeometryError``), where the truncated profile tail is
-    exp(-sqrt(2) margin/eps) per unit of gamma, below 6e-2; and the built
-    energy within the guard of the weighted perimeter under
-    ``sigma_field_of(spec)``, which it matches to O(eps) + O(h^2/eps^2)
-    (``GeometryError``). The profile is ``optimal_profile_grid`` of the
+    (``interface.margin(grid)``, else ``GeometryError``), where the
+    truncated profile tail is exp(-sqrt(2) margin/eps) per unit of gamma,
+    below 6e-2; and the built energy within the guard of the weighted
+    perimeter under ``sigma_field_of(spec)``, which it matches to
+    O(eps) + O(h^2/eps^2) (``GeometryError``). The profile is ``optimal_profile_grid`` of the
     signed distance over eps; u = a + (b - a) v (v itself, to the bit,
     for wells at +0.0 and 1.0) and its reading, returned with the state,
     use the well bound to the grid once (``wells.bind``), before the
