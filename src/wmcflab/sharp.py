@@ -184,6 +184,10 @@ class Point1D:
 
     p: float
 
+    def __post_init__(self):
+        if not abs(self.p) < np.inf:  # NaN fails too
+            raise ValueError(f"position must be finite, got {self.p!r}")
+
     def signed_distance(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         val = x[..., 0] if x.shape and x.shape[-1] == 1 else x
@@ -210,6 +214,8 @@ class Sphere:
     def __post_init__(self):
         object.__setattr__(self, "center",
                            tuple(float(c) for c in self.center))
+        if not all(abs(c) < np.inf for c in self.center):  # NaN fails too
+            raise ValueError(f"center must be finite, got {self.center!r}")
         if not 0.0 < self.radius < np.inf:  # NaN fails too
             raise ValueError(f"radius must be finite and positive, got "
                              f"{self.radius!r}")

@@ -305,17 +305,19 @@ _PROFILE_CLASSES = 64
 _PROFILE_POINTS = 1 << 13
 
 
-def _well_classes(spec: WellSpec, pts: np.ndarray):
+def _well_classes(a, b, m):
     """Group points by their well for the profile march.
 
-    Returns the order that sorts the points by class, the class id of
-    each sorted point (int32, nondecreasing) and, per class, a, b - a and
-    one representative position; points of one class share the triple
-    (a, b, m) and so W(x, .). Classes are found by lexsort, change flags
-    and a cumulative sum; GeometryError unless every class is a double
-    well (``_checked_gap`` on the representatives).
+    ``a``, ``b`` and ``m`` are the well's coefficients at the points,
+    shape (n,) each. Returns the order that sorts the points by class,
+    the class id of each sorted point (int32, nondecreasing) and, per
+    class, a, b - a and the index of one representative point; points of
+    one class share the triple (a, b, m) and so W(x, .). Classes are
+    found by lexsort, change flags and a cumulative sum; GeometryError
+    unless every class is a double well (``_checked_gap`` on the
+    representatives).
     """
-    a, b, m = keys = (spec.a(pts), spec.b(pts), spec.amplitude(pts))
+    keys = (a, b, m)
     order = np.lexsort(keys)
     new = np.zeros(a.size, dtype=bool)
     new[0] = True
@@ -324,7 +326,7 @@ def _well_classes(spec: WellSpec, pts: np.ndarray):
         new[1:] |= key[1:] != key[:-1]
     cls = np.cumsum(new, dtype=np.int32) - 1
     rep = order[new]
-    return order, cls, a[rep], _checked_gap(m[rep], a[rep], b[rep]), pts[rep]
+    return order, cls, a[rep], _checked_gap(m[rep], a[rep], b[rep]), rep
 
 
 def _arclength_table(spec: WellSpec, a, g, x, sgn: float):
@@ -432,6 +434,14 @@ def _invert_profile(phi, s, col, targets, sgn: float) -> np.ndarray:
     return out
 
 
+def _mirrored(c: np.ndarray, axis: int) -> bool:
+    """Whether ``c`` equals its mirror image along ``axis`` bit for bit;
+    +0.0 and -0.0 differ, and so do NaNs of different bits."""
+    bits = np.moveaxis(c.view(np.int64), axis, 0)
+    half = bits.shape[0] // 2
+    return np.array_equal(bits[:half], bits[::-1][:half])
+
+
 def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray):
     """Frozen-x profile values v(x_i, s_i) for many points at once.
 
@@ -459,6 +469,20 @@ def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray):
     _PROFILE_POINTS points at a time, which bounds the temporaries for
     any grid.
 
+    Mirror rule: a, b and m are evaluated once on all points. Along each
+    axis of s in turn, where s, a, b and m each equal their own mirror
+    image bit for bit (compared as int64, so +0.0 and -0.0 differ), only
+    the leading ceil(n/2) slices are solved, the next axis is tested on
+    that half, and the trailing slices are the leading ones flipped. This
+    keeps every bit: a point's value reads only its target and its
+    class's table, a table only its class's (a, b, m), and a mirrored
+    point has the same target and class as its image (the blocks do not
+    move a bit either). On the unit box with a power-of-two number of
+    cells per axis (every 2-d registry grid), the cell centres of
+    ``Grid.points`` are mirror-symmetric about 1/2, so a centred disk
+    gives a constant well a quarter of the work and a well that moves
+    along one axis a half. Other inputs pay one compare per axis.
+
     Agrees with optimal_profile to solver tolerance; kept vectorized so
     diffuse states can be built on large grids.
     """
@@ -468,18 +492,44 @@ def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray):
         raise ValueError(f"profile points of shape {points.shape} do not "
                          f"match arclengths of shape {s.shape}")
     _reject_nan(s)
-    flat_pts = points.reshape(-1, points.shape[-1])
-    flat_s = s.reshape(-1)
-    out = np.full(flat_s.shape, 0.5)
-    if not flat_s.all():  # the sign loop checks the wells where s != 0
-        zero = flat_pts[flat_s == 0]
-        _checked_gap(spec.amplitude(zero), spec.a(zero), spec.b(zero))
+    a, b, m = (np.asarray(f(points), dtype=float)
+               for f in (spec.a, spec.b, spec.amplitude))
+    if not s.all():  # the solve checks the wells where s != 0
+        zero = s == 0
+        _checked_gap(m[zero], a[zero], b[zero])
 
+    mirrored = []
+    for ax in range(s.ndim):
+        n = s.shape[ax]
+        if n > 1 and all(_mirrored(c, ax) for c in (s, a, b, m)):
+            lead = (slice(None),) * ax + (slice(n - n // 2),)
+            # copies, so the solve reads flat views and the whole-grid
+            # coefficients are freed
+            points, s, a, b, m = (np.ascontiguousarray(c[lead])
+                                  for c in (points, s, a, b, m))
+            mirrored.append((ax, n))
+    out = _solve_profile(spec, points, s, a, b, m)
+    for ax, n in reversed(mirrored):
+        # the image of slice j < n // 2 is slice n - 1 - j
+        tail = np.flip(out, ax)[(slice(None),) * ax + (slice(n % 2, None),)]
+        out = np.concatenate((out, tail), axis=ax)
+    return out
+
+
+def _solve_profile(spec: WellSpec, points, s, a, b, m) -> np.ndarray:
+    """The profile march of ``optimal_profile_grid`` on points whose
+    arclengths ``s`` and well coefficients ``a``, ``b`` and ``m`` (each of
+    s's shape) are given; 1/2 where s = 0."""
+    flat_pts = points.reshape(-1, points.shape[-1])
+    flat_s, a, b, m = (c.reshape(-1) for c in (s, a, b, m))
+    out = np.full(flat_s.shape, 0.5)
     for sgn in (1.0, -1.0):
         active = np.flatnonzero(sgn * flat_s > 0)
         if active.size == 0:
             continue
-        order, cls, a_c, g_c, x_c = _well_classes(spec, flat_pts[active])
+        order, cls, a_c, g_c, rep = _well_classes(a[active], b[active],
+                                                  m[active])
+        x_c = flat_pts[active[rep]]
         active = active[order]
         targets = sgn * flat_s[active]
         for c0 in range(0, a_c.size, _PROFILE_CLASSES):

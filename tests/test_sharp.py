@@ -174,6 +174,21 @@ class TestEvolveRadial:
             sharp.evolve_radial(r, sharp.constant_scalar_sigma(1.0), 0.01,
                                 center=CENTER)
 
+    @pytest.mark.parametrize("center", [(0.5, np.nan), (np.nan, 0.5),
+                                        (np.inf, 0.5), (0.5, -np.inf)])
+    def test_center_must_be_finite(self, center):
+        # a NaN on axis 1 used to read as no wall (margin 0.3 in the unit
+        # box) and one on axis 0 as a NaN margin; either way the build
+        # failed later, naming the profile's arclength
+        with pytest.raises(ValueError, match="center must be finite"):
+            sharp.Sphere(center, 0.2)
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf])
+def test_point_position_must_be_finite(p):
+    with pytest.raises(ValueError, match="position must be finite"):
+        sharp.Point1D(p)
+
 
 @pytest.mark.parametrize("t_end", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("route", ["radial", "exact line", "rk45 point"])

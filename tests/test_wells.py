@@ -6,6 +6,8 @@ Quartic oracles used below (gamma = b - a, amplitude m):
   profile = logistic with rate sqrt(2 m) gamma.
 """
 
+import re
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -510,10 +512,11 @@ def per_point(spec, points, s):
 def _unsorted_classes(spec, pts):
     """``wells._well_classes`` with the class id of each point in the
     given order, as the stepping march indexes them."""
-    order, sorted_cls, a_c, g_c, x_c = wells._well_classes(spec, pts)
+    order, sorted_cls, a_c, g_c, rep = wells._well_classes(
+        spec.a(pts), spec.b(pts), spec.amplitude(pts))
     cls = np.empty_like(sorted_cls)
     cls[order] = sorted_cls
-    return cls, a_c, g_c, x_c
+    return cls, a_c, g_c, pts[rep]
 
 
 def stepping_march(spec, points, s):
@@ -825,6 +828,175 @@ class TestProfileGridProperties:
         v = wells.optimal_profile_grid(spec, x, s)
         assert np.all(np.diff(v) >= 0.0)
         assert np.all((v >= 0.0) & (v <= 1.0))
+
+
+def _mirror_fill(c, axis):
+    """``c`` with its trailing n // 2 slices along ``axis`` replaced by the
+    leading ones, flipped: mirror-symmetric along that axis."""
+    c = np.moveaxis(np.array(c), axis, 0)
+    n = c.shape[0]
+    c[n - n // 2:] = c[:n // 2][::-1]
+    return np.moveaxis(c, 0, axis)
+
+
+def _planted(spec, name, at, change):
+    """``spec`` with its coefficient ``name`` replaced by ``change`` of its
+    value at the position ``at``, and unchanged elsewhere."""
+    def coefficient(x):
+        c = np.array(getattr(spec, name)(x), dtype=float)
+        hit = np.all(np.asarray(x) == at, axis=-1)
+        c[hit] = change(c[hit])
+        return c
+
+    parts = {k: getattr(spec, k) for k in ("a", "grad_a", "b", "grad_b",
+                                           "amplitude", "grad_amplitude")}
+    parts[name] = coefficient
+    return wells.canonical_quartic(**parts)
+
+
+def _solved_shapes(monkeypatch):
+    """The list to which each call of ``wells._solve_profile``, the march
+    behind ``optimal_profile_grid``, appends the shape it solves."""
+    shapes = []
+    solve = wells._solve_profile
+
+    def seen(spec, points, s, *coefficients):
+        shapes.append(s.shape)
+        return solve(spec, points, s, *coefficients)
+
+    monkeypatch.setattr(wells, "_solve_profile", seen)
+    return shapes
+
+
+def _one_ulp_up(c):
+    return np.nextafter(c, np.inf)
+
+
+@hst.composite
+def mirror_problems(draw):
+    """A quartic well along x_0 or x_1 (turned as ``fieldcheck`` turns
+    it), the cell centres of [0, 1]^d with an even or odd number of cells
+    per axis, and s, the signed distance to a disk over eps, as
+    ``build_recovery`` forms it. A disk about the centre of the box has
+    its s mirror-filled along every axis: only power-of-two cell counts
+    make it mirror-symmetric by themselves. Then at most one planted
+    asymmetry at one point: one ulp or a -0.0 in s (-0.0 facing +0.0),
+    one ulp in a, b or m, or a -0.0 in a well whose a is +0.0."""
+    dim = draw(hst.sampled_from((1, 2)))
+    cells = tuple(draw(hst.sampled_from((8, 9, 10, 11, 13, 16)))
+                  for _ in range(dim))
+    pts = Grid((0.0,) * dim, (1.0,) * dim, cells).points()
+    centred = draw(hst.booleans())
+    center = (0.5,) * dim if centred else tuple(
+        draw(hst.floats(0.3, 0.7)) for _ in range(dim))
+    s = sharp.Sphere(center, draw(hst.floats(0.1, 0.3))).signed_distance(pts)
+    s /= draw(hst.floats(0.02, 0.2))
+    if centred:
+        for ax in range(dim):
+            s = _mirror_fill(s, ax)
+    plant = draw(hst.one_of(hst.none(), hst.sampled_from((
+        "s ulp", "s -0.0", "a ulp", "b ulp", "amplitude ulp", "a -0.0"))))
+    if plant == "a -0.0":
+        # a = 0.0 * 1 at every point, as the factories build it
+        axis = draw(hst.integers(0, dim - 1))
+        spec = along_axis(draw(hst.sampled_from((
+            wells.constant_quartic(),
+            wells.affine_scaled_quartic(1.0, 0.5),
+            wells.exp_scaled_quartic(0.5)))), axis)
+    else:
+        spec = draw(quartic_wells(dim))
+    at = tuple(draw(hst.integers(0, n - 1)) for n in cells)
+    if plant == "s ulp":
+        s[at] = _one_ulp_up(s[at])
+    elif plant == "s -0.0":
+        ax = draw(hst.integers(0, dim - 1))
+        image = list(at)
+        image[ax] = cells[ax] - 1 - at[ax]
+        s[tuple(image)] = 0.0
+        s[at] = -0.0
+    elif plant == "a -0.0":
+        spec = _planted(spec, "a", pts[at], lambda c: -c)
+    elif plant is not None:
+        spec = _planted(spec, plant.split()[0], pts[at], _one_ulp_up)
+    return spec, pts, s
+
+
+class TestMirroredProfile:
+    @settings(max_examples=60, deadline=None)
+    @given(mirror_problems())
+    def test_reduced_build_is_bit_identical_to_per_point(self, problem):
+        spec, pts, s = problem
+        assert bits(wells.optimal_profile_grid(spec, pts, s)) \
+            == bits(per_point(spec, pts, s))
+
+    @pytest.mark.parametrize("cells", ((9, 16), (11, 13), (16, 8)))
+    @pytest.mark.parametrize("axis", (None, 0, 1))
+    def test_odd_and_even_halves(self, cells, axis, monkeypatch):
+        # a mirror-filled disk on either parity: a constant well (axis
+        # None) solves a quarter, a well along x_axis half the other axis
+        spec = wells.constant_quartic() if axis is None else along_axis(
+            wells.linear_wells_quartic(0.0, 0.3, 1.0, -0.2), axis)
+        pts = Grid((0.0, 0.0), (1.0, 1.0), cells).points()
+        s = sharp.Sphere((0.5, 0.5), 0.3).signed_distance(pts) / 0.05
+        s = _mirror_fill(_mirror_fill(s, 0), 1)
+        want = per_point(spec, pts, s)
+        shapes = _solved_shapes(monkeypatch)
+        assert bits(wells.optimal_profile_grid(spec, pts, s)) == bits(want)
+        half = [n - n // 2 for n in cells]
+        if axis is not None:
+            half[axis] = cells[axis]
+        assert shapes == [tuple(half)]
+
+    def test_nan_arclength_text(self):
+        # the NaN count is of the whole grid, before any mirror
+        pts = Grid((0.0, 0.0), (1.0, 1.0), (16, 16)).points()
+        s = np.zeros((16, 16))
+        s[3, 4] = s[12, 11] = np.nan
+        with pytest.raises(GeometryError, match=re.escape(
+                "profile arclength is NaN at 2 of 256 points")):
+            wells.optimal_profile_grid(wells.constant_quartic(), pts, s)
+
+    @pytest.mark.parametrize("zero", (True, False), ids=("s=0", "disk"))
+    def test_crossed_well_text(self, zero):
+        # a = 1.2 x_0 crosses b = 1 at x_0 = 5/6; s is mirror-symmetric
+        # along x_1, where the well is constant, so the build is halved
+        pts = Grid((0.0, 0.0), (1.0, 1.0), (16, 16)).points()
+        s = np.zeros((16, 16)) if zero else sharp.Sphere(
+            (0.5, 0.5), 0.3).signed_distance(pts) / 0.1
+        spec = wells.linear_wells_quartic(0.0, 1.2, 1.0, 0.0)
+        with pytest.raises(GeometryError, match=re.escape(
+                "separation b - a must be finite and positive at every "
+                "point; it spans [-0.16249999999999987, 0.9625]")):
+            wells.optimal_profile_grid(spec, pts, s)
+
+    @pytest.mark.parametrize("spec, solved", (
+        (wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0), (64, 32)),
+        (wells.constant_quartic(), (32, 32))), ids=("moving", "constant"))
+    def test_recovery_solves_the_mirrored_part(self, spec, solved,
+                                               monkeypatch):
+        # criterion 02's well moves along x_0 and is halved along x_1; a
+        # constant well is halved along both axes
+        shapes = _solved_shapes(monkeypatch)
+        grid = Grid((0.0, 0.0), (1.0, 1.0), (64, 64))
+        var.build_recovery(sharp.Sphere((0.5, 0.5), 0.3), spec, grid, 0.08)
+        assert shapes == [solved]
+        # a 1-d start about a point is not mirror-symmetric: whole grid
+        shapes.clear()
+        var.build_recovery(sharp.Point1D(0.35), spec,
+                           Grid.interval(0.0, 1.0, 512), 0.02)
+        assert shapes == [(512,)]
+
+    @pytest.mark.parametrize("dim", (1, 2))
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_power_of_two_unit_box_centres_are_antisymmetric(self, dim, k):
+        # x - 0.5 at the cell centres of [0, 1]^d with n = 2^k cells per
+        # axis is exactly antisymmetric, so a disk about the centre has a
+        # mirror-symmetric s on every 2-d registry grid (128^2 to 512^2).
+        # Other counts (9, 10, 12, ...) are not, and build in full
+        n = 2 ** k
+        off = Grid((0.0,) * dim, (1.0,) * dim, (n,) * dim).points() - 0.5
+        for ax in range(dim):
+            assert np.array_equal(off[..., ax], -np.flip(off[..., ax], ax))
 
 
 @hst.composite
