@@ -29,8 +29,8 @@ _COMPARE = {"<=": np.less_equal, "<": np.less, ">=": np.greater_equal,
 
 def holds(value, relation, bound) -> bool:
     """The one verdict rule: ``value`` (a scalar or an array) stands in
-    ``relation`` to ``bound`` at every entry. An empty value, or one that
-    holds a NaN or an infinity, fails: that quantity was not computed.
+    ``relation`` to ``bound`` at every entry. An empty value, one that
+    holds a NaN or an infinity (not computed) and a non-finite bound fail.
     ``decreasing`` ignores ``bound`` and needs at least two values, each
     below the one before."""
     vals = np.asarray(value, dtype=float).ravel()
@@ -38,7 +38,8 @@ def holds(value, relation, bound) -> bool:
         return False
     if relation == "decreasing":
         return vals.size >= 2 and bool(np.all(np.diff(vals) < 0))
-    return bool(np.all(_COMPARE[relation](vals, bound)))
+    compare = _COMPARE[relation]
+    return bool(np.all(np.isfinite(bound)) and np.all(compare(vals, bound)))
 
 
 def _describe(label, value, relation, bound) -> str:
@@ -492,8 +493,7 @@ def run_calibration(r0: float = 0.4, t_end: float = 0.04,
              ("boundary xi error", inv.max_boundary_xi_error, "<=", 1e-9),
              ("boundary B error", inv.max_boundary_b_error, "<=", 1e-9),
              ("theta sign violations", inv.theta_sign_violations, "<=", 0),
-             ("theta coercivity constant", inv.c_theta_coercivity, "<",
-              np.inf))
+             ("theta coercivity constant", inv.c_theta_coercivity, ">", 0.0))
     res.csv_rows += [[key, float(part[1])] for key, part in zip(
         ("xi_bound_violation", "boundary_xi_error", "boundary_B_error",
          "theta_sign_violations", "theta_coercivity_constant"), parts)]

@@ -39,10 +39,11 @@ def adaptive_gauss_legendre(f, lo, hi, tol=1e-10):
     not depend on any other integral.
 
     Returns (value, error_estimate). Raises NumericError (carrying the
-    achieved estimate) if the budget of 20000 panels is exhausted.
+    achieved estimate) if the budget of 20000 panels is exhausted, and
+    ValueError unless ``tol`` is positive and finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:   # NaN too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if hi == lo:
         return 0.0, 0.0
     sign = 1.0

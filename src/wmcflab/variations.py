@@ -64,11 +64,11 @@ def build_recovery(interface, spec: WellSpec, grid: Grid,
     truncated profile tail is exp(-sqrt(2) margin/eps) per unit of gamma,
     below 6e-2; and the built energy within the guard of the weighted
     perimeter under ``sigma_field_of(spec)``, which it matches to
-    O(eps) + O(h^2/eps^2) (``GeometryError``). The profile is ``optimal_profile_grid`` of the
-    signed distance over eps; u = a + (b - a) v (v itself, to the bit,
-    for wells at +0.0 and 1.0) and its reading, returned with the state,
-    use the well bound to the grid once (``wells.bind``), before the
-    profile is built, so a broken well raises there.
+    O(eps) + O(h^2/eps^2) (``GeometryError``). The well is bound to the
+    grid once (``wells.bind``), which checks it, so a broken well raises
+    before any profile; the profile ``optimal_profile_grid(well, s)`` of
+    the signed distance over eps, u = a + (b - a) v (v itself, to the bit,
+    for wells at +0.0 and 1.0) and its reading all read that binding.
     """
     hmax = float(np.max(grid.spacing))
     floor = _CELLS_PER_EPS * hmax
@@ -81,7 +81,7 @@ def build_recovery(interface, spec: WellSpec, grid: Grid,
     well = bind(spec, pts)
     sdist = interface.signed_distance(pts)
     sdist /= eps
-    v = optimal_profile_grid(spec, pts, sdist)
+    v = optimal_profile_grid(well, sdist)
     u = Field(grid, well.a + (well.b - well.a) * v)
     state = PhaseState(u, eps)
     e_sharp = weighted_perimeter(interface, sigma_field_of(spec))

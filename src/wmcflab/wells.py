@@ -28,7 +28,8 @@ dW_du take the bound coefficients in place of the positions and give the
 same bits. Both go through ``quartic_W`` and ``quartic_dW_du``, the
 formula as a function of u - a and u - b, which the semi-implicit run
 and the descent also call, in place, with the differences they share
-between a state's energy and its reaction.
+between a state's energy and its reaction; the profile march calls
+``quartic_W`` on a recovery build's bound well, its one evaluation.
 """
 
 from dataclasses import dataclass
@@ -80,8 +81,8 @@ class WellSpec:
     -> (...); ``grad_a``, ``grad_b`` and ``grad_amplitude`` map (..., d)
     -> (..., d). ``W`` and ``dW_du`` map (positions or a ``BoundQuartic``,
     u) to (...); ``dW_dx`` maps (positions, u) to (..., d). No separation
-    is declared: ``bind``, the sigma routes and the profile routes check
-    m > 0 and b - a > 0 at the points they read.
+    is declared: ``bind``, the sigma routes and the scalar profile routes
+    check m > 0 and b - a > 0 at the points they read.
     sigma = sqrt(2 m) gamma^3 / 6 and the equipartitioned profile is
     logistic with rate sqrt(2 m) gamma.
     """
@@ -116,8 +117,8 @@ class WellSpec:
 def _checked_gap(m, a, b):
     """The separation b - a, once the double well is checked: GeometryError
     unless m and b - a are finite and positive at every point. ``bind``,
-    the sigma routes and the profile routes check all their positions,
-    before any quadrature or profile solve."""
+    the sigma routes and the scalar profile routes check all their
+    positions, before any quadrature or profile solve."""
     with np.errstate(invalid="ignore", over="ignore"):
         gap = b - a
     for name, c in (("amplitude m", m), ("separation b - a", gap)):
@@ -310,12 +311,10 @@ def _well_classes(a, b, m):
 
     ``a``, ``b`` and ``m`` are the well's coefficients at the points,
     shape (n,) each. Returns the order that sorts the points by class,
-    the class id of each sorted point (int32, nondecreasing) and, per
-    class, a, b - a and the index of one representative point; points of
-    one class share the triple (a, b, m) and so W(x, .). Classes are
-    found by lexsort, change flags and a cumulative sum; GeometryError
-    unless every class is a double well (``_checked_gap`` on the
-    representatives).
+    the class id of each sorted point (int32, nondecreasing) and the
+    index of one representative point per class; points of one class
+    share the triple (a, b, m) and so W(x, .). Classes are found by
+    lexsort, change flags and a cumulative sum.
     """
     keys = (a, b, m)
     order = np.lexsort(keys)
@@ -325,21 +324,22 @@ def _well_classes(a, b, m):
         key = key[order]
         new[1:] |= key[1:] != key[:-1]
     cls = np.cumsum(new, dtype=np.int32) - 1
-    rep = order[new]
-    return order, cls, a[rep], _checked_gap(m[rep], a[rep], b[rep]), rep
+    return order, cls, order[new]
 
 
-def _arclength_table(spec: WellSpec, a, g, x, sgn: float):
+def _arclength_table(a, b, m, sgn: float):
     """ds/dtau at the knots, shape (341, wells), and s(tau), shape
-    (_TABLE_ROWS, wells), for the wells (a, g, x) on the side sgn of the
+    (_TABLE_ROWS, wells), for the wells (a, b, m) on the side sgn of the
     profile; the rows of s past the last knot hold +inf.
 
-    One W call evaluates ds/dtau at the knots and the step midpoints; s is
-    the cumulative sum of the Simpson increments, added in knot order.
+    ``quartic_W`` gives ds/dtau at the knots and the step midpoints; s
+    is the cumulative sum of the Simpson increments, added in knot order.
     """
     tau = sgn * np.concatenate((_TAU, _TAU_MID))[:, None]
     v = 1.0 / (1.0 + np.exp(-tau))
-    wn = spec.W(x[None], a + g * v)
+    g = b - a
+    u = a + g * v
+    wn = quartic_W(m, u - a, u - b)
     phi = g * v * (1.0 - v) / np.sqrt(np.maximum(2.0 * wn, 1e-300))
     phi, phi_mid = phi[:_TAU.size], phi[_TAU.size:]
     s = np.full((_TABLE_ROWS, phi.shape[1]), np.inf)
@@ -442,26 +442,28 @@ def _mirrored(c: np.ndarray, axis: int) -> bool:
     return np.array_equal(bits[:half], bits[::-1][:half])
 
 
-def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray):
+def optimal_profile_grid(well: "BoundQuartic", s: np.ndarray):
     """Frozen-x profile values v(x_i, s_i) for many points at once.
+
+    ``well`` is ``bind(spec, points)``, which has evaluated the well once
+    and checked the double well at every point, and ``s`` the arclengths
+    there. Each coefficient is 0-d (``bind`` collapses a constant one) or
+    of s's shape, else ValueError.
 
     Substitutes v = 1/(1 + exp(-tau)), where
     ds/dtau = gamma v(1-v)/sqrt(2 W_n(x, v)) is bounded and smooth, and
     takes s(tau) on the fixed knots tau = 0, 0.1, ..., 34 by Simpson's
-    rule per step. Per distinct well one W call evaluates ds/dtau at the
-    341 knots and 340 step midpoints (681 evaluations) and a cumulative
-    sum gives s at the knots, padded with +inf to 512 rows. Each point
-    then finds its step by one branchless binary search in its well's
-    padded table, nine rounds of an add, a gather, a compare and a select
-    on its flat table offset, and inverts the local cubic Hermite there
-    by four Newton steps whose terms go into work arrays allocated once
-    per point block. Exact up to roundoff, since ds/dtau =
+    rule per step. Per distinct well the quartic formula ``quartic_W``
+    gives ds/dtau at the 341 knots and 340 step midpoints, and a
+    cumulative sum gives s at the knots, padded with +inf to 512 rows.
+    Each point then finds its step by one branchless binary search in
+    its well's padded table, nine rounds of an add, a gather, a compare
+    and a select on its flat table offset, and inverts the local cubic
+    Hermite there by four Newton steps whose terms go into work arrays
+    allocated once per point block. Exact up to roundoff, since ds/dtau =
     1/(sqrt(2 m) gamma) is constant in tau for the quartic. Targets
     beyond the window (tails below 1e-14) clamp to 0/1; a NaN target
-    raises GeometryError, as does a point where the well is not a double
-    well (``_checked_gap`` on each class where s != 0 and on each point
-    where s = 0), and points whose shape is not s.shape + (d,) raise
-    ValueError.
+    raises GeometryError.
 
     Points are grouped by (a, b, m), so a well that varies along one axis
     of an n^d grid builds n tables, and a constant well one. Tables are
@@ -469,46 +471,41 @@ def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray):
     _PROFILE_POINTS points at a time, which bounds the temporaries for
     any grid.
 
-    Mirror rule: a, b and m are evaluated once on all points. Along each
-    axis of s in turn, where s, a, b and m each equal their own mirror
-    image bit for bit (compared as int64, so +0.0 and -0.0 differ), only
-    the leading ceil(n/2) slices are solved, the next axis is tested on
-    that half, and the trailing slices are the leading ones flipped. This
-    keeps every bit: a point's value reads only its target and its
-    class's table, a table only its class's (a, b, m), and a mirrored
-    point has the same target and class as its image (the blocks do not
-    move a bit either). On the unit box with a power-of-two number of
-    cells per axis (every 2-d registry grid), the cell centres of
-    ``Grid.points`` are mirror-symmetric about 1/2, so a centred disk
-    gives a constant well a quarter of the work and a well that moves
-    along one axis a half. Other inputs pay one compare per axis.
+    Mirror rule: along each axis of s in turn, where s, a, b and m each
+    equal their own mirror image bit for bit (compared as int64, so +0.0
+    and -0.0 differ), only the leading ceil(n/2) slices are solved, the
+    next axis is tested on that half, and the trailing slices are the
+    leading ones flipped. This keeps every bit: a point's value reads
+    only its target and its class's table, a table only its class's
+    (a, b, m), and a mirrored point has the same target and class as its
+    image (the blocks do not move a bit either). On the unit box with a
+    power-of-two number of cells per axis (every 2-d registry grid), the
+    cell centres of ``Grid.points`` are mirror-symmetric about 1/2, so a
+    centred disk gives a constant well a quarter of the work and a well
+    that moves along one axis a half. Other inputs pay one compare per
+    axis.
 
     Agrees with optimal_profile to solver tolerance; kept vectorized so
     diffuse states can be built on large grids.
     """
-    points = as_points(points)
     s = np.asarray(s, dtype=float)
-    if points.shape[:-1] != s.shape:
-        raise ValueError(f"profile points of shape {points.shape} do not "
-                         f"match arclengths of shape {s.shape}")
+    for c in (well.a, well.b, well.m):
+        if np.ndim(c) and np.shape(c) != s.shape:
+            raise ValueError(f"well coefficients of shape {np.shape(c)} do "
+                             f"not match arclengths of shape {s.shape}")
     _reject_nan(s)
-    a, b, m = (np.asarray(f(points), dtype=float)
-               for f in (spec.a, spec.b, spec.amplitude))
-    if not s.all():  # the solve checks the wells where s != 0
-        zero = s == 0
-        _checked_gap(m[zero], a[zero], b[zero])
+    a, b, m = (np.broadcast_to(np.asarray(c, dtype=float), s.shape)
+               for c in (well.a, well.b, well.m))
 
     mirrored = []
     for ax in range(s.ndim):
         n = s.shape[ax]
         if n > 1 and all(_mirrored(c, ax) for c in (s, a, b, m)):
             lead = (slice(None),) * ax + (slice(n - n // 2),)
-            # copies, so the solve reads flat views and the whole-grid
-            # coefficients are freed
-            points, s, a, b, m = (np.ascontiguousarray(c[lead])
-                                  for c in (points, s, a, b, m))
+            # copies, so the solve reads flat views
+            s, a, b, m = (np.ascontiguousarray(c[lead]) for c in (s, a, b, m))
             mirrored.append((ax, n))
-    out = _solve_profile(spec, points, s, a, b, m)
+    out = _solve_profile(s, a, b, m)
     for ax, n in reversed(mirrored):
         # the image of slice j < n // 2 is slice n - 1 - j
         tail = np.flip(out, ax)[(slice(None),) * ax + (slice(n % 2, None),)]
@@ -516,25 +513,23 @@ def optimal_profile_grid(spec: WellSpec, points: np.ndarray, s: np.ndarray):
     return out
 
 
-def _solve_profile(spec: WellSpec, points, s, a, b, m) -> np.ndarray:
-    """The profile march of ``optimal_profile_grid`` on points whose
-    arclengths ``s`` and well coefficients ``a``, ``b`` and ``m`` (each of
-    s's shape) are given; 1/2 where s = 0."""
-    flat_pts = points.reshape(-1, points.shape[-1])
+def _solve_profile(s, a, b, m) -> np.ndarray:
+    """The profile march of ``optimal_profile_grid`` at arclengths ``s``
+    for the well coefficients ``a``, ``b`` and ``m``, each of s's shape;
+    1/2 where s = 0."""
     flat_s, a, b, m = (c.reshape(-1) for c in (s, a, b, m))
     out = np.full(flat_s.shape, 0.5)
     for sgn in (1.0, -1.0):
         active = np.flatnonzero(sgn * flat_s > 0)
         if active.size == 0:
             continue
-        order, cls, a_c, g_c, rep = _well_classes(a[active], b[active],
-                                                  m[active])
-        x_c = flat_pts[active[rep]]
+        order, cls, rep = _well_classes(a[active], b[active], m[active])
+        a_c, b_c, m_c = (c[active[rep]] for c in (a, b, m))
         active = active[order]
         targets = sgn * flat_s[active]
-        for c0 in range(0, a_c.size, _PROFILE_CLASSES):
+        for c0 in range(0, rep.size, _PROFILE_CLASSES):
             c = slice(c0, c0 + _PROFILE_CLASSES)
-            phi, s_tab = _arclength_table(spec, a_c[c], g_c[c], x_c[c], sgn)
+            phi, s_tab = _arclength_table(a_c[c], b_c[c], m_c[c], sgn)
             lo, hi = np.searchsorted(cls, (c0, c0 + _PROFILE_CLASSES))
             for p0 in range(lo, hi, _PROFILE_POINTS):
                 p = slice(p0, min(p0 + _PROFILE_POINTS, hi))

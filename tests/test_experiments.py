@@ -15,10 +15,11 @@ from wmcflab import variations as var, wells
 from wmcflab.errors import GeometryError, ResolutionError
 from wmcflab.experiments import (Check, ExperimentResult, _sweep_part, holds,
                                  run_ac_to_mcf_1d_drift, run_ac_to_mcf_radial,
-                                 run_calibration, run_dissipation,
-                                 run_equipartition, run_first_variation,
-                                 run_gibbs_thomson, run_minimizing_movements,
-                                 run_weak_strong)
+                                 run_bv_residuals, run_calibration,
+                                 run_dissipation, run_equipartition,
+                                 run_first_variation, run_gibbs_thomson,
+                                 run_minimizing_movements,
+                                 run_surface_tension, run_weak_strong)
 
 from test_arguments import defaults
 
@@ -127,6 +128,32 @@ def test_dissipation_rate_needs_halvings_and_a_decrease(kwargs, monkeypatch):
 def test_nan_bound_fails():
     assert not holds(1.0, "<=", np.nan)
     assert not holds(1.0, ">", np.nan)
+
+
+@given(hst.sampled_from(sorted(ELEMENTWISE)), finite_arrays,
+       hst.sampled_from([np.nan, np.inf, -np.inf]))
+def test_nonfinite_bound_fails(relation, vals, bound):
+    # every finite value is < inf and > -inf: a part held to an infinite
+    # bound would pass whatever it computed
+    assert not holds(vals, relation, bound)
+    for x in vals.flat:
+        assert not holds(x, relation, bound)
+
+
+@pytest.mark.parametrize("runner, kwargs, bounded", [
+    (run_surface_tension, {"tol": np.inf}, 1),
+    (run_weak_strong, {"zero_tol": np.inf}, 2),
+    (run_bv_residuals, {"tol": np.inf}, 4)],
+    ids=("surface_tension", "weak_strong", "bv_residuals"))
+def test_an_infinite_tolerance_fails_its_checks(runner, kwargs, bounded):
+    # these runners used to PASS 1 of 1, 4 of 4 and 3 of 4 checks at an
+    # infinite tolerance; each check with a part held to it now FAILs
+    res = runner(**kwargs)
+    infinite = [c for c in res.checks if any(
+        p[2] != "decreasing" and not np.isfinite(p[3]) for p in c.parts)]
+    assert len(infinite) == bounded
+    assert not res.passed
+    assert not any(c.passed for c in infinite)
 
 
 def test_unknown_relation_raises():
@@ -368,7 +395,7 @@ def profile(front, spec, grid, eps):
     """The optimal profile of the signed distance to ``front`` over eps:
     the start the runners built by hand before."""
     pts = grid.points()
-    return wells.optimal_profile_grid(spec, pts,
+    return wells.optimal_profile_grid(wells.bind(spec, pts),
                                       front.signed_distance(pts) / eps)
 
 

@@ -805,7 +805,7 @@ def gibbs_thomson_descent(n=64, eps=0.08, radius=0.25):
     g = Grid.box((0.0, 0.0), (1.0, 1.0), (n, n))
     pts = g.points()
     disk = sharp.Sphere((0.5, 0.5), radius)
-    v0 = wells.optimal_profile_grid(spec, pts,
+    v0 = wells.optimal_profile_grid(wells.bind(spec, pts),
                                     disk.signed_distance(pts) / eps)
     return Descent(True, g, spec, eps, v0, 0.0,
                    dict(mass=float(np.mean(v0)), tol_residual=1e-3 / 5.0,

@@ -97,7 +97,7 @@ class TestBuildRecovery:
         g = Grid.box((0, 0), (1, 1), (48, 48))
         rec = var.build_recovery(disk(), spec, g, 0.1)
         pts = g.points()
-        v = wells.optimal_profile_grid(spec, pts,
+        v = wells.optimal_profile_grid(wells.bind(spec, pts),
                                        disk().signed_distance(pts) / 0.1)
         a = spec.a(pts)
         u = a + (spec.b(pts) - a) * v
@@ -272,12 +272,43 @@ class TestOneReadingPerState:
         return counts
 
     @staticmethod
-    def counted_well(spec, counts, cells):
+    def counted_well(spec, counts, cells, coefficients=False):
+        """``spec`` counting its W calls at a u on the full grid of
+        ``cells`` as ``W_full_grid``; with ``coefficients``, also every W
+        call as ``W`` and each call of a, b and m at the grid's points as
+        ``a_full_grid``, ``b_full_grid`` and ``amplitude_full_grid``."""
         def W(x, u):
             if np.shape(u) == cells:
                 counts["W_full_grid"] += 1
+            if coefficients:
+                counts["W"] += 1
             return spec.W(x, u)
-        return dataclasses.replace(spec, W=W)
+
+        def counted(name):
+            def coefficient(x):
+                if np.shape(x)[:-1] == cells:
+                    counts[name + "_full_grid"] += 1
+                return getattr(spec, name)(x)
+            return coefficient
+
+        names = ("a", "b", "amplitude") if coefficients else ()
+        return dataclasses.replace(spec, W=W,
+                                   **{name: counted(name) for name in names})
+
+    @pytest.mark.parametrize("spec", (
+        wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0),
+        wells.constant_quartic()), ids=("moving", "constant"))
+    def test_recovery_build_evaluates_its_well_once(self, spec, counts):
+        # bind evaluates a, b and m on the grid and checks the double
+        # well there; the profile march and u read that binding, and the
+        # reading evaluates W once. The march used to evaluate a, b and m
+        # a second time and W once per block of its classes
+        spec = self.counted_well(spec, counts, (64, 64), coefficients=True)
+        var.build_recovery(disk(), spec, Grid.box((0, 0), (1, 1), (64, 64)),
+                           0.1)
+        assert counts == {"a_full_grid": 1, "b_full_grid": 1,
+                          "amplitude_full_grid": 1, "W": 1, "W_full_grid": 1,
+                          "gradient_neumann": 1}
 
     def test_equipartition_reads_each_state_once(self, monkeypatch, counts):
         # the runner builds its well at call time, here the counted one

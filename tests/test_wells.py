@@ -21,6 +21,7 @@ from wmcflab.grid import Field, Grid
 from wmcflab.quadrature import adaptive_gauss_legendre
 
 from fieldcheck import along_axis, quartic
+from test_arguments import defaults
 
 SQRT2_6 = 0.23570226039551587  # sqrt(2)/6
 
@@ -474,7 +475,7 @@ class TestProfileGrid:
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.0, 1.0, size=(30, 2))
         s = rng.uniform(-15.0, 15.0, size=30)
-        batch = wells.optimal_profile_grid(spec, pts, s)
+        batch = wells.optimal_profile_grid(wells.bind(spec, pts), s)
         single = np.array([wells.optimal_profile(spec, p, si)
                            for p, si in zip(pts, s)])
         assert_allclose(batch, single, atol=1e-7)
@@ -484,7 +485,7 @@ class TestProfileGrid:
         rng = np.random.default_rng(8)
         pts = rng.uniform(0.0, 1.0, size=(50, 1))
         s = rng.uniform(-6.0, 6.0, size=50)
-        assert_allclose(wells.optimal_profile_grid(spec, pts, s),
+        assert_allclose(wells.optimal_profile_grid(wells.bind(spec, pts), s),
                         spec.profile_exact(pts, s), atol=1e-12)
 
     def test_moving_wells(self):
@@ -494,16 +495,19 @@ class TestProfileGrid:
         s = rng.uniform(-10.0, 10.0, size=20)
         single = np.array([wells.optimal_profile(spec, p, si)
                            for p, si in zip(pts, s)])
-        assert_allclose(wells.optimal_profile_grid(spec, pts, s), single,
-                        atol=1e-7)
+        assert_allclose(wells.optimal_profile_grid(wells.bind(spec, pts), s),
+                        single, atol=1e-7)
 
 
 def per_point(spec, points, s):
-    """``wells.optimal_profile_grid`` with each point passed alone: one
-    class, one arclength table and one search per point."""
+    """``wells.optimal_profile_grid`` with each point bound and passed
+    alone: one class, one arclength table and one search per point. The
+    well is evaluated at that point only (and collapsed to scalars), so a
+    batch that matches this also evaluates its coefficients to the bits
+    of each point alone."""
     flat_pts = points.reshape(-1, points.shape[-1])
     flat_s = np.asarray(s, dtype=float).reshape(-1)
-    out = [wells.optimal_profile_grid(spec, flat_pts[i:i + 1],
+    out = [wells.optimal_profile_grid(wells.bind(spec, flat_pts[i:i + 1]),
                                       flat_s[i:i + 1])[0]
            for i in range(flat_s.size)]
     return np.array(out).reshape(np.shape(s))
@@ -512,11 +516,11 @@ def per_point(spec, points, s):
 def _unsorted_classes(spec, pts):
     """``wells._well_classes`` with the class id of each point in the
     given order, as the stepping march indexes them."""
-    order, sorted_cls, a_c, g_c, rep = wells._well_classes(
-        spec.a(pts), spec.b(pts), spec.amplitude(pts))
+    a, b = spec.a(pts), spec.b(pts)
+    order, sorted_cls, rep = wells._well_classes(a, b, spec.amplitude(pts))
     cls = np.empty_like(sorted_cls)
     cls[order] = sorted_cls
-    return cls, a_c, g_c, pts[rep]
+    return cls, a[rep], b[rep] - a[rep], pts[rep]
 
 
 def stepping_march(spec, points, s):
@@ -685,8 +689,8 @@ def march_problems(draw):
         i = draw(hst.integers(0, s.size - 1))
         sgn = draw(hst.sampled_from((1.0, -1.0)))
         x = pts[i:i + 1]
-        a = spec.a(x)
-        _, knots = wells._arclength_table(spec, a, spec.b(x) - a, x, sgn)
+        _, knots = wells._arclength_table(spec.a(x), spec.b(x),
+                                          spec.amplitude(x), sgn)
         s[i] = sgn * knots[draw(hst.integers(1, wells._TAU.size - 1)), 0]
     return spec, pts, s
 
@@ -696,8 +700,8 @@ class TestProfileGridMatchesSteppingMarch:
     @given(march_problems())
     def test_bit_identical(self, problem):
         spec, pts, s = problem
-        assert np.array_equal(wells.optimal_profile_grid(spec, pts, s),
-                              stepping_march(spec, pts, s))
+        v = wells.optimal_profile_grid(wells.bind(spec, pts), s)
+        assert np.array_equal(v, stepping_march(spec, pts, s))
 
     @pytest.mark.parametrize("kind", ("affine", "constant", "both_axes"))
     def test_bit_identical_across_blocks(self, kind):
@@ -723,8 +727,8 @@ class TestProfileGridMatchesSteppingMarch:
         pts = Grid((0.0, 0.0), (1.0, 1.0), (128, 160)).points()
         # up to 26 in |s|, beyond the window of every well here
         s = (pts[..., 0] - 0.5) / 0.02 + (pts[..., 1] - 0.5)
-        assert np.array_equal(wells.optimal_profile_grid(spec, pts, s),
-                              stepping_march(spec, pts, s))
+        v = wells.optimal_profile_grid(wells.bind(spec, pts), s)
+        assert np.array_equal(v, stepping_march(spec, pts, s))
 
     @settings(max_examples=60, deadline=None)
     @given(hst.data())
@@ -740,9 +744,8 @@ class TestProfileGridMatchesSteppingMarch:
         for sgn in (1.0, -1.0):
             for p in x:
                 p = p[None]
-                a = spec.a(p)
-                _, table = wells._arclength_table(spec, a, spec.b(p) - a, p,
-                                                  sgn)
+                _, table = wells._arclength_table(spec.a(p), spec.b(p),
+                                                  spec.amplitude(p), sgn)
                 assert np.all(table[last + 1:] == np.inf)
                 edge = table[last, 0]
                 for target in (edge, np.nextafter(edge, np.inf), np.inf):
@@ -750,7 +753,7 @@ class TestProfileGridMatchesSteppingMarch:
                     s.append(sgn * target)
                     beyond.append(target > edge)
         pts, s, beyond = np.array(pts), np.array(s), np.array(beyond)
-        v = wells.optimal_profile_grid(spec, pts, s)
+        v = wells.optimal_profile_grid(wells.bind(spec, pts), s)
         assert np.array_equal(v, stepping_march(spec, pts, s))
         assert np.array_equal(v[beyond], np.where(s[beyond] > 0, 1.0, 0.0))
         assert np.all((v[~beyond] > 0.0) & (v[~beyond] < 1.0))
@@ -760,18 +763,20 @@ class TestProfileArclength:
     def test_grid_rejects_nan(self):
         spec = wells.constant_quartic()
         with pytest.raises(GeometryError, match="NaN at 1 of 3"):
-            wells.optimal_profile_grid(spec, np.full((3, 1), 0.3),
+            wells.optimal_profile_grid(wells.bind(spec, np.full((3, 1), 0.3)),
                                        np.array([np.nan, np.inf, -np.inf]))
 
     @pytest.mark.parametrize("n_points, n_s", ((3, 2), (1, 3)))
     def test_grid_rejects_mismatched_shapes(self, n_points, n_s):
         # three points with two arclengths used to give the profile of the
-        # first two points, one point with three a bare IndexError
-        spec = wells.constant_quartic()
-        with pytest.raises(ValueError, match=rf"\({n_points}, 1\).*"
+        # first two points, one point with three a bare IndexError; a
+        # coefficient that is neither 0-d nor of s's shape is rejected,
+        # one of shape (1,) too
+        well = wells.BoundQuartic(*(np.full(n_points, c)
+                                    for c in (1.0, 0.0, 1.0)))
+        with pytest.raises(ValueError, match=rf"\({n_points},\).*"
                                              rf"\({n_s},\)"):
-            wells.optimal_profile_grid(spec, np.full((n_points, 1), 0.3),
-                                       np.linspace(-1.0, 1.0, n_s))
+            wells.optimal_profile_grid(well, np.linspace(-1.0, 1.0, n_s))
 
     def test_scalar_solver_rejects_nan(self):
         spec = wells.constant_quartic()
@@ -783,7 +788,8 @@ class TestProfileArclength:
         spec = wells.constant_quartic()
         s = np.array([np.inf, -np.inf])
         assert np.array_equal(
-            wells.optimal_profile_grid(spec, np.full((2, 1), 0.3), s),
+            wells.optimal_profile_grid(wells.bind(spec, np.full((2, 1), 0.3)),
+                                       s),
             [1.0, 0.0])
         assert np.array_equal(wells.optimal_profile(spec, 0.3, s),
                               [1.0, 0.0])
@@ -797,11 +803,11 @@ class TestProfileArclength:
         lambda spec, x: spec.profile_rate(x),
         lambda spec, x: spec.profile_exact(x, 1.0),
         lambda spec, x: wells.optimal_profile(spec, x, 1.0),
-        lambda spec, x: wells.optimal_profile_grid(spec, x[None],
+        lambda spec, x: wells.optimal_profile_grid(wells.bind(spec, x[None]),
                                                    np.array([1.0])),
         lambda spec, x: spec.profile_exact(x, 0.0),
         lambda spec, x: wells.optimal_profile(spec, x, 0.0),
-        lambda spec, x: wells.optimal_profile_grid(spec, x[None],
+        lambda spec, x: wells.optimal_profile_grid(wells.bind(spec, x[None]),
                                                    np.array([0.0])),
     ], ids=["rate", "exact", "solver", "grid", "exact-at-0", "solver-at-0",
             "grid-at-0"])
@@ -816,8 +822,8 @@ class TestProfileGridProperties:
     @given(profile_problems())
     def test_grouped_march_is_bit_identical_to_per_point(self, problem):
         spec, pts, s = problem
-        assert np.array_equal(wells.optimal_profile_grid(spec, pts, s),
-                              per_point(spec, pts, s))
+        v = wells.optimal_profile_grid(wells.bind(spec, pts), s)
+        assert np.array_equal(v, per_point(spec, pts, s))
 
     @settings(max_examples=100, deadline=None)
     @given(profile_problems())
@@ -825,7 +831,7 @@ class TestProfileGridProperties:
         spec, pts, s = problem
         x = np.repeat(pts[:1], s.size, axis=0)
         s = np.sort(s)
-        v = wells.optimal_profile_grid(spec, x, s)
+        v = wells.optimal_profile_grid(wells.bind(spec, x), s)
         assert np.all(np.diff(v) >= 0.0)
         assert np.all((v >= 0.0) & (v <= 1.0))
 
@@ -860,9 +866,9 @@ def _solved_shapes(monkeypatch):
     shapes = []
     solve = wells._solve_profile
 
-    def seen(spec, points, s, *coefficients):
+    def seen(s, *coefficients):
         shapes.append(s.shape)
-        return solve(spec, points, s, *coefficients)
+        return solve(s, *coefficients)
 
     monkeypatch.setattr(wells, "_solve_profile", seen)
     return shapes
@@ -926,7 +932,7 @@ class TestMirroredProfile:
     @given(mirror_problems())
     def test_reduced_build_is_bit_identical_to_per_point(self, problem):
         spec, pts, s = problem
-        assert bits(wells.optimal_profile_grid(spec, pts, s)) \
+        assert bits(wells.optimal_profile_grid(wells.bind(spec, pts), s)) \
             == bits(per_point(spec, pts, s))
 
     @pytest.mark.parametrize("cells", ((9, 16), (11, 13), (16, 8)))
@@ -941,7 +947,8 @@ class TestMirroredProfile:
         s = _mirror_fill(_mirror_fill(s, 0), 1)
         want = per_point(spec, pts, s)
         shapes = _solved_shapes(monkeypatch)
-        assert bits(wells.optimal_profile_grid(spec, pts, s)) == bits(want)
+        v = wells.optimal_profile_grid(wells.bind(spec, pts), s)
+        assert bits(v) == bits(want)
         half = [n - n // 2 for n in cells]
         if axis is not None:
             half[axis] = cells[axis]
@@ -954,12 +961,15 @@ class TestMirroredProfile:
         s[3, 4] = s[12, 11] = np.nan
         with pytest.raises(GeometryError, match=re.escape(
                 "profile arclength is NaN at 2 of 256 points")):
-            wells.optimal_profile_grid(wells.constant_quartic(), pts, s)
+            wells.optimal_profile_grid(
+                wells.bind(wells.constant_quartic(), pts), s)
 
     @pytest.mark.parametrize("zero", (True, False), ids=("s=0", "disk"))
     def test_crossed_well_text(self, zero):
-        # a = 1.2 x_0 crosses b = 1 at x_0 = 5/6; s is mirror-symmetric
-        # along x_1, where the well is constant, so the build is halved
+        # a = 1.2 x_0 crosses b = 1 at x_0 = 5/6; the march reads a bound
+        # well, and bind checks every point, so the text names the span of
+        # the whole grid whether s is 0 or a disk (mirror-symmetric along
+        # x_1, where the well is constant)
         pts = Grid((0.0, 0.0), (1.0, 1.0), (16, 16)).points()
         s = np.zeros((16, 16)) if zero else sharp.Sphere(
             (0.5, 0.5), 0.3).signed_distance(pts) / 0.1
@@ -967,7 +977,7 @@ class TestMirroredProfile:
         with pytest.raises(GeometryError, match=re.escape(
                 "separation b - a must be finite and positive at every "
                 "point; it spans [-0.16249999999999987, 0.9625]")):
-            wells.optimal_profile_grid(spec, pts, s)
+            wells.optimal_profile_grid(wells.bind(spec, pts), s)
 
     @pytest.mark.parametrize("spec, solved", (
         (wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0), (64, 32)),
@@ -997,6 +1007,17 @@ class TestMirroredProfile:
         off = Grid((0.0,) * dim, (1.0,) * dim, (n,) * dim).points() - 0.5
         for ax in range(dim):
             assert np.array_equal(off[..., ax], -np.flip(off[..., ax], ax))
+
+    def test_every_2d_registry_grid_has_power_of_two_cells(self):
+        # the unit boxes of 02, 03, 04 and 07 at their defaults: with any
+        # other cell count (384^2, say) their disks would build whole,
+        # without an error, at about twice or four times the work
+        cells = [defaults(name)["grid_n"] for name in (
+            "equipartition", "first_variation", "gibbs_thomson")]
+        cells += [n for _, n, _ in defaults("ac_to_mcf_radial")["runs"]]
+        assert len(cells) == 5
+        for n in cells:
+            assert n > 0 and n & (n - 1) == 0, n
 
 
 @hst.composite
@@ -1280,3 +1301,19 @@ class TestQuadrature:
         val, _ = adaptive_gauss_legendre(lambda t: np.sqrt(np.abs(t)),
                                          0.0, 1.0, tol=1e-11)
         assert_allclose(val, 2.0 / 3.0, atol=1e-10)
+
+    # a NaN tol used to bisect to the 20 000-panel budget and raise
+    # NumericError, an infinite one to return the first panel
+    # uncertified (0.49979 +- 3.4e-3 for sqrt|t - 0.3| on [0, 1]); each is
+    # rejected before any panel, also through the sigma quadrature
+    @pytest.mark.parametrize("tol", (np.nan, np.inf, -np.inf, 0.0, -1.0))
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        def tripwire(t):
+            raise AssertionError("a panel was integrated")
+
+        with pytest.raises(ValueError, match="tol must be positive and "
+                                             "finite"):
+            adaptive_gauss_legendre(tripwire, 0.0, 1.0, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and "
+                                             "finite"):
+            wells.surface_tension(wells.constant_quartic(), 0.3, tol=tol)
