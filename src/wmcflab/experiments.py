@@ -159,9 +159,9 @@ def run_equipartition(grid_n: int = 512,
     recovery states. Moving wells keep the defect nonzero; over the
     acceptance sweep (512^2, eps 0.08 -> 0.01) it shrinks 1.53, 1.52 and
     1.72 times per halving of eps, an observed order of 0.6-0.8, not 1.
-    Each state is read once (W and |grad u|, by ``build_recovery``); the
-    defect and the pairings with all three test samples come from that
-    reading."""
+    Every eps builds its state from one ``bind_recovery`` and reads it
+    once (W and |grad u|, by ``build_recovery``); the defect and the
+    pairings with all three test samples come from that reading."""
     res = ExperimentResult("equipartition")
     grid = _unit_box(grid_n)
     spec = wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0)
@@ -175,8 +175,9 @@ def run_equipartition(grid_n: int = 512,
     pairs = [(pn, tn) for tn in testers for pn in (
         "potential_gradient", "potential_geometric", "gradient_geometric")]
     res.csv_header = ["eps", "defect"] + [f"gap_{p}_{t}" for p, t in pairs]
+    bound = var.bind_recovery(disk, spec, grid)
     for eps in sorted(eps_list, reverse=True):
-        reading = var.build_recovery(disk, spec, grid, eps).reading
+        reading = var.build_recovery(bound, eps).reading
         row = [eps, var.equipartition_defect(reading)]
         for pot, gra, geo in var.measure_pairing(reading, testers.values()):
             row += [abs(pot - gra), abs(pot - geo), abs(gra - geo)]
@@ -265,8 +266,9 @@ def run_gibbs_thomson(grid_n: int = 256, eps_list=(0.08, 0.04, 0.02),
     grid = _unit_box(grid_n)
     disk = sharp.Sphere((0.5, 0.5), radius)
     lam0 = -SQRT2_OVER_6 / radius
+    bound = var.bind_recovery(disk, spec, grid)
     for eps in sorted(eps_list, reverse=True):
-        init = var.build_recovery(disk, spec, grid, eps).state.u
+        init = var.build_recovery(bound, eps).state.u
         out = flow.minimize_constrained(spec, grid, eps,
                                         float(np.mean(init.values)), init,
                                         tol_residual=residual_tol / 5.0)
@@ -299,7 +301,8 @@ def run_minimizing_movements(grid_n: int = 512, eps: float = 0.05,
     grid = Grid.interval(0.0, 1.0, grid_n)
     pts = grid.points()
     c0 = float(np.max(np.abs([spec.a(pts), spec.b(pts)])))
-    start = var.build_recovery(sharp.Point1D(0.35), spec, grid, eps).state
+    start = var.build_recovery(
+        var.bind_recovery(sharp.Point1D(0.35), spec, grid), eps).state
     state = start.replace(np.clip(
         start.u.values + 0.05 * np.sin(9 * np.pi * pts[..., 0]), -c0, c0))
     slacks, sups = [], []
@@ -336,8 +339,8 @@ def run_dissipation(grid_n: int = 256, eps: float = 0.02,
     res = ExperimentResult("dissipation",
                            csv_header=["dt", "defect", "ratio_to_previous"])
     spec = wells.constant_quartic()
-    state = var.build_recovery(sharp.Point1D(0.5), spec,
-                               Grid.interval(0.0, 1.0, grid_n), eps).state
+    state = var.build_recovery(var.bind_recovery(
+        sharp.Point1D(0.5), spec, Grid.interval(0.0, 1.0, grid_n)), eps).state
     defects = [flow.run(state, spec, dt=dt, t_end=t_end).ledger.final_defect
                for dt in dts]
     ratios = _sweep_part("ratio", defects, factor)[1]
@@ -370,7 +373,8 @@ def _track_flow(spec, front, traj, t_end, runs, scale) -> list:
         return s.time, exact, found, abs(found - exact) / scale(s.time, exact)
 
     def track(eps, grid, frac):
-        state = var.build_recovery(front, spec, grid, eps).state
+        state = var.build_recovery(var.bind_recovery(front, spec, grid),
+                                   eps).state
         lw = flow.reaction_lipschitz(spec, grid, (-0.06, 1.06))
         steps = int(np.ceil(t_end / (frac * eps ** 2 / lw)))
         out = flow.run(state, spec, dt=t_end / steps, t_end=t_end,

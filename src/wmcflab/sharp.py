@@ -194,7 +194,11 @@ class Point1D:
         return val - self.p
 
     def margin(self, grid) -> float:
-        """Distance from the point to the nearer end of ``grid``."""
+        """Distance from the point to the nearer end of ``grid``;
+        GeometryError unless ``grid`` is 1-d."""
+        if grid.dim != 1:
+            raise GeometryError(f"a 1-d point interface on a {grid.dim}-d "
+                                f"grid")
         return min(self.p - grid.lower[0], grid.upper[0] - self.p)
 
     def boundary_nodes(self, n: int = 1):
@@ -229,7 +233,11 @@ class Sphere:
         return self.radius - point_norm(dx)
 
     def margin(self, grid) -> float:
-        """Distance from the sphere to the nearest wall of ``grid``."""
+        """Distance from the sphere to the nearest wall of ``grid``;
+        GeometryError unless ``grid`` has the sphere's dimension."""
+        if grid.dim != self.dim:
+            raise GeometryError(f"a {self.dim}-d sphere on a {grid.dim}-d "
+                                f"grid")
         gaps = []
         for ax in range(grid.dim):
             c = self.center[ax]

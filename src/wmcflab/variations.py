@@ -15,8 +15,13 @@ both converge to the sharp pairing
 computed by boundary quadrature in ``sharp.sharp_first_variation`` as the
 independent reference.
 
-A recovery state carries one ``flow.Reading`` of itself (u, W(x, u) and
-|grad u|, evaluated once by ``build_recovery`` for its energy check).
+A recovery sweep binds its eps-free geometry once: ``bind_recovery``
+checks the interface against the grid and the well, and holds the bound
+well and the signed distance; ``build_recovery(bound, eps)`` then forms
+each eps's profile. A broken well or a mismatched interface raises from
+the bind, an eps check from the build. A recovery state carries one
+``flow.Reading`` of itself (u, W(x, u) and |grad u|, evaluated once by
+``build_recovery`` for its energy check).
 The equipartition defect and the three localized densities are formed
 from that reading: ``equipartition_defect(rec.reading)`` and
 ``measure_pairing(rec.reading, testfns)``, which pairs the densities with
@@ -33,8 +38,8 @@ from .grid import (Field, Grid, gradient_neumann, integrate, laplacian_neumann,
                    pair_density)
 from .sharp import sharp_first_variation, sigma_field_of, weighted_perimeter
 from .testfields import TestVectorField
-from .wells import (WellSpec, bind, grad_gamma, normalized_well,
-                    normalized_well_dx, optimal_profile_grid)
+from .wells import (BoundQuartic, WellSpec, bind, grad_gamma,
+                    normalized_well, normalized_well_dx, optimal_profile_grid)
 
 _NORMAL_THRESHOLD = 1e-12
 # eps must span this many grid spacings
@@ -52,40 +57,70 @@ class RecoveryState:
     energy_sharp: float
 
 
-def build_recovery(interface, spec: WellSpec, grid: Grid,
-                   eps: float) -> RecoveryState:
-    """Construct the recovery state for a parametrized interface: the one
-    builder of a diffuse start (the well-prepared data of Theorem 4.3):
-    runners and demos take its ``.state`` (or ``.reading``).
+@dataclass(frozen=True)
+class BoundRecovery:
+    """The eps-free part of the recovery states of one interface, well
+    and grid, made once by ``bind_recovery``: the well bound to the cell
+    centres (``wells.bind``), the signed distance there (read-only), the
+    interface's margin to the walls and the weighted perimeter under
+    ``sigma_field_of(spec)``. The cell centres themselves are not kept."""
 
-    Three checks guard it: eps >= 4 max spacing, the profile resolution
-    (``ResolutionError``); an interface >= 2 eps from the domain boundary
-    (``interface.margin(grid)``, else ``GeometryError``), where the
-    truncated profile tail is exp(-sqrt(2) margin/eps) per unit of gamma,
-    below 6e-2; and the built energy within the guard of the weighted
-    perimeter under ``sigma_field_of(spec)``, which it matches to
-    O(eps) + O(h^2/eps^2) (``GeometryError``). The well is bound to the
-    grid once (``wells.bind``), which checks it, so a broken well raises
-    before any profile; the profile ``optimal_profile_grid(well, s)`` of
-    the signed distance over eps, u = a + (b - a) v (v itself, to the bit,
-    for wells at +0.0 and 1.0) and its reading all read that binding.
+    grid: Grid
+    spec: WellSpec
+    well: BoundQuartic
+    sdist: np.ndarray
+    margin: float
+    energy_sharp: float
+
+
+def bind_recovery(interface, spec: WellSpec, grid: Grid) -> BoundRecovery:
+    """Do the eps-free work of ``build_recovery`` once per interface, well
+    and grid, in this order: the margin ``interface.margin(grid)``, which
+    raises GeometryError for an interface of another dimension than the
+    grid, before any distance is taken; the cell centres; the well bound
+    there (``wells.bind``), which raises GeometryError for a broken double
+    well; the signed distance; and the weighted perimeter. A sweep binds
+    once and builds each eps from the binding."""
+    margin = interface.margin(grid)
+    pts = grid.points()
+    well = bind(spec, pts)
+    sdist = interface.signed_distance(pts)
+    sdist.flags.writeable = False
+    return BoundRecovery(
+        grid=grid, spec=spec, well=well, sdist=sdist, margin=margin,
+        energy_sharp=weighted_perimeter(interface, sigma_field_of(spec)))
+
+
+def build_recovery(bound: BoundRecovery, eps: float) -> RecoveryState:
+    """Construct the recovery state at ``eps`` from ``bind_recovery``'s
+    binding: the one builder of a diffuse start (the well-prepared data of
+    Theorem 4.3): runners and demos take its ``.state`` (or ``.reading``).
+
+    A broken well or an interface of another dimension than the grid has
+    raised from the bind; here three checks on eps guard the state:
+    eps >= 4 max spacing, the profile resolution (``ResolutionError``);
+    an interface >= 2 eps from the domain boundary (the bound margin, else
+    ``GeometryError``), where the truncated profile tail is
+    exp(-sqrt(2) margin/eps) per unit of gamma, below 6e-2; and the built
+    energy within the guard of the weighted perimeter, which it matches
+    to O(eps) + O(h^2/eps^2) (``GeometryError``). The profile
+    ``optimal_profile_grid(well, sdist / eps)``, u = a + (b - a) v (v
+    itself, to the bit, for wells at +0.0 and 1.0) and its reading all
+    read the bound well; the binding is never written, so every eps of a
+    sweep has the bits of a build bound on its own.
     """
+    grid, well, e_sharp = bound.grid, bound.well, bound.energy_sharp
     hmax = float(np.max(grid.spacing))
     floor = _CELLS_PER_EPS * hmax
     if eps < floor:
         raise ResolutionError(f"eps={eps} under-resolved: needs >= {floor}")
-    margin = interface.margin(grid)
-    if margin < 2.0 * eps:
-        raise GeometryError(f"interface margin {margin:.4g} below 2.0 * eps")
-    pts = grid.points()
-    well = bind(spec, pts)
-    sdist = interface.signed_distance(pts)
-    sdist /= eps
-    v = optimal_profile_grid(well, sdist)
+    if bound.margin < 2.0 * eps:
+        raise GeometryError(
+            f"interface margin {bound.margin:.4g} below 2.0 * eps")
+    v = optimal_profile_grid(well, bound.sdist / eps)
     u = Field(grid, well.a + (well.b - well.a) * v)
     state = PhaseState(u, eps)
-    e_sharp = weighted_perimeter(interface, sigma_field_of(spec))
-    reading = read(state, spec, well)
+    reading = read(state, bound.spec, well)
     e_diff = reading.energy()
     hmax_sq = hmax ** 2
     guard = 5.0 * (eps + hmax_sq / eps ** 2) * max(1.0, e_sharp) + 1e-10
@@ -199,16 +234,17 @@ def first_variation_convergence(eps_list, interface, spec: WellSpec,
     """One ``SweepRow`` per eps, largest eps first.
 
     The sharp value is the boundary-quadrature oracle under
-    ``sigma_field_of(spec)``; recovery states are rebuilt per eps on the
-    given grid (eps < 4 max spacing raises), and the defect column comes
-    from each state's reading. ``diffuse`` is the direct route of
-    ``diffuse_first_variation``, ``reassembled`` its second route and
-    ``route_gap`` their distance.
+    ``sigma_field_of(spec)``; recovery states are built per eps from one
+    ``bind_recovery`` on the given grid (eps < 4 max spacing raises), and
+    the defect column comes from each state's reading. ``diffuse`` is the
+    direct route of ``diffuse_first_variation``, ``reassembled`` its
+    second route and ``route_gap`` their distance.
     """
     sharp_val = sharp_first_variation(interface, sigma_field_of(spec), psi)
+    bound = bind_recovery(interface, spec, grid)
     rows = []
     for eps in sorted(eps_list, reverse=True):
-        rec = build_recovery(interface, spec, grid, eps)
+        rec = build_recovery(bound, eps)
         fv = diffuse_first_variation(rec.state, spec, psi)
         rows.append(SweepRow(eps=eps, diffuse=fv.value, sharp=sharp_val,
                              gap=abs(fv.value - sharp_val),

@@ -366,7 +366,8 @@ def test_first_variation_rows_carry_both_routes():
     for row in res.csv_rows:
         col = dict(zip(res.csv_header, row))
         spec, psi = branches[col["branch"]]
-        state = var.build_recovery(disk, spec, grid, col["eps"]).state
+        state = var.build_recovery(var.bind_recovery(disk, spec, grid),
+                                   col["eps"]).state
         fv = var.diffuse_first_variation(state, spec, psi)
         assert col["diffuse"] == fv.value
         assert col["reassembled"] == fv.reassembled
@@ -511,7 +512,8 @@ def test_reference_that_stops_early_raises_first(monkeypatch, name, t_end):
     def reached(*args, **kwargs):
         raise AssertionError("reached past the sharp reference")
 
-    for module, attr in ((var, "build_recovery"), (flow, "run"),
+    for module, attr in ((var, "bind_recovery"), (var, "build_recovery"),
+                         (flow, "run"),
                          (calib, "build_calibration")):
         monkeypatch.setattr(module, attr, reached)
     with pytest.raises(GeometryError, match=f"before t_end = {t_end!r}") \

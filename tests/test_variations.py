@@ -39,7 +39,8 @@ class TestBuildRecovery:
     def test_point1d_energy_near_sigma(self):
         spec = wells.constant_quartic()
         g = Grid.interval(0.0, 1.0, 1024)
-        rec = var.build_recovery(sharp.Point1D(0.5), spec, g, 0.02)
+        rec = var.build_recovery(
+            var.bind_recovery(sharp.Point1D(0.5), spec, g), 0.02)
         assert SQRT2_6 - 0.01 <= rec.energy_diffuse <= SQRT2_6 + 0.01
 
     def test_disk_energy_approaches_weighted_perimeter(self):
@@ -48,8 +49,9 @@ class TestBuildRecovery:
         spec = wells.constant_quartic()
         g = Grid.box((0, 0), (1, 1), (256, 256))
         target = 2 * np.pi * 0.3 * SQRT2_6
+        bound = var.bind_recovery(disk(), spec, g)
         for eps in (0.08, 0.04, 0.02):
-            rec = var.build_recovery(disk(), spec, g, eps)
+            rec = var.build_recovery(bound, eps)
             assert rec.energy_sharp == pytest.approx(target, rel=1e-10)
             assert abs(rec.energy_diffuse - target) <= 1e-3
 
@@ -59,7 +61,7 @@ class TestBuildRecovery:
         spec = wells.constant_quartic()
         g = Grid.box((0, 0), (1, 1), (256, 256))
         eps = 0.02
-        rec = var.build_recovery(disk(), spec, g, eps)
+        rec = var.build_recovery(var.bind_recovery(disk(), spec, g), eps)
         pts = g.points()
         sd = disk().signed_distance(pts)
         u = rec.state.u.values
@@ -70,7 +72,7 @@ class TestBuildRecovery:
     def test_values_stay_between_wells(self):
         spec = wells.linear_wells_quartic(0.0, 0.3, 1.0, 0.0)
         g = Grid.box((0, 0), (1, 1), (128, 128))
-        rec = var.build_recovery(disk(), spec, g, 0.06)
+        rec = var.build_recovery(var.bind_recovery(disk(), spec, g), 0.06)
         pts = g.points()
         assert np.all(rec.state.u.values >= spec.a(pts) - 1e-12)
         assert np.all(rec.state.u.values <= spec.b(pts) + 1e-12)
@@ -79,7 +81,7 @@ class TestBuildRecovery:
         spec = wells.constant_quartic()
         g = Grid.box((0, 0), (1, 1), (256, 256))
         eps = 0.02
-        rec = var.build_recovery(disk(), spec, g, eps)
+        rec = var.build_recovery(var.bind_recovery(disk(), spec, g), eps)
         _, radius = extract_levelset(rec.state.u, 0.5).fitted_circle()
         h = float(np.max(g.spacing))
         assert abs(radius - 0.3) <= h + 10 * eps ** 2
@@ -95,7 +97,7 @@ class TestBuildRecovery:
         # bound coefficients, which may be collapsed to scalars; written
         # with the coefficients at the positions they give the same bits
         g = Grid.box((0, 0), (1, 1), (48, 48))
-        rec = var.build_recovery(disk(), spec, g, 0.1)
+        rec = var.build_recovery(var.bind_recovery(disk(), spec, g), 0.1)
         pts = g.points()
         v = wells.optimal_profile_grid(wells.bind(spec, pts),
                                        disk().signed_distance(pts) / 0.1)
@@ -112,14 +114,16 @@ class TestBuildRecovery:
     def test_underresolved_eps_raises(self):
         spec = wells.constant_quartic()
         g = Grid.box((0, 0), (1, 1), (32, 32))
+        bound = var.bind_recovery(disk(), spec, g)
         with pytest.raises(ResolutionError):
-            var.build_recovery(disk(), spec, g, 0.02)
+            var.build_recovery(bound, 0.02)
 
     def test_interface_too_close_to_boundary_raises(self):
         spec = wells.constant_quartic()
         g = Grid.box((0, 0), (1, 1), (256, 256))
+        bound = var.bind_recovery(sharp.Sphere(CENTER, 0.45), spec, g)
         with pytest.raises(GeometryError):
-            var.build_recovery(sharp.Sphere(CENTER, 0.45), spec, g, 0.04)
+            var.build_recovery(bound, 0.04)
 
     # an interface 0.99 * 2 eps from one wall raises, and 1.01 * 2 eps
     # from it builds: both ends of an interval, and an off-centre circle
@@ -138,10 +142,95 @@ class TestBuildRecovery:
         near, clear = interface(0.99 * 2.0 * eps), interface(1.01 * 2.0 * eps)
         assert near.margin(g) == pytest.approx(0.99 * 2.0 * eps)
         assert clear.margin(g) == pytest.approx(1.01 * 2.0 * eps)
+        bound = var.bind_recovery(near, spec, g)
         with pytest.raises(GeometryError, match="interface margin"):
-            var.build_recovery(near, spec, g, eps)
-        rec = var.build_recovery(clear, spec, g, eps)
+            var.build_recovery(bound, eps)
+        rec = var.build_recovery(var.bind_recovery(clear, spec, g), eps)
         assert rec.energy_diffuse > 0.0
+
+    # an interface of another dimension than the grid raises before any
+    # distance is taken: the distance of a 2-d disk at 1-d points
+    # broadcasts to sqrt(2)|x - 0.5| - 0.2, whose "recovery" on 256 cells
+    # at eps 0.08 passes the energy guard (0.4987 against a sharp 0.2962,
+    # guard 0.4)
+    @pytest.mark.parametrize("interface, g, message", [
+        (sharp.Sphere(CENTER, 0.2), Grid.interval(0.0, 1.0, 256),
+         "a 2-d sphere on a 1-d grid"),
+        (sharp.Sphere((0.5, 0.5, 0.5), 0.2),
+         Grid.box((0, 0), (1, 1), (64, 64)), "a 3-d sphere on a 2-d grid"),
+        (sharp.Point1D(0.5), Grid.box((0, 0), (1, 1), (64, 64)),
+         "a 1-d point interface on a 2-d grid"),
+    ], ids=["disk-on-interval", "ball-on-box", "point-on-box"])
+    def test_interface_of_another_dimension_raises_from_the_bind(
+            self, monkeypatch, interface, g, message):
+        def tripwire(*args):
+            raise AssertionError("a position or a distance was taken")
+
+        monkeypatch.setattr(Grid, "points", tripwire)
+        monkeypatch.setattr(type(interface), "signed_distance", tripwire)
+        with pytest.raises(GeometryError, match=message):
+            interface.margin(g)
+        with pytest.raises(GeometryError, match=message):
+            var.bind_recovery(interface, wells.constant_quartic(), g)
+
+
+def one_shot_recovery(interface, spec, grid, eps):
+    """A recovery state built in one pass, the reference for the bits of
+    a sweep: positions, binding and distance taken anew for this eps, the
+    distance divided in place (the checks left out)."""
+    pts = grid.points()
+    well = wells.bind(spec, pts)
+    sdist = interface.signed_distance(pts)
+    sdist /= eps
+    v = wells.optimal_profile_grid(well, sdist)
+    state = flow.PhaseState(Field(grid, well.a + (well.b - well.a) * v), eps)
+    reading = flow.read(state, spec, well)
+    return var.RecoveryState(
+        state=state, reading=reading, energy_diffuse=reading.energy(),
+        energy_sharp=sharp.weighted_perimeter(interface,
+                                              sharp.sigma_field_of(spec)))
+
+
+# a centred and an off-centre interface per dimension, each at least
+# 8 spacings of 32 cells (2 eps at eps = 4 h) from the walls
+SWEEP_FRONTS = {
+    1: (sharp.Point1D(0.5), sharp.Point1D(0.42)),
+    2: (sharp.Sphere(CENTER, 0.2), sharp.Sphere((0.47, 0.55), 0.18))}
+SWEEP_WELLS = (wells.constant_quartic(),
+               wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0),
+               wells.affine_scaled_quartic(1.0, 1.0))
+
+
+class TestBindRecovery:
+    # a sweep from one binding has the bits of builds bound one by one, in
+    # any order of eps and with eps repeated, so no build reads what an
+    # earlier one left in the binding
+    @settings(max_examples=20, deadline=None)
+    @given(hst.sampled_from((1, 2)), hst.sampled_from((0, 1)),
+           hst.integers(32, 128), hst.sampled_from(SWEEP_WELLS),
+           hst.lists(hst.floats(0.0, 1.0), min_size=1, max_size=3),
+           hst.sampled_from(("descending", "ascending", "repeated")))
+    def test_sweep_has_the_bits_of_one_shot_builds(self, dim, front, n, spec,
+                                                   fracs, order):
+        interface = SWEEP_FRONTS[dim][front]
+        g = (Grid.interval(0.0, 1.0, n) if dim == 1
+             else Grid.box((0, 0), (1, 1), (n, n)))
+        floor, cap = 4.0 / n, interface.margin(g) / 2.0
+        eps_list = sorted(floor + f * (cap - floor) for f in fracs)
+        eps_list = {"descending": eps_list[::-1], "ascending": eps_list,
+                    "repeated": eps_list * 2}[order]
+        bound = var.bind_recovery(interface, spec, g)
+        for eps in eps_list:
+            rec = var.build_recovery(bound, eps)
+            ref = one_shot_recovery(interface, spec, g, eps)
+            assert rec.state.u.values.tobytes() == ref.state.u.values.tobytes()
+            assert rec.reading.w.tobytes() == ref.reading.w.tobytes()
+            assert rec.reading.grad_norm.tobytes() \
+                == ref.reading.grad_norm.tobytes()
+            assert rec.energy_diffuse.hex() == ref.energy_diffuse.hex()
+            assert rec.energy_sharp.hex() == ref.energy_sharp.hex()
+        with pytest.raises(ValueError, match="read-only"):
+            bound.sdist[...] = 0.0
 
 
 class TestEquipartition:
@@ -155,14 +244,16 @@ class TestEquipartition:
     def test_exact_1d_profile_defect_below_tolerance(self):
         spec = wells.constant_quartic()
         g = Grid.interval(0.0, 1.0, 2048)
-        rec = var.build_recovery(sharp.Point1D(0.5), spec, g, 0.05)
+        rec = var.build_recovery(
+            var.bind_recovery(sharp.Point1D(0.5), spec, g), 0.05)
         assert var.equipartition_defect(rec.reading) <= 1e-6
 
     def test_defect_decreases_on_disk_sweep(self):
         spec = wells.linear_wells_quartic(0.0, 0.4, 1.0, 0.0)
         g = Grid.box((0, 0), (1, 1), (256, 256))
+        bound = var.bind_recovery(disk(), spec, g)
         defects = [var.equipartition_defect(
-            var.build_recovery(disk(), spec, g, eps).reading)
+            var.build_recovery(bound, eps).reading)
             for eps in (0.08, 0.04, 0.02)]
         assert defects[2] < defects[1] < defects[0]
 
@@ -189,8 +280,8 @@ class TestMeasurePairings:
     def setup_method(self):
         self.spec = wells.constant_quartic()
         self.g = Grid.interval(0.0, 1.0, 1024)
-        self.rec = var.build_recovery(sharp.Point1D(0.5), self.spec, self.g,
-                                      0.02)
+        self.rec = var.build_recovery(
+            var.bind_recovery(sharp.Point1D(0.5), self.spec, self.g), 0.02)
 
     def test_geometric_density_pairs_to_sigma(self):
         [(_, _, val)] = var.measure_pairing(self.rec.reading,
@@ -222,7 +313,7 @@ class TestMeasurePairings:
         # and the centered |grad u| of the densities and the defect
         spec = wells.linear_wells_quartic(0.0, 0.4, 1.0, 0.0)
         g = Grid.box((0, 0), (1, 1), (64, 64))
-        rec = var.build_recovery(disk(), spec, g, 0.08)
+        rec = var.build_recovery(var.bind_recovery(disk(), spec, g), 0.08)
         st = rec.state
         testers = [Field.constant(g, 1.0),
                    Field.from_function(g, lambda p: 1.0 + 0.5 * p[..., 0]),
@@ -298,17 +389,38 @@ class TestOneReadingPerState:
     @pytest.mark.parametrize("spec", (
         wells.linear_wells_quartic(0.0, 0.6, 1.0, 0.0),
         wells.constant_quartic()), ids=("moving", "constant"))
-    def test_recovery_build_evaluates_its_well_once(self, spec, counts):
-        # bind evaluates a, b and m on the grid and checks the double
-        # well there; the profile march and u read that binding, and the
-        # reading evaluates W once. The march used to evaluate a, b and m
-        # a second time and W once per block of its classes
+    def test_recovery_build_evaluates_its_well_once(self, spec, counts,
+                                                    monkeypatch):
+        # bind_recovery takes the cell centres and the signed distance
+        # once, and evaluates a, b and m on the grid once (wells.bind,
+        # which checks the double well there); each eps's profile march
+        # and u read that binding, and its reading evaluates W once. The
+        # march used to evaluate a, b and m a second time and W once per
+        # block of its classes, and each build used to redo the centres,
+        # the binding and the distance
         spec = self.counted_well(spec, counts, (64, 64), coefficients=True)
-        var.build_recovery(disk(), spec, Grid.box((0, 0), (1, 1), (64, 64)),
-                           0.1)
-        assert counts == {"a_full_grid": 1, "b_full_grid": 1,
-                          "amplitude_full_grid": 1, "W": 1, "W_full_grid": 1,
-                          "gradient_neumann": 1}
+        profiles = []
+        for owner, name, record in (
+                (Grid, "points", lambda out: counts.update(["points"])),
+                (sharp.Sphere, "signed_distance",
+                 lambda out: counts.update(["signed_distance"])),
+                (var, "optimal_profile_grid",
+                 lambda out: profiles.append(np.shape(out)))):
+            def counted(*args, original=getattr(owner, name), record=record):
+                out = original(*args)
+                record(out)
+                return out
+
+            monkeypatch.setattr(owner, name, counted)
+        bound = var.bind_recovery(disk(), spec,
+                                  Grid.box((0, 0), (1, 1), (64, 64)))
+        for eps in (0.1, 0.08, 0.07):
+            var.build_recovery(bound, eps)
+        assert counts == {"points": 1, "signed_distance": 1,
+                          "a_full_grid": 1, "b_full_grid": 1,
+                          "amplitude_full_grid": 1, "W": 3, "W_full_grid": 3,
+                          "gradient_neumann": 3}
+        assert profiles == [(64, 64)] * 3
 
     def test_equipartition_reads_each_state_once(self, monkeypatch, counts):
         # the runner builds its well at call time, here the counted one
@@ -357,7 +469,8 @@ class TestFirstVariation:
         psi = (dilation_field(c, 0.38, 0.45) if angle is None else
                translation_field((np.cos(angle), np.sin(angle)), c, 0.38,
                                  0.45))
-        u = var.build_recovery(disk(), spec, g, eps).state.u
+        u = var.build_recovery(var.bind_recovery(disk(), spec, g),
+                               eps).state.u
         a = spec.a(pts)
         gamma = spec.b(pts) - a
         grad_v = gradient_neumann(Field(g, (u.values - a) / gamma))
@@ -379,7 +492,7 @@ class TestFirstVariation:
     def test_zero_field_gives_zero(self):
         spec = wells.constant_quartic()
         g = Grid.box((0, 0), (1, 1), (128, 128))
-        rec = var.build_recovery(disk(), spec, g, 0.06)
+        rec = var.build_recovery(var.bind_recovery(disk(), spec, g), 0.06)
         fv = var.diffuse_first_variation(rec.state, spec, zero_field(2))
         assert fv.value == 0.0 and fv.reassembled == 0.0
 
@@ -397,8 +510,9 @@ class TestFirstVariation:
         spec = wells.constant_quartic()
         g = Grid.box((0, 0), (1, 1), (256, 256))
         tr = translation_field((1, 0), (0.55, 0.5), 0.36, 0.44)
+        bound = var.bind_recovery(disk(), spec, g)
         vals = [abs(var.diffuse_first_variation(
-            var.build_recovery(disk(), spec, g, eps).state, spec, tr).value)
+            var.build_recovery(bound, eps).state, spec, tr).value)
             for eps in (0.08, 0.04)]
         assert vals[1] < vals[0] / 2.0
 
@@ -408,7 +522,7 @@ class TestFirstVariation:
         gaps = []
         for eps, n in ((0.08, 64), (0.04, 256)):
             g = Grid.box((0, 0), (1, 1), (n, n))
-            rec = var.build_recovery(disk(), spec, g, eps)
+            rec = var.build_recovery(var.bind_recovery(disk(), spec, g), eps)
             gaps.append(var.diffuse_first_variation(rec.state, spec, psi).gap)
         assert gaps[1] < gaps[0]
 

@@ -988,12 +988,13 @@ class TestMirroredProfile:
         # constant well is halved along both axes
         shapes = _solved_shapes(monkeypatch)
         grid = Grid((0.0, 0.0), (1.0, 1.0), (64, 64))
-        var.build_recovery(sharp.Sphere((0.5, 0.5), 0.3), spec, grid, 0.08)
+        var.build_recovery(
+            var.bind_recovery(sharp.Sphere((0.5, 0.5), 0.3), spec, grid), 0.08)
         assert shapes == [solved]
         # a 1-d start about a point is not mirror-symmetric: whole grid
         shapes.clear()
-        var.build_recovery(sharp.Point1D(0.35), spec,
-                           Grid.interval(0.0, 1.0, 512), 0.02)
+        var.build_recovery(var.bind_recovery(
+            sharp.Point1D(0.35), spec, Grid.interval(0.0, 1.0, 512)), 0.02)
         assert shapes == [(512,)]
 
     @pytest.mark.parametrize("dim", (1, 2))
@@ -1149,8 +1150,8 @@ class TestEntryPointsRejectABrokenWell:
                              (flow, "_march"), (flow, "_bb_descent")):
             monkeypatch.setattr(module, attr, tripwire)
         calls = {
-            "build_recovery": lambda: var.build_recovery(
-                sharp.Sphere((0.5, 0.5), 0.25), spec, grid, 0.125),
+            "build_recovery": lambda: var.build_recovery(var.bind_recovery(
+                sharp.Sphere((0.5, 0.5), 0.25), spec, grid), 0.125),
             "run": lambda: flow.run(state, spec, 1e-4, 2e-4),
             "step_minmov": lambda: flow.step_minmov(state, spec, 1e-4),
             "minimize_constrained": lambda: flow.minimize_constrained(
